@@ -18,13 +18,13 @@ from fractions import Fraction
 
 from .hulls import (
     HullCertificate,
-    StrongStabilityRefusal,
     certify_strongly_stable,
     gen_random_market,
     verify_characterization,
 )
 from .model import (
     FractionalMatching,
+    InfeasibleError,
     Market,
     MarketError,
     Matching,
@@ -41,7 +41,7 @@ from .polytope import (
 )
 from .rotations import find_cycles, reduce_profile
 from .stability import Side, deferred_acceptance, enumerate_stable_bruteforce
-from .strong_stability import decompose, strong_stability_check
+from .strong_stability import strong_stability_check
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -72,7 +72,11 @@ def _read_file(path: str) -> tuple[str, str]:
             data = handle.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
-    return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: not valid UTF-8 ({exc})", EXIT_USAGE) from exc
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _load_market(path: str, diagnostics: list[str]) -> tuple[Market, dict]:
@@ -200,22 +204,21 @@ def _cmd_decompose(args) -> int:
     market, market_input = _load_market(args.market, diagnostics)
     x, frac_input = _load_fractional(market, args.fraction)
     inputs = {"market": market_input, "fraction": frac_input}
-    feas = check_stable_feasibility(market, x)
-    if not feas.feasible:
-        cid, lhs, rhs = feas.first_violation()
+    try:
+        certificate = certify_strongly_stable(market, x)
+    except InfeasibleError as exc:
+        label = constraint_label(exc.constraint)
         report = {
             "command": "decompose", "inputs": inputs,
             "result": {"refusal": {
                 "kind": "infeasible",
-                "constraint": constraint_label(cid),
-                "lhs": _rat(lhs), "rhs": _rat(rhs)}},
+                "constraint": label,
+                "lhs": _rat(exc.lhs), "rhs": _rat(exc.rhs)}},
             "diagnostics": diagnostics,
         }
-        _emit(args, report, [
-            f"infeasible: {constraint_label(cid)} ({lhs} vs {rhs})"])
+        _emit(args, report, [f"infeasible: {label} ({exc.lhs} vs {exc.rhs})"])
         return EXIT_PROPERTY_FAILS
-    certificate = certify_strongly_stable(market, x)
-    if isinstance(certificate, StrongStabilityRefusal):
+    if not isinstance(certificate, HullCertificate):
         report = {
             "command": "decompose", "inputs": inputs,
             "result": {"refusal": {
@@ -231,11 +234,12 @@ def _cmd_decompose(args) -> int:
             f"witness pair ({certificate.firm},{certificate.worker}): "
             f"product {certificate.product}"])
         return EXIT_PROPERTY_FAILS
-    decomposition = decompose(market, x)
+    terms = [(mu, weight) for mu, (_, weight) in
+             zip(certificate.term_matchings(market), certificate.terms)]
     result = {
         "terms": [
             {"matching": _matching_payload(mu), "weight": _rat(weight)}
-            for mu, weight in decomposition.terms],
+            for mu, weight in terms],
         "certificate": {
             "base": _matching_payload(certificate.base),
             "rotations": [
@@ -247,8 +251,7 @@ def _cmd_decompose(args) -> int:
         },
     }
     human = ["decomposition:"]
-    human += [f"  {weight} * {_matching_line(mu)}"
-              for mu, weight in decomposition.terms]
+    human += [f"  {weight} * {_matching_line(mu)}" for mu, weight in terms]
     human.append(f"certificate base: {_matching_line(certificate.base)}")
     for k, (ids, weight) in enumerate(certificate.terms):
         names = ",".join(str(i) for i in sorted(ids)) or "-"
@@ -475,3 +478,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -2,11 +2,13 @@
 
 A strongly stable point decomposes into stable matchings that all live in
 one connected set: the rotation closure of the decomposition's top matching.
-``certify_strongly_stable`` makes that constructive, expressing every term
-as a subset of the top matching's rotations.  ``verify_characterization``
-stress-tests the whole equivalence on one market from both directions,
-against brute-force enumeration and an exhaustive convex-hull membership
-oracle that is independent of the constructive route.
+``certify_strongly_stable`` makes that constructive: it checks the strong
+stability condition once, or refuses with the failing ``PairCondition``, and
+expresses every term of the threshold-sweep decomposition as a subset of the
+top matching's rotations.  ``verify_characterization`` stress-tests the whole
+equivalence on one market from both directions, against brute-force
+enumeration and an exhaustive convex-hull membership oracle that is
+independent of the constructive route.
 """
 
 from __future__ import annotations
@@ -36,22 +38,13 @@ from .rotations import (
 )
 from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
-    StrongStabilityReport,
+    PairCondition,
+    _threshold_sweep,
     check_almost_integral,
-    decompose,
     strong_stability_check,
 )
 
-
-@dataclass(frozen=True)
-class StrongStabilityRefusal:
-    """The witness pair at which the strong stability condition fails."""
-
-    firm: str
-    worker: str
-    firm_factor: Rational
-    worker_factor: Rational
-    product: Rational
+StrongStabilityRefusal = PairCondition      # a refusal is the failing pair itself
 
 
 @dataclass(frozen=True)
@@ -81,23 +74,22 @@ class HullCertificate:
 
 def certify_strongly_stable(
         market: Market, x: FractionalMatching
-) -> HullCertificate | StrongStabilityRefusal:
+) -> HullCertificate | PairCondition:
     """Certify hull membership constructively, or refuse with a witness pair.
 
-    When the strong stability condition fails, the refusal carries the first
-    failing pair with its factors.  When it holds, the ordered decomposition
-    is computed and every term is matched, firm by firm, to the subset of the
-    base matching's rotations that produces it.  A decomposition term that is
-    not expressible that way would falsify the characterization; it raises
-    instead of being swallowed.
+    Requires a stable-feasible point (InfeasibleError otherwise).  When the
+    strong stability condition fails, the refusal is the first failing
+    ``PairCondition`` with its factors.  When it holds, the ordered
+    decomposition is computed without checking the condition again, and
+    every term is matched, firm by firm, to the subset of the base matching's
+    rotations that produces it.  A decomposition term that is not expressible
+    that way would falsify the characterization; it raises instead of being
+    swallowed.
     """
     report = strong_stability_check(market, x)
     if not report.overall:
-        fail = report.first_failure()
-        return StrongStabilityRefusal(
-            fail.firm, fail.worker,
-            fail.firm_factor, fail.worker_factor, fail.product)
-    decomposition = decompose(market, x)
+        return report.first_failure()
+    decomposition = _threshold_sweep(market, x)
     base = decomposition.terms[0][0]
     rotations = find_cycles(reduce_profile(market, base))
     firm_to_rotation: dict[str, int] = {}
@@ -137,15 +129,7 @@ def sample_hull(market: Market, mu: Matching, seed: int,
         key=lambda m: m.assignment)
     vectors = [incidence_vector(market, m) for m in members]
     rng = random.Random(f"hull:{seed}")
-    points = []
-    for _ in range(count):
-        raw = [rng.randint(0, 8) for _ in vectors]
-        if not any(raw):
-            raw[0] = 1
-        total = Fraction(sum(raw))
-        points.append(FractionalMatching.linear_combination(
-            [(v, Fraction(r) / total) for v, r in zip(vectors, raw) if r]))
-    return points
+    return [_random_mix(vectors, rng) for _ in range(count)]
 
 
 def gen_random_market(seed: int, nf: int, nw: int, qmax: int,
@@ -263,30 +247,26 @@ def verify_characterization(market: Market, seed: int,
     counterexamples: list[str] = []
     notes: list[str] = []
 
-    def classify(x: FractionalMatching, origin: str,
-                 expect_member: bool) -> StrongStabilityReport:
-        report = strong_stability_check(market, x)
-        if report.overall:
-            cert = certify_strongly_stable(market, x)
-            if isinstance(cert, StrongStabilityRefusal):
-                counterexamples.append(f"{origin}: passing point was refused")
-            elif cert.reconstruct(market) != x:
+    def classify(x: FractionalMatching, origin: str, expect_member: bool) -> bool:
+        """Record counterexamples at x; true when x passes the condition."""
+        cert = certify_strongly_stable(market, x)
+        if isinstance(cert, HullCertificate):
+            if cert.reconstruct(market) != x:
                 counterexamples.append(f"{origin}: certificate does not reconstruct")
             if not check_almost_integral(market, x):
                 counterexamples.append(f"{origin}: passing point not almost integral")
-        else:
-            if expect_member:
-                fail = report.first_failure()
+            return True
+        if expect_member:
+            counterexamples.append(
+                f"{origin}: hull point fails the condition at "
+                f"({cert.firm},{cert.worker})")
+        flat = x.flatten(market)
+        for idx in hull_vectors:
+            if point_in_hull(hull_vectors[idx], flat):
                 counterexamples.append(
-                    f"{origin}: hull point fails the condition at "
-                    f"({fail.firm},{fail.worker})")
-            flat = x.flatten(market)
-            for idx in hull_vectors:
-                if point_in_hull(hull_vectors[idx], flat):
-                    counterexamples.append(
-                        f"{origin}: failing point lies in a connected-set hull")
-                    break
-        return report
+                    f"{origin}: failing point lies in a connected-set hull")
+                break
+        return False
 
     hull_points = 0
     per_mu = max(1, -(-samples // max(1, len(stable))))   # ceil division
@@ -300,8 +280,7 @@ def verify_characterization(market: Market, seed: int,
     rng = random.Random(f"negatives:{seed}")
     for k in range(mixes):
         x = _random_mix(incidences, rng)
-        report = classify(x, f"mix {k}", expect_member=False)
-        if not report.overall:
+        if not classify(x, f"mix {k}", expect_member=False):
             negative_points += 1
     notes.append(f"negative density {negative_points}/{mixes} over stable-set mixes")
 
@@ -311,15 +290,13 @@ def verify_characterization(market: Market, seed: int,
     n_pairs = len(market.pairs())
     for k in range(walks):
         start = interior_walk(market, _random_mix(incidences, wrng), wrng)
-        report = classify(start, f"walk {k} start", expect_member=False)
-        if not report.overall:
+        if not classify(start, f"walk {k} start", expect_member=False):
             negative_points += 1
         trace: list[FractionalMatching] = []
         v = vertex_walk(market, start, wrng, trace=trace)
         vertex_points += 1
         for j, mid in enumerate(trace[:-1] if trace else []):
-            report = classify(mid, f"walk {k} step {j}", expect_member=False)
-            if not report.overall:
+            if not classify(mid, f"walk {k} step {j}", expect_member=False):
                 negative_points += 1
         is_vertex, rank_value = is_extreme_point(market, v)
         if not is_vertex or rank_value != n_pairs:

@@ -86,7 +86,10 @@ def parse_rational(token: str) -> Rational:
     """Parse "a/b" or an integer literal into an exact rational."""
     if not _RATIONAL_RE.match(token):
         raise ValueError(f"not a rational token: {token!r}")
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,11 @@ class ConstraintReport:
     def first_violation(self) -> tuple[ConstraintId, Rational, Rational]:
         return self.violations[0]
 
+    def require(self) -> None:
+        """Raise InfeasibleError at the first violated constraint, if any."""
+        if self.violations:
+            raise InfeasibleError(*self.first_violation())
+
 
 def constraint_label(cid: ConstraintId) -> str:
     kind, *agents = cid
@@ -169,9 +174,7 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     vertex exactly when the rank equals the number of acceptable pairs.
     """
     report = check_stable_feasibility(market, x)
-    if not report.feasible:
-        cid, lhs, rhs = report.first_violation()
-        raise InfeasibleError(cid, lhs, rhs)
+    report.require()
     n = len(market.pairs())
     rows = [_constraint_row(market, cid) for cid in report.tight]
     r = rank(rows, n)
@@ -213,6 +216,29 @@ def _inequality_rows(market: Market) -> list[_Inequality]:
     return rows
 
 
+def _dot(a: tuple[Fraction, ...], b: list[Fraction]) -> Fraction:
+    return sum((u * v for u, v in zip(a, b) if u), Fraction(0))
+
+
+def _step_length(rows: list[_Inequality], vec: list[Fraction],
+                 direction: list[Fraction]) -> Fraction:
+    """The ratio test: how far vec may move along direction and stay feasible.
+
+    The polytope is bounded, so some row always binds, and a direction taken
+    from the null space of the tight rows leaves a positive step.
+    """
+    best: Fraction | None = None
+    for row in rows:
+        ad = _dot(row.coeffs, direction)
+        if ad > 0:
+            t = (row.rhs - _dot(row.coeffs, vec)) / ad
+            if best is None or t < best:
+                best = t
+    if best is None or best <= 0:
+        raise AssertionError(f"ratio test gave no positive step ({best})")
+    return best
+
+
 def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
                   steps: int = 4) -> FractionalMatching:
     """Move a feasible point onto higher-dimensional faces of the polytope.
@@ -223,21 +249,15 @@ def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
     minimal face containing the start point, which a null-space vertex walk
     never leaves; combined they fuzz the whole polytope.
     """
-    report = check_stable_feasibility(market, x)
-    if not report.feasible:
-        cid, lhs, rhs = report.first_violation()
-        raise InfeasibleError(cid, lhs, rhs)
+    check_stable_feasibility(market, x).require()
     n = len(market.pairs())
     if n == 0:
         return x
     vec = list(x.flatten(market))
     rows = _inequality_rows(market)
 
-    def dot(a: tuple[Fraction, ...], b: list[Fraction]) -> Fraction:
-        return sum((u * v for u, v in zip(a, b) if u), Fraction(0))
-
     for _ in range(steps):
-        tight = [row for row in rows if dot(row.coeffs, vec) == row.rhs]
+        tight = [row for row in rows if _dot(row.coeffs, vec) == row.rhs]
         if not tight:
             break
         rng.shuffle(tight)
@@ -253,19 +273,12 @@ def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
             rng.shuffle(free)
             for col in free:
                 direction = basis.null_vector(col)
-                s = dot(dropped.coeffs, direction)
+                s = _dot(dropped.coeffs, direction)
                 if s == 0:
                     continue
                 if s > 0:
                     direction = [-v for v in direction]
-                best: Fraction | None = None
-                for row in rows:
-                    ad = dot(row.coeffs, direction)
-                    if ad > 0:
-                        t = (row.rhs - dot(row.coeffs, vec)) / ad
-                        if best is None or t < best:
-                            best = t
-                assert best is not None and best > 0
+                best = _step_length(rows, vec, direction)
                 vec = [v + (best / 2) * d for v, d in zip(vec, direction)]
                 moved = True
                 break
@@ -286,22 +299,16 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
     constraint tight, so the walk ends in at most one step per coordinate.
     Intermediate points are appended to ``trace`` when given.
     """
-    report = check_stable_feasibility(market, x)
-    if not report.feasible:
-        cid, lhs, rhs = report.first_violation()
-        raise InfeasibleError(cid, lhs, rhs)
+    check_stable_feasibility(market, x).require()
     n = len(market.pairs())
     if n == 0:
         return x
     vec = list(x.flatten(market))
     rows = _inequality_rows(market)
 
-    def dot(a: tuple[Fraction, ...], b: list[Fraction]) -> Fraction:
-        return sum((u * v for u, v in zip(a, b) if u), Fraction(0))
-
     basis = Rref(n)
     for row in rows:
-        if dot(row.coeffs, vec) == row.rhs:
+        if _dot(row.coeffs, vec) == row.rhs:
             basis.add(row.coeffs)
     while basis.rank < n:
         pivots = basis.pivot_columns()
@@ -309,18 +316,10 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
         direction = basis.null_vector(rng.choice(free))
         if rng.random() < 0.5:
             direction = [-v for v in direction]
-        best: Fraction | None = None
-        for row in rows:
-            ad = dot(row.coeffs, direction)
-            if ad > 0:
-                t = (row.rhs - dot(row.coeffs, vec)) / ad
-                if best is None or t < best:
-                    best = t
-        # the polytope is bounded, so some constraint always binds
-        assert best is not None and best > 0
+        best = _step_length(rows, vec, direction)
         vec = [v + best * d for v, d in zip(vec, direction)]
         for row in rows:
-            if dot(row.coeffs, vec) == row.rhs:
+            if _dot(row.coeffs, vec) == row.rhs:
                 basis.add(row.coeffs)
         if trace is not None:
             trace.append(FractionalMatching.from_pair_values(market, vec))

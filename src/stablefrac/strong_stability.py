@@ -3,8 +3,8 @@
 A stable-feasible point is strongly stable when, for every acceptable pair,
 either the firm has exhausted its quota on weakly better workers or the
 worker has exhausted its unit of time on weakly better firms.  Such a point
-peels apart, one stable matching at a time, into an exact convex combination
-whose matchings strictly decrease in the eyes of all firms.
+is an exact convex combination of stable matchings that strictly decrease in
+the eyes of all firms, read off the firms' cumulative masses in one sweep.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import ceil
 
 from .model import (
     AlreadyIntegralError,
     ContestedWorkerError,
     Decomposition,
     FractionalMatching,
-    InfeasibleError,
     Market,
     Matching,
     NotStronglyStableError,
@@ -55,6 +55,15 @@ class StrongStabilityReport:
     def first_failure(self) -> PairCondition:
         return self.failures()[0]
 
+    def require(self) -> None:
+        """Raise NotStronglyStableError at the first failing pair, if any."""
+        if not self.overall:
+            fail = self.first_failure()
+            raise NotStronglyStableError(
+                f"strong stability fails at ({fail.firm},{fail.worker}) "
+                f"with product {fail.product}",
+                pair=(fail.firm, fail.worker), product=fail.product)
+
 
 def strong_stability_check(market: Market,
                            x: FractionalMatching) -> StrongStabilityReport:
@@ -64,10 +73,7 @@ def strong_stability_check(market: Market,
     carries both factors and their product per pair; ``overall`` is true
     exactly when every product is zero.
     """
-    report = check_stable_feasibility(market, x)
-    if not report.feasible:
-        cid, lhs, rhs = report.first_violation()
-        raise InfeasibleError(cid, lhs, rhs)
+    check_stable_feasibility(market, x).require()
     fpre = {f: firm_weak_prefix(market, x, f) for f in market.firms}
     wpre = {w: worker_weak_prefix(market, x, w) for w in market.workers}
     conditions = []
@@ -87,10 +93,7 @@ def support_matching(market: Market, x: FractionalMatching) -> Matching:
     happens only for points that are not strongly stable and is reported as a
     ContestedWorkerError naming the worker.
     """
-    report = check_feasibility(market, x)
-    if not report.feasible:
-        cid, lhs, rhs = report.first_violation()
-        raise InfeasibleError(cid, lhs, rhs)
+    check_feasibility(market, x).require()
     claimed: dict[str, str] = {}
     chosen: dict[str, list[str]] = {}
     for f in market.firms:
@@ -113,22 +116,19 @@ def peel(market: Market, x: FractionalMatching
     Returns (alpha, mu, y) with  x = alpha * mu + (1 - alpha) * y,  where mu
     is the support-best matching, alpha is the smallest entry of x on mu's
     support, and y is again strongly stable with strictly smaller support.
-    Requires a strongly stable, non-integral point.
+    Requires a strongly stable, non-integral point.  Peeling until an
+    integral point remains gives the same terms as ``decompose`` by an
+    independent route, which is what the tests compare against.
     """
-    report = strong_stability_check(market, x)
-    if not report.overall:
-        fail = report.first_failure()
-        raise NotStronglyStableError(
-            f"strong stability fails at ({fail.firm},{fail.worker}) "
-            f"with product {fail.product}",
-            pair=(fail.firm, fail.worker), product=fail.product)
+    strong_stability_check(market, x).require()
     mu = support_matching(market, x)
     inc = incidence_vector(market, mu)
     if inc == x:
         raise AlreadyIntegralError("point is already a stable matching")
     alpha = min(x.value(market, f, w)
                 for f, ws in mu.assignment for w in ws)
-    assert 0 < alpha < 1
+    if not 0 < alpha < 1:
+        raise AssertionError(f"peel weight {alpha} is not strictly between 0 and 1")
     scale = 1 / (1 - alpha)
     y = FractionalMatching.linear_combination(
         [(x, scale), (inc, -alpha * scale)])
@@ -138,35 +138,40 @@ def peel(market: Market, x: FractionalMatching
 def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     """The ordered convex decomposition of a strongly stable point.
 
-    Peels greedily until an integral point remains; the support shrinks at
-    every step, so the loop runs at most once per support entry.  Weights are
-    composed multiplicatively from the peel weights and sum to one exactly;
-    the reconstruction is verified before returning.
+    Checks the strong stability condition once, then reads the whole chain
+    off one threshold sweep (Teo & Sethuraman 1998, "The geometry of
+    fractional stable matchings").  Along each firm's list the cumulative
+    masses c_1 <= c_2 <= ... cut the threshold range [0, 1) at their
+    fractional parts.  On each interval [t, t') between cut points the firm
+    employs worker k exactly when ceil(c_k - t) > ceil(c_{k-1} - t), and that
+    matching gets weight t' - t.  Later intervals give matchings that are
+    worse for every firm, so the terms come out in the firms' order; weights
+    sum to one exactly, and the reconstruction is verified before returning.
     """
-    first = strong_stability_check(market, x)
-    if not first.overall:
-        fail = first.first_failure()
-        raise NotStronglyStableError(
-            f"strong stability fails at ({fail.firm},{fail.worker}) "
-            f"with product {fail.product}",
-            pair=(fail.firm, fail.worker), product=fail.product)
+    strong_stability_check(market, x).require()
+    return _threshold_sweep(market, x)
+
+
+def _threshold_sweep(market: Market, x: FractionalMatching) -> Decomposition:
+    """The sweep of ``decompose``, for a point known to be strongly stable."""
+    prefix = {f: firm_weak_prefix(market, x, f) for f in market.firms}
+    cuts = sorted({Fraction(0)} | {c % 1 for sums in prefix.values()
+                                   for c in sums.values()})
     terms: list[tuple[Matching, Rational]] = []
-    remaining = Fraction(1)
-    current = x
-    max_steps = len(x.support(market)) + 1
-    for _ in range(max_steps):
-        try:
-            alpha, mu, current_next = peel(market, current)
-        except AlreadyIntegralError:
-            terms.append((support_matching(market, current), remaining))
-            break
-        terms.append((mu, remaining * alpha))
-        remaining *= 1 - alpha
-        current = current_next
-    else:
-        raise AssertionError("peeling failed to terminate on the support bound")
+    for t, end in zip(cuts, cuts[1:] + [Fraction(1)]):
+        chosen: dict[str, list[str]] = {}
+        for f, sums in prefix.items():
+            chosen[f] = []
+            before = 0      # ceil(c_0 - t) with c_0 = 0 and 0 <= t < 1
+            for w, c in sums.items():
+                now = ceil(c - t)
+                if now > before:
+                    chosen[f].append(w)
+                before = now
+        terms.append((Matching.build(market, chosen), end - t))
     result = Decomposition(tuple(terms))
-    assert result.reconstruct(market) == x, "decomposition does not reconstruct"
+    if result.reconstruct(market) != x:
+        raise AssertionError("decomposition does not reconstruct the point")
     return result
 
 

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +79,43 @@ def fleet() -> list[sf.Market]:
 def fleet_stable(fleet) -> list[list[sf.Matching]]:
     return [sorted(sf.enumerate_stable_bruteforce(m), key=lambda mu: mu.assignment)
             for m in fleet]
+
+
+@pytest.fixture(scope="session")
+def block_market() -> sf.Market:
+    """Three worker swaps and one 3-cycle: four rotations at the firm-optimal
+    profile, a 16-matching connected set and 24 stable matchings.  f1 has
+    quota 2 and keeps w10, which it ranks between the two swapped workers."""
+    return sf.parse_market("""
+firms: f1 f2 f3 f4 f5 f6 f7 f8 f9
+workers: w1 w2 w3 w4 w5 w6 w7 w8 w9 w10
+quota: f1=2
+firm f1: w1 w10 w2
+firm f2: w2 w1
+firm f3: w3 w4
+firm f4: w4 w3
+firm f5: w5 w6
+firm f6: w6 w5
+firm f7: w7 w8 w9
+firm f8: w8 w9 w7
+firm f9: w9 w7 w8
+worker w1: f2 f1
+worker w2: f1 f2
+worker w3: f4 f3
+worker w4: f3 f4
+worker w5: f6 f5
+worker w6: f5 f6
+worker w7: f8 f9 f7
+worker w8: f9 f7 f8
+worker w9: f7 f8 f9
+worker w10: f1
+""")
+
+
+@pytest.fixture()
+def src_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this checkout's package."""
+    return {**os.environ, "PYTHONPATH": str(Path(sf.__file__).resolve().parents[1])}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -126,6 +128,16 @@ def test_decompose_refusal(capsys, market_file, vertex_file):
     assert refusal["product"] == "1/4"
 
 
+def test_decompose_infeasible_refusal(capsys, market_file, tmp_path):
+    bad = tmp_path / "bad.frac"
+    bad.write_text("0 0 0 0\n0 0 0 0\n")
+    _, checked = run_json(capsys, ["check", market_file, str(bad)])
+    code, report = run_json(capsys, ["decompose", market_file, str(bad)])
+    assert code == 1
+    assert report["result"] == {"refusal": {
+        "kind": "infeasible", **checked["result"]["violations"][0]}}
+
+
 def test_decompose_integral(capsys, market_file, firm_opt_file):
     code, report = run_json(capsys, ["decompose", market_file, firm_opt_file])
     assert code == 0
@@ -221,6 +233,26 @@ def test_malformed_market_exits_2(capsys, tmp_path):
     assert main(["solve", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+def test_non_utf8_market_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin.market"
+    bad.write_bytes(b"firms: f\xff\n")
+    assert main(["solve", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not valid UTF-8" in err
+
+
+def test_module_runs_the_cli(src_env):
+    solve = subprocess.run(
+        [sys.executable, "-m", "stablefrac.cli", "solve", str(DATA / "example.market")],
+        env=src_env, capture_output=True, text=True, timeout=60)
+    assert solve.returncode == 0, solve.stderr
+    assert "  f1: w1 w2\n  f2: w3 w4\n" in solve.stdout
+    bare = subprocess.run([sys.executable, "-m", "stablefrac.cli"],
+                          env=src_env, capture_output=True, text=True, timeout=60)
+    assert bare.returncode == 2
+    assert "usage:" in bare.stderr
 
 
 def test_prune_warning_lands_in_diagnostics(capsys, tmp_path):

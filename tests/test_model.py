@@ -125,6 +125,7 @@ def test_parse_fractional_zero_and_oversized_entries(market):
     "1 0 0 0\n0 0 0 0\n0 0 0 0\n",
     "-1 0 0 0\n0 0 0 0\n",       # negative entry
     "0.5 0 0 0\n0 0 0 0\n",      # decimals are not exact tokens
+    "1/0 0 0 0\n0 0 0 0\n",      # zero denominator
 ])
 def test_parse_fractional_rejects(market, text):
     with pytest.raises(sf.ParseError):

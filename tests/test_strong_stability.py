@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import stablefrac as sf
+
+DATA = Path(__file__).parent / "data"
 
 D = sf.DominanceResult
 
@@ -214,3 +219,85 @@ def test_peel_shrinks_support_and_keeps_condition(fleet, fleet_stable):
                 assert set(residue.support(m)) < set(x.support(m))
                 checked += 1
     assert checked >= 20
+
+
+def _peel_terms(m, x):
+    """The ordered decomposition by repeated peeling: the reference route."""
+    terms, remaining = [], Fraction(1)
+    while True:
+        try:
+            alpha, mu, x = sf.peel(m, x)
+        except sf.AlreadyIntegralError:
+            terms.append((sf.support_matching(m, x), remaining))
+            return tuple(terms)
+        terms.append((mu, remaining * alpha))
+        remaining *= 1 - alpha
+
+
+def test_peel_oracle_matches_decompose_on_fleet(fleet, fleet_stable):
+    checked = 0
+    for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
+        for mu in stable:
+            for x in sf.sample_hull(m, mu, seed=700 + idx, count=2):
+                assert sf.decompose(m, x).terms == _peel_terms(m, x)
+                checked += 1
+    assert checked >= 100
+
+
+def test_peel_oracle_matches_decompose_on_block_market(block_market):
+    m = block_market
+    base = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    assert len(sf.find_cycles(sf.reduce_profile(m, base))) >= 3
+    stable = sorted(sf.enumerate_stable_bruteforce(m), key=lambda mu: mu.assignment)
+    assert len(stable) == 24
+    longest = 0
+    for idx, mu in enumerate(stable):
+        for x in sf.sample_hull(m, mu, seed=idx, count=2):
+            dec = sf.decompose(m, x)
+            assert dec.terms == _peel_terms(m, x)
+            longest = max(longest, len(dec.terms))
+    assert longest >= 4
+
+
+def test_rotations_with_equal_weight_merge_into_one_term(block_market):
+    m = block_market
+    base = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    rotations = sf.find_cycles(sf.reduce_profile(m, base))
+    lambdas = [Fraction(1, 3), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+    inc = sf.incidence_vector(m, base)
+    parts = [(inc, Fraction(1))]
+    for rot, lam in zip(rotations, lambdas):
+        moved = sf.incidence_vector(m, sf.apply_cycle(m, base, rot))
+        parts += [(moved, lam), (inc, -lam)]
+    x = sf.FractionalMatching.linear_combination(parts)
+    dec = sf.decompose(m, x)
+    assert dec.terms == _peel_terms(m, x)
+    # rotation i is applied from threshold 1 - lambda_i on: five matchings
+    # would need five terms, but the two rotations at 1/3 arrive together
+    assert dec.weights() == (Fraction(1, 4), Fraction(1, 4),
+                             Fraction(1, 6), Fraction(1, 3))
+    rotations = list(rotations)
+    assert dec.matchings() == (
+        base,
+        sf.apply_cycle_set(m, base, rotations[3:]),
+        sf.apply_cycle_set(m, base, rotations[2:]),
+        sf.apply_cycle_set(m, base, rotations))
+
+
+def test_reconstruction_check_survives_optimize(src_env, tmp_path):
+    script = tmp_path / "wrong_reconstruct.py"
+    script.write_text(f"""
+import sys
+import stablefrac as sf
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
+x = sf.parse_fractional(m, open({str(DATA / "mid.frac")!r}).read())
+zero = sf.FractionalMatching.from_rows([[0] * m.n_workers for _ in m.firms])
+sf.Decomposition.reconstruct = lambda self, market: zero
+sf.decompose(m, x)
+""")
+    run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1, run.stderr
+    assert "AssertionError: decomposition does not reconstruct" in run.stderr
