@@ -34,14 +34,10 @@ from .model import (
     parse_market,
     serialize_market,
 )
-from .polytope import (
-    check_stable_feasibility,
-    constraint_label,
-    is_extreme_point,
-)
+from .polytope import _tight_rank, check_stable_feasibility, constraint_label
 from .rotations import find_cycles, reduce_profile
 from .stability import Side, deferred_acceptance, enumerate_stable_bruteforce
-from .strong_stability import strong_stability_check
+from .strong_stability import _pair_conditions
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -162,8 +158,9 @@ def _cmd_check(args) -> int:
             f"first violated constraint: {constraint_label(cid)} ({lhs} vs {rhs})")
         code = EXIT_PROPERTY_FAILS
     else:
-        condition = strong_stability_check(market, x)
-        vertex, rank_value = is_extreme_point(market, x)
+        condition = _pair_conditions(market, x)
+        rank_value = _tight_rank(market, feas.tight)
+        vertex = rank_value == len(market.pairs())
         result["condition"] = {
             "overall": condition.overall,
             "pairs": [

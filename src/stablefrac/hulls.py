@@ -20,6 +20,7 @@ from itertools import combinations
 
 from .linalg import solve_exact
 from .model import (
+    Decomposition,
     FractionalMatching,
     Market,
     Matching,
@@ -28,7 +29,12 @@ from .model import (
     matching_from_matrix,
     _prune_mutual,
 )
-from .polytope import interior_walk, is_extreme_point, vertex_walk
+from .polytope import (
+    _tight_rank,
+    check_stable_feasibility,
+    interior_walk,
+    vertex_walk,
+)
 from .rotations import (
     RotationSet,
     apply_cycle_set,
@@ -39,6 +45,7 @@ from .rotations import (
 from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
     PairCondition,
+    _pair_conditions,
     _threshold_sweep,
     check_almost_integral,
     strong_stability_check,
@@ -67,9 +74,9 @@ class HullCertificate:
             for ids, _ in self.terms)
 
     def reconstruct(self, market: Market) -> FractionalMatching:
-        return FractionalMatching.linear_combination(
-            [(incidence_vector(market, mu), weight)
-             for mu, (_, weight) in zip(self.term_matchings(market), self.terms)])
+        weights = [weight for _, weight in self.terms]
+        return Decomposition(
+            tuple(zip(self.term_matchings(market), weights))).reconstruct(market)
 
 
 def certify_strongly_stable(
@@ -298,8 +305,10 @@ def verify_characterization(market: Market, seed: int,
         for j, mid in enumerate(trace[:-1] if trace else []):
             if not classify(mid, f"walk {k} step {j}", expect_member=False):
                 negative_points += 1
-        is_vertex, rank_value = is_extreme_point(market, v)
-        if not is_vertex or rank_value != n_pairs:
+        report = check_stable_feasibility(market, v)
+        report.require()
+        rank_value = _tight_rank(market, report.tight)
+        if rank_value != n_pairs:
             counterexamples.append(
                 f"walk {k}: endpoint is not a vertex (rank {rank_value})")
         if v.is_integral():
@@ -307,7 +316,7 @@ def verify_characterization(market: Market, seed: int,
                 counterexamples.append(
                     f"walk {k}: integral vertex is not a stable matching")
         else:
-            if strong_stability_check(market, v).overall:
+            if _pair_conditions(market, v).overall:
                 counterexamples.append(
                     f"walk {k}: non-integral vertex passes the condition")
 

@@ -1,22 +1,32 @@
-"""Small exact-rational Gaussian elimination helpers."""
+"""Small exact-rational Gaussian elimination helpers.
+
+``Rref`` and ``rank`` work on sparse rows: a row is a ``{column: coefficient}``
+map holding its nonzeros only, so elimination touches nonzero entries and
+never scans a whole row.  ``solve_exact`` is a small dense solver for the
+hull oracle.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+SparseRow = Mapping[int, Fraction | int]   # column -> nonzero coefficient
 
 
 class Rref:
-    """An incrementally maintained reduced row-echelon basis.
+    """An incrementally maintained reduced row-echelon basis of sparse rows.
 
-    Rows are added one at a time; dependent rows are rejected.  The structure
-    supports extracting a null-space vector for any free column, which is what
-    the vertex walk needs.
+    Rows are added one at a time; dependent rows are rejected.  A new row is
+    reduced against the basis and then pivots on its lowest nonzero column.
+    The basis therefore depends only on the span of the rows added, not on
+    their order.  It also yields a null-space vector for any free column,
+    which is what the vertex walk needs.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, list[Fraction]] = {}   # pivot column -> reduced row
+        self.rows: dict[int, dict[int, Fraction]] = {}   # pivot column -> reduced row
 
     @property
     def rank(self) -> int:
@@ -25,22 +35,20 @@ class Rref:
     def pivot_columns(self) -> set[int]:
         return set(self.rows)
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
+    def add(self, vector: SparseRow) -> bool:
         """Reduce ``vector`` against the basis; returns False if dependent."""
-        v = [Fraction(x) for x in vector]
+        v = {c: Fraction(a) for c, a in vector.items() if a}
         for p, row in self.rows.items():
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        pivot = next((c for c, a in enumerate(v) if a), None)
-        if pivot is None:
+            if p in v:
+                _subtract(v, v[p], row)
+        if not v:
             return False
+        pivot = min(v)
         pv = v[pivot]
-        v = [a / pv for a in v]
-        for p, row in self.rows.items():
-            if row[pivot]:
-                c = row[pivot]
-                self.rows[p] = [a - c * b for a, b in zip(row, v)]
+        v = {c: a / pv for c, a in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                _subtract(row, row[pivot], v)
         self.rows[pivot] = v
         return True
 
@@ -51,11 +59,23 @@ class Rref:
         v = [Fraction(0)] * self.ncols
         v[free_col] = Fraction(1)
         for p, row in self.rows.items():
-            v[p] = -row[free_col]
+            if free_col in row:
+                v[p] = -row[free_col]
         return v
 
 
-def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
+def _subtract(target: dict[int, Fraction], factor: Fraction,
+              row: dict[int, Fraction]) -> None:
+    """target -= factor * row, dropping entries that cancel to zero."""
+    for c, b in row.items():
+        a = target.get(c, 0) - factor * b
+        if a:
+            target[c] = a
+        else:
+            del target[c]
+
+
+def rank(rows: Sequence[SparseRow], ncols: int) -> int:
     basis = Rref(ncols)
     for row in rows:
         basis.add(row)

@@ -16,6 +16,7 @@ Rational = Fraction
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_ZERO = Fraction(0)     # the token "0", by far the most common matrix entry
 
 
 class MarketError(Exception):
@@ -302,7 +303,9 @@ class FractionalMatching:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "FractionalMatching":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(tuple(
+            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
+            for row in rows))
 
     @classmethod
     def from_pair_values(cls, market: Market,
@@ -366,8 +369,13 @@ class Decomposition:
         return tuple(a for _, a in self.terms)
 
     def reconstruct(self, market: Market) -> FractionalMatching:
-        return FractionalMatching.linear_combination(
-            [(incidence_vector(market, mu), a) for mu, a in self.terms])
+        grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
+        for mu, a in self.terms:
+            for f, ws in mu.assignment:
+                row = grid[market.firm_index(f)]
+                for w in ws:
+                    row[market.worker_index(w)] += a
+        return FractionalMatching.from_rows(grid)
 
 
 def incidence_vector(market: Market, mu: Matching) -> FractionalMatching:
@@ -567,7 +575,7 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
         row = []
         for j, token in enumerate(tokens):
             try:
-                v = parse_rational(token)
+                v = _ZERO if token == "0" else parse_rational(token)
             except ValueError:
                 raise ParseError(f"bad rational token {token!r}", lineno) from None
             w = market.workers[j]

@@ -6,6 +6,11 @@ pairs) and the stable-feasibility system, which adds one no-blocking
 inequality per acceptable pair.  A point is a vertex exactly when its tight
 constraints have full rank over the rationals; coordinates on non-acceptable
 pairs are identically zero and are eliminated rather than carried along.
+
+Every constraint row is one sparse map from acceptable-pair position to its
+nonzero integer coefficient.  The vertex test and the two walks share that
+format; the vertex test also counts tight nonnegativity rows without
+eliminating them, since each is a unit vector.
 """
 
 from __future__ import annotations
@@ -135,89 +140,87 @@ def check_stable_feasibility(market: Market,
     return ConstraintReport(tuple(violations), tuple(tight))
 
 
-def _constraint_row(market: Market, cid: ConstraintId) -> list[Fraction]:
-    """Coefficients of one constraint over the acceptable-pair coordinates."""
-    n = len(market.pairs())
-    row = [Fraction(0)] * n
-    kind = cid[0]
+def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
+    """Nonzero coefficients of one constraint, by acceptable-pair position.
+
+    Every coefficient is 1 or the firm's quota.
+    """
+    kind, *agents = cid
+    pos = market.pair_position
     if kind == "quota":
-        f = cid[1]
-        for w in market.acceptable_to_firm(f):
-            row[market.pair_position(f, w)] = Fraction(1)
-    elif kind == "unit":
-        w = cid[1]
-        for f in market.acceptable_to_worker(w):
-            row[market.pair_position(f, w)] = Fraction(1)
-    elif kind == "nonneg":
-        f, w = cid[1], cid[2]
-        row[market.pair_position(f, w)] = Fraction(1)
-    elif kind == "noblock":
-        f, w = cid[1], cid[2]
-        q = Fraction(market.quota[f])
-        for v in market.acceptable_to_firm(f):
-            if market.firm_rank(f, v) < market.firm_rank(f, w):
-                row[market.pair_position(f, v)] = Fraction(1)
-        for g in market.acceptable_to_worker(w):
-            if market.worker_rank(w, g) < market.worker_rank(w, f):
-                row[market.pair_position(g, w)] = q
-        row[market.pair_position(f, w)] += q
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return row
+        f, = agents
+        return {pos(f, w): 1 for w in market.acceptable_to_firm(f)}
+    if kind == "unit":
+        w, = agents
+        return {pos(f, w): 1 for f in market.acceptable_to_worker(w)}
+    if kind == "nonneg":
+        return {pos(*agents): 1}
+    if kind == "noblock":
+        f, w = agents
+        q = market.quota[f]
+        workers, firms = market.acceptable_to_firm(f), market.acceptable_to_worker(w)
+        row = {pos(f, v): 1 for v in workers[:workers.index(w)]}    # f prefers v to w
+        row.update({pos(g, w): q for g in firms[:firms.index(f)]})  # w prefers g to f
+        row[pos(f, w)] = q
+        return row
+    raise ValueError(f"unknown constraint kind {kind!r}")
+
+
+def _tight_rank(market: Market, tight: tuple[ConstraintId, ...]) -> int:
+    """Rank of the given tight constraints, with the nonneg rows presolved.
+
+    A tight nonneg row is the unit vector of its pair, so each one adds one
+    to the rank and fixes its coordinate.  The rank is the number of those
+    rows plus the rank of the other rows with the fixed coordinates dropped.
+    """
+    fixed = {market.pair_position(*cid[1:]) for cid in tight if cid[0] == "nonneg"}
+    rest = [{c: a for c, a in _constraint_row(market, cid).items() if c not in fixed}
+            for cid in tight if cid[0] != "nonneg"]
+    return len(fixed) + rank(rest, len(market.pairs()))
 
 
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     """Vertex test by the rank of the tight constraints.
 
     Collects every exactly-tight constraint of the stable-feasibility system
-    and computes its rank over the rationals with Gaussian elimination; x is a
-    vertex exactly when the rank equals the number of acceptable pairs.
+    and computes its rank over the rationals with sparse Gaussian
+    elimination; x is a vertex exactly when the rank equals the number of
+    acceptable pairs.  Tight nonneg rows are unit vectors and are counted
+    without elimination: removing their columns from the other rows leaves
+    the rank unchanged apart from adding one per such row, so the result
+    stays exact.
     """
     report = check_stable_feasibility(market, x)
     report.require()
     n = len(market.pairs())
-    rows = [_constraint_row(market, cid) for cid in report.tight]
-    r = rank(rows, n)
+    r = _tight_rank(market, report.tight)
     return r == n, r
 
 
 @dataclass(frozen=True)
 class _Inequality:
     cid: ConstraintId
-    coeffs: tuple[Fraction, ...]
+    coeffs: dict[int, int]
     rhs: Fraction
 
 
 def _inequality_rows(market: Market) -> list[_Inequality]:
     """The stable-feasibility system normalized to  a . x <= b  rows."""
-    rows: list[_Inequality] = []
-    n = len(market.pairs())
-    for f in market.firms:
-        rows.append(_Inequality(
-            ("quota", f),
-            tuple(_constraint_row(market, ("quota", f))),
-            Fraction(market.quota[f])))
-    for w in market.workers:
-        if market.acceptable_to_worker(w):
-            rows.append(_Inequality(
-                ("unit", w),
-                tuple(_constraint_row(market, ("unit", w))),
-                Fraction(1)))
-    for f, w in market.pairs():
-        unit = _constraint_row(market, ("nonneg", f, w))
-        rows.append(_Inequality(
-            ("nonneg", f, w), tuple(-v for v in unit), Fraction(0)))
-    for f, w in market.pairs():
-        block = _constraint_row(market, ("noblock", f, w))
-        rows.append(_Inequality(
-            ("noblock", f, w),
-            tuple(-v for v in block),
-            Fraction(-market.quota[f])))
+    def row(cid: ConstraintId, sign: int, rhs: int) -> _Inequality:
+        coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
+        return _Inequality(cid, coeffs, Fraction(rhs))
+
+    rows = [row(("quota", f), 1, market.quota[f]) for f in market.firms]
+    rows += [row(("unit", w), 1, 1)
+             for w in market.workers if market.acceptable_to_worker(w)]
+    rows += [row(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
+    rows += [row(("noblock", f, w), -1, -market.quota[f])
+             for f, w in market.pairs()]
     return rows
 
 
-def _dot(a: tuple[Fraction, ...], b: list[Fraction]) -> Fraction:
-    return sum((u * v for u, v in zip(a, b) if u), Fraction(0))
+def _dot(a: dict[int, int], b: list[Fraction]) -> Fraction:
+    return sum((u * b[c] for c, u in a.items()), Fraction(0))
 
 
 def _step_length(rows: list[_Inequality], vec: list[Fraction],

@@ -152,9 +152,11 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
 
     reduced = Market(market.firms, market.workers, dict(market.quota),
                      firm_lists, worker_lists)
-    assert is_stable(reduced, mu), "base matching must stay stable after reduction"
-    assert deferred_acceptance(reduced, Side.FIRMS) == mu, \
-        "base matching must be firm-optimal in the reduced market"
+    if not is_stable(reduced, mu):
+        raise AssertionError("base matching must stay stable after reduction")
+    if deferred_acceptance(reduced, Side.FIRMS) != mu:
+        raise AssertionError(
+            "base matching must be firm-optimal in the reduced market")
     return ReducedProfile(base=mu, market=reduced, original=market)
 
 
@@ -181,8 +183,9 @@ def find_cycles(profile: ReducedProfile) -> RotationSet:
             continue
         w = outside[0]
         employer = mu.employer(w)
-        assert employer is not None, \
-            "a reduced-list worker outside a full firm must be matched"
+        if employer is None:
+            raise AssertionError(
+                "a reduced-list worker outside a full firm must be matched")
         successor[f] = employer
         wanted[f] = w
 
@@ -210,7 +213,9 @@ def find_cycles(profile: ReducedProfile) -> RotationSet:
         rot = Rotation(tuple(ordered), tuple(wanted[f] for f in ordered))
         for d, f in enumerate(rot.firms):
             nxt = rot.firms[(d + 1) % len(rot.firms)]
-            assert rot.workers[d] in mu.matched(nxt)
+            if rot.workers[d] not in mu.matched(nxt):
+                raise AssertionError(
+                    f"cycle worker {rot.workers[d]} is not employed by {nxt}")
         rotations.append(rot)
     rotations.sort(key=lambda r: profile.original.firm_index(r.firms[0]))
     return RotationSet(tuple(rotations))
@@ -248,7 +253,8 @@ def apply_cycle_set(market: Market, mu: Matching,
     seen: set[str] = set()
     for rot in cycles:
         overlap = seen & set(rot.firms)
-        assert not overlap, f"overlapping rotations at {sorted(overlap)}"
+        if overlap:
+            raise AssertionError(f"overlapping rotations at {sorted(overlap)}")
         seen.update(rot.firms)
     result = mu
     for rot in cycles:
@@ -264,7 +270,8 @@ def connected_set(market: Market, mu: Matching,
     for size in range(len(kprime) + 1):
         for subset in combinations(kprime, size):
             out.add(apply_cycle_set(market, mu, subset))
-    assert len(out) == 2 ** len(kprime), "distinct subsets give distinct matchings"
+    if len(out) != 2 ** len(kprime):
+        raise AssertionError("distinct subsets give distinct matchings")
     return out
 
 

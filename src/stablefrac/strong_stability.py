@@ -74,6 +74,12 @@ def strong_stability_check(market: Market,
     exactly when every product is zero.
     """
     check_stable_feasibility(market, x).require()
+    return _pair_conditions(market, x)
+
+
+def _pair_conditions(market: Market,
+                     x: FractionalMatching) -> StrongStabilityReport:
+    """The report of ``strong_stability_check``, for a stable-feasible x."""
     fpre = {f: firm_weak_prefix(market, x, f) for f in market.firms}
     wpre = {w: worker_weak_prefix(market, x, w) for w in market.workers}
     conditions = []

@@ -119,6 +119,19 @@ def test_parse_fractional_zero_and_oversized_entries(market):
     assert big.entries[0][0] == Fraction(3, 2)
 
 
+def test_zero_spellings_parse_to_exact_zero(market):
+    x = sf.parse_fractional(market, "0 -0 00 0/3\n0 0 0 0\n")
+    assert all(type(v) is Fraction and v == 0 for row in x.entries for v in row)
+
+
+def test_from_rows_keeps_fractions_and_converts_integers():
+    half = Fraction(1, 2)
+    x = sf.FractionalMatching.from_rows([[1, half], [0, 2]])
+    assert x.entries == ((1, half), (0, 2))
+    assert x.entries[0][1] is half
+    assert all(type(v) is Fraction for row in x.entries for v in row)
+
+
 @pytest.mark.parametrize("text", [
     "1 0 0\n0 0 0\n",            # wrong row width
     "1 0 0 0\n",                 # missing row
@@ -126,6 +139,7 @@ def test_parse_fractional_zero_and_oversized_entries(market):
     "-1 0 0 0\n0 0 0 0\n",       # negative entry
     "0.5 0 0 0\n0 0 0 0\n",      # decimals are not exact tokens
     "1/0 0 0 0\n0 0 0 0\n",      # zero denominator
+    "0/0 0 0 0\n0 0 0 0\n",      # zero denominator on a zero numerator
 ])
 def test_parse_fractional_rejects(market, text):
     with pytest.raises(sf.ParseError):

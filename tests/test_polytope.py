@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from stablefrac.linalg import Rref, rank
 from stablefrac.polytope import interior_walk
 
 
@@ -126,3 +128,115 @@ def test_interior_walk_preserves_feasibility(fleet, fleet_stable):
 def test_constraint_labels(market):
     assert sf.constraint_label(("noblock", "f2", "w3")) == "noblock:f2,w3"
     assert sf.constraint_label(("quota", "f1")) == "quota:f1"
+
+
+# --- the sparse, presolved rank against a dense reference ------------------
+
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    """Dense exact Gaussian elimination over full rows: the reference rank."""
+    basis: dict[int, list[Fraction]] = {}
+    for row in rows:
+        v = [Fraction(a) for a in row]
+        for p, b in basis.items():
+            if v[p]:
+                c = v[p]
+                v = [a - c * y for a, y in zip(v, b)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is None:
+            continue
+        v = [a / v[pivot] for a in v]
+        for p, b in basis.items():
+            if b[pivot]:
+                c = b[pivot]
+                basis[p] = [a - c * y for a, y in zip(b, v)]
+        basis[pivot] = v
+    return len(basis)
+
+
+def _dense_row(m: sf.Market, cid) -> list[Fraction]:
+    """One constraint row over all acceptable pairs, built from its definition."""
+    kind, f, *rest = cid
+    coeff = {}
+    for g, w in m.pairs():
+        if kind == "quota":
+            coeff[g, w] = int(g == f)
+        elif kind == "unit":
+            coeff[g, w] = int(w == f)
+        elif kind == "nonneg":
+            coeff[g, w] = int((g, w) == (f, rest[0]))
+        else:
+            v = rest[0]
+            q = m.quota[f]
+            if (g, w) == (f, v):
+                coeff[g, w] = q
+            elif g == f:
+                coeff[g, w] = int(m.firm_rank(f, w) < m.firm_rank(f, v))
+            elif w == v:
+                coeff[g, w] = q * (m.worker_rank(v, g) < m.worker_rank(v, f))
+            else:
+                coeff[g, w] = 0
+    return [Fraction(coeff[p]) for p in m.pairs()]
+
+
+def _reference_vertex_test(m: sf.Market, x: sf.FractionalMatching,
+                           rng: random.Random) -> tuple[bool, int]:
+    rows = [_dense_row(m, cid) for cid in sf.check_stable_feasibility(m, x).tight]
+    rng.shuffle(rows)
+    r = _dense_rank(rows)
+    return r == len(m.pairs()), r
+
+
+def test_vertex_rank_matches_dense_reference(fleet, fleet_stable):
+    rng = random.Random(2024)
+    checked = 0
+    for m, stable in zip(fleet, fleet_stable):
+        points = [sf.incidence_vector(m, mu) for mu in stable]
+        points += sf.sample_hull(m, stable[0], 7, 2)
+        start = interior_walk(m, points[-1], rng)
+        points += [start, sf.vertex_walk(m, start, rng)]
+        for x in points:
+            assert sf.is_extreme_point(m, x) == _reference_vertex_test(m, x, rng)
+            checked += 1
+    for seed in (0, 2, 3):
+        m = sf.gen_random_market(seed, 10, 13, 2, density=1.0)
+        ends = [sf.incidence_vector(m, sf.deferred_acceptance(m, side))
+                for side in (sf.Side.FIRMS, sf.Side.WORKERS)]
+        mid = sf.FractionalMatching.linear_combination(
+            [(ends[0], Fraction(1, 2)), (ends[1], Fraction(1, 2))])
+        assert sf.is_extreme_point(m, mid) == _reference_vertex_test(m, mid, rng)
+        checked += 1
+    assert checked > 150
+
+
+def test_vertex_test_at_800_pairs():
+    m = sf.gen_random_market(8, 20, 40, 2, density=1.0)
+    assert len(m.pairs()) == 800
+    ends = [sf.incidence_vector(m, sf.deferred_acceptance(m, side))
+            for side in (sf.Side.FIRMS, sf.Side.WORKERS)]
+    assert ends[0] != ends[1]
+    for x in ends:
+        assert sf.is_extreme_point(m, x) == (True, 800)
+    mid = sf.FractionalMatching.linear_combination(
+        [(ends[0], Fraction(1, 2)), (ends[1], Fraction(1, 2))])
+    assert not sf.is_extreme_point(m, mid)[0]
+
+
+NCOLS = 6
+sparse_rows = st.lists(
+    st.dictionaries(st.integers(0, NCOLS - 1),
+                    st.integers(-3, 3).filter(bool), max_size=4),
+    max_size=8)
+
+
+@given(sparse_rows)
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_dense_elimination(rows):
+    dense = [[Fraction(row.get(c, 0)) for c in range(NCOLS)] for row in rows]
+    basis = Rref(NCOLS)
+    for k, row in enumerate(rows):
+        rose = _dense_rank(dense[:k + 1]) > _dense_rank(dense[:k])
+        assert basis.add(row) is rose
+    assert basis.rank == rank(rows, NCOLS) == _dense_rank(dense)
+    for col in set(range(NCOLS)) - basis.pivot_columns():
+        null = basis.null_vector(col)
+        assert all(sum(a * b for a, b in zip(r, null)) == 0 for r in dense)

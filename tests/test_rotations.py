@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import stablefrac as sf
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_reduced_lists_at_firm_optimal(market, mu_f):
@@ -178,3 +184,22 @@ def test_cyclic_matchings_are_stable_and_firm_worse(fleet, fleet_stable):
                 nu = sf.apply_cycle(m, mu, rot)
                 assert sf.is_stable(m, nu)
                 assert sf.firm_strictly_prefers(m, mu, nu)
+
+
+def test_reduction_gate_survives_optimize(src_env, tmp_path):
+    script = tmp_path / "unstable_base.py"
+    script.write_text(f"""
+import sys
+import stablefrac as sf
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
+mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
+# the input gate sees the original market; the reduced market fails the check
+sf.rotations.is_stable = lambda market, matching: market is m
+sf.reduce_profile(m, mu)
+""")
+    run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1, run.stderr
+    assert "AssertionError: base matching must stay stable" in run.stderr
