@@ -10,6 +10,7 @@ byte-identical across runs for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -35,7 +36,11 @@ from .model import (
     serialize_market,
 )
 from .polytope import _tight_rank, check_stable_feasibility, constraint_label
-from .rotations import find_cycles, reduce_profile
+from .rotations import (
+    enumerate_stable_via_rotations,
+    find_cycles,
+    reduce_profile,
+)
 from .stability import Side, deferred_acceptance, enumerate_stable_bruteforce
 from .strong_stability import _pair_conditions
 
@@ -310,14 +315,12 @@ def _cmd_rotations(args) -> int:
 def _cmd_stable_all(args) -> int:
     diagnostics: list[str] = []
     market, market_input = _load_market(args.market, diagnostics)
-    if args.method == "brute":
-        try:
-            found = enumerate_stable_bruteforce(market, cap=args.cap)
-        except MarketError as exc:
-            raise _CliError(str(exc), EXIT_USAGE) from exc
-    else:
-        from .rotations import enumerate_stable_via_rotations
-        found = enumerate_stable_via_rotations(market)
+    enumerate_stable = (enumerate_stable_bruteforce if args.method == "brute"
+                        else enumerate_stable_via_rotations)
+    try:
+        found = enumerate_stable(market, cap=args.cap)
+    except MarketError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
     ordered = sorted(found, key=lambda mu: mu.assignment)
     result = {
         "method": args.method,
@@ -397,7 +400,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="stablefrac",
         description="Exact analysis of stable and strongly stable fractional "

@@ -264,6 +264,7 @@ class Matching:
                     raise ValueError(f"worker {w} assigned twice")
                 employer[w] = f
         object.__setattr__(self, "_employer", employer)
+        object.__setattr__(self, "_rows", dict(self.assignment))
 
     @classmethod
     def build(cls, market: Market, mapping: Mapping[str, Iterable[str]]) -> "Matching":
@@ -280,10 +281,7 @@ class Matching:
         return cls(tuple(rows))
 
     def matched(self, f: str) -> tuple[str, ...]:
-        for firm, ws in self.assignment:
-            if firm == f:
-                return ws
-        raise KeyError(f)
+        return self._rows[f]
 
     def employer(self, w: str) -> str | None:
         return self._employer.get(w)
@@ -292,7 +290,7 @@ class Matching:
         return frozenset(self._employer)
 
     def as_dict(self) -> dict[str, tuple[str, ...]]:
-        return {f: ws for f, ws in self.assignment}
+        return dict(self._rows)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ mutual-acceptability pass removes everything one sided.  Cycles of the
 "best worker outside my assignment" successor map in the reduced market are
 the rotations; applying one trades along the cycle and lands on another
 stable matching.
+
+Enumeration finds the rotations once, on one chain from the firm-optimal to
+the worker-optimal matching (chain phase), and then grows the stable set
+from the firm-optimal matching by applying the rotations that fit
+(closure phase).  A rotation that fits is not always exposed, so every
+matching the closure reaches is checked with ``is_stable`` before it is
+listed; that check, not a rotation poset, decides membership.
 """
 
 from __future__ import annotations
@@ -18,12 +25,18 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .model import (
+    CapExceededError,
     CycleMismatchError,
     Market,
     Matching,
     NotStableError,
 )
-from .stability import Side, deferred_acceptance, is_stable
+from .stability import (
+    DEFAULT_ENUMERATION_CAP,
+    Side,
+    deferred_acceptance,
+    is_stable,
+)
 
 
 @dataclass(frozen=True)
@@ -221,29 +234,47 @@ def find_cycles(profile: ReducedProfile) -> RotationSet:
     return RotationSet(tuple(rotations))
 
 
+def _misfit(mu: Matching, sigma: Rotation) -> int | None:
+    """The first cycle position whose worker the next firm does not employ.
+
+    ``sigma`` fits ``mu`` when there is none: each cycle worker is employed
+    by the next firm of the cycle, and so not by its own.
+    """
+    r = len(sigma.firms)
+    for d, w in enumerate(sigma.workers):
+        if mu.employer(w) != sigma.firms[(d + 1) % r]:
+            return d
+    return None
+
+
 def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     """Trade workers along one rotation.
 
     Each firm of the cycle keeps its assignment except that it gains its own
-    cycle worker and loses its predecessor's; all other firms are untouched.
-    The rotation must structurally fit the matching (each cycle worker
-    employed by the next firm, absent from its own firm).
+    cycle worker and loses its predecessor's; all other firms are untouched,
+    so only the cycle's rows are rebuilt (re-sorted by worker index) and the
+    other rows of ``mu``, already canonical, are reused.  The rotation must
+    fit the matching (each cycle worker employed by the next firm, absent
+    from its own firm), or ``CycleMismatchError`` is raised.
     """
-    r = len(sigma.firms)
-    staff = {f: set(ws) for f, ws in mu.assignment}
+    d = _misfit(mu, sigma)
+    if d is not None:
+        f, w = sigma.firms[d], sigma.workers[d]
+        if mu.employer(w) == f:
+            raise CycleMismatchError(f"cycle worker {w} already works for {f}")
+        nxt = sigma.firms[(d + 1) % len(sigma.firms)]
+        raise CycleMismatchError(
+            f"cycle worker {w} is not employed by {nxt} in the base matching")
+    rows = list(mu.assignment)
     for d, f in enumerate(sigma.firms):
-        w = sigma.workers[d]
-        nxt = sigma.firms[(d + 1) % r]
-        if w in staff.get(f, ()):
-            raise CycleMismatchError(
-                f"cycle worker {w} already works for {f}")
-        if w not in staff.get(nxt, ()):
-            raise CycleMismatchError(
-                f"cycle worker {w} is not employed by {nxt} in the base matching")
-    for d, f in enumerate(sigma.firms):
-        staff[f].discard(sigma.workers[(d - 1) % r])
-        staff[f].add(sigma.workers[d])
-    return Matching.build(market, staff)
+        lost, gained = sigma.workers[d - 1], sigma.workers[d]
+        i = market.firm_index(f)
+        staff = [w for w in rows[i][1] if w != lost]
+        staff.append(gained)
+        if len(staff) > market.quota[f]:
+            raise ValueError(f"firm {f} exceeds its quota")
+        rows[i] = (f, tuple(sorted(staff, key=market.worker_index)))
+    return Matching(tuple(rows))
 
 
 def apply_cycle_set(market: Market, mu: Matching,
@@ -275,22 +306,57 @@ def connected_set(market: Market, mu: Matching,
     return out
 
 
-def enumerate_stable_via_rotations(market: Market) -> set[Matching]:
+def enumerate_stable_via_rotations(
+        market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
     """All stable matchings, as the rotation closure of the firm-optimal one.
 
-    Breadth-first: at every discovered matching, reduce the profile, find the
-    rotations, and apply each one.  Scales with the number of stable
-    matchings rather than with the candidate space.
+    Chain phase: from the firm-optimal matching, reduce the profile, apply
+    every exposed rotation at once and repeat until none is exposed.  Every
+    rotation lies on every maximal chain of the stable lattice (Gusfield &
+    Irving, 1989; the many-to-one case follows by cloning each firm into
+    quota-many copies), so this one chain of at most |R| + 1 reductions
+    finds the whole rotation set R.  The chain must end at the
+    worker-optimal matching, and no rotation may be found twice.
+
+    Closure phase: breadth-first from the firm-optimal matching, apply every
+    rotation of R that fits the current matching.  A rotation can fit
+    without being exposed (a predecessor of it not yet applied), and then
+    its result need not be stable.  So every new matching is kept only when
+    ``is_stable`` holds, the same check ``reduce_profile`` runs on its
+    input, and no rotation poset has to be built.  Every stable matching is reached,
+    because each one is the firm-optimal matching with a closed set of
+    rotations applied in some order, each exposed, and so fitting, when it
+    is applied.
+
+    Raises ``CapExceededError`` once more than ``cap`` matchings are found.
     """
     start = deferred_acceptance(market, Side.FIRMS)
+    rotations: list[Rotation] = []
+    mu = start
+    while True:
+        exposed = find_cycles(reduce_profile(market, mu))
+        if not exposed:
+            break
+        rotations.extend(exposed)
+        mu = apply_cycle_set(market, mu, exposed)
+    if mu != deferred_acceptance(market, Side.WORKERS):
+        raise AssertionError(
+            "the rotation chain must end at the worker-optimal matching")
+    if len(set(rotations)) != len(rotations):
+        raise AssertionError("a rotation was found twice on the chain")
+
     found: set[Matching] = {start}
     frontier: deque[Matching] = deque([start])
     while frontier:
+        if len(found) > cap:
+            raise CapExceededError(
+                f"{len(found)}+ stable matchings exceed the cap of {cap}")
         mu = frontier.popleft()
-        profile = reduce_profile(market, mu)
-        for sigma in find_cycles(profile):
+        for sigma in rotations:
+            if _misfit(mu, sigma) is not None:
+                continue
             nxt = apply_cycle(market, mu, sigma)
-            if nxt not in found:
+            if nxt not in found and is_stable(market, nxt):
                 found.add(nxt)
                 frontier.append(nxt)
     return found

@@ -114,17 +114,21 @@ def blocking_pairs(market: Market, mu: Matching) -> tuple[BlockingPair, ...]:
     it likes less than w.
     """
     out = []
+    wrank = market._wrank
+    worst: dict[str, int | None] = {}   # worst staff rank; None: a vacancy
     for f, w in market.pairs():
         employer = mu.employer(w)
         if employer == f:
             continue
-        if employer is not None and \
-                market.worker_rank(w, f) >= market.worker_rank(w, employer):
+        if employer is not None and wrank[w][f] >= wrank[w][employer]:
             continue
-        staff = mu.matched(f)
-        if len(staff) < market.quota[f]:
+        if f not in worst:
+            staff = mu.matched(f)
+            worst[f] = None if len(staff) < market.quota[f] else \
+                max(market.firm_rank(f, v) for v in staff)
+        if worst[f] is None:
             out.append(BlockingPair(f, w, BLOCK_VACANCY))
-        elif any(market.firm_rank(f, w) < market.firm_rank(f, v) for v in staff):
+        elif market.firm_rank(f, w) < worst[f]:
             out.append(BlockingPair(f, w, BLOCK_SWAP))
     return tuple(out)
 

@@ -112,6 +112,32 @@ worker w10: f1
 """)
 
 
+def _cyclic_blocks(sizes: list[int]) -> sf.Market:
+    """Independent cyclic latin-square blocks, quota 1 everywhere.
+
+    In a block of size m, firm i ranks worker i+k at k and worker j ranks
+    firm j+1+k at k (indices mod m).  Its stable matchings are the m shifts
+    (firm i employs worker i+s), linked by a chain of m-1 rotations, so the
+    market has prod(sizes) stable matchings and sum(m-1) rotations.
+    """
+    firms, workers, fpref, wpref = [], [], {}, {}
+    for b, m in enumerate(sizes):
+        fs = [f"f{b}_{i}" for i in range(m)]
+        ws = [f"w{b}_{i}" for i in range(m)]
+        for i in range(m):
+            fpref[fs[i]] = [ws[(i + k) % m] for k in range(m)]
+            wpref[ws[i]] = [fs[(i + 1 + k) % m] for k in range(m)]
+        firms += fs
+        workers += ws
+    return sf.Market(firms, workers, {f: 1 for f in firms}, fpref, wpref)
+
+
+@pytest.fixture(scope="session")
+def cyclic_blocks():
+    """Factory of cyclic block markets; see ``_cyclic_blocks``."""
+    return _cyclic_blocks
+
+
 @pytest.fixture()
 def src_env() -> dict[str, str]:
     """Environment for a child interpreter that imports this checkout's package."""

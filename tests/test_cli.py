@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 import stablefrac as sf
-from stablefrac.cli import main
+from stablefrac.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads(
@@ -169,14 +169,46 @@ def test_rotations_with_unstable_matching(capsys, market_file, tmp_path):
     assert "error" in report["result"]
 
 
-def test_stable_all_methods_agree(capsys, market_file):
-    code_a, report_a = run_json(capsys, ["stable-all", market_file,
-                                         "--method", "brute"])
-    code_b, report_b = run_json(capsys, ["stable-all", market_file,
-                                         "--method", "rotations"])
-    assert code_a == code_b == 0
-    assert report_a["result"]["count"] == report_b["result"]["count"] == 2
-    assert report_a["result"]["matchings"] == report_b["result"]["matchings"]
+@pytest.fixture()
+def block_file(tmp_path, block_market):
+    p = tmp_path / "block.market"
+    p.write_text(sf.serialize_market(block_market))
+    return str(p)
+
+
+def test_stable_all_methods_agree(capsys, market_file, block_file):
+    for path, count in ((market_file, 2), (block_file, 24)):
+        code_a, report_a = run_json(capsys, ["stable-all", path,
+                                             "--method", "brute"])
+        code_b, report_b = run_json(capsys, ["stable-all", path,
+                                             "--method", "rotations"])
+        assert code_a == code_b == 0
+        assert report_a["result"]["count"] == report_b["result"]["count"] == count
+        assert report_a["result"]["matchings"] == report_b["result"]["matchings"]
+
+
+def test_stable_all_rotations_honours_cap(capsys, block_file):
+    argv = ["stable-all", block_file, "--method", "rotations"]
+    assert main(argv + ["--cap", "23"]) == 2
+    assert "cap" in capsys.readouterr().err
+    code, capped = run_json(capsys, argv + ["--cap", "24"])
+    assert code == 0
+    assert capped["result"]["count"] == 24
+    assert capped == run_json(capsys, argv)[1]
+
+
+def test_parser_is_reused_across_calls(capsys, market_file, mid_file):
+    assert main(["stable-all", market_file, "--method", "nope"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, report = run_json(capsys, ["check", market_file, mid_file])
+    assert code == 0
+    assert report["command"] == "check"
+    assert report["result"]["condition"]["overall"] is True
+    code, report = run_json(capsys, ["stable-all", market_file])
+    assert code == 0
+    assert report["result"]["method"] == "brute"
+    assert report["result"]["count"] == 2
+    assert build_parser() is build_parser()
 
 
 def test_verify_random_market(capsys):

@@ -205,6 +205,9 @@ def test_matching_build_validates(market):
     assert mu.employer("w4") == "f2"
     assert mu.employer("w1") is None
     assert mu.matched("f1") == ()
+    with pytest.raises(KeyError):
+        mu.matched("f9")
+    assert mu.as_dict() == {"f1": (), "f2": ("w3", "w4")}
 
 
 def test_market_ids_validated_outside_parser():

@@ -141,9 +141,15 @@ worker w1: f1
     assert len(sf.enumerate_stable_via_rotations(m)) == 1
 
 
-def test_rotation_enumeration_matches_bruteforce(fleet, fleet_stable):
+def test_rotation_enumeration_matches_bruteforce(
+        fleet, fleet_stable, block_market, twin_cycle_market, cyclic_blocks):
     for m, stable in zip(fleet, fleet_stable):
         assert sf.enumerate_stable_via_rotations(m) == set(stable)
+    for m in (block_market, twin_cycle_market, cyclic_blocks([2, 3]),
+              cyclic_blocks([2, 2, 3])):
+        assert sf.enumerate_stable_via_rotations(m) == \
+            sf.enumerate_stable_bruteforce(m)
+    assert len(sf.enumerate_stable_via_rotations(block_market)) == 24
 
 
 def test_reduction_gate(fleet, fleet_stable):
@@ -203,3 +209,160 @@ sf.reduce_profile(m, mu)
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 1, run.stderr
     assert "AssertionError: base matching must stay stable" in run.stderr
+
+
+# Two markets whose rotation poset is not a disjoint union of chains: the
+# firm-optimal profile exposes two rotations, and a third one is exposed only
+# once both have been applied.  The second has quota-2 firms.
+JOINED_ROTATION_MARKETS = ["""
+firms: f1 f2 f3 f4 f5
+workers: w1 w2 w3 w4 w5
+quota: f1=1 f2=1 f3=1 f4=1 f5=1
+firm f1: w5 w1 w4 w2 w3
+firm f2: w4 w1 w2 w5 w3
+firm f3: w2 w3 w1 w5 w4
+firm f4: w1 w5 w4 w3 w2
+firm f5: w3 w4 w1 w2 w5
+worker w1: f1 f2 f4 f3 f5
+worker w2: f1 f2 f4 f5 f3
+worker w3: f4 f3 f1 f5 f2
+worker w4: f2 f4 f3 f5 f1
+worker w5: f5 f3 f2 f4 f1
+""", """
+firms: f1 f2 f3 f4
+workers: w1 w2 w3 w4 w5 w6 w7
+quota: f1=2 f2=1 f3=2 f4=2
+firm f1: w2 w7 w6 w4 w1 w5 w3
+firm f2: w7 w5 w6 w2 w1 w3 w4
+firm f3: w3 w7 w1 w6 w4 w2 w5
+firm f4: w4 w5 w2 w6 w7 w3 w1
+worker w1: f3 f4 f1 f2
+worker w2: f4 f3 f1 f2
+worker w3: f1 f2 f4 f3
+worker w4: f2 f3 f1 f4
+worker w5: f4 f2 f1 f3
+worker w6: f1 f4 f3 f2
+worker w7: f3 f1 f2 f4
+"""]
+
+
+def exposed(m, mu):
+    return set(sf.find_cycles(sf.reduce_profile(m, mu)))
+
+
+@pytest.mark.parametrize("text", JOINED_ROTATION_MARKETS,
+                         ids=["one-to-one", "quota-2"])
+def test_rotation_exposed_only_after_two_others(text):
+    m = sf.parse_market(text)
+    mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    first, second = sf.find_cycles(sf.reduce_profile(m, mu))
+    after_first = sf.apply_cycle(m, mu, first)
+    after_second = sf.apply_cycle(m, mu, second)
+    both = sf.apply_cycle(m, after_first, second)
+    assert exposed(m, after_first) == {second}
+    assert exposed(m, after_second) == {first}
+    (third,) = exposed(m, both)
+    assert third not in (first, second)
+    assert exposed(m, sf.apply_cycle(m, both, third)) == set()
+    stable = sf.enumerate_stable_bruteforce(m)
+    assert len(stable) == 5
+    assert sf.enumerate_stable_via_rotations(m) == stable
+
+
+@pytest.mark.parametrize("nf,nw,qmax", [(5, 5, 1), (3, 5, 2), (4, 6, 2)])
+def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
+    multi = 0
+    for seed in range(50):
+        for density in (1.0, 0.7):
+            m = sf.gen_random_market(seed, nf, nw, qmax, density=density)
+            stable = sf.enumerate_stable_bruteforce(m)
+            assert sf.enumerate_stable_via_rotations(m) == stable
+            multi += len(stable) > 1
+    assert multi >= 10
+
+
+def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
+    m = cyclic_blocks([3, 3, 3, 4, 4, 4])
+    n_rotations = 3 * 2 + 3 * 3
+    calls = []
+    reduce = sf.rotations.reduce_profile
+
+    def counted(market, mu):
+        calls.append(mu)
+        return reduce(market, mu)
+
+    monkeypatch.setattr(sf.rotations, "reduce_profile", counted)
+    found = sf.enumerate_stable_via_rotations(m)
+    assert len(calls) <= n_rotations + 1
+    assert len(found) == 1728
+    assert all(sf.is_stable(m, mu) for mu in found)
+
+
+def test_enumeration_cap(block_market):
+    assert len(sf.enumerate_stable_via_rotations(block_market, cap=24)) == 24
+    with pytest.raises(sf.CapExceededError):
+        sf.enumerate_stable_via_rotations(block_market, cap=23)
+
+
+def test_chain_checks_survive_optimize(src_env, tmp_path):
+    script = tmp_path / "broken_chain.py"
+    script.write_text(f"""
+import sys
+import stablefrac as sf
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
+real_find_cycles = sf.rotations.find_cycles
+mu_w = sf.deferred_acceptance(m, sf.Side.WORKERS)
+
+# no rotation is ever exposed: the chain stops at the firm-optimal matching
+sf.rotations.find_cycles = lambda profile: sf.RotationSet(())
+try:
+    sf.enumerate_stable_via_rotations(m)
+except AssertionError as exc:
+    print("raised:", exc)
+
+# the one rotation is reported twice on a chain that still ends at mu_w
+mu_f = sf.deferred_acceptance(m, sf.Side.FIRMS)
+sigma = real_find_cycles(sf.reduce_profile(m, mu_f))[0]
+answers = [sf.RotationSet((sigma,)), sf.RotationSet((sigma,)), sf.RotationSet(())]
+sf.rotations.find_cycles = lambda profile: answers.pop(0)
+sf.rotations.apply_cycle_set = lambda market, mu, cycles: mu_w
+try:
+    sf.enumerate_stable_via_rotations(m)
+except AssertionError as exc:
+    print("raised:", exc)
+""")
+    run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "raised: the rotation chain must end at the worker-optimal matching",
+        "raised: a rotation was found twice on the chain",
+    ]
+
+
+def test_apply_cycle_mismatch_branches(market, mu_f):
+    sigma = sf.find_cycles(sf.reduce_profile(market, mu_f))[0]
+    moved = sf.apply_cycle(market, mu_f, sigma)
+    with pytest.raises(sf.CycleMismatchError, match="already works for"):
+        sf.apply_cycle(market, moved, sigma)
+    empty = sf.Matching.build(market, {})
+    with pytest.raises(sf.CycleMismatchError, match="is not employed by"):
+        sf.apply_cycle(market, empty, sigma)
+
+
+def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):
+    checked = 0
+    for m, stable in zip(fleet, fleet_stable):
+        for mu in stable:
+            for rot in sf.find_cycles(sf.reduce_profile(m, mu)):
+                staff = {f: set(ws) for f, ws in mu.assignment}
+                r = len(rot.firms)
+                for d, f in enumerate(rot.firms):
+                    staff[f].discard(rot.workers[(d - 1) % r])
+                    staff[f].add(rot.workers[d])
+                nu = sf.apply_cycle(m, mu, rot)
+                assert nu.assignment == sf.Matching.build(m, staff).assignment
+                checked += 1
+    assert checked > 30

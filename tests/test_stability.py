@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import stablefrac as sf
+from stablefrac.stability import BLOCK_SWAP, BLOCK_VACANCY, BlockingPair
 
 SINGLE_PAIR = """
 firms: f1
@@ -154,6 +157,52 @@ def test_blocking_pairs_iff_unstable(fleet):
     for m in fleet:
         mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
         assert (not sf.blocking_pairs(m, mu)) == sf.is_stable(m, mu)
+
+
+def reference_blocking_pairs(market, mu):
+    """Reference: scans the firm's whole staff for every candidate pair."""
+    out = []
+    for f, w in market.pairs():
+        employer = mu.employer(w)
+        if employer == f:
+            continue
+        if employer is not None and \
+                market.worker_rank(w, f) >= market.worker_rank(w, employer):
+            continue
+        staff = mu.matched(f)
+        if len(staff) < market.quota[f]:
+            out.append(BlockingPair(f, w, BLOCK_VACANCY))
+        elif any(market.firm_rank(f, w) < market.firm_rank(f, v) for v in staff):
+            out.append(BlockingPair(f, w, BLOCK_SWAP))
+    return tuple(out)
+
+
+def random_matching(market, rng):
+    """Each worker joins a random acceptable firm with room left, or none."""
+    staff = {f: [] for f in market.firms}
+    for w in market.workers:
+        options = [f for f in market.acceptable_to_worker(w)
+                   if len(staff[f]) < market.quota[f]]
+        pick = rng.choice([None] + options)
+        if pick is not None:
+            staff[pick].append(w)
+    return sf.Matching.build(market, staff)
+
+
+def test_blocking_pairs_match_reference(fleet, fleet_stable):
+    rng = random.Random(2024)
+    unstable, reasons = 0, set()
+    for m, stable in zip(fleet, fleet_stable):
+        for mu in stable:
+            assert sf.blocking_pairs(m, mu) == reference_blocking_pairs(m, mu) == ()
+        for _ in range(25):
+            mu = random_matching(m, rng)
+            pairs = sf.blocking_pairs(m, mu)
+            assert pairs == reference_blocking_pairs(m, mu)
+            unstable += bool(pairs)
+            reasons.update(p.reason for p in pairs)
+    assert unstable > 25 * len(fleet) // 2
+    assert reasons == {BLOCK_VACANCY, BLOCK_SWAP}
 
 
 def test_rural_hospital_on_random_markets():
