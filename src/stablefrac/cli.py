@@ -16,6 +16,8 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from .hulls import (
     HullCertificate,
@@ -101,7 +103,8 @@ def _load_fractional(market: Market, path: str) -> tuple[FractionalMatching, dic
     return x, {"path": path, "sha256": digest}
 
 
-def _emit(args, report: dict, human: list[str]) -> None:
+def _emit(args, report: dict, human: Iterable[str]) -> None:
+    # ``human`` is iterated only without --json, so it may be a generator
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -327,8 +330,8 @@ def _cmd_stable_all(args) -> int:
         "count": len(ordered),
         "matchings": [_matching_payload(mu) for mu in ordered],
     }
-    human = [f"method: {args.method}", f"count: {len(ordered)}"]
-    human += [f"  {_matching_line(mu)}" for mu in ordered]
+    human = chain([f"method: {args.method}", f"count: {len(ordered)}"],
+                  (f"  {_matching_line(mu)}" for mu in ordered))
     report = {"command": "stable-all", "inputs": {"market": market_input},
               "result": result, "diagnostics": diagnostics}
     _emit(args, report, human)
@@ -384,19 +387,16 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     text = serialize_market(market)
-    if args.json:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        report = {
-            "command": "gen",
-            "inputs": {"market": {"generator": {
-                "seed": args.seed, "firms": args.nf,
-                "workers": args.nw, "qmax": args.qmax}}},
-            "result": {"market": text, "sha256": digest},
-            "diagnostics": [],
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(text)
+    report = {
+        "command": "gen",
+        "inputs": {"market": {"generator": {
+            "seed": args.seed, "firms": args.nf,
+            "workers": args.nw, "qmax": args.qmax}}},
+        "result": {"market": text,
+                   "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()},
+        "diagnostics": [],
+    }
+    _emit(args, report, text.splitlines())
     return EXIT_OK
 
 

@@ -1,14 +1,15 @@
 """Connected-set hull certificates and the cross-validation harness.
 
-A strongly stable point decomposes into stable matchings that all live in
-one connected set: the rotation closure of the decomposition's top matching.
-``certify_strongly_stable`` makes that constructive: it checks the strong
-stability condition once, or refuses with the failing ``PairCondition``, and
-expresses every term of the threshold-sweep decomposition as a subset of the
-top matching's rotations.  ``verify_characterization`` stress-tests the whole
-equivalence on one market from both directions, against brute-force
-enumeration and an exhaustive convex-hull membership oracle that is
-independent of the constructive route.
+A connected set is a stable matching with any subset of its exposed
+rotations applied.  The rotations are firm-disjoint, so its hull is the
+affine cube ``inc(mu) + sum(lambda_i * delta_i)`` over lambda in [0,1]^k,
+and ``_cube_coordinates`` decides membership exactly by reading lambda off
+the rotations' rows.  ``certify_strongly_stable`` checks the strong
+stability condition once, or refuses with the failing ``PairCondition``,
+and reads every threshold-sweep term as a vertex of the top matching's cube.
+``verify_characterization`` stress-tests the equivalence from both
+directions against brute-force enumeration and the cube test; the subset
+search ``point_in_hull`` is the reference the tests hold the cube test to.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def certify_strongly_stable(
     strong stability condition fails, the refusal is the first failing
     ``PairCondition`` with its factors.  When it holds, the ordered
     decomposition is computed without checking the condition again, and
-    every term is matched, firm by firm, to the subset of the base matching's
-    rotations that produces it.  A decomposition term that is not expressible
-    that way would falsify the characterization; it raises instead of being
-    swallowed.
+    every term is read as a vertex of the base matching's cube: its subset
+    is the rotations whose coordinate is 1.  A decomposition term that is no
+    vertex of that cube would falsify the characterization; it raises
+    instead of being swallowed.
     """
     report = strong_stability_check(market, x)
     if not report.overall:
@@ -99,28 +100,46 @@ def certify_strongly_stable(
     decomposition = _threshold_sweep(market, x)
     base = decomposition.terms[0][0]
     rotations = find_cycles(reduce_profile(market, base))
-    firm_to_rotation: dict[str, int] = {}
-    for idx, rot in enumerate(rotations):
-        for f in rot.firms:
-            firm_to_rotation[f] = idx
     terms: list[tuple[frozenset[int], Rational]] = []
     for mu, weight in decomposition.terms:
-        ids: set[int] = set()
-        for f in market.firms:
-            if mu.matched(f) == base.matched(f):
-                continue
-            idx = firm_to_rotation.get(f)
-            if idx is None:
-                raise AssertionError(
-                    f"term differs from the base at {f}, which is in no rotation")
-            ids.add(idx)
-        rebuilt = apply_cycle_set(
-            market, base, [rotations[i] for i in sorted(ids)])
-        if rebuilt != mu:
+        lam = _cube_coordinates(
+            base, rotations, {f: dict.fromkeys(ws, 1) for f, ws in mu.assignment})
+        if lam is None:
             raise AssertionError(
                 "decomposition term is not a cyclic matching of the base")
-        terms.append((frozenset(ids), weight))
+        terms.append((frozenset(i for i, v in enumerate(lam) if v == 1), weight))
     return HullCertificate(base, rotations, tuple(terms))
+
+
+def _cube_coordinates(base: Matching, rotations: RotationSet,
+                      rows: dict[str, dict[str, Rational]]
+                      ) -> tuple[Rational, ...] | None:
+    """The lambda in [0,1]^k with ``rows = inc(base) + sum(lambda_i * delta_i)``,
+    or None.
+
+    ``rows`` maps a firm to its nonzero entries, ``{worker: value}``.  On each
+    of rotation i's firms the gained worker carries lambda_i and the lost one
+    1 - lambda_i; every other entry equals the base incidence.
+    """
+    lam: list[Rational] = []
+    traded: dict[str, tuple[str, str]] = {}
+    for rot in rotations:
+        value = rows.get(rot.firms[0], {}).get(rot.workers[0], 0)
+        if not 0 <= value <= 1:
+            return None
+        for d, f in enumerate(rot.firms):
+            row = rows.get(f, {})
+            gained, lost = rot.workers[d], rot.workers[d - 1]
+            if row.get(gained, 0) != value or row.get(lost, 0) != 1 - value:
+                return None
+            traded[f] = (gained, lost)
+        lam.append(value)
+    for f, staff in base.assignment:
+        pair = traded.get(f, ())
+        rest = {w: v for w, v in rows.get(f, {}).items() if w not in pair}
+        if rest != {w: 1 for w in staff if w not in pair}:
+            return None
+    return tuple(lam)
 
 
 def sample_hull(market: Market, mu: Matching, seed: int,
@@ -178,9 +197,9 @@ def point_in_hull(points: list[tuple[Rational, ...]],
     A point lies in the hull exactly when some affinely independent subset
     carries it with nonnegative coefficients, so trying every subset (of size
     at most dimension + 1) with an exact linear solve decides membership.
-    Exponential in the number of points; fine for the connected sets this
-    library meets, and deliberately independent of the constructive
-    certification path.
+    Exponential in the number of points, and independent of the rotation
+    structure: the tests use it as the reference for the cube test that
+    ``verify_characterization`` runs on connected-set hulls.
     """
     if not points:
         return False
@@ -237,19 +256,15 @@ def verify_characterization(market: Market, seed: int,
     condition, certify constructively, reconstruct exactly, and be almost
     integral.  Negative direction: stable-feasible points that fail the
     condition must be refused and must lie outside every connected-set hull,
-    as decided by the independent membership oracle.  Vertex fuzzing: random
+    as decided by the cube test of each stable matching with its exposed
+    rotations, which does not use the decomposition.  Vertex fuzzing: random
     walk endpoints must pass the rank test; the non-integral ones must fail
     the condition, the integral ones must be stable matchings.
     """
     stable = sorted(enumerate_stable_bruteforce(market),
                     key=lambda mu: mu.assignment)
     incidences = [incidence_vector(market, mu) for mu in stable]
-    hull_vectors = {}
-    for idx, mu in enumerate(stable):
-        members = connected_set(
-            market, mu, tuple(find_cycles(reduce_profile(market, mu))))
-        hull_vectors[idx] = [incidence_vector(market, m).flatten(market)
-                             for m in sorted(members, key=lambda m: m.assignment)]
+    cubes = [(mu, find_cycles(reduce_profile(market, mu))) for mu in stable]
 
     counterexamples: list[str] = []
     notes: list[str] = []
@@ -267,12 +282,12 @@ def verify_characterization(market: Market, seed: int,
             counterexamples.append(
                 f"{origin}: hull point fails the condition at "
                 f"({cert.firm},{cert.worker})")
-        flat = x.flatten(market)
-        for idx in hull_vectors:
-            if point_in_hull(hull_vectors[idx], flat):
-                counterexamples.append(
-                    f"{origin}: failing point lies in a connected-set hull")
-                break
+        rows = {f: {w: v for w, v in zip(market.workers, row) if v}
+                for f, row in zip(market.firms, x.entries)}
+        if any(_cube_coordinates(mu, rotations, rows) is not None
+               for mu, rotations in cubes):
+            counterexamples.append(
+                f"{origin}: failing point lies in a connected-set hull")
         return False
 
     hull_points = 0

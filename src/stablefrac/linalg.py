@@ -2,8 +2,9 @@
 
 ``Rref`` and ``rank`` work on sparse rows: a row is a ``{column: coefficient}``
 map holding its nonzeros only, so elimination touches nonzero entries and
-never scans a whole row.  ``solve_exact`` is a small dense solver for the
-hull oracle.
+never scans a whole row.  ``solve_exact`` is a small dense solver for
+``hulls.point_in_hull``, the subset-search reference that the tests compare
+the connected-set cube test against.
 """
 
 from __future__ import annotations

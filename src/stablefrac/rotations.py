@@ -295,8 +295,13 @@ def apply_cycle_set(market: Market, mu: Matching,
 
 def connected_set(market: Market, mu: Matching,
                   kprime: Sequence[Rotation]) -> set[Matching]:
-    """All matchings reachable from mu by applying a subset of ``kprime``."""
+    """All matchings reachable from mu by applying a subset of ``kprime``;
+    ``CapExceededError``, before any rotation is applied, when the 2^k
+    subsets exceed ``DEFAULT_ENUMERATION_CAP``."""
     kprime = tuple(kprime)
+    if 2 ** len(kprime) > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(f"2^{len(kprime)} connected matchings exceed "
+                               f"the cap of {DEFAULT_ENUMERATION_CAP}")
     out: set[Matching] = set()
     for size in range(len(kprime) + 1):
         for subset in combinations(kprime, size):

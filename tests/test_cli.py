@@ -187,6 +187,20 @@ def test_stable_all_methods_agree(capsys, market_file, block_file):
         assert report_a["result"]["matchings"] == report_b["result"]["matchings"]
 
 
+def test_stable_all_json_formats_no_human_lines(capsys, block_file,
+                                                monkeypatch):
+    argv = ["stable-all", block_file, "--method", "rotations", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(mu):
+        raise AssertionError("a human-readable line was formatted under --json")
+
+    monkeypatch.setattr("stablefrac.cli._matching_line", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_stable_all_rotations_honours_cap(capsys, block_file):
     argv = ["stable-all", block_file, "--method", "rotations"]
     assert main(argv + ["--cap", "23"]) == 2
@@ -224,6 +238,14 @@ def test_verify_market_file(capsys, market_file):
     code, report = run_json(capsys, ["verify", market_file, "--samples", "50"])
     assert code == 0
     assert report["result"]["ok"] is True
+
+
+def test_verify_exits_2_at_the_connected_set_cap(capsys, block_file,
+                                                 monkeypatch):
+    # the firm-optimal matching's connected set has 16 members
+    monkeypatch.setattr(sf.rotations, "DEFAULT_ENUMERATION_CAP", 15)
+    assert main(["verify", block_file, "--samples", "2"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_verify_usage_error(capsys, market_file):

@@ -126,6 +126,21 @@ def test_connected_set_of_example(market, mu_f, mu_w):
     assert sf.connected_set(market, mu_f, ()) == {mu_f}
 
 
+def test_connected_set_cap(block_market, monkeypatch):
+    mu = sf.deferred_acceptance(block_market, sf.Side.FIRMS)
+    rotations = tuple(sf.find_cycles(sf.reduce_profile(block_market, mu)))
+    monkeypatch.setattr(sf.rotations, "DEFAULT_ENUMERATION_CAP", 16)
+    assert len(sf.connected_set(block_market, mu, rotations)) == 16
+    monkeypatch.setattr(sf.rotations, "DEFAULT_ENUMERATION_CAP", 15)
+
+    def refuse(*args):
+        raise AssertionError("a rotation was applied before the cap check")
+
+    monkeypatch.setattr(sf.rotations, "apply_cycle", refuse)
+    with pytest.raises(sf.CapExceededError):
+        sf.connected_set(block_market, mu, rotations)
+
+
 def test_rotation_enumeration_on_example(market, mu_f, mu_w):
     assert sf.enumerate_stable_via_rotations(market) == {mu_f, mu_w}
 

@@ -301,3 +301,24 @@ sf.decompose(m, x)
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 1, run.stderr
     assert "AssertionError: decomposition does not reconstruct" in run.stderr
+
+
+def test_certify_term_check_survives_optimize(src_env, tmp_path):
+    script = tmp_path / "no_rotations.py"
+    script.write_text(f"""
+import sys
+import stablefrac as sf
+if sys.flags.optimize < 1:
+    sys.exit("not running under -O")
+m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
+x = sf.parse_fractional(m, open({str(DATA / "mid.frac")!r}).read())
+# with no rotations the base's cube is the base alone, so the second term
+# of the midpoint's decomposition is no vertex of it
+sf.hulls.find_cycles = lambda profile: sf.RotationSet(())
+sf.certify_strongly_stable(m, x)
+""")
+    run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1, run.stderr
+    assert ("AssertionError: decomposition term is not a cyclic matching"
+            in run.stderr)
