@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
             f"first violated constraint: {constraint_label(cid)} ({lhs} vs {rhs})")
         code = EXIT_PROPERTY_FAILS
     else:
-        condition = _pair_conditions(market, x)
+        condition = _pair_conditions(market, feas._sums)
         rank_value = _tight_rank(market, feas.tight)
         vertex = rank_value == len(market.pairs())
         result["condition"] = {
@@ -240,7 +240,7 @@ def _cmd_decompose(args) -> int:
             f"product {certificate.product}"])
         return EXIT_PROPERTY_FAILS
     terms = [(mu, weight) for mu, (_, weight) in
-             zip(certificate.term_matchings(market), certificate.terms)]
+             zip(certificate._matchings, certificate.terms)]
     result = {
         "terms": [
             {"matching": _matching_payload(mu), "weight": _rat(weight)}
@@ -343,6 +343,8 @@ def _cmd_verify(args) -> int:
     inputs: dict = {}
     if (args.market is None) == (args.random is None):
         raise _CliError("verify needs a market file or --random, not both")
+    if args.samples < 1:
+        raise _CliError(f"--samples must be at least 1, not {args.samples}")
     if args.market is not None:
         market, market_input = _load_market(args.market, diagnostics)
         inputs["market"] = market_input

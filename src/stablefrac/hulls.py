@@ -15,7 +15,7 @@ search ``point_in_hull`` is the reference the tests hold the cube test to.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,12 +61,15 @@ class HullCertificate:
 
     ``base`` is the top matching of the ordered decomposition, ``rotations``
     its rotation set, and every term names the subset of rotation indices
-    that turns the base into that term's matching.
+    that turns the base into that term's matching.  ``_matchings`` keeps the
+    decomposition's own term matchings, which the cube test proved equal to
+    those subsets; ``term_matchings`` rebuilds them from the rotations.
     """
 
     base: Matching
     rotations: RotationSet
     terms: tuple[tuple[frozenset[int], Rational], ...]
+    _matchings: tuple[Matching, ...] = field(compare=False, repr=False)
 
     def term_matchings(self, market: Market) -> tuple[Matching, ...]:
         return tuple(
@@ -97,7 +100,7 @@ def certify_strongly_stable(
     report = strong_stability_check(market, x)
     if not report.overall:
         return report.first_failure()
-    decomposition = _threshold_sweep(market, x)
+    decomposition = _threshold_sweep(market, x, report._sums)
     base = decomposition.terms[0][0]
     rotations = find_cycles(reduce_profile(market, base))
     terms: list[tuple[frozenset[int], Rational]] = []
@@ -108,7 +111,7 @@ def certify_strongly_stable(
             raise AssertionError(
                 "decomposition term is not a cyclic matching of the base")
         terms.append((frozenset(i for i, v in enumerate(lam) if v == 1), weight))
-    return HullCertificate(base, rotations, tuple(terms))
+    return HullCertificate(base, rotations, tuple(terms), decomposition.matchings())
 
 
 def _cube_coordinates(base: Matching, rotations: RotationSet,
@@ -150,9 +153,15 @@ def sample_hull(market: Market, mu: Matching, seed: int,
     normalized, so denominators stay bounded by a small multiple of the
     connected-set size.
     """
-    members = sorted(
-        connected_set(market, mu, tuple(find_cycles(reduce_profile(market, mu)))),
-        key=lambda m: m.assignment)
+    return _sample_cube(market, mu, find_cycles(reduce_profile(market, mu)),
+                        seed, count)
+
+
+def _sample_cube(market: Market, mu: Matching, rotations: RotationSet,
+                 seed: int, count: int) -> list[FractionalMatching]:
+    """``sample_hull`` for a matching whose rotations are already known."""
+    members = sorted(connected_set(market, mu, tuple(rotations)),
+                     key=lambda m: m.assignment)
     vectors = [incidence_vector(market, m) for m in members]
     rng = random.Random(f"hull:{seed}")
     return [_random_mix(vectors, rng) for _ in range(count)]
@@ -292,8 +301,9 @@ def verify_characterization(market: Market, seed: int,
 
     hull_points = 0
     per_mu = max(1, -(-samples // max(1, len(stable))))   # ceil division
-    for idx, mu in enumerate(stable):
-        for k, x in enumerate(sample_hull(market, mu, seed * 1009 + idx, per_mu)):
+    for idx, (mu, rotations) in enumerate(cubes):
+        for k, x in enumerate(
+                _sample_cube(market, mu, rotations, seed * 1009 + idx, per_mu)):
             hull_points += 1
             classify(x, f"hull sample {idx}/{k}", expect_member=True)
 
@@ -331,7 +341,7 @@ def verify_characterization(market: Market, seed: int,
                 counterexamples.append(
                     f"walk {k}: integral vertex is not a stable matching")
         else:
-            if _pair_conditions(market, v).overall:
+            if _pair_conditions(market, report._sums).overall:
                 counterexamples.append(
                     f"walk {k}: non-integral vertex passes the condition")
 

@@ -7,6 +7,13 @@ inequality per acceptable pair.  A point is a vertex exactly when its tight
 constraints have full rank over the rationals; coordinates on non-acceptable
 pairs are identically zero and are eliminated rather than carried along.
 
+Both systems are evaluated in one integer pass: the point is scaled once by
+D, the LCM of its entries' denominators, and every quota, unit, sign and
+no-blocking row is compared in ``int``.  ``Fraction``s are built only for
+the lhs of a violated row.  The same pass yields each pair's firm and worker
+weak prefix sums at denominator D, which the stable-feasibility report
+carries privately for the strong stability condition and its sweep.
+
 Every constraint row is one sparse map from acceptable-pair position to its
 nonzero integer coefficient.  The vertex test and the two walks share that
 format; the vertex test also counts tight nonnegativity rows without
@@ -16,8 +23,9 @@ eliminating them, since each is a unit vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Rref, rank
 from .model import FractionalMatching, InfeasibleError, Market, Rational
@@ -26,11 +34,26 @@ ConstraintId = tuple[str, ...]
 
 
 @dataclass(frozen=True)
+class _ScaledSums:
+    """Weak prefix sums of one point, times the point's denominator ``denom``.
+
+    ``firm[k]`` is the firm's cumulative mass down to the worker of the k-th
+    acceptable pair, ``worker[k]`` the worker's down to the firm.
+    """
+
+    denom: int
+    firm: list[int]
+    worker: list[int]
+
+
+@dataclass(frozen=True)
 class ConstraintReport:
     """Violated and exactly-tight constraints of one evaluation."""
 
     violations: tuple[tuple[ConstraintId, Rational, Rational], ...]
     tight: tuple[ConstraintId, ...]
+    # set by check_stable_feasibility; not part of the report's value
+    _sums: _ScaledSums | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -87,33 +110,7 @@ def check_feasibility(market: Market, x: FractionalMatching) -> ConstraintReport
     exactly zero.  Tightness of a zero entry is only reported on acceptable
     pairs; off the acceptable pairs a zero is an identity, not a constraint.
     """
-    _require_shape(market, x)
-    violations: list[tuple[ConstraintId, Rational, Rational]] = []
-    tight: list[ConstraintId] = []
-    for i, f in enumerate(market.firms):
-        s = sum(x.entries[i], Fraction(0))
-        q = Fraction(market.quota[f])
-        if s > q:
-            violations.append((("quota", f), s, q))
-        elif s == q:
-            tight.append(("quota", f))
-    for j, w in enumerate(market.workers):
-        s = sum((row[j] for row in x.entries), Fraction(0))
-        if s > 1:
-            violations.append((("unit", w), s, Fraction(1)))
-        elif s == 1:
-            tight.append(("unit", w))
-    for i, f in enumerate(market.firms):
-        for j, w in enumerate(market.workers):
-            v = x.entries[i][j]
-            if market.acceptable(f, w):
-                if v < 0:
-                    violations.append((("nonneg", f, w), v, Fraction(0)))
-                elif v == 0:
-                    tight.append(("nonneg", f, w))
-            elif v != 0:
-                violations.append((("zero", f, w), v, Fraction(0)))
-    return ConstraintReport(tuple(violations), tuple(tight))
+    return _evaluate(market, x, stable=False)
 
 
 def check_stable_feasibility(market: Market,
@@ -122,22 +119,74 @@ def check_stable_feasibility(market: Market,
 
     For a pair (f, w): the mass f gives to strictly better workers, plus
     quota-many times the mass w gives to strictly better firms, plus
-    quota-many times the pair's own entry, must reach the quota.
+    quota-many times the pair's own entry, must reach the quota.  The whole
+    system is evaluated once in integers at denominator D, the LCM of the
+    entries' denominators; the report keeps the weak prefix sums of that
+    evaluation for ``strong_stability``.
     """
-    base = check_feasibility(market, x)
-    violations = list(base.violations)
-    tight = list(base.tight)
-    fpre = {f: firm_weak_prefix(market, x, f) for f in market.firms}
-    wpre = {w: worker_weak_prefix(market, x, w) for w in market.workers}
-    for f, w in market.pairs():
-        e = x.value(market, f, w)
-        q = Fraction(market.quota[f])
-        lhs = (fpre[f][w] - e) + q * (wpre[w][f] - e) + q * e
-        if lhs < q:
-            violations.append((("noblock", f, w), lhs, q))
-        elif lhs == q:
-            tight.append(("noblock", f, w))
-    return ConstraintReport(tuple(violations), tuple(tight))
+    return _evaluate(market, x, stable=True)
+
+
+def _evaluate(market: Market, x: FractionalMatching,
+              stable: bool) -> ConstraintReport:
+    """One integer evaluation of the (stable-)feasibility system at D * x.
+
+    Rows are compared as integers scaled by D; a violation's lhs becomes a
+    ``Fraction`` over D, its rhs is the row's integer bound.
+    """
+    _require_shape(market, x)
+    denoms = {v.denominator for row in x.entries for v in row}
+    denom = lcm(*denoms)
+    factor = {d: denom // d for d in denoms}
+    scaled = [[v.numerator * factor[v.denominator] for v in row]
+              for row in x.entries]
+    violations: list[tuple[ConstraintId, Rational, Rational]] = []
+    tight: list[ConstraintId] = []
+
+    def bound(cid: ConstraintId, lhs: int, rhs: int, upper: bool) -> None:
+        """Record the row  lhs <= D * rhs  (upper) or  lhs >= D * rhs."""
+        slack = rhs * denom - lhs if upper else lhs - rhs * denom
+        if slack == 0:
+            tight.append(cid)
+        elif slack < 0:
+            violations.append((cid, Fraction(lhs, denom), Fraction(rhs)))
+
+    for f, row in zip(market.firms, scaled):
+        bound(("quota", f), sum(row), market.quota[f], upper=True)
+    for w, column in zip(market.workers, zip(*scaled)):
+        bound(("unit", w), sum(column), 1, upper=True)
+    for f, row in zip(market.firms, scaled):
+        acceptable = set(market.acceptable_to_firm(f))
+        for w, v in zip(market.workers, row):
+            if w in acceptable:
+                bound(("nonneg", f, w), v, 0, upper=False)
+            elif v:
+                violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
+    if not stable:
+        return ConstraintReport(tuple(violations), tuple(tight))
+
+    pos, fidx, widx = market.pair_position, market.firm_index, market.worker_index
+    n = len(market.pairs())
+    entry, firm_sum, worker_sum = [0] * n, [0] * n, [0] * n
+    for f, row in zip(market.firms, scaled):
+        acc = 0
+        for w in market.acceptable_to_firm(f):
+            k = pos(f, w)
+            entry[k] = row[widx(w)]
+            acc += entry[k]
+            firm_sum[k] = acc
+    for w in market.workers:
+        acc, j = 0, widx(w)
+        for f in market.acceptable_to_worker(w):
+            acc += scaled[fidx(f)][j]
+            worker_sum[pos(f, w)] = acc
+    for k, (f, w) in enumerate(market.pairs()):
+        q = market.quota[f]
+        # (F - e) + q (W - e) + q e  with F, W the weak prefix sums at (f, w)
+        bound(("noblock", f, w), firm_sum[k] - entry[k] + q * worker_sum[k], q,
+              upper=False)
+    return ConstraintReport(tuple(violations), tuple(tight),
+                            _ScaledSums(denom, firm_sum, worker_sum))
 
 
 def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:

@@ -9,10 +9,9 @@ the eyes of all firms, read off the firms' cumulative masses in one sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import ceil
 
 from .model import (
     AlreadyIntegralError,
@@ -23,9 +22,11 @@ from .model import (
     Matching,
     NotStronglyStableError,
     Rational,
+    _ZERO,
     incidence_vector,
 )
 from .polytope import (
+    _ScaledSums,
     check_feasibility,
     check_stable_feasibility,
     firm_weak_prefix,
@@ -48,6 +49,8 @@ class PairCondition:
 class StrongStabilityReport:
     pairs: tuple[PairCondition, ...]
     overall: bool
+    # the evaluation the report was read from; not part of the report's value
+    _sums: _ScaledSums | None = field(default=None, compare=False, repr=False)
 
     def failures(self) -> tuple[PairCondition, ...]:
         return tuple(p for p in self.pairs if p.product != 0)
@@ -73,23 +76,33 @@ def strong_stability_check(market: Market,
     carries both factors and their product per pair; ``overall`` is true
     exactly when every product is zero.
     """
-    check_stable_feasibility(market, x).require()
-    return _pair_conditions(market, x)
+    report = check_stable_feasibility(market, x)
+    report.require()
+    return _pair_conditions(market, report._sums)
 
 
 def _pair_conditions(market: Market,
-                     x: FractionalMatching) -> StrongStabilityReport:
-    """The report of ``strong_stability_check``, for a stable-feasible x."""
-    fpre = {f: firm_weak_prefix(market, x, f) for f in market.firms}
-    wpre = {w: worker_weak_prefix(market, x, w) for w in market.workers}
+                     sums: _ScaledSums) -> StrongStabilityReport:
+    """The report of ``strong_stability_check``, for a stable-feasible point.
+
+    Reads the integer weak prefix sums F and W of the point's one evaluation
+    at denominator D: the factors are (q D - F) / D and (D - W) / D, and the
+    product is zero whenever either factor is.
+    """
+    d = sums.denom
     conditions = []
-    for f, w in market.pairs():
-        firm_factor = Fraction(market.quota[f]) - fpre[f][w]
-        worker_factor = Fraction(1) - wpre[w][f]
+    overall = True
+    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
+        firm_gap, worker_gap = market.quota[f] * d - firm_sum, d - worker_sum
+        if firm_gap and worker_gap:
+            product = Fraction(firm_gap * worker_gap, d * d)
+            overall = False
+        else:
+            product = _ZERO
         conditions.append(PairCondition(
-            f, w, firm_factor, worker_factor, firm_factor * worker_factor))
-    overall = all(c.product == 0 for c in conditions)
-    return StrongStabilityReport(tuple(conditions), overall)
+            f, w, Fraction(firm_gap, d) if firm_gap else _ZERO,
+            Fraction(worker_gap, d) if worker_gap else _ZERO, product))
+    return StrongStabilityReport(tuple(conditions), overall, sums)
 
 
 def support_matching(market: Market, x: FractionalMatching) -> Matching:
@@ -154,27 +167,36 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     worse for every firm, so the terms come out in the firms' order; weights
     sum to one exactly, and the reconstruction is verified before returning.
     """
-    strong_stability_check(market, x).require()
-    return _threshold_sweep(market, x)
+    report = strong_stability_check(market, x)
+    report.require()
+    return _threshold_sweep(market, x, report._sums)
 
 
-def _threshold_sweep(market: Market, x: FractionalMatching) -> Decomposition:
-    """The sweep of ``decompose``, for a point known to be strongly stable."""
-    prefix = {f: firm_weak_prefix(market, x, f) for f in market.firms}
-    cuts = sorted({Fraction(0)} | {c % 1 for sums in prefix.values()
-                                   for c in sums.values()})
+def _threshold_sweep(market: Market, x: FractionalMatching,
+                     sums: _ScaledSums) -> Decomposition:
+    """The sweep of ``decompose``, for a point known to be strongly stable.
+
+    Runs on the firms' integer prefix sums C = D c of the point's one
+    evaluation: the cuts T are the values C mod D, ceil(c - T / D) is the
+    floor division -((T - C) // D), and an interval [T, E) weighs (E - T) / D.
+    """
+    d, pos = sums.denom, market.pair_position
+    prefix = {f: [(w, sums.firm[pos(f, w)]) for w in market.acceptable_to_firm(f)]
+              for f in market.firms}
+    cuts = sorted({0} | {c % d for firm_sums in prefix.values()
+                         for _, c in firm_sums})
     terms: list[tuple[Matching, Rational]] = []
-    for t, end in zip(cuts, cuts[1:] + [Fraction(1)]):
+    for t, end in zip(cuts, cuts[1:] + [d]):
         chosen: dict[str, list[str]] = {}
-        for f, sums in prefix.items():
+        for f, firm_sums in prefix.items():
             chosen[f] = []
-            before = 0      # ceil(c_0 - t) with c_0 = 0 and 0 <= t < 1
-            for w, c in sums.items():
-                now = ceil(c - t)
+            before = 0      # ceil((C_0 - T) / D) with C_0 = 0 and 0 <= T < D
+            for w, c in firm_sums:
+                now = -((t - c) // d)
                 if now > before:
                     chosen[f].append(w)
                 before = now
-        terms.append((Matching.build(market, chosen), end - t))
+        terms.append((Matching.build(market, chosen), Fraction(end - t, d)))
     result = Decomposition(tuple(terms))
     if result.reconstruct(market) != x:
         raise AssertionError("decomposition does not reconstruct the point")

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
 from stablefrac.cli import build_parser, main
@@ -321,3 +325,76 @@ worker w2: f1
     code, report = run_json(capsys, ["solve", str(p)])
     assert code == 0
     assert any("one-sided" in d for d in report["diagnostics"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(capsys, market_file, samples):
+    assert main(["verify", market_file, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples must be at least 1" in captured.err
+
+
+def _spliced(base: bytes):
+    """``base`` with a random byte run replacing a random slice of it."""
+    return st.tuples(st.integers(0, len(base)), st.integers(0, 16),
+                     st.binary(max_size=12)).map(
+        lambda t: base[:t[0]] + t[2] + base[t[0] + t[1]:])
+
+
+def _parses(data: bytes, parse) -> bool:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            parse(data.decode("utf-8"))
+    except (UnicodeDecodeError, sf.MarketError):
+        return False
+    return True
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_MARKET_BYTES = (DATA / "example.market").read_bytes()
+_MID_BYTES = (DATA / "mid.frac").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def byte_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bytes")
+    (path / "ok.market").write_bytes(_MARKET_BYTES)
+    (path / "ok.frac").write_bytes(_MID_BYTES)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), _spliced(_MARKET_BYTES)),
+       command=st.sampled_from(["check", "decompose", "stable-all", "verify"]))
+def test_arbitrary_market_bytes_exit_2(byte_dir, data, command):
+    path = byte_dir / "any.market"
+    path.write_bytes(data)
+    argv = {"check": ["check", str(path), str(byte_dir / "ok.frac")],
+            "decompose": ["decompose", str(path), str(byte_dir / "ok.frac")],
+            "stable-all": ["stable-all", str(path)],
+            "verify": ["verify", str(path), "--samples", "1"]}[command]
+    code = _run_quietly(argv)
+    if _parses(data, sf.parse_market):
+        assert code in (0, 1, 2)
+    else:
+        assert code == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), _spliced(_MID_BYTES)),
+       command=st.sampled_from(["check", "decompose"]))
+def test_arbitrary_fraction_bytes_exit_2(byte_dir, market, data, command):
+    path = byte_dir / "any.frac"
+    path.write_bytes(data)
+    code = _run_quietly([command, str(byte_dir / "ok.market"), str(path)])
+    if _parses(data, lambda text: sf.parse_fractional(market, text)):
+        assert code in (0, 1)
+    else:
+        assert code == 2

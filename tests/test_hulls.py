@@ -269,3 +269,45 @@ def test_verify_propagates_cap():
     m = sf.parse_market(text)
     with pytest.raises(sf.CapExceededError):
         sf.verify_characterization(m, seed=1, samples=10)
+
+
+def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market):
+    checked = 0
+    block_stable = sorted(sf.enumerate_stable_bruteforce(block_market),
+                          key=lambda mu: mu.assignment)
+    cases = list(zip(fleet, fleet_stable)) + [(block_market, block_stable)]
+    for idx, (m, stable) in enumerate(cases):
+        for mu in stable:
+            for x in sf.sample_hull(m, mu, seed=300 + idx, count=2):
+                cert = sf.certify_strongly_stable(m, x)
+                assert cert._matchings == cert.term_matchings(m)
+                assert cert._matchings == sf.decompose(m, x).matchings()
+                checked += 1
+    assert checked >= 150
+
+
+def test_verify_reduces_each_stable_profile_once(block_market, monkeypatch):
+    calls = {"outside": 0}
+    inside = []
+    reduce_profile = sf.hulls.reduce_profile
+    certify = sf.hulls.certify_strongly_stable
+
+    def counted_reduce(market, mu):
+        if not inside:
+            calls["outside"] += 1
+        return reduce_profile(market, mu)
+
+    def flagged_certify(market, x):
+        inside.append(x)
+        try:
+            return certify(market, x)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sf.hulls, "reduce_profile", counted_reduce)
+    monkeypatch.setattr(sf.rotations, "reduce_profile", counted_reduce)
+    monkeypatch.setattr(sf.hulls, "certify_strongly_stable", flagged_certify)
+    outcome = sf.verify_characterization(block_market, seed=1, samples=10)
+    assert outcome.ok
+    assert outcome.stable_count == 24
+    assert calls["outside"] == outcome.stable_count

@@ -1,7 +1,9 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
 
@@ -215,3 +217,36 @@ def test_market_ids_validated_outside_parser():
         sf.Market(("f1",), ("w1",), {"f1": 0}, {"f1": ()}, {"w1": ()})
     with pytest.raises(ValueError):
         sf.Market(("f1",), ("w1",), {"f1": 1}, {"f1": ("w2",)}, {"w1": ()})
+
+
+_IDS = st.text("abcxyzXY019_.+-", min_size=1, max_size=4)
+
+
+@st.composite
+def _markets(draw):
+    """Markets with valid ids and mutual preference lists (nothing to prune)."""
+    names = draw(st.lists(_IDS, min_size=2, max_size=9, unique=True))
+    cut = draw(st.integers(1, len(names) - 1))
+    firms, workers = names[:cut], names[cut:]
+    fpref = {f: draw(st.permutations(workers))[:draw(st.integers(0, len(workers)))]
+             for f in firms}
+    wpref = {w: draw(st.permutations(firms))[:draw(st.integers(0, len(firms)))]
+             for w in workers}
+    fpref = {f: tuple(w for w in ws if f in wpref[w]) for f, ws in fpref.items()}
+    wpref = {w: tuple(f for f in fs if w in fpref[f]) for w, fs in wpref.items()}
+    quota = {f: draw(st.integers(1, 3)) for f in firms}
+    return sf.Market(firms, workers, quota, fpref, wpref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_market_and_fractional_text_round_trips(data):
+    m = data.draw(_markets())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf.parse_market(sf.serialize_market(m)) == m
+    values = st.fractions(min_value=0, max_value=3, max_denominator=50)
+    x = sf.FractionalMatching.from_rows(
+        [[data.draw(values) if m.acceptable(f, w) else 0 for w in m.workers]
+         for f in m.firms])
+    assert sf.parse_fractional(m, sf.serialize_fractional(m, x)) == x
