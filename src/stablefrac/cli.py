@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 import warnings
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .hulls import (
@@ -65,8 +65,8 @@ def _matrix(x: FractionalMatching) -> list[list[str]]:
     return [[_rat(v) for v in row] for row in x.entries]
 
 
-def _matching_payload(mu: Matching) -> dict[str, list[str]]:
-    return {f: list(ws) for f, ws in mu.assignment}
+def _matching_payload(mu: Matching) -> dict[str, tuple[str, ...]]:
+    return dict(mu.assignment)
 
 
 def _read_file(path: str) -> tuple[str, str]:
@@ -103,10 +103,71 @@ def _load_fractional(market: Market, path: str) -> tuple[FractionalMatching, dic
     return x, {"path": path, "sha256": digest}
 
 
+def _dumps(report) -> str:
+    """Exactly ``json.dumps(report, indent=2, sort_keys=True)``, faster.
+
+    Reports are built from dicts with string keys, lists, tuples, strings,
+    ints, booleans and None; any other type raises ``TypeError``.  The
+    fragment of a list or tuple of strings depends only on its values and
+    its depth, and matching rows repeat across the thousands of matchings
+    of a large report, so each such fragment is encoded once per call.
+    """
+    fragments: dict[tuple, str] = {}
+
+    def block(opening: str, parts: Iterable[str], closing: str,
+              depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        return (opening + inner + ("," + inner).join(parts)
+                + "\n" + "  " * depth + closing)
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            for item in value:
+                if not isinstance(item, str):
+                    return block("[", [encode(entry, depth + 1)
+                                       for entry in value], "]", depth)
+            key = (tuple(value), depth)
+            fragment = fragments.get(key)
+            if fragment is None:
+                fragment = fragments[key] = block(
+                    "[", map(encode_basestring_ascii, value), "]", depth)
+            return fragment
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            parts = []
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(
+                        f"report keys must be str, not {type(key).__name__}")
+                parts.append(encode_basestring_ascii(key) + ": "
+                             + encode(item, depth + 1))
+            return block("{", parts, "}", depth)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return encode(report, 0)
+
+
 def _emit(args, report: dict, human: Iterable[str]) -> None:
-    # ``human`` is iterated only without --json, so it may be a generator
+    """Print ``report`` as JSON under --json, else the human-readable lines.
+
+    ``human`` is iterated only without --json, so it may be a generator.
+    """
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
     else:
         for line in human:
             print(line)

@@ -52,8 +52,6 @@ from .strong_stability import (
     strong_stability_check,
 )
 
-StrongStabilityRefusal = PairCondition      # a refusal is the failing pair itself
-
 
 @dataclass(frozen=True)
 class HullCertificate:

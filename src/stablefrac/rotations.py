@@ -10,16 +10,18 @@ the rotations; applying one trades along the cycle and lands on another
 stable matching.
 
 Enumeration finds the rotations once, on one chain from the firm-optimal to
-the worker-optimal matching (chain phase), and then grows the stable set
-from the firm-optimal matching by applying the rotations that fit
-(closure phase).  A rotation that fits is not always exposed, so every
-matching the closure reaches is checked with ``is_stable`` before it is
-listed; that check, not a rotation poset, decides membership.
+the worker-optimal matching.  The order in which the chain finds them is a
+linear extension of the rotation poset, and the stable matchings are the
+closed sets of that poset, so a depth-first search that only ever adds a
+rotation later in that order than the last one added generates each stable
+matching once, from one parent, with one ``apply_cycle``.  A rotation that
+fits is not always exposed, so each candidate is kept only when it is
+stable; ``_stable_step`` decides that exactly by scanning the lists of the
+cycle's firms alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -311,9 +313,52 @@ def connected_set(market: Market, mu: Matching,
     return out
 
 
+def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
+    """``is_stable(market, nu)``, found from the lists of ``sigma``'s firms.
+
+    ``nu`` is mu with ``sigma`` applied, where mu is individually rational
+    and every pair blocking mu has its firm on the cycle; a stable mu, as in
+    the enumeration, qualifies.
+
+    When every cycle worker's new pair is mutually acceptable and the worker
+    strictly prefers its new firm to its old one, nu is individually
+    rational: ``apply_cycle`` keeps every quota, the new pairs are
+    acceptable and every other pair is one of mu's.  A pair (f, w) with f
+    off the cycle cannot block nu either: f's staff, and so its vacancy and
+    its worst staff member, are those of mu, and w's employer is mu's or one
+    w strictly prefers, so the pair would block mu.  (Were w employed by f
+    in mu and not in nu, w would be a cycle worker and f a cycle firm.)
+    What is left is exactly the test of ``blocking_pairs`` restricted to the
+    cycle's firms: each scans every acceptable worker when it has a vacancy,
+    otherwise the workers it ranks above its worst staff member, and (f, w)
+    blocks when w is unmatched or prefers f to its employer.  A step whose
+    workers do not all improve falls back to the full ``is_stable``.
+    """
+    wrank = market._wrank
+    r = len(sigma.firms)
+    for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
+        old = sigma.firms[(d + 1) % r]
+        if not market.acceptable(f, w) or wrank[w][f] >= wrank[w][old]:
+            return is_stable(market, nu)
+    employer = nu.employer
+    for f in sigma.firms:
+        staff = nu.matched(f)
+        rank = market._frank[f]
+        # every listed worker ranks below len(rank): a vacancy scans them all
+        cut = len(rank) if len(staff) < market.quota[f] else \
+            max(map(rank.__getitem__, staff))
+        for w in market.acceptable_to_firm(f):
+            if rank[w] >= cut:
+                break
+            g = employer(w)
+            if g is None or wrank[w][f] < wrank[w][g]:
+                return False
+    return True
+
+
 def enumerate_stable_via_rotations(
         market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
-    """All stable matchings, as the rotation closure of the firm-optimal one.
+    """All stable matchings, one per closed set of the rotation poset.
 
     Chain phase: from the firm-optimal matching, reduce the profile, apply
     every exposed rotation at once and repeat until none is exposed.  Every
@@ -323,17 +368,19 @@ def enumerate_stable_via_rotations(
     finds the whole rotation set R.  The chain must end at the
     worker-optimal matching, and no rotation may be found twice.
 
-    Closure phase: breadth-first from the firm-optimal matching, apply every
-    rotation of R that fits the current matching.  A rotation can fit
-    without being exposed (a predecessor of it not yet applied), and then
-    its result need not be stable.  So every new matching is kept only when
-    ``is_stable`` holds, the same check ``reduce_profile`` runs on its
-    input, and no rotation poset has to be built.  Every stable matching is reached,
-    because each one is the firm-optimal matching with a closed set of
-    rotations applied in some order, each exposed, and so fitting, when it
-    is applied.
+    Search phase: the chain's order r_1, ..., r_n is a linear extension of
+    the rotation poset, since a rotation is exposed only after all of its
+    predecessors were applied.  So a nonempty closed set I has exactly one
+    parent, I minus its highest-index rotation, which is closed as well, and
+    its matching is the parent's with that rotation applied, exposed and so
+    fitting.  A depth-first search from the firm-optimal matching extends
+    each matching only by rotations r_j with j above the last index added,
+    and keeps a candidate when r_j fits and the result is stable
+    (``_stable_step``).  Every stable matching is reached this way; one
+    reached twice would be an error, and is raised as one.  No precedence
+    relation has to be built.
 
-    Raises ``CapExceededError`` once more than ``cap`` matchings are found.
+    Raises ``CapExceededError`` once more than ``cap`` matchings are listed.
     """
     start = deferred_acceptance(market, Side.FIRMS)
     rotations: list[Rotation] = []
@@ -350,18 +397,23 @@ def enumerate_stable_via_rotations(
     if len(set(rotations)) != len(rotations):
         raise AssertionError("a rotation was found twice on the chain")
 
-    found: set[Matching] = {start}
-    frontier: deque[Matching] = deque([start])
-    while frontier:
-        if len(found) > cap:
-            raise CapExceededError(
-                f"{len(found)}+ stable matchings exceed the cap of {cap}")
-        mu = frontier.popleft()
-        for sigma in rotations:
+    listed: list[Matching] = [start]
+    stack: list[tuple[Matching, int]] = [(start, 0)]   # (matching, next index)
+    while stack:
+        mu, first = stack.pop()
+        for j in range(first, len(rotations)):
+            sigma = rotations[j]
             if _misfit(mu, sigma) is not None:
                 continue
-            nxt = apply_cycle(market, mu, sigma)
-            if nxt not in found and is_stable(market, nxt):
-                found.add(nxt)
-                frontier.append(nxt)
+            nu = apply_cycle(market, mu, sigma)
+            if not _stable_step(market, nu, sigma):
+                continue
+            listed.append(nu)
+            if len(listed) > cap:
+                raise CapExceededError(
+                    f"{len(listed)}+ stable matchings exceed the cap of {cap}")
+            stack.append((nu, j + 1))
+    found = set(listed)
+    if len(found) != len(listed):
+        raise AssertionError("a stable matching was generated twice")
     return found

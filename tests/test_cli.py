@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from stablefrac.cli import build_parser, main
+from stablefrac.cli import _dumps, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads(
@@ -48,7 +49,9 @@ def firm_opt_file(tmp_path):
 
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     jsonschema.validate(report, SCHEMA)
     return code, report
 
@@ -360,6 +363,7 @@ def _run_quietly(argv) -> int:
 
 _MARKET_BYTES = (DATA / "example.market").read_bytes()
 _MID_BYTES = (DATA / "mid.frac").read_bytes()
+_FIRM_OPT_BYTES = (DATA / "firm_opt.frac").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -370,16 +374,19 @@ def byte_dir(tmp_path_factory):
     return path
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.one_of(st.binary(max_size=64), _spliced(_MARKET_BYTES)),
-       command=st.sampled_from(["check", "decompose", "stable-all", "verify"]))
+       command=st.sampled_from(["check", "decompose", "stable-all", "verify",
+                                "solve", "rotations"]))
 def test_arbitrary_market_bytes_exit_2(byte_dir, data, command):
     path = byte_dir / "any.market"
     path.write_bytes(data)
     argv = {"check": ["check", str(path), str(byte_dir / "ok.frac")],
             "decompose": ["decompose", str(path), str(byte_dir / "ok.frac")],
             "stable-all": ["stable-all", str(path)],
-            "verify": ["verify", str(path), "--samples", "1"]}[command]
+            "verify": ["verify", str(path), "--samples", "1"],
+            "solve": ["solve", str(path)],
+            "rotations": ["rotations", str(path)]}[command]
     code = _run_quietly(argv)
     if _parses(data, sf.parse_market):
         assert code in (0, 1, 2)
@@ -387,14 +394,57 @@ def test_arbitrary_market_bytes_exit_2(byte_dir, data, command):
         assert code == 2
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.one_of(st.binary(max_size=64), _spliced(_MID_BYTES)),
-       command=st.sampled_from(["check", "decompose"]))
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(st.binary(max_size=64), _spliced(_MID_BYTES),
+                      _spliced(_FIRM_OPT_BYTES)),
+       command=st.sampled_from(["check", "decompose", "rotations"]))
 def test_arbitrary_fraction_bytes_exit_2(byte_dir, market, data, command):
+    """Arbitrary bytes as the fraction file of check and decompose, or as
+    the --mu matching of rotations (exit 2 when it is not a 0/1 matrix)."""
     path = byte_dir / "any.frac"
     path.write_bytes(data)
-    code = _run_quietly([command, str(byte_dir / "ok.market"), str(path)])
-    if _parses(data, lambda text: sf.parse_fractional(market, text)):
-        assert code in (0, 1)
-    else:
+    ok_market = str(byte_dir / "ok.market")
+    argv = ([command, ok_market, "--mu", str(path)] if command == "rotations"
+            else [command, ok_market, str(path)])
+    code = _run_quietly(argv)
+    if not _parses(data, lambda text: sf.parse_fractional(market, text)):
         assert code == 2
+    elif command == "rotations":
+        assert code in (0, 1, 2)
+    else:
+        assert code in (0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(numbers=st.lists(st.integers(-3, 12), min_size=4, max_size=4),
+       as_json=st.booleans())
+def test_gen_arguments_exit_0_or_2(numbers, as_json):
+    seed, nf, nw, qmax = numbers
+    code = _run_quietly(["gen", *map(str, numbers)] + ["--json"] * as_json)
+    assert code == (2 if min(nf, nw, qmax) < 1 else 0)
+
+
+# Report-shaped values: strings with non-ASCII, quote, backslash and control
+# characters, repeated so that equal string lists recur at several depths.
+_STRINGS = st.one_of(st.text(max_size=6),
+                     st.sampled_from(["w1", "f1", "\u00e9", '"', "\\", "\x00\n"]))
+_SCALARS = st.one_of(st.none(), st.sampled_from([True, False, 1, 0]),
+                     st.integers(), st.integers(-2 ** 200, 2 ** 200), _STRINGS)
+_REPORTS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.lists(_STRINGS, max_size=3).map(tuple),
+    st.dictionaries(_STRINGS, inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_REPORTS)
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {"w1"},
+                                   {"rows": [["w1"], 0.0]}, {1: "f1"}])
+def test_dumps_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps(value)

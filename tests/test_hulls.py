@@ -58,7 +58,7 @@ def test_certify_midpoint(market, mu_f, x_mid):
 
 def test_certify_refuses_fractional_vertex(market, x_vertex):
     refusal = sf.certify_strongly_stable(market, x_vertex)
-    assert isinstance(refusal, sf.StrongStabilityRefusal)
+    assert isinstance(refusal, sf.PairCondition)
     assert (refusal.firm, refusal.worker) == ("f2", "w3")
     assert refusal.product == Fraction(1, 4)
 

@@ -284,32 +284,56 @@ def test_rotation_exposed_only_after_two_others(text):
     assert sf.enumerate_stable_via_rotations(m) == stable
 
 
-@pytest.mark.parametrize("nf,nw,qmax", [(5, 5, 1), (3, 5, 2), (4, 6, 2)])
+RANDOM_SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2)]
+
+
+def random_markets(nf, nw, qmax):
+    return [sf.gen_random_market(seed, nf, nw, qmax, density=density)
+            for seed in range(50) for density in (1.0, 0.7)]
+
+
+@pytest.mark.parametrize("nf,nw,qmax", RANDOM_SIZES)
 def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
     multi = 0
-    for seed in range(50):
-        for density in (1.0, 0.7):
-            m = sf.gen_random_market(seed, nf, nw, qmax, density=density)
-            stable = sf.enumerate_stable_bruteforce(m)
-            assert sf.enumerate_stable_via_rotations(m) == stable
-            multi += len(stable) > 1
+    for m in random_markets(nf, nw, qmax):
+        stable = sf.enumerate_stable_bruteforce(m)
+        assert sf.enumerate_stable_via_rotations(m) == stable
+        multi += len(stable) > 1
     assert multi >= 10
 
 
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
+    """One chain finds the rotations; after it, each matching is built once
+    and no stability check scans the whole market."""
     m = cyclic_blocks([3, 3, 3, 4, 4, 4])
     n_rotations = 3 * 2 + 3 * 3
     calls = []
+    counts = {"apply_cycle": 0, "blocking_pairs": 0}
+    at_chain_end = {}
     reduce = sf.rotations.reduce_profile
 
     def counted(market, mu):
         calls.append(mu)
-        return reduce(market, mu)
+        profile = reduce(market, mu)
+        at_chain_end.update(counts)     # the last reduction ends the chain
+        return profile
+
+    def counter(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(sf.rotations, "reduce_profile", counted)
+    counter(sf.rotations, "apply_cycle")
+    counter(sf.stability, "blocking_pairs")
     found = sf.enumerate_stable_via_rotations(m)
     assert len(calls) <= n_rotations + 1
     assert len(found) == 1728
+    assert counts["apply_cycle"] - at_chain_end["apply_cycle"] == 1727
+    assert counts["blocking_pairs"] == at_chain_end["blocking_pairs"]
     assert all(sf.is_stable(m, mu) for mu in found)
 
 
@@ -328,6 +352,8 @@ if sys.flags.optimize < 1:
     sys.exit("not running under -O")
 m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
 real_find_cycles = sf.rotations.find_cycles
+real_apply_cycle_set = sf.rotations.apply_cycle_set
+real_apply_cycle = sf.rotations.apply_cycle
 mu_w = sf.deferred_acceptance(m, sf.Side.WORKERS)
 
 # no rotation is ever exposed: the chain stops at the firm-optimal matching
@@ -347,6 +373,21 @@ try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
+
+# a sound chain, but the search's one build returns a matching already listed
+sf.rotations.find_cycles = real_find_cycles
+sf.rotations.apply_cycle_set = real_apply_cycle_set
+builds = []
+
+def rebuild_start(market, mu, sigma):
+    builds.append(sigma)
+    return real_apply_cycle(market, mu, sigma) if len(builds) == 1 else mu_f
+
+sf.rotations.apply_cycle = rebuild_start
+try:
+    sf.enumerate_stable_via_rotations(m)
+except AssertionError as exc:
+    print("raised:", exc)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
                          capture_output=True, text=True, timeout=60)
@@ -354,6 +395,7 @@ except AssertionError as exc:
     assert run.stdout.splitlines() == [
         "raised: the rotation chain must end at the worker-optimal matching",
         "raised: a rotation was found twice on the chain",
+        "raised: a stable matching was generated twice",
     ]
 
 
@@ -381,3 +423,76 @@ def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):
                 assert nu.assignment == sf.Matching.build(m, staff).assignment
                 checked += 1
     assert checked > 30
+
+
+def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
+    """Every candidate the enumeration tries gets the verdict of is_stable."""
+    real = sf.rotations._stable_step
+    verdicts = []
+
+    def checked(market, nu, sigma):
+        verdict = real(market, nu, sigma)
+        assert verdict == sf.is_stable(market, nu), (nu, sigma)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(sf.rotations, "_stable_step", checked)
+    markets = list(fleet)
+    markets += [sf.parse_market(text) for text in JOINED_ROTATION_MARKETS]
+    for size in RANDOM_SIZES:
+        markets += random_markets(*size)
+    markets.append(cyclic_blocks([3, 3, 3, 4, 4, 4]))
+    for m in markets:
+        sf.enumerate_stable_via_rotations(m)
+    assert verdicts.count(True) > 1727
+    assert verdicts.count(False) >= 5
+
+
+# Hand-made steps the enumeration never takes.  In the first, w1 and w2 both
+# move to firms they like less, and nu is blocked only off the cycle, by
+# (f3, w1).  In the second, mu leaves f1 below quota and blocked at f1 only;
+# the workers improve, and nu is blocked only through f1's vacancy, by w3.
+HAND_MADE_STEPS = {
+    "worker-gets-worse": ("""
+firms: f1 f2 f3
+workers: w1 w2 w3
+quota: f1=1 f2=1 f3=1
+firm f1: w2 w1
+firm f2: w1 w2
+firm f3: w1 w3
+worker w1: f1 f3 f2
+worker w2: f2 f1
+worker w3: f3
+""", {"f1": ["w1"], "f2": ["w2"], "f3": ["w3"]}, True),
+    "vacancy-on-the-cycle": ("""
+firms: f1 f2
+workers: w1 w2 w3
+quota: f1=2 f2=1
+firm f1: w1 w2 w3
+firm f2: w1 w2
+worker w1: f1 f2
+worker w2: f2 f1
+worker w3: f1
+""", {"f1": ["w2"], "f2": ["w1"]}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE_STEPS))
+def test_stable_step_on_hand_made_steps(monkeypatch, name):
+    text, rows, falls_back = HAND_MADE_STEPS[name]
+    m = sf.parse_market(text)
+    mu = sf.Matching.build(m, rows)
+    sigma = sf.Rotation(("f1", "f2"), ("w2", "w1") if falls_back
+                        else ("w1", "w2"))
+    nu = sf.apply_cycle(m, mu, sigma)
+    full_checks = []
+    is_stable = sf.rotations.is_stable
+
+    def counted(market, matching):
+        full_checks.append(matching)
+        return is_stable(market, matching)
+
+    monkeypatch.setattr(sf.rotations, "is_stable", counted)
+    assert sf.rotations._stable_step(m, nu, sigma) is False
+    assert full_checks == ([nu] if falls_back else [])
+    assert not sf.is_stable(m, nu)
