@@ -2,11 +2,15 @@
 
 The brute-force enumerator is the ground truth every structural result in
 this library is validated against; it is only meant for desk-scale markets.
+It searches the worker -> (firm | unmatched) maps depth first and cuts a
+subtree only when every map in it overfills a firm or holds a swap block
+between workers already placed (staff only grows down a branch, so such a
+block never goes away); every complete map gets the full stability check.
+It uses neither deferred acceptance nor rotations.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -139,58 +143,116 @@ def is_stable(market: Market, mu: Matching) -> bool:
 
 def enumerate_stable_bruteforce(
         market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
-    """Exhaustively enumerate all stable matchings.
+    """Exhaustively enumerate all stable matchings: the ground truth.
 
-    Iterates every worker -> (acceptable firm | unmatched) map, filters quota
-    feasibility and then stability.  Raises CapExceededError when the number
-    of candidate maps exceeds ``cap``.
+    Searches the worker -> (acceptable firm | unmatched) maps depth first,
+    placing the workers in declaration order on an explicit stack, and runs
+    the full vacancy and swap check on every complete map.  Raises
+    CapExceededError when the number of candidate maps, counted before the
+    search, exceeds ``cap``.
+
+    A subtree is cut only when the full check would reject each of its
+    leaves, so the set equals that of scanning every map:
+
+    - *Quota.*  A worker is never placed at a firm that is already full; a
+      map that overfills a firm is not a matching.
+    - *Settled swap block.*  Worker w skips choice g when a firm f that w
+      prefers to g (any acceptable firm if g is "unmatched") already employs
+      someone it ranks below w, or when an earlier worker u prefers g to its
+      own choice and g ranks u above w.  Then (f, w), or (g, u), blocks by a
+      swap.  Staff only grows along a branch and placed choices stay, so the
+      block holds at every leaf below.
+
+    Neither rule uses deferred acceptance or rotations, so the oracle stays
+    independent of the structure it validates.
     """
-    choices: list[tuple[str | None, ...]] = []
     total = 1
     for w in market.workers:
-        opts = (None,) + market.acceptable_to_worker(w)
-        choices.append(opts)
-        total *= len(opts)
+        total *= 1 + len(market.acceptable_to_worker(w))
         if total > cap:
             raise CapExceededError(
                 f"{total}+ candidate matchings exceed the cap of {cap}")
 
     quota = market.quota
-    frank = {f: market._frank[f] for f in market.firms}
-    wrank = {w: market._wrank[w] for w in market.workers}
+    frank = market._frank
+    wrank = market._wrank
     pairs = market.pairs()
     workers = market.workers
+    index = {w: k for k, w in enumerate(workers)}
+    unmatched_rank = len(market.firms)      # ranks below every listed firm
+
+    # choices[k]: (firm, its rank of w, w's rank of it, rivals) per acceptable
+    # firm of w = workers[k], best first, then "unmatched".  The rivals of
+    # (g, w) are the earlier workers u that g ranks above w, with u's rank of g.
+    choices = []
+    for k, w in enumerate(workers):
+        opts = []
+        for g in market.acceptable_to_worker(w):
+            rivals = []
+            for u in market.acceptable_to_firm(g):
+                if u == w:
+                    break
+                if index[u] < k:
+                    rivals.append((index[u], wrank[u][g]))
+            opts.append((g, frank[g][w], wrank[w][g], tuple(rivals)))
+        opts.append((None, 0, unmatched_rank, ()))
+        choices.append(opts)
+
+    staff: dict[str, list[str]] = {f: [] for f in market.firms}
+    worst: dict[str, list[int]] = {f: [] for f in market.firms}  # running max rank
+    ranked = [unmatched_rank] * len(workers)  # each placed worker's rank of its choice
+
+    def allowed(k: int) -> list[tuple]:
+        out = []
+        for opt in choices[k]:
+            g, r, _, rivals = opt
+            if g is None:
+                out.append(opt)
+                break
+            if len(worst[g]) < quota[g] and \
+                    all(ranked[j] <= s for j, s in rivals):
+                out.append(opt)
+            if worst[g] and worst[g][-1] > r:
+                break       # g employs someone below w: no worse choice survives
+        return out
 
     stable: set[Matching] = set()
-    for combo in itertools.product(*choices):
-        staff: dict[str, list[str]] = {}
-        feasible = True
-        for w, f in zip(workers, combo):
-            if f is None:
+    placed: list[str | None] = []
+    pending: list = []      # per depth: iterator over the allowed choices left
+    while True:
+        if len(placed) == len(workers):
+            employer = {w: f for w, f in zip(workers, placed) if f is not None}
+            for f, w in pairs:
+                g = employer.get(w)
+                if g == f:
+                    continue
+                if g is not None and wrank[w][f] >= wrank[w][g]:
+                    continue
+                if len(staff[f]) < quota[f] or frank[f][w] < worst[f][-1]:
+                    break
+            else:
+                stable.add(Matching.build(market, staff))
+        else:
+            pending.append(iter(allowed(len(placed))))
+        while pending:
+            if len(placed) == len(pending):
+                f = placed.pop()
+                if f is not None:
+                    staff[f].pop()
+                    worst[f].pop()
+            opt = next(pending[-1], None)
+            if opt is None:
+                pending.pop()
                 continue
-            lst = staff.setdefault(f, [])
-            lst.append(w)
-            if len(lst) > quota[f]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        employer = {w: f for w, f in zip(workers, combo) if f is not None}
-        worst = {f: max(frank[f][w] for w in ws) for f, ws in staff.items()}
-        blocked = False
-        for f, w in pairs:
-            g = employer.get(w)
-            if g == f:
-                continue
-            if g is not None and wrank[w][f] >= wrank[w][g]:
-                continue
-            ws = staff.get(f, ())
-            if len(ws) < quota[f] or frank[f][w] < worst[f]:
-                blocked = True
-                break
-        if not blocked:
-            stable.add(Matching.build(market, staff))
-    return stable
+            k = len(placed)
+            g, r, ranked[k], _ = opt
+            if g is not None:
+                staff[g].append(workers[k])
+                worst[g].append(max(worst[g][-1], r) if worst[g] else r)
+            placed.append(g)
+            break
+        else:
+            return stable
 
 
 def check_rural_hospital(market: Market, matchings: Iterable[Matching]) -> bool:

@@ -235,6 +235,18 @@ def test_verify_block_market_without_subset_search(block_market, monkeypatch):
             outcome.negative_points) == (24, 24, 9)
 
 
+@pytest.mark.parametrize("sizes,counts", [
+    ([2, 2, 3, 3], (36, 36, 11)),
+    ([2] * 5, (32, 32, 0)),
+], ids=["2-2-3-3", "2x5"])
+def test_verify_rotation_rich_blocks(cyclic_blocks, sizes, counts):
+    """Six or five rotations at the firm-optimal profile, all in one cube."""
+    outcome = sf.verify_characterization(cyclic_blocks(sizes), seed=1, samples=10)
+    assert outcome.ok
+    assert (outcome.stable_count, outcome.hull_points,
+            outcome.negative_points) == counts
+
+
 def test_verify_unique_stable_market():
     m = sf.parse_market("""
 firms: f1

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
+from oracles import reference_enumerate_stable
 
 DATA = Path(__file__).parent / "data"
 
@@ -281,6 +282,7 @@ def test_rotation_exposed_only_after_two_others(text):
     assert exposed(m, sf.apply_cycle(m, both, third)) == set()
     stable = sf.enumerate_stable_bruteforce(m)
     assert len(stable) == 5
+    assert stable == reference_enumerate_stable(m)
     assert sf.enumerate_stable_via_rotations(m) == stable
 
 
@@ -297,6 +299,7 @@ def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
     multi = 0
     for m in random_markets(nf, nw, qmax):
         stable = sf.enumerate_stable_bruteforce(m)
+        assert stable == reference_enumerate_stable(m)
         assert sf.enumerate_stable_via_rotations(m) == stable
         multi += len(stable) > 1
     assert multi >= 10

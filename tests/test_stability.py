@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from oracles import reference_enumerate_stable
+from stablefrac.cli import main
 from stablefrac.stability import BLOCK_SWAP, BLOCK_VACANCY, BlockingPair
 
 SINGLE_PAIR = """
@@ -125,6 +128,56 @@ def test_bruteforce_cap(market):
     with pytest.raises(sf.CapExceededError):
         sf.enumerate_stable_bruteforce(market, cap=80)
     assert len(sf.enumerate_stable_bruteforce(market, cap=81)) == 2
+
+
+def test_bruteforce_matches_reference_on_structured_markets(
+        fleet, block_market, twin_cycle_market, cyclic_blocks):
+    """The random markets and JOINED_ROTATION_MARKETS are compared with the
+    reference in test_rotations.py."""
+    markets = list(fleet) + [block_market, twin_cycle_market, cyclic_blocks([2, 2, 3])]
+    sizes = []
+    for m in markets:
+        stable = sf.enumerate_stable_bruteforce(m)
+        assert stable == reference_enumerate_stable(m)
+        sizes.append(len(stable))
+    assert sizes[len(fleet):] == [24, 4, 12]
+
+
+@st.composite
+def small_markets(draw):
+    """Up to 3 firms with quotas 1-3 and 5 workers.  Every pair is mutually
+    acceptable, or each is at random (sparse lists; an agent with no pair has
+    an empty list), and each agent ranks its pairs in random order."""
+    firms = [f"f{i}" for i in range(3 - draw(st.integers(0, 2)))]   # larger first
+    workers = [f"w{j}" for j in range(5 - draw(st.integers(0, 4)))]
+    dense = draw(st.booleans())
+    pairs = {(f, w) for f in firms for w in workers if dense or draw(st.booleans())}
+    quota = {f: draw(st.integers(1, 3)) for f in firms}
+    firm_pref = {f: draw(st.permutations([w for w in workers if (f, w) in pairs]))
+                 for f in firms}
+    worker_pref = {w: draw(st.permutations([f for f in firms if (f, w) in pairs]))
+                   for w in workers}
+    return sf.Market(firms, workers, quota, firm_pref, worker_pref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_markets())
+def test_bruteforce_matches_reference_property(m):
+    assert sf.enumerate_stable_bruteforce(m) == reference_enumerate_stable(m)
+
+
+def test_bruteforce_search_is_not_recursive(tmp_path, capsys):
+    """1200 workers, one of them with a firm: deeper than Python recursion goes."""
+    workers = [f"w{j}" for j in range(1200)]
+    text = ("firms: f1\nworkers: " + " ".join(workers) + "\nquota: f1=1\n"
+            "firm f1: w0\n" + "".join(f"worker {w}:\n" for w in workers[1:])
+            + "worker w0: f1\n")
+    m = sf.parse_market(text)
+    assert sf.enumerate_stable_bruteforce(m) == {sf.Matching.build(m, {"f1": ["w0"]})}
+    path = tmp_path / "deep.market"
+    path.write_text(text)
+    assert main(["stable-all", str(path), "--method", "brute", "--json"]) == 0
+    assert '"count": 1' in capsys.readouterr().out
 
 
 def test_da_is_optimal_for_its_side(fleet, fleet_stable):
