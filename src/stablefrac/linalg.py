@@ -1,18 +1,23 @@
-"""Small exact-rational Gaussian elimination helpers.
+"""Small exact Gaussian elimination helpers.
 
-``Rref`` and ``rank`` work on sparse rows: a row is a ``{column: coefficient}``
-map holding its nonzeros only, so elimination touches nonzero entries and
-never scans a whole row.  ``solve_exact`` is a small dense solver for
-``hulls.point_in_hull``, the subset-search reference that the tests compare
-the connected-set cube test against.
+``Rref`` and ``rank`` work on sparse integer rows: a row is a
+``{column: coefficient}`` map holding its nonzeros only, so elimination
+touches nonzero entries and never scans a whole row.  Elimination is
+fraction-free in the style of Bareiss (1968): a basis row is kept as its
+primitive integer multiple, so no ``Fraction`` is built and the results are
+the exact rationals of ordinary reduced row-echelon form.  ``solve_exact`` is
+a small dense ``Fraction`` solver for ``hulls.point_in_hull``, the
+subset-search reference that the tests compare the connected-set cube test
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
-SparseRow = Mapping[int, Fraction | int]   # column -> nonzero coefficient
+SparseRow = Mapping[int, int]   # column -> nonzero integer coefficient
 
 
 class Rref:
@@ -20,14 +25,17 @@ class Rref:
 
     Rows are added one at a time; dependent rows are rejected.  A new row is
     reduced against the basis and then pivots on its lowest nonzero column.
-    The basis therefore depends only on the span of the rows added, not on
-    their order.  It also yields a null-space vector for any free column,
-    which is what the vertex walk needs.
+    Each basis row is stored as its primitive integer multiple (content 1)
+    with a positive pivot entry and zeros in every other pivot column, so
+    dividing it by its pivot entry gives the row of the reduced row-echelon
+    form.  That form, and so the basis, depends only on the span of the rows
+    added, not on their order.  It also yields a null-space vector for any
+    free column, which is what the vertex walk needs.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}   # pivot column -> reduced row
+        self.rows: dict[int, dict[int, int]] = {}   # pivot column -> reduced row
 
     @property
     def rank(self) -> int:
@@ -38,42 +46,65 @@ class Rref:
 
     def add(self, vector: SparseRow) -> bool:
         """Reduce ``vector`` against the basis; returns False if dependent."""
-        v = {c: Fraction(a) for c, a in vector.items() if a}
-        for p, row in self.rows.items():
-            if p in v:
-                _subtract(v, v[p], row)
+        v = {c: a for c, a in vector.items() if a}
+        # a basis row is zero at the other pivots, so clearing one pivot
+        # column of v leaves v's entries at the other pivots nonzero
+        for p in [c for c in v if c in self.rows]:
+            v = _eliminate(v, p, self.rows[p])
         if not v:
             return False
         pivot = min(v)
-        pv = v[pivot]
-        v = {c: a / pv for c, a in v.items()}
-        for row in self.rows.values():
+        v = _primitive(v, pivot)
+        for p, row in self.rows.items():
             if pivot in row:
-                _subtract(row, row[pivot], v)
+                self.rows[p] = _primitive(_eliminate(row, pivot, v), p)
         self.rows[pivot] = v
         return True
 
-    def null_vector(self, free_col: int) -> list[Fraction]:
-        """A nonzero vector orthogonal to every row, with 1 at ``free_col``."""
+    def null_vector(self, free_col: int) -> list[int]:
+        """A nonzero integer vector orthogonal to every row.
+
+        It is a positive multiple of the null vector with 1 at ``free_col``
+        and 0 at the other free columns, so it is positive at ``free_col``.
+        """
         if free_col in self.rows:
             raise ValueError("free_col is a pivot column")
-        v = [Fraction(0)] * self.ncols
-        v[free_col] = Fraction(1)
-        for p, row in self.rows.items():
-            if free_col in row:
-                v[p] = -row[free_col]
+        hits = [(p, row[p], row[free_col])
+                for p, row in self.rows.items() if free_col in row]
+        scale = lcm(*(s for _, s, _ in hits))
+        v = [0] * self.ncols
+        v[free_col] = scale
+        for p, s, a in hits:
+            v[p] = -a * (scale // s)
         return v
 
 
-def _subtract(target: dict[int, Fraction], factor: Fraction,
-              row: dict[int, Fraction]) -> None:
-    """target -= factor * row, dropping entries that cancel to zero."""
+def _eliminate(target: dict[int, int], p: int, row: dict[int, int]) -> dict[int, int]:
+    """s * target - a * row with s, a the entries at ``p`` over their gcd.
+
+    ``row[p]`` is positive, so s is, and the result is zero at ``p``.
+    Entries that cancel to zero are dropped.  ``target`` is updated in place
+    when s is 1.
+    """
+    s, a = row[p], target[p]
+    g = gcd(s, a)
+    s, a = s // g, a // g
+    out = {c: s * b for c, b in target.items()} if s != 1 else target
     for c, b in row.items():
-        a = target.get(c, 0) - factor * b
-        if a:
-            target[c] = a
+        x = out.get(c, 0) - a * b
+        if x:
+            out[c] = x
         else:
-            del target[c]
+            del out[c]
+    return out
+
+
+def _primitive(row: dict[int, int], p: int) -> dict[int, int]:
+    """``row`` divided by its content (gcd of entries), signed so row[p] > 0."""
+    content = gcd(*row.values())
+    if row[p] < 0:
+        content = -content
+    return {c: a // content for c, a in row.items()} if content != 1 else row
 
 
 def rank(rows: Sequence[SparseRow], ncols: int) -> int:

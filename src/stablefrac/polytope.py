@@ -17,7 +17,11 @@ carries privately for the strong stability condition and its sweep.
 Every constraint row is one sparse map from acceptable-pair position to its
 nonzero integer coefficient.  The vertex test and the two walks share that
 format; the vertex test also counts tight nonnegativity rows without
-eliminating them, since each is a unit vector.
+eliminating them, since each is a unit vector.  The two walks hold their
+point as integer numerators over one denominator, the point's LCM as above,
+take integer null-space directions from ``linalg.Rref`` and compare the ratio
+test's step lengths by cross-multiplication, so a step builds one
+``Fraction``: its length.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import Rref, rank
 from .model import FractionalMatching, InfeasibleError, Market, Rational
@@ -250,14 +254,14 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
 class _Inequality:
     cid: ConstraintId
     coeffs: dict[int, int]
-    rhs: Fraction
+    rhs: int
 
 
 def _inequality_rows(market: Market) -> list[_Inequality]:
     """The stable-feasibility system normalized to  a . x <= b  rows."""
     def row(cid: ConstraintId, sign: int, rhs: int) -> _Inequality:
         coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
-        return _Inequality(cid, coeffs, Fraction(rhs))
+        return _Inequality(cid, coeffs, rhs)
 
     rows = [row(("quota", f), 1, market.quota[f]) for f in market.firms]
     rows += [row(("unit", w), 1, 1)
@@ -268,27 +272,63 @@ def _inequality_rows(market: Market) -> list[_Inequality]:
     return rows
 
 
-def _dot(a: dict[int, int], b: list[Fraction]) -> Fraction:
-    return sum((u * b[c] for c, u in a.items()), Fraction(0))
+def _dot(a: dict[int, int], b: list[int]) -> int:
+    return sum(u * b[c] for c, u in a.items())
 
 
-def _step_length(rows: list[_Inequality], vec: list[Fraction],
-                 direction: list[Fraction]) -> Fraction:
-    """The ratio test: how far vec may move along direction and stay feasible.
+class _Point:
+    """A walk point x = N / D: integer numerators over one denominator D.
 
+    D is the least common denominator of the coordinates, as in
+    ``_evaluate``, so a row  a . x <= b  is tight exactly when
+    a . N == b * D.
+    """
+
+    def __init__(self, values: tuple[Rational, ...]):
+        self.denom = lcm(*(v.denominator for v in values))
+        self.nums = [v.numerator * (self.denom // v.denominator) for v in values]
+
+    def is_tight(self, row: _Inequality) -> bool:
+        return _dot(row.coeffs, self.nums) == row.rhs * self.denom
+
+    def move(self, step: Fraction, direction: list[int]) -> None:
+        """x += step * direction, reduced to the least common denominator."""
+        p, q = step.numerator * self.denom, step.denominator
+        nums = [n * q + p * d for n, d in zip(self.nums, direction)]
+        denom = self.denom * q
+        g = gcd(denom, *nums)
+        self.nums, self.denom = [n // g for n in nums], denom // g
+
+    def matching(self, market: Market) -> FractionalMatching:
+        return FractionalMatching.from_pair_values(
+            market, [Fraction(n, self.denom) for n in self.nums])
+
+
+def _step_length(rows: list[_Inequality], point: _Point,
+                 direction: list[int]) -> tuple[Fraction, list[_Inequality]]:
+    """The ratio test: how far the point may move along direction and stay
+    feasible, and the rows that bind at that distance.
+
+    Row a . x <= b allows the step (b D - a . N) / (D a . d) when a . d > 0;
+    the ratios share D, so they are compared by cross-multiplying
+    (b D - a . N) / (a . d) and only the smallest becomes a ``Fraction``.
     The polytope is bounded, so some row always binds, and a direction taken
     from the null space of the tight rows leaves a positive step.
     """
-    best: Fraction | None = None
+    best_num, best_den, binding = 0, 0, []
+    nums, denom = point.nums, point.denom
     for row in rows:
         ad = _dot(row.coeffs, direction)
         if ad > 0:
-            t = (row.rhs - _dot(row.coeffs, vec)) / ad
-            if best is None or t < best:
-                best = t
+            num = row.rhs * denom - _dot(row.coeffs, nums)
+            if not binding or num * best_den < best_num * ad:
+                best_num, best_den, binding = num, ad, [row]
+            elif num * best_den == best_num * ad:
+                binding.append(row)
+    best = Fraction(best_num, best_den * denom) if binding else None
     if best is None or best <= 0:
         raise AssertionError(f"ratio test gave no positive step ({best})")
-    return best
+    return best, binding
 
 
 def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
@@ -305,11 +345,11 @@ def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
     n = len(market.pairs())
     if n == 0:
         return x
-    vec = list(x.flatten(market))
+    point = _Point(x.flatten(market))
     rows = _inequality_rows(market)
 
     for _ in range(steps):
-        tight = [row for row in rows if _dot(row.coeffs, vec) == row.rhs]
+        tight = [row for row in rows if point.is_tight(row)]
         if not tight:
             break
         rng.shuffle(tight)
@@ -330,15 +370,15 @@ def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
                     continue
                 if s > 0:
                     direction = [-v for v in direction]
-                best = _step_length(rows, vec, direction)
-                vec = [v + (best / 2) * d for v, d in zip(vec, direction)]
+                best, _ = _step_length(rows, point, direction)
+                point.move(best / 2, direction)
                 moved = True
                 break
             if moved:
                 break
         if not moved:
             break
-    return FractionalMatching.from_pair_values(market, vec)
+    return point.matching(market)
 
 
 def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
@@ -349,18 +389,21 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
     constraints (randomized over the free coordinates) and moves as far as
     feasibility allows; every step makes at least one new independent
     constraint tight, so the walk ends in at most one step per coordinate.
-    Intermediate points are appended to ``trace`` when given.
+    Only the rows that bind in the ratio test become tight: a row tight
+    before the step lies in the basis's span, so the direction keeps it
+    tight, and each row is added to the basis once.  Intermediate points are
+    appended to ``trace`` when given.
     """
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
     if n == 0:
         return x
-    vec = list(x.flatten(market))
+    point = _Point(x.flatten(market))
     rows = _inequality_rows(market)
 
     basis = Rref(n)
     for row in rows:
-        if _dot(row.coeffs, vec) == row.rhs:
+        if point.is_tight(row):
             basis.add(row.coeffs)
     while basis.rank < n:
         pivots = basis.pivot_columns()
@@ -368,11 +411,10 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
         direction = basis.null_vector(rng.choice(free))
         if rng.random() < 0.5:
             direction = [-v for v in direction]
-        best = _step_length(rows, vec, direction)
-        vec = [v + best * d for v, d in zip(vec, direction)]
-        for row in rows:
-            if _dot(row.coeffs, vec) == row.rhs:
-                basis.add(row.coeffs)
+        best, binding = _step_length(rows, point, direction)
+        point.move(best, direction)
+        for row in binding:
+            basis.add(row.coeffs)
         if trace is not None:
-            trace.append(FractionalMatching.from_pair_values(market, vec))
-    return FractionalMatching.from_pair_values(market, vec)
+            trace.append(point.matching(market))
+    return point.matching(market)

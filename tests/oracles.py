@@ -1,11 +1,15 @@
-"""Reference oracles that the library's faster code is compared against.
+"""Reference oracles that the library's faster code is compared against,
+and the random markets several test modules share.
 
 Not a test module: ``test_*.py`` files and ``sweep_oracles.py`` import it.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
 import stablefrac as sf
+from stablefrac.polytope import _inequality_rows, check_stable_feasibility
 
 
 def reference_enumerate_stable(market):
@@ -51,3 +55,170 @@ def reference_enumerate_stable(market):
         if not blocked:
             stable.add(sf.Matching.build(market, staff))
     return stable
+
+
+# --- shared random markets -------------------------------------------------
+
+RANDOM_SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2)]
+
+
+def random_markets(nf, nw, qmax):
+    return [sf.gen_random_market(seed, nf, nw, qmax, density=density)
+            for seed in range(50) for density in (1.0, 0.7)]
+
+
+# --- Fraction elimination and walks -----------------------------------------
+#
+# The library keeps its basis rows and walk points in integers.  These are
+# the same algorithms over ``Fraction``s: a basis row normalized to 1 at its
+# pivot, a null vector with 1 at its free column, and a walk point held entry
+# by entry.  Every rank, pivot set, point, trace and rng draw must agree.
+
+class ReferenceRref:
+    """Reduced row-echelon basis of sparse ``Fraction`` rows, pivot 1."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = {}   # pivot column -> reduced row
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def pivot_columns(self):
+        return set(self.rows)
+
+    def add(self, vector):
+        v = {c: Fraction(a) for c, a in vector.items() if a}
+        for p, row in self.rows.items():
+            if p in v:
+                _subtract(v, v[p], row)
+        if not v:
+            return False
+        pivot = min(v)
+        pv = v[pivot]
+        v = {c: a / pv for c, a in v.items()}
+        for row in self.rows.values():
+            if pivot in row:
+                _subtract(row, row[pivot], v)
+        self.rows[pivot] = v
+        return True
+
+    def null_vector(self, free_col):
+        if free_col in self.rows:
+            raise ValueError("free_col is a pivot column")
+        v = [Fraction(0)] * self.ncols
+        v[free_col] = Fraction(1)
+        for p, row in self.rows.items():
+            if free_col in row:
+                v[p] = -row[free_col]
+        return v
+
+
+def _subtract(target, factor, row):
+    """target -= factor * row, dropping entries that cancel to zero."""
+    for c, b in row.items():
+        a = target.get(c, 0) - factor * b
+        if a:
+            target[c] = a
+        else:
+            del target[c]
+
+
+def _dot(a, b):
+    return sum((u * b[c] for c, u in a.items()), Fraction(0))
+
+
+def _step_length(rows, vec, direction):
+    best = None
+    for row in rows:
+        ad = _dot(row.coeffs, direction)
+        if ad > 0:
+            t = (row.rhs - _dot(row.coeffs, vec)) / ad
+            if best is None or t < best:
+                best = t
+    if best is None or best <= 0:
+        raise AssertionError(f"ratio test gave no positive step ({best})")
+    return best
+
+
+def reference_interior_walk(market, x, rng: random.Random, steps=4):
+    check_stable_feasibility(market, x).require()
+    n = len(market.pairs())
+    if n == 0:
+        return x
+    vec = list(x.flatten(market))
+    rows = _inequality_rows(market)
+
+    for _ in range(steps):
+        tight = [row for row in rows if _dot(row.coeffs, vec) == row.rhs]
+        if not tight:
+            break
+        rng.shuffle(tight)
+        moved = False
+        for dropped in tight[:6]:
+            basis = ReferenceRref(n)
+            for row in tight:
+                if row is not dropped:
+                    basis.add(row.coeffs)
+            if basis.rank == n:
+                continue
+            free = [c for c in range(n) if c not in basis.pivot_columns()]
+            rng.shuffle(free)
+            for col in free:
+                direction = basis.null_vector(col)
+                s = _dot(dropped.coeffs, direction)
+                if s == 0:
+                    continue
+                if s > 0:
+                    direction = [-v for v in direction]
+                best = _step_length(rows, vec, direction)
+                vec = [v + (best / 2) * d for v, d in zip(vec, direction)]
+                moved = True
+                break
+            if moved:
+                break
+        if not moved:
+            break
+    return sf.FractionalMatching.from_pair_values(market, vec)
+
+
+def reference_vertex_walk(market, x, rng: random.Random, trace=None):
+    check_stable_feasibility(market, x).require()
+    n = len(market.pairs())
+    if n == 0:
+        return x
+    vec = list(x.flatten(market))
+    rows = _inequality_rows(market)
+
+    basis = ReferenceRref(n)
+    for row in rows:
+        if _dot(row.coeffs, vec) == row.rhs:
+            basis.add(row.coeffs)
+    while basis.rank < n:
+        pivots = basis.pivot_columns()
+        free = [c for c in range(n) if c not in pivots]
+        direction = basis.null_vector(rng.choice(free))
+        if rng.random() < 0.5:
+            direction = [-v for v in direction]
+        best = _step_length(rows, vec, direction)
+        vec = [v + best * d for v, d in zip(vec, direction)]
+        for row in rows:
+            if _dot(row.coeffs, vec) == row.rhs:
+                basis.add(row.coeffs)
+        if trace is not None:
+            trace.append(sf.FractionalMatching.from_pair_values(market, vec))
+    return sf.FractionalMatching.from_pair_values(market, vec)
+
+
+def walk_pair(market, x, seed, interior, vertex):
+    """``interior`` then ``vertex`` walk from x with one rng seeded by ``seed``.
+
+    Returns (start, endpoint, trace, next rng draw), the four things the
+    integer walks and their references must agree on.
+    """
+    rng = random.Random(seed)
+    start = interior(market, x, rng)
+    trace = []
+    end = vertex(market, start, rng, trace=trace)
+    return start, end, trace, rng.random()

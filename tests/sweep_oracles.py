@@ -1,23 +1,31 @@
-"""Cross-check the three stable-set enumerators on random markets.
+"""Cross-check the three stable-set enumerators and the walks on random markets.
 
 Compares ``enumerate_stable_bruteforce`` (the pruned search), the exhaustive
 scan in ``oracles.reference_enumerate_stable`` and
 ``enumerate_stable_via_rotations`` on ``gen_random_market`` instances: 9
-sizes, seeds 0-449, densities 1.0 and 0.7, 8100 instances in all.  Prints
-the counts and exits 1 on any disagreement.  Not collected by pytest; run
-from the repository root:
+sizes, seeds 0-449, densities 1.0 and 0.7, 8100 instances in all.  On every
+instance with several stable matchings it also runs ``interior_walk`` and
+then ``vertex_walk`` from a random mix of the stable matchings, once in
+integers and once with the ``Fraction`` references, from the same seed, and
+compares the start, endpoint, trace and next rng draw.  Prints the counts
+and exits 1 on any disagreement.  Not collected by pytest; run from the
+repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took about 6 minutes on one core of a 2-vCPU VM; the
+The full sweep took about 5 minutes on one core of a 2-vCPU VM; the
 exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets dominates.
 """
 
 import argparse
+import random
 import sys
 
 import stablefrac as sf
-from oracles import reference_enumerate_stable
+from oracles import (reference_enumerate_stable, reference_interior_walk,
+                     reference_vertex_walk, walk_pair)
+from stablefrac.hulls import _random_mix
+from stablefrac.polytope import interior_walk, vertex_walk
 
 SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
          (6, 6, 1), (4, 4, 2), (2, 6, 3)]
@@ -42,14 +50,23 @@ def main(argv=None) -> int:
                     if stable != reference:
                         disagreements.append((name, nf, nw, qmax, seed, density))
                 instances += 1
-                multi += len(reference) > 1
+                if len(reference) > 1:
+                    multi += 1
+                    key = f"{nf},{nw},{qmax}:{seed}:{density}"
+                    incidences = [sf.incidence_vector(m, mu) for mu in
+                                  sorted(reference, key=lambda mu: mu.assignment)]
+                    x = _random_mix(incidences, random.Random(key))
+                    if (walk_pair(m, x, key, interior_walk, vertex_walk)
+                            != walk_pair(m, x, key, reference_interior_walk,
+                                         reference_vertex_walk)):
+                        disagreements.append(("walks", nf, nw, qmax, seed, density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")
-    print(f"{instances} instances, {multi} with several stable matchings, "
-          f"{len(disagreements)} disagreements")
+    print(f"{instances} instances, {multi} with several stable matchings "
+          f"(walks compared on each), {len(disagreements)} disagreements")
     return 1 if disagreements else 0
 
 

@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
+                     reference_interior_walk, reference_vertex_walk, walk_pair)
+from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank
 from stablefrac.polytope import interior_walk
 
@@ -125,6 +130,62 @@ def test_interior_walk_preserves_feasibility(fleet, fleet_stable):
         assert sf.check_stable_feasibility(m, y).feasible
 
 
+def test_walks_match_fraction_reference(fleet, fleet_stable, block_market,
+                                        cyclic_blocks):
+    markets = list(zip(fleet, fleet_stable))
+    extra = [block_market, cyclic_blocks([2, 2, 3])]
+    extra += [m for size in RANDOM_SIZES for m in random_markets(*size)[:20]]
+    markets += [(m, sorted(sf.enumerate_stable_bruteforce(m),
+                           key=lambda mu: mu.assignment)) for m in extra]
+    steps = fractional = 0
+    for k, (m, stable) in enumerate(markets):
+        incidences = [sf.incidence_vector(m, mu) for mu in stable]
+        for j in range(2):
+            x = _random_mix(incidences, random.Random(f"{k}:{j}"))
+            got = walk_pair(m, x, 2 * k + j, interior_walk, sf.vertex_walk)
+            want = walk_pair(m, x, 2 * k + j, reference_interior_walk,
+                             reference_vertex_walk)
+            assert got == want, (k, j)
+            steps += len(got[2])
+            fractional += not got[1].is_integral()
+    assert len(markets) == 92
+    assert steps > 100 and fractional > 3
+
+
+def test_vertex_walk_adds_each_row_once(fleet, fleet_stable, monkeypatch):
+    # a row tight before a step stays tight, so only the rows that bind in
+    # the ratio test are new; re-adding the old ones is wasted elimination
+    added = []
+    real_add = Rref.add
+
+    def add(self, vector):
+        added.append(vector)
+        return real_add(self, vector)
+
+    monkeypatch.setattr(Rref, "add", add)
+    rng = random.Random(31)
+    walks = 0
+    for m, stable in zip(fleet, fleet_stable):
+        incidences = [sf.incidence_vector(m, mu) for mu in stable]
+        for _ in range(3):
+            start = interior_walk(m, _random_mix(incidences, rng), rng)
+            added.clear()
+            sf.vertex_walk(m, start, rng)
+            counts = Counter(map(id, added))
+            assert max(counts.values(), default=1) == 1
+            walks += len(added) > 0
+    assert walks > 80
+
+
+def test_walks_at_check_dense_sizes():
+    for seed in (0, 2, 3):
+        m = sf.gen_random_market(seed, 10, 13, 2, density=1.0)
+        assert len(m.pairs()) == 130
+        rng = random.Random(seed)
+        v = sf.vertex_walk(m, interior_walk(m, _midpoint(m), rng), rng)
+        assert sf.is_extreme_point(m, v) == (True, 130)
+
+
 def test_constraint_labels(market):
     assert sf.constraint_label(("noblock", "f2", "w3")) == "noblock:f2,w3"
     assert sf.constraint_label(("quota", "f1")) == "quota:f1"
@@ -199,26 +260,32 @@ def test_vertex_rank_matches_dense_reference(fleet, fleet_stable):
             checked += 1
     for seed in (0, 2, 3):
         m = sf.gen_random_market(seed, 10, 13, 2, density=1.0)
-        ends = [sf.incidence_vector(m, sf.deferred_acceptance(m, side))
-                for side in (sf.Side.FIRMS, sf.Side.WORKERS)]
-        mid = sf.FractionalMatching.linear_combination(
-            [(ends[0], Fraction(1, 2)), (ends[1], Fraction(1, 2))])
+        mid = _midpoint(m)
         assert sf.is_extreme_point(m, mid) == _reference_vertex_test(m, mid, rng)
         checked += 1
     assert checked > 150
 
 
-def test_vertex_test_at_800_pairs():
-    m = sf.gen_random_market(8, 20, 40, 2, density=1.0)
-    assert len(m.pairs()) == 800
+def _midpoint(m: sf.Market) -> sf.FractionalMatching:
+    """Midpoint of the firm- and worker-optimal incidence vectors."""
     ends = [sf.incidence_vector(m, sf.deferred_acceptance(m, side))
             for side in (sf.Side.FIRMS, sf.Side.WORKERS)]
     assert ends[0] != ends[1]
-    for x in ends:
-        assert sf.is_extreme_point(m, x) == (True, 800)
-    mid = sf.FractionalMatching.linear_combination(
+    return sf.FractionalMatching.linear_combination(
         [(ends[0], Fraction(1, 2)), (ends[1], Fraction(1, 2))])
+
+
+def test_vertex_test_at_800_pairs():
+    m = sf.gen_random_market(8, 20, 40, 2, density=1.0)
+    assert len(m.pairs()) == 800
+    for side in (sf.Side.FIRMS, sf.Side.WORKERS):
+        x = sf.incidence_vector(m, sf.deferred_acceptance(m, side))
+        assert sf.is_extreme_point(m, x) == (True, 800)
+    mid = _midpoint(m)
     assert not sf.is_extreme_point(m, mid)[0]
+    rng = random.Random(8)
+    v = sf.vertex_walk(m, interior_walk(m, mid, rng), rng)
+    assert sf.is_extreme_point(m, v) == (True, 800)
 
 
 NCOLS = 6
@@ -237,6 +304,20 @@ def test_rref_matches_dense_elimination(rows):
         rose = _dense_rank(dense[:k + 1]) > _dense_rank(dense[:k])
         assert basis.add(row) is rose
     assert basis.rank == rank(rows, NCOLS) == _dense_rank(dense)
+    reference = ReferenceRref(NCOLS)
+    for row in rows:
+        reference.add(row)
+    assert basis.pivot_columns() == reference.pivot_columns()
+    for p, row in basis.rows.items():
+        # primitive integer row with a positive pivot: the reference row
+        # times row[p]
+        assert all(type(a) is int for a in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert {c: Fraction(a, row[p]) for c, a in row.items()} == reference.rows[p]
     for col in set(range(NCOLS)) - basis.pivot_columns():
         null = basis.null_vector(col)
         assert all(sum(a * b for a, b in zip(r, null)) == 0 for r in dense)
+        assert all(type(a) is int for a in null)
+        scale = null[col]
+        assert scale > 0
+        assert null == [scale * a for a in reference.null_vector(col)]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import reference_enumerate_stable
+from oracles import RANDOM_SIZES, random_markets, reference_enumerate_stable
 
 DATA = Path(__file__).parent / "data"
 
@@ -284,14 +284,6 @@ def test_rotation_exposed_only_after_two_others(text):
     assert len(stable) == 5
     assert stable == reference_enumerate_stable(m)
     assert sf.enumerate_stable_via_rotations(m) == stable
-
-
-RANDOM_SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2)]
-
-
-def random_markets(nf, nw, qmax):
-    return [sf.gen_random_market(seed, nf, nw, qmax, density=density)
-            for seed in range(50) for density in (1.0, 0.7)]
 
 
 @pytest.mark.parametrize("nf,nw,qmax", RANDOM_SIZES)
