@@ -5,6 +5,15 @@ checked property holds, 1 when the property fails (the report carries a
 witness), 2 for usage, file, or parse errors.  With ``--json`` every command
 emits the report envelope described by ``report_schema.json``; reports are
 byte-identical across runs for fixed inputs and seeds.
+
+Every command takes one report path.  A ``_cmd_*`` function loads its files
+through ``_load``, which records each in ``inputs`` and each parser warning
+in ``diagnostics``, and returns its result, its human-readable lines and its
+exit code.  Only ``main`` turns that into output: the JSON envelope under
+``--json``, else the lines and then one ``note:`` line per diagnostic.  It
+also maps ``_CliError`` and ``MarketError`` to ``error: ...`` on stderr and
+exit 2.  The lines are read only without ``--json``, so a command may return
+them as a generator.
 """
 
 from __future__ import annotations
@@ -14,19 +23,12 @@ import functools
 import hashlib
 import sys
 import warnings
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from .hulls import (
-    HullCertificate,
-    certify_strongly_stable,
-    gen_random_market,
-    verify_characterization,
-)
+from .hulls import certify_strongly_stable, gen_random_market, verify_characterization
 from .model import (
-    FractionalMatching,
     InfeasibleError,
     Market,
     MarketError,
@@ -39,34 +41,30 @@ from .model import (
 )
 from .polytope import _tight_rank, check_stable_feasibility, constraint_label
 from .rotations import (
+    Rotation,
     enumerate_stable_via_rotations,
     find_cycles,
     reduce_profile,
 )
-from .stability import Side, deferred_acceptance, enumerate_stable_bruteforce
-from .strong_stability import _pair_conditions
+from .stability import (
+    DEFAULT_ENUMERATION_CAP,
+    Side,
+    deferred_acceptance,
+    enumerate_stable_bruteforce,
+)
+from .strong_stability import PairCondition, _pair_conditions
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_USAGE = 2
 
 
+# what a command returns: its result, its human-readable lines, its exit code
+_Outcome = tuple[dict, Iterable[str], int]
+
+
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        self.code = code
-        super().__init__(message)
-
-
-def _rat(v: Fraction) -> str:
-    return str(v)
-
-
-def _matrix(x: FractionalMatching) -> list[list[str]]:
-    return [[_rat(v) for v in row] for row in x.entries]
-
-
-def _matching_payload(mu: Matching) -> dict[str, tuple[str, ...]]:
-    return dict(mu.assignment)
+    """A usage, file or input error; ``main`` prints it and exits 2."""
 
 
 def _read_file(path: str) -> tuple[str, str]:
@@ -74,33 +72,40 @@ def _read_file(path: str) -> tuple[str, str]:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
+        raise _CliError(f"cannot read {path}: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise _CliError(f"{path}: not valid UTF-8 ({exc})", EXIT_USAGE) from exc
+        raise _CliError(f"{path}: not valid UTF-8 ({exc})") from exc
     return text, hashlib.sha256(data).hexdigest()
 
 
-def _load_market(path: str, diagnostics: list[str]) -> tuple[Market, dict]:
+def _load(path: str, parse, key: str, inputs: dict, diagnostics: list[str]):
+    """``parse`` the text of ``path`` and record the file as ``inputs[key]``.
+
+    Parser warnings become diagnostics; a parse error is a usage error
+    prefixed with the path.
+    """
     text, digest = _read_file(path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            market = parse_market(text)
-        except MarketError as exc:
-            raise _CliError(f"{path}: {exc}", EXIT_USAGE) from exc
+            value = parse(text)
+        except (MarketError, ValueError) as exc:
+            raise _CliError(f"{path}: {exc}") from exc
     diagnostics.extend(str(w.message) for w in caught)
-    return market, {"path": path, "sha256": digest}
+    inputs[key] = {"path": path, "sha256": digest}
+    return value
 
 
-def _load_fractional(market: Market, path: str) -> tuple[FractionalMatching, dict]:
-    text, digest = _read_file(path)
+def _generate(inputs: dict, seed: int, nf: int, nw: int, qmax: int) -> Market:
     try:
-        x = parse_fractional(market, text)
-    except MarketError as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_USAGE) from exc
-    return x, {"path": path, "sha256": digest}
+        market = gen_random_market(seed, nf, nw, qmax)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    inputs["market"] = {"generator": {
+        "seed": seed, "firms": nf, "workers": nw, "qmax": qmax}}
+    return market
 
 
 def _dumps(report) -> str:
@@ -161,266 +166,176 @@ def _dumps(report) -> str:
     return encode(report, 0)
 
 
-def _emit(args, report: dict, human: Iterable[str]) -> None:
-    """Print ``report`` as JSON under --json, else the human-readable lines.
-
-    ``human`` is iterated only without --json, so it may be a generator.
-    """
-    if args.json:
-        print(_dumps(report))
-    else:
-        for line in human:
-            print(line)
-        for note in report["diagnostics"]:
-            print(f"note: {note}")
+def _staff(f: str, ws: tuple[str, ...]) -> str:
+    return f"{f}: {' '.join(ws) if ws else '-'}"
 
 
 def _matching_line(mu: Matching) -> str:
-    parts = []
-    for f, ws in mu.assignment:
-        parts.append(f"{f}: {' '.join(ws) if ws else '-'}")
-    return "{" + " | ".join(parts) + "}"
+    return "{" + " | ".join(_staff(f, ws) for f, ws in mu.assignment) + "}"
 
 
-def _cmd_solve(args) -> int:
-    diagnostics: list[str] = []
-    market, market_input = _load_market(args.market, diagnostics)
-    side = Side.FIRMS if args.side == "firms" else Side.WORKERS
-    mu = deferred_acceptance(market, side)
-    x = incidence_vector(market, mu)
-    report = {
-        "command": "solve",
-        "inputs": {"market": market_input},
-        "result": {
-            "side": args.side,
-            "matching": _matching_payload(mu),
-            "incidence": _matrix(x),
-        },
-        "diagnostics": diagnostics,
-    }
-    human = [f"side: {args.side}"]
-    human += [f"  {f}: {' '.join(ws) if ws else '-'}" for f, ws in mu.assignment]
-    human.append("incidence:")
-    human += ["  " + " ".join(row) for row in _matrix(x)]
-    _emit(args, report, human)
-    return EXIT_OK
+def _violation(cid, lhs, rhs) -> dict:
+    return {"constraint": constraint_label(cid), "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _cmd_check(args) -> int:
-    diagnostics: list[str] = []
-    market, market_input = _load_market(args.market, diagnostics)
-    x, frac_input = _load_fractional(market, args.fraction)
-    inputs = {"market": market_input, "fraction": frac_input}
+def _violation_words(violation: dict) -> str:
+    return "{constraint} ({lhs} vs {rhs})".format(**violation)
+
+
+def _condition(c: PairCondition) -> dict:
+    return {"firm": c.firm, "worker": c.worker,
+            "firm_factor": str(c.firm_factor),
+            "worker_factor": str(c.worker_factor), "product": str(c.product)}
+
+
+def _rotation(rot: Rotation) -> dict:
+    return {"firms": list(rot.firms), "workers": list(rot.workers)}
+
+
+def _rotation_words(rot: Rotation) -> str:
+    return f"firms {' '.join(rot.firms)} / workers {' '.join(rot.workers)}"
+
+
+def _cmd_solve(args, inputs, diagnostics) -> _Outcome:
+    market = _load(args.market, parse_market, "market", inputs, diagnostics)
+    mu = deferred_acceptance(
+        market, Side.FIRMS if args.side == "firms" else Side.WORKERS)
+    incidence = [[str(v) for v in row]
+                 for row in incidence_vector(market, mu).entries]
+    result = {"side": args.side, "matching": dict(mu.assignment),
+              "incidence": incidence}
+    human = [f"side: {args.side}",
+             *("  " + _staff(f, ws) for f, ws in mu.assignment),
+             "incidence:",
+             *("  " + " ".join(row) for row in incidence)]
+    return result, human, EXIT_OK
+
+
+def _cmd_check(args, inputs, diagnostics) -> _Outcome:
+    market = _load(args.market, parse_market, "market", inputs, diagnostics)
+    x = _load(args.fraction, functools.partial(parse_fractional, market),
+              "fraction", inputs, diagnostics)
     feas = check_stable_feasibility(market, x)
+    violations = [_violation(*v) for v in feas.violations]
     result: dict = {
         "feasible": feas.feasible,
-        "violations": [
-            {"constraint": constraint_label(cid), "lhs": _rat(lhs), "rhs": _rat(rhs)}
-            for cid, lhs, rhs in feas.violations],
+        "violations": violations,
         "tight": [constraint_label(cid) for cid in feas.tight],
     }
-    human = []
-    if not feas.feasible:
-        cid, lhs, rhs = feas.first_violation()
-        human.append("feasible: no")
-        human.append(
-            f"first violated constraint: {constraint_label(cid)} ({lhs} vs {rhs})")
-        code = EXIT_PROPERTY_FAILS
+    if violations:
+        human = ["feasible: no",
+                 "first violated constraint: " + _violation_words(violations[0])]
+        return result, human, EXIT_PROPERTY_FAILS
+    condition = _pair_conditions(market, feas._sums)
+    rank_value = _tight_rank(market, feas.tight)
+    dimension = len(market.pairs())
+    result["condition"] = {"overall": condition.overall,
+                           "pairs": [_condition(c) for c in condition.pairs]}
+    result["vertex"] = {"is_vertex": rank_value == dimension,
+                        "rank": rank_value, "dimension": dimension}
+    if condition.overall:
+        human = ["feasible: yes", "strongly stable: yes"]
     else:
-        condition = _pair_conditions(market, feas._sums)
-        rank_value = _tight_rank(market, feas.tight)
-        vertex = rank_value == len(market.pairs())
-        result["condition"] = {
-            "overall": condition.overall,
-            "pairs": [
-                {"firm": c.firm, "worker": c.worker,
-                 "firm_factor": _rat(c.firm_factor),
-                 "worker_factor": _rat(c.worker_factor),
-                 "product": _rat(c.product)}
-                for c in condition.pairs],
-        }
-        result["vertex"] = {
-            "is_vertex": vertex,
-            "rank": rank_value,
-            "dimension": len(market.pairs()),
-        }
-        human.append("feasible: yes")
-        if condition.overall:
-            human.append("strongly stable: yes")
-            code = EXIT_OK
-        else:
-            fail = condition.first_failure()
-            human.append("strongly stable: no")
-            human.append(
-                f"witness pair ({fail.firm},{fail.worker}): "
-                f"firm factor {fail.firm_factor}, worker factor "
-                f"{fail.worker_factor}, product {fail.product}")
-            code = EXIT_PROPERTY_FAILS
-        human.append(
-            f"vertex: {'yes' if vertex else 'no'} "
-            f"(rank {rank_value} of {len(market.pairs())})")
-    report = {"command": "check", "inputs": inputs,
-              "result": result, "diagnostics": diagnostics}
-    _emit(args, report, human)
-    return code
+        human = ["feasible: yes", "strongly stable: no",
+                 "witness pair ({firm},{worker}): firm factor {firm_factor}, "
+                 "worker factor {worker_factor}, product {product}".format(
+                     **_condition(condition.first_failure()))]
+    human.append(f"vertex: {'yes' if rank_value == dimension else 'no'} "
+                 f"(rank {rank_value} of {dimension})")
+    return result, human, EXIT_OK if condition.overall else EXIT_PROPERTY_FAILS
 
 
-def _cmd_decompose(args) -> int:
-    diagnostics: list[str] = []
-    market, market_input = _load_market(args.market, diagnostics)
-    x, frac_input = _load_fractional(market, args.fraction)
-    inputs = {"market": market_input, "fraction": frac_input}
+def _cmd_decompose(args, inputs, diagnostics) -> _Outcome:
+    market = _load(args.market, parse_market, "market", inputs, diagnostics)
+    x = _load(args.fraction, functools.partial(parse_fractional, market),
+              "fraction", inputs, diagnostics)
     try:
         certificate = certify_strongly_stable(market, x)
     except InfeasibleError as exc:
-        label = constraint_label(exc.constraint)
-        report = {
-            "command": "decompose", "inputs": inputs,
-            "result": {"refusal": {
-                "kind": "infeasible",
-                "constraint": label,
-                "lhs": _rat(exc.lhs), "rhs": _rat(exc.rhs)}},
-            "diagnostics": diagnostics,
-        }
-        _emit(args, report, [f"infeasible: {label} ({exc.lhs} vs {exc.rhs})"])
-        return EXIT_PROPERTY_FAILS
-    if not isinstance(certificate, HullCertificate):
-        report = {
-            "command": "decompose", "inputs": inputs,
-            "result": {"refusal": {
-                "kind": "not-strongly-stable",
-                "firm": certificate.firm, "worker": certificate.worker,
-                "firm_factor": _rat(certificate.firm_factor),
-                "worker_factor": _rat(certificate.worker_factor),
-                "product": _rat(certificate.product)}},
-            "diagnostics": diagnostics,
-        }
-        _emit(args, report, [
-            "not strongly stable",
-            f"witness pair ({certificate.firm},{certificate.worker}): "
-            f"product {certificate.product}"])
-        return EXIT_PROPERTY_FAILS
+        refusal = {"kind": "infeasible",
+                   **_violation(exc.constraint, exc.lhs, exc.rhs)}
+        human = ["infeasible: " + _violation_words(refusal)]
+        return {"refusal": refusal}, human, EXIT_PROPERTY_FAILS
+    if isinstance(certificate, PairCondition):
+        refusal = {"kind": "not-strongly-stable", **_condition(certificate)}
+        human = ["not strongly stable", "witness pair ({firm},{worker}): "
+                 "product {product}".format(**refusal)]
+        return {"refusal": refusal}, human, EXIT_PROPERTY_FAILS
     terms = [(mu, weight) for mu, (_, weight) in
              zip(certificate._matchings, certificate.terms)]
     result = {
-        "terms": [
-            {"matching": _matching_payload(mu), "weight": _rat(weight)}
-            for mu, weight in terms],
+        "terms": [{"matching": dict(mu.assignment), "weight": str(weight)}
+                  for mu, weight in terms],
         "certificate": {
-            "base": _matching_payload(certificate.base),
-            "rotations": [
-                {"firms": list(rot.firms), "workers": list(rot.workers)}
-                for rot in certificate.rotations],
-            "terms": [
-                {"rotations": sorted(ids), "weight": _rat(weight)}
-                for ids, weight in certificate.terms],
+            "base": dict(certificate.base.assignment),
+            "rotations": [_rotation(rot) for rot in certificate.rotations],
+            "terms": [{"rotations": sorted(ids), "weight": str(weight)}
+                      for ids, weight in certificate.terms],
         },
     }
-    human = ["decomposition:"]
-    human += [f"  {weight} * {_matching_line(mu)}" for mu, weight in terms]
-    human.append(f"certificate base: {_matching_line(certificate.base)}")
+    human = ["decomposition:",
+             *(f"  {weight} * {_matching_line(mu)}" for mu, weight in terms),
+             f"certificate base: {_matching_line(certificate.base)}"]
     for k, (ids, weight) in enumerate(certificate.terms):
         names = ",".join(str(i) for i in sorted(ids)) or "-"
         human.append(f"  term {k}: rotations {{{names}}} weight {weight}")
-    for i, rot in enumerate(certificate.rotations):
-        human.append(
-            f"rotation {i}: firms {' '.join(rot.firms)} / "
-            f"workers {' '.join(rot.workers)}")
-    report = {"command": "decompose", "inputs": inputs,
-              "result": result, "diagnostics": diagnostics}
-    _emit(args, report, human)
-    return EXIT_OK
+    human += [f"rotation {i}: {_rotation_words(rot)}"
+              for i, rot in enumerate(certificate.rotations)]
+    return result, human, EXIT_OK
 
 
-def _cmd_rotations(args) -> int:
-    diagnostics: list[str] = []
-    market, market_input = _load_market(args.market, diagnostics)
-    inputs = {"market": market_input}
+def _cmd_rotations(args, inputs, diagnostics) -> _Outcome:
+    market = _load(args.market, parse_market, "market", inputs, diagnostics)
     if args.mu:
-        x, mu_input = _load_fractional(market, args.mu)
-        inputs["mu"] = mu_input
-        try:
-            mu = matching_from_matrix(market, x)
-        except ValueError as exc:
-            raise _CliError(f"{args.mu}: {exc}", EXIT_USAGE) from exc
+        mu = _load(args.mu, lambda text: matching_from_matrix(
+            market, parse_fractional(market, text)), "mu", inputs, diagnostics)
     else:
         mu = deferred_acceptance(market, Side.FIRMS)
     try:
         profile = reduce_profile(market, mu)
     except MarketError as exc:
-        report = {
-            "command": "rotations", "inputs": inputs,
-            "result": {"error": str(exc)}, "diagnostics": diagnostics,
-        }
-        _emit(args, report, [f"error: {exc}"])
-        return EXIT_PROPERTY_FAILS
+        return {"error": str(exc)}, [f"error: {exc}"], EXIT_PROPERTY_FAILS
     rotations = find_cycles(profile)
     result = {
-        "matching": _matching_payload(mu),
+        "matching": dict(mu.assignment),
         "reduced": {
             "firms": {f: list(profile.firm_list(f)) for f in market.firms},
             "workers": {w: list(profile.worker_list(w)) for w in market.workers},
         },
-        "rotations": [
-            {"firms": list(rot.firms), "workers": list(rot.workers)}
-            for rot in rotations],
+        "rotations": [_rotation(rot) for rot in rotations],
     }
-    human = [f"matching: {_matching_line(mu)}",
-             f"rotations: {len(rotations)}"]
-    for i, rot in enumerate(rotations):
-        human.append(
-            f"  {i}: firms {' '.join(rot.firms)} / workers {' '.join(rot.workers)}")
-    report = {"command": "rotations", "inputs": inputs,
-              "result": result, "diagnostics": diagnostics}
-    _emit(args, report, human)
-    return EXIT_OK
+    human = [f"matching: {_matching_line(mu)}", f"rotations: {len(rotations)}",
+             *(f"  {i}: {_rotation_words(rot)}" for i, rot in enumerate(rotations))]
+    return result, human, EXIT_OK
 
 
-def _cmd_stable_all(args) -> int:
-    diagnostics: list[str] = []
-    market, market_input = _load_market(args.market, diagnostics)
+def _cmd_stable_all(args, inputs, diagnostics) -> _Outcome:
+    market = _load(args.market, parse_market, "market", inputs, diagnostics)
     enumerate_stable = (enumerate_stable_bruteforce if args.method == "brute"
                         else enumerate_stable_via_rotations)
-    try:
-        found = enumerate_stable(market, cap=args.cap)
-    except MarketError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
-    ordered = sorted(found, key=lambda mu: mu.assignment)
+    ordered = sorted(enumerate_stable(market, cap=args.cap),
+                     key=lambda mu: mu.assignment)
     result = {
         "method": args.method,
         "count": len(ordered),
-        "matchings": [_matching_payload(mu) for mu in ordered],
+        "matchings": [dict(mu.assignment) for mu in ordered],
     }
     human = chain([f"method: {args.method}", f"count: {len(ordered)}"],
                   (f"  {_matching_line(mu)}" for mu in ordered))
-    report = {"command": "stable-all", "inputs": {"market": market_input},
-              "result": result, "diagnostics": diagnostics}
-    _emit(args, report, human)
-    return EXIT_OK
+    return result, human, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    diagnostics: list[str] = []
-    inputs: dict = {}
+def _cmd_verify(args, inputs, diagnostics) -> _Outcome:
     if (args.market is None) == (args.random is None):
         raise _CliError("verify needs a market file or --random, not both")
     if args.samples < 1:
         raise _CliError(f"--samples must be at least 1, not {args.samples}")
     if args.market is not None:
-        market, market_input = _load_market(args.market, diagnostics)
-        inputs["market"] = market_input
+        market = _load(args.market, parse_market, "market", inputs, diagnostics)
     else:
-        seed, nf, nw, qmax = args.random
-        try:
-            market = gen_random_market(seed, nf, nw, qmax)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-        inputs["market"] = {"generator": {
-            "seed": seed, "firms": nf, "workers": nw, "qmax": qmax}}
-    try:
-        outcome = verify_characterization(market, args.seed, args.samples)
-    except MarketError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
+        market = _generate(inputs, *args.random)
+    outcome = verify_characterization(market, args.seed, args.samples)
+    diagnostics.extend(outcome.notes)
     result = {
         "ok": outcome.ok,
         "stable_count": outcome.stable_count,
@@ -429,38 +344,23 @@ def _cmd_verify(args) -> int:
         "vertex_points": outcome.vertex_points,
         "counterexamples": list(outcome.counterexamples),
     }
-    diagnostics.extend(outcome.notes)
     human = [
         f"stable matchings: {outcome.stable_count}",
         f"hull points checked: {outcome.hull_points}",
         f"condition-failing points checked: {outcome.negative_points}",
         f"vertices checked: {outcome.vertex_points}",
         f"counterexamples: {len(outcome.counterexamples)}",
+        *(f"  {c}" for c in outcome.counterexamples),
     ]
-    human += [f"  {c}" for c in outcome.counterexamples]
-    report = {"command": "verify", "inputs": inputs,
-              "result": result, "diagnostics": diagnostics}
-    _emit(args, report, human)
-    return EXIT_OK if outcome.ok else EXIT_PROPERTY_FAILS
+    return result, human, EXIT_OK if outcome.ok else EXIT_PROPERTY_FAILS
 
 
-def _cmd_gen(args) -> int:
-    try:
-        market = gen_random_market(args.seed, args.nf, args.nw, args.qmax)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    text = serialize_market(market)
-    report = {
-        "command": "gen",
-        "inputs": {"market": {"generator": {
-            "seed": args.seed, "firms": args.nf,
-            "workers": args.nw, "qmax": args.qmax}}},
-        "result": {"market": text,
-                   "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()},
-        "diagnostics": [],
-    }
-    _emit(args, report, text.splitlines())
-    return EXIT_OK
+def _cmd_gen(args, inputs, diagnostics) -> _Outcome:
+    text = serialize_market(
+        _generate(inputs, args.seed, args.nf, args.nw, args.qmax))
+    result = {"market": text,
+              "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+    return result, text.splitlines(), EXIT_OK
 
 
 @functools.cache
@@ -475,34 +375,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run deferred acceptance")
     p.add_argument("market")
     p.add_argument("--side", choices=["firms", "workers"], default="firms")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="feasibility, strong stability, vertex status")
     p.add_argument("market")
     p.add_argument("fraction")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose",
                        help="ordered decomposition and hull certificate")
     p.add_argument("market")
     p.add_argument("fraction")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("rotations", help="rotations at a stable matching")
     p.add_argument("market")
     p.add_argument("--mu", help="matching as a 0/1 matrix file "
                                 "(default: firm-optimal)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rotations)
 
     p = sub.add_parser("stable-all", help="enumerate all stable matchings")
     p.add_argument("market")
     p.add_argument("--method", choices=["brute", "rotations"], default="brute")
-    p.add_argument("--cap", type=int, default=10_000_000)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.set_defaults(func=_cmd_stable_all)
 
     p = sub.add_parser("verify", help="run the characterization harness")
@@ -511,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("SEED", "NF", "NW", "QMAX"))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a deterministic random market")
@@ -519,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nf", type=int)
     p.add_argument("nw", type=int)
     p.add_argument("qmax", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -531,14 +426,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    inputs: dict = {}
+    diagnostics: list[str] = []
     try:
-        return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except MarketError as exc:
+        result, human, code = args.func(args, inputs, diagnostics)
+    except (_CliError, MarketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(_dumps({"command": args.cmd, "inputs": inputs,
+                      "result": result, "diagnostics": diagnostics}))
+    else:
+        for line in chain(human, (f"note: {note}" for note in diagnostics)):
+            print(line)
+    return code
 
 
 def main_entry() -> None:

@@ -331,15 +331,19 @@ def _step_length(rows: list[_Inequality], point: _Point,
     return best, binding
 
 
-def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
-                  steps: int = 4) -> FractionalMatching:
+_INTERIOR_STEPS = 4
+
+
+def interior_walk(market: Market, x: FractionalMatching,
+                  rng: random.Random) -> FractionalMatching:
     """Move a feasible point onto higher-dimensional faces of the polytope.
 
-    Each step picks one currently tight constraint, finds a feasible
-    direction that gives it slack while keeping the other tight constraints
-    tight, and moves half the maximal feasible distance.  This escapes the
-    minimal face containing the start point, which a null-space vertex walk
-    never leaves; combined they fuzz the whole polytope.
+    Each of up to ``_INTERIOR_STEPS`` steps picks one currently tight
+    constraint, finds a feasible direction that gives it slack while keeping
+    the other tight constraints tight, and moves half the maximal feasible
+    distance.  This escapes the minimal face containing the start point,
+    which a null-space vertex walk never leaves; combined they fuzz the
+    whole polytope.
     """
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
@@ -348,7 +352,7 @@ def interior_walk(market: Market, x: FractionalMatching, rng: random.Random,
     point = _Point(x.flatten(market))
     rows = _inequality_rows(market)
 
-    for _ in range(steps):
+    for _ in range(_INTERIOR_STEPS):
         tight = [row for row in rows if point.is_tight(row)]
         if not tight:
             break

@@ -32,6 +32,7 @@ from .model import (
     Market,
     Matching,
     NotStableError,
+    _prune_mutual,
 )
 from .stability import (
     DEFAULT_ENUMERATION_CAP,
@@ -51,7 +52,6 @@ class ReducedProfile:
 
     base: Matching
     market: Market      # reduced lists, same agents and quotas
-    original: Market
 
     def firm_list(self, f: str) -> tuple[str, ...]:
         return self.market.firm_pref[f]
@@ -112,9 +112,9 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
     partner, and from each worker's list every firm above its worker-optimal
     partner.  Step 2 removes from each worker's list every firm below its
     current partner, and from each firm's list every worker below its worst
-    worker-optimal partner.  Step 3 drops one-sided entries until none are
-    left.  Unmatched agents end with empty lists (they are unmatched in every
-    stable matching).
+    worker-optimal partner.  Step 3 drops every entry the other side no
+    longer lists.  Unmatched agents end with empty lists (they are unmatched
+    in every stable matching).
     """
     if not is_stable(market, mu):
         raise NotStableError("reduction requires a stable matching")
@@ -148,22 +148,10 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
             f for f in market.acceptable_to_worker(w)
             if lo <= market.worker_rank(w, f) <= hi)
 
-    # mutual-acceptability closure, iterated to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        wsets = {w: set(fs) for w, fs in worker_lists.items()}
-        for f, ws in firm_lists.items():
-            kept = tuple(w for w in ws if f in wsets[w])
-            if kept != ws:
-                firm_lists[f] = kept
-                changed = True
-        fsets = {f: set(ws) for f, ws in firm_lists.items()}
-        for w, fs in worker_lists.items():
-            kept = tuple(f for f in fs if w in fsets[f])
-            if kept != fs:
-                worker_lists[w] = kept
-                changed = True
+    # steps 1 and 2 decide each side's entry from that pair alone, so one
+    # pass against the lists from before it keeps exactly the pairs both
+    # sides kept: the result is mutually acceptable without iterating
+    firm_lists, worker_lists = _prune_mutual(firm_lists, worker_lists, warn=False)
 
     reduced = Market(market.firms, market.workers, dict(market.quota),
                      firm_lists, worker_lists)
@@ -172,7 +160,7 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
     if deferred_acceptance(reduced, Side.FIRMS) != mu:
         raise AssertionError(
             "base matching must be firm-optimal in the reduced market")
-    return ReducedProfile(base=mu, market=reduced, original=market)
+    return ReducedProfile(base=mu, market=reduced)
 
 
 def find_cycles(profile: ReducedProfile) -> RotationSet:
@@ -232,7 +220,7 @@ def find_cycles(profile: ReducedProfile) -> RotationSet:
                 raise AssertionError(
                     f"cycle worker {rot.workers[d]} is not employed by {nxt}")
         rotations.append(rot)
-    rotations.sort(key=lambda r: profile.original.firm_index(r.firms[0]))
+    rotations.sort(key=lambda r: reduced.firm_index(r.firms[0]))
     return RotationSet(tuple(rotations))
 
 

@@ -57,6 +57,44 @@ def reference_enumerate_stable(market):
     return stable
 
 
+def reference_reduced_lists(market, mu):
+    """Steps 1 and 2 of ``reduce_profile``, then the mutual-acceptability
+    closure iterated to a fixpoint, as the library did before it pruned in
+    one pass.  Returns the reduced firm and worker lists."""
+    mu_w = sf.deferred_acceptance(market, sf.Side.WORKERS)
+    firm_lists, worker_lists = {}, {}
+    for f in market.firms:
+        mine, bottom = mu.matched(f), mu_w.matched(f)
+        lo = min((market.firm_rank(f, w) for w in mine), default=None)
+        hi = max((market.firm_rank(f, w) for w in bottom), default=None)
+        firm_lists[f] = () if lo is None or hi is None else tuple(
+            w for w in market.acceptable_to_firm(f)
+            if lo <= market.firm_rank(f, w) <= hi)
+    for w in market.workers:
+        current, top = mu.employer(w), mu_w.employer(w)
+        worker_lists[w] = () if current is None or top is None else tuple(
+            f for f in market.acceptable_to_worker(w)
+            if market.worker_rank(w, top) <= market.worker_rank(w, f)
+            <= market.worker_rank(w, current))
+
+    changed = True
+    while changed:
+        changed = False
+        wsets = {w: set(fs) for w, fs in worker_lists.items()}
+        for f, ws in firm_lists.items():
+            kept = tuple(w for w in ws if f in wsets[w])
+            if kept != ws:
+                firm_lists[f] = kept
+                changed = True
+        fsets = {f: set(ws) for f, ws in firm_lists.items()}
+        for w, fs in worker_lists.items():
+            kept = tuple(f for f in fs if w in fsets[f])
+            if kept != fs:
+                worker_lists[w] = kept
+                changed = True
+    return firm_lists, worker_lists
+
+
 # --- shared random markets -------------------------------------------------
 
 RANDOM_SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2)]

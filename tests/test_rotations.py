@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import RANDOM_SIZES, random_markets, reference_enumerate_stable
+from oracles import (RANDOM_SIZES, random_markets, reference_enumerate_stable,
+                     reference_reduced_lists)
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,6 +189,19 @@ def test_reduced_lists_are_mutual(fleet, fleet_stable):
             for w in red.workers:
                 for f in red.worker_pref[w]:
                     assert w in red.firm_pref[f]
+
+
+def test_one_pass_reduction_matches_the_fixpoint(fleet):
+    """One pruning pass gives the lists the iterated closure converges to."""
+    markets = fleet + [m for size in RANDOM_SIZES for m in random_markets(*size)]
+    profiles = 0
+    for m in markets:
+        for mu in sf.enumerate_stable_via_rotations(m):
+            red = sf.reduce_profile(m, mu).market
+            assert (red.firm_pref, red.worker_pref) == \
+                reference_reduced_lists(m, mu)
+            profiles += 1
+    assert profiles > 400
 
 
 def test_rotations_are_disjoint_everywhere(fleet, fleet_stable):
