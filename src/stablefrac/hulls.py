@@ -6,7 +6,8 @@ affine cube ``inc(mu) + sum(lambda_i * delta_i)`` over lambda in [0,1]^k,
 and ``_cube_coordinates`` decides membership exactly by reading lambda off
 the rotations' rows.  ``certify_strongly_stable`` checks the strong
 stability condition once, or refuses with the failing ``PairCondition``,
-and reads every threshold-sweep term as a vertex of the top matching's cube.
+and reads every threshold-sweep term as a vertex of the top matching's cube:
+the certificate names each term's rotation subset and keeps its matching.
 ``verify_characterization`` stress-tests the equivalence from both
 directions against brute-force enumeration and the cube test; the subset
 search ``point_in_hull`` is the reference the tests hold the cube test to.
@@ -38,7 +39,6 @@ from .polytope import (
 )
 from .rotations import (
     RotationSet,
-    apply_cycle_set,
     connected_set,
     find_cycles,
     reduce_profile,
@@ -59,9 +59,8 @@ class HullCertificate:
 
     ``base`` is the top matching of the ordered decomposition, ``rotations``
     its rotation set, and every term names the subset of rotation indices
-    that turns the base into that term's matching.  ``_matchings`` keeps the
-    decomposition's own term matchings, which the cube test proved equal to
-    those subsets; ``term_matchings`` rebuilds them from the rotations.
+    that turns the base into that term's matching.  ``_matchings`` holds
+    those term matchings, in the terms' order.
     """
 
     base: Matching
@@ -69,16 +68,10 @@ class HullCertificate:
     terms: tuple[tuple[frozenset[int], Rational], ...]
     _matchings: tuple[Matching, ...] = field(compare=False, repr=False)
 
-    def term_matchings(self, market: Market) -> tuple[Matching, ...]:
-        return tuple(
-            apply_cycle_set(market, self.base,
-                            [self.rotations[i] for i in sorted(ids)])
-            for ids, _ in self.terms)
-
     def reconstruct(self, market: Market) -> FractionalMatching:
         weights = [weight for _, weight in self.terms]
         return Decomposition(
-            tuple(zip(self.term_matchings(market), weights))).reconstruct(market)
+            tuple(zip(self._matchings, weights))).reconstruct(market)
 
 
 def certify_strongly_stable(

@@ -1,7 +1,10 @@
 """Core domain types and text formats for many-to-one matching markets.
 
-Every numeric quantity in this library is an exact ``fractions.Fraction``;
-no floating point is used anywhere.
+Every matching quantity in this library is exact: points, weights and
+condition factors are ``fractions.Fraction``s, and the polytope and
+elimination code computes on integers over one common denominator.  Floats
+appear only in ``gen_random_market``, where draws against ``density`` shape
+an instance's preference lists.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -225,27 +228,6 @@ class Market:
 
 
 @dataclass(frozen=True)
-class AcceptablePairSet:
-    """The set of mutually acceptable firm-worker pairs of a market."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(self.pairs)
-
-
-def acceptable_pairs(market: Market) -> AcceptablePairSet:
-    """Exactly the pairs where each side lists the other."""
-    return AcceptablePairSet(market._acc_set)
-
-
-@dataclass(frozen=True)
 class Matching:
     """An assignment of workers to firms.
 
@@ -286,9 +268,6 @@ class Matching:
     def employer(self, w: str) -> str | None:
         return self._employer.get(w)
 
-    def matched_workers(self) -> frozenset[str]:
-        return frozenset(self._employer)
-
     def as_dict(self) -> dict[str, tuple[str, ...]]:
         return dict(self._rows)
 
@@ -320,15 +299,6 @@ class FractionalMatching:
     def flatten(self, market: Market) -> tuple[Rational, ...]:
         """The coordinates on the acceptable pairs, in canonical pair order."""
         return tuple(self.value(market, f, w) for f, w in market.pairs())
-
-    def support(self, market: Market) -> tuple[tuple[str, str], ...]:
-        """Positive positions, in (firm declaration, worker declaration) order."""
-        out = []
-        for i, f in enumerate(market.firms):
-            for j, w in enumerate(market.workers):
-                if self.entries[i][j] > 0:
-                    out.append((f, w))
-        return tuple(out)
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for row in self.entries for v in row)

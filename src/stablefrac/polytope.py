@@ -83,29 +83,6 @@ def _require_shape(market: Market, x: FractionalMatching) -> None:
         raise ValueError("matrix dimensions do not match the market")
 
 
-def firm_weak_prefix(market: Market, x: FractionalMatching,
-                     f: str) -> dict[str, Rational]:
-    """Cumulative mass a firm assigns from its favourite worker down to each."""
-    out: dict[str, Rational] = {}
-    acc = Fraction(0)
-    i = market.firm_index(f)
-    for w in market.acceptable_to_firm(f):
-        acc += x.entries[i][market.worker_index(w)]
-        out[w] = acc
-    return out
-
-
-def worker_weak_prefix(market: Market, x: FractionalMatching,
-                       w: str) -> dict[str, Rational]:
-    out: dict[str, Rational] = {}
-    acc = Fraction(0)
-    j = market.worker_index(w)
-    for f in market.acceptable_to_worker(w):
-        acc += x.entries[market.firm_index(f)][j]
-        out[f] = acc
-    return out
-
-
 def check_feasibility(market: Market, x: FractionalMatching) -> ConstraintReport:
     """Evaluate the feasibility system exactly.
 

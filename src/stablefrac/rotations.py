@@ -368,7 +368,8 @@ def enumerate_stable_via_rotations(
     reached twice would be an error, and is raised as one.  No precedence
     relation has to be built.
 
-    Raises ``CapExceededError`` once more than ``cap`` matchings are listed.
+    Raises ``CapExceededError`` once more than ``cap`` matchings, the
+    firm-optimal one included, are listed.
     """
     start = deferred_acceptance(market, Side.FIRMS)
     rotations: list[Rotation] = []
@@ -385,22 +386,21 @@ def enumerate_stable_via_rotations(
     if len(set(rotations)) != len(rotations):
         raise AssertionError("a rotation was found twice on the chain")
 
-    listed: list[Matching] = [start]
+    listed: list[Matching] = []
     stack: list[tuple[Matching, int]] = [(start, 0)]   # (matching, next index)
     while stack:
         mu, first = stack.pop()
+        listed.append(mu)
+        if len(listed) > cap:
+            raise CapExceededError(
+                f"{len(listed)}+ stable matchings exceed the cap of {cap}")
         for j in range(first, len(rotations)):
             sigma = rotations[j]
             if _misfit(mu, sigma) is not None:
                 continue
             nu = apply_cycle(market, mu, sigma)
-            if not _stable_step(market, nu, sigma):
-                continue
-            listed.append(nu)
-            if len(listed) > cap:
-                raise CapExceededError(
-                    f"{len(listed)}+ stable matchings exceed the cap of {cap}")
-            stack.append((nu, j + 1))
+            if _stable_step(market, nu, sigma):
+                stack.append((nu, j + 1))
     found = set(listed)
     if len(found) != len(listed):
         raise AssertionError("a stable matching was generated twice")

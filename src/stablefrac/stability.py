@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .model import CapExceededError, Market, Matching
 
@@ -168,10 +167,12 @@ def enumerate_stable_bruteforce(
     """
     total = 1
     for w in market.workers:
-        total *= 1 + len(market.acceptable_to_worker(w))
         if total > cap:
-            raise CapExceededError(
-                f"{total}+ candidate matchings exceed the cap of {cap}")
+            break
+        total *= 1 + len(market.acceptable_to_worker(w))
+    if total > cap:
+        raise CapExceededError(
+            f"{total}+ candidate matchings exceed the cap of {cap}")
 
     quota = market.quota
     frank = market._frank
@@ -253,22 +254,3 @@ def enumerate_stable_bruteforce(
             break
         else:
             return stable
-
-
-def check_rural_hospital(market: Market, matchings: Iterable[Matching]) -> bool:
-    """The rural hospital property over a set of stable matchings.
-
-    The set of matched workers must coincide across the set, and any firm that
-    is below quota in one matching must have the identical worker set in all.
-    """
-    ms = list(matchings)
-    if len(ms) <= 1:
-        return True
-    matched = {mu.matched_workers() for mu in ms}
-    if len(matched) != 1:
-        return False
-    for f in market.firms:
-        staffs = [mu.matched(f) for mu in ms]
-        if any(len(s) < market.quota[f] for s in staffs) and len(set(staffs)) != 1:
-            return False
-    return True

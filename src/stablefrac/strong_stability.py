@@ -10,7 +10,6 @@ the eyes of all firms, read off the firms' cumulative masses in one sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 from .model import (
@@ -25,13 +24,7 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import (
-    _ScaledSums,
-    check_feasibility,
-    check_stable_feasibility,
-    firm_weak_prefix,
-    worker_weak_prefix,
-)
+from .polytope import _ScaledSums, check_feasibility, check_stable_feasibility
 
 
 @dataclass(frozen=True)
@@ -201,69 +194,6 @@ def _threshold_sweep(market: Market, x: FractionalMatching,
     if result.reconstruct(market) != x:
         raise AssertionError("decomposition does not reconstruct the point")
     return result
-
-
-class DominanceResult(Enum):
-    STRONGLY_DOMINATES = "strongly-dominates"
-    WEAKLY_DOMINATES = "weakly-dominates"
-    DOMINATED = "dominated"
-    INCOMPARABLE = "incomparable"
-
-
-def dominance_compare(market: Market, x: FractionalMatching,
-                      y: FractionalMatching, agent: str) -> DominanceResult:
-    """Compare two points by one agent's cumulative preference mass.
-
-    At every rank of the agent's list the prefix sums are compared; x weakly
-    dominates y when its prefix is never smaller, strongly when additionally
-    some prefix is larger.  Equal points weakly dominate each other.
-    """
-    if agent in market._findex:
-        px = firm_weak_prefix(market, x, agent)
-        py = firm_weak_prefix(market, y, agent)
-        order = market.acceptable_to_firm(agent)
-    elif agent in market._windex:
-        px = worker_weak_prefix(market, x, agent)
-        py = worker_weak_prefix(market, y, agent)
-        order = market.acceptable_to_worker(agent)
-    else:
-        raise ValueError(f"unknown agent {agent!r}")
-    more = any(px[a] > py[a] for a in order)
-    less = any(px[a] < py[a] for a in order)
-    if more and less:
-        return DominanceResult.INCOMPARABLE
-    if more:
-        return DominanceResult.STRONGLY_DOMINATES
-    if less:
-        return DominanceResult.DOMINATED
-    return DominanceResult.WEAKLY_DOMINATES
-
-
-def matching_firm_order(market: Market, a: Matching, b: Matching) -> DominanceResult:
-    """Aggregate dominance of two matchings in the eyes of all firms."""
-    xa = incidence_vector(market, a)
-    xb = incidence_vector(market, b)
-    results = {dominance_compare(market, xa, xb, f) for f in market.firms}
-    if DominanceResult.INCOMPARABLE in results:
-        return DominanceResult.INCOMPARABLE
-    strong = DominanceResult.STRONGLY_DOMINATES in results
-    worse = DominanceResult.DOMINATED in results
-    if strong and worse:
-        return DominanceResult.INCOMPARABLE
-    if strong:
-        return DominanceResult.STRONGLY_DOMINATES
-    if worse:
-        return DominanceResult.DOMINATED
-    return DominanceResult.WEAKLY_DOMINATES
-
-
-def firm_weakly_prefers(market: Market, a: Matching, b: Matching) -> bool:
-    return matching_firm_order(market, a, b) in (
-        DominanceResult.STRONGLY_DOMINATES, DominanceResult.WEAKLY_DOMINATES)
-
-
-def firm_strictly_prefers(market: Market, a: Matching, b: Matching) -> bool:
-    return matching_firm_order(market, a, b) is DominanceResult.STRONGLY_DOMINATES
 
 
 def check_almost_integral(market: Market, x: FractionalMatching) -> bool:

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import stablefrac as sf
+from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.polytope import _inequality_rows, check_stable_feasibility
 
 
@@ -93,6 +94,62 @@ def reference_reduced_lists(market, mu):
                 worker_lists[w] = kept
                 changed = True
     return firm_lists, worker_lists
+
+
+# --- orders and properties the paper proves ------------------------------
+#
+# The library computes none of these; the tests check them.  The prefix sums
+# are also the ``Fraction`` reference for ``polytope._evaluate``'s integer ones.
+
+def firm_weak_prefix(market: Market, x: FractionalMatching,
+                     f: str) -> dict[str, Rational]:
+    """Cumulative mass a firm assigns from its favourite worker down to each."""
+    out: dict[str, Rational] = {}
+    acc = Fraction(0)
+    i = market.firm_index(f)
+    for w in market.acceptable_to_firm(f):
+        acc += x.entries[i][market.worker_index(w)]
+        out[w] = acc
+    return out
+
+
+def worker_weak_prefix(market: Market, x: FractionalMatching,
+                       w: str) -> dict[str, Rational]:
+    out: dict[str, Rational] = {}
+    acc = Fraction(0)
+    j = market.worker_index(w)
+    for f in market.acceptable_to_worker(w):
+        acc += x.entries[market.firm_index(f)][j]
+        out[f] = acc
+    return out
+
+
+def dominates(market, x, y, agents=None, strict=False):
+    """Whether x gives every agent at least y's cumulative mass at each rank
+    of its list; with ``strict``, also more at some rank of some agent.
+
+    ``x`` and ``y`` are matchings or fractional matchings, and ``agents``
+    defaults to all firms: ``dominates(m, mu, nu)`` is the firms' weak order.
+    """
+    x, y = (sf.incidence_vector(market, v) if isinstance(v, sf.Matching) else v
+            for v in (x, y))
+    pairs = []
+    for a in market.firms if agents is None else agents:
+        prefix = firm_weak_prefix if a in market.quota else worker_weak_prefix
+        px, py = prefix(market, x, a), prefix(market, y, a)
+        pairs += [(px[b], py[b]) for b in px]
+    return all(u >= v for u, v in pairs) and (
+        not strict or any(u > v for u, v in pairs))
+
+
+def rural_hospital(market, matchings):
+    """Every matching employs the same workers, and a firm below its quota
+    in one of them employs the same workers in all."""
+    ms = list(matchings)
+    employed = {frozenset(w for _, ws in mu.assignment for w in ws) for mu in ms}
+    return len(employed) <= 1 and all(
+        len({mu.matched(f) for mu in ms}) == 1 for f in market.firms
+        if any(len(mu.matched(f)) < market.quota[f] for mu in ms))
 
 
 # --- shared random markets -------------------------------------------------

@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 
 import stablefrac as sf
-
-D = sf.DominanceResult
+from oracles import dominates, rural_hospital
 
 
 @contextmanager
@@ -68,7 +67,7 @@ def test_criterion_4_decomposition_roundtrip(fleet, fleet_stable):
                     assert all(a > 0 for a in dec.weights())
                     chain = dec.matchings()
                     for a, b in zip(chain, chain[1:]):
-                        assert sf.matching_firm_order(m, a, b) is D.STRONGLY_DOMINATES
+                        assert dominates(m, a, b, strict=True)
                     checked += 1
             rounds += 1
         assert checked >= 1000
@@ -105,7 +104,7 @@ def test_criterion_6_reduction_gate(fleet, fleet_stable):
                 profile = sf.reduce_profile(m, mu)
                 reduced = sf.enumerate_stable_bruteforce(profile.market)
                 expected = {nu for nu in stable
-                            if sf.firm_weakly_prefers(m, mu, nu)}
+                            if dominates(m, mu, nu)}
                 assert reduced == expected
 
 
@@ -158,4 +157,4 @@ def test_criterion_9_enumeration_agreement_and_rural_hospital(fleet, fleet_stabl
     with criterion(9, "rotation enumeration = brute force; rural hospital holds"):
         for m, stable in zip(fleet, fleet_stable):
             assert sf.enumerate_stable_via_rotations(m) == set(stable)
-            assert sf.check_rural_hospital(m, stable)
+            assert rural_hospital(m, stable)

@@ -208,7 +208,7 @@ def test_stable_all_json_formats_no_human_lines(capsys, block_file,
     assert capsys.readouterr().out == expected
 
 
-def test_stable_all_rotations_honours_cap(capsys, block_file):
+def test_stable_all_rotations_honours_cap(capsys, block_file, tmp_path):
     argv = ["stable-all", block_file, "--method", "rotations"]
     assert main(argv + ["--cap", "23"]) == 2
     assert "cap" in capsys.readouterr().err
@@ -216,6 +216,12 @@ def test_stable_all_rotations_honours_cap(capsys, block_file):
     assert code == 0
     assert capped["result"]["count"] == 24
     assert capped == run_json(capsys, argv)[1]
+    # the firm-optimal matching counts against the cap too
+    lone = tmp_path / "one.market"
+    lone.write_text("firms: f1\nworkers: w1\nfirm f1: w1\nworker w1: f1\n")
+    assert main(["stable-all", str(lone), "--method", "rotations", "--cap", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 1+ stable matchings exceed the cap of 0\n"
 
 
 def test_parser_is_reused_across_calls(capsys, market_file, mid_file):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from oracles import firm_weak_prefix, worker_weak_prefix
 from stablefrac.hulls import _random_mix
-from stablefrac.polytope import firm_weak_prefix, interior_walk, worker_weak_prefix
+from stablefrac.polytope import interior_walk
 from stablefrac.strong_stability import _pair_conditions, _threshold_sweep
 
 

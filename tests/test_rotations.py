@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, random_markets, reference_enumerate_stable,
-                     reference_reduced_lists)
+from oracles import (RANDOM_SIZES, dominates, random_markets,
+                     reference_enumerate_stable, reference_reduced_lists)
 
 DATA = Path(__file__).parent / "data"
 
@@ -76,7 +76,8 @@ def test_apply_cycle_reaches_worker_optimal(market, mu_f, mu_w):
     nxt = sf.apply_cycle(market, mu_f, sigma)
     assert nxt == mu_w
     assert sf.blocking_pairs(market, nxt) == ()
-    assert sf.firm_strictly_prefers(market, mu_f, nxt)
+    assert dominates(market, mu_f, nxt, strict=True)
+    assert not dominates(market, nxt, mu_f)
 
 
 def test_apply_cycle_rejects_wrong_base(market, mu_f, mu_w):
@@ -118,7 +119,7 @@ def test_twin_cycle_connected_set(twin_cycle_market):
     assert mu in members
     for nu in members:
         assert sf.is_stable(m, nu)
-        assert sf.firm_weakly_prefers(m, mu, nu)
+        assert dominates(m, mu, nu)
     assert members == sf.enumerate_stable_bruteforce(m)
 
 
@@ -175,7 +176,7 @@ def test_reduction_gate(fleet, fleet_stable):
         for mu in stable:
             profile = sf.reduce_profile(m, mu)
             reduced_stable = sf.enumerate_stable_bruteforce(profile.market)
-            expected = {nu for nu in stable if sf.firm_weakly_prefers(m, mu, nu)}
+            expected = {nu for nu in stable if dominates(m, mu, nu)}
             assert reduced_stable == expected
 
 
@@ -219,7 +220,7 @@ def test_cyclic_matchings_are_stable_and_firm_worse(fleet, fleet_stable):
             for rot in sf.find_cycles(sf.reduce_profile(m, mu)):
                 nu = sf.apply_cycle(m, mu, rot)
                 assert sf.is_stable(m, nu)
-                assert sf.firm_strictly_prefers(m, mu, nu)
+                assert dominates(m, mu, nu, strict=True)
 
 
 def test_reduction_gate_survives_optimize(src_env, tmp_path):
@@ -350,6 +351,12 @@ def test_enumeration_cap(block_market):
     assert len(sf.enumerate_stable_via_rotations(block_market, cap=24)) == 24
     with pytest.raises(sf.CapExceededError):
         sf.enumerate_stable_via_rotations(block_market, cap=23)
+    # the firm-optimal matching counts against the cap too
+    m = sf.parse_market("firms: f1\nworkers: w1\nfirm f1: w1\nworker w1: f1\n")
+    assert len(sf.enumerate_stable_via_rotations(m, cap=1)) == 1
+    with pytest.raises(sf.CapExceededError,
+                       match=r"^1\+ stable matchings exceed the cap of 0$"):
+        sf.enumerate_stable_via_rotations(m, cap=0)
 
 
 def test_chain_checks_survive_optimize(src_env, tmp_path):
