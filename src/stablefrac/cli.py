@@ -116,8 +116,17 @@ def _dumps(report) -> str:
     fragment of a list or tuple of strings depends only on its values and
     its depth, and matching rows repeat across the thousands of matchings
     of a large report, so each such fragment is encoded once per call.
+
+    A whole dict entry ``"key": [...]`` whose value is a tuple is cached
+    too, keyed by ``(key, value, depth)``, so a repeated matching row costs
+    one lookup.  An entry is stored only once the string path encoded its
+    value, which makes every stored value a tuple of strings: ``(1,)`` and
+    ``(True,)``, equal as keys, are never stored, and a tuple with
+    unhashable members, which raises ``TypeError`` at lookup, is encoded
+    the long way.
     """
     fragments: dict[tuple, str] = {}
+    entries: dict[tuple, str] = {}
 
     def block(opening: str, parts: Iterable[str], closing: str,
               depth: int) -> str:
@@ -125,21 +134,44 @@ def _dumps(report) -> str:
         return (opening + inner + ("," + inner).join(parts)
                 + "\n" + "  " * depth + closing)
 
+    def string_list(value, depth: int) -> str | None:
+        """The fragment of a nonempty list or tuple of strings, else None."""
+        for item in value:
+            if not isinstance(item, str):
+                return None
+        key = (tuple(value), depth)
+        fragment = fragments.get(key)
+        if fragment is None:
+            fragment = fragments[key] = block(
+                "[", map(encode_basestring_ascii, value), "]", depth)
+        return fragment
+
+    def string_entry(key: str, item: tuple, depth: int) -> str | None:
+        """``"key": item`` in a dict at ``depth`` if ``item`` is a nonempty
+        tuple of strings, else None."""
+        cache_key = (key, item, depth)
+        try:
+            part = entries.get(cache_key)
+        except TypeError:           # unhashable members, so not strings
+            return None
+        if part is None:
+            fragment = string_list(item, depth + 1)
+            if fragment is None:
+                return None
+            part = entries[cache_key] = (
+                encode_basestring_ascii(key) + ": " + fragment)
+        return part
+
     def encode(value, depth: int) -> str:
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         if isinstance(value, (list, tuple)):
             if not value:
                 return "[]"
-            for item in value:
-                if not isinstance(item, str):
-                    return block("[", [encode(entry, depth + 1)
-                                       for entry in value], "]", depth)
-            key = (tuple(value), depth)
-            fragment = fragments.get(key)
+            fragment = string_list(value, depth)
             if fragment is None:
-                fragment = fragments[key] = block(
-                    "[", map(encode_basestring_ascii, value), "]", depth)
+                fragment = block("[", [encode(item, depth + 1)
+                                       for item in value], "]", depth)
             return fragment
         if isinstance(value, dict):
             if not value:
@@ -149,8 +181,10 @@ def _dumps(report) -> str:
                 if not isinstance(key, str):
                     raise TypeError(
                         f"report keys must be str, not {type(key).__name__}")
-                parts.append(encode_basestring_ascii(key) + ": "
-                             + encode(item, depth + 1))
+                part = (string_entry(key, item, depth)
+                        if type(item) is tuple and item else None)
+                parts.append(part or (encode_basestring_ascii(key) + ": "
+                                      + encode(item, depth + 1)))
             return block("{", parts, "}", depth)
         if value is None:
             return "null"

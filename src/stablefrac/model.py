@@ -248,6 +248,27 @@ class Matching:
         object.__setattr__(self, "_employer", employer)
         object.__setattr__(self, "_rows", dict(self.assignment))
 
+    def _derive(self, assignment: tuple[tuple[str, tuple[str, ...]], ...],
+                changed: Mapping[str, tuple[str, ...]],
+                moved: Mapping[str, str]) -> "Matching":
+        """The matching ``assignment``, which differs from this one only in
+        the rows of ``changed`` (firm -> new row) and the employers of
+        ``moved`` (worker -> new firm).
+
+        The caller guarantees that no worker ends in two rows, so both lookup
+        dicts are copied from this matching and patched, not rebuilt from
+        every row as ``__post_init__`` does.
+        """
+        child = object.__new__(Matching)
+        rows = dict(self._rows)
+        rows.update(changed)
+        employer = dict(self._employer)
+        employer.update(moved)
+        object.__setattr__(child, "assignment", assignment)
+        object.__setattr__(child, "_employer", employer)
+        object.__setattr__(child, "_rows", rows)
+        return child
+
     @classmethod
     def build(cls, market: Market, mapping: Mapping[str, Iterable[str]]) -> "Matching":
         """Canonicalize a firm -> workers mapping against a market."""
@@ -542,8 +563,11 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
         f = market.firms[len(rows)]
         row = []
         for j, token in enumerate(tokens):
+            if token == "0":        # passes both checks below
+                row.append(_ZERO)
+                continue
             try:
-                v = _ZERO if token == "0" else parse_rational(token)
+                v = parse_rational(token)
             except ValueError:
                 raise ParseError(f"bad rational token {token!r}", lineno) from None
             w = market.workers[j]
@@ -557,7 +581,8 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
     if len(rows) != market.n_firms:
         raise ParseError(
             f"expected {market.n_firms} rows, found {len(rows)}")
-    return FractionalMatching.from_rows(rows)
+    # every entry is already a Fraction, which ``from_rows`` would re-test
+    return FractionalMatching(tuple(map(tuple, rows)))
 
 
 def serialize_fractional(market: Market, x: FractionalMatching) -> str:

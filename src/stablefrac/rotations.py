@@ -241,11 +241,15 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     """Trade workers along one rotation.
 
     Each firm of the cycle keeps its assignment except that it gains its own
-    cycle worker and loses its predecessor's; all other firms are untouched,
-    so only the cycle's rows are rebuilt (re-sorted by worker index) and the
-    other rows of ``mu``, already canonical, are reused.  The rotation must
-    fit the matching (each cycle worker employed by the next firm, absent
-    from its own firm), or ``CycleMismatchError`` is raised.
+    cycle worker and loses its predecessor's; all other firms are untouched.
+    The rotation must fit the matching (each cycle worker employed by the
+    next firm, absent from its own firm), or ``CycleMismatchError`` is
+    raised.  A fitting cycle moves distinct workers and keeps every row's
+    size, so no worker can be assigned twice: the child is derived from
+    ``mu``, whose other rows and lookup entries, already canonical, are
+    reused, and only the cycle's rows (re-sorted by worker index when they
+    hold more than one worker) and the moved workers' employers are new.
+    The cost of a step thus scales with the rotation, not the market.
     """
     d = _misfit(mu, sigma)
     if d is not None:
@@ -256,15 +260,21 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
         raise CycleMismatchError(
             f"cycle worker {w} is not employed by {nxt} in the base matching")
     rows = list(mu.assignment)
+    changed: dict[str, tuple[str, ...]] = {}
     for d, f in enumerate(sigma.firms):
         lost, gained = sigma.workers[d - 1], sigma.workers[d]
-        i = market.firm_index(f)
-        staff = [w for w in rows[i][1] if w != lost]
-        staff.append(gained)
-        if len(staff) > market.quota[f]:
-            raise ValueError(f"firm {f} exceeds its quota")
-        rows[i] = (f, tuple(sorted(staff, key=market.worker_index)))
-    return Matching(tuple(rows))
+        staff = mu.matched(f)
+        if len(staff) == 1:         # the fit makes it (lost,)
+            new = (gained,)
+        else:
+            kept = [w for w in staff if w != lost]
+            kept.append(gained)
+            if len(kept) > market.quota[f]:
+                raise ValueError(f"firm {f} exceeds its quota")
+            new = tuple(sorted(kept, key=market.worker_index))
+        rows[market.firm_index(f)] = (f, new)
+        changed[f] = new
+    return mu._derive(tuple(rows), changed, dict(zip(sigma.workers, sigma.firms)))
 
 
 def apply_cycle_set(market: Market, mu: Matching,

@@ -224,6 +224,17 @@ def test_stable_all_rotations_honours_cap(capsys, block_file, tmp_path):
         "error: 1+ stable matchings exceed the cap of 0\n"
 
 
+def test_stable_all_rotations_largest_report(capsys, tmp_path, cyclic_blocks):
+    """1728 matchings: the encoder's caches hit thousands of times, and the
+    report must still be exactly ``json.dumps``."""
+    path = tmp_path / "blocks.market"
+    path.write_text(sf.serialize_market(cyclic_blocks([3, 3, 3, 4, 4, 4])))
+    code, report = run_json(
+        capsys, ["stable-all", str(path), "--method", "rotations"])
+    assert code == 0
+    assert report["result"]["count"] == len(report["result"]["matchings"]) == 1728
+
+
 def test_parser_is_reused_across_calls(capsys, market_file, mid_file):
     assert main(["stable-all", market_file, "--method", "nope"]) == 2
     assert "invalid choice" in capsys.readouterr().err
@@ -446,6 +457,24 @@ _REPORTS = st.recursive(_SCALARS, lambda inner: st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(value=_REPORTS)
 def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Cases of the dict-entry cache: a tuple that is not all strings, equal
+# tuples of other types, one tuple at two depths or under two keys, a tuple
+# and an equal list.
+@pytest.mark.parametrize("value", [
+    {"k": ("w1", ["w2"])},
+    [{"k": ("w1", ["w2"])}, {"k": ("w1", ["w2"])}],
+    [{"k": (1,)}, {"k": (True,)}, {"k": (1,)}],
+    [{"k": (True,)}, {"k": (1,)}],
+    [{"k": ("w1", 1)}, {"k": ("w1", True)}],
+    {"a": {"k": ("w1", "w2")}, "k": ("w1", "w2")},
+    {"a": ("w1", "w2"), "k": ("w1", "w2")},
+    [{"k": ("w1", "w2")}, [{"k": ("w1", "w2")}]],
+    [{"k": ("w1", "w2")}, {"k": ["w1", "w2"]}, {"k": ("w1", "w2")}],
+])
+def test_dumps_entry_cache_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

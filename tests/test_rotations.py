@@ -347,6 +347,25 @@ def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     assert all(sf.is_stable(m, mu) for mu in found)
 
 
+def test_listed_matchings_match_a_fresh_build(cyclic_blocks):
+    """Each listed matching is derived from its parent, and equality compares
+    only the rows: its lookups must be those of a build from its rows."""
+    markets = [cyclic_blocks([3, 3, 3, 4, 4, 4])]
+    for size in RANDOM_SIZES:
+        markets += random_markets(*size)
+    listed = 0
+    for m in markets:
+        for nu in sf.enumerate_stable_via_rotations(m):
+            fresh = sf.Matching(nu.assignment)
+            assert nu == fresh
+            assert [nu.employer(w) for w in m.workers] == \
+                [fresh.employer(w) for w in m.workers]
+            assert [nu.matched(f) for f in m.firms] == \
+                [fresh.matched(f) for f in m.firms]
+            listed += 1
+    assert listed > 1728
+
+
 def test_enumeration_cap(block_market):
     assert len(sf.enumerate_stable_via_rotations(block_market, cap=24)) == 24
     with pytest.raises(sf.CapExceededError):
