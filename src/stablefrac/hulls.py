@@ -38,7 +38,7 @@ from .polytope import (
     vertex_walk,
 )
 from .rotations import (
-    RotationSet,
+    Rotation,
     connected_set,
     find_cycles,
     reduce_profile,
@@ -64,7 +64,7 @@ class HullCertificate:
     """
 
     base: Matching
-    rotations: RotationSet
+    rotations: tuple[Rotation, ...]
     terms: tuple[tuple[frozenset[int], Rational], ...]
     _matchings: tuple[Matching, ...] = field(compare=False, repr=False)
 
@@ -105,7 +105,7 @@ def certify_strongly_stable(
     return HullCertificate(base, rotations, tuple(terms), decomposition.matchings())
 
 
-def _cube_coordinates(base: Matching, rotations: RotationSet,
+def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],
                       rows: dict[str, dict[str, Rational]]
                       ) -> tuple[Rational, ...] | None:
     """The lambda in [0,1]^k with ``rows = inc(base) + sum(lambda_i * delta_i)``,
@@ -148,10 +148,10 @@ def sample_hull(market: Market, mu: Matching, seed: int,
                         seed, count)
 
 
-def _sample_cube(market: Market, mu: Matching, rotations: RotationSet,
+def _sample_cube(market: Market, mu: Matching, rotations: tuple[Rotation, ...],
                  seed: int, count: int) -> list[FractionalMatching]:
     """``sample_hull`` for a matching whose rotations are already known."""
-    members = sorted(connected_set(market, mu, tuple(rotations)),
+    members = sorted(connected_set(market, mu, rotations),
                      key=lambda m: m.assignment)
     vectors = [incidence_vector(market, m) for m in members]
     rng = random.Random(f"hull:{seed}")

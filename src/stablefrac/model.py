@@ -583,8 +583,3 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
             f"expected {market.n_firms} rows, found {len(rows)}")
     # every entry is already a Fraction, which ``from_rows`` would re-test
     return FractionalMatching(tuple(map(tuple, rows)))
-
-
-def serialize_fractional(market: Market, x: FractionalMatching) -> str:
-    return "\n".join(
-        " ".join(str(v) for v in row) for row in x.entries) + "\n"

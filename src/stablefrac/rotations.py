@@ -17,13 +17,14 @@ rotation later in that order than the last one added generates each stable
 matching once, from one parent, with one ``apply_cycle``.  A rotation that
 fits is not always exposed, so each candidate is kept only when it is
 stable; ``_stable_step`` decides that exactly by scanning the lists of the
-cycle's firms alone.
+cycle's firms alone.  Its precondition, that every cycle worker moves along
+an acceptable pair to a firm it strictly prefers, holds for every rotation of
+a reduced profile; the chain checks it once per rotation, when it finds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .model import (
@@ -80,29 +81,6 @@ class Rotation:
             raise ValueError("rotation firms must be distinct")
         if len(self.workers) != len(self.firms):
             raise ValueError("rotation worker sequence must align with firms")
-
-
-@dataclass(frozen=True)
-class RotationSet:
-    """All rotations at one reduced profile; pairwise firm-disjoint."""
-
-    rotations: tuple[Rotation, ...]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for rot in self.rotations:
-            if seen & set(rot.firms):
-                raise ValueError("rotations must be pairwise firm-disjoint")
-            seen.update(rot.firms)
-
-    def __iter__(self):
-        return iter(self.rotations)
-
-    def __len__(self) -> int:
-        return len(self.rotations)
-
-    def __getitem__(self, index: int) -> Rotation:
-        return self.rotations[index]
 
 
 def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
@@ -163,15 +141,16 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
     return ReducedProfile(base=mu, market=reduced)
 
 
-def find_cycles(profile: ReducedProfile) -> RotationSet:
-    """All rotations of a reduced profile.
+def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
+    """All rotations of a reduced profile, by their first firm's index.
 
     The successor of a firm is the employer of its best reduced-list worker
     outside its own assignment; it is undefined for firms below quota (those
     never rotate: below-quota firms keep the same workers in every stable
     matching) and for firms with no outside worker left.  The cycles of this
     partial successor map, found by pointer chasing with visitation stamps,
-    are exactly the rotations.
+    are exactly the rotations.  Each firm has one successor, so the cycles
+    are firm-disjoint, and each cycle worker is employed by the next firm.
     """
     mu = profile.base
     reduced = profile.market
@@ -213,15 +192,10 @@ def find_cycles(profile: ReducedProfile) -> RotationSet:
         k = min(range(len(cycle)),
                 key=lambda i: reduced.firm_index(cycle[i]))
         ordered = cycle[k:] + cycle[:k]
-        rot = Rotation(tuple(ordered), tuple(wanted[f] for f in ordered))
-        for d, f in enumerate(rot.firms):
-            nxt = rot.firms[(d + 1) % len(rot.firms)]
-            if rot.workers[d] not in mu.matched(nxt):
-                raise AssertionError(
-                    f"cycle worker {rot.workers[d]} is not employed by {nxt}")
-        rotations.append(rot)
+        rotations.append(
+            Rotation(tuple(ordered), tuple(wanted[f] for f in ordered)))
     rotations.sort(key=lambda r: reduced.firm_index(r.firms[0]))
-    return RotationSet(tuple(rotations))
+    return tuple(rotations)
 
 
 def _misfit(mu: Matching, sigma: Rotation) -> int | None:
@@ -277,9 +251,8 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     return mu._derive(tuple(rows), changed, dict(zip(sigma.workers, sigma.firms)))
 
 
-def apply_cycle_set(market: Market, mu: Matching,
-                    cycles: Iterable[Rotation]) -> Matching:
-    """Apply a set of rotations; they are disjoint, so the order is irrelevant."""
+def _disjoint(cycles: Iterable[Rotation]) -> tuple[Rotation, ...]:
+    """``cycles`` as a tuple, once they are checked to be firm-disjoint."""
     cycles = tuple(cycles)
     seen: set[str] = set()
     for rot in cycles:
@@ -287,8 +260,14 @@ def apply_cycle_set(market: Market, mu: Matching,
         if overlap:
             raise AssertionError(f"overlapping rotations at {sorted(overlap)}")
         seen.update(rot.firms)
+    return cycles
+
+
+def apply_cycle_set(market: Market, mu: Matching,
+                    cycles: Iterable[Rotation]) -> Matching:
+    """Apply a set of rotations; they are disjoint, so the order is irrelevant."""
     result = mu
-    for rot in cycles:
+    for rot in _disjoint(cycles):
         result = apply_cycle(market, result, rot)
     return result
 
@@ -297,16 +276,17 @@ def connected_set(market: Market, mu: Matching,
                   kprime: Sequence[Rotation]) -> set[Matching]:
     """All matchings reachable from mu by applying a subset of ``kprime``;
     ``CapExceededError``, before any rotation is applied, when the 2^k
-    subsets exceed ``DEFAULT_ENUMERATION_CAP``."""
-    kprime = tuple(kprime)
+    subsets exceed ``DEFAULT_ENUMERATION_CAP``.  The members double with
+    each rotation, one ``apply_cycle`` per new member."""
+    kprime = _disjoint(kprime)
     if 2 ** len(kprime) > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(f"2^{len(kprime)} connected matchings exceed "
                                f"the cap of {DEFAULT_ENUMERATION_CAP}")
-    out: set[Matching] = set()
-    for size in range(len(kprime) + 1):
-        for subset in combinations(kprime, size):
-            out.add(apply_cycle_set(market, mu, subset))
-    if len(out) != 2 ** len(kprime):
+    members = [mu]
+    for rot in kprime:
+        members += [apply_cycle(market, nu, rot) for nu in members]
+    out = set(members)
+    if len(out) != len(members):
         raise AssertionError("distinct subsets give distinct matchings")
     return out
 
@@ -316,28 +296,24 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
 
     ``nu`` is mu with ``sigma`` applied, where mu is individually rational
     and every pair blocking mu has its firm on the cycle; a stable mu, as in
-    the enumeration, qualifies.
+    the enumeration, qualifies.  Precondition: every cycle worker's new pair
+    is mutually acceptable and the worker strictly prefers its new firm to
+    its old one; the chain of ``enumerate_stable_via_rotations`` checks this
+    for each rotation it finds, so the search passes no other rotation here.
 
-    When every cycle worker's new pair is mutually acceptable and the worker
-    strictly prefers its new firm to its old one, nu is individually
-    rational: ``apply_cycle`` keeps every quota, the new pairs are
-    acceptable and every other pair is one of mu's.  A pair (f, w) with f
-    off the cycle cannot block nu either: f's staff, and so its vacancy and
-    its worst staff member, are those of mu, and w's employer is mu's or one
-    w strictly prefers, so the pair would block mu.  (Were w employed by f
-    in mu and not in nu, w would be a cycle worker and f a cycle firm.)
-    What is left is exactly the test of ``blocking_pairs`` restricted to the
-    cycle's firms: each scans every acceptable worker when it has a vacancy,
-    otherwise the workers it ranks above its worst staff member, and (f, w)
-    blocks when w is unmatched or prefers f to its employer.  A step whose
-    workers do not all improve falls back to the full ``is_stable``.
+    Then nu is individually rational: ``apply_cycle`` keeps every quota, the
+    new pairs are acceptable and every other pair is one of mu's.  A pair
+    (f, w) with f off the cycle cannot block nu either: f's staff, and so
+    its vacancy and its worst staff member, are those of mu, and w's
+    employer is mu's or one w strictly prefers, so the pair would block mu.
+    (Were w employed by f in mu and not in nu, w would be a cycle worker and
+    f a cycle firm.)  What is left is exactly the test of ``blocking_pairs``
+    restricted to the cycle's firms: each scans every acceptable worker when
+    it has a vacancy, otherwise the workers it ranks above its worst staff
+    member, and (f, w) blocks when w is unmatched or prefers f to its
+    employer.
     """
     wrank = market._wrank
-    r = len(sigma.firms)
-    for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
-        old = sigma.firms[(d + 1) % r]
-        if not market.acceptable(f, w) or wrank[w][f] >= wrank[w][old]:
-            return is_stable(market, nu)
     employer = nu.employer
     for f in sigma.firms:
         staff = nu.matched(f)
@@ -363,8 +339,9 @@ def enumerate_stable_via_rotations(
     rotation lies on every maximal chain of the stable lattice (Gusfield &
     Irving, 1989; the many-to-one case follows by cloning each firm into
     quota-many copies), so this one chain of at most |R| + 1 reductions
-    finds the whole rotation set R.  The chain must end at the
-    worker-optimal matching, and no rotation may be found twice.
+    finds the whole rotation set R.  Each rotation must meet the precondition
+    of ``_stable_step``, the chain must end at the worker-optimal matching,
+    and no rotation may be found twice.
 
     Search phase: the chain's order r_1, ..., r_n is a linear extension of
     the rotation poset, since a rotation is exposed only after all of its
@@ -382,12 +359,20 @@ def enumerate_stable_via_rotations(
     firm-optimal one included, are listed.
     """
     start = deferred_acceptance(market, Side.FIRMS)
+    wrank = market._wrank
     rotations: list[Rotation] = []
     mu = start
     while True:
         exposed = find_cycles(reduce_profile(market, mu))
         if not exposed:
             break
+        for sigma in exposed:
+            for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
+                old = sigma.firms[(d + 1) % len(sigma.firms)]
+                if not (market.acceptable(f, w) and market.acceptable(old, w)
+                        and wrank[w][f] < wrank[w][old]):
+                    raise AssertionError(
+                        f"cycle worker {w} must move up from {old} to {f}")
         rotations.extend(exposed)
         mu = apply_cycle_set(market, mu, exposed)
     if mu != deferred_acceptance(market, Side.WORKERS):

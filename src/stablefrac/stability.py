@@ -36,66 +36,51 @@ class BlockingPair:
 
 
 def deferred_acceptance(market: Market, side: Side) -> Matching:
-    """Deferred acceptance with quotas.
+    """Deferred acceptance with quotas, ``side`` proposing through ``_propose``.
 
     ``Side.FIRMS`` returns the firm-optimal stable matching, ``Side.WORKERS``
     the worker-optimal one.  With strict preferences the outcome does not
     depend on the proposal order; declaration order is used.
     """
+    one = dict.fromkeys(market.workers, 1)
     if side is Side.FIRMS:
-        return _da_firms(market)
-    if side is Side.WORKERS:
-        return _da_workers(market)
-    raise ValueError(f"unknown side: {side!r}")
+        staff, _ = _propose(market._firm_acc, market.quota, one, market._wrank)
+    elif side is Side.WORKERS:
+        _, staff = _propose(market._worker_acc, one, market.quota, market._frank)
+    else:
+        raise ValueError(f"unknown side: {side!r}")
+    return Matching.build(market, staff)
 
 
-def _da_firms(market: Market) -> Matching:
-    held: dict[str, str] = {}                     # worker -> firm holding the offer
-    count = {f: 0 for f in market.firms}
-    nxt = {f: 0 for f in market.firms}
-    queue = deque(market.firms)
+def _propose(lists: dict[str, tuple[str, ...]], room: dict[str, int],
+             capacity: dict[str, int], rank: dict[str, dict[str, int]]
+             ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The offers held once every proposer p has worked down ``lists[p]``
+    until it holds ``room[p]`` of them or its list ends, as proposer ->
+    receivers and receiver -> proposers.  A receiver r full at
+    ``capacity[r]`` trades its worst offer by ``rank[r]`` for a better one,
+    and that offer's proposer goes back into the queue."""
+    taken: dict[str, list[str]] = {p: [] for p in lists}
+    held: dict[str, list[str]] = {r: [] for r in capacity}
+    nxt = dict.fromkeys(lists, 0)
+    queue = deque(lists)
     while queue:
-        f = queue.popleft()
-        acc = market.acceptable_to_firm(f)
-        while count[f] < market.quota[f] and nxt[f] < len(acc):
-            w = acc[nxt[f]]
-            nxt[f] += 1
-            g = held.get(w)
-            if g is None:
-                held[w] = f
-                count[f] += 1
-            elif market.worker_rank(w, f) < market.worker_rank(w, g):
-                held[w] = f
-                count[f] += 1
-                count[g] -= 1
-                queue.append(g)
-    mapping: dict[str, list[str]] = {f: [] for f in market.firms}
-    for w, f in held.items():
-        mapping[f].append(w)
-    return Matching.build(market, mapping)
-
-
-def _da_workers(market: Market) -> Matching:
-    held: dict[str, list[str]] = {f: [] for f in market.firms}
-    nxt = {w: 0 for w in market.workers}
-    queue = deque(market.workers)
-    while queue:
-        w = queue.popleft()
-        acc = market.acceptable_to_worker(w)
-        while nxt[w] < len(acc):
-            f = acc[nxt[w]]
-            nxt[w] += 1
-            lst = held[f]
-            if len(lst) < market.quota[f]:
-                lst.append(w)
-                break
-            worst = max(lst, key=lambda v: market.firm_rank(f, v))
-            if market.firm_rank(f, w) < market.firm_rank(f, worst):
-                lst.remove(worst)
-                lst.append(w)
+        p = queue.popleft()
+        acc, mine = lists[p], taken[p]
+        while len(mine) < room[p] and nxt[p] < len(acc):
+            r = acc[nxt[p]]
+            nxt[p] += 1
+            offers, rk = held[r], rank[r]
+            if len(offers) == capacity[r]:
+                worst = max(offers, key=rk.__getitem__)
+                if rk[p] > rk[worst]:
+                    continue
+                offers.remove(worst)
+                taken[worst].remove(r)
                 queue.append(worst)
-                break
-    return Matching.build(market, held)
+            offers.append(p)
+            mine.append(r)
+    return taken, held
 
 
 def is_individually_rational(market: Market, mu: Matching) -> bool:

@@ -1,5 +1,5 @@
 """Reference oracles that the library's faster code is compared against,
-and the random markets several test modules share.
+the matrix text writer, and the random markets several test modules share.
 
 Not a test module: ``test_*.py`` files and ``sweep_oracles.py`` import it.
 """
@@ -150,6 +150,14 @@ def rural_hospital(market, matchings):
     return len(employed) <= 1 and all(
         len({mu.matched(f) for mu in ms}) == 1 for f in market.firms
         if any(len(mu.matched(f)) < market.quota[f] for mu in ms))
+
+
+# --- text form of a fractional matching -----------------------------------
+
+def serialize_fractional(market: Market, x: FractionalMatching) -> str:
+    """The matrix text that ``parse_fractional`` reads: one firm per line."""
+    return "\n".join(
+        " ".join(str(v) for v in row) for row in x.entries) + "\n"
 
 
 # --- shared random markets -------------------------------------------------

@@ -4,11 +4,15 @@ Compares ``enumerate_stable_bruteforce`` (the pruned search), the exhaustive
 scan in ``oracles.reference_enumerate_stable`` and
 ``enumerate_stable_via_rotations`` on ``gen_random_market`` instances: 9
 sizes, seeds 0-449, densities 1.0 and 0.7, 8100 instances in all.  On every
-instance with several stable matchings it also runs ``interior_walk`` and
-then ``vertex_walk`` from a random mix of the stable matchings, once in
-integers and once with the ``Fraction`` references, from the same seed, and
-compares the start, endpoint, trace and next rng draw.  Prints the counts
-and exits 1 on any disagreement.  Not collected by pytest; run from the
+instance it also checks ``deferred_acceptance`` from both sides: the firms'
+run must give the reference set's firm-best member, the one in the set that
+``oracles.dominates`` every member for the firms, and the workers' run its
+worker-best member, the same for the workers.  On every instance with
+several stable matchings it also runs ``interior_walk`` and then
+``vertex_walk`` from a random mix of the stable matchings, once in integers
+and once with the ``Fraction`` references, from the same seed, and compares
+the start, endpoint, trace and next rng draw.  Prints the counts and exits 1
+on any disagreement.  Not collected by pytest; run from the
 repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
@@ -22,8 +26,8 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (reference_enumerate_stable, reference_interior_walk,
-                     reference_vertex_walk, walk_pair)
+from oracles import (dominates, reference_enumerate_stable,
+                     reference_interior_walk, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 
@@ -49,6 +53,13 @@ def main(argv=None) -> int:
                 for name, stable in found.items():
                     if stable != reference:
                         disagreements.append((name, nf, nw, qmax, seed, density))
+                for side, agents in ((sf.Side.FIRMS, m.firms),
+                                     (sf.Side.WORKERS, m.workers)):
+                    best = sf.deferred_acceptance(m, side)
+                    if best not in reference or not all(
+                            dominates(m, best, mu, agents) for mu in reference):
+                        disagreements.append((f"deferred acceptance ({side.value})",
+                                              nf, nw, qmax, seed, density))
                 instances += 1
                 if len(reference) > 1:
                     multi += 1

@@ -113,7 +113,7 @@ def test_criterion_7_rotation_properties(fleet, fleet_stable, twin_cycle_market)
         commutation_checked = 0
         for m, stable in zip(fleet, fleet_stable):
             for mu in stable:
-                rotations = tuple(sf.find_cycles(sf.reduce_profile(m, mu)))
+                rotations = sf.find_cycles(sf.reduce_profile(m, mu))
                 seen = set()
                 for rot in rotations:
                     assert seen.isdisjoint(rot.firms)
@@ -130,7 +130,7 @@ def test_criterion_7_rotation_properties(fleet, fleet_stable, twin_cycle_market)
                     commutation_checked += 1
         m = twin_cycle_market
         mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
-        rotations = tuple(sf.find_cycles(sf.reduce_profile(m, mu)))
+        rotations = sf.find_cycles(sf.reduce_profile(m, mu))
         assert len(rotations) == 2
         a = sf.apply_cycle(m, sf.apply_cycle(m, mu, rotations[0]), rotations[1])
         b = sf.apply_cycle(m, sf.apply_cycle(m, mu, rotations[1]), rotations[0])

@@ -32,7 +32,7 @@ def _cube_against_subset_search(market, stable, points, max_rotations):
     for mu in stable:
         rotations = sf.find_cycles(sf.reduce_profile(market, mu))
         if len(rotations) <= max_rotations:
-            members = sorted(sf.connected_set(market, mu, tuple(rotations)),
+            members = sorted(sf.connected_set(market, mu, rotations),
                              key=lambda m: m.assignment)
             cubes.append((mu, rotations, [
                 sf.incidence_vector(market, m).flatten(market) for m in members]))

@@ -189,7 +189,7 @@ def test_integer_evaluation_with_coprime_denominators(block_market):
     kinds, largest = [], 1
     for mu in stable:
         rotations = sf.find_cycles(sf.reduce_profile(m, mu))
-        x = prime_mix(sorted(sf.connected_set(m, mu, tuple(rotations)),
+        x = prime_mix(sorted(sf.connected_set(m, mu, rotations),
                              key=lambda nu: nu.assignment))
         largest = max(largest, lcm(*(v.denominator for row in x.entries for v in row)))
         kinds += [assert_matches_reference(m, x),

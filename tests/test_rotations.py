@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -92,7 +93,7 @@ def test_apply_cycle_set_empty_is_identity(market, mu_f):
 
 def test_apply_cycle_set_single(market, mu_f, mu_w):
     rotations = sf.find_cycles(sf.reduce_profile(market, mu_f))
-    assert sf.apply_cycle_set(market, mu_f, tuple(rotations)) == mu_w
+    assert sf.apply_cycle_set(market, mu_f, rotations) == mu_w
 
 
 def test_twin_cycles_commute(twin_cycle_market):
@@ -104,7 +105,7 @@ def test_twin_cycles_commute(twin_cycle_market):
     assert set(first.firms).isdisjoint(second.firms)
     via_first = sf.apply_cycle(m, mu, first)
     # the other cycle survives the move and the two orders agree
-    assert second in tuple(sf.find_cycles(sf.reduce_profile(m, via_first)))
+    assert second in sf.find_cycles(sf.reduce_profile(m, via_first))
     one_way = sf.apply_cycle(m, via_first, second)
     other_way = sf.apply_cycle(m, sf.apply_cycle(m, mu, second), first)
     assert one_way == other_way == sf.apply_cycle_set(m, mu, rotations)
@@ -114,7 +115,7 @@ def test_twin_cycle_connected_set(twin_cycle_market):
     m = twin_cycle_market
     mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
     rotations = sf.find_cycles(sf.reduce_profile(m, mu))
-    members = sf.connected_set(m, mu, tuple(rotations))
+    members = sf.connected_set(m, mu, rotations)
     assert len(members) == 4
     assert mu in members
     for nu in members:
@@ -125,13 +126,13 @@ def test_twin_cycle_connected_set(twin_cycle_market):
 
 def test_connected_set_of_example(market, mu_f, mu_w):
     rotations = sf.find_cycles(sf.reduce_profile(market, mu_f))
-    assert sf.connected_set(market, mu_f, tuple(rotations)) == {mu_f, mu_w}
+    assert sf.connected_set(market, mu_f, rotations) == {mu_f, mu_w}
     assert sf.connected_set(market, mu_f, ()) == {mu_f}
 
 
 def test_connected_set_cap(block_market, monkeypatch):
     mu = sf.deferred_acceptance(block_market, sf.Side.FIRMS)
-    rotations = tuple(sf.find_cycles(sf.reduce_profile(block_market, mu)))
+    rotations = sf.find_cycles(sf.reduce_profile(block_market, mu))
     monkeypatch.setattr(sf.rotations, "DEFAULT_ENUMERATION_CAP", 16)
     assert len(sf.connected_set(block_market, mu, rotations)) == 16
     monkeypatch.setattr(sf.rotations, "DEFAULT_ENUMERATION_CAP", 15)
@@ -142,6 +143,25 @@ def test_connected_set_cap(block_market, monkeypatch):
     monkeypatch.setattr(sf.rotations, "apply_cycle", refuse)
     with pytest.raises(sf.CapExceededError):
         sf.connected_set(block_market, mu, rotations)
+
+
+def test_connected_set_of_six_rotations(cyclic_blocks, monkeypatch):
+    m = cyclic_blocks([2] * 6)
+    mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    rotations = sf.find_cycles(sf.reduce_profile(m, mu))
+    assert len(rotations) == 6
+    by_subset = {sf.apply_cycle_set(m, mu, subset)
+                 for size in range(7) for subset in combinations(rotations, size)}
+    assert len(by_subset) == 64
+    assert sf.connected_set(m, mu, rotations) == by_subset
+
+    applied = []
+    monkeypatch.setattr(sf.rotations, "apply_cycle",
+                        lambda *args: applied.append(args))
+    sigma = rotations[0]
+    with pytest.raises(AssertionError, match="overlapping rotations"):
+        sf.connected_set(m, mu, (sigma, sigma))
+    assert applied == []
 
 
 def test_rotation_enumeration_on_example(market, mu_f, mu_w):
@@ -392,7 +412,7 @@ real_apply_cycle = sf.rotations.apply_cycle
 mu_w = sf.deferred_acceptance(m, sf.Side.WORKERS)
 
 # no rotation is ever exposed: the chain stops at the firm-optimal matching
-sf.rotations.find_cycles = lambda profile: sf.RotationSet(())
+sf.rotations.find_cycles = lambda profile: ()
 try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
@@ -401,7 +421,7 @@ except AssertionError as exc:
 # the one rotation is reported twice on a chain that still ends at mu_w
 mu_f = sf.deferred_acceptance(m, sf.Side.FIRMS)
 sigma = real_find_cycles(sf.reduce_profile(m, mu_f))[0]
-answers = [sf.RotationSet((sigma,)), sf.RotationSet((sigma,)), sf.RotationSet(())]
+answers = [(sigma,), (sigma,), ()]
 sf.rotations.find_cycles = lambda profile: answers.pop(0)
 sf.rotations.apply_cycle_set = lambda market, mu, cycles: mu_w
 try:
@@ -423,6 +443,14 @@ try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
+
+# a rotation that fits mu_f but moves w3 down from f2, its first choice, to f1
+sf.rotations.apply_cycle = real_apply_cycle
+sf.rotations.find_cycles = lambda profile: (sf.Rotation(("f1", "f2"), ("w3", "w1")),)
+try:
+    sf.enumerate_stable_via_rotations(m)
+except AssertionError as exc:
+    print("raised:", exc)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
                          capture_output=True, text=True, timeout=60)
@@ -431,6 +459,7 @@ except AssertionError as exc:
         "raised: the rotation chain must end at the worker-optimal matching",
         "raised: a rotation was found twice on the chain",
         "raised: a stable matching was generated twice",
+        "raised: cycle worker w3 must move up from f2 to f1",
     ]
 
 
@@ -483,22 +512,10 @@ def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
     assert verdicts.count(False) >= 5
 
 
-# Hand-made steps the enumeration never takes.  In the first, w1 and w2 both
-# move to firms they like less, and nu is blocked only off the cycle, by
-# (f3, w1).  In the second, mu leaves f1 below quota and blocked at f1 only;
-# the workers improve, and nu is blocked only through f1's vacancy, by w3.
+# A hand-made step the enumeration never takes: mu leaves f1 below quota
+# and blocked at f1 only; the workers improve, and nu is blocked only
+# through f1's vacancy, by w3.
 HAND_MADE_STEPS = {
-    "worker-gets-worse": ("""
-firms: f1 f2 f3
-workers: w1 w2 w3
-quota: f1=1 f2=1 f3=1
-firm f1: w2 w1
-firm f2: w1 w2
-firm f3: w1 w3
-worker w1: f1 f3 f2
-worker w2: f2 f1
-worker w3: f3
-""", {"f1": ["w1"], "f2": ["w2"], "f3": ["w3"]}, True),
     "vacancy-on-the-cycle": ("""
 firms: f1 f2
 workers: w1 w2 w3
@@ -508,17 +525,16 @@ firm f2: w1 w2
 worker w1: f1 f2
 worker w2: f2 f1
 worker w3: f1
-""", {"f1": ["w2"], "f2": ["w1"]}, False),
+""", {"f1": ["w2"], "f2": ["w1"]}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HAND_MADE_STEPS))
 def test_stable_step_on_hand_made_steps(monkeypatch, name):
-    text, rows, falls_back = HAND_MADE_STEPS[name]
+    text, rows = HAND_MADE_STEPS[name]
     m = sf.parse_market(text)
     mu = sf.Matching.build(m, rows)
-    sigma = sf.Rotation(("f1", "f2"), ("w2", "w1") if falls_back
-                        else ("w1", "w2"))
+    sigma = sf.Rotation(("f1", "f2"), ("w1", "w2"))
     nu = sf.apply_cycle(m, mu, sigma)
     full_checks = []
     is_stable = sf.rotations.is_stable
@@ -529,5 +545,5 @@ def test_stable_step_on_hand_made_steps(monkeypatch, name):
 
     monkeypatch.setattr(sf.rotations, "is_stable", counted)
     assert sf.rotations._stable_step(m, nu, sigma) is False
-    assert full_checks == ([nu] if falls_back else [])
+    assert full_checks == []
     assert not sf.is_stable(m, nu)

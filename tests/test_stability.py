@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import dominates, reference_enumerate_stable, rural_hospital
+from oracles import (RANDOM_SIZES, dominates, random_markets,
+                     reference_enumerate_stable, rural_hospital)
 from stablefrac.cli import main
 from stablefrac.stability import BLOCK_SWAP, BLOCK_VACANCY, BlockingPair
 
@@ -186,8 +187,11 @@ def test_bruteforce_search_is_not_recursive(tmp_path, capsys):
     assert '"count": 1' in capsys.readouterr().out
 
 
-def test_da_is_optimal_for_its_side(fleet, fleet_stable):
-    for m, stable in zip(fleet, fleet_stable):
+def test_da_is_optimal_for_its_side(fleet, fleet_stable, cyclic_blocks):
+    markets = random_markets(*RANDOM_SIZES[0]) + [cyclic_blocks([2, 3, 3])]
+    stable_sets = [sf.enumerate_stable_bruteforce(m) for m in markets]
+    assert len(stable_sets[-1]) == 18
+    for m, stable in zip(fleet + markets, fleet_stable + stable_sets):
         top = sf.deferred_acceptance(m, sf.Side.FIRMS)
         bottom = sf.deferred_acceptance(m, sf.Side.WORKERS)
         assert top in stable and bottom in stable

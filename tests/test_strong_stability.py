@@ -291,7 +291,7 @@ m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
 x = sf.parse_fractional(m, open({str(DATA / "mid.frac")!r}).read())
 # with no rotations the base's cube is the base alone, so the second term
 # of the midpoint's decomposition is no vertex of it
-sf.hulls.find_cycles = lambda profile: sf.RotationSet(())
+sf.hulls.find_cycles = lambda profile: ()
 sf.certify_strongly_stable(m, x)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
