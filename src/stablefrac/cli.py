@@ -112,20 +112,17 @@ def _dumps(report) -> str:
     """Exactly ``json.dumps(report, indent=2, sort_keys=True)``, faster.
 
     Reports are built from dicts with string keys, lists, tuples, strings,
-    ints, booleans and None; any other type raises ``TypeError``.  The
-    fragment of a list or tuple of strings depends only on its values and
-    its depth, and matching rows repeat across the thousands of matchings
-    of a large report, so each such fragment is encoded once per call.
+    ints, booleans and None; any other type raises ``TypeError``.
 
-    A whole dict entry ``"key": [...]`` whose value is a tuple is cached
-    too, keyed by ``(key, value, depth)``, so a repeated matching row costs
-    one lookup.  An entry is stored only once the string path encoded its
+    Matching rows repeat across the thousands of matchings of a large
+    report, so a whole dict entry ``"key": [...]`` whose value is a tuple is
+    cached, keyed by ``(key, value, depth)``: a repeated row costs one
+    lookup.  An entry is stored only once the string path encoded its
     value, which makes every stored value a tuple of strings: ``(1,)`` and
     ``(True,)``, equal as keys, are never stored, and a tuple with
     unhashable members, which raises ``TypeError`` at lookup, is encoded
     the long way.
     """
-    fragments: dict[tuple, str] = {}
     entries: dict[tuple, str] = {}
 
     def block(opening: str, parts: Iterable[str], closing: str,
@@ -139,12 +136,7 @@ def _dumps(report) -> str:
         for item in value:
             if not isinstance(item, str):
                 return None
-        key = (tuple(value), depth)
-        fragment = fragments.get(key)
-        if fragment is None:
-            fragment = fragments[key] = block(
-                "[", map(encode_basestring_ascii, value), "]", depth)
-        return fragment
+        return block("[", map(encode_basestring_ascii, value), "]", depth)
 
     def string_entry(key: str, item: tuple, depth: int) -> str | None:
         """``"key": item`` in a dict at ``depth`` if ``item`` is a nonempty

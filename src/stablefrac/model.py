@@ -19,6 +19,7 @@ Rational = Fraction
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_INTEGER_RE = re.compile(r"^-?[0-9]+$")
 _ZERO = Fraction(0)     # the token "0", by far the most common matrix entry
 
 
@@ -129,37 +130,29 @@ class Market:
         self._build_caches()
 
     def _validate(self):
-        if len(set(self.firms)) != len(self.firms):
-            raise ValueError("duplicate firm ids")
-        if len(set(self.workers)) != len(self.workers):
-            raise ValueError("duplicate worker ids")
+        for side, ids in (("firm", self.firms), ("worker", self.workers)):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"duplicate {side} ids")
         overlap = set(self.firms) & set(self.workers)
         if overlap:
             raise ValueError(f"ids used on both sides: {sorted(overlap)}")
-        firm_set, worker_set = set(self.firms), set(self.workers)
-        if set(self.quota) != firm_set:
+        if set(self.quota) != set(self.firms):
             raise ValueError("quota must cover exactly the declared firms")
         for f, q in self.quota.items():
             if not isinstance(q, int) or q < 1:
                 raise ValueError(f"quota of {f} must be a positive integer")
-        for f in self.firms:
-            lst = self.firm_pref.get(f, ())
-            if len(set(lst)) != len(lst):
-                raise ValueError(f"duplicate entries in preference list of {f}")
-            unknown = set(lst) - worker_set
-            if unknown:
-                raise ValueError(f"{f} lists undeclared workers: {sorted(unknown)}")
-        for w in self.workers:
-            lst = self.worker_pref.get(w, ())
-            if len(set(lst)) != len(lst):
-                raise ValueError(f"duplicate entries in preference list of {w}")
-            unknown = set(lst) - firm_set
-            if unknown:
-                raise ValueError(f"{w} lists undeclared firms: {sorted(unknown)}")
-        object.__setattr__(
-            self, "firm_pref", {f: self.firm_pref.get(f, ()) for f in self.firms})
-        object.__setattr__(
-            self, "worker_pref", {w: self.worker_pref.get(w, ()) for w in self.workers})
+        for attr, ids, other, other_ids in (
+                ("firm_pref", self.firms, "worker", self.workers),
+                ("worker_pref", self.workers, "firm", self.firms)):
+            prefs, known = getattr(self, attr), set(other_ids)
+            for a in ids:
+                lst = prefs.get(a, ())
+                if len(set(lst)) != len(lst):
+                    raise ValueError(f"duplicate entries in preference list of {a}")
+                unknown = set(lst) - known
+                if unknown:
+                    raise ValueError(f"{a} lists undeclared {other}s: {sorted(unknown)}")
+            object.__setattr__(self, attr, {a: prefs.get(a, ()) for a in ids})
 
     def _build_caches(self):
         findex = {f: i for i, f in enumerate(self.firms)}
@@ -393,32 +386,23 @@ def matching_from_matrix(market: Market, x: FractionalMatching) -> Matching:
 def _prune_mutual(firm_pref: dict[str, tuple[str, ...]],
                   worker_pref: dict[str, tuple[str, ...]],
                   warn: bool) -> tuple[dict, dict]:
-    """Drop one-sided preference entries from both sides."""
-    fset = {f: set(ws) for f, ws in firm_pref.items()}
-    wset = {w: set(fs) for w, fs in worker_pref.items()}
-    new_f = {}
-    for f, ws in firm_pref.items():
-        kept = tuple(w for w in ws if f in wset.get(w, ()))
-        if warn:
-            for w in ws:
-                if f not in wset.get(w, ()):
-                    warnings.warn(
-                        f"dropping one-sided pair: firm {f} lists {w} "
-                        f"but {w} does not list {f}",
-                        OneSidedPreferenceWarning, stacklevel=3)
-        new_f[f] = kept
-    new_w = {}
-    for w, fs in worker_pref.items():
-        kept = tuple(f for f in fs if w in fset.get(f, ()))
-        if warn:
-            for f in fs:
-                if w not in fset.get(f, ()):
-                    warnings.warn(
-                        f"dropping one-sided pair: worker {w} lists {f} "
-                        f"but {f} does not list {w}",
-                        OneSidedPreferenceWarning, stacklevel=3)
-        new_w[w] = kept
-    return new_f, new_w
+    """Drop one-sided preference entries from both sides, the firms' first;
+    with ``warn``, each dropped entry warns at the caller's caller."""
+    def mutual(side: str, prefs: dict, back: dict) -> dict:
+        listed = {b: set(lst) for b, lst in back.items()}
+        out = {}
+        for a, lst in prefs.items():
+            out[a] = tuple(b for b in lst if a in listed.get(b, ()))
+            if warn:
+                for b in lst:
+                    if a not in listed.get(b, ()):
+                        warnings.warn(
+                            f"dropping one-sided pair: {side} {a} lists {b} "
+                            f"but {b} does not list {a}",
+                            OneSidedPreferenceWarning, stacklevel=4)
+        return out
+    return (mutual("firm", firm_pref, worker_pref),
+            mutual("worker", worker_pref, firm_pref))
 
 
 def _parse_ids(text: str, lineno: int) -> tuple[str, ...]:
@@ -446,81 +430,74 @@ def parse_market(text: str) -> Market:
     whose counterpart does not list the agent back are dropped with a
     OneSidedPreferenceWarning.
     """
-    firms: tuple[str, ...] | None = None
-    workers: tuple[str, ...] | None = None
+    ids: dict[str, tuple[str, ...]] = {}         # side -> declared ids
     quota: dict[str, tuple[int, int]] = {}        # name -> (value, line)
-    fpref: dict[str, tuple[tuple[str, ...], int]] = {}
-    wpref: dict[str, tuple[tuple[str, ...], int]] = {}
+    # side -> name -> (list, line)
+    prefs: dict[str, dict[str, tuple[tuple[str, ...], int]]] = {
+        "firm": {}, "worker": {}}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("firms:"):
-            if firms is not None:
-                raise ParseError("repeated firms: line", lineno)
-            firms = _parse_ids(line[len("firms:"):], lineno)
-        elif line.startswith("workers:"):
-            if workers is not None:
-                raise ParseError("repeated workers: line", lineno)
-            workers = _parse_ids(line[len("workers:"):], lineno)
-        elif line.startswith("quota:"):
+        if line.startswith("quota:"):
             for token in line[len("quota:"):].split():
                 name, sep, val = token.partition("=")
                 if not sep:
                     raise ParseError(f"bad quota token {token!r}", lineno)
-                try:
-                    q = int(val)
-                except ValueError:
-                    raise ParseError(f"bad quota value {val!r}", lineno) from None
+                # ASCII digits only: int() would also take "+2", "1_0" and
+                # non-ASCII digits
+                if not _INTEGER_RE.match(val):
+                    raise ParseError(f"bad quota value {val!r}", lineno)
+                q = int(val)
                 if q < 1:
                     raise ParseError(f"quota of {name} must be at least 1", lineno)
                 if name in quota:
                     raise ParseError(f"repeated quota for {name}", lineno)
                 quota[name] = (q, lineno)
-        elif line.startswith("firm "):
-            head, sep, rest = line.partition(":")
+            continue
+        side = "firm" if line.startswith("firm") else \
+            "worker" if line.startswith("worker") else ""
+        tail = line[len(side):] if side else ""
+        if tail.startswith("s:"):
+            if side in ids:
+                raise ParseError(f"repeated {side}s: line", lineno)
+            ids[side] = _parse_ids(tail[2:], lineno)
+        elif tail.startswith(" "):
+            head, sep, rest = tail.partition(":")
             if not sep:
-                raise ParseError("missing ':' in firm line", lineno)
-            name = head[len("firm "):].strip()
-            if name in fpref:
-                raise ParseError(f"repeated preference line for firm {name}", lineno)
-            fpref[name] = (_parse_ids(rest, lineno), lineno)
-        elif line.startswith("worker "):
-            head, sep, rest = line.partition(":")
-            if not sep:
-                raise ParseError("missing ':' in worker line", lineno)
-            name = head[len("worker "):].strip()
-            if name in wpref:
-                raise ParseError(f"repeated preference line for worker {name}", lineno)
-            wpref[name] = (_parse_ids(rest, lineno), lineno)
+                raise ParseError(f"missing ':' in {side} line", lineno)
+            name = head.strip()
+            if name in prefs[side]:
+                raise ParseError(
+                    f"repeated preference line for {side} {name}", lineno)
+            prefs[side][name] = (_parse_ids(rest, lineno), lineno)
         else:
             raise ParseError(f"unrecognized line {line!r}", lineno)
 
-    if firms is None:
-        raise ParseError("missing firms: line")
-    if workers is None:
-        raise ParseError("missing workers: line")
-    firm_set, worker_set = set(firms), set(workers)
+    for side in prefs:
+        if side not in ids:
+            raise ParseError(f"missing {side}s: line")
+    firms, workers = ids["firm"], ids["worker"]
+    declared = {side: set(ids[side]) for side in prefs}
     for name, (_, lineno) in quota.items():
-        if name not in firm_set:
+        if name not in declared["firm"]:
             raise ParseError(f"quota for undeclared firm {name}", lineno)
-    for name, (ws, lineno) in fpref.items():
-        if name not in firm_set:
-            raise ParseError(f"preference line for undeclared firm {name}", lineno)
-        for w in ws:
-            if w not in worker_set:
-                raise ParseError(f"firm {name} lists undeclared worker {w}", lineno)
-    for name, (fs, lineno) in wpref.items():
-        if name not in worker_set:
-            raise ParseError(f"preference line for undeclared worker {name}", lineno)
-        for f in fs:
-            if f not in firm_set:
-                raise ParseError(f"worker {name} lists undeclared firm {f}", lineno)
+    for side, other in (("firm", "worker"), ("worker", "firm")):
+        known = declared[other]
+        for name, (lst, lineno) in prefs[side].items():
+            if name not in declared[side]:
+                raise ParseError(
+                    f"preference line for undeclared {side} {name}", lineno)
+            for b in lst:
+                if b not in known:
+                    raise ParseError(
+                        f"{side} {name} lists undeclared {other} {b}", lineno)
 
-    firm_lists = {f: fpref.get(f, ((), 0))[0] for f in firms}
-    worker_lists = {w: wpref.get(w, ((), 0))[0] for w in workers}
-    firm_lists, worker_lists = _prune_mutual(firm_lists, worker_lists, warn=True)
+    lists = {side: {a: prefs[side].get(a, ((), 0))[0] for a in ids[side]}
+             for side in prefs}
+    firm_lists, worker_lists = _prune_mutual(lists["firm"], lists["worker"],
+                                             warn=True)
     quotas = {f: quota.get(f, (1, 0))[0] for f in firms}
     try:
         return Market(firms, workers, quotas, firm_lists, worker_lists)

@@ -1,13 +1,13 @@
 """Preference-list reduction, rotations, and rotation-based enumeration.
 
-Given a stable matching, the three-step reduction truncates every list to
-the portion that can still matter for stable matchings the firms like weakly
-less: firms keep nothing above their best current partner, workers keep the
-span between their worker-optimal partner and their current one, and a final
-mutual-acceptability pass removes everything one sided.  Cycles of the
-"best worker outside my assignment" successor map in the reduced market are
-the rotations; applying one trades along the cycle and lands on another
-stable matching.
+Given a stable matching, the reduction truncates every list to the portion
+that can still matter for stable matchings the firms like weakly less:
+firms keep the span between their best current partner and their worst
+worker-optimal one, workers the span between their worker-optimal partner
+and their current one, and a pair stays only when both spans admit it.
+Cycles of the "best worker outside my assignment" successor map in the
+reduced market are the rotations; applying one trades along the cycle and
+lands on another stable matching.
 
 Enumeration finds the rotations once, on one chain from the firm-optimal to
 the worker-optimal matching.  The order in which the chain finds them is a
@@ -33,11 +33,11 @@ from .model import (
     Market,
     Matching,
     NotStableError,
-    _prune_mutual,
 )
 from .stability import (
     DEFAULT_ENUMERATION_CAP,
     Side,
+    _blocks,
     deferred_acceptance,
     is_stable,
 )
@@ -86,51 +86,38 @@ class Rotation:
 def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
     """Truncate all preference lists around a stable matching.
 
-    Step 1 removes from each firm's list every worker above its best current
-    partner, and from each worker's list every firm above its worker-optimal
-    partner.  Step 2 removes from each worker's list every firm below its
-    current partner, and from each firm's list every worker below its worst
-    worker-optimal partner.  Step 3 drops every entry the other side no
-    longer lists.  Unmatched agents end with empty lists (they are unmatched
-    in every stable matching).
+    Each firm keeps the workers from its best current partner down to its
+    worst worker-optimal partner, and each worker the firms from its
+    worker-optimal partner down to its current one; an agent unmatched in
+    either matching keeps nothing (it is unmatched in every stable
+    matching).  A pair stays on both lists exactly when both spans admit
+    it, so the reduced lists are mutually acceptable by construction.
     """
     if not is_stable(market, mu):
         raise NotStableError("reduction requires a stable matching")
     mu_w = deferred_acceptance(market, Side.WORKERS)
+    frank, wrank = market._frank, market._wrank
 
-    firm_lists: dict[str, tuple[str, ...]] = {}
-    for f in market.firms:
-        mine = mu.matched(f)
-        bottom_set = mu_w.matched(f)
-        if not mine or not bottom_set:
-            # below-quota firms keep the same workers everywhere; an empty
-            # assignment therefore stays empty in the whole reduced market
-            firm_lists[f] = ()
-            continue
-        lo = min(market.firm_rank(f, w) for w in mine)
-        hi = max(market.firm_rank(f, w) for w in bottom_set)
-        firm_lists[f] = tuple(
-            w for w in market.acceptable_to_firm(f)
-            if lo <= market.firm_rank(f, w) <= hi)
+    def span(rank: dict[str, int], top: Iterable[str | None],
+             bottom: Iterable[str | None]) -> range:
+        """The ranks from the best of ``top`` to the worst of ``bottom``,
+        empty when either holds no partner."""
+        top = [rank[a] for a in top if a is not None]
+        bottom = [rank[a] for a in bottom if a is not None]
+        return range(min(top), max(bottom) + 1) if top and bottom else range(0)
 
-    worker_lists: dict[str, tuple[str, ...]] = {}
-    for w in market.workers:
-        current = mu.employer(w)
-        top = mu_w.employer(w)
-        if current is None or top is None:
-            worker_lists[w] = ()
-            continue
-        lo = market.worker_rank(w, top)
-        hi = market.worker_rank(w, current)
-        worker_lists[w] = tuple(
-            f for f in market.acceptable_to_worker(w)
-            if lo <= market.worker_rank(w, f) <= hi)
+    fspan = {f: span(frank[f], mu.matched(f), mu_w.matched(f))
+             for f in market.firms}
+    wspan = {w: span(wrank[w], [mu_w.employer(w)], [mu.employer(w)])
+             for w in market.workers}
 
-    # steps 1 and 2 decide each side's entry from that pair alone, so one
-    # pass against the lists from before it keeps exactly the pairs both
-    # sides kept: the result is mutually acceptable without iterating
-    firm_lists, worker_lists = _prune_mutual(firm_lists, worker_lists, warn=False)
+    def kept(f: str, w: str) -> bool:
+        return frank[f][w] in fspan[f] and wrank[w][f] in wspan[w]
 
+    firm_lists = {f: tuple(w for w in market.acceptable_to_firm(f) if kept(f, w))
+                  for f in market.firms}
+    worker_lists = {w: tuple(f for f in market.acceptable_to_worker(w)
+                             if kept(f, w)) for w in market.workers}
     reduced = Market(market.firms, market.workers, dict(market.quota),
                      firm_lists, worker_lists)
     if not is_stable(reduced, mu):
@@ -307,27 +294,10 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     its vacancy and its worst staff member, are those of mu, and w's
     employer is mu's or one w strictly prefers, so the pair would block mu.
     (Were w employed by f in mu and not in nu, w would be a cycle worker and
-    f a cycle firm.)  What is left is exactly the test of ``blocking_pairs``
-    restricted to the cycle's firms: each scans every acceptable worker when
-    it has a vacancy, otherwise the workers it ranks above its worst staff
-    member, and (f, w) blocks when w is unmatched or prefers f to its
-    employer.
+    f a cycle firm.)  What is left is exactly the scan of ``_blocks``
+    restricted to the cycle's firms.
     """
-    wrank = market._wrank
-    employer = nu.employer
-    for f in sigma.firms:
-        staff = nu.matched(f)
-        rank = market._frank[f]
-        # every listed worker ranks below len(rank): a vacancy scans them all
-        cut = len(rank) if len(staff) < market.quota[f] else \
-            max(map(rank.__getitem__, staff))
-        for w in market.acceptable_to_firm(f):
-            if rank[w] >= cut:
-                break
-            g = employer(w)
-            if g is None or wrank[w][f] < wrank[w][g]:
-                return False
-    return True
+    return next(_blocks(market, nu, sigma.firms), None) is None
 
 
 def enumerate_stable_via_rotations(

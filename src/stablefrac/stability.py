@@ -1,12 +1,18 @@
 """Classical stable-matching algorithms and the brute-force oracle.
 
+Every blocking test of the library runs through one scan, ``_blocks``:
+``blocking_pairs`` lists what it finds over all firms, ``is_stable`` stops
+at the first pair, and the rotation search asks about a cycle's firms only.
+
 The brute-force enumerator is the ground truth every structural result in
 this library is validated against; it is only meant for desk-scale markets.
 It searches the worker -> (firm | unmatched) maps depth first and cuts a
 subtree only when every map in it overfills a firm or holds a swap block
 between workers already placed (staff only grows down a branch, so such a
-block never goes away); every complete map gets the full stability check.
-It uses neither deferred acceptance nor rotations.
+block never goes away); every complete map gets the full stability check,
+its own leaf check rather than ``_blocks``, so that the oracle shares no
+code with what it validates.  It uses neither deferred acceptance nor
+rotations.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .model import CapExceededError, Market, Matching
 
@@ -94,35 +101,50 @@ def is_individually_rational(market: Market, mu: Matching) -> bool:
     return True
 
 
+def _blocks(market: Market, mu: Matching, firms: Iterable[str]):
+    """The pairs (f, w) blocking ``mu`` with f in ``firms``, f by f: a firm
+    with a vacancy scans every acceptable worker, a full one the workers it
+    ranks above its worst staff member, and (f, w) blocks when w is
+    unmatched or prefers f to its employer."""
+    wrank = market._wrank
+    employer = mu.employer
+    for f in firms:
+        staff = mu.matched(f)
+        rank = market._frank[f]
+        # every listed worker ranks below len(rank): a vacancy scans them all,
+        # and so does a full firm with a staff member it does not list
+        reason, cut = BLOCK_VACANCY, len(rank)
+        if len(staff) >= market.quota[f]:
+            reason = BLOCK_SWAP
+            try:
+                cut = max(map(rank.__getitem__, staff))
+            except KeyError:
+                pass
+        for w in market.acceptable_to_firm(f):
+            if rank[w] >= cut:
+                break
+            mine = wrank[w]     # no employer, or one w does not list, ranks last
+            if mine[f] < mine.get(employer(w), len(mine)):
+                yield BlockingPair(f, w, reason)
+
+
 def blocking_pairs(market: Market, mu: Matching) -> tuple[BlockingPair, ...]:
-    """All pairs that would rather be matched with each other.
+    """All pairs that would rather be matched with each other, in
+    ``market.pairs()`` order.
 
     A pair (f, w) not matched together blocks when w prefers f to its current
     employer (or is unmatched) and f either has a vacancy or employs somebody
-    it likes less than w.
+    it likes less than w.  A partner that an agent does not list ranks below
+    every one it lists.
     """
-    out = []
-    wrank = market._wrank
-    worst: dict[str, int | None] = {}   # worst staff rank; None: a vacancy
-    for f, w in market.pairs():
-        employer = mu.employer(w)
-        if employer == f:
-            continue
-        if employer is not None and wrank[w][f] >= wrank[w][employer]:
-            continue
-        if f not in worst:
-            staff = mu.matched(f)
-            worst[f] = None if len(staff) < market.quota[f] else \
-                max(market.firm_rank(f, v) for v in staff)
-        if worst[f] is None:
-            out.append(BlockingPair(f, w, BLOCK_VACANCY))
-        elif market.firm_rank(f, w) < worst[f]:
-            out.append(BlockingPair(f, w, BLOCK_SWAP))
-    return tuple(out)
+    return tuple(sorted(_blocks(market, mu, market.firms),
+                        key=lambda b: market.pair_position(b.firm, b.worker)))
 
 
 def is_stable(market: Market, mu: Matching) -> bool:
-    return is_individually_rational(market, mu) and not blocking_pairs(market, mu)
+    """Individually rational, and no pair blocks: the scan stops at the first."""
+    return is_individually_rational(market, mu) and \
+        next(_blocks(market, mu, market.firms), None) is None
 
 
 def enumerate_stable_bruteforce(

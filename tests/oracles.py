@@ -59,9 +59,10 @@ def reference_enumerate_stable(market):
 
 
 def reference_reduced_lists(market, mu):
-    """Steps 1 and 2 of ``reduce_profile``, then the mutual-acceptability
-    closure iterated to a fixpoint, as the library did before it pruned in
-    one pass.  Returns the reduced firm and worker lists."""
+    """Each side's lists cut to its span around ``mu`` on their own, then
+    the mutual-acceptability closure iterated to a fixpoint, where
+    ``reduce_profile`` keeps a pair in one test of both spans.  Returns the
+    reduced firm and worker lists."""
     mu_w = sf.deferred_acceptance(market, sf.Side.WORKERS)
     firm_lists, worker_lists = {}, {}
     for f in market.firms:

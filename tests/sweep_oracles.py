@@ -7,7 +7,9 @@ sizes, seeds 0-449, densities 1.0 and 0.7, 8100 instances in all.  On every
 instance it also checks ``deferred_acceptance`` from both sides: the firms'
 run must give the reference set's firm-best member, the one in the set that
 ``oracles.dominates`` every member for the firms, and the workers' run its
-worker-best member, the same for the workers.  On every instance with
+worker-best member, the same for the workers.  At every stable matching
+it compares the lists of ``reduce_profile`` with
+``oracles.reference_reduced_lists``.  On every instance with
 several stable matchings it also runs ``interior_walk`` and then
 ``vertex_walk`` from a random mix of the stable matchings, once in integers
 and once with the ``Fraction`` references, from the same seed, and compares
@@ -27,7 +29,8 @@ import sys
 
 import stablefrac as sf
 from oracles import (dominates, reference_enumerate_stable,
-                     reference_interior_walk, reference_vertex_walk, walk_pair)
+                     reference_interior_walk, reference_reduced_lists,
+                     reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 
@@ -41,7 +44,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=450,
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
-    instances = multi = 0
+    instances = multi = profiles = 0
     disagreements = []
     for nf, nw, qmax in SIZES:
         for seed in range(args.seeds):
@@ -60,6 +63,13 @@ def main(argv=None) -> int:
                             dominates(m, best, mu, agents) for mu in reference):
                         disagreements.append((f"deferred acceptance ({side.value})",
                                               nf, nw, qmax, seed, density))
+                for mu in reference:
+                    red = sf.reduce_profile(m, mu).market
+                    if (red.firm_pref, red.worker_pref) != \
+                            reference_reduced_lists(m, mu):
+                        disagreements.append(("reduce_profile", nf, nw, qmax,
+                                              seed, density))
+                    profiles += 1
                 instances += 1
                 if len(reference) > 1:
                     multi += 1
@@ -77,7 +87,8 @@ def main(argv=None) -> int:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
-          f"(walks compared on each), {len(disagreements)} disagreements")
+          f"(walks compared on each), {profiles} reduced profiles, "
+          f"{len(disagreements)} disagreements")
     return 1 if disagreements else 0
 
 

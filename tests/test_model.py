@@ -78,6 +78,98 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+_HEAD = "firms: f1 f2\nworkers: w1 w2\n"
+
+# Every ParseError of parse_market: (text, message, line).  When a text has
+# several faults, the lines are read first, then the missing sections, the
+# quota names, the firms' preference lines and the workers' ones, in order.
+PARSE_ERRORS = [
+    ("firms: f1\nfirms: f2\nworkers: w1\n", "line 2: repeated firms: line", 2),
+    ("firms: f1\nworkers: w1\nworkers: w2\n", "line 3: repeated workers: line", 3),
+    ("firms: f1 f1\nworkers: w1\n", "line 1: duplicate ids", 1),
+    ("firms: f1\nworkers: w1 w!\n", "line 2: invalid id 'w!'", 2),
+    (_HEAD + "quota: f1\n", "line 3: bad quota token 'f1'", 3),
+    (_HEAD + "quota: f1=x\n", "line 3: bad quota value 'x'", 3),
+    (_HEAD + "quota: f1=\n", "line 3: bad quota value ''", 3),
+    (_HEAD + "quota: f1=2.0\n", "line 3: bad quota value '2.0'", 3),
+    (_HEAD + "quota: f1= 2\n", "line 3: bad quota value ''", 3),
+    (_HEAD + "quota: f1=0\n", "line 3: quota of f1 must be at least 1", 3),
+    (_HEAD + "quota: f1=-1\n", "line 3: quota of f1 must be at least 1", 3),
+    (_HEAD + "quota: f1=-0\n", "line 3: quota of f1 must be at least 1", 3),
+    (_HEAD + "quota: f1=1 f1=2\n", "line 3: repeated quota for f1", 3),
+    (_HEAD + "quota: f9=1\n", "line 3: quota for undeclared firm f9", 3),
+    (_HEAD + "quota: =1\n", "line 3: quota for undeclared firm ", 3),
+    (_HEAD + "firm f1 w1 w2\n", "line 3: missing ':' in firm line", 3),
+    (_HEAD + "worker w1 f1\n", "line 3: missing ':' in worker line", 3),
+    (_HEAD + "firm f1: w1\nfirm f1 w2\n", "line 4: missing ':' in firm line", 4),
+    (_HEAD + "firm f1: w1\nfirm f1: w2\n",
+     "line 4: repeated preference line for firm f1", 4),
+    (_HEAD + "worker w1: f1\nworker w1: f2\n",
+     "line 4: repeated preference line for worker w1", 4),
+    (_HEAD + "firm f1: w1 w1\n", "line 3: duplicate ids", 3),
+    (_HEAD + "worker w1: f1 f1\n", "line 3: duplicate ids", 3),
+    (_HEAD + "firm f1: w1 w#2\n", "line 3: firm f1 lists undeclared worker w", 3),
+    (_HEAD + "firm f1: w1 w$\n", "line 3: invalid id 'w$'", 3),
+    (_HEAD + "nonsense here\n", "line 3: unrecognized line 'nonsense here'", 3),
+    (_HEAD + "firm:\n", "line 3: unrecognized line 'firm:'", 3),
+    (_HEAD + "firms :\n", "line 3: unrecognized line 'firms :'", 3),
+    (_HEAD + "Firm f1: w1\n", "line 3: unrecognized line 'Firm f1: w1'", 3),
+    ("workers: w1\n", "missing firms: line", None),
+    ("firms: f1\n", "missing workers: line", None),
+    ("", "missing firms: line", None),
+    ("# only a comment\n\n", "missing firms: line", None),
+    ("firm f1: w1\nworkers: w1\n", "missing firms: line", None),
+    (_HEAD + "firm f9: w1\n", "line 3: preference line for undeclared firm f9", 3),
+    (_HEAD + "firm f1: w9\n", "line 3: firm f1 lists undeclared worker w9", 3),
+    (_HEAD + "worker w9: f1\n",
+     "line 3: preference line for undeclared worker w9", 3),
+    (_HEAD + "worker w1: f9\n", "line 3: worker w1 lists undeclared firm f9", 3),
+    (_HEAD + "firm :\n", "line 3: preference line for undeclared firm ", 3),
+    (_HEAD + "firm :w1\n", "line 3: preference line for undeclared firm ", 3),
+    (_HEAD + "worker :\n", "line 3: preference line for undeclared worker ", 3),
+    (_HEAD + "worker :f1\n", "line 3: preference line for undeclared worker ", 3),
+    (_HEAD + "worker w1: f9\nfirm f1: w9\n",
+     "line 4: firm f1 lists undeclared worker w9", 4),
+    (_HEAD + "worker w9: f1\nfirm f9: w1\n",
+     "line 4: preference line for undeclared firm f9", 4),
+    (_HEAD + "firm f9: w1\nquota: f8=1\n", "line 4: quota for undeclared firm f8", 4),
+    ("firms: a\nworkers: a\n", "ids used on both sides: ['a']", None),
+    ("firms: f1 w1\nworkers: w1 f1\n", "ids used on both sides: ['f1', 'w1']", None),
+]
+
+
+@pytest.mark.parametrize("text,message,line", PARSE_ERRORS)
+def test_parse_error_table(text, message, line):
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse_market(text)
+    assert (str(err.value), err.value.line) == (message, line)
+
+
+def test_one_sided_warnings_firms_first():
+    """The firms' dropped entries warn before the workers', each side in
+    declaration order, at the line that called parse_market."""
+    text = _HEAD + ("worker w1:\nworker w2: f2 f1\n"
+                    "firm f2: w1\nfirm f1: w1 w2\n")
+    with pytest.warns(sf.OneSidedPreferenceWarning) as record:
+        m = sf.parse_market(text)
+    assert [str(r.message) for r in record] == [
+        "dropping one-sided pair: firm f1 lists w1 but w1 does not list f1",
+        "dropping one-sided pair: firm f2 lists w1 but w1 does not list f2",
+        "dropping one-sided pair: worker w2 lists f2 but f2 does not list w2"]
+    assert {r.filename for r in record} == {__file__}
+    assert m.firm_pref == {"f1": ("w2",), "f2": ()}
+    assert m.worker_pref == {"w1": (), "w2": ("f1",)}
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0662", "+2", "2.", "0x2"])
+def test_quota_accepts_only_ascii_integers(value):
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse_market(_HEAD + f"quota: f1={value}\n")
+    assert (str(err.value), err.value.line) == (
+        f"line 3: bad quota value {value!r}", 3)
+    assert sf.parse_market(_HEAD + "quota: f1=02\n").quota["f1"] == 2
+
+
 def test_parse_rejects_missing_sections():
     with pytest.raises(sf.ParseError):
         sf.parse_market("workers: w1\n")
@@ -217,6 +309,37 @@ def test_market_ids_validated_outside_parser():
         sf.Market(("f1",), ("w1",), {"f1": 0}, {"f1": ()}, {"w1": ()})
     with pytest.raises(ValueError):
         sf.Market(("f1",), ("w1",), {"f1": 1}, {"f1": ("w2",)}, {"w1": ()})
+
+
+_F, _W, _Q = ("f1", "f2"), ("w1", "w2"), {"f1": 1, "f2": 1}
+
+
+@pytest.mark.parametrize("args,message", [
+    ((("f1", "f1"), _W, {"f1": 1}, {}, {}), "duplicate firm ids"),
+    ((_F, ("w1", "w1"), _Q, {}, {}), "duplicate worker ids"),
+    ((("f1", "a"), ("a", "w1"), {"f1": 1, "a": 1}, {}, {}),
+     "ids used on both sides: ['a']"),
+    ((_F, _W, {"f1": 1}, {}, {}), "quota must cover exactly the declared firms"),
+    ((_F, _W, {"f1": 1, "f2": 1.0}, {}, {}), "quota of f2 must be a positive integer"),
+    ((_F, _W, _Q, {"f1": ("w1", "w1")}, {}),
+     "duplicate entries in preference list of f1"),
+    ((_F, _W, _Q, {"f2": ("w9", "w1", "w8")}, {}),
+     "f2 lists undeclared workers: ['w8', 'w9']"),
+    ((_F, _W, _Q, {}, {"w2": ("f2", "f2")}),
+     "duplicate entries in preference list of w2"),
+    ((_F, _W, _Q, {}, {"w1": ("f9",)}), "w1 lists undeclared firms: ['f9']"),
+    ((_F, _W, _Q, {"f1": ("w9",)}, {"w1": ("f9",)}),
+     "f1 lists undeclared workers: ['w9']"),
+])
+def test_market_validation_messages(args, message):
+    """The firms' lists are checked before the workers'; lists of undeclared
+    agents are dropped."""
+    with pytest.raises(ValueError) as err:
+        sf.Market(*args)
+    assert str(err.value) == message
+    m = sf.Market(_F, _W, _Q, {"f1": ("w1",), "f9": ("w1",)}, {"w2": ("f1",)})
+    assert (m.firm_pref, m.worker_pref) == (
+        {"f1": ("w1",), "f2": ()}, {"w1": (), "w2": ("f1",)})
 
 
 _IDS = st.text("abcxyzXY019_.+-", min_size=1, max_size=4)

@@ -334,11 +334,12 @@ def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
 
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     """One chain finds the rotations; after it, each matching is built once
-    and no stability check scans the whole market."""
+    and no stability check scans the whole market: ``is_stable`` runs only
+    in the chain's reductions."""
     m = cyclic_blocks([3, 3, 3, 4, 4, 4])
     n_rotations = 3 * 2 + 3 * 3
     calls = []
-    counts = {"apply_cycle": 0, "blocking_pairs": 0}
+    counts = {"apply_cycle": 0, "is_stable": 0}
     at_chain_end = {}
     reduce = sf.rotations.reduce_profile
 
@@ -358,12 +359,13 @@ def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
 
     monkeypatch.setattr(sf.rotations, "reduce_profile", counted)
     counter(sf.rotations, "apply_cycle")
-    counter(sf.stability, "blocking_pairs")
+    counter(sf.rotations, "is_stable")
     found = sf.enumerate_stable_via_rotations(m)
     assert len(calls) <= n_rotations + 1
     assert len(found) == 1728
     assert counts["apply_cycle"] - at_chain_end["apply_cycle"] == 1727
-    assert counts["blocking_pairs"] == at_chain_end["blocking_pairs"]
+    assert at_chain_end["is_stable"] == 2 * len(calls)
+    assert counts["is_stable"] == at_chain_end["is_stable"]
     assert all(sf.is_stable(m, mu) for mu in found)
 
 

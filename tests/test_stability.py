@@ -222,19 +222,24 @@ def test_blocking_pairs_iff_unstable(fleet):
 
 
 def reference_blocking_pairs(market, mu):
-    """Reference: scans the firm's whole staff for every candidate pair."""
+    """Reference: scans the firm's whole staff for every candidate pair.  A
+    partner that an agent does not list ranks below every one it lists."""
+    def rank(prefs, a, b):
+        return prefs[a].index(b) if b in prefs[a] else len(prefs[a])
+
     out = []
     for f, w in market.pairs():
         employer = mu.employer(w)
         if employer == f:
             continue
         if employer is not None and \
-                market.worker_rank(w, f) >= market.worker_rank(w, employer):
+                rank(market.worker_pref, w, f) >= rank(market.worker_pref, w, employer):
             continue
         staff = mu.matched(f)
         if len(staff) < market.quota[f]:
             out.append(BlockingPair(f, w, BLOCK_VACANCY))
-        elif any(market.firm_rank(f, w) < market.firm_rank(f, v) for v in staff):
+        elif any(rank(market.firm_pref, f, w) < rank(market.firm_pref, f, v)
+                 for v in staff):
             out.append(BlockingPair(f, w, BLOCK_SWAP))
     return tuple(out)
 
@@ -251,6 +256,15 @@ def random_matching(market, rng):
     return sf.Matching.build(market, staff)
 
 
+# Matchings that are not individually rational: f1 employs w3, and neither
+# lists the other.  Their blocking pairs follow from the rule that an
+# unlisted partner ranks below every listed one.
+NOT_RATIONAL = sf.Market(
+    ("f1", "f2"), ("w1", "w2", "w3"), {"f1": 1, "f2": 1},
+    {"f1": ("w1",), "f2": ("w2", "w1")},
+    {"w1": ("f2", "f1"), "w2": ("f2",), "w3": ()})
+
+
 def test_blocking_pairs_match_reference(fleet, fleet_stable):
     rng = random.Random(2024)
     unstable, reasons = 0, set()
@@ -261,10 +275,21 @@ def test_blocking_pairs_match_reference(fleet, fleet_stable):
             mu = random_matching(m, rng)
             pairs = sf.blocking_pairs(m, mu)
             assert pairs == reference_blocking_pairs(m, mu)
+            assert sf.is_stable(m, mu) == (
+                sf.is_individually_rational(m, mu) and not pairs)
             unstable += bool(pairs)
             reasons.update(p.reason for p in pairs)
     assert unstable > 25 * len(fleet) // 2
     assert reasons == {BLOCK_VACANCY, BLOCK_SWAP}
+    m = NOT_RATIONAL
+    for rows, expected in [({"f1": ["w3"], "f2": ["w2"]}, ("f1", "w1")),
+                           ({"f1": ["w3"], "f2": ["w1"]}, ("f2", "w2"))]:
+        mu = sf.Matching.build(m, rows)
+        pairs = sf.blocking_pairs(m, mu)
+        assert pairs == reference_blocking_pairs(m, mu) == (
+            BlockingPair(*expected, BLOCK_SWAP),)
+        assert not sf.is_individually_rational(m, mu)
+        assert not sf.is_stable(m, mu)
 
 
 def test_rural_hospital_on_random_markets():
