@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 from .linalg import solve_exact
 from .model import (
@@ -26,6 +27,7 @@ from .model import (
     FractionalMatching,
     Market,
     Matching,
+    NotStableError,
     Rational,
     incidence_vector,
     matching_from_matrix,
@@ -88,12 +90,22 @@ def certify_strongly_stable(
     vertex of that cube would falsify the characterization; it raises
     instead of being swallowed.
     """
+    return _certify(market, x,
+                    lambda base: find_cycles(reduce_profile(market, base)))
+
+
+def _certify(market: Market, x: FractionalMatching,
+             rotations_of: Callable[[Matching], tuple[Rotation, ...]]
+             ) -> HullCertificate | PairCondition:
+    """``certify_strongly_stable`` with the base's rotations taken from
+    ``rotations_of``, so a caller that knows every stable matching's exposed
+    rotations need not reduce the base's profile again."""
     report = strong_stability_check(market, x)
     if not report.overall:
         return report.first_failure()
     decomposition = _threshold_sweep(market, x, report._sums)
     base = decomposition.terms[0][0]
-    rotations = find_cycles(reduce_profile(market, base))
+    rotations = rotations_of(base)
     terms: list[tuple[frozenset[int], Rational]] = []
     for mu, weight in decomposition.terms:
         lam = _cube_coordinates(
@@ -255,6 +267,9 @@ def verify_characterization(market: Market, seed: int,
     Positive direction: sampled hull points must satisfy the strong stability
     condition, certify constructively (the sweep has already checked that
     the certificate's terms rebuild the point), and be almost integral.
+    Each stable matching's profile is reduced once, up front; certification
+    looks the top matching's rotations up there, and a passing point whose
+    top matching is not in the stable set is a counterexample.
     Negative direction: stable-feasible points that fail the condition must
     be refused and must lie outside every connected-set hull, as decided by
     the cube test of each stable matching with its exposed rotations, which
@@ -265,14 +280,23 @@ def verify_characterization(market: Market, seed: int,
     stable = sorted(enumerate_stable_bruteforce(market),
                     key=lambda mu: mu.assignment)
     incidences = [incidence_vector(market, mu) for mu in stable]
-    cubes = [(mu, find_cycles(reduce_profile(market, mu))) for mu in stable]
+    cubes = {mu: find_cycles(reduce_profile(market, mu)) for mu in stable}
 
     counterexamples: list[str] = []
     notes: list[str] = []
 
+    def known_rotations(base: Matching) -> tuple[Rotation, ...]:
+        if base not in cubes:
+            raise NotStableError("top matching is not a listed stable matching")
+        return cubes[base]
+
     def classify(x: FractionalMatching, origin: str, expect_member: bool) -> bool:
         """Record counterexamples at x; true when x passes the condition."""
-        cert = certify_strongly_stable(market, x)
+        try:
+            cert = _certify(market, x, known_rotations)
+        except NotStableError as exc:
+            counterexamples.append(f"{origin}: passing point's {exc}")
+            return True
         if isinstance(cert, HullCertificate):
             if not check_almost_integral(market, x):
                 counterexamples.append(f"{origin}: passing point not almost integral")
@@ -284,14 +308,14 @@ def verify_characterization(market: Market, seed: int,
         rows = {f: {w: v for w, v in zip(market.workers, row) if v}
                 for f, row in zip(market.firms, x.entries)}
         if any(_cube_coordinates(mu, rotations, rows) is not None
-               for mu, rotations in cubes):
+               for mu, rotations in cubes.items()):
             counterexamples.append(
                 f"{origin}: failing point lies in a connected-set hull")
         return False
 
     hull_points = 0
     per_mu = max(1, -(-samples // max(1, len(stable))))   # ceil division
-    for idx, (mu, rotations) in enumerate(cubes):
+    for idx, (mu, rotations) in enumerate(cubes.items()):
         for k, x in enumerate(
                 _sample_cube(market, mu, rotations, seed * 1009 + idx, per_mu)):
             hull_points += 1

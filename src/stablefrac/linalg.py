@@ -44,6 +44,19 @@ class Rref:
     def pivot_columns(self) -> set[int]:
         return set(self.rows)
 
+    def copy(self) -> Rref:
+        """An independent basis with the same rows.
+
+        Every row dict is copied, since ``add`` may update a basis row in
+        place.  Adding more rows to the copy gives the basis that adding all
+        of them to a fresh ``Rref`` would give: the basis depends only on
+        the span, so a basis shared by several row sets can be eliminated
+        once and copied.
+        """
+        basis = Rref(self.ncols)
+        basis.rows = {p: dict(row) for p, row in self.rows.items()}
+        return basis
+
     def add(self, vector: SparseRow) -> bool:
         """Reduce ``vector`` against the basis; returns False if dependent."""
         v = {c: a for c, a in vector.items() if a}

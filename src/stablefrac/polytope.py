@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .linalg import Rref, rank
 from .model import FractionalMatching, InfeasibleError, Market, Rational
@@ -311,6 +312,25 @@ def _step_length(rows: list[_Inequality], point: _Point,
 _INTERIOR_STEPS = 4
 
 
+def _drop_each(candidates: list[_Inequality], kept: list[_Inequality],
+               n: int) -> Iterator[tuple[_Inequality, Rref]]:
+    """Each candidate with the basis of all the other rows, lazily.
+
+    ``kept`` is eliminated once; each candidate's basis is a copy of that
+    basis plus the other candidates.  By ``Rref.copy`` it equals a fresh
+    ``Rref`` of every row but the dropped one, in any order.
+    """
+    shared = Rref(n)
+    for row in kept:
+        shared.add(row.coeffs)
+    for dropped in candidates:
+        basis = shared.copy()
+        for row in candidates:
+            if row is not dropped:
+                basis.add(row.coeffs)
+        yield dropped, basis
+
+
 def interior_walk(market: Market, x: FractionalMatching,
                   rng: random.Random) -> FractionalMatching:
     """Move a feasible point onto higher-dimensional faces of the polytope.
@@ -321,6 +341,14 @@ def interior_walk(market: Market, x: FractionalMatching,
     distance.  This escapes the minimal face containing the start point,
     which a null-space vertex walk never leaves; combined they fuzz the
     whole polytope.
+
+    The tight rows are shuffled and the first six are tried in turn as the
+    dropped row.  The rows after them are in every such basis, so
+    ``_drop_each`` eliminates them once per step and copies the result.
+    The reduced basis depends only on the span of the rows added, so each
+    copy has the pivots, free columns and null vectors of a basis built
+    from scratch, and the walk draws the same random numbers and reaches
+    the same point.
     """
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
@@ -335,11 +363,8 @@ def interior_walk(market: Market, x: FractionalMatching,
             break
         rng.shuffle(tight)
         moved = False
-        for dropped in tight[:6]:   # a usable direction almost always shows up early
-            basis = Rref(n)
-            for row in tight:
-                if row is not dropped:
-                    basis.add(row.coeffs)
+        # a usable direction almost always shows up early
+        for dropped, basis in _drop_each(tight[:6], tight[6:], n):
             if basis.rank == n:
                 continue
             free = [c for c in range(n) if c not in basis.pivot_columns()]

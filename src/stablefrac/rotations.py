@@ -17,9 +17,11 @@ rotation later in that order than the last one added generates each stable
 matching once, from one parent, with one ``apply_cycle``.  A rotation that
 fits is not always exposed, so each candidate is kept only when it is
 stable; ``_stable_step`` decides that exactly by scanning the lists of the
-cycle's firms alone.  Its precondition, that every cycle worker moves along
-an acceptable pair to a firm it strictly prefers, holds for every rotation of
-a reduced profile; the chain checks it once per rotation, when it finds it.
+cycle's firms alone, and only for a rotation whose predecessors the search
+cannot yet show to be applied.  Its precondition, that every cycle worker
+moves along an acceptable pair to a firm it strictly prefers, holds for every
+rotation of a reduced profile; the chain checks it once per rotation, when
+it finds it.
 """
 
 from __future__ import annotations
@@ -325,6 +327,14 @@ def enumerate_stable_via_rotations(
     reached twice would be an error, and is raised as one.  No precedence
     relation has to be built.
 
+    The search learns the exposures it needs instead.  r_j is exposed at a
+    closed set I exactly when r_j is not in I and all of its predecessors
+    are, so every set at which the search finds r_j exposed contains those
+    predecessors, and so does ``known[j]``, the intersection of these sets.
+    A later candidate r_j whose ``known[j]`` lies inside the applied set is
+    therefore exposed, and is kept without ``_misfit`` or ``_stable_step``;
+    ``apply_cycle`` still checks that it fits.
+
     Raises ``CapExceededError`` once more than ``cap`` matchings, the
     firm-optimal one included, are listed.
     """
@@ -352,20 +362,27 @@ def enumerate_stable_via_rotations(
         raise AssertionError("a rotation was found twice on the chain")
 
     listed: list[Matching] = []
-    stack: list[tuple[Matching, int]] = [(start, 0)]   # (matching, next index)
+    known = [(1 << len(rotations)) - 1] * len(rotations)
+    # (matching, bitmask of the rotations applied, next index)
+    stack: list[tuple[Matching, int, int]] = [(start, 0, 0)]
     while stack:
-        mu, first = stack.pop()
+        mu, applied, first = stack.pop()
         listed.append(mu)
         if len(listed) > cap:
             raise CapExceededError(
                 f"{len(listed)}+ stable matchings exceed the cap of {cap}")
         for j in range(first, len(rotations)):
             sigma = rotations[j]
-            if _misfit(mu, sigma) is not None:
-                continue
-            nu = apply_cycle(market, mu, sigma)
-            if _stable_step(market, nu, sigma):
-                stack.append((nu, j + 1))
+            if known[j] & ~applied:
+                if _misfit(mu, sigma) is not None:
+                    continue
+                nu = apply_cycle(market, mu, sigma)
+                if not _stable_step(market, nu, sigma):
+                    continue
+                known[j] &= applied
+            else:
+                nu = apply_cycle(market, mu, sigma)
+            stack.append((nu, applied | 1 << j, j + 1))
     found = set(listed)
     if len(found) != len(listed):
         raise AssertionError("a stable matching was generated twice")

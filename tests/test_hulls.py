@@ -7,7 +7,7 @@ import pytest
 
 import stablefrac as sf
 from oracles import dominates
-from stablefrac.hulls import _cube_coordinates, _random_mix
+from stablefrac.hulls import _certify, _cube_coordinates, _random_mix
 
 
 def _term_matchings(market, cert):
@@ -307,27 +307,60 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
 
 
 def test_verify_reduces_each_stable_profile_once(block_market, monkeypatch):
-    calls = {"outside": 0}
-    inside = []
-    reduce_profile = sf.hulls.reduce_profile
-    certify = sf.hulls.certify_strongly_stable
+    """Every reduction during verify counts, certification included: each
+    stable matching's profile is reduced once and never again."""
+    calls = []
+    reduce_profile = sf.rotations.reduce_profile
 
     def counted_reduce(market, mu):
-        if not inside:
-            calls["outside"] += 1
+        calls.append(mu)
         return reduce_profile(market, mu)
-
-    def flagged_certify(market, x):
-        inside.append(x)
-        try:
-            return certify(market, x)
-        finally:
-            inside.pop()
 
     monkeypatch.setattr(sf.hulls, "reduce_profile", counted_reduce)
     monkeypatch.setattr(sf.rotations, "reduce_profile", counted_reduce)
-    monkeypatch.setattr(sf.hulls, "certify_strongly_stable", flagged_certify)
     outcome = sf.verify_characterization(block_market, seed=1, samples=10)
     assert outcome.ok
     assert outcome.stable_count == 24
-    assert calls["outside"] == outcome.stable_count
+    assert len(calls) == outcome.stable_count
+    assert len(set(calls)) == outcome.stable_count
+
+
+def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
+                                                      block_market):
+    """The harness's certify, which looks the base's rotations up, gives the
+    public certificate, or the same refusal, on every hull sample and on
+    mixes of the whole stable set."""
+    block_stable = sorted(sf.enumerate_stable_bruteforce(block_market),
+                          key=lambda mu: mu.assignment)
+    cases = list(zip(fleet, fleet_stable)) + [(block_market, block_stable)]
+    certified = refused = 0
+    for idx, (m, stable) in enumerate(cases):
+        cubes = {mu: sf.find_cycles(sf.reduce_profile(m, mu)) for mu in stable}
+        rng = random.Random(f"known:{idx}")
+        incidences = [sf.incidence_vector(m, mu) for mu in stable]
+        points = [x for mu in stable
+                  for x in sf.sample_hull(m, mu, seed=400 + idx, count=2)]
+        points += [_random_mix(incidences, rng) for _ in range(4)]
+        for x in points:
+            cert = _certify(m, x, cubes.__getitem__)
+            assert cert == sf.certify_strongly_stable(m, x)
+            if isinstance(cert, sf.HullCertificate):
+                assert cert._matchings == sf.decompose(m, x).matchings()
+                certified += 1
+            else:
+                refused += 1
+    assert certified >= 150
+    assert refused >= 10
+
+
+def test_verify_reports_a_top_matching_outside_the_stable_set(market, mu_w,
+                                                              monkeypatch):
+    """A passing point whose top matching the stable set lacks is a
+    counterexample; verify does not reduce that matching's profile instead."""
+    enumerate_stable = sf.hulls.enumerate_stable_bruteforce
+    monkeypatch.setattr(sf.hulls, "enumerate_stable_bruteforce",
+                        lambda m: enumerate_stable(m) - {mu_w})
+    outcome = sf.verify_characterization(market, seed=1, samples=20)
+    assert outcome.counterexamples == (
+        "hull sample 0/10: passing point's top matching is not a listed "
+        "stable matching",)

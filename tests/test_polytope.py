@@ -11,7 +11,7 @@ from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
                      reference_interior_walk, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank
-from stablefrac.polytope import interior_walk
+from stablefrac.polytope import _drop_each, _inequality_rows, _Point, interior_walk
 
 
 def test_stable_incidences_are_feasible(market, x_firm, x_worker, x_vertex):
@@ -177,6 +177,34 @@ def test_vertex_walk_adds_each_row_once(fleet, fleet_stable, monkeypatch):
     assert walks > 80
 
 
+def test_kept_basis_equals_a_fresh_one_on_walk_points(fleet, fleet_stable):
+    """At every fleet walk point, each dropped row's basis built from the
+    copied basis of the rows never dropped equals a fresh ``Rref`` of every
+    tight row but the dropped one, in the walk's shuffled order."""
+    rng = random.Random(53)
+    bases = 0
+    for m, stable in zip(fleet, fleet_stable):
+        n = len(m.pairs())
+        rows = _inequality_rows(m)
+        incidences = [sf.incidence_vector(m, mu) for mu in stable]
+        x = _random_mix(incidences, rng)
+        start = interior_walk(m, x, rng)
+        trace = []
+        sf.vertex_walk(m, start, rng, trace=trace)
+        for y in [x, start] + trace:
+            point = _Point(y.flatten(m))
+            tight = [row for row in rows if point.is_tight(row)]
+            rng.shuffle(tight)
+            for dropped, basis in _drop_each(tight[:6], tight[6:], n):
+                fresh = Rref(n)
+                for row in tight:
+                    if row is not dropped:
+                        fresh.add(row.coeffs)
+                assert basis.rows == fresh.rows
+                bases += 1
+    assert bases > 500
+
+
 def test_walks_at_check_dense_sizes():
     for seed in (0, 2, 3):
         m = sf.gen_random_market(seed, 10, 13, 2, density=1.0)
@@ -321,3 +349,22 @@ def test_rref_matches_dense_elimination(rows):
         scale = null[col]
         assert scale > 0
         assert null == [scale * a for a in reference.null_vector(col)]
+
+
+@given(sparse_rows, sparse_rows)
+@settings(max_examples=200, deadline=None)
+def test_rref_copy_is_independent(rows, more):
+    """Adding rows to a copy leaves the original's rows as they were, and
+    the copy ends with the basis a fresh ``Rref`` of all the rows has."""
+    basis = Rref(NCOLS)
+    for row in rows:
+        basis.add(row)
+    before = {p: dict(row) for p, row in basis.rows.items()}
+    copy = basis.copy()
+    for row in more:
+        copy.add(row)
+    assert basis.rows == before
+    fresh = Rref(NCOLS)
+    for row in more + rows:
+        fresh.add(row)
+    assert copy.rows == fresh.rows

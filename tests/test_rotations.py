@@ -8,6 +8,7 @@ import pytest
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, dominates, random_markets,
                      reference_enumerate_stable, reference_reduced_lists)
+from sweep_oracles import compare_rich
 
 DATA = Path(__file__).parent / "data"
 
@@ -332,6 +333,14 @@ def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
     assert multi >= 10
 
 
+@pytest.mark.parametrize("seed,size", [(0, 4), (1, 4), (2, 5)])
+def test_rotation_rich_markets_match_the_oracle(seed, size):
+    """Complete 12x12 one-to-one markets, beyond the pruned search's default
+    cap, list the same stable set by rotations (``sweep_oracles.py`` runs
+    100 seeds)."""
+    assert compare_rich(seed) == (size, True)
+
+
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     """One chain finds the rotations; after it, each matching is built once
     and no stability check scans the whole market: ``is_stable`` runs only
@@ -492,7 +501,10 @@ def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):
 
 
 def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
-    """Every candidate the enumeration tries gets the verdict of is_stable."""
+    """Every candidate the enumeration tests gets the verdict of is_stable,
+    and every matching it lists is stable.  A rotation whose predecessors
+    the search has already seen applied is kept untested, so only 116 of
+    the 2165 matchings listed here pass a test."""
     real = sf.rotations._stable_step
     verdicts = []
 
@@ -508,10 +520,14 @@ def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
     for size in RANDOM_SIZES:
         markets += random_markets(*size)
     markets.append(cyclic_blocks([3, 3, 3, 4, 4, 4]))
+    listed = 0
     for m in markets:
-        sf.enumerate_stable_via_rotations(m)
-    assert verdicts.count(True) > 1727
-    assert verdicts.count(False) >= 5
+        found = sf.enumerate_stable_via_rotations(m)
+        assert all(sf.is_stable(m, mu) for mu in found)
+        listed += len(found)
+    assert listed == 2165
+    assert verdicts.count(True) == 116
+    assert verdicts.count(False) == 8
 
 
 # A hand-made step the enumeration never takes: mu leaves f1 below quota
