@@ -171,6 +171,21 @@ def random_markets(nf, nw, qmax):
             for seed in range(50) for density in (1.0, 0.7)]
 
 
+# --- rotation-rich random markets --------------------------------------------
+
+RICH_SIZE = 12
+RICH_CAP = 10 ** 14   # the default cap refuses 13^12 candidate maps
+
+
+def compare_rich(seed: int) -> tuple[int, bool]:
+    """The stable-set size of the seed's complete ``RICH_SIZE`` x
+    ``RICH_SIZE`` one-to-one market, and whether the rotation search lists
+    the pruned search's set."""
+    m = sf.gen_random_market(seed, RICH_SIZE, RICH_SIZE, 1, density=1.0)
+    stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
+    return len(stable), sf.enumerate_stable_via_rotations(m) == stable
+
+
 # --- Fraction elimination and walks -----------------------------------------
 #
 # The library keeps its basis rows and walk points in integers.  These are

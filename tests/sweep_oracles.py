@@ -16,12 +16,12 @@ and once with the ``Fraction`` references, from the same seed, and compares
 the start, endpoint, trace and next rng draw.  Last, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
 ``enumerate_stable_via_rotations`` with ``enumerate_stable_bruteforce``
-alone (``RICH_CAP``: the default cap refuses their 13^12 candidate maps).
-Prints the counts and exits 1 on any disagreement.  Not collected by pytest
-(``test_rotations.py`` runs three rich seeds through ``compare_rich``); run
-from the repository root:
+alone (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the default cap
+refuses their 13^12 candidate maps).  Prints the counts and exits 1 on any
+disagreement.  Not collected by pytest (``test_rotations.py`` runs three
+rich seeds through ``compare_rich``); run from the repository root:
 
-    PYTHONPATH=src python tests/sweep_oracles.py [--seeds N] [--rich-seeds N]
+    PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
 The full sweep took about 5 minutes on one core of a 2-vCPU VM; the
 exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets dominates.  Each
@@ -33,34 +33,22 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (dominates, reference_enumerate_stable,
-                     reference_interior_walk, reference_reduced_lists,
-                     reference_vertex_walk, walk_pair)
+from oracles import (RICH_SIZE, compare_rich, dominates,
+                     reference_enumerate_stable, reference_interior_walk,
+                     reference_reduced_lists, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 
 SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
          (6, 6, 1), (4, 4, 2), (2, 6, 3)]
 DENSITIES = (1.0, 0.7)
-RICH_SIZE = 12
-RICH_CAP = 10 ** 14
-
-
-def compare_rich(seed: int) -> tuple[int, bool]:
-    """The stable-set size of the seed's complete ``RICH_SIZE`` x
-    ``RICH_SIZE`` one-to-one market, and whether the rotation search lists
-    the pruned search's set."""
-    m = sf.gen_random_market(seed, RICH_SIZE, RICH_SIZE, 1, density=1.0)
-    stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
-    return len(stable), sf.enumerate_stable_via_rotations(m) == stable
+RICH_SEEDS = 100
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=450,
                         help="seeds 0..N-1 per size and density (default 450)")
-    parser.add_argument("--rich-seeds", type=int, default=100,
-                        help="seeds 0..N-1 of the rich 12x12 family (default 100)")
     args = parser.parse_args(argv)
     instances = multi = profiles = 0
     disagreements = []
@@ -101,14 +89,15 @@ def main(argv=None) -> int:
                         disagreements.append(("walks", nf, nw, qmax, seed, density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings", flush=True)
+    rich_seeds = min(args.seeds, RICH_SEEDS)
     rich_listed = 0
-    for seed in range(args.rich_seeds):
+    for seed in range(rich_seeds):
         size, same = compare_rich(seed)
         rich_listed += size
         if not same:
             disagreements.append(("rich rotations", RICH_SIZE, RICH_SIZE, 1,
                                   seed, 1.0))
-    print(f"rich family: {args.rich_seeds} markets, {rich_listed} stable "
+    print(f"rich family: {rich_seeds} markets, {rich_listed} stable "
           "matchings", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "

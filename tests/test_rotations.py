@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, dominates, random_markets,
+from oracles import (RANDOM_SIZES, compare_rich, dominates, random_markets,
                      reference_enumerate_stable, reference_reduced_lists)
-from sweep_oracles import compare_rich
 
 DATA = Path(__file__).parent / "data"
 
