@@ -4,13 +4,11 @@ A connected set is a stable matching with any subset of its exposed
 rotations applied.  The rotations are firm-disjoint, so its hull is the
 affine cube ``inc(mu) + sum(lambda_i * delta_i)`` over lambda in [0,1]^k,
 and ``_cube_coordinates`` decides membership exactly by reading lambda off
-the rotations' rows.  ``certify_strongly_stable`` checks the strong
-stability condition once, or refuses with the failing ``PairCondition``,
-and reads every threshold-sweep term as a vertex of the top matching's cube:
-the certificate names each term's rotation subset and keeps its matching.
-``verify_characterization`` stress-tests the equivalence from both
-directions against brute-force enumeration and the cube test; the subset
-search ``point_in_hull`` is the reference the tests hold the cube test to.
+the rotations' rows.  ``certify_strongly_stable`` writes a strongly stable
+point inside the cube of its top matching.  ``verify_characterization``
+stress-tests the equivalence from both directions against brute-force
+enumeration and the cube test; the subset search ``point_in_hull`` is the
+reference the tests hold the cube test to.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .model import (
     Matching,
     NotStableError,
     Rational,
-    incidence_vector,
+    _from_cells,
     matching_from_matrix,
     _prune_mutual,
 )
@@ -118,44 +116,42 @@ def _certify(market: Market, x: FractionalMatching,
 
 
 def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],
-                      rows: dict[str, dict[str, Rational]]
+                      rows: dict[str, dict[str, Rational]], denom: int = 1
                       ) -> tuple[Rational, ...] | None:
-    """The lambda in [0,1]^k with ``rows = inc(base) + sum(lambda_i * delta_i)``,
-    or None.
+    """``denom`` times the lambda in [0,1]^k with ``rows = inc(base) +
+    sum(lambda_i * delta_i)``, or None.
 
-    ``rows`` maps a firm to its nonzero entries, ``{worker: value}``.  On each
-    of rotation i's firms the gained worker carries lambda_i and the lost one
-    1 - lambda_i; every other entry equals the base incidence.
+    ``rows`` maps a firm to its nonzero entries as numerators over ``denom``,
+    ``{worker: value}``.  On each of rotation i's firms the gained worker
+    carries lambda_i and the lost one 1 - lambda_i; every other entry equals
+    the base incidence.
     """
     lam: list[Rational] = []
     traded: dict[str, tuple[str, str]] = {}
     for rot in rotations:
         value = rows.get(rot.firms[0], {}).get(rot.workers[0], 0)
-        if not 0 <= value <= 1:
+        if not 0 <= value <= denom:
             return None
         for d, f in enumerate(rot.firms):
             row = rows.get(f, {})
             gained, lost = rot.workers[d], rot.workers[d - 1]
-            if row.get(gained, 0) != value or row.get(lost, 0) != 1 - value:
+            if row.get(gained, 0) != value or row.get(lost, 0) != denom - value:
                 return None
             traded[f] = (gained, lost)
         lam.append(value)
     for f, staff in base.assignment:
         pair = traded.get(f, ())
         rest = {w: v for w, v in rows.get(f, {}).items() if w not in pair}
-        if rest != {w: 1 for w in staff if w not in pair}:
+        if rest != {w: denom for w in staff if w not in pair}:
             return None
     return tuple(lam)
 
 
 def sample_hull(market: Market, mu: Matching, seed: int,
                 count: int) -> list[FractionalMatching]:
-    """Random rational convex combinations over the connected set of mu.
-
-    Deterministic in the seed.  Weights are drawn as small integers and
-    normalized, so denominators stay bounded by a small multiple of the
-    connected-set size.
-    """
+    """Random rational convex combinations over the connected set of mu,
+    deterministic in the seed.  ``_random_mix`` draws small integer weights,
+    so denominators stay below a small multiple of the connected-set size."""
     return _sample_cube(market, mu, find_cycles(reduce_profile(market, mu)),
                         seed, count)
 
@@ -165,9 +161,8 @@ def _sample_cube(market: Market, mu: Matching, rotations: tuple[Rotation, ...],
     """``sample_hull`` for a matching whose rotations are already known."""
     members = sorted(connected_set(market, mu, rotations),
                      key=lambda m: m.assignment)
-    vectors = [incidence_vector(market, m) for m in members]
     rng = random.Random(f"hull:{seed}")
-    return [_random_mix(vectors, rng) for _ in range(count)]
+    return [_random_mix(market, members, rng) for _ in range(count)]
 
 
 def gen_random_market(seed: int, nf: int, nw: int, qmax: int,
@@ -250,14 +245,14 @@ class CharacterizationReport:
         return not self.counterexamples
 
 
-def _random_mix(vectors: list[FractionalMatching],
+def _random_mix(market: Market, matchings: list[Matching],
                 rng: random.Random) -> FractionalMatching:
-    raw = [rng.randint(0, 8) for _ in vectors]
+    """The matchings mixed with weights r / sum(r), each r drawn on [0, 8]."""
+    raw = [rng.randint(0, 8) for _ in matchings]
     if not any(raw):
         raw[0] = 1
-    total = Fraction(sum(raw))
-    return FractionalMatching.linear_combination(
-        [(v, Fraction(r) / total) for v, r in zip(vectors, raw) if r])
+    return _from_cells(market, sum(raw), ((f, w, r) for mu, r in zip(matchings, raw)
+                                          for f, ws in mu.assignment for w in ws))
 
 
 def verify_characterization(market: Market, seed: int,
@@ -279,7 +274,6 @@ def verify_characterization(market: Market, seed: int,
     """
     stable = sorted(enumerate_stable_bruteforce(market),
                     key=lambda mu: mu.assignment)
-    incidences = [incidence_vector(market, mu) for mu in stable]
     cubes = {mu: find_cycles(reduce_profile(market, mu)) for mu in stable}
 
     counterexamples: list[str] = []
@@ -305,9 +299,9 @@ def verify_characterization(market: Market, seed: int,
             counterexamples.append(
                 f"{origin}: hull point fails the condition at "
                 f"({cert.firm},{cert.worker})")
-        rows = {f: {w: v for w, v in zip(market.workers, row) if v}
-                for f, row in zip(market.firms, x.entries)}
-        if any(_cube_coordinates(mu, rotations, rows) is not None
+        rows = {f: {w: n for w, n in zip(market.workers, row) if n}
+                for f, row in zip(market.firms, x._nums)}
+        if any(_cube_coordinates(mu, rotations, rows, x._denom) is not None
                for mu, rotations in cubes.items()):
             counterexamples.append(
                 f"{origin}: failing point lies in a connected-set hull")
@@ -325,7 +319,7 @@ def verify_characterization(market: Market, seed: int,
     mixes = max(1, samples // 2)
     rng = random.Random(f"negatives:{seed}")
     for k in range(mixes):
-        x = _random_mix(incidences, rng)
+        x = _random_mix(market, stable, rng)
         if not classify(x, f"mix {k}", expect_member=False):
             negative_points += 1
     notes.append(f"negative density {negative_points}/{mixes} over stable-set mixes")
@@ -333,9 +327,8 @@ def verify_characterization(market: Market, seed: int,
     vertex_points = 0
     wrng = random.Random(f"vertex:{seed}")
     walks = max(1, min(4, samples // 25))
-    n_pairs = len(market.pairs())
     for k in range(walks):
-        start = interior_walk(market, _random_mix(incidences, wrng), wrng)
+        start = interior_walk(market, _random_mix(market, stable, wrng), wrng)
         if not classify(start, f"walk {k} start", expect_member=False):
             negative_points += 1
         trace: list[FractionalMatching] = []
@@ -347,7 +340,7 @@ def verify_characterization(market: Market, seed: int,
         report = check_stable_feasibility(market, v)
         report.require()
         rank_value = _tight_rank(market, report.tight)
-        if rank_value != n_pairs:
+        if rank_value != len(market.pairs()):
             counterexamples.append(
                 f"walk {k}: endpoint is not a vertex (rank {rank_value})")
         if v.is_integral():

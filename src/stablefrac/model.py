@@ -1,10 +1,11 @@
 """Core domain types and text formats for many-to-one matching markets.
 
-Every matching quantity in this library is exact: points, weights and
-condition factors are ``fractions.Fraction``s, and the polytope and
-elimination code computes on integers over one common denominator.  Floats
-appear only in ``gen_random_market``, where draws against ``density`` shape
-an instance's preference lists.
+Every matching quantity in this library is exact.  A fractional matching is
+held as integer numerators over the least common denominator of its entries,
+and the polytope, sweep and hull code compute on that form; weights,
+condition factors and the entries a caller reads are ``fractions.Fraction``s.
+Floats appear only in ``gen_random_market``, where draws against
+``density`` shape an instance's preference lists.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -20,7 +23,7 @@ Rational = Fraction
 _ID_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 _INTEGER_RE = re.compile(r"^-?[0-9]+$")
-_ZERO = Fraction(0)     # the token "0", by far the most common matrix entry
+_ZERO = Fraction(0)     # one shared zero for the many zero factors of a report
 
 
 class MarketError(Exception):
@@ -286,26 +289,55 @@ class Matching:
         return dict(self._rows)
 
 
-@dataclass(frozen=True)
 class FractionalMatching:
-    """An |F| x |W| matrix of exact rationals, indexed in declaration order."""
+    """An |F| x |W| matrix of exact rationals, indexed in declaration order,
+    held as integer rows ``_nums`` over ``_denom``, the least common
+    denominator of its entries.  That form is canonical, so equality and
+    hashing compare it; ``entries`` is built on first read, unless the
+    constructor was given it."""
 
-    entries: tuple[tuple[Rational, ...], ...]
+    __slots__ = ("_denom", "_nums", "_entries")
+
+    def __init__(self, entries: Sequence[Sequence[Rational]]):
+        self._entries = entries = tuple(map(tuple, entries))
+        self._denom = d = lcm(*{v.denominator for row in entries for v in row})
+        self._nums = tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                           for row in entries)
+
+    @classmethod
+    def _from_scaled(cls, denom: int,
+                     rows: Iterable[Iterable[int]]) -> "FractionalMatching":
+        """The matrix ``rows / denom``, for integer rows and ``denom > 0``,
+        brought to the canonical form by one division by the gcd."""
+        rows = tuple(map(tuple, rows))
+        g = gcd(denom, *chain.from_iterable(rows)) if denom > 1 else 1
+        x = object.__new__(cls)
+        x._denom, x._entries = denom // g, None
+        x._nums = rows if g == 1 else tuple(tuple(n // g for n in r) for r in rows)
+        return x
+
+    @property
+    def entries(self) -> tuple[tuple[Rational, ...], ...]:
+        if self._entries is None:
+            self._entries = tuple(tuple(Fraction(n, self._denom) for n in row)
+                                  for row in self._nums)
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FractionalMatching:
+            return NotImplemented
+        return self._denom == other._denom and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self._denom, self._nums))
+
+    def __repr__(self) -> str:
+        return f"FractionalMatching(entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational | int]]) -> "FractionalMatching":
-        return cls(tuple(
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
-            for row in rows))
-
-    @classmethod
-    def from_pair_values(cls, market: Market,
-                         values: Sequence[Rational]) -> "FractionalMatching":
-        """Build a full matrix from values on the acceptable pairs (zero elsewhere)."""
-        grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
-        for (f, w), v in zip(market.pairs(), values):
-            grid[market.firm_index(f)][market.worker_index(w)] = Fraction(v)
-        return cls.from_rows(grid)
+        return cls([[v if isinstance(v, Fraction) else Fraction(v) for v in row]
+                    for row in rows])
 
     def value(self, market: Market, f: str, w: str) -> Rational:
         return self.entries[market.firm_index(f)][market.worker_index(w)]
@@ -315,23 +347,32 @@ class FractionalMatching:
         return tuple(self.value(market, f, w) for f, w in market.pairs())
 
     def is_integral(self) -> bool:
-        return all(v.denominator == 1 for row in self.entries for v in row)
+        return self._denom == 1
 
     @staticmethod
     def linear_combination(
             terms: Sequence[tuple["FractionalMatching", Rational]]) -> "FractionalMatching":
         if not terms:
             raise ValueError("empty combination")
-        nrows = len(terms[0][0].entries)
-        ncols = len(terms[0][0].entries[0]) if nrows else 0
-        grid = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for x, weight in terms:
-            weight = Fraction(weight)
-            for i, row in enumerate(x.entries):
-                for j, v in enumerate(row):
-                    if v:
-                        grid[i][j] += weight * v
-        return FractionalMatching.from_rows(grid)
+        weights = [(x, Fraction(a)) for x, a in terms]
+        denom = lcm(*(a.denominator * x._denom for x, a in weights))
+        grid = [[0] * len(row) for row in terms[0][0]._nums]
+        for x, a in weights:
+            c = a.numerator * (denom // (a.denominator * x._denom))
+            for acc, row in zip(grid, x._nums):
+                for j, n in enumerate(row):
+                    if n:
+                        acc[j] += c * n
+        return FractionalMatching._from_scaled(denom, grid)
+
+
+def _from_cells(market: Market, denom: int,
+                cells: Iterable[tuple[str, str, int]]) -> FractionalMatching:
+    """The matrix over ``denom`` whose (f, w) numerator sums n over cells (f, w, n)."""
+    grid = [[0] * market.n_workers for _ in market.firms]
+    for f, w, n in cells:
+        grid[market.firm_index(f)][market.worker_index(w)] += n
+    return FractionalMatching._from_scaled(denom, grid)
 
 
 @dataclass(frozen=True)
@@ -351,22 +392,15 @@ class Decomposition:
         return tuple(a for _, a in self.terms)
 
     def reconstruct(self, market: Market) -> FractionalMatching:
-        grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
-        for mu, a in self.terms:
-            for f, ws in mu.assignment:
-                row = grid[market.firm_index(f)]
-                for w in ws:
-                    row[market.worker_index(w)] += a
-        return FractionalMatching.from_rows(grid)
+        denom = lcm(*(a.denominator for _, a in self.terms))
+        return _from_cells(market, denom, (
+            (f, w, a.numerator * (denom // a.denominator))
+            for mu, a in self.terms for f, ws in mu.assignment for w in ws))
 
 
 def incidence_vector(market: Market, mu: Matching) -> FractionalMatching:
     """The 0/1 matrix with a unit entry exactly where a worker is employed."""
-    grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
-    for f, ws in mu.assignment:
-        for w in ws:
-            grid[market.firm_index(f)][market.worker_index(w)] = Fraction(1)
-    return FractionalMatching.from_rows(grid)
+    return _from_cells(market, 1, ((f, w, 1) for f, ws in mu.assignment for w in ws))
 
 
 def matching_from_matrix(market: Market, x: FractionalMatching) -> Matching:
@@ -374,11 +408,12 @@ def matching_from_matrix(market: Market, x: FractionalMatching) -> Matching:
     mapping: dict[str, list[str]] = {f: [] for f in market.firms}
     for i, f in enumerate(market.firms):
         for j, w in enumerate(market.workers):
-            v = x.entries[i][j]
-            if v == 0:
+            n = x._nums[i][j]
+            if n == 0:
                 continue
-            if v != 1:
-                raise ValueError(f"entry for ({f},{w}) is {v}, not 0/1")
+            if n != x._denom:
+                raise ValueError(
+                    f"entry for ({f},{w}) is {x.entries[i][j]}, not 0/1")
             mapping[f].append(w)
     return Matching.build(market, mapping)
 
@@ -525,7 +560,7 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
     be nonnegative and entries on non-acceptable pairs must be exactly zero.
     Quota and stability constraints are checked separately.
     """
-    rows: list[list[Rational]] = []
+    rows: list[list[tuple[int, int]]] = []      # (numerator, denominator)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -540,23 +575,26 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
         f = market.firms[len(rows)]
         row = []
         for j, token in enumerate(tokens):
-            if token == "0":        # passes both checks below
-                row.append(_ZERO)
+            if token == "0":        # passes every check below
+                row.append((0, 1))
                 continue
-            try:
-                v = parse_rational(token)
-            except ValueError:
-                raise ParseError(f"bad rational token {token!r}", lineno) from None
+            num, _, den = token.partition("/")
+            if not _RATIONAL_RE.match(token) or (den and not int(den)):
+                raise ParseError(f"bad rational token {token!r}", lineno)
+            n = int(num)
             w = market.workers[j]
-            if v < 0:
+            if n < 0:
                 raise ParseError(f"negative entry for ({f},{w})", lineno)
-            if v != 0 and not market.acceptable(f, w):
+            if n and not market.acceptable(f, w):
                 raise ParseError(
                     f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
-            row.append(v)
+            row.append((n, int(den or 1)))
         rows.append(row)
     if len(rows) != market.n_firms:
         raise ParseError(
             f"expected {market.n_firms} rows, found {len(rows)}")
-    # every entry is already a Fraction, which ``from_rows`` would re-test
-    return FractionalMatching(tuple(map(tuple, rows)))
+    # tokens need not be reduced, so their denominators' LCM need not be
+    # least; ``_from_scaled`` divides it down
+    denom = lcm(*{d for row in rows for _, d in row})
+    return FractionalMatching._from_scaled(
+        denom, [[n * (denom // d) for n, d in row] for row in rows])

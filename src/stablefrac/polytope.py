@@ -7,21 +7,14 @@ inequality per acceptable pair.  A point is a vertex exactly when its tight
 constraints have full rank over the rationals; coordinates on non-acceptable
 pairs are identically zero and are eliminated rather than carried along.
 
-Both systems are evaluated in one integer pass: the point is scaled once by
-D, the LCM of its entries' denominators, and every quota, unit, sign and
-no-blocking row is compared in ``int``.  ``Fraction``s are built only for
-the lhs of a violated row.  The same pass yields each pair's firm and worker
-weak prefix sums at denominator D, which the stable-feasibility report
-carries privately for the strong stability condition and its sweep.
-
-Every constraint row is one sparse map from acceptable-pair position to its
-nonzero integer coefficient.  The vertex test and the two walks share that
-format; the vertex test also counts tight nonnegativity rows without
-eliminating them, since each is a unit vector.  The two walks hold their
-point as integer numerators over one denominator, the point's LCM as above,
-take integer null-space directions from ``linalg.Rref`` and compare the ratio
-test's step lengths by cross-multiplication, so a step builds one
-``Fraction``: its length.
+Both systems are evaluated in one integer pass over the point's own form,
+numerators N over its least common denominator D: every row is compared in
+``int``, and the pass keeps each pair's weak prefix sums at D for the strong
+stability condition and its sweep.  Every constraint row is one sparse map
+from acceptable-pair position to its nonzero integer coefficient, shared by
+the vertex test and the two walks.  The walks start from N and D, take
+integer null-space directions from ``linalg.Rref`` and compare step lengths
+by cross-multiplication, so a step builds one ``Fraction``: its length.
 """
 
 from __future__ import annotations
@@ -29,11 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator
 
 from .linalg import Rref, rank
-from .model import FractionalMatching, InfeasibleError, Market, Rational
+from .model import (
+    FractionalMatching, InfeasibleError, Market, Rational, _from_cells)
 
 ConstraintId = tuple[str, ...]
 
@@ -78,12 +72,6 @@ def constraint_label(cid: ConstraintId) -> str:
     return f"{kind}:{','.join(agents)}"
 
 
-def _require_shape(market: Market, x: FractionalMatching) -> None:
-    if len(x.entries) != market.n_firms or any(
-            len(row) != market.n_workers for row in x.entries):
-        raise ValueError("matrix dimensions do not match the market")
-
-
 def check_feasibility(market: Market, x: FractionalMatching) -> ConstraintReport:
     """Evaluate the feasibility system exactly.
 
@@ -101,27 +89,23 @@ def check_stable_feasibility(market: Market,
 
     For a pair (f, w): the mass f gives to strictly better workers, plus
     quota-many times the mass w gives to strictly better firms, plus
-    quota-many times the pair's own entry, must reach the quota.  The whole
-    system is evaluated once in integers at denominator D, the LCM of the
-    entries' denominators; the report keeps the weak prefix sums of that
-    evaluation for ``strong_stability``.
+    quota-many times the pair's own entry, must reach the quota.  The report
+    keeps the evaluation's weak prefix sums for ``strong_stability``.
     """
     return _evaluate(market, x, stable=True)
 
 
 def _evaluate(market: Market, x: FractionalMatching,
               stable: bool) -> ConstraintReport:
-    """One integer evaluation of the (stable-)feasibility system at D * x.
+    """One evaluation of the (stable-)feasibility system at N = D * x.
 
-    Rows are compared as integers scaled by D; a violation's lhs becomes a
-    ``Fraction`` over D, its rhs is the row's integer bound.
+    A violation's lhs becomes a ``Fraction`` over D, its rhs is the row's
+    integer bound.
     """
-    _require_shape(market, x)
-    denoms = {v.denominator for row in x.entries for v in row}
-    denom = lcm(*denoms)
-    factor = {d: denom // d for d in denoms}
-    scaled = [[v.numerator * factor[v.denominator] for v in row]
-              for row in x.entries]
+    denom, scaled = x._denom, x._nums
+    if len(scaled) != market.n_firms or any(
+            len(row) != market.n_workers for row in scaled):
+        raise ValueError("matrix dimensions do not match the market")
     violations: list[tuple[ConstraintId, Rational, Rational]] = []
     tight: list[ConstraintId] = []
 
@@ -211,21 +195,13 @@ def _tight_rank(market: Market, tight: tuple[ConstraintId, ...]) -> int:
 
 
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
-    """Vertex test by the rank of the tight constraints.
-
-    Collects every exactly-tight constraint of the stable-feasibility system
-    and computes its rank over the rationals with sparse Gaussian
-    elimination; x is a vertex exactly when the rank equals the number of
-    acceptable pairs.  Tight nonneg rows are unit vectors and are counted
-    without elimination: removing their columns from the other rows leaves
-    the rank unchanged apart from adding one per such row, so the result
-    stays exact.
-    """
+    """Vertex test: x is a vertex exactly when the exactly-tight constraints
+    of the stable-feasibility system have rank equal to the number of
+    acceptable pairs, computed exactly by ``_tight_rank``."""
     report = check_stable_feasibility(market, x)
     report.require()
-    n = len(market.pairs())
     r = _tight_rank(market, report.tight)
-    return r == n, r
+    return r == len(market.pairs()), r
 
 
 @dataclass(frozen=True)
@@ -235,8 +211,12 @@ class _Inequality:
     rhs: int
 
 
-def _inequality_rows(market: Market) -> list[_Inequality]:
-    """The stable-feasibility system normalized to  a . x <= b  rows."""
+def _inequality_rows(market: Market) -> tuple[_Inequality, ...]:
+    """The stable-feasibility system normalized to  a . x <= b  rows, built
+    once per market and kept on it for every later walk, which only reads."""
+    if "_inequality_rows" in vars(market):
+        return market._inequality_rows
+
     def row(cid: ConstraintId, sign: int, rhs: int) -> _Inequality:
         coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
         return _Inequality(cid, coeffs, rhs)
@@ -247,7 +227,8 @@ def _inequality_rows(market: Market) -> list[_Inequality]:
     rows += [row(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
     rows += [row(("noblock", f, w), -1, -market.quota[f])
              for f, w in market.pairs()]
-    return rows
+    object.__setattr__(market, "_inequality_rows", tuple(rows))
+    return market._inequality_rows
 
 
 def _dot(a: dict[int, int], b: list[int]) -> int:
@@ -255,16 +236,14 @@ def _dot(a: dict[int, int], b: list[int]) -> int:
 
 
 class _Point:
-    """A walk point x = N / D: integer numerators over one denominator D.
+    """A walk point x = N / D on the acceptable pairs, taken from the point's
+    own form and kept reduced by ``move``; a row  a . x <= b  is tight
+    exactly when a . N == b * D."""
 
-    D is the least common denominator of the coordinates, as in
-    ``_evaluate``, so a row  a . x <= b  is tight exactly when
-    a . N == b * D.
-    """
-
-    def __init__(self, values: tuple[Rational, ...]):
-        self.denom = lcm(*(v.denominator for v in values))
-        self.nums = [v.numerator * (self.denom // v.denominator) for v in values]
+    def __init__(self, market: Market, x: FractionalMatching):
+        fidx, widx = market.firm_index, market.worker_index
+        self.denom = x._denom
+        self.nums = [x._nums[fidx(f)][widx(w)] for f, w in market.pairs()]
 
     def is_tight(self, row: _Inequality) -> bool:
         return _dot(row.coeffs, self.nums) == row.rhs * self.denom
@@ -278,11 +257,11 @@ class _Point:
         self.nums, self.denom = [n // g for n in nums], denom // g
 
     def matching(self, market: Market) -> FractionalMatching:
-        return FractionalMatching.from_pair_values(
-            market, [Fraction(n, self.denom) for n in self.nums])
+        return _from_cells(market, self.denom,
+                           ((f, w, n) for (f, w), n in zip(market.pairs(), self.nums)))
 
 
-def _step_length(rows: list[_Inequality], point: _Point,
+def _step_length(rows: tuple[_Inequality, ...], point: _Point,
                  direction: list[int]) -> tuple[Fraction, list[_Inequality]]:
     """The ratio test: how far the point may move along direction and stay
     feasible, and the rows that bind at that distance.
@@ -331,6 +310,21 @@ def _drop_each(candidates: list[_Inequality], kept: list[_Inequality],
         yield dropped, basis
 
 
+def _slack_directions(tight: list[_Inequality], n: int,
+                      rng: random.Random) -> Iterator[list[int]]:
+    """Directions that give one of the first six tight rows slack and keep
+    the other tight rows tight, lazily, in the walk's random order."""
+    for dropped, basis in _drop_each(tight[:6], tight[6:], n):
+        if basis.rank < n:
+            free = [c for c in range(n) if c not in basis.pivot_columns()]
+            rng.shuffle(free)
+            for col in free:
+                direction = basis.null_vector(col)
+                s = _dot(dropped.coeffs, direction)
+                if s:
+                    yield [-v for v in direction] if s > 0 else direction
+
+
 def interior_walk(market: Market, x: FractionalMatching,
                   rng: random.Random) -> FractionalMatching:
     """Move a feasible point onto higher-dimensional faces of the polytope.
@@ -343,47 +337,25 @@ def interior_walk(market: Market, x: FractionalMatching,
     whole polytope.
 
     The tight rows are shuffled and the first six are tried in turn as the
-    dropped row.  The rows after them are in every such basis, so
-    ``_drop_each`` eliminates them once per step and copies the result.
-    The reduced basis depends only on the span of the rows added, so each
-    copy has the pivots, free columns and null vectors of a basis built
-    from scratch, and the walk draws the same random numbers and reaches
-    the same point.
+    dropped row, each basis from ``_drop_each``: it equals a basis built
+    from scratch, so the walk draws the same random numbers either way.
     """
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
     if n == 0:
         return x
-    point = _Point(x.flatten(market))
+    point = _Point(market, x)
     rows = _inequality_rows(market)
 
     for _ in range(_INTERIOR_STEPS):
         tight = [row for row in rows if point.is_tight(row)]
-        if not tight:
-            break
         rng.shuffle(tight)
-        moved = False
         # a usable direction almost always shows up early
-        for dropped, basis in _drop_each(tight[:6], tight[6:], n):
-            if basis.rank == n:
-                continue
-            free = [c for c in range(n) if c not in basis.pivot_columns()]
-            rng.shuffle(free)
-            for col in free:
-                direction = basis.null_vector(col)
-                s = _dot(dropped.coeffs, direction)
-                if s == 0:
-                    continue
-                if s > 0:
-                    direction = [-v for v in direction]
-                best, _ = _step_length(rows, point, direction)
-                point.move(best / 2, direction)
-                moved = True
-                break
-            if moved:
-                break
-        if not moved:
+        direction = next(_slack_directions(tight, n, rng), None)
+        if direction is None:
             break
+        best, _ = _step_length(rows, point, direction)
+        point.move(best / 2, direction)
     return point.matching(market)
 
 
@@ -404,7 +376,7 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
     n = len(market.pairs())
     if n == 0:
         return x
-    point = _Point(x.flatten(market))
+    point = _Point(market, x)
     rows = _inequality_rows(market)
 
     basis = Rref(n)

@@ -108,10 +108,9 @@ def support_matching(market: Market, x: FractionalMatching) -> Matching:
     check_feasibility(market, x).require()
     claimed: dict[str, str] = {}
     chosen: dict[str, list[str]] = {}
-    for f in market.firms:
-        i = market.firm_index(f)
+    for f, row in zip(market.firms, x._nums):
         supported = [w for w in market.acceptable_to_firm(f)
-                     if x.entries[i][market.worker_index(w)] > 0]
+                     if row[market.worker_index(w)] > 0]
         take = supported[: market.quota[f]]
         for w in take:
             if w in claimed:
@@ -202,17 +201,15 @@ def check_almost_integral(market: Market, x: FractionalMatching) -> bool:
     Every worker's column may have at most two positive entries.  Every
     firm's row must be 0/1 except for at most one pair of fractional entries
     that sum to an integer.  The pattern is necessary for strong stability
-    but not sufficient.
+    but not sufficient.  An entry N / D is integral when D divides N.
     """
-    for j in range(market.n_workers):
-        positives = sum(1 for row in x.entries if row[j] > 0)
-        if positives > 2:
+    d = x._denom
+    if any(sum(n > 0 for n in column) > 2 for column in zip(*x._nums)):
+        return False
+    for row in x._nums:
+        fractional = [n for n in row if n % d]
+        if any(n not in (0, d) for n in row if not n % d):
             return False
-    for row in x.entries:
-        fractional = [v for v in row if v.denominator != 1]
-        if any(v not in (0, 1) for v in row if v.denominator == 1):
-            return False
-        if fractional and (len(fractional) != 2
-                           or sum(fractional).denominator != 1):
+        if fractional and (len(fractional) != 2 or sum(fractional) % d):
             return False
     return True

@@ -161,6 +161,51 @@ def serialize_fractional(market: Market, x: FractionalMatching) -> str:
         " ".join(str(v) for v in row) for row in x.entries) + "\n"
 
 
+# --- Fraction references for the integer form ------------------------------
+#
+# The library holds a fractional matching as integer numerators over their
+# least common denominator, and mixes, rebuilds and checks points in that
+# form.  These are the same routines entry by entry in ``Fraction``s, as the
+# library had them before; their results must be equal.
+
+def reference_linear_combination(terms):
+    nrows = len(terms[0][0].entries)
+    ncols = len(terms[0][0].entries[0]) if nrows else 0
+    grid = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for x, weight in terms:
+        weight = Fraction(weight)
+        for i, row in enumerate(x.entries):
+            for j, v in enumerate(row):
+                if v:
+                    grid[i][j] += weight * v
+    return FractionalMatching.from_rows(grid)
+
+
+def reference_reconstruct(market, decomposition):
+    grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
+    for mu, a in decomposition.terms:
+        for f, ws in mu.assignment:
+            row = grid[market.firm_index(f)]
+            for w in ws:
+                row[market.worker_index(w)] += a
+    return FractionalMatching.from_rows(grid)
+
+
+def reference_check_almost_integral(market, x):
+    for j in range(market.n_workers):
+        positives = sum(1 for row in x.entries if row[j] > 0)
+        if positives > 2:
+            return False
+    for row in x.entries:
+        fractional = [v for v in row if v.denominator != 1]
+        if any(v not in (0, 1) for v in row if v.denominator == 1):
+            return False
+        if fractional and (len(fractional) != 2
+                           or sum(fractional).denominator != 1):
+            return False
+    return True
+
+
 # --- shared random markets -------------------------------------------------
 
 RANDOM_SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2)]
@@ -261,6 +306,14 @@ def _step_length(rows, vec, direction):
     return best
 
 
+def from_pair_values(market, values):
+    """The matrix with ``values`` on the acceptable pairs, zero elsewhere."""
+    grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
+    for (f, w), v in zip(market.pairs(), values):
+        grid[market.firm_index(f)][market.worker_index(w)] = Fraction(v)
+    return sf.FractionalMatching.from_rows(grid)
+
+
 def reference_interior_walk(market, x, rng: random.Random, steps=4):
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
@@ -299,7 +352,7 @@ def reference_interior_walk(market, x, rng: random.Random, steps=4):
                 break
         if not moved:
             break
-    return sf.FractionalMatching.from_pair_values(market, vec)
+    return from_pair_values(market, vec)
 
 
 def reference_vertex_walk(market, x, rng: random.Random, trace=None):
@@ -326,8 +379,8 @@ def reference_vertex_walk(market, x, rng: random.Random, trace=None):
             if _dot(row.coeffs, vec) == row.rhs:
                 basis.add(row.coeffs)
         if trace is not None:
-            trace.append(sf.FractionalMatching.from_pair_values(market, vec))
-    return sf.FractionalMatching.from_pair_values(market, vec)
+            trace.append(from_pair_values(market, vec))
+    return from_pair_values(market, vec)
 
 
 def walk_pair(market, x, seed, interior, vertex):

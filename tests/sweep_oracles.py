@@ -80,9 +80,8 @@ def main(argv=None) -> int:
                 if len(reference) > 1:
                     multi += 1
                     key = f"{nf},{nw},{qmax}:{seed}:{density}"
-                    incidences = [sf.incidence_vector(m, mu) for mu in
-                                  sorted(reference, key=lambda mu: mu.assignment)]
-                    x = _random_mix(incidences, random.Random(key))
+                    x = _random_mix(m, sorted(reference, key=lambda mu: mu.assignment),
+                                    random.Random(key))
                     if (walk_pair(m, x, key, interior_walk, vertex_walk)
                             != walk_pair(m, x, key, reference_interior_walk,
                                          reference_vertex_walk)):

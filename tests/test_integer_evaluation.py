@@ -1,10 +1,12 @@
-"""The integer evaluation of a point against its Fraction references.
+"""The integer form of a point and its evaluation against Fraction references.
 
-The library scales a point once by the LCM of its denominators and reads the
-stable-feasibility system, the strong stability condition and the threshold
-sweep off integer prefix sums.  The references below evaluate the same
-objects entry by entry in ``Fraction``s, as the library did before; every
-report and decomposition must come out equal, down to the repr.
+The library holds a point as integer numerators over the least common
+denominator of its entries, builds mixes, walk points and reconstructions
+straight in that form, and reads the stable-feasibility system, the strong
+stability condition, the threshold sweep and the almost-integral test off it.
+The references evaluate the same objects entry by entry in ``Fraction``s, as
+the library did before; every point, report and decomposition must come out
+equal, down to the repr.
 """
 
 import random
@@ -15,7 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import firm_weak_prefix, worker_weak_prefix
+from oracles import (
+    firm_weak_prefix,
+    reference_check_almost_integral,
+    reference_linear_combination,
+    reference_reconstruct,
+    serialize_fractional,
+    worker_weak_prefix,
+)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk
 from stablefrac.strong_stability import _pair_conditions, _threshold_sweep
@@ -97,12 +106,26 @@ def reference_threshold_sweep(market, x):
     return sf.Decomposition(tuple(terms))
 
 
+def assert_canonical(x, reference):
+    """x is the reference's matrix, held over the least common denominator
+    of its entries; the two compare, hash and print alike."""
+    assert x == reference and hash(x) == hash(reference)
+    assert repr(x) == repr(reference) and x.entries == reference.entries
+    assert all(type(v) is Fraction for row in x.entries for v in row)
+    d = lcm(*(v.denominator for row in reference.entries for v in row))
+    assert x._denom == d
+    assert x._nums == tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                            for row in reference.entries)
+
+
 def assert_matches_reference(market, x):
     """Every integer-evaluated object at x equals its Fraction reference.
 
     Returns the kind of point: "infeasible", "stable-infeasible", "failing"
     (stable-feasible, condition fails) or "strong".
     """
+    assert sf.check_almost_integral(market, x) == \
+        reference_check_almost_integral(market, x)
     feasibility = sf.check_feasibility(market, x)
     assert repr(feasibility) == repr(reference_check_feasibility(market, x))
     report = sf.check_stable_feasibility(market, x)
@@ -133,11 +156,11 @@ def _perturbed(market, x, rng):
 
 def test_integer_evaluation_matches_reference_on_fleet(fleet, fleet_stable):
     rng = random.Random(606)
-    kinds, violated = {}, set()
+    kinds, violated, almost_integral = {}, set(), set()
     for m, stable in zip(fleet, fleet_stable):
         incidences = [sf.incidence_vector(m, mu) for mu in stable]
         points = list(incidences)
-        points += [_random_mix(incidences, rng) for _ in range(4)]
+        points += [_random_mix(m, stable, rng) for _ in range(4)]
         for mu in stable[:2]:
             points += sf.sample_hull(m, mu, seed=rng.randint(0, 999), count=2)
         if m.pairs():
@@ -150,8 +173,10 @@ def test_integer_evaluation_matches_reference_on_fleet(fleet, fleet_stable):
             kinds[kind] = kinds.get(kind, 0) + 1
             violated.update(cid[0] for cid, _, _ in
                             sf.check_stable_feasibility(m, x).violations)
+            almost_integral.add(sf.check_almost_integral(m, x))
     assert set(kinds) == {"infeasible", "stable-infeasible", "failing", "strong"}
     assert {"quota", "unit", "nonneg", "noblock"} <= violated
+    assert almost_integral == {True, False}
 
 
 def test_integer_evaluation_matches_reference_on_raw_matrices(market, fleet):
@@ -182,8 +207,10 @@ def test_integer_evaluation_with_coprime_denominators(block_market):
     def prime_mix(matchings):
         weights = [Fraction(1, p) for p in primes[:len(matchings) - 1]]
         weights.append(1 - sum(weights))
-        return sf.FractionalMatching.linear_combination(
-            [(sf.incidence_vector(m, nu), a) for nu, a in zip(matchings, weights)])
+        terms = [(sf.incidence_vector(m, nu), a) for nu, a in zip(matchings, weights)]
+        x = sf.FractionalMatching.linear_combination(terms)
+        assert_canonical(x, reference_linear_combination(terms))
+        return x
 
     rng = random.Random(5)
     kinds, largest = [], 1
@@ -230,3 +257,59 @@ def test_integer_evaluation_property_on_stable_mixes(block_market, block_inciden
     x = sf.FractionalMatching.linear_combination(
         [(inc, Fraction(r, total)) for inc, r in zip(block_incidences, raw) if r])
     assert assert_matches_reference(block_market, x) in ("failing", "strong")
+
+
+_NEAR_INTEGRAL = st.sampled_from(
+    [Fraction(v) for v in (0, 0, 0, 1, 1, 2, -1)]
+    + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3),
+       Fraction(2, 3), Fraction(-4, 3), Fraction(5, 6)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.lists(_NEAR_INTEGRAL, min_size=4, max_size=4),
+                     min_size=2, max_size=2))
+def test_almost_integral_property_on_raw_matrices(market, rows):
+    # negative entries, entries above one, and fractional pairs that may or
+    # may not sum to an integer
+    x = sf.FractionalMatching.from_rows(rows)
+    assert sf.check_almost_integral(market, x) == \
+        reference_check_almost_integral(market, x)
+
+
+def test_canonical_form_from_every_source(fleet, fleet_stable):
+    rng = random.Random(808)
+    reconstructed = walked = 0
+    for m, stable in zip(fleet, fleet_stable):
+        incidences = [sf.incidence_vector(m, mu) for mu in stable]
+        for mu, x in zip(stable, incidences):
+            assert_canonical(x, sf.FractionalMatching.from_rows(
+                [[int(w in mu.matched(f)) for w in m.workers] for f in m.firms]))
+        seed = rng.random()
+        x = _random_mix(m, stable, random.Random(seed))
+        draws = random.Random(seed)
+        raw = [draws.randint(0, 8) for _ in incidences]
+        raw[0] += not any(raw)
+        assert_canonical(x, reference_linear_combination(
+            [(v, Fraction(r, sum(raw))) for v, r in zip(incidences, raw) if r]))
+        # signed weights, as ``peel`` uses
+        terms = [(v, Fraction(rng.randint(-3, 5), rng.randint(1, 7)))
+                 for v in incidences + [x]]
+        assert_canonical(sf.FractionalMatching.linear_combination(terms),
+                         reference_linear_combination(terms))
+        for y in [x] + sf.sample_hull(m, stable[0], seed=rng.randint(0, 999), count=2):
+            reference = sf.FractionalMatching.from_rows(y.entries)
+            assert_canonical(y, reference)
+            assert_canonical(sf.parse_fractional(m, serialize_fractional(m, y)),
+                             reference)
+            if sf.strong_stability_check(m, y).overall:
+                dec = sf.decompose(m, y)
+                assert_canonical(dec.reconstruct(m), reference_reconstruct(m, dec))
+                reconstructed += 1
+        if m.pairs():
+            trace = []
+            start = interior_walk(m, x, rng)
+            end = sf.vertex_walk(m, start, rng, trace=trace)
+            for y in [start, end] + trace:
+                assert_canonical(y, sf.FractionalMatching.from_rows(y.entries))
+                walked += 1
+    assert reconstructed > 60 and walked > 60

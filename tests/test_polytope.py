@@ -139,9 +139,8 @@ def test_walks_match_fraction_reference(fleet, fleet_stable, block_market,
                            key=lambda mu: mu.assignment)) for m in extra]
     steps = fractional = 0
     for k, (m, stable) in enumerate(markets):
-        incidences = [sf.incidence_vector(m, mu) for mu in stable]
         for j in range(2):
-            x = _random_mix(incidences, random.Random(f"{k}:{j}"))
+            x = _random_mix(m, stable, random.Random(f"{k}:{j}"))
             got = walk_pair(m, x, 2 * k + j, interior_walk, sf.vertex_walk)
             want = walk_pair(m, x, 2 * k + j, reference_interior_walk,
                              reference_vertex_walk)
@@ -166,9 +165,8 @@ def test_vertex_walk_adds_each_row_once(fleet, fleet_stable, monkeypatch):
     rng = random.Random(31)
     walks = 0
     for m, stable in zip(fleet, fleet_stable):
-        incidences = [sf.incidence_vector(m, mu) for mu in stable]
         for _ in range(3):
-            start = interior_walk(m, _random_mix(incidences, rng), rng)
+            start = interior_walk(m, _random_mix(m, stable, rng), rng)
             added.clear()
             sf.vertex_walk(m, start, rng)
             counts = Counter(map(id, added))
@@ -186,13 +184,12 @@ def test_kept_basis_equals_a_fresh_one_on_walk_points(fleet, fleet_stable):
     for m, stable in zip(fleet, fleet_stable):
         n = len(m.pairs())
         rows = _inequality_rows(m)
-        incidences = [sf.incidence_vector(m, mu) for mu in stable]
-        x = _random_mix(incidences, rng)
+        x = _random_mix(m, stable, rng)
         start = interior_walk(m, x, rng)
         trace = []
         sf.vertex_walk(m, start, rng, trace=trace)
         for y in [x, start] + trace:
-            point = _Point(y.flatten(m))
+            point = _Point(m, y)
             tight = [row for row in rows if point.is_tight(row)]
             rng.shuffle(tight)
             for dropped, basis in _drop_each(tight[:6], tight[6:], n):
@@ -203,6 +200,29 @@ def test_kept_basis_equals_a_fresh_one_on_walk_points(fleet, fleet_stable):
                 assert basis.rows == fresh.rows
                 bases += 1
     assert bases > 500
+
+
+def test_verify_builds_the_inequality_rows_once(block_market, monkeypatch):
+    """Two interior and two vertex walks on one market share one build of its
+    rows, which keep the order and values of a fresh build."""
+    m = sf.parse_market(sf.serialize_market(block_market))    # nothing cached
+    made = []
+
+    class Counted(sf.polytope._Inequality):
+        def __init__(self, cid, coeffs, rhs):
+            made.append(cid)
+            super().__init__(cid, coeffs, rhs)
+
+    monkeypatch.setattr(sf.polytope, "_Inequality", Counted)
+    outcome = sf.verify_characterization(m, seed=0, samples=50)
+    assert outcome.ok and outcome.vertex_points == 2
+    rows = _inequality_rows(m)
+    assert made == [row.cid for row in rows]
+    assert _inequality_rows(m) is rows
+    monkeypatch.undo()
+    fresh = _inequality_rows(sf.parse_market(sf.serialize_market(m)))
+    assert [(r.cid, r.coeffs, r.rhs) for r in rows] == \
+        [(r.cid, r.coeffs, r.rhs) for r in fresh]
 
 
 def test_walks_at_check_dense_sizes():
