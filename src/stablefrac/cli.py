@@ -23,7 +23,7 @@ import functools
 import hashlib
 import sys
 import warnings
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -108,88 +108,101 @@ def _generate(inputs: dict, seed: int, nf: int, nw: int, qmax: int) -> Market:
     return market
 
 
+class _Column(dict):
+    """The ``"key": value`` entries of one key at one depth, by value."""
+
+    __slots__ = ("prefix", "depth")
+
+    def __missing__(self, value) -> str:
+        if type(value) is tuple and value and all(map(str.__instancecheck__, value)):
+            fragment = self[value] = self.prefix + _block(
+                map(encode_basestring_ascii, value), self.depth, "[]")
+            return fragment
+        # a hashable value holds no dict, so a new table of columns will do
+        fragment = self.prefix + _encode(value, self.depth, {})
+        if isinstance(value, str):
+            self[value] = fragment
+        return fragment
+
+
 def _dumps(report) -> str:
     """Exactly ``json.dumps(report, indent=2, sort_keys=True)``, faster.
 
     Reports are built from dicts with string keys, lists, tuples, strings,
     ints, booleans and None; any other type raises ``TypeError``.
 
-    Matching rows repeat across the thousands of matchings of a large
-    report, so a whole dict entry ``"key": [...]`` whose value is a tuple is
-    cached, keyed by ``(key, value, depth)``: a repeated row costs one
-    lookup.  An entry is stored only once the string path encoded its
-    value, which makes every stored value a tuple of strings: ``(1,)`` and
-    ``(True,)``, equal as keys, are never stored, and a tuple with
-    unhashable members, which raises ``TypeError`` at lookup, is encoded
-    the long way.
+    A *column* per key and depth holds the text ``"key": value`` of each
+    string or nonempty tuple of strings it has seen as a value.  Ints and
+    booleans are never stored: ``1 == True``, so they would share an entry.
+    A list whose first item is a nonempty dict of strings and tuples, or a
+    lone dict of tuples, is a list of records: the first record's keys are
+    sorted once, and each record with the same keys is one join of its
+    columns' lookups, done in C.  Other dicts, and records holding an
+    unhashable value, go entry by entry.  The columns live for one call.
     """
-    entries: dict[tuple, str] = {}
+    return _encode(report, 0, {})
 
-    def block(opening: str, parts: Iterable[str], closing: str,
-              depth: int) -> str:
-        inner = "\n" + "  " * (depth + 1)
-        return (opening + inner + ("," + inner).join(parts)
-                + "\n" + "  " * depth + closing)
 
-    def string_list(value, depth: int) -> str | None:
-        """The fragment of a nonempty list or tuple of strings, else None."""
-        for item in value:
-            if not isinstance(item, str):
-                return None
-        return block("[", map(encode_basestring_ascii, value), "]", depth)
+def _encode(value, depth: int, columns: dict) -> str:
+    """``value`` as ``_dumps`` writes it at ``depth``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if value and all(map(tuple.__instancecheck__, value.values())):
+            return _records((value,), depth, columns)[0]
+        return _entries(value, sorted(value), depth, columns) if value else "{}"
+    if isinstance(value, (list, tuple)):
+        if all(map(str.__instancecheck__, value)):      # also the empty list
+            parts = map(encode_basestring_ascii, value)
+        elif isinstance(value[0], dict) and value[0] and all(
+                map(isinstance, value[0].values(), repeat((str, tuple)))):
+            parts = _records(value, depth + 1, columns)
+        else:
+            parts = [_encode(item, depth + 1, columns) for item in value]
+        return _block(parts, depth, "[]") if value else "[]"
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    def string_entry(key: str, item: tuple, depth: int) -> str | None:
-        """``"key": item`` in a dict at ``depth`` if ``item`` is a nonempty
-        tuple of strings, else None."""
-        cache_key = (key, item, depth)
+
+def _block(parts: Iterable[str], depth: int, brackets: str) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(parts) + inner[:-2] + brackets[1]
+
+
+def _entries(value: dict, order, depth: int, columns: dict) -> str:
+    """A nonempty dict at ``depth``, its keys in ``order``, entry by entry."""
+    return _block([encode_basestring_ascii(key) + ": "
+                   + _encode(value[key], depth + 1, columns) for key in order],
+                  depth, "{}")
+
+
+def _records(items, depth: int, columns: dict) -> list[str]:
+    """The fragments of ``items``, a list of records, at ``depth``."""
+    order, keys = tuple(sorted(items[0])), items[0].keys()
+    line = columns.get((order, depth))
+    if line is None:            # the columns of ``order``, made on first use
+        for key in order:
+            if (key, depth) not in columns:
+                column = columns[key, depth] = _Column()
+                column.prefix = encode_basestring_ascii(key) + ": "  # or TypeError
+                column.depth = depth + 1
+        line = columns[order, depth] = [columns[key, depth] for key in order]
+    inner = "\n" + "  " * (depth + 1)
+    opening, separator, closing = "{" + inner, "," + inner, inner[:-2] + "}"
+    parts = []
+    for item in items:
+        if not (isinstance(item, dict) and item.keys() == keys):
+            parts.append(_encode(item, depth, columns))
+            continue
         try:
-            part = entries.get(cache_key)
-        except TypeError:           # unhashable members, so not strings
-            return None
-        if part is None:
-            fragment = string_list(item, depth + 1)
-            if fragment is None:
-                return None
-            part = entries[cache_key] = (
-                encode_basestring_ascii(key) + ": " + fragment)
-        return part
-
-    def encode(value, depth: int) -> str:
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            fragment = string_list(value, depth)
-            if fragment is None:
-                fragment = block("[", [encode(item, depth + 1)
-                                       for item in value], "]", depth)
-            return fragment
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            parts = []
-            for key, item in sorted(value.items()):
-                if not isinstance(key, str):
-                    raise TypeError(
-                        f"report keys must be str, not {type(key).__name__}")
-                part = (string_entry(key, item, depth)
-                        if type(item) is tuple and item else None)
-                parts.append(part or (encode_basestring_ascii(key) + ": "
-                                      + encode(item, depth + 1)))
-            return block("{", parts, "}", depth)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable")
-
-    return encode(report, 0)
+            entries = map(_Column.__getitem__, line, map(item.__getitem__, order))
+            parts.append(opening + separator.join(entries) + closing)
+        except TypeError:           # an unhashable value
+            parts.append(_entries(item, order, depth, columns))
+    return parts
 
 
 def _staff(f: str, ws: tuple[str, ...]) -> str:
@@ -352,8 +365,10 @@ def _cmd_stable_all(args, inputs, diagnostics) -> _Outcome:
 
 
 def _cmd_verify(args, inputs, diagnostics) -> _Outcome:
-    if (args.market is None) == (args.random is None):
-        raise _CliError("verify needs a market file or --random, not both")
+    if args.market is None and args.random is None:
+        raise _CliError("verify needs a market file or --random")
+    if args.market is not None and args.random is not None:
+        raise _CliError("verify takes a market file or --random, not both")
     if args.samples < 1:
         raise _CliError(f"--samples must be at least 1, not {args.samples}")
     if args.market is not None:

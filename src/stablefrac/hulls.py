@@ -46,10 +46,9 @@ from .rotations import (
 from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
     PairCondition,
-    _pair_conditions,
+    _first_failure,
     _threshold_sweep,
     check_almost_integral,
-    strong_stability_check,
 )
 
 
@@ -98,9 +97,11 @@ def _certify(market: Market, x: FractionalMatching,
     """``certify_strongly_stable`` with the base's rotations taken from
     ``rotations_of``, so a caller that knows every stable matching's exposed
     rotations need not reduce the base's profile again."""
-    report = strong_stability_check(market, x)
-    if not report.overall:
-        return report.first_failure()
+    report = check_stable_feasibility(market, x)
+    report.require()
+    failure = _first_failure(market, report._sums)
+    if failure is not None:
+        return failure
     decomposition = _threshold_sweep(market, x, report._sums)
     base = decomposition.terms[0][0]
     rotations = rotations_of(base)
@@ -348,7 +349,7 @@ def verify_characterization(market: Market, seed: int,
                 counterexamples.append(
                     f"walk {k}: integral vertex is not a stable matching")
         else:
-            if _pair_conditions(market, report._sums).overall:
+            if _first_failure(market, report._sums) is None:
                 counterexamples.append(
                     f"walk {k}: non-integral vertex passes the condition")
 

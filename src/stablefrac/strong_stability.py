@@ -98,6 +98,18 @@ def _pair_conditions(market: Market,
     return StrongStabilityReport(tuple(conditions), overall, sums)
 
 
+def _first_failure(market: Market, sums: _ScaledSums) -> PairCondition | None:
+    """``_pair_conditions(market, sums).first_failure()``, or None when the
+    condition holds, without building the other pairs' conditions."""
+    d = sums.denom
+    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
+        firm_gap, worker_gap = market.quota[f] * d - firm_sum, d - worker_sum
+        if firm_gap and worker_gap:
+            return PairCondition(f, w, Fraction(firm_gap, d), Fraction(worker_gap, d),
+                                 Fraction(firm_gap * worker_gap, d * d))
+    return None
+
+
 def support_matching(market: Market, x: FractionalMatching) -> Matching:
     """Give each firm its most-preferred supported workers, up to quota.
 

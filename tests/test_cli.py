@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import jsonschema
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from stablefrac import cli
 from stablefrac.cli import _dumps, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -224,15 +226,34 @@ def test_stable_all_rotations_honours_cap(capsys, block_file, tmp_path):
         "error: 1+ stable matchings exceed the cap of 0\n"
 
 
-def test_stable_all_rotations_largest_report(capsys, tmp_path, cyclic_blocks):
-    """1728 matchings: the encoder's caches hit thousands of times, and the
-    report must still be exactly ``json.dumps``."""
+def test_stable_all_rotations_largest_report(capsys, tmp_path, cyclic_blocks,
+                                            monkeypatch):
+    """1728 matchings: the report must still be exactly ``json.dumps``, and
+    the encoder encodes each distinct ``(firm, row)`` entry once: at most its
+    firm and its workers, besides the strings of the rest of the report."""
     path = tmp_path / "blocks.market"
     path.write_text(sf.serialize_market(cyclic_blocks([3, 3, 3, 4, 4, 4])))
-    code, report = run_json(
-        capsys, ["stable-all", str(path), "--method", "rotations"])
+    argv = ["stable-all", str(path), "--method", "rotations"]
+    code, report = run_json(capsys, argv)
     assert code == 0
-    assert report["result"]["count"] == len(report["result"]["matchings"]) == 1728
+    matchings = report["result"]["matchings"]
+    assert report["result"]["count"] == len(matchings) == 1728
+
+    calls = 0
+
+    def counting(text):
+        nonlocal calls
+        calls += 1
+        return encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+    _dumps({**report, "result": {**report["result"], "matchings": []}})
+    envelope, calls = calls, 0
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+    entries = {(f, tuple(row)) for mu in matchings for f, row in mu.items()}
+    assert calls <= envelope + sum(1 + len(row) for _, row in entries)
+    assert len(entries) < 100
 
 
 def test_parser_is_reused_across_calls(capsys, market_file, mid_file):
@@ -274,7 +295,11 @@ def test_verify_exits_2_at_the_connected_set_cap(capsys, block_file,
 
 def test_verify_usage_error(capsys, market_file):
     assert main(["verify"]) == 2
+    assert capsys.readouterr().err == \
+        "error: verify needs a market file or --random\n"
     assert main(["verify", market_file, "--random", "1", "2", "2", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "error: verify takes a market file or --random, not both\n"
 
 
 def test_gen_roundtrip(capsys):
@@ -460,9 +485,12 @@ def test_dumps_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-# Cases of the dict-entry cache: a tuple that is not all strings, equal
+# Cases of the column cache: a tuple that is not all strings, equal
 # tuples of other types, one tuple at two depths or under two keys, a tuple
-# and an equal list.
+# and an equal list.  Then records that leave the joined path: a key missing
+# or extra, an item that is not a dict, an unhashable value after a cached
+# tuple under the same key, 1 and True after "1", a tuple at two depths, an
+# empty first dict, a lone dict of tuples with a list inside one.
 @pytest.mark.parametrize("value", [
     {"k": ("w1", ["w2"])},
     [{"k": ("w1", ["w2"])}, {"k": ("w1", ["w2"])}],
@@ -473,13 +501,55 @@ def test_dumps_matches_json_dumps(value):
     {"a": ("w1", "w2"), "k": ("w1", "w2")},
     [{"k": ("w1", "w2")}, [{"k": ("w1", "w2")}]],
     [{"k": ("w1", "w2")}, {"k": ["w1", "w2"]}, {"k": ("w1", "w2")}],
+    [{"a": "x", "b": ("w1",)}, {"a": "x"}, {"a": "x", "b": ("w1",)}],
+    [{"a": "x"}, {"a": "x", "b": "y"}, {"b": "x"}, {"a": "x"}],
+    [{"a": "x"}, "a", ["x"], None, 1, ("x",), {"a": "x"}],
+    [{"k": ("w1",)}, {"k": ("w1",)}, {"k": ["w1"]}, {"k": ("w1", ["w2"])},
+     {"k": ("w1",)}],
+    [{"k": "1"}, {"k": 1}, {"k": True}, {"k": ("1",)}, {"k": (1,)},
+     {"k": (True,)}, {"k": "1"}],
+    {"k": ("w1", "w2"), "r": [{"k": ("w1", "w2")}, {"k": ("w1", "w2")}]},
+    [[{"k": ("w1",)}], [[{"k": ("w1",)}]], {"k": ("w1",)}],
+    [{}, {"a": "x"}, {}],
+    {"a": ("w1",), "b": ("w1", ["w2"])},
 ])
 def test_dumps_entry_cache_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {"w1"},
-                                   {"rows": [["w1"], 0.0]}, {1: "f1"}])
+# Other types, also inside records: a key that is not a str, a float after
+# a joined record, a float inside a tuple of a record or of a lone dict.
+@pytest.mark.parametrize("value", [
+    1.5, Fraction(1, 2), {"w1"}, {"rows": [["w1"], 0.0]}, {1: "f1"},
+    [{"a": "x"}, {1: "x"}],
+    [{1: "x"}, {1: "x"}],
+    [{"a": "x"}, {"a": "x", 1: "y"}],
+    [{"a": "x"}, {"a": 1.5}],
+    [{"a": ("w1",)}, {"a": ("w1", 1.5)}],
+    {"a": ("w1",), "b": (0.5,)},
+])
 def test_dumps_refuses_other_types(value):
     with pytest.raises(TypeError):
         _dumps(value)
+
+
+# Lists of records: dicts sharing one key set, with values from small pools
+# so that entries repeat, including 1, True and "1" and both a tuple and a
+# list of the same strings, at two depths.
+_POOL = st.sampled_from(["w1", "w2", "1", "\u00e9", '"\\'])
+_RECORD_VALUES = st.one_of(
+    _POOL, st.just(()), st.sampled_from([1, True, 0, False, None]),
+    st.lists(_POOL, min_size=1, max_size=3).map(tuple),
+    st.lists(_POOL, max_size=3),
+    st.dictionaries(_POOL, _POOL, max_size=2))
+_RECORDS = st.lists(_POOL, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, _RECORD_VALUES)),
+                          min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_RECORDS, other=_RECORDS)
+def test_dumps_record_lists_match_json_dumps(records, other):
+    for value in (records, {"rows": records, "more": [other, records]},
+                  records + other, records[0]):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -9,6 +9,8 @@ import pytest
 import stablefrac as sf
 from oracles import dominates
 from stablefrac.hulls import _certify, _cube_coordinates, _random_mix
+from stablefrac.polytope import interior_walk
+from stablefrac.strong_stability import _first_failure, _pair_conditions
 
 
 def _term_matchings(market, cert):
@@ -372,6 +374,33 @@ def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
                 refused += 1
     assert certified >= 150
     assert refused >= 10
+
+
+def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
+                                                  block_market):
+    """The scan that certification reads gives the full report's verdict and
+    its first failing pair, factors and product included, on hull samples,
+    mixes of the whole stable set and walk points."""
+    block_stable = sorted(sf.enumerate_stable_bruteforce(block_market),
+                          key=lambda mu: mu.assignment)
+    outcomes = Counter()
+    for idx, (m, stable) in enumerate(list(zip(fleet, fleet_stable))
+                                      + [(block_market, block_stable)]):
+        rng = random.Random(f"first-failure:{idx}")
+        points = [x for mu in stable
+                  for x in sf.sample_hull(m, mu, seed=500 + idx, count=2)]
+        points += _mixes(m, stable, idx, 4)
+        if m.pairs():
+            points.append(sf.vertex_walk(m, interior_walk(m, points[-1], rng), rng))
+        for x in points:
+            sums = sf.check_stable_feasibility(m, x)._sums
+            full = _pair_conditions(m, sums)
+            failure = _first_failure(m, sums)
+            assert (failure is None) == full.overall
+            if failure is not None:
+                assert repr(failure) == repr(full.first_failure())
+            outcomes[full.overall] += 1
+    assert outcomes[True] >= 250 and outcomes[False] >= 30
 
 
 def test_verify_reports_a_top_matching_outside_the_stable_set(market, mu_w,
