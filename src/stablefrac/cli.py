@@ -39,7 +39,7 @@ from .model import (
     parse_market,
     serialize_market,
 )
-from .polytope import _tight_rank, check_stable_feasibility, constraint_label
+from .polytope import check_stable_feasibility, constraint_label, is_extreme_point
 from .rotations import (
     Rotation,
     enumerate_stable_via_rotations,
@@ -52,7 +52,7 @@ from .stability import (
     deferred_acceptance,
     enumerate_stable_bruteforce,
 )
-from .strong_stability import PairCondition, _pair_conditions
+from .strong_stability import PairCondition, strong_stability_check
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -265,12 +265,12 @@ def _cmd_check(args, inputs, diagnostics) -> _Outcome:
         human = ["feasible: no",
                  "first violated constraint: " + _violation_words(violations[0])]
         return result, human, EXIT_PROPERTY_FAILS
-    condition = _pair_conditions(market, feas._sums)
-    rank_value = _tight_rank(market, feas.tight)
+    condition = strong_stability_check(market, x)
+    is_vertex, rank_value = is_extreme_point(market, x)
     dimension = len(market.pairs())
     result["condition"] = {"overall": condition.overall,
                            "pairs": [_condition(c) for c in condition.pairs]}
-    result["vertex"] = {"is_vertex": rank_value == dimension,
+    result["vertex"] = {"is_vertex": is_vertex,
                         "rank": rank_value, "dimension": dimension}
     if condition.overall:
         human = ["feasible: yes", "strongly stable: yes"]
@@ -279,7 +279,7 @@ def _cmd_check(args, inputs, diagnostics) -> _Outcome:
                  "witness pair ({firm},{worker}): firm factor {firm_factor}, "
                  "worker factor {worker_factor}, product {product}".format(
                      **_condition(condition.first_failure()))]
-    human.append(f"vertex: {'yes' if rank_value == dimension else 'no'} "
+    human.append(f"vertex: {'yes' if is_vertex else 'no'} "
                  f"(rank {rank_value} of {dimension})")
     return result, human, EXIT_OK if condition.overall else EXIT_PROPERTY_FAILS
 

@@ -9,6 +9,8 @@ point inside the cube of its top matching.  ``verify_characterization``
 stress-tests the equivalence from both directions against brute-force
 enumeration and the cube test; the subset search ``point_in_hull`` is the
 reference the tests hold the cube test to.
+The harness hands ``certify_strongly_stable`` and ``sample_hull`` the
+rotations it already holds, and each point keeps its one evaluation.
 """
 
 from __future__ import annotations
@@ -26,17 +28,13 @@ from .model import (
     Market,
     Matching,
     NotStableError,
+    NotStronglyStableError,
     Rational,
     _from_cells,
     matching_from_matrix,
     _prune_mutual,
 )
-from .polytope import (
-    _tight_rank,
-    check_stable_feasibility,
-    interior_walk,
-    vertex_walk,
-)
+from .polytope import interior_walk, is_extreme_point, vertex_walk
 from .rotations import (
     Rotation,
     connected_set,
@@ -47,8 +45,8 @@ from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
     PairCondition,
     _first_failure,
-    _threshold_sweep,
     check_almost_integral,
+    decompose,
 )
 
 
@@ -74,37 +72,27 @@ class HullCertificate:
 
 
 def certify_strongly_stable(
-        market: Market, x: FractionalMatching
+        market: Market, x: FractionalMatching,
+        rotations_of: Callable[[Matching], tuple[Rotation, ...]] | None = None
 ) -> HullCertificate | PairCondition:
     """Certify hull membership constructively, or refuse with a witness pair.
 
     Requires a stable-feasible point (InfeasibleError otherwise).  When the
     strong stability condition fails, the refusal is the first failing
-    ``PairCondition`` with its factors.  When it holds, the ordered
-    decomposition is computed without checking the condition again, and
-    every term is read as a vertex of the base matching's cube: its subset
-    is the rotations whose coordinate is 1.  A decomposition term that is no
+    ``PairCondition`` with its factors.  When it holds, every term of the
+    ordered decomposition is read as a vertex of the base matching's cube:
+    its subset is the rotations whose coordinate is 1.  A term that is no
     vertex of that cube would falsify the characterization; it raises
-    instead of being swallowed.
+    instead of being swallowed.  ``rotations_of(base)``, when given, stands
+    in for reducing the base's profile.
     """
-    return _certify(market, x,
-                    lambda base: find_cycles(reduce_profile(market, base)))
-
-
-def _certify(market: Market, x: FractionalMatching,
-             rotations_of: Callable[[Matching], tuple[Rotation, ...]]
-             ) -> HullCertificate | PairCondition:
-    """``certify_strongly_stable`` with the base's rotations taken from
-    ``rotations_of``, so a caller that knows every stable matching's exposed
-    rotations need not reduce the base's profile again."""
-    report = check_stable_feasibility(market, x)
-    report.require()
-    failure = _first_failure(market, report._sums)
-    if failure is not None:
-        return failure
-    decomposition = _threshold_sweep(market, x, report._sums)
+    try:
+        decomposition = decompose(market, x)
+    except NotStronglyStableError:
+        return _first_failure(market, x)
     base = decomposition.terms[0][0]
-    rotations = rotations_of(base)
+    rotations = (rotations_of(base) if rotations_of is not None
+                 else find_cycles(reduce_profile(market, base)))
     terms: list[tuple[frozenset[int], Rational]] = []
     for mu, weight in decomposition.terms:
         lam = _cube_coordinates(
@@ -148,18 +136,15 @@ def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],
     return tuple(lam)
 
 
-def sample_hull(market: Market, mu: Matching, seed: int,
-                count: int) -> list[FractionalMatching]:
+def sample_hull(market: Market, mu: Matching, seed: int, count: int,
+                rotations: tuple[Rotation, ...] | None = None
+                ) -> list[FractionalMatching]:
     """Random rational convex combinations over the connected set of mu,
     deterministic in the seed.  ``_random_mix`` draws small integer weights,
-    so denominators stay below a small multiple of the connected-set size."""
-    return _sample_cube(market, mu, find_cycles(reduce_profile(market, mu)),
-                        seed, count)
-
-
-def _sample_cube(market: Market, mu: Matching, rotations: tuple[Rotation, ...],
-                 seed: int, count: int) -> list[FractionalMatching]:
-    """``sample_hull`` for a matching whose rotations are already known."""
+    so denominators stay below a small multiple of the connected-set size.
+    ``rotations``, when given, are mu's known exposed rotations."""
+    if rotations is None:
+        rotations = find_cycles(reduce_profile(market, mu))
     members = sorted(connected_set(market, mu, rotations),
                      key=lambda m: m.assignment)
     rng = random.Random(f"hull:{seed}")
@@ -288,7 +273,7 @@ def verify_characterization(market: Market, seed: int,
     def classify(x: FractionalMatching, origin: str, expect_member: bool) -> bool:
         """Record counterexamples at x; true when x passes the condition."""
         try:
-            cert = _certify(market, x, known_rotations)
+            cert = certify_strongly_stable(market, x, known_rotations)
         except NotStableError as exc:
             counterexamples.append(f"{origin}: passing point's {exc}")
             return True
@@ -312,7 +297,7 @@ def verify_characterization(market: Market, seed: int,
     per_mu = max(1, -(-samples // max(1, len(stable))))   # ceil division
     for idx, (mu, rotations) in enumerate(cubes.items()):
         for k, x in enumerate(
-                _sample_cube(market, mu, rotations, seed * 1009 + idx, per_mu)):
+                sample_hull(market, mu, seed * 1009 + idx, per_mu, rotations)):
             hull_points += 1
             classify(x, f"hull sample {idx}/{k}", expect_member=True)
 
@@ -338,10 +323,8 @@ def verify_characterization(market: Market, seed: int,
         for j, mid in enumerate(trace[:-1] if trace else []):
             if not classify(mid, f"walk {k} step {j}", expect_member=False):
                 negative_points += 1
-        report = check_stable_feasibility(market, v)
-        report.require()
-        rank_value = _tight_rank(market, report.tight)
-        if rank_value != len(market.pairs()):
+        is_vertex, rank_value = is_extreme_point(market, v)
+        if not is_vertex:
             counterexamples.append(
                 f"walk {k}: endpoint is not a vertex (rank {rank_value})")
         if v.is_integral():
@@ -349,7 +332,7 @@ def verify_characterization(market: Market, seed: int,
                 counterexamples.append(
                     f"walk {k}: integral vertex is not a stable matching")
         else:
-            if _first_failure(market, report._sums) is None:
+            if _first_failure(market, v) is None:
                 counterexamples.append(
                     f"walk {k}: non-integral vertex passes the condition")
 

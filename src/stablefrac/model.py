@@ -294,12 +294,15 @@ class FractionalMatching:
     held as integer rows ``_nums`` over ``_denom``, the least common
     denominator of its entries.  That form is canonical, so equality and
     hashing compare it; ``entries`` is built on first read, unless the
-    constructor was given it."""
+    constructor was given it.  ``_stable`` is None or ``(market, report)``,
+    the point's one stable-feasibility evaluation, which
+    ``polytope.check_stable_feasibility`` keeps and reads back."""
 
-    __slots__ = ("_denom", "_nums", "_entries")
+    __slots__ = ("_denom", "_nums", "_entries", "_stable")
 
     def __init__(self, entries: Sequence[Sequence[Rational]]):
         self._entries = entries = tuple(map(tuple, entries))
+        self._stable = None
         self._denom = d = lcm(*{v.denominator for row in entries for v in row})
         self._nums = tuple(tuple(v.numerator * (d // v.denominator) for v in row)
                            for row in entries)
@@ -312,7 +315,7 @@ class FractionalMatching:
         rows = tuple(map(tuple, rows))
         g = gcd(denom, *chain.from_iterable(rows)) if denom > 1 else 1
         x = object.__new__(cls)
-        x._denom, x._entries = denom // g, None
+        x._denom, x._entries, x._stable = denom // g, None, None
         x._nums = rows if g == 1 else tuple(tuple(n // g for n in r) for r in rows)
         return x
 

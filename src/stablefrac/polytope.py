@@ -10,11 +10,13 @@ pairs are identically zero and are eliminated rather than carried along.
 Both systems are evaluated in one integer pass over the point's own form,
 numerators N over its least common denominator D: every row is compared in
 ``int``, and the pass keeps each pair's weak prefix sums at D for the strong
-stability condition and its sweep.  Every constraint row is one sparse map
-from acceptable-pair position to its nonzero integer coefficient, shared by
-the vertex test and the two walks.  The walks start from N and D, take
-integer null-space directions from ``linalg.Rref`` and compare step lengths
-by cross-multiplication, so a step builds one ``Fraction``: its length.
+stability condition and its sweep.  The point keeps that report for its
+market, so every layer takes ``(market, x)`` and evaluates a point once.
+Every constraint row is one sparse map from acceptable-pair position to its
+nonzero integer coefficient, shared by the vertex test and the two walks.
+The walks start from N and D, take integer null-space directions from
+``linalg.Rref`` and compare step lengths by cross-multiplication, so a step
+builds one ``Fraction``: its length.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ ConstraintId = tuple[str, ...]
 
 @dataclass(frozen=True)
 class _ScaledSums:
-    """Weak prefix sums of one point, times the point's denominator ``denom``.
+    """Weak prefix sums of one point, times the point's denominator.
 
     ``firm[k]`` is the firm's cumulative mass down to the worker of the k-th
     acceptable pair, ``worker[k]`` the worker's down to the firm.
     """
 
-    denom: int
     firm: list[int]
     worker: list[int]
 
@@ -61,10 +62,11 @@ class ConstraintReport:
     def first_violation(self) -> tuple[ConstraintId, Rational, Rational]:
         return self.violations[0]
 
-    def require(self) -> None:
-        """Raise InfeasibleError at the first violated constraint, if any."""
+    def require(self) -> ConstraintReport:
+        """The report; InfeasibleError at the first violated constraint, if any."""
         if self.violations:
             raise InfeasibleError(*self.first_violation())
+        return self
 
 
 def constraint_label(cid: ConstraintId) -> str:
@@ -90,9 +92,12 @@ def check_stable_feasibility(market: Market,
     For a pair (f, w): the mass f gives to strictly better workers, plus
     quota-many times the mass w gives to strictly better firms, plus
     quota-many times the pair's own entry, must reach the quota.  The report
-    keeps the evaluation's weak prefix sums for ``strong_stability``.
+    keeps the evaluation's weak prefix sums for ``strong_stability``, and the
+    point keeps the report: a second call for the same market returns it.
     """
-    return _evaluate(market, x, stable=True)
+    if x._stable is None or x._stable[0] is not market:
+        x._stable = (market, _evaluate(market, x, stable=True))
+    return x._stable[1]
 
 
 def _evaluate(market: Market, x: FractionalMatching,
@@ -152,7 +157,7 @@ def _evaluate(market: Market, x: FractionalMatching,
         bound(("noblock", f, w), firm_sum[k] - entry[k] + q * worker_sum[k], q,
               upper=False)
     return ConstraintReport(tuple(violations), tuple(tight),
-                            _ScaledSums(denom, firm_sum, worker_sum))
+                            _ScaledSums(firm_sum, worker_sum))
 
 
 def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
@@ -181,26 +186,20 @@ def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
-def _tight_rank(market: Market, tight: tuple[ConstraintId, ...]) -> int:
-    """Rank of the given tight constraints, with the nonneg rows presolved.
-
-    A tight nonneg row is the unit vector of its pair, so each one adds one
-    to the rank and fixes its coordinate.  The rank is the number of those
-    rows plus the rank of the other rows with the fixed coordinates dropped.
-    """
-    fixed = {market.pair_position(*cid[1:]) for cid in tight if cid[0] == "nonneg"}
-    rest = [{c: a for c, a in _constraint_row(market, cid).items() if c not in fixed}
-            for cid in tight if cid[0] != "nonneg"]
-    return len(fixed) + rank(rest, len(market.pairs()))
-
-
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     """Vertex test: x is a vertex exactly when the exactly-tight constraints
     of the stable-feasibility system have rank equal to the number of
-    acceptable pairs, computed exactly by ``_tight_rank``."""
-    report = check_stable_feasibility(market, x)
-    report.require()
-    r = _tight_rank(market, report.tight)
+    acceptable pairs.  Returns that verdict and the rank.
+
+    The nonneg rows are presolved: a tight one is the unit vector of its
+    pair, so each adds one to the rank and fixes its coordinate, which the
+    exact rank of the other tight rows then drops.
+    """
+    tight = check_stable_feasibility(market, x).require().tight
+    fixed = {market.pair_position(*cid[1:]) for cid in tight if cid[0] == "nonneg"}
+    rest = [{c: a for c, a in _constraint_row(market, cid).items() if c not in fixed}
+            for cid in tight if cid[0] != "nonneg"]
+    r = len(fixed) + rank(rest, len(market.pairs()))
     return r == len(market.pairs()), r
 
 

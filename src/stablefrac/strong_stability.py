@@ -5,11 +5,14 @@ either the firm has exhausted its quota on weakly better workers or the
 worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
+Both read the weak prefix sums of the point's one stable-feasibility
+evaluation; ``decompose`` finds the first failing pair, if any, without
+building the other pairs' conditions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
@@ -24,7 +27,7 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import _ScaledSums, check_feasibility, check_stable_feasibility
+from .polytope import check_feasibility, check_stable_feasibility
 
 
 @dataclass(frozen=True)
@@ -37,13 +40,17 @@ class PairCondition:
     worker_factor: Rational  # one minus the worker's weak prefix sum at the firm
     product: Rational
 
+    def _refusal(self) -> NotStronglyStableError:
+        return NotStronglyStableError(
+            f"strong stability fails at ({self.firm},{self.worker}) "
+            f"with product {self.product}",
+            pair=(self.firm, self.worker), product=self.product)
+
 
 @dataclass(frozen=True)
 class StrongStabilityReport:
     pairs: tuple[PairCondition, ...]
     overall: bool
-    # the evaluation the report was read from; not part of the report's value
-    _sums: _ScaledSums | None = field(default=None, compare=False, repr=False)
 
     def failures(self) -> tuple[PairCondition, ...]:
         return tuple(p for p in self.pairs if p.product != 0)
@@ -54,11 +61,7 @@ class StrongStabilityReport:
     def require(self) -> None:
         """Raise NotStronglyStableError at the first failing pair, if any."""
         if not self.overall:
-            fail = self.first_failure()
-            raise NotStronglyStableError(
-                f"strong stability fails at ({fail.firm},{fail.worker}) "
-                f"with product {fail.product}",
-                pair=(fail.firm, fail.worker), product=fail.product)
+            raise self.first_failure()._refusal()
 
 
 def strong_stability_check(market: Market,
@@ -67,22 +70,12 @@ def strong_stability_check(market: Market,
 
     Requires a stable-feasible point (InfeasibleError otherwise).  The report
     carries both factors and their product per pair; ``overall`` is true
-    exactly when every product is zero.
+    exactly when every product is zero.  With F and W the integer weak
+    prefix sums at the point's denominator D, the factors are (q D - F) / D
+    and (D - W) / D, and the product is zero whenever either factor is.
     """
-    report = check_stable_feasibility(market, x)
-    report.require()
-    return _pair_conditions(market, report._sums)
-
-
-def _pair_conditions(market: Market,
-                     sums: _ScaledSums) -> StrongStabilityReport:
-    """The report of ``strong_stability_check``, for a stable-feasible point.
-
-    Reads the integer weak prefix sums F and W of the point's one evaluation
-    at denominator D: the factors are (q D - F) / D and (D - W) / D, and the
-    product is zero whenever either factor is.
-    """
-    d = sums.denom
+    sums = check_stable_feasibility(market, x).require()._sums
+    d = x._denom
     conditions = []
     overall = True
     for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
@@ -95,13 +88,14 @@ def _pair_conditions(market: Market,
         conditions.append(PairCondition(
             f, w, Fraction(firm_gap, d) if firm_gap else _ZERO,
             Fraction(worker_gap, d) if worker_gap else _ZERO, product))
-    return StrongStabilityReport(tuple(conditions), overall, sums)
+    return StrongStabilityReport(tuple(conditions), overall)
 
 
-def _first_failure(market: Market, sums: _ScaledSums) -> PairCondition | None:
-    """``_pair_conditions(market, sums).first_failure()``, or None when the
-    condition holds, without building the other pairs' conditions."""
-    d = sums.denom
+def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
+    """``strong_stability_check(market, x).first_failure()``, or None when
+    the condition holds, without building the other pairs' conditions."""
+    sums = check_stable_feasibility(market, x).require()._sums
+    d = x._denom
     for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
         firm_gap, worker_gap = market.quota[f] * d - firm_sum, d - worker_sum
         if firm_gap and worker_gap:
@@ -170,21 +164,17 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     matching gets weight t' - t.  Later intervals give matchings that are
     worse for every firm, so the terms come out in the firms' order; weights
     sum to one exactly, and the reconstruction is verified before returning.
+
+    The sweep runs on the firms' integer prefix sums C = D c of the point's
+    one evaluation: the cuts T are the values C mod D, ceil(c - T / D) is
+    the floor division -((T - C) // D), and an interval [T, E) weighs
+    (E - T) / D.
     """
-    report = strong_stability_check(market, x)
-    report.require()
-    return _threshold_sweep(market, x, report._sums)
-
-
-def _threshold_sweep(market: Market, x: FractionalMatching,
-                     sums: _ScaledSums) -> Decomposition:
-    """The sweep of ``decompose``, for a point known to be strongly stable.
-
-    Runs on the firms' integer prefix sums C = D c of the point's one
-    evaluation: the cuts T are the values C mod D, ceil(c - T / D) is the
-    floor division -((T - C) // D), and an interval [T, E) weighs (E - T) / D.
-    """
-    d, pos = sums.denom, market.pair_position
+    failure = _first_failure(market, x)
+    if failure is not None:
+        raise failure._refusal()
+    sums = check_stable_feasibility(market, x)._sums
+    d, pos = x._denom, market.pair_position
     prefix = {f: [(w, sums.firm[pos(f, w)]) for w in market.acceptable_to_firm(f)]
               for f in market.firms}
     cuts = sorted({0} | {c % d for firm_sums in prefix.values()

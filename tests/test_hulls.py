@@ -8,9 +8,9 @@ import pytest
 
 import stablefrac as sf
 from oracles import dominates
-from stablefrac.hulls import _certify, _cube_coordinates, _random_mix
+from stablefrac.hulls import _cube_coordinates, _random_mix
 from stablefrac.polytope import interior_walk
-from stablefrac.strong_stability import _first_failure, _pair_conditions
+from stablefrac.strong_stability import _first_failure
 
 
 def _term_matchings(market, cert):
@@ -365,7 +365,7 @@ def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
                   for x in sf.sample_hull(m, mu, seed=400 + idx, count=2)]
         points += [_random_mix(m, stable, rng) for _ in range(4)]
         for x in points:
-            cert = _certify(m, x, cubes.__getitem__)
+            cert = sf.certify_strongly_stable(m, x, cubes.__getitem__)
             assert cert == sf.certify_strongly_stable(m, x)
             if isinstance(cert, sf.HullCertificate):
                 assert cert._matchings == sf.decompose(m, x).matchings()
@@ -393,9 +393,8 @@ def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
         if m.pairs():
             points.append(sf.vertex_walk(m, interior_walk(m, points[-1], rng), rng))
         for x in points:
-            sums = sf.check_stable_feasibility(m, x)._sums
-            full = _pair_conditions(m, sums)
-            failure = _first_failure(m, sums)
+            full = sf.strong_stability_check(m, x)
+            failure = _first_failure(m, x)
             assert (failure is None) == full.overall
             if failure is not None:
                 assert repr(failure) == repr(full.first_failure())

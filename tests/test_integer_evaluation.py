@@ -27,8 +27,7 @@ from oracles import (
 )
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk
-from stablefrac.strong_stability import (
-    _first_failure, _pair_conditions, _threshold_sweep)
+from stablefrac.strong_stability import _first_failure
 
 
 def reference_check_feasibility(market, x):
@@ -135,15 +134,14 @@ def assert_matches_reference(market, x):
         return "infeasible"
     if not report.feasible:
         return "stable-infeasible"
-    condition = _pair_conditions(market, report._sums)
+    condition = sf.strong_stability_check(market, x)
     assert repr(condition) == repr(reference_pair_conditions(market, x))
-    assert sf.strong_stability_check(market, x) == condition
-    failure = _first_failure(market, report._sums)
+    failure = _first_failure(market, x)
     if not condition.overall:
         assert repr(failure) == repr(condition.first_failure())
         return "failing"
     assert failure is None
-    assert repr(_threshold_sweep(market, x, report._sums)) == repr(
+    assert repr(sf.decompose(market, x)) == repr(
         reference_threshold_sweep(market, x))
     return "strong"
 

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
                      reference_interior_walk, reference_vertex_walk, walk_pair)
+from stablefrac import polytope
+from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank
 from stablefrac.polytope import _drop_each, _inequality_rows, _Point, interior_walk
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_stable_incidences_are_feasible(market, x_firm, x_worker, x_vertex):
@@ -388,3 +393,40 @@ def test_rref_copy_is_independent(rows, more):
     for row in more + rows:
         fresh.add(row)
     assert copy.rows == fresh.rows
+
+
+def _recorded_evaluations(monkeypatch):
+    """Every ``_evaluate`` call as (market, point, stable); the list keeps
+    the objects alive, so their ids are not reused during the run."""
+    calls = []
+    evaluate = polytope._evaluate
+
+    def recorded(market, x, stable):
+        calls.append((market, x, stable))
+        return evaluate(market, x, stable)
+
+    monkeypatch.setattr(polytope, "_evaluate", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("fraction", ["vertex.frac", "mid.frac", "firm_opt.frac"])
+def test_check_and_decompose_evaluate_the_point_once(command, fraction,
+                                                     monkeypatch, capsys):
+    """The condition, the vertex test and the decomposition read the
+    evaluation that the point keeps for its market."""
+    calls = _recorded_evaluations(monkeypatch)
+    assert main([command, str(DATA / "example.market"), str(DATA / fraction)]) in (0, 1)
+    assert [stable for _, _, stable in calls] == [True]
+
+
+@pytest.mark.parametrize("market_file", ["example.market", "block.market"])
+def test_verify_evaluates_each_point_once(market_file, monkeypatch, capsys):
+    """No (market, point) pair is evaluated twice in a whole verify run:
+    the walk start is classified and then walked from, and each walk
+    endpoint is vertex-tested and then scanned, on one evaluation each."""
+    calls = _recorded_evaluations(monkeypatch)
+    assert main(["verify", str(DATA / market_file), "--samples", "20"]) == 0
+    keys = [(id(market), id(x), stable) for market, x, stable in calls]
+    assert len(keys) >= 20
+    assert len(set(keys)) == len(keys)

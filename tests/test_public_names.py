@@ -1,30 +1,37 @@
-"""The names the benchmark reaches into, and the package's exports, resolve.
+"""The benchmark's names and the package's exports resolve; commands reach them.
 
 ``bench/tracer.py`` patches the functions in its ``TRACED`` table by name
 (a dotted name is a method patched on its class), and ``bench/selftest.py``
 calls ``Matching.as_dict``.  A name missing from the library would otherwise
-show only as a crash of a traced benchmark run.
+show only as a crash of a traced benchmark run, and a command that bypasses
+a traced layer only as that layer's metrics reading 0.  The benchmark's own
+selftest runs here too.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import stablefrac as sf
+from stablefrac import cli
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+DATA = Path(__file__).parent / "data"
 
 
-def _traced():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TRACED
+    return tracer
 
 
 def test_traced_names_resolve():
     missing = []
-    for mod_name, names in _traced().items():
+    for mod_name, names in _tracer_module().TRACED.items():
         module = importlib.import_module(f"stablefrac.{mod_name}")
         for name in names:
             cls_name, _, attr = name.rpartition(".")
@@ -40,3 +47,35 @@ def test_traced_names_resolve():
 def test_exported_names_resolve_once():
     assert len(set(sf.__all__)) == len(sf.__all__)
     assert [name for name in sf.__all__ if not hasattr(sf, name)] == []
+
+
+def test_commands_reach_the_public_layers(capsys):
+    """Each command calls the paper's layers by their public names, so the
+    benchmark's trace sees the work it does."""
+    bench_tracer = _tracer_module()
+    market, mid = str(DATA / "example.market"), str(DATA / "mid.frac")
+    commands = {"check": ["check", market, mid],
+                "decompose": ["decompose", market, mid],
+                "verify": ["verify", market, "--samples", "20"]}
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        for name, argv in commands.items():
+            tracer.command = name
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    seen = {name: {bench_tracer.NAMES[span[0]] for span in tracer.spans
+                   if span[4] == name} for name in commands}
+    certify = {"hulls.certify_strongly_stable", "strong_stability.decompose"}
+    assert {"polytope.is_extreme_point",
+            "strong_stability.strong_stability_check"} <= seen["check"]
+    assert certify <= seen["decompose"]
+    assert certify | {"hulls.sample_hull", "polytope.is_extreme_point"} <= seen["verify"]
+
+
+def test_bench_selftest_passes():
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest ok" in done.stdout
