@@ -9,8 +9,10 @@ point inside the cube of its top matching.  ``verify_characterization``
 stress-tests the equivalence from both directions against brute-force
 enumeration and the cube test; the subset search ``point_in_hull`` is the
 reference the tests hold the cube test to.
-The harness hands ``certify_strongly_stable`` and ``sample_hull`` the
-rotations it already holds, and each point keeps its one evaluation.
+The harness reads every stable matching's exposed rotations off the
+rotation search's masks (``rotations._exposed``) instead of reducing its
+profile, hands ``certify_strongly_stable`` and ``sample_hull`` those
+rotations, and each point keeps its one evaluation.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .model import (
 from .polytope import interior_walk, is_extreme_point, vertex_walk
 from .rotations import (
     Rotation,
+    _exposed,
+    _lattice,
     connected_set,
     find_cycles,
     reduce_profile,
@@ -248,9 +252,12 @@ def verify_characterization(market: Market, seed: int,
     Positive direction: sampled hull points must satisfy the strong stability
     condition, certify constructively (the sweep has already checked that
     the certificate's terms rebuild the point), and be almost integral.
-    Each stable matching's profile is reduced once, up front; certification
-    looks the top matching's rotations up there, and a passing point whose
-    top matching is not in the stable set is a counterexample.
+    The rotation search runs once: its stable set must equal brute force's,
+    or that is a counterexample, and each stable matching's exposed
+    rotations are read off its masks, with no reduction of its profile.
+    Certification looks the top matching's rotations up there, and a
+    passing point whose top matching is not in the stable set is a
+    counterexample.
     Negative direction: stable-feasible points that fail the condition must
     be refused and must lie outside every connected-set hull, as decided by
     the cube test of each stable matching with its exposed rotations, which
@@ -258,12 +265,17 @@ def verify_characterization(market: Market, seed: int,
     must pass the rank test; the non-integral ones must fail the condition,
     the integral ones must be stable matchings.
     """
-    stable = sorted(enumerate_stable_bruteforce(market),
-                    key=lambda mu: mu.assignment)
-    cubes = {mu: find_cycles(reduce_profile(market, mu)) for mu in stable}
+    oracle = enumerate_stable_bruteforce(market)
+    stable = sorted(oracle, key=lambda mu: mu.assignment)
+    chain, listed, known = _lattice(market)
 
     counterexamples: list[str] = []
     notes: list[str] = []
+    if listed.keys() != oracle:
+        counterexamples.append(
+            "stable set: brute force and the rotation lattice disagree")
+    cubes = {mu: _exposed(market, chain, known, listed[mu])
+             for mu in stable if mu in listed}
 
     def known_rotations(base: Matching) -> tuple[Rotation, ...]:
         if base not in cubes:

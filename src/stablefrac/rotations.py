@@ -21,7 +21,11 @@ cycle's firms alone, and only for a rotation whose predecessors the search
 cannot yet show to be applied.  Its precondition, that every cycle worker
 moves along an acceptable pair to a firm it strictly prefers, holds for every
 rotation of a reduced profile; the chain checks it once per rotation, when
-it finds it.
+it finds it.  The search also learns the poset itself: the intersection of
+the applied sets at which it finds a rotation exposed is, once it
+completes, exactly the set of that rotation's predecessors, so the
+rotations exposed at any listed matching are read off bitmasks
+(``_exposed``) rather than found by reducing its profile.
 """
 
 from __future__ import annotations
@@ -302,9 +306,14 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     return next(_blocks(market, nu, sigma.firms), None) is None
 
 
-def enumerate_stable_via_rotations(
-        market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
-    """All stable matchings, one per closed set of the rotation poset.
+def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
+             ) -> tuple[list[Rotation], dict[Matching, int], list[int]]:
+    """The rotation search: ``(rotations, listed, known)``.
+
+    ``rotations`` is r_1, ..., r_n in the chain's order, ``listed`` maps
+    each stable matching to the bitmask of the rotations applied to the
+    firm-optimal matching to reach it, and ``known[j]`` is the bitmask of
+    D_j, the rotations that precede r_j.
 
     Chain phase: from the firm-optimal matching, reduce the profile, apply
     every exposed rotation at once and repeat until none is exposed.  Every
@@ -315,28 +324,32 @@ def enumerate_stable_via_rotations(
     of ``_stable_step``, the chain must end at the worker-optimal matching,
     and no rotation may be found twice.
 
-    Search phase: the chain's order r_1, ..., r_n is a linear extension of
-    the rotation poset, since a rotation is exposed only after all of its
-    predecessors were applied.  So a nonempty closed set I has exactly one
-    parent, I minus its highest-index rotation, which is closed as well, and
-    its matching is the parent's with that rotation applied, exposed and so
+    Search phase: the chain's order is a linear extension of the rotation
+    poset, since a rotation is exposed only after all of its predecessors
+    were applied.  So a nonempty closed set I has exactly one parent, I
+    minus its highest-index rotation, which is closed as well, and its
+    matching is the parent's with that rotation applied, exposed and so
     fitting.  A depth-first search from the firm-optimal matching extends
     each matching only by rotations r_j with j above the last index added,
     and keeps a candidate when r_j fits and the result is stable
     (``_stable_step``).  Every stable matching is reached this way; one
-    reached twice would be an error, and is raised as one.  No precedence
-    relation has to be built.
+    reached twice would be an error, and is raised as one.
 
-    The search learns the exposures it needs instead.  r_j is exposed at a
-    closed set I exactly when r_j is not in I and all of its predecessors
-    are, so every set at which the search finds r_j exposed contains those
-    predecessors, and so does ``known[j]``, the intersection of these sets.
-    A later candidate r_j whose ``known[j]`` lies inside the applied set is
-    therefore exposed, and is kept without ``_misfit`` or ``_stable_step``;
-    ``apply_cycle`` still checks that it fits.
+    The search learns the precedence relation as it goes.  r_j is exposed
+    at a closed set I exactly when r_j is not in I and D_j is, so every set
+    at which the search finds r_j exposed contains D_j, and so does
+    ``known[j]``, the intersection of these sets.  A later candidate r_j
+    whose ``known[j]`` lies inside the applied set is therefore exposed,
+    and is kept without ``_misfit`` or ``_stable_step``; ``apply_cycle``
+    still checks that it fits.  Once the search completes, ``known[j]`` is
+    exactly D_j: D_j is closed, so the search lists it, and with j among
+    its candidates, since every rotation of D_j precedes r_j in the chain's
+    order; r_j is exposed there, so D_j is intersected into ``known[j]``
+    unless ``known[j]`` already lies inside it.  ``_exposed`` reads the
+    rotations exposed at any listed matching off these masks.
 
     Raises ``CapExceededError`` once more than ``cap`` matchings, the
-    firm-optimal one included, are listed.
+    firm-optimal one included, are listed; no masks exist then.
     """
     start = deferred_acceptance(market, Side.FIRMS)
     wrank = market._wrank
@@ -361,16 +374,18 @@ def enumerate_stable_via_rotations(
     if len(set(rotations)) != len(rotations):
         raise AssertionError("a rotation was found twice on the chain")
 
-    listed: list[Matching] = []
+    listed: dict[Matching, int] = {}
+    count = 0
     known = [(1 << len(rotations)) - 1] * len(rotations)
     # (matching, bitmask of the rotations applied, next index)
     stack: list[tuple[Matching, int, int]] = [(start, 0, 0)]
     while stack:
         mu, applied, first = stack.pop()
-        listed.append(mu)
-        if len(listed) > cap:
+        listed[mu] = applied
+        count += 1
+        if count > cap:
             raise CapExceededError(
-                f"{len(listed)}+ stable matchings exceed the cap of {cap}")
+                f"{count}+ stable matchings exceed the cap of {cap}")
         for j in range(first, len(rotations)):
             sigma = rotations[j]
             if known[j] & ~applied:
@@ -383,7 +398,28 @@ def enumerate_stable_via_rotations(
             else:
                 nu = apply_cycle(market, mu, sigma)
             stack.append((nu, applied | 1 << j, j + 1))
-    found = set(listed)
-    if len(found) != len(listed):
+    if len(listed) != count:
         raise AssertionError("a stable matching was generated twice")
-    return found
+    return rotations, listed, known
+
+
+def _exposed(market: Market, rotations: Sequence[Rotation], known: Sequence[int],
+             applied: int) -> tuple[Rotation, ...]:
+    """The rotations exposed at the listed matching with mask ``applied``,
+    by their first firm's index as ``find_cycles`` returns them: each r_j
+    outside ``applied`` whose predecessors ``known[j]`` all lie inside it."""
+    return tuple(sorted(
+        (sigma for j, sigma in enumerate(rotations)
+         if not (applied >> j) & 1 and not known[j] & ~applied),
+        key=lambda sigma: market.firm_index(sigma.firms[0])))
+
+
+def enumerate_stable_via_rotations(
+        market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
+    """All stable matchings, one per closed set of the rotation poset: the
+    matchings that the rotation search ``_lattice`` lists.
+
+    Raises ``CapExceededError`` once more than ``cap`` matchings, the
+    firm-optimal one included, are listed.
+    """
+    return set(_lattice(market, cap)[1])

@@ -47,16 +47,21 @@ def deferred_acceptance(market: Market, side: Side) -> Matching:
 
     ``Side.FIRMS`` returns the firm-optimal stable matching, ``Side.WORKERS``
     the worker-optimal one.  With strict preferences the outcome does not
-    depend on the proposal order; declaration order is used.
+    depend on the proposal order; declaration order is used.  Each side's
+    matching is computed once per market and kept on it, so repeated calls
+    return the same object.
     """
-    one = dict.fromkeys(market.workers, 1)
-    if side is Side.FIRMS:
-        staff, _ = _propose(market._firm_acc, market.quota, one, market._wrank)
-    elif side is Side.WORKERS:
-        _, staff = _propose(market._worker_acc, one, market.quota, market._frank)
-    else:
+    if not isinstance(side, Side):
         raise ValueError(f"unknown side: {side!r}")
-    return Matching.build(market, staff)
+    kept = vars(market).setdefault("_deferred_acceptance", {})
+    if side not in kept:
+        one = dict.fromkeys(market.workers, 1)
+        if side is Side.FIRMS:
+            staff, _ = _propose(market._firm_acc, market.quota, one, market._wrank)
+        else:
+            _, staff = _propose(market._worker_acc, one, market.quota, market._frank)
+        kept[side] = Matching.build(market, staff)
+    return kept[side]
 
 
 def _propose(lists: dict[str, tuple[str, ...]], room: dict[str, int],

@@ -11,6 +11,7 @@ from fractions import Fraction
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.polytope import _inequality_rows, check_stable_feasibility
+from stablefrac.rotations import _exposed, _lattice
 
 
 def reference_enumerate_stable(market):
@@ -229,6 +230,46 @@ def compare_rich(seed: int) -> tuple[int, bool]:
     m = sf.gen_random_market(seed, RICH_SIZE, RICH_SIZE, 1, density=1.0)
     stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
     return len(stable), sf.enumerate_stable_via_rotations(m) == stable
+
+
+# --- balanced many-to-one markets -------------------------------------------
+
+def balanced_market(seed: int, nf: int, q: int) -> Market:
+    """``nf`` firms of quota ``q`` and ``q * nf`` workers, every list
+    complete and in uniform random order: every firm is full in every stable
+    matching, so each rotation moves a worker at a firm that keeps other
+    staff."""
+    rng = random.Random(f"balanced:{seed}:{nf}:{q}")
+    firms = tuple(f"f{i}" for i in range(1, nf + 1))
+    workers = tuple(f"w{j}" for j in range(1, q * nf + 1))
+    return Market(firms, workers, dict.fromkeys(firms, q),
+                  {f: tuple(rng.sample(workers, len(workers))) for f in firms},
+                  {w: tuple(rng.sample(firms, nf)) for w in workers})
+
+
+# --- exposures read off the rotation lattice ---------------------------------
+
+def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
+    """The number of stable matchings the rotation search lists, and
+    whether its masks agree with reductions.
+
+    At every listed matching the rotations read off the masks
+    (``rotations._exposed``) must be ``find_cycles(reduce_profile(...))``,
+    and each ``known[j]`` must be D_j: the intersection of the listed closed
+    sets that contain r_j, with r_j itself removed.
+    """
+    chain, listed, known = _lattice(market)
+    below = [~0] * len(chain)
+    for applied in listed.values():
+        for j in range(len(chain)):
+            if applied >> j & 1:
+                below[j] &= applied
+    same = all(k == b & ~(1 << j) for j, (k, b) in enumerate(zip(known, below)))
+    same = same and all(
+        _exposed(market, chain, known, applied)
+        == sf.find_cycles(sf.reduce_profile(market, mu))
+        for mu, applied in listed.items())
+    return len(listed), same
 
 
 # --- Fraction elimination and walks -----------------------------------------

@@ -17,8 +17,14 @@ the start, endpoint, trace and next rng draw.  Last, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
 ``enumerate_stable_via_rotations`` with ``enumerate_stable_bruteforce``
 alone (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the default cap
-refuses their 13^12 candidate maps).  Prints the counts and exits 1 on any
-disagreement.  Not collected by pytest (``test_rotations.py`` runs three
+refuses their 13^12 candidate maps).  Then, on balanced many-to-one markets
+(``oracles.balanced_market``: every firm of quota q, q times as many
+workers, complete lists; seeds 0 to min(N, 100) - 1), it checks at every
+stable matching that the exposures read off the rotation search's masks
+are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``), and
+at 6x12 and 8x16 (q = 2) and 6x18 (q = 3) that the rotation search lists
+the pruned search's set, with its cap lifted to ``BALANCED_CAP``.  Prints
+the counts and exits 1 on any disagreement.  Not collected by pytest (``test_rotations.py`` runs three
 rich seeds through ``compare_rich``); run from the repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
@@ -33,9 +39,10 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (RICH_SIZE, compare_rich, dominates,
-                     reference_enumerate_stable, reference_interior_walk,
-                     reference_reduced_lists, reference_vertex_walk, walk_pair)
+from oracles import (RICH_SIZE, balanced_market, compare_rich, dominates,
+                     lattice_exposures_agree, reference_enumerate_stable,
+                     reference_interior_walk, reference_reduced_lists,
+                     reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 
@@ -43,6 +50,11 @@ SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
          (6, 6, 1), (4, 4, 2), (2, 6, 3)]
 DENSITIES = (1.0, 0.7)
 RICH_SEEDS = 100
+# (firms, quota, compared with the pruned search) per balanced size
+BALANCED = [(6, 2, True), (8, 2, True), (6, 3, True), (10, 2, False),
+            (8, 3, False)]
+BALANCED_SEEDS = 100
+BALANCED_CAP = 10 ** 16     # 9^16 and 7^18 candidate maps at 8x16 and 6x18
 
 
 def main(argv=None) -> int:
@@ -98,6 +110,22 @@ def main(argv=None) -> int:
                                   seed, 1.0))
     print(f"rich family: {rich_seeds} markets, {rich_listed} stable "
           "matchings", flush=True)
+    balanced_seeds = min(args.seeds, BALANCED_SEEDS)
+    for nf, q, oracle in BALANCED:
+        balanced_listed = 0
+        for seed in range(balanced_seeds):
+            m = balanced_market(seed, nf, q)
+            size, same = lattice_exposures_agree(m)
+            balanced_listed += size
+            if not same:
+                disagreements.append(("balanced exposures", nf, q * nf, q,
+                                      seed, 1.0))
+            if oracle and sf.enumerate_stable_via_rotations(m) != \
+                    sf.enumerate_stable_bruteforce(m, cap=BALANCED_CAP):
+                disagreements.append(("balanced rotations", nf, q * nf, q,
+                                      seed, 1.0))
+        print(f"balanced {nf}x{q * nf}, q = {q}: {balanced_seeds} markets, "
+              f"{balanced_listed} stable matchings", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")

@@ -293,6 +293,21 @@ def test_verify_exits_2_at_the_connected_set_cap(capsys, block_file,
     assert "cap" in capsys.readouterr().err
 
 
+def test_verify_reports_an_oracle_lattice_disagreement(capsys, market_file,
+                                                      monkeypatch):
+    """When brute force and the rotation lattice list different stable
+    sets, verify reports it as a counterexample and exits 1."""
+    enumerate_stable = sf.hulls.enumerate_stable_bruteforce
+    monkeypatch.setattr(sf.hulls, "enumerate_stable_bruteforce",
+                        lambda m: enumerate_stable(m) - {
+                            sf.deferred_acceptance(m, sf.Side.WORKERS)})
+    code, report = run_json(capsys, ["verify", market_file, "--samples", "4"])
+    assert code == 1
+    assert report["result"]["ok"] is False
+    assert report["result"]["counterexamples"] == [
+        "stable set: brute force and the rotation lattice disagree"]
+
+
 def test_verify_usage_error(capsys, market_file):
     assert main(["verify"]) == 2
     assert capsys.readouterr().err == \

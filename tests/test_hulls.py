@@ -308,9 +308,11 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
     assert checked >= 150
 
 
-def test_verify_reduces_each_stable_profile_once(block_market, monkeypatch):
-    """Every reduction during verify counts, certification included: each
-    stable matching's profile is reduced once and never again."""
+def test_verify_reduces_only_the_chains_profiles(block_market, monkeypatch):
+    """Every reduction during verify counts, certification included: the
+    rotation chain's three, from the firm-optimal to the worker-optimal
+    matching, and none per stable matching, whose exposed rotations are read
+    off the lattice's masks (one reduction per stable matching, 24, before)."""
     calls = []
     reduce_profile = sf.rotations.reduce_profile
 
@@ -323,8 +325,9 @@ def test_verify_reduces_each_stable_profile_once(block_market, monkeypatch):
     outcome = sf.verify_characterization(block_market, seed=1, samples=10)
     assert outcome.ok
     assert outcome.stable_count == 24
-    assert len(calls) == outcome.stable_count
-    assert len(set(calls)) == outcome.stable_count
+    assert len(calls) == 3
+    assert calls[0] == sf.deferred_acceptance(block_market, sf.Side.FIRMS)
+    assert calls[-1] == sf.deferred_acceptance(block_market, sf.Side.WORKERS)
 
 
 def test_verify_does_no_fraction_arithmetic(block_market, monkeypatch):
@@ -404,12 +407,15 @@ def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
 
 def test_verify_reports_a_top_matching_outside_the_stable_set(market, mu_w,
                                                               monkeypatch):
-    """A passing point whose top matching the stable set lacks is a
-    counterexample; verify does not reduce that matching's profile instead."""
+    """An oracle that drops the worker-optimal matching disagrees with the
+    rotation lattice, and a passing point whose top matching the oracle's
+    set lacks is a counterexample; verify takes that matching's rotations
+    neither from the lattice nor from a reduction of its profile."""
     enumerate_stable = sf.hulls.enumerate_stable_bruteforce
     monkeypatch.setattr(sf.hulls, "enumerate_stable_bruteforce",
                         lambda m: enumerate_stable(m) - {mu_w})
     outcome = sf.verify_characterization(market, seed=1, samples=20)
     assert outcome.counterexamples == (
+        "stable set: brute force and the rotation lattice disagree",
         "hull sample 0/10: passing point's top matching is not a listed "
         "stable matching",)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, compare_rich, dominates, random_markets,
+from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, compare_rich,
+                     dominates, lattice_exposures_agree, random_markets,
                      reference_enumerate_stable, reference_reduced_lists)
 
 DATA = Path(__file__).parent / "data"
@@ -338,6 +339,45 @@ def test_rotation_rich_markets_match_the_oracle(seed, size):
     cap, list the same stable set by rotations (``sweep_oracles.py`` runs
     100 seeds)."""
     assert compare_rich(seed) == (size, True)
+
+
+def test_exposures_read_off_the_masks_match_reductions(fleet, cyclic_blocks):
+    """At every stable matching the rotations that the search's masks say
+    are exposed are those that reducing its profile finds, and each
+    ``known[j]`` is the set of r_j's predecessors: on cyclic blocks (six
+    rotations exposed at one profile with ``[2]*6``), the fleet and the
+    shared random markets."""
+    markets = [cyclic_blocks(sizes) for sizes in ([2] * 6, [3, 4], [2, 3, 4])]
+    markets += fleet
+    markets += [m for size in RANDOM_SIZES for m in random_markets(*size)]
+    listed = 0
+    for m in markets:
+        count, same = lattice_exposures_agree(m)
+        assert same
+        listed += count
+    assert listed == 64 + 12 + 24 + 62 + 365
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_balanced_many_to_one_markets_match_the_oracle(seed):
+    """Balanced 6x12 markets of quota 2, whose 7^12 candidate maps the
+    default cap refuses: the rotation search lists the pruned search's set,
+    and its masks agree with reductions at every stable matching."""
+    m = balanced_market(seed, 6, 2)
+    stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
+    assert sf.enumerate_stable_via_rotations(m) == stable
+    assert lattice_exposures_agree(m) == (len(stable), True)
+
+
+def test_balanced_many_to_one_exposures_beyond_the_oracle():
+    """At 8x16 the 9^16 candidate maps exceed even the lifted cap, so only
+    the masks are checked against reductions."""
+    counts = []
+    for seed in range(10):
+        count, same = lattice_exposures_agree(balanced_market(seed, 8, 2))
+        assert same
+        counts.append(count)
+    assert sum(counts) == 39 and max(counts) == 6
 
 
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):

@@ -36,6 +36,20 @@ def test_single_pair_market_both_sides_agree():
     assert a.as_dict() == {"f1": ("w1",)}
 
 
+def test_deferred_acceptance_is_kept_on_the_market(fleet):
+    """Each side runs once per market: repeated calls return one object,
+    equal to a run on a freshly built copy of the market."""
+    for m in fleet:
+        for side in sf.Side:
+            first = sf.deferred_acceptance(m, side)
+            assert sf.deferred_acceptance(m, side) is first
+            fresh = sf.Market(m.firms, m.workers, m.quota, m.firm_pref,
+                              m.worker_pref)
+            assert sf.deferred_acceptance(fresh, side) == first
+    with pytest.raises(ValueError, match="unknown side"):
+        sf.deferred_acceptance(fleet[0], "firms")
+
+
 def test_individual_rationality(market, mu_f):
     assert sf.is_individually_rational(market, mu_f)
     empty = sf.Matching.build(market, {})
