@@ -9,10 +9,8 @@ point inside the cube of its top matching.  ``verify_characterization``
 stress-tests the equivalence from both directions against brute-force
 enumeration and the cube test; the subset search ``point_in_hull`` is the
 reference the tests hold the cube test to.
-The harness reads every stable matching's exposed rotations off the
-rotation search's masks (``rotations._exposed``) instead of reducing its
-profile, hands ``certify_strongly_stable`` and ``sample_hull`` those
-rotations, and each point keeps its one evaluation.
+The harness reads the exposed rotations off the rotation search's masks
+(``rotations._exposed``), and tests a failing point on one cube only.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from typing import Callable
 
 from .linalg import solve_exact
 from .model import (
+    ContestedWorkerError,
     Decomposition,
     FractionalMatching,
     Market,
@@ -51,6 +50,7 @@ from .strong_stability import (
     _first_failure,
     check_almost_integral,
     decompose,
+    support_matching,
 )
 
 
@@ -138,6 +138,26 @@ def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],
         if rest != {w: denom for w in staff if w not in pair}:
             return None
     return tuple(lam)
+
+
+def _in_a_hull(market: Market, cubes: dict[Matching, tuple[Rotation, ...]],
+               x: FractionalMatching) -> bool:
+    """Whether x lies in the hull of some connected set of ``cubes``
+    (stable matching -> its exposed rotations), tested on one cube.
+
+    Were x = inc(mu) + sum(lambda_i * delta_i), each gained worker would
+    rank below all of its new firm's staff, so x's support matching is mu
+    with the rotations of lambda_i = 1 applied, where those of 0 < lambda_i
+    < 1 are still exposed: only that matching's cube can hold x.
+    """
+    try:
+        top = support_matching(market, x)
+    except ContestedWorkerError:
+        return False
+    rows = {f: {w: n for w, n in zip(market.workers, row) if n}
+            for f, row in zip(market.firms, x._nums)}
+    return top in cubes and \
+        _cube_coordinates(top, cubes[top], rows, x._denom) is not None
 
 
 def sample_hull(market: Market, mu: Matching, seed: int, count: int,
@@ -260,10 +280,10 @@ def verify_characterization(market: Market, seed: int,
     counterexample.
     Negative direction: stable-feasible points that fail the condition must
     be refused and must lie outside every connected-set hull, as decided by
-    the cube test of each stable matching with its exposed rotations, which
-    does not use the decomposition.  Vertex fuzzing: random walk endpoints
-    must pass the rank test; the non-integral ones must fail the condition,
-    the integral ones must be stable matchings.
+    the cube of their support matching, the one cube that can hold them
+    (``_in_a_hull``), which does not use the decomposition.  Vertex fuzzing:
+    random walk endpoints must pass the rank test; the non-integral ones
+    must fail the condition, the integral ones must be stable matchings.
     """
     oracle = enumerate_stable_bruteforce(market)
     stable = sorted(oracle, key=lambda mu: mu.assignment)
@@ -297,10 +317,7 @@ def verify_characterization(market: Market, seed: int,
             counterexamples.append(
                 f"{origin}: hull point fails the condition at "
                 f"({cert.firm},{cert.worker})")
-        rows = {f: {w: n for w, n in zip(market.workers, row) if n}
-                for f, row in zip(market.firms, x._nums)}
-        if any(_cube_coordinates(mu, rotations, rows, x._denom) is not None
-               for mu, rotations in cubes.items()):
+        if _in_a_hull(market, cubes, x):
             counterexamples.append(
                 f"{origin}: failing point lies in a connected-set hull")
         return False

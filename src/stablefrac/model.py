@@ -90,16 +90,6 @@ class OneSidedPreferenceWarning(UserWarning):
     """A preference entry whose counterpart does not list the agent back."""
 
 
-def parse_rational(token: str) -> Rational:
-    """Parse "a/b" or an integer literal into an exact rational."""
-    if not _RATIONAL_RE.match(token):
-        raise ValueError(f"not a rational token: {token!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
-
-
 @dataclass(frozen=True)
 class Market:
     """A many-to-one matching market: firms with quotas and strict lists.
@@ -142,7 +132,7 @@ class Market:
         if set(self.quota) != set(self.firms):
             raise ValueError("quota must cover exactly the declared firms")
         for f, q in self.quota.items():
-            if not isinstance(q, int) or q < 1:
+            if type(q) is not int or q < 1:   # bool is an int subclass
                 raise ValueError(f"quota of {f} must be a positive integer")
         for attr, ids, other, other_ids in (
                 ("firm_pref", self.firms, "worker", self.workers),
@@ -270,7 +260,11 @@ class Matching:
         """Canonicalize a firm -> workers mapping against a market."""
         rows = []
         for f in market.firms:
-            ws = tuple(sorted(set(mapping.get(f, ())), key=market.worker_index))
+            staff = set(mapping.get(f, ()))
+            unknown = staff.difference(market._windex)
+            if unknown:
+                raise ValueError(f"unknown workers in assignment: {sorted(unknown)}")
+            ws = tuple(sorted(staff, key=market.worker_index))
             if len(ws) > market.quota[f]:
                 raise ValueError(f"firm {f} exceeds its quota")
             rows.append((f, ws))

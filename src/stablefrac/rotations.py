@@ -5,27 +5,23 @@ that can still matter for stable matchings the firms like weakly less:
 firms keep the span between their best current partner and their worst
 worker-optimal one, workers the span between their worker-optimal partner
 and their current one, and a pair stays only when both spans admit it.
-Cycles of the "best worker outside my assignment" successor map in the
-reduced market are the rotations; applying one trades along the cycle and
-lands on another stable matching.
+Each firm's reduced list begins with its staff; the cycles of the map from
+a firm to the employer of its next listed worker are the rotations
+(Gusfield & Irving 1989; Roth & Sotomayor 1990 for q-responsive firms), and
+applying one trades along the cycle and lands on another stable matching.
 
 Enumeration finds the rotations once, on one chain from the firm-optimal to
-the worker-optimal matching.  The order in which the chain finds them is a
-linear extension of the rotation poset, and the stable matchings are the
-closed sets of that poset, so a depth-first search that only ever adds a
-rotation later in that order than the last one added generates each stable
-matching once, from one parent, with one ``apply_cycle``.  A rotation that
-fits is not always exposed, so each candidate is kept only when it is
-stable; ``_stable_step`` decides that exactly by scanning the lists of the
-cycle's firms alone, and only for a rotation whose predecessors the search
-cannot yet show to be applied.  Its precondition, that every cycle worker
-moves along an acceptable pair to a firm it strictly prefers, holds for every
-rotation of a reduced profile; the chain checks it once per rotation, when
-it finds it.  The search also learns the poset itself: the intersection of
-the applied sets at which it finds a rotation exposed is, once it
-completes, exactly the set of that rotation's predecessors, so the
-rotations exposed at any listed matching are read off bitmasks
-(``_exposed``) rather than found by reducing its profile.
+the worker-optimal matching.  Their order on the chain is a linear
+extension of the rotation poset, whose closed sets are the stable
+matchings, so a depth-first search that only adds a rotation later in that
+order than the last one added lists each stable matching once, from one
+parent, with one ``apply_cycle``.  A fitting candidate whose predecessors
+the search cannot yet show to be applied is kept only when it is stable,
+as ``_stable_step`` decides from the cycle's firms alone; the chain checks
+its precondition once per rotation.  Once the search completes, the
+intersection of the applied sets at which it found a rotation exposed is
+exactly that rotation's predecessors, so ``_exposed`` reads the rotations
+exposed at any listed matching off bitmasks.
 """
 
 from __future__ import annotations
@@ -51,30 +47,29 @@ from .stability import (
 
 @dataclass(frozen=True)
 class ReducedProfile:
-    """A market with truncated lists, together with its base matching.
-
-    The base matching is stable and firm-optimal in the reduced market, and
-    the reduced lists are mutually acceptable exactly.
+    """A market's lists truncated around its stable matching ``base``:
+    every agent's reduced list, most-preferred first, in declaration order.
+    The lists are mutually acceptable, and each firm's begins with its staff.
     """
 
     base: Matching
-    market: Market      # reduced lists, same agents and quotas
+    firm_lists: dict[str, tuple[str, ...]]
+    worker_lists: dict[str, tuple[str, ...]]
 
     def firm_list(self, f: str) -> tuple[str, ...]:
-        return self.market.firm_pref[f]
+        return self.firm_lists[f]
 
     def worker_list(self, w: str) -> tuple[str, ...]:
-        return self.market.worker_pref[w]
+        return self.worker_lists[w]
 
 
 @dataclass(frozen=True)
 class Rotation:
     """A cyclic trade among firms exposed by a reduced profile.
 
-    ``workers[d]`` is the best reduced-list worker of ``firms[d]`` outside its
-    assignment, and is employed by ``firms[d + 1]`` (cyclically) in the base
-    matching.  Canonical form starts at the firm with the smallest
-    declaration index.
+    ``workers[d]`` is the first worker after the staff on ``firms[d]``'s
+    reduced list, employed by ``firms[d + 1]`` (cyclically) in the base
+    matching.  Canonical form starts at the firm declared first.
     """
 
     firms: tuple[str, ...]
@@ -98,6 +93,15 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
     either matching keeps nothing (it is unmatched in every stable
     matching).  A pair stays on both lists exactly when both spans admit
     it, so the reduced lists are mutually acceptable by construction.
+
+    Checked, as an ``AssertionError``: every firm's list begins with its
+    staff, and a firm below quota lists only its staff.  The staff are kept:
+    workers prefer mu_W, and firms like mu at least as well (Roth & Sotomayor
+    1990), a firm below quota having the same staff in both (rural
+    hospitals).  Any other kept worker ranks the firm above its employer, so
+    it would block mu were it ranked above the firm's worst staff member, or
+    the firm below quota.  So mu is stable in the reduced lists, and
+    firm-proposing deferred acceptance on them stops at mu.
     """
     if not is_stable(market, mu):
         raise NotStableError("reduction requires a stable matching")
@@ -124,70 +128,56 @@ def reduce_profile(market: Market, mu: Matching) -> ReducedProfile:
                   for f in market.firms}
     worker_lists = {w: tuple(f for f in market.acceptable_to_worker(w)
                              if kept(f, w)) for w in market.workers}
-    reduced = Market(market.firms, market.workers, dict(market.quota),
-                     firm_lists, worker_lists)
-    if not is_stable(reduced, mu):
-        raise AssertionError("base matching must stay stable after reduction")
-    if deferred_acceptance(reduced, Side.FIRMS) != mu:
-        raise AssertionError(
-            "base matching must be firm-optimal in the reduced market")
-    return ReducedProfile(base=mu, market=reduced)
+    for f, lst in firm_lists.items():
+        staff = mu.matched(f)
+        if set(lst[:len(staff)]) != set(staff) or (
+                len(staff) < market.quota[f] and len(lst) > len(staff)):
+            raise AssertionError(
+                f"reduced list of {f} must begin with its staff, and list "
+                "nothing else below quota")
+    return ReducedProfile(mu, firm_lists, worker_lists)
 
 
 def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
     """All rotations of a reduced profile, by their first firm's index.
 
-    The successor of a firm is the employer of its best reduced-list worker
-    outside its own assignment; it is undefined for firms below quota (those
-    never rotate: below-quota firms keep the same workers in every stable
-    matching) and for firms with no outside worker left.  The cycles of this
-    partial successor map, found by pointer chasing with visitation stamps,
-    are exactly the rotations.  Each firm has one successor, so the cycles
-    are firm-disjoint, and each cycle worker is employed by the next firm.
+    A firm's reduced list begins with its staff, and the successor of a
+    firm is the employer of the first worker after them, if any (never for
+    a firm below quota).  The cycles of this partial successor map are
+    exactly the rotations.  Each firm has one successor, so the cycles are
+    firm-disjoint, and each cycle worker is employed by the next firm.
     """
     mu = profile.base
-    reduced = profile.market
-    successor: dict[str, str] = {}
-    wanted: dict[str, str] = {}
-    for f in reduced.firms:
-        staff = mu.matched(f)
-        if len(staff) < reduced.quota[f]:
-            continue
-        outside = [w for w in reduced.acceptable_to_firm(f) if w not in staff]
-        if not outside:
-            continue
-        w = outside[0]
-        employer = mu.employer(w)
-        if employer is None:
-            raise AssertionError(
-                "a reduced-list worker outside a full firm must be matched")
-        successor[f] = employer
-        wanted[f] = w
+    lists = profile.firm_lists
+    successor, wanted = {}, {}      # firm -> next firm, and -> its worker
+    for f, lst in lists.items():
+        k = len(mu.matched(f))
+        if len(lst) > k:
+            w = lst[k]
+            employer = mu.employer(w)
+            if employer is None:
+                raise AssertionError(
+                    "a reduced-list worker outside a full firm must be matched")
+            successor[f] = employer
+            wanted[f] = w
 
-    visited: set[str] = set()
-    cycles: list[list[str]] = []
-    for start in reduced.firms:
-        if start in visited or start not in successor:
-            continue
-        path: list[str] = []
-        position: dict[str, int] = {}
-        cur: str | None = start
-        while cur is not None and cur not in visited and cur not in position:
-            position[cur] = len(path)
-            path.append(cur)
-            cur = successor.get(cur)
-        if cur is not None and cur in position:
-            cycles.append(path[position[cur]:])
-        visited.update(path)
-
+    index = {f: i for i, f in enumerate(lists)}
+    seen: set[str] = set()
     rotations = []
-    for cycle in cycles:
-        k = min(range(len(cycle)),
-                key=lambda i: reduced.firm_index(cycle[i]))
-        ordered = cycle[k:] + cycle[:k]
-        rotations.append(
-            Rotation(tuple(ordered), tuple(wanted[f] for f in ordered)))
-    rotations.sort(key=lambda r: reduced.firm_index(r.firms[0]))
+    for start in lists:
+        path: list[str] = []
+        cur = start
+        while cur in successor and cur not in seen:
+            seen.add(cur)
+            path.append(cur)
+            cur = successor[cur]
+        if cur in path:
+            cycle = path[path.index(cur):]
+            k = cycle.index(min(cycle, key=index.__getitem__))
+            ordered = cycle[k:] + cycle[:k]
+            rotations.append(
+                Rotation(tuple(ordered), tuple(wanted[f] for f in ordered)))
+    rotations.sort(key=lambda r: index[r.firms[0]])
     return tuple(rotations)
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
+from stablefrac.hulls import _cube_coordinates
 from stablefrac.polytope import _inequality_rows, check_stable_feasibility
 from stablefrac.rotations import _exposed, _lattice
 
@@ -96,6 +97,22 @@ def reference_reduced_lists(market, mu):
                 worker_lists[w] = kept
                 changed = True
     return firm_lists, worker_lists
+
+
+def reduced_market(market, profile):
+    """The reduced lists of ``profile`` rebuilt as a market of their own,
+    for the checks ``reduce_profile`` no longer makes on one: the base
+    matching is stable in it, and firm-proposing deferred acceptance gives
+    the base."""
+    return Market(market.firms, market.workers, market.quota,
+                  profile.firm_lists, profile.worker_lists)
+
+
+def reduced_lists_keep_the_base(market, mu):
+    """Whether ``mu`` is stable and firm-optimal in its reduced market."""
+    red = reduced_market(market, sf.reduce_profile(market, mu))
+    return sf.is_stable(red, mu) and \
+        sf.deferred_acceptance(red, sf.Side.FIRMS) == mu
 
 
 # --- orders and properties the paper proves ------------------------------
@@ -270,6 +287,16 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
         == sf.find_cycles(sf.reduce_profile(market, mu))
         for mu, applied in listed.items())
     return len(listed), same
+
+
+def in_any_hull(market, cubes, x):
+    """Whether x lies in the cube of some stable matching of ``cubes``
+    (matching -> its exposed rotations): the test of every cube, which
+    ``hulls._in_a_hull`` narrows to the cube of x's support matching."""
+    rows = {f: {w: n for w, n in zip(market.workers, row) if n}
+            for f, row in zip(market.firms, x._nums)}
+    return any(_cube_coordinates(mu, rotations, rows, x._denom) is not None
+               for mu, rotations in cubes.items())
 
 
 # --- Fraction elimination and walks -----------------------------------------

@@ -21,9 +21,11 @@ refuses their 13^12 candidate maps).  Then, on balanced many-to-one markets
 (``oracles.balanced_market``: every firm of quota q, q times as many
 workers, complete lists; seeds 0 to min(N, 100) - 1), it checks at every
 stable matching that the exposures read off the rotation search's masks
-are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``), and
-at 6x12 and 8x16 (q = 2) and 6x18 (q = 3) that the rotation search lists
-the pruned search's set, with its cap lifted to ``BALANCED_CAP``.  Prints
+are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``) and
+that the base is stable and firm-optimal in its reduced lists rebuilt as a
+market (``oracles.reduced_lists_keep_the_base``), and at 6x12 and 8x16
+(q = 2) and 6x18 (q = 3) that the rotation search lists the pruned
+search's set, with its cap lifted to ``BALANCED_CAP``.  Prints
 the counts and exits 1 on any disagreement.  Not collected by pytest (``test_rotations.py`` runs three
 rich seeds through ``compare_rich``); run from the repository root:
 
@@ -40,9 +42,9 @@ import sys
 
 import stablefrac as sf
 from oracles import (RICH_SIZE, balanced_market, compare_rich, dominates,
-                     lattice_exposures_agree, reference_enumerate_stable,
-                     reference_interior_walk, reference_reduced_lists,
-                     reference_vertex_walk, walk_pair)
+                     lattice_exposures_agree, reduced_lists_keep_the_base,
+                     reference_enumerate_stable, reference_interior_walk,
+                     reference_reduced_lists, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 
@@ -82,8 +84,8 @@ def main(argv=None) -> int:
                         disagreements.append((f"deferred acceptance ({side.value})",
                                               nf, nw, qmax, seed, density))
                 for mu in reference:
-                    red = sf.reduce_profile(m, mu).market
-                    if (red.firm_pref, red.worker_pref) != \
+                    red = sf.reduce_profile(m, mu)
+                    if (red.firm_lists, red.worker_lists) != \
                             reference_reduced_lists(m, mu):
                         disagreements.append(("reduce_profile", nf, nw, qmax,
                                               seed, density))
@@ -120,6 +122,10 @@ def main(argv=None) -> int:
             if not same:
                 disagreements.append(("balanced exposures", nf, q * nf, q,
                                       seed, 1.0))
+            if not all(reduced_lists_keep_the_base(m, mu)
+                       for mu in sf.enumerate_stable_via_rotations(m)):
+                disagreements.append(("balanced reduced market", nf, q * nf,
+                                      q, seed, 1.0))
             if oracle and sf.enumerate_stable_via_rotations(m) != \
                     sf.enumerate_stable_bruteforce(m, cap=BALANCED_CAP):
                 disagreements.append(("balanced rotations", nf, q * nf, q,

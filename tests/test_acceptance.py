@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import stablefrac as sf
-from oracles import dominates, rural_hospital
+from oracles import dominates, reduced_market, rural_hospital
 
 
 @contextmanager
@@ -102,7 +102,8 @@ def test_criterion_6_reduction_gate(fleet, fleet_stable):
         for m, stable in zip(fleet, fleet_stable):
             for mu in stable:
                 profile = sf.reduce_profile(m, mu)
-                reduced = sf.enumerate_stable_bruteforce(profile.market)
+                reduced = sf.enumerate_stable_bruteforce(
+                    reduced_market(m, profile))
                 expected = {nu for nu in stable
                             if dominates(m, mu, nu)}
                 assert reduced == expected

@@ -7,9 +7,10 @@ from math import prod
 import pytest
 
 import stablefrac as sf
-from oracles import dominates
-from stablefrac.hulls import _cube_coordinates, _random_mix
+from oracles import balanced_market, dominates, in_any_hull
+from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
+from stablefrac.rotations import _exposed, _lattice
 from stablefrac.strong_stability import _first_failure
 
 
@@ -419,3 +420,39 @@ def test_verify_reports_a_top_matching_outside_the_stable_set(market, mu_w,
         "stable set: brute force and the rotation lattice disagree",
         "hull sample 0/10: passing point's top matching is not a listed "
         "stable matching",)
+
+
+def test_one_cube_agrees_with_every_cube(fleet, block_market, cyclic_blocks,
+                                         monkeypatch):
+    """verify tests a point only against the cube of its support matching
+    (``_in_a_hull``); on every hull, mix and walk point that verify
+    classifies, that answer is the any-of-all-cubes test
+    (``oracles.in_any_hull``): on the fleet, the block markets and balanced
+    6x12 markets.  The default cap refuses the balanced markets' oracle, so
+    the harness takes every stable set from the rotation lattice, which
+    ``test_rotations.py`` holds to the oracle on these markets."""
+    points = []
+    certify = sf.hulls.certify_strongly_stable
+
+    def recorded(market, x, rotations_of=None):
+        points.append(x)
+        return certify(market, x, rotations_of)
+
+    monkeypatch.setattr(sf.hulls, "certify_strongly_stable", recorded)
+    monkeypatch.setattr(sf.hulls, "enumerate_stable_bruteforce",
+                        lambda m: set(_lattice(m)[1]))
+    markets = fleet + [block_market, cyclic_blocks([2, 2, 3, 3]),
+                       cyclic_blocks([2] * 5)]
+    markets += [balanced_market(seed, 6, 2) for seed in range(10)]
+    answers = Counter()
+    for idx, m in enumerate(markets):
+        points.clear()
+        assert sf.verify_characterization(m, seed=idx, samples=50).ok
+        chain, listed, known = _lattice(m)
+        cubes = {mu: _exposed(m, chain, known, applied)
+                 for mu, applied in listed.items()}
+        for x in points:
+            inside = in_any_hull(m, cubes, x)
+            assert _in_a_hull(m, cubes, x) == inside
+            answers[inside] += 1
+    assert answers == {True: 3036, False: 444}

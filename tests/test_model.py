@@ -275,13 +275,6 @@ def test_rational_arithmetic_against_integer_crossmultiplication():
         assert x - y == Fraction(a * d - c * b, b * d)
 
 
-def test_rationals_stored_in_lowest_terms():
-    v = sf.parse_rational("6/4")
-    assert (v.numerator, v.denominator) == (3, 2)
-    with pytest.raises(ValueError):
-        sf.parse_rational("1.5")
-
-
 def test_acceptability_is_mutual(fleet):
     for m in fleet:
         for f in m.firms:
@@ -295,6 +288,10 @@ def test_matching_build_validates(market):
         sf.Matching.build(market, {"f1": ["w1", "w2", "w3"]})   # over quota
     with pytest.raises(ValueError):
         sf.Matching.build(market, {"f1": ["w1"], "f2": ["w1"]})  # duplicate worker
+    with pytest.raises(ValueError, match=r"unknown workers in assignment: \['zz'\]"):
+        sf.Matching.build(market, {"f1": ["zz"]})
+    with pytest.raises(ValueError, match=r"unknown firms in assignment: \['f9'\]"):
+        sf.Matching.build(market, {"f9": ["w1"]})
     mu = sf.Matching.build(market, {"f2": ["w4", "w3"]})
     assert mu.employer("w4") == "f2"
     assert mu.employer("w1") is None
@@ -330,6 +327,7 @@ _F, _W, _Q = ("f1", "f2"), ("w1", "w2"), {"f1": 1, "f2": 1}
     ((_F, _W, _Q, {}, {"w1": ("f9",)}), "w1 lists undeclared firms: ['f9']"),
     ((_F, _W, _Q, {"f1": ("w9",)}, {"w1": ("f9",)}),
      "f1 lists undeclared workers: ['w9']"),
+    ((_F, _W, {"f1": True, "f2": 1}, {}, {}), "quota of f1 must be a positive integer"),
 ])
 def test_market_validation_messages(args, message):
     """The firms' lists are checked before the workers'; lists of undeclared

@@ -8,6 +8,7 @@ import pytest
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, compare_rich,
                      dominates, lattice_exposures_agree, random_markets,
+                     reduced_lists_keep_the_base, reduced_market,
                      reference_enumerate_stable, reference_reduced_lists)
 
 DATA = Path(__file__).parent / "data"
@@ -196,7 +197,8 @@ def test_reduction_gate(fleet, fleet_stable):
     for m, stable in zip(fleet, fleet_stable):
         for mu in stable:
             profile = sf.reduce_profile(m, mu)
-            reduced_stable = sf.enumerate_stable_bruteforce(profile.market)
+            reduced_stable = sf.enumerate_stable_bruteforce(
+                reduced_market(m, profile))
             expected = {nu for nu in stable if dominates(m, mu, nu)}
             assert reduced_stable == expected
 
@@ -204,13 +206,15 @@ def test_reduction_gate(fleet, fleet_stable):
 def test_reduced_lists_are_mutual(fleet, fleet_stable):
     for m, stable in zip(fleet, fleet_stable):
         for mu in stable:
-            red = sf.reduce_profile(m, mu).market
-            for f in red.firms:
-                for w in red.firm_pref[f]:
-                    assert f in red.worker_pref[w]
-            for w in red.workers:
-                for f in red.worker_pref[w]:
-                    assert w in red.firm_pref[f]
+            red = sf.reduce_profile(m, mu)
+            assert list(red.firm_lists) == list(m.firms)
+            assert list(red.worker_lists) == list(m.workers)
+            for f in m.firms:
+                for w in red.firm_list(f):
+                    assert f in red.worker_list(w)
+            for w in m.workers:
+                for f in red.worker_list(w):
+                    assert w in red.firm_list(f)
 
 
 def test_one_pass_reduction_matches_the_fixpoint(fleet):
@@ -219,8 +223,8 @@ def test_one_pass_reduction_matches_the_fixpoint(fleet):
     profiles = 0
     for m in markets:
         for mu in sf.enumerate_stable_via_rotations(m):
-            red = sf.reduce_profile(m, mu).market
-            assert (red.firm_pref, red.worker_pref) == \
+            red = sf.reduce_profile(m, mu)
+            assert (red.firm_lists, red.worker_lists) == \
                 reference_reduced_lists(m, mu)
             profiles += 1
     assert profiles > 400
@@ -245,22 +249,88 @@ def test_cyclic_matchings_are_stable_and_firm_worse(fleet, fleet_stable):
 
 
 def test_reduction_gate_survives_optimize(src_env, tmp_path):
+    """With the input gate patched to let every matching of the example
+    through, the reduction's own invariant, which ``-O`` keeps, refuses
+    exactly the unstable matchings that leave the base unstable or not
+    firm-optimal in the rebuilt reduced market: 33 of the 61."""
     script = tmp_path / "unstable_base.py"
     script.write_text(f"""
+import itertools
 import sys
 import stablefrac as sf
 if sys.flags.optimize < 1:
     sys.exit("not running under -O")
 m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
-mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
-# the input gate sees the original market; the reduced market fails the check
-sf.rotations.is_stable = lambda market, matching: market is m
-sf.reduce_profile(m, mu)
+real_is_stable = sf.rotations.is_stable
+sf.rotations.is_stable = lambda market, matching: True
+refused = kept = 0
+for choice in itertools.product((None,) + m.firms, repeat=len(m.workers)):
+    staff = {{f: [w for w, g in zip(m.workers, choice) if g == f] for f in m.firms}}
+    if any(len(ws) > m.quota[f] for f, ws in staff.items()):
+        continue
+    mu = sf.Matching.build(m, staff)
+    if real_is_stable(m, mu):
+        continue
+    try:
+        profile = sf.reduce_profile(m, mu)
+    except AssertionError as exc:
+        if "must begin with its staff" not in str(exc):
+            raise
+        refused += 1
+        continue
+    red = sf.Market(m.firms, m.workers, m.quota, profile.firm_lists,
+                    profile.worker_lists)
+    if not real_is_stable(red, mu) or \
+            sf.deferred_acceptance(red, sf.Side.FIRMS) != mu:
+        sys.exit(f"an unrefused base fails in its reduced market: {{mu}}")
+    kept += 1
+print(refused, kept)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
                          capture_output=True, text=True, timeout=60)
-    assert run.returncode == 1, run.stderr
-    assert "AssertionError: base matching must stay stable" in run.stderr
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["33", "28"]
+
+
+def test_reduced_lists_keep_the_base_stable_and_firm_optimal(
+        fleet, cyclic_blocks):
+    """The two checks ``reduce_profile`` once made on a market of its own
+    lists hold on that market rebuilt, at every stable matching: the base is
+    stable there, and firm-proposing deferred acceptance gives it."""
+    markets = fleet + [m for size in RANDOM_SIZES for m in random_markets(*size)]
+    markets += [cyclic_blocks(sizes) for sizes in ([2] * 6, [3, 4], [2, 3, 4])]
+    markets += [balanced_market(seed, nf, 2) for nf in (6, 8) for seed in range(10)]
+    profiles = 0
+    for m in markets:
+        for mu in sf.enumerate_stable_via_rotations(m):
+            assert reduced_lists_keep_the_base(m, mu)
+            profiles += 1
+    assert profiles == 62 + 365 + 64 + 12 + 24 + 31 + 39
+
+
+def test_enumeration_builds_no_market_and_runs_each_side_once(
+        monkeypatch, cyclic_blocks):
+    """Reductions are lists over the market they came from: listing the
+    1728 stable matchings builds no second ``Market``, and deferred
+    acceptance runs once per side, the firms' to start the chain and the
+    workers' for the spans of every reduction."""
+    markets = [cyclic_blocks([3, 3, 3, 4, 4, 4]), balanced_market(0, 8, 2)]
+    counts = {"_build_caches": 0, "_propose": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(sf.Market, "_build_caches")
+    counted(sf.stability, "_propose")
+    for m in markets:
+        counts.update(_build_caches=0, _propose=0)
+        assert len(sf.enumerate_stable_via_rotations(m)) > 1
+        assert counts == {"_build_caches": 0, "_propose": 2}
 
 
 # Two markets whose rotation poset is not a disjoint union of chains: the
@@ -383,7 +453,7 @@ def test_balanced_many_to_one_exposures_beyond_the_oracle():
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     """One chain finds the rotations; after it, each matching is built once
     and no stability check scans the whole market: ``is_stable`` runs only
-    in the chain's reductions."""
+    in the chain's reductions, once each, as their input gate."""
     m = cyclic_blocks([3, 3, 3, 4, 4, 4])
     n_rotations = 3 * 2 + 3 * 3
     calls = []
@@ -412,7 +482,7 @@ def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     assert len(calls) <= n_rotations + 1
     assert len(found) == 1728
     assert counts["apply_cycle"] - at_chain_end["apply_cycle"] == 1727
-    assert at_chain_end["is_stable"] == 2 * len(calls)
+    assert at_chain_end["is_stable"] == len(calls)
     assert counts["is_stable"] == at_chain_end["is_stable"]
     assert all(sf.is_stable(m, mu) for mu in found)
 
