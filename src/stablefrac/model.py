@@ -220,40 +220,54 @@ class Matching:
     ``assignment`` holds one row per firm in declaration order; workers within
     a row are in declaration order.  Unmatched workers are simply absent (a
     worker matched to itself is a derived view, never stored).
+
+    Equality compares ``assignment`` alone.  The lookups behind ``matched``
+    and ``employer`` and the hash are built from the rows the first time
+    they are read and then kept, so a matching that is only stored, hashed
+    and compared costs its rows and its hash.
     """
 
     assignment: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        employer: dict[str, str] = {}
-        for f, ws in self.assignment:
+        seen: set[str] = set()
+        for _, ws in self.assignment:
             for w in ws:
-                if w in employer:
+                if w in seen:
                     raise ValueError(f"worker {w} assigned twice")
-                employer[w] = f
-        object.__setattr__(self, "_employer", employer)
-        object.__setattr__(self, "_rows", dict(self.assignment))
+                seen.add(w)
 
-    def _derive(self, assignment: tuple[tuple[str, tuple[str, ...]], ...],
-                changed: Mapping[str, tuple[str, ...]],
-                moved: Mapping[str, str]) -> "Matching":
-        """The matching ``assignment``, which differs from this one only in
-        the rows of ``changed`` (firm -> new row) and the employers of
-        ``moved`` (worker -> new firm).
-
-        The caller guarantees that no worker ends in two rows, so both lookup
-        dicts are copied from this matching and patched, not rebuilt from
-        every row as ``__post_init__`` does.
-        """
-        child = object.__new__(Matching)
-        rows = dict(self._rows)
-        rows.update(changed)
-        employer = dict(self._employer)
-        employer.update(moved)
+    @classmethod
+    def _derive(cls, assignment: tuple[tuple[str, tuple[str, ...]], ...]
+                ) -> "Matching":
+        """The matching ``assignment``, unchecked: the caller guarantees
+        that no worker is in two rows, as a rotation's trade does."""
+        child = object.__new__(cls)
         object.__setattr__(child, "assignment", assignment)
-        object.__setattr__(child, "_employer", employer)
-        object.__setattr__(child, "_rows", rows)
         return child
+
+    def __getattr__(self, name: str):
+        """``_rows`` (firm -> row), ``_employer`` (worker -> firm) or
+        ``_hash``, built on first read and kept in the instance, where every
+        later read finds it without coming here."""
+        if name == "_rows":
+            value = dict(self.assignment)
+        elif name == "_employer":
+            value = {w: f for f, ws in self.assignment for w in ws}
+        elif name == "_hash":
+            value = hash((self.assignment,))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a copy or an unpickled matching rebuilds its lookups and hash,
+        # which string hashing may change from one process to the next
+        return Matching, (self.assignment,)
 
     @classmethod
     def build(cls, market: Market, mapping: Mapping[str, Iterable[str]]) -> "Matching":
@@ -280,7 +294,7 @@ class Matching:
         return self._employer.get(w)
 
     def as_dict(self) -> dict[str, tuple[str, ...]]:
-        return dict(self._rows)
+        return dict(self.assignment)
 
 
 class FractionalMatching:

@@ -11,14 +11,17 @@ a firm to the employer of its next listed worker are the rotations
 applying one trades along the cycle and lands on another stable matching.
 
 Enumeration finds the rotations once, on one chain from the firm-optimal to
-the worker-optimal matching.  Their order on the chain is a linear
-extension of the rotation poset, whose closed sets are the stable
+the worker-optimal matching, without reducing a profile: each full firm
+keeps a pointer into its list that only moves forward (Gusfield 1987), so
+the chain reads every firm's list once in all.  The chain's order is a
+linear extension of the rotation poset, whose closed sets are the stable
 matchings, so a depth-first search that only adds a rotation later in that
 order than the last one added lists each stable matching once, from one
-parent, with one ``apply_cycle``.  A fitting candidate whose predecessors
-the search cannot yet show to be applied is kept only when it is stable,
-as ``_stable_step`` decides from the cycle's firms alone; the chain checks
-its precondition once per rotation.  Once the search completes, the
+parent, with one ``apply_cycle``, which copies the parent's rows and
+rewrites the cycle's.  A fitting candidate whose predecessors the search
+cannot yet show to be applied is kept only when it is stable, as
+``_stable_step`` decides from the cycle's firms alone; the chain checks its
+precondition once per rotation.  Once the search completes, the
 intersection of the applied sets at which it found a rotation exposed is
 exactly that rotation's predecessors, so ``_exposed`` reads the rotations
 exposed at any listed matching off bitmasks.
@@ -144,13 +147,11 @@ def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
     A firm's reduced list begins with its staff, and the successor of a
     firm is the employer of the first worker after them, if any (never for
     a firm below quota).  The cycles of this partial successor map are
-    exactly the rotations.  Each firm has one successor, so the cycles are
-    firm-disjoint, and each cycle worker is employed by the next firm.
+    exactly the rotations (``_cycles``).
     """
     mu = profile.base
-    lists = profile.firm_lists
     successor, wanted = {}, {}      # firm -> next firm, and -> its worker
-    for f, lst in lists.items():
+    for f, lst in profile.firm_lists.items():
         k = len(mu.matched(f))
         if len(lst) > k:
             w = lst[k]
@@ -160,11 +161,20 @@ def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
                     "a reduced-list worker outside a full firm must be matched")
             successor[f] = employer
             wanted[f] = w
+    return _cycles(tuple(profile.firm_lists), successor, wanted)
 
-    index = {f: i for i, f in enumerate(lists)}
+
+def _cycles(firms: Sequence[str], successor: dict[str, str],
+            wanted: dict[str, str]) -> tuple[Rotation, ...]:
+    """The cycles of the partial map ``successor`` (firm -> next firm), as
+    rotations with ``wanted[f]`` as firm f's worker.  Each starts at its
+    firm first in ``firms``, the declaration order, and they are sorted by
+    that firm's index.  Each firm has one successor, so the cycles are
+    firm-disjoint."""
+    index = {f: i for i, f in enumerate(firms)}.__getitem__
     seen: set[str] = set()
     rotations = []
-    for start in lists:
+    for start in firms:
         path: list[str] = []
         cur = start
         while cur in successor and cur not in seen:
@@ -173,23 +183,24 @@ def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
             cur = successor[cur]
         if cur in path:
             cycle = path[path.index(cur):]
-            k = cycle.index(min(cycle, key=index.__getitem__))
+            k = cycle.index(min(cycle, key=index))
             ordered = cycle[k:] + cycle[:k]
             rotations.append(
                 Rotation(tuple(ordered), tuple(wanted[f] for f in ordered)))
-    rotations.sort(key=lambda r: index[r.firms[0]])
+    rotations.sort(key=lambda r: index(r.firms[0]))
     return tuple(rotations)
 
 
-def _misfit(mu: Matching, sigma: Rotation) -> int | None:
+def _misfit(market: Market, mu: Matching, sigma: Rotation) -> int | None:
     """The first cycle position whose worker the next firm does not employ.
 
-    ``sigma`` fits ``mu`` when there is none: each cycle worker is employed
-    by the next firm of the cycle, and so not by its own.
+    ``sigma`` fits ``mu`` when there is none: each cycle worker is in the
+    row of the next firm of the cycle, and so not in its own firm's.
     """
+    rows, index = mu.assignment, market._findex
     r = len(sigma.firms)
     for d, w in enumerate(sigma.workers):
-        if mu.employer(w) != sigma.firms[(d + 1) % r]:
+        if w not in rows[index[sigma.firms[(d + 1) % r]]][1]:
             return d
     return None
 
@@ -203,24 +214,24 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     next firm, absent from its own firm), or ``CycleMismatchError`` is
     raised.  A fitting cycle moves distinct workers and keeps every row's
     size, so no worker can be assigned twice: the child is derived from
-    ``mu``, whose other rows and lookup entries, already canonical, are
-    reused, and only the cycle's rows (re-sorted by worker index when they
-    hold more than one worker) and the moved workers' employers are new.
-    The cost of a step thus scales with the rotation, not the market.
+    ``mu``'s rows, of which only the cycle's are rebuilt (re-sorted by
+    worker index when they hold more than one worker).  Rows are read by
+    firm index, so no lookup dict is built for either matching, and the
+    cost of a step is one copy of the row tuple plus the rotation's work.
     """
-    d = _misfit(mu, sigma)
+    rows, index = list(mu.assignment), market._findex
+    d = _misfit(market, mu, sigma)
     if d is not None:
         f, w = sigma.firms[d], sigma.workers[d]
-        if mu.employer(w) == f:
+        if w in rows[index[f]][1]:
             raise CycleMismatchError(f"cycle worker {w} already works for {f}")
         nxt = sigma.firms[(d + 1) % len(sigma.firms)]
         raise CycleMismatchError(
             f"cycle worker {w} is not employed by {nxt} in the base matching")
-    rows = list(mu.assignment)
-    changed: dict[str, tuple[str, ...]] = {}
     for d, f in enumerate(sigma.firms):
         lost, gained = sigma.workers[d - 1], sigma.workers[d]
-        staff = mu.matched(f)
+        i = index[f]
+        staff = rows[i][1]
         if len(staff) == 1:         # the fit makes it (lost,)
             new = (gained,)
         else:
@@ -228,10 +239,9 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
             kept.append(gained)
             if len(kept) > market.quota[f]:
                 raise ValueError(f"firm {f} exceeds its quota")
-            new = tuple(sorted(kept, key=market.worker_index))
-        rows[market.firm_index(f)] = (f, new)
-        changed[f] = new
-    return mu._derive(tuple(rows), changed, dict(zip(sigma.workers, sigma.firms)))
+            new = tuple(sorted(kept, key=market._windex.__getitem__))
+        rows[i] = (f, new)
+    return Matching._derive(tuple(rows))
 
 
 def _disjoint(cycles: Iterable[Rotation]) -> tuple[Rotation, ...]:
@@ -305,13 +315,31 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
     firm-optimal matching to reach it, and ``known[j]`` is the bitmask of
     D_j, the rotations that precede r_j.
 
-    Chain phase: from the firm-optimal matching, reduce the profile, apply
-    every exposed rotation at once and repeat until none is exposed.  Every
-    rotation lies on every maximal chain of the stable lattice (Gusfield &
-    Irving, 1989; the many-to-one case follows by cloning each firm into
-    quota-many copies), so this one chain of at most |R| + 1 reductions
-    finds the whole rotation set R.  Each rotation must meet the precondition
-    of ``_stable_step``, the chain must end at the worker-optimal matching,
+    Chain phase: from the firm-optimal matching, find the rotations exposed
+    at the current matching, apply them one at a time and repeat until none
+    is exposed.  Every rotation lies on every maximal chain of the stable
+    lattice (Gusfield & Irving, 1989; the many-to-one case follows by
+    cloning each firm into quota-many copies), so this one chain of at most
+    |R| + 1 steps finds the whole rotation set R.
+
+    A step reduces no profile (Gusfield 1987).  Each full firm f keeps a
+    pointer into its list that rests at the first worker w after f's worst
+    staff member that f ranks no lower than its worst worker-optimal
+    partner, and that ranks f no better than its own worker-optimal
+    employer and strictly above its current one: w is the first worker
+    after the staff on f's reduced list, and w's employer is f's successor.
+    ``_cycles`` takes the cycles of this map, as ``find_cycles`` does at a
+    reduced profile.  The pointer only moves forward.  Along the chain a
+    firm's staff only get worse for it, and the workers' employers only
+    better for them, so a worker that fails the tests never passes them
+    again: the ranks against the worker-optimal partners never change, and
+    a worker that ranks f no higher than its employer keeps doing so.  The
+    worker at rest fails them once it moves up to a firm it ranks above f,
+    or once f gains it, when it is f's worst staff member; then the pointer
+    moves on.  So the chain reads each list once in all, plus one look per
+    full firm and step.  Each rotation must meet the precondition of
+    ``_stable_step`` and each matching the chain reaches must pass
+    ``_stable_step``; the chain must end at the worker-optimal matching,
     and no rotation may be found twice.
 
     Search phase: the chain's order is a linear extension of the rotation
@@ -342,11 +370,33 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
     firm-optimal one included, are listed; no masks exist then.
     """
     start = deferred_acceptance(market, Side.FIRMS)
-    wrank = market._wrank
+    mu_w = deferred_acceptance(market, Side.WORKERS)
+    frank, wrank = market._frank, market._wrank
+    employer = {w: f for f, ws in start.assignment for w in ws}
+    # every worker matched in mu_w is matched at every step (rural hospitals)
+    top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
+    # per full firm: its list, its pointer, and its worst mu_w partner's rank
+    lists, at, bottom = {}, {}, {}
+    for (f, ws), (_, ws_w) in zip(start.assignment, mu_w.assignment):
+        if len(ws) == market.quota[f]:
+            lists[f] = lst = market.acceptable_to_firm(f)
+            at[f] = 1 + max(map(lst.index, ws))
+            bottom[f] = max(map(frank[f].__getitem__, ws_w), default=-1)
     rotations: list[Rotation] = []
     mu = start
     while True:
-        exposed = find_cycles(reduce_profile(market, mu))
+        successor, wanted = {}, {}
+        for f, lst in lists.items():
+            i, rank = at[f], frank[f]
+            while i < len(lst) and rank[lst[i]] <= bottom[f]:
+                w = lst[i]
+                mine = wrank[w]
+                if w in top and top[w] <= mine[f] < mine[employer[w]]:
+                    successor[f], wanted[f] = employer[w], w
+                    break
+                i += 1
+            at[f] = i
+        exposed = _cycles(market.firms, successor, wanted)
         if not exposed:
             break
         for sigma in exposed:
@@ -356,9 +406,14 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
                         and wrank[w][f] < wrank[w][old]):
                     raise AssertionError(
                         f"cycle worker {w} must move up from {old} to {f}")
+            mu = apply_cycle(market, mu, sigma)
+            if not _stable_step(market, mu, sigma):
+                raise AssertionError(
+                    "the rotation chain must pass only stable matchings")
+            for f, w in zip(sigma.firms, sigma.workers):
+                employer[w] = f
         rotations.extend(exposed)
-        mu = apply_cycle_set(market, mu, exposed)
-    if mu != deferred_acceptance(market, Side.WORKERS):
+    if mu != mu_w:
         raise AssertionError(
             "the rotation chain must end at the worker-optimal matching")
     if len(set(rotations)) != len(rotations):
@@ -379,7 +434,7 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
         for j in range(first, len(rotations)):
             sigma = rotations[j]
             if known[j] & ~applied:
-                if _misfit(mu, sigma) is not None:
+                if _misfit(market, mu, sigma) is not None:
                     continue
                 nu = apply_cycle(market, mu, sigma)
                 if not _stable_step(market, nu, sigma):

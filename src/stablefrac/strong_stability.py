@@ -109,9 +109,15 @@ def support_matching(market: Market, x: FractionalMatching) -> Matching:
 
     When two firms claim the same worker the result is not a matching; this
     happens only for points that are not strongly stable and is reported as a
-    ContestedWorkerError naming the worker.
+    ContestedWorkerError naming the worker.  A point that keeps its
+    stable-feasibility report for ``market`` is not evaluated again when
+    that report's only violations are noblock rows: the report covers every
+    feasibility row, so it shows the point feasible.
     """
-    check_feasibility(market, x).require()
+    kept = x._stable
+    if kept is None or kept[0] is not market or any(
+            cid[0] != "noblock" for cid, _, _ in kept[1].violations):
+        check_feasibility(market, x).require()
     claimed: dict[str, str] = {}
     chosen: dict[str, list[str]] = {}
     for f, row in zip(market.firms, x._nums):

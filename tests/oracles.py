@@ -289,6 +289,37 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
     return len(listed), same
 
 
+def reference_chain(market: Market) -> list:
+    """The rotations of the chain that reduces the whole profile at every
+    step, in the order it finds them: from the firm-optimal matching,
+    ``find_cycles(reduce_profile(...))``, every exposed rotation applied at
+    once, until none is exposed.  ``rotations._lattice`` reads the same
+    rotations off one pointer per firm; ``reduce_profile`` gates each step
+    on ``is_stable``."""
+    mu = sf.deferred_acceptance(market, sf.Side.FIRMS)
+    rotations = []
+    while True:
+        exposed = sf.find_cycles(sf.reduce_profile(market, mu))
+        if not exposed:
+            return rotations
+        rotations.extend(exposed)
+        mu = sf.apply_cycle_set(market, mu, exposed)
+
+
+def chain_agrees(market: Market) -> tuple[int, bool]:
+    """The number of rotations on the chain of ``rotations._lattice``, and
+    whether they are ``reference_chain``'s in the same order and every
+    matching the chain passes, its rotations applied one at a time from the
+    firm-optimal matching, is stable."""
+    chain = _lattice(market)[0]
+    mu = sf.deferred_acceptance(market, sf.Side.FIRMS)
+    stable = True
+    for sigma in chain:
+        mu = sf.apply_cycle(market, mu, sigma)
+        stable = stable and sf.is_stable(market, mu)
+    return len(chain), stable and chain == reference_chain(market)
+
+
 def in_any_hull(market, cubes, x):
     """Whether x lies in the cube of some stable matching of ``cubes``
     (matching -> its exposed rotations): the test of every cube, which

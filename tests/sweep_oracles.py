@@ -1,4 +1,5 @@
-"""Cross-check the three stable-set enumerators and the walks on random markets.
+"""Cross-check the three stable-set enumerators, the rotation chain and the
+walks on random markets.
 
 Compares ``enumerate_stable_bruteforce`` (the pruned search), the exhaustive
 scan in ``oracles.reference_enumerate_stable`` and
@@ -13,11 +14,11 @@ it compares the lists of ``reduce_profile`` with
 several stable matchings it also runs ``interior_walk`` and then
 ``vertex_walk`` from a random mix of the stable matchings, once in integers
 and once with the ``Fraction`` references, from the same seed, and compares
-the start, endpoint, trace and next rng draw.  Last, on complete 12x12
+the start, endpoint, trace and next rng draw.  Then, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
 ``enumerate_stable_via_rotations`` with ``enumerate_stable_bruteforce``
 alone (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the default cap
-refuses their 13^12 candidate maps).  Then, on balanced many-to-one markets
+refuses their 13^12 candidate maps).  Last, on balanced many-to-one markets
 (``oracles.balanced_market``: every firm of quota q, q times as many
 workers, complete lists; seeds 0 to min(N, 100) - 1), it checks at every
 stable matching that the exposures read off the rotation search's masks
@@ -25,13 +26,21 @@ are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``) and
 that the base is stable and firm-optimal in its reduced lists rebuilt as a
 market (``oracles.reduced_lists_keep_the_base``), and at 6x12 and 8x16
 (q = 2) and 6x18 (q = 3) that the rotation search lists the pruned
-search's set, with its cap lifted to ``BALANCED_CAP``.  Prints
-the counts and exits 1 on any disagreement.  Not collected by pytest (``test_rotations.py`` runs three
-rich seeds through ``compare_rich``); run from the repository root:
+search's set, with its cap lifted to ``BALANCED_CAP``.
+
+On every instance of all three families it also compares the rotation
+search's chain, read off one pointer per firm, with the chain that reduces
+the whole profile at every step (``oracles.reference_chain``): the same
+rotations in the same order, and every matching the pointer chain passes
+stable (``oracles.chain_agrees``).
+
+Prints the counts and exits 1 on any disagreement.  Not collected by pytest
+(``test_rotations.py`` runs three rich seeds through ``compare_rich``); run
+from the repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took about 5 minutes on one core of a 2-vCPU VM; the
+The full sweep took about 6 minutes on one core of a 2-vCPU VM; the
 exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets dominates.  Each
 rich market takes the pruned search 0.2-0.3 s.
 """
@@ -41,8 +50,9 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (RICH_SIZE, balanced_market, compare_rich, dominates,
-                     lattice_exposures_agree, reduced_lists_keep_the_base,
+from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
+                     dominates, lattice_exposures_agree,
+                     reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
@@ -64,8 +74,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=450,
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
-    instances = multi = profiles = 0
+    instances = multi = profiles = chains = chain_rotations = 0
     disagreements = []
+
+    def compare_chain(m, name, *where):
+        nonlocal chains, chain_rotations
+        count, same = chain_agrees(m)
+        chains += 1
+        chain_rotations += count
+        if not same:
+            disagreements.append((name, *where))
+
     for nf, nw, qmax in SIZES:
         for seed in range(args.seeds):
             for density in DENSITIES:
@@ -76,6 +95,7 @@ def main(argv=None) -> int:
                 for name, stable in found.items():
                     if stable != reference:
                         disagreements.append((name, nf, nw, qmax, seed, density))
+                compare_chain(m, "chain", nf, nw, qmax, seed, density)
                 for side, agents in ((sf.Side.FIRMS, m.firms),
                                      (sf.Side.WORKERS, m.workers)):
                     best = sf.deferred_acceptance(m, side)
@@ -110,6 +130,9 @@ def main(argv=None) -> int:
         if not same:
             disagreements.append(("rich rotations", RICH_SIZE, RICH_SIZE, 1,
                                   seed, 1.0))
+        compare_chain(sf.gen_random_market(seed, RICH_SIZE, RICH_SIZE, 1,
+                                           density=1.0),
+                      "rich chain", RICH_SIZE, RICH_SIZE, 1, seed, 1.0)
     print(f"rich family: {rich_seeds} markets, {rich_listed} stable "
           "matchings", flush=True)
     balanced_seeds = min(args.seeds, BALANCED_SEEDS)
@@ -117,6 +140,7 @@ def main(argv=None) -> int:
         balanced_listed = 0
         for seed in range(balanced_seeds):
             m = balanced_market(seed, nf, q)
+            compare_chain(m, "balanced chain", nf, q * nf, q, seed, 1.0)
             size, same = lattice_exposures_agree(m)
             balanced_listed += size
             if not same:
@@ -137,6 +161,7 @@ def main(argv=None) -> int:
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
           f"(walks compared on each), {profiles} reduced profiles, "
+          f"{chains} chains ({chain_rotations} rotations), "
           f"{len(disagreements)} disagreements")
     return 1 if disagreements else 0
 

@@ -310,25 +310,50 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
 
 
 def test_verify_reduces_only_the_chains_profiles(block_market, monkeypatch):
-    """Every reduction during verify counts, certification included: the
-    rotation chain's three, from the firm-optimal to the worker-optimal
-    matching, and none per stable matching, whose exposed rotations are read
-    off the lattice's masks (one reduction per stable matching, 24, before)."""
-    calls = []
+    """verify reduces no profile, certification included: the rotation
+    chain reads its rotations off one pointer per firm in three steps, four
+    rotations exposed at the firm-optimal matching, one after them and none
+    at the worker-optimal matching, and each stable matching's exposed
+    rotations are read off the lattice's masks.  With a reduction per chain
+    step it made 3 reductions, and 24 with one per stable matching."""
+    calls, steps = [], []
     reduce_profile = sf.rotations.reduce_profile
+    cycles = sf.rotations._cycles
 
     def counted_reduce(market, mu):
         calls.append(mu)
         return reduce_profile(market, mu)
 
+    def counted_cycles(firms, successor, wanted):
+        found = cycles(firms, successor, wanted)
+        steps.append(len(found))
+        return found
+
     monkeypatch.setattr(sf.hulls, "reduce_profile", counted_reduce)
     monkeypatch.setattr(sf.rotations, "reduce_profile", counted_reduce)
+    monkeypatch.setattr(sf.rotations, "_cycles", counted_cycles)
     outcome = sf.verify_characterization(block_market, seed=1, samples=10)
     assert outcome.ok
     assert outcome.stable_count == 24
-    assert len(calls) == 3
-    assert calls[0] == sf.deferred_acceptance(block_market, sf.Side.FIRMS)
-    assert calls[-1] == sf.deferred_acceptance(block_market, sf.Side.WORKERS)
+    assert calls == []
+    assert steps == [4, 1, 0]
+
+
+def test_verify_evaluates_each_point_once(block_market, monkeypatch):
+    """A point's support matching reads the stable-feasibility report the
+    point keeps: verify makes no ``check_feasibility`` call on
+    ``block.market``.  It made 9 when each one evaluated its point again."""
+    calls = []
+    real = sf.strong_stability.check_feasibility
+
+    def counted(market, x):
+        calls.append(x)
+        return real(market, x)
+
+    monkeypatch.setattr(sf.strong_stability, "check_feasibility", counted)
+    monkeypatch.setattr(sf.polytope, "check_feasibility", counted)
+    assert sf.verify_characterization(block_market, seed=1, samples=10).ok
+    assert calls == []
 
 
 def test_verify_does_no_fraction_arithmetic(block_market, monkeypatch):

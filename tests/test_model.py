@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -299,6 +301,23 @@ def test_matching_build_validates(market):
     with pytest.raises(KeyError):
         mu.matched("f9")
     assert mu.as_dict() == {"f1": (), "f2": ("w3", "w4")}
+
+
+def test_matching_lookups_and_hash_are_built_on_first_read(market):
+    """A matching keeps its rows only until a lookup or its hash is read;
+    a copy or a pickle round trip rebuilds them from the rows."""
+    with pytest.raises(ValueError, match="worker w1 assigned twice"):
+        sf.Matching((("f1", ("w1",)), ("f2", ("w1",))))
+    mu = sf.Matching((("f1", ("w1", "w2")), ("f2", ("w3", "w4"))))
+    assert set(vars(mu)) == {"assignment"}
+    assert hash(mu) == hash((mu.assignment,))
+    assert mu.employer("w3") == "f2" and mu.matched("f1") == ("w1", "w2")
+    assert set(vars(mu)) == {"assignment", "_hash", "_rows", "_employer"}
+    with pytest.raises(AttributeError):
+        mu._missing
+    for twin in (copy.copy(mu), pickle.loads(pickle.dumps(mu))):
+        assert twin == mu and set(vars(twin)) == {"assignment"}
+        assert hash(twin) == hash(mu) and twin.employer("w1") == "f1"
 
 
 def test_market_ids_validated_outside_parser():

@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, compare_rich,
-                     dominates, lattice_exposures_agree, random_markets,
-                     reduced_lists_keep_the_base, reduced_market,
-                     reference_enumerate_stable, reference_reduced_lists)
+from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, chain_agrees,
+                     compare_rich, dominates, lattice_exposures_agree,
+                     random_markets, reduced_lists_keep_the_base,
+                     reduced_market, reference_enumerate_stable,
+                     reference_reduced_lists)
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,7 +314,7 @@ def test_enumeration_builds_no_market_and_runs_each_side_once(
     """Reductions are lists over the market they came from: listing the
     1728 stable matchings builds no second ``Market``, and deferred
     acceptance runs once per side, the firms' to start the chain and the
-    workers' for the spans of every reduction."""
+    workers' for the bounds of its pointers and its end."""
     markets = [cyclic_blocks([3, 3, 3, 4, 4, 4]), balanced_market(0, 8, 2)]
     counts = {"_build_caches": 0, "_propose": 0}
 
@@ -450,40 +451,63 @@ def test_balanced_many_to_one_exposures_beyond_the_oracle():
     assert sum(counts) == 39 and max(counts) == 6
 
 
+def test_pointer_chain_matches_the_reduction_chain(fleet, cyclic_blocks):
+    """The chain of ``_lattice`` finds the rotations of the chain that
+    reduces the whole profile at every step, in the same order, and every
+    matching it passes is stable."""
+    markets = list(fleet)
+    markets += [sf.parse_market(text) for text in JOINED_ROTATION_MARKETS]
+    for size in RANDOM_SIZES:
+        markets += random_markets(*size)
+    markets += [cyclic_blocks([3, 3, 3, 4, 4, 4]), cyclic_blocks([2] * 6)]
+    markets += [balanced_market(seed, nf, q) for nf, q in ((6, 2), (8, 2), (6, 3))
+                for seed in range(10)]
+    found = 0
+    for m in markets:
+        count, same = chain_agrees(m)
+        assert same
+        found += count
+    assert found == 30 + 6 + 65 + 21 + 66
+
+
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
-    """One chain finds the rotations; after it, each matching is built once
-    and no stability check scans the whole market: ``is_stable`` runs only
-    in the chain's reductions, once each, as their input gate."""
+    """One chain of at most |R| + 1 steps finds the rotations without
+    reducing a profile, and applies each rotation once; after it, each
+    matching is built once, and no stability check scans the whole market.
+    With a reduction per step the chain made 4 reductions here, each gated
+    on ``is_stable``."""
     m = cyclic_blocks([3, 3, 3, 4, 4, 4])
     n_rotations = 3 * 2 + 3 * 3
-    calls = []
-    counts = {"apply_cycle": 0, "is_stable": 0}
+    counts = {"reduce_profile": 0, "_cycles": 0, "apply_cycle": 0,
+              "is_stable": 0}
     at_chain_end = {}
-    reduce = sf.rotations.reduce_profile
 
-    def counted(market, mu):
-        calls.append(mu)
-        profile = reduce(market, mu)
-        at_chain_end.update(counts)     # the last reduction ends the chain
-        return profile
-
-    def counter(module, name):
-        real = getattr(module, name)
+    def counter(name, after=None):
+        real = getattr(sf.rotations, name)
 
         def wrapper(*args):
             counts[name] += 1
-            return real(*args)
-        monkeypatch.setattr(module, name, wrapper)
+            out = real(*args)
+            if after is not None:
+                after(out)
+            return out
+        monkeypatch.setattr(sf.rotations, name, wrapper)
 
-    monkeypatch.setattr(sf.rotations, "reduce_profile", counted)
-    counter(sf.rotations, "apply_cycle")
-    counter(sf.rotations, "is_stable")
+    def step_done(exposed):
+        if not exposed:             # the step that finds none ends the chain
+            at_chain_end.update(counts)
+
+    counter("reduce_profile")
+    counter("_cycles", step_done)
+    counter("apply_cycle")
+    counter("is_stable")
     found = sf.enumerate_stable_via_rotations(m)
-    assert len(calls) <= n_rotations + 1
     assert len(found) == 1728
+    assert counts["reduce_profile"] == 0
+    assert counts["_cycles"] == at_chain_end["_cycles"] <= n_rotations + 1
+    assert at_chain_end["apply_cycle"] == n_rotations
     assert counts["apply_cycle"] - at_chain_end["apply_cycle"] == 1727
-    assert at_chain_end["is_stable"] == len(calls)
-    assert counts["is_stable"] == at_chain_end["is_stable"]
+    assert counts["is_stable"] == 0
     assert all(sf.is_stable(m, mu) for mu in found)
 
 
@@ -497,13 +521,38 @@ def test_listed_matchings_match_a_fresh_build(cyclic_blocks):
     for m in markets:
         for nu in sf.enumerate_stable_via_rotations(m):
             fresh = sf.Matching(nu.assignment)
-            assert nu == fresh
+            assert nu == fresh and hash(nu) == hash(fresh)
             assert [nu.employer(w) for w in m.workers] == \
                 [fresh.employer(w) for w in m.workers]
             assert [nu.matched(f) for f in m.firms] == \
                 [fresh.matched(f) for f in m.firms]
             listed += 1
     assert listed > 1728
+
+
+def test_listed_matchings_build_no_lookups(monkeypatch, cyclic_blocks):
+    """The search reads a matching's rows by firm index: of the 1728
+    matchings listed here, only the 15 candidates that ``_stable_step``
+    tests build the lookups its scan reads (each listed matching copied its
+    parent's two lookup dicts before).  Each keeps the hash it was listed
+    under, the hash of a fresh build from its rows."""
+    m = cyclic_blocks([3, 3, 3, 4, 4, 4])
+    tested = []
+    real = sf.rotations._stable_step
+
+    def recorded(market, nu, sigma):
+        tested.append(nu)
+        return real(market, nu, sigma)
+
+    monkeypatch.setattr(sf.rotations, "_stable_step", recorded)
+    listed = sf.rotations._lattice(m)[1]
+    assert len(listed) == 1728
+    with_lookups = [mu for mu in listed
+                    if "_rows" in vars(mu) or "_employer" in vars(mu)]
+    assert len(with_lookups) == 15
+    assert all(any(mu is nu for nu in tested) for mu in with_lookups)
+    assert all(vars(mu)["_hash"] == hash(sf.Matching(mu.assignment))
+               for mu in listed)
 
 
 def test_enumeration_cap(block_market):
@@ -526,32 +575,30 @@ import stablefrac as sf
 if sys.flags.optimize < 1:
     sys.exit("not running under -O")
 m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
-real_find_cycles = sf.rotations.find_cycles
-real_apply_cycle_set = sf.rotations.apply_cycle_set
+real_cycles = sf.rotations._cycles
 real_apply_cycle = sf.rotations.apply_cycle
+mu_f = sf.deferred_acceptance(m, sf.Side.FIRMS)
 mu_w = sf.deferred_acceptance(m, sf.Side.WORKERS)
+sigma = sf.find_cycles(sf.reduce_profile(m, mu_f))[0]
 
 # no rotation is ever exposed: the chain stops at the firm-optimal matching
-sf.rotations.find_cycles = lambda profile: ()
+sf.rotations._cycles = lambda firms, successor, wanted: ()
 try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
 
 # the one rotation is reported twice on a chain that still ends at mu_w
-mu_f = sf.deferred_acceptance(m, sf.Side.FIRMS)
-sigma = real_find_cycles(sf.reduce_profile(m, mu_f))[0]
 answers = [(sigma,), (sigma,), ()]
-sf.rotations.find_cycles = lambda profile: answers.pop(0)
-sf.rotations.apply_cycle_set = lambda market, mu, cycles: mu_w
+sf.rotations._cycles = lambda firms, successor, wanted: answers.pop(0)
+sf.rotations.apply_cycle = lambda market, mu, sigma: mu_w
 try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
 
 # a sound chain, but the search's one build returns a matching already listed
-sf.rotations.find_cycles = real_find_cycles
-sf.rotations.apply_cycle_set = real_apply_cycle_set
+sf.rotations._cycles = real_cycles
 builds = []
 
 def rebuild_start(market, mu, sigma):
@@ -566,7 +613,8 @@ except AssertionError as exc:
 
 # a rotation that fits mu_f but moves w3 down from f2, its first choice, to f1
 sf.rotations.apply_cycle = real_apply_cycle
-sf.rotations.find_cycles = lambda profile: (sf.Rotation(("f1", "f2"), ("w3", "w1")),)
+sf.rotations._cycles = lambda firms, successor, wanted: (
+    sf.Rotation(("f1", "f2"), ("w3", "w1")),)
 try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
@@ -581,6 +629,15 @@ except AssertionError as exc:
         "raised: a stable matching was generated twice",
         "raised: cycle worker w3 must move up from f2 to f1",
     ]
+
+
+def test_chain_refuses_an_unstable_step(monkeypatch, market):
+    """Each matching the chain reaches must pass ``_stable_step``."""
+    monkeypatch.setattr(sf.rotations, "_stable_step",
+                        lambda market, nu, sigma: False)
+    with pytest.raises(AssertionError,
+                       match="the rotation chain must pass only stable matchings"):
+        sf.enumerate_stable_via_rotations(market)
 
 
 def test_apply_cycle_mismatch_branches(market, mu_f):
@@ -611,9 +668,10 @@ def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):
 
 def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
     """Every candidate the enumeration tests gets the verdict of is_stable,
-    and every matching it lists is stable.  A rotation whose predecessors
+    and every matching it lists is stable.  The chain tests each of the 116
+    matchings it reaches, one per rotation.  A rotation whose predecessors
     the search has already seen applied is kept untested, so only 116 of
-    the 2165 matchings listed here pass a test."""
+    the 2165 matchings listed here pass a test in the search."""
     real = sf.rotations._stable_step
     verdicts = []
 
@@ -635,7 +693,7 @@ def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
         assert all(sf.is_stable(m, mu) for mu in found)
         listed += len(found)
     assert listed == 2165
-    assert verdicts.count(True) == 116
+    assert verdicts.count(True) == 116 + 116
     assert verdicts.count(False) == 8
 
 

@@ -66,6 +66,41 @@ worker w2: f1 f2
     assert err.value.worker == "w1"
 
 
+@pytest.mark.parametrize("text,kept_evaluations", [
+    ("0 0 0 0\n0 0 0 0\n", 0),      # feasible, blocked at every pair
+    ("1 1 1 0\n0 0 0 0\n", 1),      # f1 over its quota of 2
+    ("1 0 0 0\n1 0 0 1\n", 1),      # w1 over its unit
+])
+def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
+                                              kept_evaluations):
+    """A point that keeps its stable-feasibility report is evaluated again
+    only when that report holds a feasibility violation, and the outcome is
+    the one of a point that keeps none: the same matching, or the same
+    ``InfeasibleError`` with the same constraint and values."""
+    calls = []
+    real = sf.strong_stability.check_feasibility
+
+    def counted(m, x):
+        calls.append(x)
+        return real(m, x)
+
+    monkeypatch.setattr(sf.strong_stability, "check_feasibility", counted)
+
+    def outcome(x):
+        try:
+            return sf.support_matching(market, x)
+        except sf.InfeasibleError as exc:
+            return exc.constraint, exc.lhs, exc.rhs, str(exc)
+
+    fresh = outcome(sf.parse_fractional(market, text))
+    assert len(calls) == 1
+    x = sf.parse_fractional(market, text)
+    assert not sf.check_stable_feasibility(market, x).feasible
+    calls.clear()
+    assert outcome(x) == fresh
+    assert len(calls) == kept_evaluations
+
+
 def test_peel_midpoint(market, mu_f, x_mid, x_worker):
     alpha, mu, residue = sf.peel(market, x_mid)
     assert alpha == Fraction(1, 2)
