@@ -9,8 +9,10 @@ point inside the cube of its top matching.  ``verify_characterization``
 stress-tests the equivalence from both directions against brute-force
 enumeration and the cube test; the subset search ``point_in_hull`` is the
 reference the tests hold the cube test to.
-The harness reads the exposed rotations off the rotation search's masks
-(``rotations._exposed``), and tests a failing point on one cube only.
+The harness reads the exposed rotations off the predecessor masks that the
+rotation chain builds (``rotations._exposed``): r_j is exposed at a listed
+matching when r_j is not applied there and every rotation of its mask is.
+It tests a failing point on one cube only.
 """
 
 from __future__ import annotations
@@ -274,7 +276,8 @@ def verify_characterization(market: Market, seed: int,
     the certificate's terms rebuild the point), and be almost integral.
     The rotation search runs once: its stable set must equal brute force's,
     or that is a counterexample, and each stable matching's exposed
-    rotations are read off its masks, with no reduction of its profile.
+    rotations are read off its mask and the rotations' predecessor masks,
+    with no reduction of its profile.
     Certification looks the top matching's rotations up there, and a
     passing point whose top matching is not in the stable set is a
     counterexample.
@@ -287,14 +290,14 @@ def verify_characterization(market: Market, seed: int,
     """
     oracle = enumerate_stable_bruteforce(market)
     stable = sorted(oracle, key=lambda mu: mu.assignment)
-    chain, listed, known = _lattice(market)
+    chain, listed, pred = _lattice(market)
 
     counterexamples: list[str] = []
     notes: list[str] = []
     if listed.keys() != oracle:
         counterexamples.append(
             "stable set: brute force and the rotation lattice disagree")
-    cubes = {mu: _exposed(market, chain, known, listed[mu])
+    cubes = {mu: _exposed(market, chain, pred, listed[mu])
              for mu in stable if mu in listed}
 
     def known_rotations(base: Matching) -> tuple[Rotation, ...]:

@@ -13,18 +13,20 @@ applying one trades along the cycle and lands on another stable matching.
 Enumeration finds the rotations once, on one chain from the firm-optimal to
 the worker-optimal matching, without reducing a profile: each full firm
 keeps a pointer into its list that only moves forward (Gusfield 1987), so
-the chain reads every firm's list once in all.  The chain's order is a
-linear extension of the rotation poset, whose closed sets are the stable
-matchings, so a depth-first search that only adds a rotation later in that
-order than the last one added lists each stable matching once, from one
+the chain reads every firm's list once in all.  The same pass reads off
+each rotation's predecessors in the rotation poset, as a bitmask: the
+rotation before it at each of its firms, and, for each worker a firm's
+pointer passes because the worker works for a firm it ranks at least as
+high, the rotation that first moved it that high, each with its own
+predecessors.  The chain's order is a linear extension of the poset,
+whose closed sets are the stable matchings, so a depth-first search that
+adds a rotation later in that order than the last one added, once its
+predecessors are applied, lists each stable matching once, from one
 parent, with one ``apply_cycle``, which copies the parent's rows and
-rewrites the cycle's.  A fitting candidate whose predecessors the search
-cannot yet show to be applied is kept only when it is stable, as
-``_stable_step`` decides from the cycle's firms alone; the chain checks its
-precondition once per rotation.  Once the search completes, the
-intersection of the applied sets at which it found a rotation exposed is
-exactly that rotation's predecessors, so ``_exposed`` reads the rotations
-exposed at any listed matching off bitmasks.
+rewrites the cycle's.  The search tests one candidate per rotation, where
+the rotation is first exposed, with ``_stable_step``, which decides from
+the cycle's firms alone; ``_exposed`` reads the rotations exposed at any
+listed matching off the same bitmasks.
 """
 
 from __future__ import annotations
@@ -191,43 +193,30 @@ def _cycles(firms: Sequence[str], successor: dict[str, str],
     return tuple(rotations)
 
 
-def _misfit(market: Market, mu: Matching, sigma: Rotation) -> int | None:
-    """The first cycle position whose worker the next firm does not employ.
-
-    ``sigma`` fits ``mu`` when there is none: each cycle worker is in the
-    row of the next firm of the cycle, and so not in its own firm's.
-    """
-    rows, index = mu.assignment, market._findex
-    r = len(sigma.firms)
-    for d, w in enumerate(sigma.workers):
-        if w not in rows[index[sigma.firms[(d + 1) % r]]][1]:
-            return d
-    return None
-
-
 def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     """Trade workers along one rotation.
 
     Each firm of the cycle keeps its assignment except that it gains its own
     cycle worker and loses its predecessor's; all other firms are untouched.
     The rotation must fit the matching (each cycle worker employed by the
-    next firm, absent from its own firm), or ``CycleMismatchError`` is
-    raised.  A fitting cycle moves distinct workers and keeps every row's
-    size, so no worker can be assigned twice: the child is derived from
-    ``mu``'s rows, of which only the cycle's are rebuilt (re-sorted by
-    worker index when they hold more than one worker).  Rows are read by
-    firm index, so no lookup dict is built for either matching, and the
-    cost of a step is one copy of the row tuple plus the rotation's work.
+    next firm, and so absent from its own firm), or ``CycleMismatchError``
+    is raised at the first position that does not.  A fitting cycle moves
+    distinct workers and keeps every row's size, so no worker can be
+    assigned twice: the child is derived from ``mu``'s rows, of which only
+    the cycle's are rebuilt (re-sorted by worker index when they hold more
+    than one worker).  Rows are read by firm index, so no lookup dict is
+    built for either matching, and the cost of a step is one copy of the row
+    tuple plus the rotation's work.
     """
     rows, index = list(mu.assignment), market._findex
-    d = _misfit(market, mu, sigma)
-    if d is not None:
-        f, w = sigma.firms[d], sigma.workers[d]
-        if w in rows[index[f]][1]:
-            raise CycleMismatchError(f"cycle worker {w} already works for {f}")
-        nxt = sigma.firms[(d + 1) % len(sigma.firms)]
-        raise CycleMismatchError(
-            f"cycle worker {w} is not employed by {nxt} in the base matching")
+    r = len(sigma.firms)
+    for d, w in enumerate(sigma.workers):
+        if w not in rows[index[sigma.firms[(d + 1) % r]]][1]:
+            f, nxt = sigma.firms[d], sigma.firms[(d + 1) % r]
+            if w in rows[index[f]][1]:
+                raise CycleMismatchError(f"cycle worker {w} already works for {f}")
+            raise CycleMismatchError(
+                f"cycle worker {w} is not employed by {nxt} in the base matching")
     for d, f in enumerate(sigma.firms):
         lost, gained = sigma.workers[d - 1], sigma.workers[d]
         i = index[f]
@@ -291,8 +280,9 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     and every pair blocking mu has its firm on the cycle; a stable mu, as in
     the enumeration, qualifies.  Precondition: every cycle worker's new pair
     is mutually acceptable and the worker strictly prefers its new firm to
-    its old one; the chain of ``enumerate_stable_via_rotations`` checks this
-    for each rotation it finds, so the search passes no other rotation here.
+    its old one.  The chain of ``_lattice`` checks this for each rotation it
+    finds; the search passes each of them here once more, where it is first
+    exposed, and the search passes no other rotation here.
 
     Then nu is individually rational: ``apply_cycle`` keeps every quota, the
     new pairs are acceptable and every other pair is one of mu's.  A pair
@@ -308,11 +298,11 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
 
 def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
              ) -> tuple[list[Rotation], dict[Matching, int], list[int]]:
-    """The rotation search: ``(rotations, listed, known)``.
+    """The rotation search: ``(rotations, listed, pred)``.
 
     ``rotations`` is r_1, ..., r_n in the chain's order, ``listed`` maps
     each stable matching to the bitmask of the rotations applied to the
-    firm-optimal matching to reach it, and ``known[j]`` is the bitmask of
+    firm-optimal matching to reach it, and ``pred[j]`` is the bitmask of
     D_j, the rotations that precede r_j.
 
     Chain phase: from the firm-optimal matching, find the rotations exposed
@@ -342,47 +332,70 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
     ``_stable_step``; the chain must end at the worker-optimal matching,
     and no rotation may be found twice.
 
+    The same pass reads off the predecessors (Gusfield 1987).  Each full
+    firm f keeps ``due[f]``, a set of rotations that must precede f's next
+    rotation, and each worker w keeps ``moves[w]``: w's rank of each
+    employer it held along the chain, with the rotations applied up to that
+    move, starting from its firm-optimal employer with none.  ``pred[j]`` is
+    the union of ``due[f]`` over r_j's firms; then each of them owes
+    ``pred[j]`` and r_j, and each of its workers records the move.  Two
+    kinds of edge enter ``due[f]``:
+
+    - Two rotations at one firm are never exposed together, since the firm
+      has one successor, so the chain's order orders them.
+    - When f's pointer passes a worker w that ranks f no better than its
+      worker-optimal employer because w's employer ranks at least as high
+      as f, f's next rotation gives f a worker that f ranks below w.  The
+      rotations that move w are totally ordered (w has one employer), and
+      until the first of them that lifts w to a firm it ranks no lower than
+      f is applied, w and f would block; so that rotation, with its
+      predecessors, must come first.  When w's firm-optimal employer already
+      ranks that high, no rotation is owed.
+
+    Every set entered is some D_i plus r_i, which is closed, and unions of
+    closed sets are closed, so no transitive closure is needed.
+
     Search phase: the chain's order is a linear extension of the rotation
     poset, since a rotation is exposed only after all of its predecessors
     were applied.  So a nonempty closed set I has exactly one parent, I
     minus its highest-index rotation, which is closed as well, and its
     matching is the parent's with that rotation applied, exposed and so
     fitting.  A depth-first search from the firm-optimal matching extends
-    each matching only by rotations r_j with j above the last index added,
-    and keeps a candidate when r_j fits and the result is stable
-    (``_stable_step``).  Every stable matching is reached this way; one
-    reached twice would be an error, and is raised as one.
-
-    The search learns the precedence relation as it goes.  r_j is exposed
-    at a closed set I exactly when r_j is not in I and D_j is, so every set
-    at which the search finds r_j exposed contains D_j, and so does
-    ``known[j]``, the intersection of these sets.  A later candidate r_j
-    whose ``known[j]`` lies inside the applied set is therefore exposed,
-    and is kept without ``_misfit`` or ``_stable_step``; ``apply_cycle``
-    still checks that it fits.  Once the search completes, ``known[j]`` is
-    exactly D_j: D_j is closed, so the search lists it, and with j among
-    its candidates, since every rotation of D_j precedes r_j in the chain's
-    order; r_j is exposed there, so D_j is intersected into ``known[j]``
-    unless ``known[j]`` already lies inside it.  ``_exposed`` reads the
+    each matching by every r_j with j above the last index added and
+    ``pred[j]`` inside the applied set, and by nothing else.  Every stable
+    matching is reached this way; one reached twice would be an error, and
+    is raised as one.  One check bears the load: at the applied set equal
+    to ``pred[j]``, where r_j is first exposed, the child must pass
+    ``_stable_step`` (``apply_cycle`` still checks the fit), or
+    ``AssertionError`` is raised; that is one test per rotation.  A mask
+    that misses a predecessor fails it: were ``pred[j]`` the first such
+    mask, every earlier mask would be exact, so ``pred[j]`` would be a
+    closed set at which r_j is not exposed.  ``_exposed`` reads the
     rotations exposed at any listed matching off these masks.
 
     Raises ``CapExceededError`` once more than ``cap`` matchings, the
-    firm-optimal one included, are listed; no masks exist then.
+    firm-optimal one included, are listed.
     """
     start = deferred_acceptance(market, Side.FIRMS)
     mu_w = deferred_acceptance(market, Side.WORKERS)
     frank, wrank = market._frank, market._wrank
     employer = {w: f for f, ws in start.assignment for w in ws}
+    # per worker: its rank of each employer it held, with the rotations
+    # applied by then; its firm-optimal employer comes with none
+    moves = {w: [(wrank[w][f], 0)] for w, f in employer.items()}
     # every worker matched in mu_w is matched at every step (rural hospitals)
     top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
-    # per full firm: its list, its pointer, and its worst mu_w partner's rank
-    lists, at, bottom = {}, {}, {}
+    # per full firm: its list, its pointer, its worst mu_w partner's rank,
+    # and the rotations its next rotation must follow
+    lists, at, bottom, due = {}, {}, {}, {}
     for (f, ws), (_, ws_w) in zip(start.assignment, mu_w.assignment):
         if len(ws) == market.quota[f]:
             lists[f] = lst = market.acceptable_to_firm(f)
             at[f] = 1 + max(map(lst.index, ws))
             bottom[f] = max(map(frank[f].__getitem__, ws_w), default=-1)
+            due[f] = 0
     rotations: list[Rotation] = []
+    pred: list[int] = []
     mu = start
     while True:
         successor, wanted = {}, {}
@@ -391,28 +404,35 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
             while i < len(lst) and rank[lst[i]] <= bottom[f]:
                 w = lst[i]
                 mine = wrank[w]
-                if w in top and top[w] <= mine[f] < mine[employer[w]]:
-                    successor[f], wanted[f] = employer[w], w
-                    break
+                if w in top and top[w] <= mine[f]:
+                    if mine[f] < mine[employer[w]]:
+                        successor[f], wanted[f] = employer[w], w
+                        break
+                    due[f] |= next(s for r, s in moves[w] if r <= mine[f])
                 i += 1
             at[f] = i
         exposed = _cycles(market.firms, successor, wanted)
         if not exposed:
             break
         for sigma in exposed:
+            mask = 0
             for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
                 old = sigma.firms[(d + 1) % len(sigma.firms)]
                 if not (market.acceptable(f, w) and market.acceptable(old, w)
                         and wrank[w][f] < wrank[w][old]):
                     raise AssertionError(
                         f"cycle worker {w} must move up from {old} to {f}")
+                mask |= due[f]
             mu = apply_cycle(market, mu, sigma)
             if not _stable_step(market, mu, sigma):
                 raise AssertionError(
                     "the rotation chain must pass only stable matchings")
+            done = mask | 1 << len(rotations)
             for f, w in zip(sigma.firms, sigma.workers):
-                employer[w] = f
-        rotations.extend(exposed)
+                employer[w], due[f] = f, done
+                moves[w].append((wrank[w][f], done))
+            rotations.append(sigma)
+            pred.append(mask)
     if mu != mu_w:
         raise AssertionError(
             "the rotation chain must end at the worker-optimal matching")
@@ -421,7 +441,6 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
 
     listed: dict[Matching, int] = {}
     count = 0
-    known = [(1 << len(rotations)) - 1] * len(rotations)
     # (matching, bitmask of the rotations applied, next index)
     stack: list[tuple[Matching, int, int]] = [(start, 0, 0)]
     while stack:
@@ -432,30 +451,28 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
             raise CapExceededError(
                 f"{count}+ stable matchings exceed the cap of {cap}")
         for j in range(first, len(rotations)):
+            if pred[j] & ~applied:
+                continue
             sigma = rotations[j]
-            if known[j] & ~applied:
-                if _misfit(market, mu, sigma) is not None:
-                    continue
-                nu = apply_cycle(market, mu, sigma)
-                if not _stable_step(market, nu, sigma):
-                    continue
-                known[j] &= applied
-            else:
-                nu = apply_cycle(market, mu, sigma)
+            nu = apply_cycle(market, mu, sigma)
+            if applied == pred[j] and not _stable_step(market, nu, sigma):
+                raise AssertionError(
+                    "each rotation must be exposed once its predecessors "
+                    "are applied")
             stack.append((nu, applied | 1 << j, j + 1))
     if len(listed) != count:
         raise AssertionError("a stable matching was generated twice")
-    return rotations, listed, known
+    return rotations, listed, pred
 
 
-def _exposed(market: Market, rotations: Sequence[Rotation], known: Sequence[int],
+def _exposed(market: Market, rotations: Sequence[Rotation], pred: Sequence[int],
              applied: int) -> tuple[Rotation, ...]:
     """The rotations exposed at the listed matching with mask ``applied``,
     by their first firm's index as ``find_cycles`` returns them: each r_j
-    outside ``applied`` whose predecessors ``known[j]`` all lie inside it."""
+    outside ``applied`` whose predecessors ``pred[j]`` all lie inside it."""
     return tuple(sorted(
         (sigma for j, sigma in enumerate(rotations)
-         if not (applied >> j) & 1 and not known[j] & ~applied),
+         if not (applied >> j) & 1 and not pred[j] & ~applied),
         key=lambda sigma: market.firm_index(sigma.firms[0])))
 
 

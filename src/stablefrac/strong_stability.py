@@ -20,6 +20,7 @@ from .model import (
     ContestedWorkerError,
     Decomposition,
     FractionalMatching,
+    InfeasibleError,
     Market,
     Matching,
     NotStronglyStableError,
@@ -27,7 +28,7 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import check_feasibility, check_stable_feasibility
+from .polytope import check_stable_feasibility
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,15 @@ def support_matching(market: Market, x: FractionalMatching) -> Matching:
 
     When two firms claim the same worker the result is not a matching; this
     happens only for points that are not strongly stable and is reported as a
-    ContestedWorkerError naming the worker.  A point that keeps its
-    stable-feasibility report for ``market`` is not evaluated again when
-    that report's only violations are noblock rows: the report covers every
-    feasibility row, so it shows the point feasible.
+    ContestedWorkerError naming the worker.  The point must be feasible:
+    its stable-feasibility report, which the point keeps, lists the
+    feasibility rows first, in ``check_feasibility``'s order, so the first
+    violation that is not a noblock row is the one ``InfeasibleError``
+    names.
     """
-    kept = x._stable
-    if kept is None or kept[0] is not market or any(
-            cid[0] != "noblock" for cid, _, _ in kept[1].violations):
-        check_feasibility(market, x).require()
+    for violation in check_stable_feasibility(market, x).violations:
+        if violation[0][0] != "noblock":
+            raise InfeasibleError(*violation)
     claimed: dict[str, str] = {}
     chosen: dict[str, list[str]] = {}
     for f, row in zip(market.firms, x._nums):

@@ -272,21 +272,52 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
 
     At every listed matching the rotations read off the masks
     (``rotations._exposed``) must be ``find_cycles(reduce_profile(...))``,
-    and each ``known[j]`` must be D_j: the intersection of the listed closed
+    and each ``pred[j]`` must be D_j: the intersection of the listed closed
     sets that contain r_j, with r_j itself removed.
     """
-    chain, listed, known = _lattice(market)
+    chain, listed, pred = _lattice(market)
     below = [~0] * len(chain)
     for applied in listed.values():
         for j in range(len(chain)):
             if applied >> j & 1:
                 below[j] &= applied
-    same = all(k == b & ~(1 << j) for j, (k, b) in enumerate(zip(known, below)))
+    same = all(p == b & ~(1 << j) for j, (p, b) in enumerate(zip(pred, below)))
     same = same and all(
-        _exposed(market, chain, known, applied)
+        _exposed(market, chain, pred, applied)
         == sf.find_cycles(sf.reduce_profile(market, mu))
         for mu, applied in listed.items())
     return len(listed), same
+
+
+def learned_predecessors(market: Market) -> list[int]:
+    """Each rotation's predecessors, learned by a search that is not told
+    them: the masks ``rotations._lattice`` once built while it listed.
+
+    Over the chain's rotations r_j, a depth-first search extends each listed
+    closed set by the r_j above its last index.  A candidate whose
+    ``known[j]`` lies inside the applied set is kept untested; any other is
+    kept when it fits and the child ``is_stable``, and then ``known[j]`` is
+    intersected with the applied set.  r_j is exposed exactly at the closed
+    sets that contain D_j and not r_j, and the search lists D_j with j among
+    its candidates, so ``known[j]`` ends equal to D_j.
+    """
+    rotations = _lattice(market)[0]
+    n = len(rotations)
+    known = [(1 << n) - 1] * n
+    stack = [(sf.deferred_acceptance(market, sf.Side.FIRMS), 0, 0)]
+    while stack:
+        mu, applied, first = stack.pop()
+        for j in range(first, n):
+            try:
+                nu = sf.apply_cycle(market, mu, rotations[j])
+            except sf.CycleMismatchError:
+                continue
+            if known[j] & ~applied:
+                if not sf.is_stable(market, nu):
+                    continue
+                known[j] &= applied
+            stack.append((nu, applied | 1 << j, j + 1))
+    return known
 
 
 def reference_chain(market: Market) -> list:

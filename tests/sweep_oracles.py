@@ -28,11 +28,15 @@ market (``oracles.reduced_lists_keep_the_base``), and at 6x12 and 8x16
 (q = 2) and 6x18 (q = 3) that the rotation search lists the pruned
 search's set, with its cap lifted to ``BALANCED_CAP``.
 
-On every instance of all three families it also compares the rotation
+On every instance of all three families, and on complete 20x20 one-to-one
+markets (seeds 0 to min(N, 100) - 1), it also compares the rotation
 search's chain, read off one pointer per firm, with the chain that reduces
 the whole profile at every step (``oracles.reference_chain``): the same
 rotations in the same order, and every matching the pointer chain passes
-stable (``oracles.chain_agrees``).
+stable (``oracles.chain_agrees``).  On the same instances it compares each
+rotation's predecessor mask, read off the chain, with the mask a search
+that is not told the predecessors learns
+(``oracles.learned_predecessors``).
 
 Prints the counts and exits 1 on any disagreement.  Not collected by pytest
 (``test_rotations.py`` runs three rich seeds through ``compare_rich``); run
@@ -51,17 +55,19 @@ import sys
 
 import stablefrac as sf
 from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
-                     dominates, lattice_exposures_agree,
+                     dominates, lattice_exposures_agree, learned_predecessors,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_vertex_walk, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
+from stablefrac.rotations import _lattice
 
 SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
          (6, 6, 1), (4, 4, 2), (2, 6, 3)]
 DENSITIES = (1.0, 0.7)
 RICH_SEEDS = 100
+LARGE_SIZE = 20     # complete one-to-one markets: chains and predecessors only
 # (firms, quota, compared with the pruned search) per balanced size
 BALANCED = [(6, 2, True), (8, 2, True), (6, 3, True), (10, 2, False),
             (8, 3, False)]
@@ -74,16 +80,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=450,
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
-    instances = multi = profiles = chains = chain_rotations = 0
+    instances = multi = profiles = chains = chain_rotations = edges = 0
     disagreements = []
 
     def compare_chain(m, name, *where):
-        nonlocal chains, chain_rotations
+        nonlocal chains, chain_rotations, edges
         count, same = chain_agrees(m)
         chains += 1
         chain_rotations += count
         if not same:
             disagreements.append((name, *where))
+        pred = _lattice(m)[2]
+        edges += sum(bin(mask).count("1") for mask in pred)
+        if pred != learned_predecessors(m):
+            disagreements.append((f"{name} predecessors", *where))
 
     for nf, nw, qmax in SIZES:
         for seed in range(args.seeds):
@@ -135,6 +145,12 @@ def main(argv=None) -> int:
                       "rich chain", RICH_SIZE, RICH_SIZE, 1, seed, 1.0)
     print(f"rich family: {rich_seeds} markets, {rich_listed} stable "
           "matchings", flush=True)
+    for seed in range(rich_seeds):
+        compare_chain(sf.gen_random_market(seed, LARGE_SIZE, LARGE_SIZE, 1,
+                                           density=1.0),
+                      "large chain", LARGE_SIZE, LARGE_SIZE, 1, seed, 1.0)
+    print(f"large family: {rich_seeds} complete {LARGE_SIZE}x{LARGE_SIZE} "
+          "markets", flush=True)
     balanced_seeds = min(args.seeds, BALANCED_SEEDS)
     for nf, q, oracle in BALANCED:
         balanced_listed = 0
@@ -161,7 +177,8 @@ def main(argv=None) -> int:
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
           f"(walks compared on each), {profiles} reduced profiles, "
-          f"{chains} chains ({chain_rotations} rotations), "
+          f"{chains} chains ({chain_rotations} rotations, {edges} "
+          "predecessor pairs), "
           f"{len(disagreements)} disagreements")
     return 1 if disagreements else 0
 

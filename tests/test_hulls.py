@@ -341,19 +341,33 @@ def test_verify_reduces_only_the_chains_profiles(block_market, monkeypatch):
 
 def test_verify_evaluates_each_point_once(block_market, monkeypatch):
     """A point's support matching reads the stable-feasibility report the
-    point keeps: verify makes no ``check_feasibility`` call on
-    ``block.market``.  It made 9 when each one evaluated its point again."""
-    calls = []
-    real = sf.strong_stability.check_feasibility
+    point keeps: the support matchings that verify takes on ``block.market``
+    make no ``polytope._evaluate`` call, and the same point built afresh
+    makes one.  They made 9 ``check_feasibility`` calls when each one
+    evaluated its point again."""
+    points, active, inside = [], [], []
+    evaluate, support = sf.polytope._evaluate, sf.hulls.support_matching
 
-    def counted(market, x):
-        calls.append(x)
-        return real(market, x)
+    def recorded(market, x, stable):
+        if active:
+            inside.append(x)
+        return evaluate(market, x, stable)
 
-    monkeypatch.setattr(sf.strong_stability, "check_feasibility", counted)
-    monkeypatch.setattr(sf.polytope, "check_feasibility", counted)
+    def supported(market, x):
+        points.append(x)
+        active.append(x)
+        try:
+            return support(market, x)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(sf.polytope, "_evaluate", recorded)
+    monkeypatch.setattr(sf.hulls, "support_matching", supported)
     assert sf.verify_characterization(block_market, seed=1, samples=10).ok
-    assert calls == []
+    assert points and inside == []
+    fresh = sf.FractionalMatching.from_rows(points[0].entries)
+    supported(block_market, fresh)
+    assert inside == [fresh]
 
 
 def test_verify_does_no_fraction_arithmetic(block_market, monkeypatch):
@@ -473,8 +487,8 @@ def test_one_cube_agrees_with_every_cube(fleet, block_market, cyclic_blocks,
     for idx, m in enumerate(markets):
         points.clear()
         assert sf.verify_characterization(m, seed=idx, samples=50).ok
-        chain, listed, known = _lattice(m)
-        cubes = {mu: _exposed(m, chain, known, applied)
+        chain, listed, pred = _lattice(m)
+        cubes = {mu: _exposed(m, chain, pred, applied)
                  for mu, applied in listed.items()}
         for x in points:
             inside = in_any_hull(m, cubes, x)

@@ -8,7 +8,8 @@ import pytest
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, chain_agrees,
                      compare_rich, dominates, lattice_exposures_agree,
-                     random_markets, reduced_lists_keep_the_base,
+                     learned_predecessors, random_markets,
+                     reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
                      reference_reduced_lists)
 
@@ -391,6 +392,9 @@ def test_rotation_exposed_only_after_two_others(text):
     assert len(stable) == 5
     assert stable == reference_enumerate_stable(m)
     assert sf.enumerate_stable_via_rotations(m) == stable
+    chain, _, pred = sf.rotations._lattice(m)
+    assert chain == [first, second, third]
+    assert pred == [0, 0, 0b11] == learned_predecessors(m)
 
 
 @pytest.mark.parametrize("nf,nw,qmax", RANDOM_SIZES)
@@ -415,7 +419,7 @@ def test_rotation_rich_markets_match_the_oracle(seed, size):
 def test_exposures_read_off_the_masks_match_reductions(fleet, cyclic_blocks):
     """At every stable matching the rotations that the search's masks say
     are exposed are those that reducing its profile finds, and each
-    ``known[j]`` is the set of r_j's predecessors: on cyclic blocks (six
+    ``pred[j]`` is the set of r_j's predecessors: on cyclic blocks (six
     rotations exposed at one profile with ``[2]*6``), the fleet and the
     shared random markets."""
     markets = [cyclic_blocks(sizes) for sizes in ([2] * 6, [3, 4], [2, 3, 4])]
@@ -427,6 +431,40 @@ def test_exposures_read_off_the_masks_match_reductions(fleet, cyclic_blocks):
         assert same
         listed += count
     assert listed == 64 + 12 + 24 + 62 + 365
+
+
+def test_predecessors_read_off_the_chain_match_the_learned_ones(
+        fleet, cyclic_blocks):
+    """Each rotation's predecessor mask, read off the chain, is the one a
+    search that is not told them learns (``oracles.learned_predecessors``):
+    on the families of ``test_exposures_read_off_the_masks_match_reductions``,
+    complete 20x20 one-to-one markets and balanced 12x36 markets of quota
+    3, seeds 0-9."""
+    markets = [cyclic_blocks(sizes) for sizes in ([2] * 6, [3, 4], [2, 3, 4])]
+    markets += fleet
+    markets += [m for size in RANDOM_SIZES for m in random_markets(*size)]
+    markets += [sf.gen_random_market(seed, 20, 20, 1, density=1.0)
+                for seed in range(10)]
+    markets += [balanced_market(seed, 12, 3) for seed in range(10)]
+    rotations = edges = 0
+    for m in markets:
+        pred = sf.rotations._lattice(m)[2]
+        assert pred == learned_predecessors(m)
+        rotations += len(pred)
+        edges += sum(bin(mask).count("1") for mask in pred)
+    assert (rotations, edges) == (247, 511)
+
+
+def test_a_worker_placed_from_the_start_owes_no_rotation():
+    """A worker that a firm's pointer passes makes the firm's next rotation
+    follow the rotation that first lifted the worker to a firm it ranks at
+    least as high; a worker whose firm-optimal employer already ranks that
+    high adds no edge.  On this balanced 10x20 market, looking only at the
+    rotations that moved the worker, and not at its firm-optimal employer,
+    adds the false edge r_1 -> r_2 (counting from r_0)."""
+    m = balanced_market(5, 10, 2)
+    pred = sf.rotations._lattice(m)[2]
+    assert pred == [0, 0, 0b1, 0b101] == learned_predecessors(m)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -570,7 +608,9 @@ def test_enumeration_cap(block_market):
 def test_chain_checks_survive_optimize(src_env, tmp_path):
     script = tmp_path / "broken_chain.py"
     script.write_text(f"""
+import inspect
 import sys
+import types
 import stablefrac as sf
 if sys.flags.optimize < 1:
     sys.exit("not running under -O")
@@ -619,6 +659,23 @@ try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
+
+# a copy of the module whose chain records no edge for a passed worker: on
+# this market one rotation then misses a predecessor, and the search tests
+# it where it is not exposed
+source = inspect.getsource(sf.rotations)
+edge = "due[f] |= next(s for r, s in moves[w] if r <= mine[f])"
+if source.count(edge) != 1:
+    sys.exit("the edge line is not in the module")
+broken = types.ModuleType("stablefrac.rotations_without_passed_workers")
+broken.__package__ = "stablefrac"
+sys.modules[broken.__name__] = broken
+exec(compile(source.replace(edge, "pass"), sf.rotations.__file__, "exec"),
+     broken.__dict__)
+try:
+    broken._lattice(sf.gen_random_market(1, 5, 5, 1, density=1.0))
+except AssertionError as exc:
+    print("raised:", exc)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
                          capture_output=True, text=True, timeout=60)
@@ -628,6 +685,7 @@ except AssertionError as exc:
         "raised: a rotation was found twice on the chain",
         "raised: a stable matching was generated twice",
         "raised: cycle worker w3 must move up from f2 to f1",
+        "raised: each rotation must be exposed once its predecessors are applied",
     ]
 
 
@@ -669,9 +727,10 @@ def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):
 def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
     """Every candidate the enumeration tests gets the verdict of is_stable,
     and every matching it lists is stable.  The chain tests each of the 116
-    matchings it reaches, one per rotation.  A rotation whose predecessors
-    the search has already seen applied is kept untested, so only 116 of
-    the 2165 matchings listed here pass a test in the search."""
+    matchings it reaches, one per rotation, and the search tests each
+    rotation once more, where its predecessors are exactly the applied set:
+    116 of the 2165 matchings listed here.  No test fails; the search that
+    learned the predecessors made 8 failing tests here."""
     real = sf.rotations._stable_step
     verdicts = []
 
@@ -694,7 +753,7 @@ def test_stable_step_agrees_with_is_stable(monkeypatch, fleet, cyclic_blocks):
         listed += len(found)
     assert listed == 2165
     assert verdicts.count(True) == 116 + 116
-    assert verdicts.count(False) == 8
+    assert verdicts.count(False) == 0
 
 
 # A hand-made step the enumeration never takes: mu leaves f1 below quota

@@ -66,25 +66,27 @@ worker w2: f1 f2
     assert err.value.worker == "w1"
 
 
-@pytest.mark.parametrize("text,kept_evaluations", [
+@pytest.mark.parametrize("text,feasibility_violations", [
     ("0 0 0 0\n0 0 0 0\n", 0),      # feasible, blocked at every pair
     ("1 1 1 0\n0 0 0 0\n", 1),      # f1 over its quota of 2
     ("1 0 0 0\n1 0 0 1\n", 1),      # w1 over its unit
 ])
 def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
-                                              kept_evaluations):
-    """A point that keeps its stable-feasibility report is evaluated again
-    only when that report holds a feasibility violation, and the outcome is
-    the one of a point that keeps none: the same matching, or the same
-    ``InfeasibleError`` with the same constraint and values."""
+                                              feasibility_violations):
+    """``support_matching`` reads the point's one stable-feasibility
+    evaluation: a fresh point is evaluated once, a point that keeps its
+    report not at all, and the outcome is the same: the same matching, or
+    the same ``InfeasibleError``, at the constraint and values that
+    ``check_feasibility`` names first.  The kept report holds
+    ``feasibility_violations`` rows that are not noblock rows."""
     calls = []
-    real = sf.strong_stability.check_feasibility
+    real = sf.polytope._evaluate
 
-    def counted(m, x):
-        calls.append(x)
-        return real(m, x)
+    def counted(m, x, stable):
+        calls.append(stable)
+        return real(m, x, stable)
 
-    monkeypatch.setattr(sf.strong_stability, "check_feasibility", counted)
+    monkeypatch.setattr(sf.polytope, "_evaluate", counted)
 
     def outcome(x):
         try:
@@ -93,12 +95,19 @@ def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
             return exc.constraint, exc.lhs, exc.rhs, str(exc)
 
     fresh = outcome(sf.parse_fractional(market, text))
-    assert len(calls) == 1
+    assert calls == [True]
     x = sf.parse_fractional(market, text)
-    assert not sf.check_stable_feasibility(market, x).feasible
+    report = sf.check_stable_feasibility(market, x)
+    assert not report.feasible
+    assert sum(cid[0] != "noblock" for cid, _, _ in report.violations) == \
+        feasibility_violations
     calls.clear()
     assert outcome(x) == fresh
-    assert len(calls) == kept_evaluations
+    assert calls == []
+    feasibility = sf.check_feasibility(market, x)
+    assert feasibility.feasible == (not feasibility_violations)
+    if feasibility_violations:
+        assert fresh[:3] == feasibility.first_violation()
 
 
 def test_peel_midpoint(market, mu_f, x_mid, x_worker):
