@@ -25,6 +25,7 @@ import sys
 import warnings
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable
 
 from .hulls import certify_strongly_stable, gen_random_market, verify_characterization
@@ -353,7 +354,7 @@ def _cmd_stable_all(args, inputs, diagnostics) -> _Outcome:
     enumerate_stable = (enumerate_stable_bruteforce if args.method == "brute"
                         else enumerate_stable_via_rotations)
     ordered = sorted(enumerate_stable(market, cap=args.cap),
-                     key=lambda mu: mu.assignment)
+                     key=attrgetter("assignment"))
     result = {
         "method": args.method,
         "count": len(ordered),

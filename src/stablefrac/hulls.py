@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable
 
 from .linalg import solve_exact
@@ -172,7 +173,7 @@ def sample_hull(market: Market, mu: Matching, seed: int, count: int,
     if rotations is None:
         rotations = find_cycles(reduce_profile(market, mu))
     members = sorted(connected_set(market, mu, rotations),
-                     key=lambda m: m.assignment)
+                     key=attrgetter("assignment"))
     rng = random.Random(f"hull:{seed}")
     return [_random_mix(market, members, rng) for _ in range(count)]
 
@@ -289,7 +290,7 @@ def verify_characterization(market: Market, seed: int,
     must fail the condition, the integral ones must be stable matchings.
     """
     oracle = enumerate_stable_bruteforce(market)
-    stable = sorted(oracle, key=lambda mu: mu.assignment)
+    stable = sorted(oracle, key=attrgetter("assignment"))
     chain, listed, pred = _lattice(market)
 
     counterexamples: list[str] = []

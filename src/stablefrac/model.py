@@ -221,10 +221,11 @@ class Matching:
     a row are in declaration order.  Unmatched workers are simply absent (a
     worker matched to itself is a derived view, never stored).
 
-    Equality compares ``assignment`` alone.  The lookups behind ``matched``
-    and ``employer`` and the hash are built from the rows the first time
-    they are read and then kept, so a matching that is only stored, hashed
-    and compared costs its rows and its hash.
+    Equality compares ``assignment`` alone, and the hash, that of the
+    tuple ``(assignment,)``, is computed once when the matching is made.
+    The lookups behind ``matched`` and ``employer`` are built from the rows
+    the first time they are read and then kept, so a matching that is only
+    stored, hashed and compared costs its rows and its hash.
     """
 
     assignment: tuple[tuple[str, tuple[str, ...]], ...]
@@ -236,6 +237,7 @@ class Matching:
                 if w in seen:
                     raise ValueError(f"worker {w} assigned twice")
                 seen.add(w)
+        object.__setattr__(self, "_hash", hash((self.assignment,)))
 
     @classmethod
     def _derive(cls, assignment: tuple[tuple[str, tuple[str, ...]], ...]
@@ -243,19 +245,17 @@ class Matching:
         """The matching ``assignment``, unchecked: the caller guarantees
         that no worker is in two rows, as a rotation's trade does."""
         child = object.__new__(cls)
-        object.__setattr__(child, "assignment", assignment)
+        child.__dict__.update(assignment=assignment, _hash=hash((assignment,)))
         return child
 
     def __getattr__(self, name: str):
-        """``_rows`` (firm -> row), ``_employer`` (worker -> firm) or
-        ``_hash``, built on first read and kept in the instance, where every
-        later read finds it without coming here."""
+        """``_rows`` (firm -> row) or ``_employer`` (worker -> firm),
+        built on first read and kept in the instance, where every later
+        read finds it without coming here."""
         if name == "_rows":
             value = dict(self.assignment)
         elif name == "_employer":
             value = {w: f for f, ws in self.assignment for w in ws}
-        elif name == "_hash":
-            value = hash((self.assignment,))
         else:
             raise AttributeError(name)
         self.__dict__[name] = value

@@ -22,8 +22,11 @@ predecessors.  The chain's order is a linear extension of the poset,
 whose closed sets are the stable matchings, so a depth-first search that
 adds a rotation later in that order than the last one added, once its
 predecessors are applied, lists each stable matching once, from one
-parent, with one ``apply_cycle``, which copies the parent's rows and
-rewrites the cycle's.  The search tests one candidate per rotation, where
+parent.  The chain records each rotation's trade, the rows of its firms
+before and after it, and the search replays it: a child is a copy of its
+parent's rows with the cycle firms' rows swapped for those the chain gave
+them, so the search calls no ``apply_cycle``, scans no worker for the fit
+and sorts no row.  The search tests one candidate per rotation, where
 the rotation is first exposed, with ``_stable_step``, which decides from
 the cycle's firms alone; ``_exposed`` reads the rotations exposed at any
 listed matching off the same bitmasks.
@@ -207,6 +210,9 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     than one worker).  Rows are read by firm index, so no lookup dict is
     built for either matching, and the cost of a step is one copy of the row
     tuple plus the rotation's work.
+
+    It is the step of the rotation chain and of ``connected_set``; the
+    rotation search replays the trades the chain recorded instead.
     """
     rows, index = list(mu.assignment), market._findex
     r = len(sigma.firms)
@@ -284,14 +290,16 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     finds; the search passes each of them here once more, where it is first
     exposed, and the search passes no other rotation here.
 
-    Then nu is individually rational: ``apply_cycle`` keeps every quota, the
-    new pairs are acceptable and every other pair is one of mu's.  A pair
-    (f, w) with f off the cycle cannot block nu either: f's staff, and so
-    its vacancy and its worst staff member, are those of mu, and w's
-    employer is mu's or one w strictly prefers, so the pair would block mu.
-    (Were w employed by f in mu and not in nu, w would be a cycle worker and
-    f a cycle firm.)  What is left is exactly the scan of ``_blocks``
-    restricted to the cycle's firms.
+    Then nu is individually rational: ``apply_cycle`` keeps every quota,
+    and a trade the search replays gives each cycle firm the row that
+    ``apply_cycle`` gave it on the chain; the new pairs are acceptable and
+    every other pair is one of mu's.  A pair (f, w) with f off the cycle
+    cannot block nu either: f's staff, and so its vacancy and its worst
+    staff member, are those of mu, and w's employer is mu's or one w
+    strictly prefers, so the pair would block mu.  (Were w employed by f in
+    mu and not in nu, w would be a cycle worker and f a cycle firm.)  What
+    is left is exactly the scan of ``_blocks`` restricted to the cycle's
+    firms.
     """
     return next(_blocks(market, nu, sigma.firms), None) is None
 
@@ -353,7 +361,9 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
       ranks that high, no rotation is owed.
 
     Every set entered is some D_i plus r_i, which is closed, and unions of
-    closed sets are closed, so no transitive closure is needed.
+    closed sets are closed, so no transitive closure is needed.  The chain
+    also records each rotation's trade: for each of its firms, the firm's
+    index and its rows before and after the step.
 
     Search phase: the chain's order is a linear extension of the rotation
     poset, since a rotation is exposed only after all of its predecessors
@@ -364,9 +374,20 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
     each matching by every r_j with j above the last index added and
     ``pred[j]`` inside the applied set, and by nothing else.  Every stable
     matching is reached this way; one reached twice would be an error, and
-    is raised as one.  One check bears the load: at the applied set equal
-    to ``pred[j]``, where r_j is first exposed, the child must pass
-    ``_stable_step`` (``apply_cycle`` still checks the fit), or
+    is raised as one.
+
+    The child is built by replaying r_j's recorded trade, which is exact,
+    many-to-one included.  The rotations at one firm are totally ordered in
+    the poset, since ``due[f]`` puts each of them in the next one's mask.
+    So at any closed set where r_j is applied, each of r_j's firms has had
+    exactly the rotations at that firm that precede r_j, the same ones as
+    on the chain, and its row is the row the chain gave it before r_j.  The
+    search checks that equality for each firm, and raises
+    ``AssertionError`` where it fails; equal rows imply the fit
+    ``apply_cycle`` checks, each cycle worker employed by the next firm.
+
+    One check bears the load: at the applied set equal to ``pred[j]``,
+    where r_j is first exposed, the child must pass ``_stable_step``, or
     ``AssertionError`` is raised; that is one test per rotation.  A mask
     that misses a predecessor fails it: were ``pred[j]`` the first such
     mask, every earlier mask would be exact, so ``pred[j]`` would be a
@@ -396,6 +417,8 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
             due[f] = 0
     rotations: list[Rotation] = []
     pred: list[int] = []
+    # per rotation: (firm index, its row before, its row after) per firm
+    trades: list[list[tuple[int, tuple, tuple]]] = []
     mu = start
     while True:
         successor, wanted = {}, {}
@@ -423,10 +446,13 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
                     raise AssertionError(
                         f"cycle worker {w} must move up from {old} to {f}")
                 mask |= due[f]
-            mu = apply_cycle(market, mu, sigma)
-            if not _stable_step(market, mu, sigma):
+            nu = apply_cycle(market, mu, sigma)
+            if not _stable_step(market, nu, sigma):
                 raise AssertionError(
                     "the rotation chain must pass only stable matchings")
+            trades.append([(i, mu.assignment[i], nu.assignment[i])
+                           for i in map(market._findex.__getitem__, sigma.firms)])
+            mu = nu
             done = mask | 1 << len(rotations)
             for f, w in zip(sigma.firms, sigma.workers):
                 employer[w], due[f] = f, done
@@ -453,9 +479,15 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
         for j in range(first, len(rotations)):
             if pred[j] & ~applied:
                 continue
-            sigma = rotations[j]
-            nu = apply_cycle(market, mu, sigma)
-            if applied == pred[j] and not _stable_step(market, nu, sigma):
+            rows = list(mu.assignment)
+            for i, before, after in trades[j]:
+                if rows[i] != before:
+                    raise AssertionError(
+                        "each rotation's firms must hold the rows they held "
+                        "on the chain")
+                rows[i] = after
+            nu = Matching._derive(tuple(rows))
+            if applied == pred[j] and not _stable_step(market, nu, rotations[j]):
                 raise AssertionError(
                     "each rotation must be exposed once its predecessors "
                     "are applied")

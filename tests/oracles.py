@@ -289,9 +289,12 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
     return len(listed), same
 
 
-def learned_predecessors(market: Market) -> list[int]:
-    """Each rotation's predecessors, learned by a search that is not told
-    them: the masks ``rotations._lattice`` once built while it listed.
+def reference_search(market: Market) -> tuple[dict, list[int]]:
+    """``(listed, known)``: the stable matchings, each with the bitmask of
+    the chain's rotations applied to reach it, and each rotation's
+    predecessors, from a search that is not told the predecessors and
+    builds every matching with ``apply_cycle``: the search and the masks
+    ``rotations._lattice`` once built while it listed.
 
     Over the chain's rotations r_j, a depth-first search extends each listed
     closed set by the r_j above its last index.  A candidate whose
@@ -304,9 +307,11 @@ def learned_predecessors(market: Market) -> list[int]:
     rotations = _lattice(market)[0]
     n = len(rotations)
     known = [(1 << n) - 1] * n
+    listed = {}
     stack = [(sf.deferred_acceptance(market, sf.Side.FIRMS), 0, 0)]
     while stack:
         mu, applied, first = stack.pop()
+        listed[mu] = applied
         for j in range(first, n):
             try:
                 nu = sf.apply_cycle(market, mu, rotations[j])
@@ -317,7 +322,22 @@ def learned_predecessors(market: Market) -> list[int]:
                     continue
                 known[j] &= applied
             stack.append((nu, applied | 1 << j, j + 1))
-    return known
+    return listed, known
+
+
+def rotations_at_a_firm_are_ordered(rotations, pred) -> bool:
+    """Whether every rotation has each earlier rotation at any of its firms
+    among its predecessors: the rotations at one firm form a chain of the
+    poset, which lets the rotation search replay a rotation's trade on the
+    rows the firm held on the chain."""
+    earlier = {}
+    for j, sigma in enumerate(rotations):
+        for f in sigma.firms:
+            mask = earlier.get(f, 0)
+            if pred[j] & mask != mask:
+                return False
+            earlier[f] = mask | 1 << j
+    return True
 
 
 def reference_chain(market: Market) -> list:

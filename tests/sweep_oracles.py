@@ -33,14 +33,18 @@ markets (seeds 0 to min(N, 100) - 1), it also compares the rotation
 search's chain, read off one pointer per firm, with the chain that reduces
 the whole profile at every step (``oracles.reference_chain``): the same
 rotations in the same order, and every matching the pointer chain passes
-stable (``oracles.chain_agrees``).  On the same instances it compares each
-rotation's predecessor mask, read off the chain, with the mask a search
-that is not told the predecessors learns
-(``oracles.learned_predecessors``).
+stable (``oracles.chain_agrees``).  On the same instances it compares the
+rotation search with a search that is not told the predecessors and builds
+every matching with ``apply_cycle`` (``oracles.reference_search``): each
+rotation's predecessor mask, read off the chain, with the mask that search
+learns, and the matchings the search lists by replaying each rotation's
+row trade, with their masks, with those it lists.  It also checks that the
+rotations at each firm form a chain of the poset
+(``oracles.rotations_at_a_firm_are_ordered``), which makes the replay exact.
 
 Prints the counts and exits 1 on any disagreement.  Not collected by pytest
-(``test_rotations.py`` runs three rich seeds through ``compare_rich``); run
-from the repository root:
+(``test_rotations.py`` runs three rich seeds through ``compare_rich``, and
+this script with ``--seeds 1``); run from the repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
@@ -55,10 +59,12 @@ import sys
 
 import stablefrac as sf
 from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
-                     dominates, lattice_exposures_agree, learned_predecessors,
+                     dominates, lattice_exposures_agree,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
-                     reference_reduced_lists, reference_vertex_walk, walk_pair)
+                     reference_reduced_lists, reference_search,
+                     reference_vertex_walk, rotations_at_a_firm_are_ordered,
+                     walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 from stablefrac.rotations import _lattice
@@ -81,19 +87,25 @@ def main(argv=None) -> int:
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
     instances = multi = profiles = chains = chain_rotations = edges = 0
+    searched = 0
     disagreements = []
 
     def compare_chain(m, name, *where):
-        nonlocal chains, chain_rotations, edges
+        nonlocal chains, chain_rotations, edges, searched
         count, same = chain_agrees(m)
         chains += 1
         chain_rotations += count
         if not same:
             disagreements.append((name, *where))
-        pred = _lattice(m)[2]
+        rotations, listed, pred = _lattice(m)
         edges += sum(bin(mask).count("1") for mask in pred)
-        if pred != learned_predecessors(m):
+        reference_listed, reference_pred = reference_search(m)
+        if pred != reference_pred or \
+                not rotations_at_a_firm_are_ordered(rotations, pred):
             disagreements.append((f"{name} predecessors", *where))
+        searched += len(listed)
+        if listed != reference_listed:
+            disagreements.append((f"{name} listing", *where))
 
     for nf, nw, qmax in SIZES:
         for seed in range(args.seeds):
@@ -178,7 +190,7 @@ def main(argv=None) -> int:
     print(f"{instances} instances, {multi} with several stable matchings "
           f"(walks compared on each), {profiles} reduced profiles, "
           f"{chains} chains ({chain_rotations} rotations, {edges} "
-          "predecessor pairs), "
+          f"predecessor pairs, {searched} matchings listed), "
           f"{len(disagreements)} disagreements")
     return 1 if disagreements else 0
 

@@ -303,20 +303,23 @@ def test_matching_build_validates(market):
     assert mu.as_dict() == {"f1": (), "f2": ("w3", "w4")}
 
 
-def test_matching_lookups_and_hash_are_built_on_first_read(market):
-    """A matching keeps its rows only until a lookup or its hash is read;
-    a copy or a pickle round trip rebuilds them from the rows."""
+def test_matching_hash_is_built_at_birth_and_lookups_on_first_read(market):
+    """A matching is made with its rows and its hash, and keeps no lookup
+    until one is read; a copy or a pickle round trip rebuilds the hash from
+    the rows, as does a matching derived from them."""
     with pytest.raises(ValueError, match="worker w1 assigned twice"):
         sf.Matching((("f1", ("w1",)), ("f2", ("w1",))))
     mu = sf.Matching((("f1", ("w1", "w2")), ("f2", ("w3", "w4"))))
-    assert set(vars(mu)) == {"assignment"}
+    assert set(vars(mu)) == {"assignment", "_hash"}
     assert hash(mu) == hash((mu.assignment,))
+    derived = sf.Matching._derive(mu.assignment)
+    assert vars(derived) == vars(mu) and hash(derived) == hash(mu)
     assert mu.employer("w3") == "f2" and mu.matched("f1") == ("w1", "w2")
     assert set(vars(mu)) == {"assignment", "_hash", "_rows", "_employer"}
     with pytest.raises(AttributeError):
         mu._missing
     for twin in (copy.copy(mu), pickle.loads(pickle.dumps(mu))):
-        assert twin == mu and set(vars(twin)) == {"assignment"}
+        assert twin == mu and set(vars(twin)) == {"assignment", "_hash"}
         assert hash(twin) == hash(mu) and twin.employer("w1") == "f1"
 
 

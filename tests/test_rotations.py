@@ -8,10 +8,10 @@ import pytest
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, chain_agrees,
                      compare_rich, dominates, lattice_exposures_agree,
-                     learned_predecessors, random_markets,
-                     reduced_lists_keep_the_base,
+                     random_markets, reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
-                     reference_reduced_lists)
+                     reference_reduced_lists, reference_search,
+                     rotations_at_a_firm_are_ordered)
 
 DATA = Path(__file__).parent / "data"
 
@@ -394,7 +394,7 @@ def test_rotation_exposed_only_after_two_others(text):
     assert sf.enumerate_stable_via_rotations(m) == stable
     chain, _, pred = sf.rotations._lattice(m)
     assert chain == [first, second, third]
-    assert pred == [0, 0, 0b11] == learned_predecessors(m)
+    assert pred == [0, 0, 0b11] == reference_search(m)[1]
 
 
 @pytest.mark.parametrize("nf,nw,qmax", RANDOM_SIZES)
@@ -414,6 +414,17 @@ def test_rotation_rich_markets_match_the_oracle(seed, size):
     cap, list the same stable set by rotations (``sweep_oracles.py`` runs
     100 seeds)."""
     assert compare_rich(seed) == (size, True)
+
+
+def test_sweep_script_runs_clean_on_one_seed(src_env):
+    """``sweep_oracles.py`` at one seed per family, so the script that runs
+    every oracle on thousands of markets keeps working between full runs."""
+    run = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "sweep_oracles.py"),
+         "--seeds", "1"],
+        env=src_env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.rstrip().endswith(", 0 disagreements")
 
 
 def test_exposures_read_off_the_masks_match_reductions(fleet, cyclic_blocks):
@@ -436,7 +447,7 @@ def test_exposures_read_off_the_masks_match_reductions(fleet, cyclic_blocks):
 def test_predecessors_read_off_the_chain_match_the_learned_ones(
         fleet, cyclic_blocks):
     """Each rotation's predecessor mask, read off the chain, is the one a
-    search that is not told them learns (``oracles.learned_predecessors``):
+    search that is not told them learns (``oracles.reference_search``):
     on the families of ``test_exposures_read_off_the_masks_match_reductions``,
     complete 20x20 one-to-one markets and balanced 12x36 markets of quota
     3, seeds 0-9."""
@@ -449,10 +460,32 @@ def test_predecessors_read_off_the_chain_match_the_learned_ones(
     rotations = edges = 0
     for m in markets:
         pred = sf.rotations._lattice(m)[2]
-        assert pred == learned_predecessors(m)
+        assert pred == reference_search(m)[1]
         rotations += len(pred)
         edges += sum(bin(mask).count("1") for mask in pred)
     assert (rotations, edges) == (247, 511)
+
+
+def test_listed_matchings_match_the_reference_search(fleet, cyclic_blocks):
+    """The search replays each rotation's row trade from the chain; it lists
+    the matchings, with the masks, that a search building each one with
+    ``apply_cycle`` and testing it with ``is_stable`` lists without being
+    told the predecessors (``oracles.reference_search``).  The replay is
+    exact because the rotations at one firm form a chain of the poset."""
+    markets = list(fleet)
+    markets += [sf.parse_market(text) for text in JOINED_ROTATION_MARKETS]
+    for size in RANDOM_SIZES:
+        markets += random_markets(*size)
+    markets += [cyclic_blocks([3, 3, 3, 4, 4, 4]), cyclic_blocks([2] * 6)]
+    markets += [balanced_market(seed, nf, q) for nf, q in ((6, 2), (8, 2), (6, 3))
+                for seed in range(10)]
+    listed = 0
+    for m in markets:
+        rotations, found, pred = sf.rotations._lattice(m)
+        assert rotations_at_a_firm_are_ordered(rotations, pred)
+        assert (found, pred) == reference_search(m)
+        listed += len(found)
+    assert listed == 2334
 
 
 def test_a_worker_placed_from_the_start_owes_no_rotation():
@@ -464,7 +497,7 @@ def test_a_worker_placed_from_the_start_owes_no_rotation():
     adds the false edge r_1 -> r_2 (counting from r_0)."""
     m = balanced_market(5, 10, 2)
     pred = sf.rotations._lattice(m)[2]
-    assert pred == [0, 0, 0b1, 0b101] == learned_predecessors(m)
+    assert pred == [0, 0, 0b1, 0b101] == reference_search(m)[1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -511,14 +544,21 @@ def test_pointer_chain_matches_the_reduction_chain(fleet, cyclic_blocks):
 def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     """One chain of at most |R| + 1 steps finds the rotations without
     reducing a profile, and applies each rotation once; after it, each
-    matching is built once, and no stability check scans the whole market.
-    With a reduction per step the chain made 4 reductions here, each gated
-    on ``is_stable``."""
+    matching is built once, by replaying its rotation's row trade with no
+    ``apply_cycle`` call (there were 1727 here), and no stability check
+    scans the whole market.  With a reduction per step the chain made 4
+    reductions here, each gated on ``is_stable``."""
     m = cyclic_blocks([3, 3, 3, 4, 4, 4])
     n_rotations = 3 * 2 + 3 * 3
     counts = {"reduce_profile": 0, "_cycles": 0, "apply_cycle": 0,
-              "is_stable": 0}
+              "is_stable": 0, "_derive": 0}
     at_chain_end = {}
+    derive = sf.Matching._derive
+
+    def derived(assignment):
+        counts["_derive"] += 1
+        return derive(assignment)
+    monkeypatch.setattr(sf.Matching, "_derive", staticmethod(derived))
 
     def counter(name, after=None):
         real = getattr(sf.rotations, name)
@@ -543,8 +583,9 @@ def test_rotations_are_found_on_one_chain(monkeypatch, cyclic_blocks):
     assert len(found) == 1728
     assert counts["reduce_profile"] == 0
     assert counts["_cycles"] == at_chain_end["_cycles"] <= n_rotations + 1
-    assert at_chain_end["apply_cycle"] == n_rotations
-    assert counts["apply_cycle"] - at_chain_end["apply_cycle"] == 1727
+    assert at_chain_end["apply_cycle"] == counts["apply_cycle"] == n_rotations
+    assert at_chain_end["_derive"] == n_rotations
+    assert counts["_derive"] - at_chain_end["_derive"] == 1727
     assert counts["is_stable"] == 0
     assert all(sf.is_stable(m, mu) for mu in found)
 
@@ -637,43 +678,53 @@ try:
 except AssertionError as exc:
     print("raised:", exc)
 
-# a sound chain, but the search's one build returns a matching already listed
+def patched(name, line, replacement):
+    # a copy of the module with one line of its source replaced
+    source = inspect.getsource(sf.rotations)
+    if source.count(line) != 1:
+        sys.exit("the line to replace is not in the module once: " + line)
+    module = types.ModuleType("stablefrac." + name)
+    module.__package__ = "stablefrac"
+    sys.modules[module.__name__] = module
+    exec(compile(source.replace(line, replacement), sf.rotations.__file__,
+                 "exec"), module.__dict__)
+    return module
+
+# a sound chain, but a copy of the module whose search replays no trade:
+# its one build is the matching already listed
 sf.rotations._cycles = real_cycles
-builds = []
-
-def rebuild_start(market, mu, sigma):
-    builds.append(sigma)
-    return real_apply_cycle(market, mu, sigma) if len(builds) == 1 else mu_f
-
-sf.rotations.apply_cycle = rebuild_start
+sf.rotations.apply_cycle = real_apply_cycle
 try:
-    sf.enumerate_stable_via_rotations(m)
+    patched("rotations_replaying_no_trade", "rows[i] = after",
+            "rows[i] = before")._lattice(m)
 except AssertionError as exc:
     print("raised:", exc)
 
 # a rotation that fits mu_f but moves w3 down from f2, its first choice, to f1
-sf.rotations.apply_cycle = real_apply_cycle
 sf.rotations._cycles = lambda firms, successor, wanted: (
     sf.Rotation(("f1", "f2"), ("w3", "w1")),)
 try:
     sf.enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
+sf.rotations._cycles = real_cycles
 
 # a copy of the module whose chain records no edge for a passed worker: on
 # this market one rotation then misses a predecessor, and the search tests
 # it where it is not exposed
-source = inspect.getsource(sf.rotations)
-edge = "due[f] |= next(s for r, s in moves[w] if r <= mine[f])"
-if source.count(edge) != 1:
-    sys.exit("the edge line is not in the module")
-broken = types.ModuleType("stablefrac.rotations_without_passed_workers")
-broken.__package__ = "stablefrac"
-sys.modules[broken.__name__] = broken
-exec(compile(source.replace(edge, "pass"), sf.rotations.__file__, "exec"),
-     broken.__dict__)
 try:
-    broken._lattice(sf.gen_random_market(1, 5, 5, 1, density=1.0))
+    patched("rotations_without_passed_workers",
+            "due[f] |= next(s for r, s in moves[w] if r <= mine[f])", "pass",
+            )._lattice(sf.gen_random_market(1, 5, 5, 1, density=1.0))
+except AssertionError as exc:
+    print("raised:", exc)
+
+# a copy of the module whose chain records each firm's row after a step as
+# its row before it: the search's first replay finds another row there
+try:
+    patched("rotations_recording_wrong_rows",
+            "(i, mu.assignment[i], nu.assignment[i])",
+            "(i, nu.assignment[i], nu.assignment[i])")._lattice(m)
 except AssertionError as exc:
     print("raised:", exc)
 """)
@@ -686,6 +737,7 @@ except AssertionError as exc:
         "raised: a stable matching was generated twice",
         "raised: cycle worker w3 must move up from f2 to f1",
         "raised: each rotation must be exposed once its predecessors are applied",
+        "raised: each rotation's firms must hold the rows they held on the chain",
     ]
 
 
