@@ -301,8 +301,7 @@ def _cmd_decompose(args, inputs, diagnostics) -> _Outcome:
         human = ["not strongly stable", "witness pair ({firm},{worker}): "
                  "product {product}".format(**refusal)]
         return {"refusal": refusal}, human, EXIT_PROPERTY_FAILS
-    terms = [(mu, weight) for mu, (_, weight) in
-             zip(certificate._matchings, certificate.terms)]
+    terms = certificate._decomposition.terms
     result = {
         "terms": [{"matching": dict(mu.assignment), "weight": str(weight)}
                   for mu, weight in terms],

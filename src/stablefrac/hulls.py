@@ -63,19 +63,17 @@ class HullCertificate:
 
     ``base`` is the top matching of the ordered decomposition, ``rotations``
     its rotation set, and every term names the subset of rotation indices
-    that turns the base into that term's matching.  ``_matchings`` holds
-    those term matchings, in the terms' order.
+    that turns the base into that term's matching.  ``_decomposition`` is
+    the ordered decomposition the terms were read from, term for term.
     """
 
     base: Matching
     rotations: tuple[Rotation, ...]
     terms: tuple[tuple[frozenset[int], Rational], ...]
-    _matchings: tuple[Matching, ...] = field(compare=False, repr=False)
+    _decomposition: Decomposition = field(compare=False, repr=False)
 
     def reconstruct(self, market: Market) -> FractionalMatching:
-        weights = [weight for _, weight in self.terms]
-        return Decomposition(
-            tuple(zip(self._matchings, weights))).reconstruct(market)
+        return self._decomposition.reconstruct(market)
 
 
 def certify_strongly_stable(
@@ -108,7 +106,7 @@ def certify_strongly_stable(
             raise AssertionError(
                 "decomposition term is not a cyclic matching of the base")
         terms.append((frozenset(i for i, v in enumerate(lam) if v == 1), weight))
-    return HullCertificate(base, rotations, tuple(terms), decomposition.matchings())
+    return HullCertificate(base, rotations, tuple(terms), decomposition)
 
 
 def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],

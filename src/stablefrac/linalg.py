@@ -5,10 +5,10 @@
 touches nonzero entries and never scans a whole row.  Elimination is
 fraction-free in the style of Bareiss (1968): a basis row is kept as its
 primitive integer multiple, so no ``Fraction`` is built and the results are
-the exact rationals of ordinary reduced row-echelon form.  ``solve_exact`` is
-a small dense ``Fraction`` solver for ``hulls.point_in_hull``, the
-subset-search reference that the tests compare the connected-set cube test
-against.
+the exact rationals of ordinary reduced row-echelon form.  ``Rref`` is the
+one elimination routine: ``solve_exact``, the solver behind
+``hulls.point_in_hull`` (the subset-search reference that the tests compare
+the connected-set cube test against), adds its augmented rows to one.
 """
 
 from __future__ import annotations
@@ -132,35 +132,21 @@ def solve_exact(a_rows: Sequence[Sequence[Fraction]],
     """Solve ``A x = b`` exactly.
 
     Returns ("unique", x), ("none", None) for an inconsistent system, or
-    ("many", None) for an underdetermined one.
+    ("many", None) for an underdetermined one.  Each row of ``[A | b]`` is
+    scaled to integers and added to one ``Rref``: a pivot on the last column
+    makes the system inconsistent, and otherwise x_c is that column's entry
+    over the pivot entry of the row pivoting at c.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)]
-           for row, b in zip(a_rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return ("none", None)
-    if len(pivots) < n:
+    n = len(a_rows[0]) if a_rows else 0
+    basis = Rref(n + 1)
+    for row, b in zip(a_rows, rhs):
+        values = [Fraction(v) for v in (*row, b)]
+        scale = lcm(*(v.denominator for v in values))
+        basis.add({c: v.numerator * (scale // v.denominator)
+                   for c, v in enumerate(values)})
+    if n in basis.rows:
+        return ("none", None)
+    if basis.rank < n:
         return ("many", None)
-    x = [Fraction(0)] * n
-    for row_i, c in enumerate(pivots):
-        x[c] = aug[row_i][n]
-    return ("unique", x)
+    return ("unique", [Fraction(basis.rows[c].get(n, 0), basis.rows[c][c])
+                       for c in range(n)])

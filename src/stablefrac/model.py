@@ -14,6 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -158,11 +159,9 @@ class Market:
         worker_acc = {
             w: tuple(f for f in self.worker_pref[w] if w in frank[f])
             for w in self.workers}
-        acc_set = frozenset(
-            (f, w) for f in self.firms for w in firm_acc[f])
         # canonical order: firm declaration order, then worker declaration order
-        pairs = tuple(
-            (f, w) for f in self.firms for w in self.workers if (f, w) in acc_set)
+        pairs = tuple((f, w) for f in self.firms
+                      for w in sorted(firm_acc[f], key=windex.__getitem__))
         pair_index = {p: k for k, p in enumerate(pairs)}
         object.__setattr__(self, "_findex", findex)
         object.__setattr__(self, "_windex", windex)
@@ -170,7 +169,6 @@ class Market:
         object.__setattr__(self, "_wrank", wrank)
         object.__setattr__(self, "_firm_acc", firm_acc)
         object.__setattr__(self, "_worker_acc", worker_acc)
-        object.__setattr__(self, "_acc_set", acc_set)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_pair_index", pair_index)
 
@@ -196,7 +194,7 @@ class Market:
         return self._wrank[w][f]
 
     def acceptable(self, f: str, w: str) -> bool:
-        return (f, w) in self._acc_set
+        return (f, w) in self._pair_index
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """Mutually acceptable pairs in (firm declaration, worker declaration) order."""
@@ -248,18 +246,15 @@ class Matching:
         child.__dict__.update(assignment=assignment, _hash=hash((assignment,)))
         return child
 
-    def __getattr__(self, name: str):
-        """``_rows`` (firm -> row) or ``_employer`` (worker -> firm),
-        built on first read and kept in the instance, where every later
-        read finds it without coming here."""
-        if name == "_rows":
-            value = dict(self.assignment)
-        elif name == "_employer":
-            value = {w: f for f, ws in self.assignment for w in ws}
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
+    @cached_property
+    def _rows(self) -> dict[str, tuple[str, ...]]:
+        """Firm -> row, built on first read and kept in the instance."""
+        return dict(self.assignment)
+
+    @cached_property
+    def _employer(self) -> dict[str, str]:
+        """Worker -> firm, built on first read and kept in the instance."""
+        return {w: f for f, ws in self.assignment for w in ws}
 
     def __hash__(self) -> int:
         return self._hash

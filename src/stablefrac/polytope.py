@@ -11,8 +11,9 @@ Both systems are evaluated in one integer pass over the point's own form,
 numerators N over its least common denominator D: every row is compared in
 ``int``, and the pass keeps each pair's weak prefix sums at D for the strong
 stability condition and its sweep.  The point keeps that report for its
-market, so every layer takes ``(market, x)`` and evaluates a point once.
-Every constraint row is one sparse map from acceptable-pair position to its
+market, so every layer takes ``(market, x)`` and evaluates a point once;
+``check_feasibility`` is that report without its noblock rows.  Every
+constraint row is one sparse map from acceptable-pair position to its
 nonzero integer coefficient, shared by the vertex test and the two walks.
 The walks start from N and D, take integer null-space directions from
 ``linalg.Rref`` and compare step lengths by cross-multiplication, so a step
@@ -81,8 +82,13 @@ def check_feasibility(market: Market, x: FractionalMatching) -> ConstraintReport
     one, entries are nonnegative, and entries on non-acceptable pairs must be
     exactly zero.  Tightness of a zero entry is only reported on acceptable
     pairs; off the acceptable pairs a zero is an identity, not a constraint.
+    The rows are those of the point's kept stable-feasibility report, which
+    lists them first, without its noblock rows.
     """
-    return _evaluate(market, x, stable=False)
+    report = check_stable_feasibility(market, x)
+    return ConstraintReport(
+        tuple(v for v in report.violations if v[0][0] != "noblock"),
+        tuple(cid for cid in report.tight if cid[0] != "noblock"))
 
 
 def check_stable_feasibility(market: Market,
@@ -96,13 +102,12 @@ def check_stable_feasibility(market: Market,
     point keeps the report: a second call for the same market returns it.
     """
     if x._stable is None or x._stable[0] is not market:
-        x._stable = (market, _evaluate(market, x, stable=True))
+        x._stable = (market, _evaluate(market, x))
     return x._stable[1]
 
 
-def _evaluate(market: Market, x: FractionalMatching,
-              stable: bool) -> ConstraintReport:
-    """One evaluation of the (stable-)feasibility system at N = D * x.
+def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
+    """One evaluation of the stable-feasibility system at N = D * x.
 
     A violation's lhs becomes a ``Fraction`` over D, its rhs is the row's
     integer bound.
@@ -133,8 +138,6 @@ def _evaluate(market: Market, x: FractionalMatching,
                 bound(("nonneg", f, w), v, 0, upper=False)
             elif v:
                 violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
-    if not stable:
-        return ConstraintReport(tuple(violations), tuple(tight))
 
     pos, fidx, widx = market.pair_position, market.firm_index, market.worker_index
     n = len(market.pairs())

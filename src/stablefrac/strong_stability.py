@@ -6,21 +6,23 @@ worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
 Both read the weak prefix sums of the point's one stable-feasibility
-evaluation; ``decompose`` finds the first failing pair, if any, without
-building the other pairs' conditions.
+evaluation.  One scan turns them into each pair's integer gaps: the full
+condition report reads every pair's, while ``decompose`` and ``peel`` stop
+at the first failing pair and refuse there, without building the other
+pairs' conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .model import (
     AlreadyIntegralError,
     ContestedWorkerError,
     Decomposition,
     FractionalMatching,
-    InfeasibleError,
     Market,
     Matching,
     NotStronglyStableError,
@@ -28,7 +30,7 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import check_stable_feasibility
+from .polytope import check_feasibility, check_stable_feasibility
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,25 @@ class StrongStabilityReport:
     def first_failure(self) -> PairCondition:
         return self.failures()[0]
 
-    def require(self) -> None:
-        """Raise NotStronglyStableError at the first failing pair, if any."""
-        if not self.overall:
-            raise self.first_failure()._refusal()
+
+def _gaps(market: Market, x: FractionalMatching) -> Iterator[tuple[str, str, int, int]]:
+    """Each acceptable pair (f, w) with its integer gaps (q D - F, D - W),
+    lazily, where F and W are the weak prefix sums of the point's one
+    stable-feasibility evaluation at its denominator D.  Requires a
+    stable-feasible point (InfeasibleError otherwise)."""
+    sums = check_stable_feasibility(market, x).require()._sums
+    d = x._denom
+    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
+        yield f, w, market.quota[f] * d - firm_sum, d - worker_sum
+
+
+def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCondition:
+    """The pair's condition with factors gap / d; the product is zero
+    whenever either factor is."""
+    return PairCondition(
+        f, w, Fraction(firm_gap, d) if firm_gap else _ZERO,
+        Fraction(worker_gap, d) if worker_gap else _ZERO,
+        Fraction(firm_gap * worker_gap, d * d) if firm_gap and worker_gap else _ZERO)
 
 
 def strong_stability_check(market: Market,
@@ -73,35 +90,19 @@ def strong_stability_check(market: Market,
     carries both factors and their product per pair; ``overall`` is true
     exactly when every product is zero.  With F and W the integer weak
     prefix sums at the point's denominator D, the factors are (q D - F) / D
-    and (D - W) / D, and the product is zero whenever either factor is.
+    and (D - W) / D.
     """
-    sums = check_stable_feasibility(market, x).require()._sums
     d = x._denom
-    conditions = []
-    overall = True
-    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
-        firm_gap, worker_gap = market.quota[f] * d - firm_sum, d - worker_sum
-        if firm_gap and worker_gap:
-            product = Fraction(firm_gap * worker_gap, d * d)
-            overall = False
-        else:
-            product = _ZERO
-        conditions.append(PairCondition(
-            f, w, Fraction(firm_gap, d) if firm_gap else _ZERO,
-            Fraction(worker_gap, d) if worker_gap else _ZERO, product))
-    return StrongStabilityReport(tuple(conditions), overall)
+    conditions = tuple(_condition(*gaps, d) for gaps in _gaps(market, x))
+    return StrongStabilityReport(conditions, not any(p.product for p in conditions))
 
 
 def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
     """``strong_stability_check(market, x).first_failure()``, or None when
     the condition holds, without building the other pairs' conditions."""
-    sums = check_stable_feasibility(market, x).require()._sums
-    d = x._denom
-    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
-        firm_gap, worker_gap = market.quota[f] * d - firm_sum, d - worker_sum
+    for f, w, firm_gap, worker_gap in _gaps(market, x):
         if firm_gap and worker_gap:
-            return PairCondition(f, w, Fraction(firm_gap, d), Fraction(worker_gap, d),
-                                 Fraction(firm_gap * worker_gap, d * d))
+            return _condition(f, w, firm_gap, worker_gap, x._denom)
     return None
 
 
@@ -110,15 +111,11 @@ def support_matching(market: Market, x: FractionalMatching) -> Matching:
 
     When two firms claim the same worker the result is not a matching; this
     happens only for points that are not strongly stable and is reported as a
-    ContestedWorkerError naming the worker.  The point must be feasible:
-    its stable-feasibility report, which the point keeps, lists the
-    feasibility rows first, in ``check_feasibility``'s order, so the first
-    violation that is not a noblock row is the one ``InfeasibleError``
-    names.
+    ContestedWorkerError naming the worker.  The point must be feasible
+    (InfeasibleError otherwise); ``check_feasibility`` reads that off the
+    point's kept stable-feasibility report.
     """
-    for violation in check_stable_feasibility(market, x).violations:
-        if violation[0][0] != "noblock":
-            raise InfeasibleError(*violation)
+    check_feasibility(market, x).require()
     claimed: dict[str, str] = {}
     chosen: dict[str, list[str]] = {}
     for f, row in zip(market.firms, x._nums):
@@ -144,7 +141,9 @@ def peel(market: Market, x: FractionalMatching
     integral point remains gives the same terms as ``decompose`` by an
     independent route, which is what the tests compare against.
     """
-    strong_stability_check(market, x).require()
+    failure = _first_failure(market, x)
+    if failure is not None:
+        raise failure._refusal()
     mu = support_matching(market, x)
     inc = incidence_vector(market, mu)
     if inc == x:

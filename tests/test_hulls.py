@@ -303,8 +303,8 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
         for mu in stable:
             for x in sf.sample_hull(m, mu, seed=300 + idx, count=2):
                 cert = sf.certify_strongly_stable(m, x)
-                assert cert._matchings == _term_matchings(m, cert)
-                assert cert._matchings == sf.decompose(m, x).matchings()
+                assert cert._decomposition.matchings() == _term_matchings(m, cert)
+                assert cert._decomposition == sf.decompose(m, x)
                 checked += 1
     assert checked >= 150
 
@@ -348,10 +348,10 @@ def test_verify_evaluates_each_point_once(block_market, monkeypatch):
     points, active, inside = [], [], []
     evaluate, support = sf.polytope._evaluate, sf.hulls.support_matching
 
-    def recorded(market, x, stable):
+    def recorded(market, x):
         if active:
             inside.append(x)
-        return evaluate(market, x, stable)
+        return evaluate(market, x)
 
     def supported(market, x):
         points.append(x)
@@ -411,7 +411,7 @@ def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
             cert = sf.certify_strongly_stable(m, x, cubes.__getitem__)
             assert cert == sf.certify_strongly_stable(m, x)
             if isinstance(cert, sf.HullCertificate):
-                assert cert._matchings == sf.decompose(m, x).matchings()
+                assert cert._decomposition == sf.decompose(m, x)
                 certified += 1
             else:
                 refused += 1

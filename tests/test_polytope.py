@@ -13,7 +13,7 @@ from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
 from stablefrac import polytope
 from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
-from stablefrac.linalg import Rref, rank
+from stablefrac.linalg import Rref, rank, solve_exact
 from stablefrac.polytope import _drop_each, _inequality_rows, _Point, interior_walk
 
 DATA = Path(__file__).parent / "data"
@@ -395,15 +395,63 @@ def test_rref_copy_is_independent(rows, more):
     assert copy.rows == fresh.rows
 
 
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def linear_systems(draw):
+    """Augmented rows [A | b] of 1-5 equations in 1-5 unknowns.  A row may
+    be a combination of two earlier rows, with its right-hand side kept (a
+    dependent row) or moved by one (an inconsistent row)."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            a, b = draw(entries), draw(entries)
+            row = [a * s + b * t for s, t in zip(u, v)]
+            row[n] += draw(st.sampled_from([0, 1]))
+        else:
+            row = draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+        rows.append(row)
+    return rows
+
+
+def _reference_rank(rows, ncols):
+    basis = ReferenceRref(ncols)
+    for row in rows:
+        basis.add(dict(enumerate(row)))
+    return basis.rank
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_exact_follows_the_ranks(system):
+    """The status follows the ranks of A and of [A | b], and a unique
+    solution satisfies A x = b exactly."""
+    a_rows, rhs = [row[:-1] for row in system], [row[-1] for row in system]
+    n = len(a_rows[0])
+    rank_a, rank_ab = _reference_rank(a_rows, n), _reference_rank(system, n + 1)
+    status, x = solve_exact(a_rows, rhs)
+    assert status == ("none" if rank_ab > rank_a else
+                      "many" if rank_a < n else "unique")
+    if status == "unique":
+        assert all(type(v) is Fraction for v in x)
+        assert [sum(a * v for a, v in zip(row, x)) for row in a_rows] == rhs
+    else:
+        assert x is None
+
+
 def _recorded_evaluations(monkeypatch):
-    """Every ``_evaluate`` call as (market, point, stable); the list keeps
-    the objects alive, so their ids are not reused during the run."""
+    """Every ``_evaluate`` call as (market, point); the list keeps the
+    objects alive, so their ids are not reused during the run."""
     calls = []
     evaluate = polytope._evaluate
 
-    def recorded(market, x, stable):
-        calls.append((market, x, stable))
-        return evaluate(market, x, stable)
+    def recorded(market, x):
+        calls.append((market, x))
+        return evaluate(market, x)
 
     monkeypatch.setattr(polytope, "_evaluate", recorded)
     return calls
@@ -417,7 +465,7 @@ def test_check_and_decompose_evaluate_the_point_once(command, fraction,
     evaluation that the point keeps for its market."""
     calls = _recorded_evaluations(monkeypatch)
     assert main([command, str(DATA / "example.market"), str(DATA / fraction)]) in (0, 1)
-    assert [stable for _, _, stable in calls] == [True]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("market_file", ["example.market", "block.market"])
@@ -427,6 +475,50 @@ def test_verify_evaluates_each_point_once(market_file, monkeypatch, capsys):
     endpoint is vertex-tested and then scanned, on one evaluation each."""
     calls = _recorded_evaluations(monkeypatch)
     assert main(["verify", str(DATA / market_file), "--samples", "20"]) == 0
-    keys = [(id(market), id(x), stable) for market, x, stable in calls]
+    keys = [(id(market), id(x)) for market, x in calls]
     assert len(keys) >= 20
     assert len(set(keys)) == len(keys)
+
+
+def _moved_incidences(market, mu):
+    """mu's incidence, and it with one acceptable entry raised or lowered
+    by one: an infeasible point wherever the raised worker was employed."""
+    inc = sf.incidence_vector(market, mu)
+    points = [(inc, False)]
+    for f, w in market.pairs():
+        i, j = market.firm_index(f), market.worker_index(w)
+        for step in (1, -1):
+            rows = [list(row) for row in inc.entries]
+            rows[i][j] += step
+            if rows[i][j] >= 0:
+                points.append((sf.FractionalMatching.from_rows(rows),
+                               step == 1 and mu.employer(w) is not None))
+    return points
+
+
+def test_check_feasibility_reads_the_kept_report(fleet, fleet_stable, monkeypatch):
+    """The feasibility report is the point's kept stable-feasibility report
+    without its noblock rows, which that report lists last; it evaluates
+    nothing for a point that keeps its report."""
+    calls = _recorded_evaluations(monkeypatch)
+    infeasible = blocked = 0
+    for m, stable in zip(fleet, fleet_stable):
+        for mu in stable:
+            for x, must_fail in _moved_incidences(m, mu):
+                report = sf.check_stable_feasibility(m, x)
+                calls.clear()
+                feasibility = sf.check_feasibility(m, x)
+                assert calls == []
+                violated, tight = len(feasibility.violations), len(feasibility.tight)
+                assert report.violations[:violated] == feasibility.violations
+                assert report.tight[:tight] == feasibility.tight
+                kept = [cid for cid, _, _ in feasibility.violations] + \
+                    list(feasibility.tight)
+                rest = [cid for cid, _, _ in report.violations[violated:]] + \
+                    list(report.tight[tight:])
+                assert all(cid[0] != "noblock" for cid in kept)
+                assert all(cid[0] == "noblock" for cid in rest)
+                assert not must_fail or not feasibility.feasible
+                infeasible += not feasibility.feasible
+                blocked += feasibility.feasible and not report.feasible
+    assert infeasible >= 100 and blocked >= 100

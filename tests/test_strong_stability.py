@@ -82,9 +82,9 @@ def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
     calls = []
     real = sf.polytope._evaluate
 
-    def counted(m, x, stable):
-        calls.append(stable)
-        return real(m, x, stable)
+    def counted(m, x):
+        calls.append(x)
+        return real(m, x)
 
     monkeypatch.setattr(sf.polytope, "_evaluate", counted)
 
@@ -94,8 +94,9 @@ def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
         except sf.InfeasibleError as exc:
             return exc.constraint, exc.lhs, exc.rhs, str(exc)
 
-    fresh = outcome(sf.parse_fractional(market, text))
-    assert calls == [True]
+    point = sf.parse_fractional(market, text)
+    fresh = outcome(point)
+    assert len(calls) == 1 and calls[0] is point
     x = sf.parse_fractional(market, text)
     report = sf.check_stable_feasibility(market, x)
     assert not report.feasible
