@@ -84,7 +84,8 @@ def certify_strongly_stable(
 
     Requires a stable-feasible point (InfeasibleError otherwise).  When the
     strong stability condition fails, the refusal is the first failing
-    ``PairCondition`` with its factors.  When it holds, every term of the
+    ``PairCondition`` with its factors, the one ``decompose`` refused at,
+    so the condition is scanned once.  When it holds, every term of the
     ordered decomposition is read as a vertex of the base matching's cube:
     its subset is the rotations whose coordinate is 1.  A term that is no
     vertex of that cube would falsify the characterization; it raises
@@ -93,8 +94,8 @@ def certify_strongly_stable(
     """
     try:
         decomposition = decompose(market, x)
-    except NotStronglyStableError:
-        return _first_failure(market, x)
+    except NotStronglyStableError as refusal:
+        return refusal._condition
     base = decomposition.terms[0][0]
     rotations = (rotations_of(base) if rotations_of is not None
                  else find_cycles(reduce_profile(market, base)))

@@ -7,12 +7,13 @@ at the first pair, and the rotation search asks about a cycle's firms only.
 The brute-force enumerator is the ground truth every structural result in
 this library is validated against; it is only meant for desk-scale markets.
 It searches the worker -> (firm | unmatched) maps depth first and cuts a
-subtree only when every map in it overfills a firm or holds a swap block
+subtree only when every map in it overfills a firm, holds a swap block
 between workers already placed (staff only grows down a branch, so such a
-block never goes away); every complete map gets the full stability check,
-its own leaf check rather than ``_blocks``, so that the oracle shares no
-code with what it validates.  It uses neither deferred acceptance nor
-rotations.
+block never goes away), or holds a vacancy block at a firm that the
+workers still to be placed cannot fill.  Every complete map gets the full
+stability check, its own leaf check rather than ``_blocks``, so that the
+oracle shares no code with what it validates.  It uses neither deferred
+acceptance nor rotations.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt, le
 from typing import Iterable
 
 from .model import CapExceededError, Market, Matching
@@ -173,9 +175,18 @@ def enumerate_stable_bruteforce(
       own choice and g ranks u above w.  Then (f, w), or (g, u), blocks by a
       swap.  Staff only grows along a branch and placed choices stay, so the
       block holds at every leaf below.
+    - *Settled vacancy.*  A firm's staff grows only by later workers that
+      list it and that it lists.  Let g be a firm on w's list whose staff
+      plus such workers after w fall short of its quota: g has a vacancy
+      at every leaf below at which w does not join it.  So w skips every
+      choice it ranks below g, "unmatched" included, as (g, w) blocks there
+      by the vacancy; and when an earlier worker u that g lists prefers g
+      to its own choice, w skips every choice but g, as (g, u) blocks there.
+      Only a firm whose later listers alone fall short of its quota can be
+      short, so each depth looks at a list of firms fixed before the search.
 
-    Neither rule uses deferred acceptance or rotations, so the oracle stays
-    independent of the structure it validates.
+    None of the rules uses deferred acceptance or rotations, so the oracle
+    stays independent of the structure it validates.
     """
     total = 1
     for w in market.workers:
@@ -185,7 +196,13 @@ def enumerate_stable_bruteforce(
     if total > cap:
         raise CapExceededError(
             f"{total}+ candidate matchings exceed the cap of {cap}")
+    return _search(market)[0]
 
+
+def _search(market: Market) -> tuple[set[Matching], int]:
+    """The stable set by ``enumerate_stable_bruteforce``'s pruned search,
+    and the number of nodes it visited: the partial maps it extended, the
+    empty one included.  Each complete map it reaches is a leaf, not a node."""
     quota = market.quota
     frank = market._frank
     wrank = market._wrank
@@ -194,42 +211,62 @@ def enumerate_stable_bruteforce(
     index = {w: k for k, w in enumerate(workers)}
     unmatched_rank = len(market.firms)      # ranks below every listed firm
 
-    # choices[k]: (firm, its rank of w, w's rank of it, rivals) per acceptable
-    # firm of w = workers[k], best first, then "unmatched".  The rivals of
-    # (g, w) are the earlier workers u that g ranks above w, with u's rank of g.
-    choices = []
+    def ranks_of(g: str, us: list[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple([index[u] for u in us]), tuple([wrank[u][g] for u in us])
+
+    # choices[k]: per acceptable firm g of w = workers[k], best first, then
+    # "unmatched": (g, g's rank of w, w's rank of g, rivals, their ranks of
+    # g), the rivals being the earlier workers that g ranks above w, as
+    # indices.  tight[k]: per acceptable firm g of w whose quota the
+    # ``later`` workers after w that list it cannot fill: (w's rank of g,
+    # later, g, listers, their ranks of g), the listers being the earlier
+    # workers that list g.
+    later = {f: len(market.acceptable_to_firm(f)) for f in market.firms}
+    choices, tight = [], []
     for k, w in enumerate(workers):
-        opts = []
+        opts, short = [], []
         for g in market.acceptable_to_worker(w):
-            rivals = []
-            for u in market.acceptable_to_firm(g):
-                if u == w:
-                    break
-                if index[u] < k:
-                    rivals.append((index[u], wrank[u][g]))
-            opts.append((g, frank[g][w], wrank[w][g], tuple(rivals)))
-        opts.append((None, 0, unmatched_rank, ()))
+            later[g] -= 1
+            listers = [u for u in market.acceptable_to_firm(g) if index[u] < k]
+            rivals = [u for u in listers if frank[g][u] < frank[g][w]]
+            opts.append((g, frank[g][w], wrank[w][g], *ranks_of(g, rivals)))
+            if later[g] < quota[g]:
+                short.append((wrank[w][g], later[g], g, *ranks_of(g, listers)))
+        opts.append((None, 0, unmatched_rank, (), ()))
         choices.append(opts)
+        tight.append(short)
 
     staff: dict[str, list[str]] = {f: [] for f in market.firms}
     worst: dict[str, list[int]] = {f: [] for f in market.firms}  # running max rank
     ranked = [unmatched_rank] * len(workers)  # each placed worker's rank of its choice
 
     def allowed(k: int) -> list[tuple]:
+        # w must take a choice it ranks in [lo, hi]: a firm g that stays
+        # short unless w joins caps hi at g, and forces lo up to g as well
+        # when an earlier worker prefers g to its own choice
+        lo, hi = 0, unmatched_rank
+        for mine, left, g, js, ss in tight[k]:
+            if len(worst[g]) + left < quota[g]:
+                hi = min(hi, mine)
+                if any(map(gt, map(ranked.__getitem__, js), ss)):
+                    lo = max(lo, mine)
         out = []
         for opt in choices[k]:
-            g, r, _, rivals = opt
+            g, r, mine, js, ss = opt
+            if mine > hi:
+                break
             if g is None:
                 out.append(opt)
                 break
-            if len(worst[g]) < quota[g] and \
-                    all(ranked[j] <= s for j, s in rivals):
+            if mine >= lo and len(worst[g]) < quota[g] and \
+                    all(map(le, map(ranked.__getitem__, js), ss)):
                 out.append(opt)
             if worst[g] and worst[g][-1] > r:
                 break       # g employs someone below w: no worse choice survives
         return out
 
     stable: set[Matching] = set()
+    nodes = 0
     placed: list[str | None] = []
     pending: list = []      # per depth: iterator over the allowed choices left
     while True:
@@ -246,6 +283,7 @@ def enumerate_stable_bruteforce(
             else:
                 stable.add(Matching.build(market, staff))
         else:
+            nodes += 1
             pending.append(iter(allowed(len(placed))))
         while pending:
             if len(placed) == len(pending):
@@ -258,11 +296,11 @@ def enumerate_stable_bruteforce(
                 pending.pop()
                 continue
             k = len(placed)
-            g, r, ranked[k], _ = opt
+            g, r, ranked[k], _, _ = opt
             if g is not None:
                 staff[g].append(workers[k])
                 worst[g].append(max(worst[g][-1], r) if worst[g] else r)
             placed.append(g)
             break
         else:
-            return stable
+            return stable, nodes

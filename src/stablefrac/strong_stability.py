@@ -44,10 +44,14 @@ class PairCondition:
     product: Rational
 
     def _refusal(self) -> NotStronglyStableError:
-        return NotStronglyStableError(
+        """The error refusing a point at this pair; it keeps the condition
+        as ``_condition``, so a caller that catches it need not scan again."""
+        refusal = NotStronglyStableError(
             f"strong stability fails at ({self.firm},{self.worker}) "
             f"with product {self.product}",
             pair=(self.firm, self.worker), product=self.product)
+        refusal._condition = self
+        return refusal
 
 
 @dataclass(frozen=True)

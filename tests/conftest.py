@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import stablefrac as sf
 
 DATA = Path(__file__).parent / "data"
@@ -89,30 +90,10 @@ def block_market() -> sf.Market:
     return load_market("block.market")
 
 
-def _cyclic_blocks(sizes: list[int]) -> sf.Market:
-    """Independent cyclic latin-square blocks, quota 1 everywhere.
-
-    In a block of size m, firm i ranks worker i+k at k and worker j ranks
-    firm j+1+k at k (indices mod m).  Its stable matchings are the m shifts
-    (firm i employs worker i+s), linked by a chain of m-1 rotations, so the
-    market has prod(sizes) stable matchings and sum(m-1) rotations.
-    """
-    firms, workers, fpref, wpref = [], [], {}, {}
-    for b, m in enumerate(sizes):
-        fs = [f"f{b}_{i}" for i in range(m)]
-        ws = [f"w{b}_{i}" for i in range(m)]
-        for i in range(m):
-            fpref[fs[i]] = [ws[(i + k) % m] for k in range(m)]
-            wpref[ws[i]] = [fs[(i + 1 + k) % m] for k in range(m)]
-        firms += fs
-        workers += ws
-    return sf.Market(firms, workers, {f: 1 for f in firms}, fpref, wpref)
-
-
 @pytest.fixture(scope="session")
 def cyclic_blocks():
-    """Factory of cyclic block markets; see ``_cyclic_blocks``."""
-    return _cyclic_blocks
+    """Factory of cyclic block markets; see ``oracles.cyclic_blocks``."""
+    return oracles.cyclic_blocks
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
 from stablefrac.polytope import _inequality_rows, check_stable_feasibility
 from stablefrac.rotations import _exposed, _lattice
+from stablefrac.stability import _search
 
 
 def reference_enumerate_stable(market):
@@ -240,13 +241,35 @@ RICH_SIZE = 12
 RICH_CAP = 10 ** 14   # the default cap refuses 13^12 candidate maps
 
 
-def compare_rich(seed: int) -> tuple[int, bool]:
+def compare_rich(seed: int) -> tuple[int, int, bool]:
     """The stable-set size of the seed's complete ``RICH_SIZE`` x
-    ``RICH_SIZE`` one-to-one market, and whether the rotation search lists
-    the pruned search's set."""
+    ``RICH_SIZE`` one-to-one market, the nodes the pruned search visits
+    there, and whether the rotation search lists the pruned search's set."""
     m = sf.gen_random_market(seed, RICH_SIZE, RICH_SIZE, 1, density=1.0)
-    stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
-    return len(stable), sf.enumerate_stable_via_rotations(m) == stable
+    stable, nodes = _search(m)
+    return len(stable), nodes, sf.enumerate_stable_via_rotations(m) == stable
+
+
+# --- cyclic block markets --------------------------------------------------
+
+def cyclic_blocks(sizes: list[int]) -> Market:
+    """Independent cyclic latin-square blocks, quota 1 everywhere.
+
+    In a block of size m, firm i ranks worker i+k at k and worker j ranks
+    firm j+1+k at k (indices mod m).  Its stable matchings are the m shifts
+    (firm i employs worker i+s), linked by a chain of m-1 rotations, so the
+    market has prod(sizes) stable matchings and sum(m-1) rotations.
+    """
+    firms, workers, fpref, wpref = [], [], {}, {}
+    for b, m in enumerate(sizes):
+        fs = [f"f{b}_{i}" for i in range(m)]
+        ws = [f"w{b}_{i}" for i in range(m)]
+        for i in range(m):
+            fpref[fs[i]] = [ws[(i + k) % m] for k in range(m)]
+            wpref[ws[i]] = [fs[(i + 1 + k) % m] for k in range(m)]
+        firms += fs
+        workers += ws
+    return Market(firms, workers, {f: 1 for f in firms}, fpref, wpref)
 
 
 # --- balanced many-to-one markets -------------------------------------------

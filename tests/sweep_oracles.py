@@ -1,8 +1,9 @@
 """Cross-check the three stable-set enumerators, the rotation chain and the
 walks on random markets.
 
-Compares ``enumerate_stable_bruteforce`` (the pruned search), the exhaustive
-scan in ``oracles.reference_enumerate_stable`` and
+Compares ``enumerate_stable_bruteforce``'s pruned search
+(``stability._search``, which also counts the nodes it visits), the
+exhaustive scan in ``oracles.reference_enumerate_stable`` and
 ``enumerate_stable_via_rotations`` on ``gen_random_market`` instances: 9
 sizes, seeds 0-449, densities 1.0 and 0.7, 8100 instances in all.  On every
 instance it also checks ``deferred_acceptance`` from both sides: the firms'
@@ -16,41 +17,51 @@ several stable matchings it also runs ``interior_walk`` and then
 and once with the ``Fraction`` references, from the same seed, and compares
 the start, endpoint, trace and next rng draw.  Then, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
-``enumerate_stable_via_rotations`` with ``enumerate_stable_bruteforce``
-alone (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the default cap
-refuses their 13^12 candidate maps).  Last, on balanced many-to-one markets
-(``oracles.balanced_market``: every firm of quota q, q times as many
-workers, complete lists; seeds 0 to min(N, 100) - 1), it checks at every
+``enumerate_stable_via_rotations`` with the pruned search alone
+(``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search runs
+without the cap, which refuses their 13^12 candidate maps).  Then, on
+balanced many-to-one markets (``oracles.balanced_market``: every firm of
+quota q, q times as many workers, complete lists; seeds 0 to
+min(N, 100) - 1), it checks at every
 stable matching that the exposures read off the rotation search's masks
 are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``) and
 that the base is stable and firm-optimal in its reduced lists rebuilt as a
 market (``oracles.reduced_lists_keep_the_base``), and at 6x12 and 8x16
 (q = 2) and 6x18 (q = 3) that the rotation search lists the pruned
-search's set, with its cap lifted to ``BALANCED_CAP``.
+search's set.  Last, on markets where firms stay short of their quotas and
+the pruned search's vacancy cut fires, it compares the pruned search with
+the exhaustive scan and the rotation search: sparse lists (density 0.3 to
+0.5, quotas up to 3) and more firms than workers (6x4 and 5x3), seeds 0 to
+N - 1 per size (``VACANCY_SIZES``), and ``oracles.cyclic_blocks`` with
+blocks [2]*4, [3, 3] and [2, 3].
 
-On every instance of all three families, and on complete 20x20 one-to-one
-markets (seeds 0 to min(N, 100) - 1), it also compares the rotation
-search's chain, read off one pointer per firm, with the chain that reduces
-the whole profile at every step (``oracles.reference_chain``): the same
-rotations in the same order, and every matching the pointer chain passes
-stable (``oracles.chain_agrees``).  On the same instances it compares the
-rotation search with a search that is not told the predecessors and builds
-every matching with ``apply_cycle`` (``oracles.reference_search``): each
-rotation's predecessor mask, read off the chain, with the mask that search
-learns, and the matchings the search lists by replaying each rotation's
-row trade, with their masks, with those it lists.  It also checks that the
-rotations at each firm form a chain of the poset
-(``oracles.rotations_at_a_firm_are_ordered``), which makes the replay exact.
+On every instance of the first three families, and on complete 20x20
+one-to-one markets (seeds 0 to min(N, 100) - 1), it also compares the
+rotation search's chain, read off one pointer per firm, with the chain
+that reduces the whole profile at every step (``oracles.reference_chain``):
+the same rotations in the same order, and every matching the pointer
+chain passes stable (``oracles.chain_agrees``).  On the same instances it
+compares the rotation search with a search that is not told the
+predecessors and builds every matching with ``apply_cycle``
+(``oracles.reference_search``): each rotation's predecessor mask, read off
+the chain, with the mask that search learns, and the matchings the search
+lists by replaying each rotation's row trade, with their masks, with those
+it lists.  It also checks that the rotations at each firm form a chain of
+the poset (``oracles.rotations_at_a_firm_are_ordered``), which makes the
+replay exact.
 
-Prints the counts and exits 1 on any disagreement.  Not collected by pytest
-(``test_rotations.py`` runs three rich seeds through ``compare_rich``, and
-this script with ``--seeds 1``); run from the repository root:
+Prints the counts, with the nodes the pruned search visited per family,
+so a lost cut shows as a larger count, and exits 1 on any disagreement.
+Not collected by pytest (``test_rotations.py`` runs three rich seeds
+through ``compare_rich``, and this script with ``--seeds 1``); run from the
+repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took about 6 minutes on one core of a 2-vCPU VM; the
-exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets dominates.  Each
-rich market takes the pruned search 0.2-0.3 s.
+The full sweep took 3 min 36 s to 3 min 51 s on one core of a 2-vCPU VM;
+the exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets takes about 2
+minutes of it.
+Each rich market takes the pruned search 0.1-0.16 s.
 """
 
 import argparse
@@ -59,7 +70,7 @@ import sys
 
 import stablefrac as sf
 from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
-                     dominates, lattice_exposures_agree,
+                     cyclic_blocks, dominates, lattice_exposures_agree,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
@@ -68,6 +79,7 @@ from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, vertex_walk
 from stablefrac.rotations import _lattice
+from stablefrac.stability import _search
 
 SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
          (6, 6, 1), (4, 4, 2), (2, 6, 3)]
@@ -78,7 +90,12 @@ LARGE_SIZE = 20     # complete one-to-one markets: chains and predecessors only
 BALANCED = [(6, 2, True), (8, 2, True), (6, 3, True), (10, 2, False),
             (8, 3, False)]
 BALANCED_SEEDS = 100
-BALANCED_CAP = 10 ** 16     # 9^16 and 7^18 candidate maps at 8x16 and 6x18
+# (firms, workers, qmax, density): sparse lists and more firms than workers,
+# where firms stay short of their quotas and the pruned search's vacancy cut
+# fires; and cyclic block markets small enough for the exhaustive scan
+VACANCY_SIZES = [(4, 6, 3, 0.3), (5, 7, 3, 0.4), (4, 6, 3, 0.5),
+                 (6, 4, 1, 0.7), (6, 4, 2, 1.0), (5, 3, 1, 1.0), (5, 3, 2, 1.0)]
+VACANCY_BLOCKS = [[2] * 4, [3, 3], [2, 3]]
 
 
 def main(argv=None) -> int:
@@ -87,7 +104,7 @@ def main(argv=None) -> int:
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
     instances = multi = profiles = chains = chain_rotations = edges = 0
-    searched = 0
+    searched = size_nodes = 0
     disagreements = []
 
     def compare_chain(m, name, *where):
@@ -112,7 +129,9 @@ def main(argv=None) -> int:
             for density in DENSITIES:
                 m = sf.gen_random_market(seed, nf, nw, qmax, density=density)
                 reference = reference_enumerate_stable(m)
-                found = {"bruteforce": sf.enumerate_stable_bruteforce(m),
+                oracle, nodes = _search(m)
+                size_nodes += nodes
+                found = {"bruteforce": oracle,
                          "rotations": sf.enumerate_stable_via_rotations(m)}
                 for name, stable in found.items():
                     if stable != reference:
@@ -143,12 +162,15 @@ def main(argv=None) -> int:
                                          reference_vertex_walk)):
                         disagreements.append(("walks", nf, nw, qmax, seed, density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
-              f"{multi} with several stable matchings", flush=True)
+              f"{multi} with several stable matchings, {size_nodes} oracle "
+              "nodes at this size", flush=True)
+        size_nodes = 0
     rich_seeds = min(args.seeds, RICH_SEEDS)
-    rich_listed = 0
+    rich_listed = rich_nodes = 0
     for seed in range(rich_seeds):
-        size, same = compare_rich(seed)
+        size, nodes, same = compare_rich(seed)
         rich_listed += size
+        rich_nodes += nodes
         if not same:
             disagreements.append(("rich rotations", RICH_SIZE, RICH_SIZE, 1,
                                   seed, 1.0))
@@ -156,7 +178,7 @@ def main(argv=None) -> int:
                                            density=1.0),
                       "rich chain", RICH_SIZE, RICH_SIZE, 1, seed, 1.0)
     print(f"rich family: {rich_seeds} markets, {rich_listed} stable "
-          "matchings", flush=True)
+          f"matchings, {rich_nodes} oracle nodes", flush=True)
     for seed in range(rich_seeds):
         compare_chain(sf.gen_random_market(seed, LARGE_SIZE, LARGE_SIZE, 1,
                                            density=1.0),
@@ -165,7 +187,7 @@ def main(argv=None) -> int:
           "markets", flush=True)
     balanced_seeds = min(args.seeds, BALANCED_SEEDS)
     for nf, q, oracle in BALANCED:
-        balanced_listed = 0
+        balanced_listed = balanced_nodes = 0
         for seed in range(balanced_seeds):
             m = balanced_market(seed, nf, q)
             compare_chain(m, "balanced chain", nf, q * nf, q, seed, 1.0)
@@ -178,12 +200,33 @@ def main(argv=None) -> int:
                        for mu in sf.enumerate_stable_via_rotations(m)):
                 disagreements.append(("balanced reduced market", nf, q * nf,
                                       q, seed, 1.0))
-            if oracle and sf.enumerate_stable_via_rotations(m) != \
-                    sf.enumerate_stable_bruteforce(m, cap=BALANCED_CAP):
-                disagreements.append(("balanced rotations", nf, q * nf, q,
-                                      seed, 1.0))
+            if oracle:
+                stable, nodes = _search(m)
+                balanced_nodes += nodes
+                if sf.enumerate_stable_via_rotations(m) != stable:
+                    disagreements.append(("balanced rotations", nf, q * nf, q,
+                                          seed, 1.0))
         print(f"balanced {nf}x{q * nf}, q = {q}: {balanced_seeds} markets, "
-              f"{balanced_listed} stable matchings", flush=True)
+              f"{balanced_listed} stable matchings"
+              + (f", {balanced_nodes} oracle nodes" if oracle else ""),
+              flush=True)
+    vacancy_markets = [((nf, nw, qmax), seed, density,
+                        sf.gen_random_market(seed, nf, nw, qmax, density=density))
+                       for nf, nw, qmax, density in VACANCY_SIZES
+                       for seed in range(args.seeds)]
+    vacancy_markets += [((sum(sizes), sum(sizes), 1), sizes, 1.0,
+                         cyclic_blocks(sizes)) for sizes in VACANCY_BLOCKS]
+    vacancy_listed = vacancy_nodes = 0
+    for size, seed, density, m in vacancy_markets:
+        stable, nodes = _search(m)
+        vacancy_listed += len(stable)
+        vacancy_nodes += nodes
+        if not stable == reference_enumerate_stable(m) == \
+                sf.enumerate_stable_via_rotations(m):
+            disagreements.append(("vacancy-rich", *size, seed, density))
+    print(f"vacancy-rich family: {len(vacancy_markets)} markets, "
+          f"{vacancy_listed} stable matchings, {vacancy_nodes} oracle nodes",
+          flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")

@@ -74,6 +74,31 @@ def test_certify_refuses_fractional_vertex(market, x_vertex):
     assert refusal.product == Fraction(1, 4)
 
 
+def test_certify_scans_the_condition_once(fleet, fleet_stable, monkeypatch):
+    """Certifying a point scans its pairs' gaps once, refused or not: a
+    refusal is the condition ``decompose`` refused at, and it equals the
+    full report's first failure."""
+    gaps = sf.strong_stability._gaps
+    scans = []
+
+    def counted(market, x):
+        scans.append(x)
+        return gaps(market, x)
+
+    monkeypatch.setattr(sf.strong_stability, "_gaps", counted)
+    outcomes = Counter()
+    for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
+        for x in _mixes(m, stable, idx, 4):
+            scans.clear()
+            cert = sf.certify_strongly_stable(m, x)
+            assert scans == [x]
+            refused = isinstance(cert, sf.PairCondition)
+            if refused:
+                assert repr(cert) == repr(sf.strong_stability_check(m, x).first_failure())
+            outcomes[refused] += 1
+    assert outcomes == {False: 92, True: 28}
+
+
 def test_certify_integral_point(market, mu_w, x_worker):
     cert = sf.certify_strongly_stable(market, x_worker)
     assert isinstance(cert, sf.HullCertificate)
@@ -249,9 +274,15 @@ def test_verify_block_market_without_subset_search(block_market, monkeypatch):
 @pytest.mark.parametrize("sizes,counts", [
     ([2, 2, 3, 3], (36, 36, 11)),
     ([2] * 5, (32, 32, 0)),
-], ids=["2-2-3-3", "2x5"])
+    ([2] * 6, (64, 64, 0)),
+    ([2] * 7, (128, 128, 0)),
+    ([3, 3, 3], (27, 27, 10)),
+    ([2, 3, 4], (24, 24, 10)),
+], ids=["2-2-3-3", "2x5", "2x6", "2x7", "3-3-3", "2-3-4"])
 def test_verify_rotation_rich_blocks(cyclic_blocks, sizes, counts):
-    """Six or five rotations at the firm-optimal profile, all in one cube."""
+    """One rotation per block exposed at the firm-optimal profile, three to
+    seven in all, in one cube; a block of m firms chains m - 1 rotations.
+    The default cap admits the brute-force oracle on each market."""
     outcome = sf.verify_characterization(cyclic_blocks(sizes), seed=1, samples=10)
     assert outcome.ok
     assert (outcome.stable_count, outcome.hull_points,

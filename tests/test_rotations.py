@@ -413,7 +413,8 @@ def test_rotation_rich_markets_match_the_oracle(seed, size):
     """Complete 12x12 one-to-one markets, beyond the pruned search's default
     cap, list the same stable set by rotations (``sweep_oracles.py`` runs
     100 seeds)."""
-    assert compare_rich(seed) == (size, True)
+    count, _, same = compare_rich(seed)
+    assert (count, same) == (size, True)
 
 
 def test_sweep_script_runs_clean_on_one_seed(src_env):

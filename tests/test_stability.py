@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, dominates, random_markets,
+from oracles import (RANDOM_SIZES, balanced_market, dominates, random_markets,
                      reference_enumerate_stable, rural_hospital)
 from stablefrac.cli import main
-from stablefrac.stability import BLOCK_SWAP, BLOCK_VACANCY, BlockingPair
+from stablefrac.stability import BLOCK_SWAP, BLOCK_VACANCY, BlockingPair, _search
 
 SINGLE_PAIR = """
 firms: f1
@@ -162,6 +162,15 @@ def test_bruteforce_matches_reference_on_structured_markets(
         assert stable == reference_enumerate_stable(m)
         sizes.append(len(stable))
     assert sizes[len(fleet):] == [24, 4, 12]
+
+
+def test_bruteforce_search_node_counts(block_market, cyclic_blocks):
+    """The pruned search's stable sets and node counts, pinned: dropping
+    either swap cut or either vacancy cut changes a count, so a lost cut
+    shows here, not only in the time taken."""
+    markets = [cyclic_blocks([2] * 6), block_market, balanced_market(0, 6, 2)]
+    assert [(len(stable), nodes) for stable, nodes in map(_search, markets)] == \
+        [(64, 252), (24, 164), (4, 5141)]
 
 
 @st.composite
