@@ -6,14 +6,14 @@ witness), 2 for usage, file, or parse errors.  With ``--json`` every command
 emits the report envelope described by ``report_schema.json``; reports are
 byte-identical across runs for fixed inputs and seeds.
 
-Every command takes one report path.  A ``_cmd_*`` function loads its files
-through ``_load``, which records each in ``inputs`` and each parser warning
-in ``diagnostics``, and returns its result, its human-readable lines and its
-exit code.  Only ``main`` turns that into output: the JSON envelope under
-``--json``, else the lines and then one ``note:`` line per diagnostic.  It
-also maps ``_CliError`` and ``MarketError`` to ``error: ...`` on stderr and
-exit 2.  The lines are read only without ``--json``, so a command may return
-them as a generator.
+Every command takes one report path.  A ``_cmd_*`` function parses each of
+its files once through ``_load``, which records the file in ``inputs`` and
+each parser warning in ``diagnostics``, and returns its result, its lines
+for humans and its exit code.  Only ``main`` turns that into output: the
+JSON envelope under ``--json``, written by ``_dumps`` into one list joined
+once, else the lines and one ``note:`` line per diagnostic; ``_CliError``
+and ``MarketError`` become ``error: ...`` on stderr and exit 2.  The lines
+are read only without ``--json``, so a command may return them as a generator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 import warnings
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .hulls import certify_strongly_stable, gen_random_market, verify_characterization
@@ -115,13 +115,12 @@ class _Column(dict):
     __slots__ = ("prefix", "depth")
 
     def __missing__(self, value) -> str:
-        if type(value) is tuple and value and all(map(str.__instancecheck__, value)):
-            fragment = self[value] = self.prefix + _block(
-                map(encode_basestring_ascii, value), self.depth, "[]")
-            return fragment
         # a hashable value holds no dict, so a new table of columns will do
-        fragment = self.prefix + _encode(value, self.depth, {})
-        if isinstance(value, str):
+        out = [self.prefix]
+        _write(value, self.depth, {}, out)
+        fragment = "".join(out)
+        if isinstance(value, str) or type(value) is tuple and value and all(
+                map(str.__instancecheck__, value)):
             self[value] = fragment
         return fragment
 
@@ -132,6 +131,7 @@ def _dumps(report) -> str:
     Reports are built from dicts with string keys, lists, tuples, strings,
     ints, booleans and None; any other type raises ``TypeError``.
 
+    Every fragment, bracket and separator goes to one list, joined once.
     A *column* per key and depth holds the text ``"key": value`` of each
     string or nonempty tuple of strings it has seen as a value.  Ints and
     booleans are never stored: ``1 == True``, so they would share an entry.
@@ -141,31 +141,41 @@ def _dumps(report) -> str:
     columns' lookups, done in C.  Other dicts, and records holding an
     unhashable value, go entry by entry.  The columns live for one call.
     """
-    return _encode(report, 0, {})
+    out: list[str] = []
+    _write(report, 0, {}, out)
+    return "".join(out)
 
 
-def _encode(value, depth: int, columns: dict) -> str:
-    """``value`` as ``_dumps`` writes it at ``depth``."""
+def _write(value, depth: int, columns: dict, out: list[str]) -> None:
+    """Append the fragments of ``value``, as ``_dumps`` writes it at ``depth``."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
         if value and all(map(tuple.__instancecheck__, value.values())):
-            return _records((value,), depth, columns)[0]
-        return _entries(value, sorted(value), depth, columns) if value else "{}"
-    if isinstance(value, (list, tuple)):
-        if all(map(str.__instancecheck__, value)):      # also the empty list
-            parts = map(encode_basestring_ascii, value)
-        elif isinstance(value[0], dict) and value[0] and all(
-                map(isinstance, value[0].values(), repeat((str, tuple)))):
-            parts = _records(value, depth + 1, columns)
+            _records((value,), depth, columns, out)
         else:
-            parts = [_encode(item, depth + 1, columns) for item in value]
-        return _block(parts, depth, "[]") if value else "[]"
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            _entries(value, sorted(value), depth, columns, out)
+    elif isinstance(value, (list, tuple)) and all(map(str.__instancecheck__, value)):
+        out.append(_block(map(encode_basestring_ascii, value), depth, "[]")
+                   if value else "[]")      # also the empty list
+    elif isinstance(value, (list, tuple)):
+        inner = "\n" + "  " * (depth + 1)
+        out.append("[" + inner)
+        if isinstance(value[0], dict) and value[0] and all(
+                map(isinstance, value[0].values(), repeat((str, tuple)))):
+            _records(value, depth + 1, columns, out)
+        else:
+            for k, item in enumerate(value):
+                if k:
+                    out.append("," + inner)
+                _write(item, depth + 1, columns, out)
+        out.append(inner[:-2] + "]")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _block(parts: Iterable[str], depth: int, brackets: str) -> str:
@@ -173,15 +183,19 @@ def _block(parts: Iterable[str], depth: int, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(parts) + inner[:-2] + brackets[1]
 
 
-def _entries(value: dict, order, depth: int, columns: dict) -> str:
-    """A nonempty dict at ``depth``, its keys in ``order``, entry by entry."""
-    return _block([encode_basestring_ascii(key) + ": "
-                   + _encode(value[key], depth + 1, columns) for key in order],
-                  depth, "{}")
+def _entries(value: dict, order, depth: int, columns: dict, out: list[str]) -> None:
+    """A dict at ``depth``, its keys in ``order``, entry by entry."""
+    inner = "\n" + "  " * (depth + 1)
+    separator = "{" + inner
+    for key in order:
+        out.append(separator + encode_basestring_ascii(key) + ": ")
+        _write(value[key], depth + 1, columns, out)
+        separator = "," + inner
+    out.append(inner[:-2] + "}" if order else "{}")
 
 
-def _records(items, depth: int, columns: dict) -> list[str]:
-    """The fragments of ``items``, a list of records, at ``depth``."""
+def _records(items, depth: int, columns: dict, out: list[str]) -> None:
+    """The items of ``items``, a list of records at ``depth``, and commas."""
     order, keys = tuple(sorted(items[0])), items[0].keys()
     line = columns.get((order, depth))
     if line is None:            # the columns of ``order``, made on first use
@@ -193,17 +207,19 @@ def _records(items, depth: int, columns: dict) -> list[str]:
         line = columns[order, depth] = [columns[key, depth] for key in order]
     inner = "\n" + "  " * (depth + 1)
     opening, separator, closing = "{" + inner, "," + inner, inner[:-2] + "}"
-    parts = []
-    for item in items:
+    between = "," + inner[:-2]
+    get = itemgetter(*order) if len(order) > 1 else lambda item: (item[order[0]],)
+    for k, item in enumerate(items):
+        if k:
+            out.append(between)
         if not (isinstance(item, dict) and item.keys() == keys):
-            parts.append(_encode(item, depth, columns))
+            _write(item, depth, columns, out)
             continue
         try:
-            entries = map(_Column.__getitem__, line, map(item.__getitem__, order))
-            parts.append(opening + separator.join(entries) + closing)
+            entries = map(_Column.__getitem__, line, get(item))
+            out.append(opening + separator.join(entries) + closing)
         except TypeError:           # an unhashable value
-            parts.append(_entries(item, order, depth, columns))
-    return parts
+            _entries(item, order, depth, columns, out)
 
 
 def _staff(f: str, ws: tuple[str, ...]) -> str:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_.+-]+")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 _INTEGER_RE = re.compile(r"^-?[0-9]+$")
 _ZERO = Fraction(0)     # one shared zero for the many zero factors of a report
@@ -100,6 +100,8 @@ class Market:
     list and quota (vacancies are filled with acceptable workers, and a set
     improves when one worker is swapped for a more-preferred one).
 
+    The constructor checks every field, each list as it ranks it, the firms'
+    first; lists of undeclared agents are dropped, one-sided entries kept.
     Instances are immutable after construction and safe to share across
     threads.  All operations in this library are pure functions.
     """
@@ -114,16 +116,6 @@ class Market:
         object.__setattr__(self, "firms", tuple(self.firms))
         object.__setattr__(self, "workers", tuple(self.workers))
         object.__setattr__(self, "quota", dict(self.quota))
-        object.__setattr__(
-            self, "firm_pref",
-            {f: tuple(ws) for f, ws in self.firm_pref.items()})
-        object.__setattr__(
-            self, "worker_pref",
-            {w: tuple(fs) for w, fs in self.worker_pref.items()})
-        self._validate()
-        self._build_caches()
-
-    def _validate(self):
         for side, ids in (("firm", self.firms), ("worker", self.workers)):
             if len(set(ids)) != len(ids):
                 raise ValueError(f"duplicate {side} ids")
@@ -135,34 +127,33 @@ class Market:
         for f, q in self.quota.items():
             if type(q) is not int or q < 1:   # bool is an int subclass
                 raise ValueError(f"quota of {f} must be a positive integer")
-        for attr, ids, other, other_ids in (
-                ("firm_pref", self.firms, "worker", self.workers),
-                ("worker_pref", self.workers, "firm", self.firms)):
-            prefs, known = getattr(self, attr), set(other_ids)
-            for a in ids:
-                lst = prefs.get(a, ())
-                if len(set(lst)) != len(lst):
-                    raise ValueError(f"duplicate entries in preference list of {a}")
-                unknown = set(lst) - known
-                if unknown:
-                    raise ValueError(f"{a} lists undeclared {other}s: {sorted(unknown)}")
-            object.__setattr__(self, attr, {a: prefs.get(a, ()) for a in ids})
+        self._build_caches()
 
     def _build_caches(self):
         findex = {f: i for i, f in enumerate(self.firms)}
         windex = {w: j for j, w in enumerate(self.workers)}
-        frank = {f: {w: r for r, w in enumerate(self.firm_pref[f])} for f in self.firms}
-        wrank = {w: {f: r for r, f in enumerate(self.worker_pref[w])} for w in self.workers}
-        firm_acc = {
-            f: tuple(w for w in self.firm_pref[f] if f in wrank[w])
-            for f in self.firms}
-        worker_acc = {
-            w: tuple(f for f in self.worker_pref[w] if w in frank[f])
-            for w in self.workers}
+        tables = []
+        for prefs, ids, known, other in (
+                (self.firm_pref, self.firms, windex, "worker"),
+                (self.worker_pref, self.workers, findex, "firm")):
+            lists, ranks = {}, {}
+            for a in ids:
+                lst = lists[a] = tuple(prefs.get(a, ()))
+                rank = ranks[a] = {b: r for r, b in enumerate(lst)}
+                if len(rank) != len(lst):
+                    raise ValueError(f"duplicate entries in preference list of {a}")
+                if not known.keys() >= rank.keys():
+                    unknown = sorted(rank.keys() - known.keys())
+                    raise ValueError(f"{a} lists undeclared {other}s: {unknown}")
+            tables += lists, ranks
+        firm_pref, frank, worker_pref, wrank = tables
+        firm_acc, worker_acc = _prune_mutual(firm_pref, worker_pref, warn=False)
         # canonical order: firm declaration order, then worker declaration order
         pairs = tuple((f, w) for f in self.firms
                       for w in sorted(firm_acc[f], key=windex.__getitem__))
         pair_index = {p: k for k, p in enumerate(pairs)}
+        object.__setattr__(self, "firm_pref", firm_pref)
+        object.__setattr__(self, "worker_pref", worker_pref)
         object.__setattr__(self, "_findex", findex)
         object.__setattr__(self, "_windex", windex)
         object.__setattr__(self, "_frank", frank)
@@ -428,32 +419,44 @@ def _prune_mutual(firm_pref: dict[str, tuple[str, ...]],
                   worker_pref: dict[str, tuple[str, ...]],
                   warn: bool) -> tuple[dict, dict]:
     """Drop one-sided preference entries from both sides, the firms' first;
-    with ``warn``, each dropped entry warns at the caller's caller."""
-    def mutual(side: str, prefs: dict, back: dict) -> dict:
-        listed = {b: set(lst) for b, lst in back.items()}
-        out = {}
-        for a, lst in prefs.items():
-            out[a] = tuple(b for b in lst if a in listed.get(b, ()))
-            if warn:
-                for b in lst:
-                    if a not in listed.get(b, ()):
-                        warnings.warn(
-                            f"dropping one-sided pair: {side} {a} lists {b} "
-                            f"but {b} does not list {a}",
-                            OneSidedPreferenceWarning, stacklevel=4)
-        return out
-    return (mutual("firm", firm_pref, worker_pref),
-            mutual("worker", worker_pref, firm_pref))
+    with ``warn``, each dropped entry warns at the caller's caller.  Every
+    entry must have a list, and no list may repeat an entry."""
+    wsets = {w: set(fs) for w, fs in worker_pref.items()}
+    # all mutual when the firms' entries list them back and the workers' are no more
+    if sum(map(len, firm_pref.values())) == sum(map(len, worker_pref.values())) \
+            and all(f in wsets[w] for f, ws in firm_pref.items() for w in ws):
+        return dict(firm_pref), dict(worker_pref)
+    fsets = {f: set(ws) for f, ws in firm_pref.items()}
+    out = []
+    for side, prefs, back in (("firm", firm_pref, wsets), ("worker", worker_pref, fsets)):
+        out.append({a: tuple(b for b in lst if a in back[b]) for a, lst in prefs.items()})
+        for a, lst in prefs.items() if warn else ():
+            for b in lst:
+                if a not in back[b]:
+                    warnings.warn(
+                        f"dropping one-sided pair: {side} {a} lists {b} "
+                        f"but {b} does not list {a}",
+                        OneSidedPreferenceWarning, stacklevel=3)
+    return tuple(out)
 
 
 def _parse_ids(text: str, lineno: int) -> tuple[str, ...]:
-    ids = tuple(text.split())
-    for name in ids:
-        if not _ID_RE.match(name):
-            raise ParseError(f"invalid id {name!r}", lineno)
+    ids = text.split()
+    if ids and not _ID_RE.fullmatch("".join(ids)):    # one test per line
+        bad = next(name for name in ids if not _ID_RE.fullmatch(name))
+        raise ParseError(f"invalid id {bad!r}", lineno)
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate ids", lineno)
-    return ids
+    return tuple(ids)
+
+
+def _integer(token: str, what: str, lineno: int) -> int:
+    """``int(token)``, or a ParseError giving its length past the limit."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} of {len(token.lstrip('-'))} digits is too long",
+                         lineno) from None
 
 
 def parse_market(text: str) -> Market:
@@ -469,7 +472,8 @@ def parse_market(text: str) -> Market:
 
     Firms without a quota entry default to quota one.  Preference entries
     whose counterpart does not list the agent back are dropped with a
-    OneSidedPreferenceWarning.
+    OneSidedPreferenceWarning.  A line's ids are checked together when it is
+    read, and its names against the declared ones by one set test at the end.
     """
     ids: dict[str, tuple[str, ...]] = {}         # side -> declared ids
     quota: dict[str, tuple[int, int]] = {}        # name -> (value, line)
@@ -490,7 +494,7 @@ def parse_market(text: str) -> Market:
                 # non-ASCII digits
                 if not _INTEGER_RE.match(val):
                     raise ParseError(f"bad quota value {val!r}", lineno)
-                q = int(val)
+                q = _integer(val, "quota value", lineno)
                 if q < 1:
                     raise ParseError(f"quota of {name} must be at least 1", lineno)
                 if name in quota:
@@ -530,10 +534,10 @@ def parse_market(text: str) -> Market:
             if name not in declared[side]:
                 raise ParseError(
                     f"preference line for undeclared {side} {name}", lineno)
-            for b in lst:
-                if b not in known:
-                    raise ParseError(
-                        f"{side} {name} lists undeclared {other} {b}", lineno)
+            if not known.issuperset(lst):
+                b = next(b for b in lst if b not in known)
+                raise ParseError(
+                    f"{side} {name} lists undeclared {other} {b}", lineno)
 
     lists = {side: {a: prefs[side].get(a, ((), 0))[0] for a in ids[side]}
              for side in prefs}
@@ -547,6 +551,10 @@ def parse_market(text: str) -> Market:
 
 
 def serialize_market(market: Market) -> str:
+    """The text ``parse_market`` reads back; ValueError for an unwritable id."""
+    for name in chain(market.firms, market.workers):
+        if not _ID_RE.fullmatch(name):
+            raise ValueError(f"id {name!r} is not made of [A-Za-z0-9_.+-]")
     lines = [
         "firms: " + " ".join(market.firms),
         "workers: " + " ".join(market.workers),
@@ -564,43 +572,49 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
 
     Only the format and the sign/zero pattern are validated here: entries must
     be nonnegative and entries on non-acceptable pairs must be exactly zero.
-    Quota and stability constraints are checked separately.
+    Quota and stability constraints are checked separately.  A row's tokens
+    other than ``0`` are read left to right; its first fault is reported.
     """
-    rows: list[list[tuple[int, int]]] = []      # (numerator, denominator)
+    cells: list[tuple[str, str, int, int]] = []   # nonzero (f, w, num, denom)
+    nrows = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if len(rows) == len(market.firms):
+        if nrows == len(market.firms):
             raise ParseError(
                 f"expected {market.n_firms} rows, found more", lineno)
         tokens = line.split()
         if len(tokens) != market.n_workers:
             raise ParseError(
                 f"expected {market.n_workers} entries, found {len(tokens)}", lineno)
-        f = market.firms[len(rows)]
-        row = []
+        f = market.firms[nrows]
+        nrows += 1
+        unread = len(tokens) - tokens.count("0")     # counted in C
         for j, token in enumerate(tokens):
-            if token == "0":        # passes every check below
-                row.append((0, 1))
+            if not unread:
+                break
+            if token == "0":
                 continue
+            unread -= 1
             num, _, den = token.partition("/")
-            if not _RATIONAL_RE.match(token) or (den and not int(den)):
+            if not _RATIONAL_RE.match(token) or (
+                    den and not _integer(den, "denominator", lineno)):
                 raise ParseError(f"bad rational token {token!r}", lineno)
-            n = int(num)
+            n = _integer(num, "numerator", lineno)
             w = market.workers[j]
             if n < 0:
                 raise ParseError(f"negative entry for ({f},{w})", lineno)
             if n and not market.acceptable(f, w):
                 raise ParseError(
                     f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
-            row.append((n, int(den or 1)))
-        rows.append(row)
-    if len(rows) != market.n_firms:
+            if n:
+                cells.append((f, w, n, int(den or 1)))
+    if nrows != market.n_firms:
         raise ParseError(
-            f"expected {market.n_firms} rows, found {len(rows)}")
+            f"expected {market.n_firms} rows, found {nrows}")
     # tokens need not be reduced, so their denominators' LCM need not be
     # least; ``_from_scaled`` divides it down
-    denom = lcm(*{d for row in rows for _, d in row})
-    return FractionalMatching._from_scaled(
-        denom, [[n * (denom // d) for n, d in row] for row in rows])
+    denom = lcm(*{d for *_, d in cells})
+    return _from_cells(market, denom,
+                       ((f, w, n * (denom // d)) for f, w, n, d in cells))

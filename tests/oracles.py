@@ -6,7 +6,10 @@ Not a test module: ``test_*.py`` files and ``sweep_oracles.py`` import it.
 
 import itertools
 import random
+import re
+import warnings
 from fractions import Fraction
+from math import lcm
 
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
@@ -567,3 +570,178 @@ def walk_pair(market, x, seed, interior, vertex):
     trace = []
     end = vertex(market, start, rng, trace=trace)
     return start, end, trace, rng.random()
+
+
+# --- the text parsers before they read each line once ---------------------
+#
+# ``parse_market`` and ``parse_fractional`` as they were when every id had
+# its own regex test, undeclared names were checked entry by entry, the
+# pruning built a set per list on both sides and every matrix token was
+# read.  ``reference_caches`` is ``Market``'s table building of that time.
+
+_REF_ID_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+_REF_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_REF_INTEGER_RE = re.compile(r"^-?[0-9]+$")
+
+
+def _reference_prune_mutual(firm_pref, worker_pref, warn):
+    def mutual(side, prefs, back):
+        listed = {b: set(lst) for b, lst in back.items()}
+        out = {}
+        for a, lst in prefs.items():
+            out[a] = tuple(b for b in lst if a in listed.get(b, ()))
+            if warn:
+                for b in lst:
+                    if a not in listed.get(b, ()):
+                        warnings.warn(
+                            f"dropping one-sided pair: {side} {a} lists {b} "
+                            f"but {b} does not list {a}",
+                            sf.OneSidedPreferenceWarning, stacklevel=4)
+        return out
+    return (mutual("firm", firm_pref, worker_pref),
+            mutual("worker", worker_pref, firm_pref))
+
+
+def _reference_parse_ids(text, lineno):
+    ids = tuple(text.split())
+    for name in ids:
+        if not _REF_ID_RE.match(name):
+            raise sf.ParseError(f"invalid id {name!r}", lineno)
+    if len(set(ids)) != len(ids):
+        raise sf.ParseError("duplicate ids", lineno)
+    return ids
+
+
+def reference_parse_market(text):
+    ids = {}
+    quota = {}
+    prefs = {"firm": {}, "worker": {}}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("quota:"):
+            for token in line[len("quota:"):].split():
+                name, sep, val = token.partition("=")
+                if not sep:
+                    raise sf.ParseError(f"bad quota token {token!r}", lineno)
+                if not _REF_INTEGER_RE.match(val):
+                    raise sf.ParseError(f"bad quota value {val!r}", lineno)
+                q = int(val)
+                if q < 1:
+                    raise sf.ParseError(f"quota of {name} must be at least 1", lineno)
+                if name in quota:
+                    raise sf.ParseError(f"repeated quota for {name}", lineno)
+                quota[name] = (q, lineno)
+            continue
+        side = "firm" if line.startswith("firm") else \
+            "worker" if line.startswith("worker") else ""
+        tail = line[len(side):] if side else ""
+        if tail.startswith("s:"):
+            if side in ids:
+                raise sf.ParseError(f"repeated {side}s: line", lineno)
+            ids[side] = _reference_parse_ids(tail[2:], lineno)
+        elif tail.startswith(" "):
+            head, sep, rest = tail.partition(":")
+            if not sep:
+                raise sf.ParseError(f"missing ':' in {side} line", lineno)
+            name = head.strip()
+            if name in prefs[side]:
+                raise sf.ParseError(
+                    f"repeated preference line for {side} {name}", lineno)
+            prefs[side][name] = (_reference_parse_ids(rest, lineno), lineno)
+        else:
+            raise sf.ParseError(f"unrecognized line {line!r}", lineno)
+
+    for side in prefs:
+        if side not in ids:
+            raise sf.ParseError(f"missing {side}s: line")
+    firms, workers = ids["firm"], ids["worker"]
+    declared = {side: set(ids[side]) for side in prefs}
+    for name, (_, lineno) in quota.items():
+        if name not in declared["firm"]:
+            raise sf.ParseError(f"quota for undeclared firm {name}", lineno)
+    for side, other in (("firm", "worker"), ("worker", "firm")):
+        known = declared[other]
+        for name, (lst, lineno) in prefs[side].items():
+            if name not in declared[side]:
+                raise sf.ParseError(
+                    f"preference line for undeclared {side} {name}", lineno)
+            for b in lst:
+                if b not in known:
+                    raise sf.ParseError(
+                        f"{side} {name} lists undeclared {other} {b}", lineno)
+
+    lists = {side: {a: prefs[side].get(a, ((), 0))[0] for a in ids[side]}
+             for side in prefs}
+    firm_lists, worker_lists = _reference_prune_mutual(
+        lists["firm"], lists["worker"], warn=True)
+    quotas = {f: quota.get(f, (1, 0))[0] for f in firms}
+    try:
+        return Market(firms, workers, quotas, firm_lists, worker_lists)
+    except ValueError as exc:
+        raise sf.ParseError(str(exc)) from exc
+
+
+def reference_parse_fractional(market, text):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if len(rows) == len(market.firms):
+            raise sf.ParseError(
+                f"expected {market.n_firms} rows, found more", lineno)
+        tokens = line.split()
+        if len(tokens) != market.n_workers:
+            raise sf.ParseError(
+                f"expected {market.n_workers} entries, found {len(tokens)}", lineno)
+        f = market.firms[len(rows)]
+        row = []
+        for j, token in enumerate(tokens):
+            if token == "0":
+                row.append((0, 1))
+                continue
+            num, _, den = token.partition("/")
+            if not _REF_RATIONAL_RE.match(token) or (den and not int(den)):
+                raise sf.ParseError(f"bad rational token {token!r}", lineno)
+            n = int(num)
+            w = market.workers[j]
+            if n < 0:
+                raise sf.ParseError(f"negative entry for ({f},{w})", lineno)
+            if n and not market.acceptable(f, w):
+                raise sf.ParseError(
+                    f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
+            row.append((n, int(den or 1)))
+        rows.append(row)
+    if len(rows) != market.n_firms:
+        raise sf.ParseError(
+            f"expected {market.n_firms} rows, found {len(rows)}")
+    denom = lcm(*{d for row in rows for _, d in row})
+    return FractionalMatching._from_scaled(
+        denom, [[n * (denom // d) for n, d in row] for row in rows])
+
+
+CACHES = ("_findex", "_windex", "_frank", "_wrank", "_firm_acc", "_worker_acc",
+          "_pairs", "_pair_index")
+
+
+def reference_caches(market):
+    """The tables ``Market`` keeps, built from its lists as they once were,
+    by name; ``Market.__eq__`` compares none of them."""
+    findex = {f: i for i, f in enumerate(market.firms)}
+    windex = {w: j for j, w in enumerate(market.workers)}
+    frank = {f: {w: r for r, w in enumerate(market.firm_pref[f])} for f in market.firms}
+    wrank = {w: {f: r for r, f in enumerate(market.worker_pref[w])} for w in market.workers}
+    firm_acc = {
+        f: tuple(w for w in market.firm_pref[f] if f in wrank[w])
+        for f in market.firms}
+    worker_acc = {
+        w: tuple(f for f in market.worker_pref[w] if w in frank[f])
+        for w in market.workers}
+    pairs = tuple((f, w) for f in market.firms
+                  for w in sorted(firm_acc[f], key=windex.__getitem__))
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    return dict(zip(CACHES, (findex, windex, frank, wrank, firm_acc, worker_acc,
+                             pairs, pair_index)))

@@ -527,6 +527,17 @@ def test_dumps_matches_json_dumps(value):
     [[{"k": ("w1",)}], [[{"k": ("w1",)}]], {"k": ("w1",)}],
     [{}, {"a": "x"}, {}],
     {"a": ("w1",), "b": ("w1", ["w2"])},
+    # record lists followed by non-records, where the writer's separators
+    # between items and after the last record must be its own
+    [{"a": "x"}, {"a": "y"}, "z", 1, None, ["x"], {"b": ("w1",)}, [], {}],
+    [[{"a": "x"}, {"a": "y"}], "z", [{"a": ("w1",)}], 0],
+    {"r": [{"a": "x"}, {"a": "x"}], "s": "z", "t": [1, True], "u": {}},
+    [{"a": ("w1",)}, {"a": ("w1",)}, {}, [], ""],
+    # records nested three deep, in lists, in dicts and as lone dicts of tuples
+    {"a": [{"b": [{"c": [{"k": "x", "l": ("w1",)}, {"k": "y", "l": ("w1",)}]}]}]},
+    [[[{"k": ("w1",)}, {"k": ("w2",)}], [{"k": ("w1",)}]], [{"k": ("w1",)}]],
+    {"a": {"b": {"c": {"k": ("w1", "w2")}}}, "k": ("w1", "w2")},
+    [{"a": [{"a": [{"a": "x"}, {"a": "x"}]}, "tail"]}, {"a": "x"}],
 ])
 def test_dumps_entry_cache_cases(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import serialize_fractional
+from oracles import (
+    CACHES,
+    reference_caches,
+    reference_parse_fractional,
+    reference_parse_market,
+    serialize_fractional,
+)
 
 
 def test_example_market_parses(market):
@@ -81,6 +87,7 @@ def test_parse_errors_carry_line_numbers(text, line):
 
 
 _HEAD = "firms: f1 f2\nworkers: w1 w2\n"
+_LONG = "1" * 5000      # more digits than int() reads from a string
 
 # Every ParseError of parse_market: (text, message, line).  When a text has
 # several faults, the lines are read first, then the missing sections, the
@@ -137,10 +144,21 @@ PARSE_ERRORS = [
     (_HEAD + "firm f9: w1\nquota: f8=1\n", "line 4: quota for undeclared firm f8", 4),
     ("firms: a\nworkers: a\n", "ids used on both sides: ['a']", None),
     ("firms: f1 w1\nworkers: w1 f1\n", "ids used on both sides: ['f1', 'w1']", None),
+    # past the interpreter's limit on integer strings
+    (_HEAD + "quota: f1=" + _LONG + "\n",
+     "line 3: quota value of 5000 digits is too long", 3),
+    (_HEAD + "quota: f1=2\nquota: f2=-" + _LONG + "\n",
+     "line 4: quota value of 5000 digits is too long", 4),
 ]
 
 
-@pytest.mark.parametrize("text,message,line", PARSE_ERRORS)
+def _short(value):
+    """A test id for a long text, where pytest would print all of it."""
+    return f"<{len(value)} characters>" if isinstance(value, str) and len(value) > 200 \
+        else None
+
+
+@pytest.mark.parametrize("text,message,line", PARSE_ERRORS, ids=_short)
 def test_parse_error_table(text, message, line):
     with pytest.raises(sf.ParseError) as err:
         sf.parse_market(text)
@@ -186,6 +204,23 @@ def test_ids_must_not_straddle_sides():
 
 def test_market_roundtrip(market):
     assert sf.parse_market(sf.serialize_market(market)) == market
+
+
+@pytest.mark.parametrize("firms,workers,bad", [
+    (("f 1", "f2"), ("w1",), "f 1"),
+    (("a:b", "f2"), ("w1",), "a:b"),
+    (("f1", "x#y", "a:b"), ("w1",), "x#y"),
+    (("f1",), ("w1", ""), ""),
+    (("f1",), ("w\u00e9",), "w\u00e9"),
+    (("f1\n",), ("w1",), "f1\n"),
+])
+def test_serialize_market_refuses_unreadable_ids(firms, workers, bad):
+    """A market built directly may use ids its text cannot carry; the first
+    one, firms before workers, is named rather than written."""
+    m = sf.Market(firms, workers, dict.fromkeys(firms, 1), {}, {})
+    with pytest.raises(ValueError) as err:
+        sf.serialize_market(m)
+    assert str(err.value) == f"id {bad!r} is not made of [A-Za-z0-9_.+-]"
 
 
 def test_incidence_vectors_match_known_matrices(market, mu_f, mu_w):
@@ -240,6 +275,65 @@ def test_from_rows_keeps_fractions_and_converts_integers():
 def test_parse_fractional_rejects(market, text):
     with pytest.raises(sf.ParseError):
         sf.parse_fractional(market, text)
+
+
+# f2 lists w1, but w1 does not list f2: (f2,w1) is the one pair that is
+# not acceptable.
+_FRACTION_MARKET_TEXT = """firms: f1 f2
+workers: w1 w2
+firm f1: w1 w2
+firm f2: w2 w1
+worker w1: f1
+worker w2: f2 f1
+"""
+
+# Every ParseError of parse_fractional on that market: (text, message,
+# line).  The rows are read first, each row's width before its tokens, and a
+# row's tokens left to right, so its leftmost fault is the one reported.
+FRACTION_ERRORS = [
+    ("1 0 0\n0 0\n", "line 1: expected 2 entries, found 3", 1),
+    ("0 0\n1\n", "line 2: expected 2 entries, found 1", 2),
+    ("0 0\n0 0\n0 0\n", "line 3: expected 2 rows, found more", 3),
+    ("0 0\n\n# c\n0 0\n0 x\n", "line 5: expected 2 rows, found more", 5),
+    ("0 0\n", "expected 2 rows, found 1", None),
+    ("# only a comment\n", "expected 2 rows, found 0", None),
+    ("0.5 0\n0 0\n", "line 1: bad rational token '0.5'", 1),
+    ("0 +1\n0 0\n", "line 1: bad rational token '+1'", 1),
+    ("0 0\n0 1/-2\n", "line 2: bad rational token '1/-2'", 2),
+    ("1/0 0\n0 0\n", "line 1: bad rational token '1/0'", 1),
+    ("0/0 0\n0 0\n", "line 1: bad rational token '0/0'", 1),
+    ("-1/0 0\n0 0\n", "line 1: bad rational token '-1/0'", 1),
+    ("-1 0\n0 0\n", "line 1: negative entry for (f1,w1)", 1),
+    ("0 0\n0 -1/2\n", "line 2: negative entry for (f2,w2)", 2),
+    ("0 0\n1 0\n", "line 2: nonzero entry for non-acceptable pair (f2,w1)", 2),
+    ("0 0\n1/3 0\n", "line 2: nonzero entry for non-acceptable pair (f2,w1)", 2),
+    # two faults in a row: the leftmost wins
+    ("-1 x\n0 0\n", "line 1: negative entry for (f1,w1)", 1),
+    ("x -1\n0 0\n", "line 1: bad rational token 'x'", 1),
+    ("0 0\n1 -1\n", "line 2: nonzero entry for non-acceptable pair (f2,w1)", 2),
+    ("0 0\n-1 1\n", "line 2: negative entry for (f2,w1)", 2),
+    ("1/0 -1\n0 0\n", "line 1: bad rational token '1/0'", 1),
+    ("0 0\n00 1/0\n", "line 2: bad rational token '1/0'", 2),
+    ("1 x y\n0 0\n", "line 1: expected 2 entries, found 3", 1),
+    # past the interpreter's limit on integer strings
+    (_LONG + " 0\n0 0\n", "line 1: numerator of 5000 digits is too long", 1),
+    (_LONG + "/" + _LONG + " 0\n0 0\n",
+     "line 1: denominator of 5000 digits is too long", 1),
+    ("0 0\n0 1/" + _LONG + "\n", "line 2: denominator of 5000 digits is too long", 2),
+    ("0/" + "7" * 5000 + " 0\n0 0\n",
+     "line 1: denominator of 5000 digits is too long", 1),
+    ("0 -" + _LONG + "\n0 0\n", "line 1: numerator of 5000 digits is too long", 1),
+    (_LONG + "/0 0\n0 0\n", "line 1: bad rational token '" + _LONG + "/0'", 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line", FRACTION_ERRORS, ids=_short)
+def test_parse_fractional_error_table(text, message, line):
+    with pytest.warns(sf.OneSidedPreferenceWarning):
+        m = sf.parse_market(_FRACTION_MARKET_TEXT)
+    with pytest.raises(sf.ParseError) as err:
+        sf.parse_fractional(m, text)
+    assert (str(err.value), err.value.line) == (message, line)
 
 
 def test_parse_fractional_rejects_nonzero_off_acceptable():
@@ -393,3 +487,172 @@ def test_market_and_fractional_text_round_trips(data):
         [[data.draw(values) if m.acceptable(f, w) else 0 for w in m.workers]
          for f in m.firms])
     assert sf.parse_fractional(m, serialize_fractional(m, x)) == x
+
+
+# --- the parsers against their earlier forms in ``oracles`` ---------------
+
+def _outcome(parse, *args):
+    """What a caller sees of ``parse(*args)``: the value, or the ParseError's
+    text and line; and every warning, with where it points."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = parse(*args)
+        except sf.ParseError as exc:
+            value = (str(exc), exc.line)
+    return value, [(w.category, str(w.message), w.filename, w.lineno)
+                   for w in caught]
+
+
+def _market_shape(m):
+    """The fields and tables of a market in their order, as text."""
+    fields = ("firms", "workers", "quota", "firm_pref", "worker_pref") + CACHES
+    return [repr(getattr(m, name)) for name in fields]
+
+
+def _same_market_outcome(text):
+    new, new_warnings = _outcome(sf.parse_market, text)
+    old, old_warnings = _outcome(reference_parse_market, text)
+    assert new_warnings == old_warnings
+    assert {filename for _, _, filename, _ in new_warnings} <= {__file__}
+    assert isinstance(new, sf.Market) == isinstance(old, sf.Market)
+    if isinstance(new, sf.Market):
+        assert new == old
+        assert _market_shape(new) == _market_shape(old)
+        assert {name: getattr(new, name) for name in CACHES} == reference_caches(new)
+    else:
+        assert new == old
+    return new
+
+
+_GAPS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", " \u3000 "])
+
+
+@st.composite
+def _market_texts(draw):
+    """Market texts with one-sided entries, agents without a line, default
+    quotas, lines in any order, comments, blank lines, ``\\r\\n`` endings
+    and non-ASCII whitespace between ids."""
+    names = draw(st.lists(_IDS, min_size=2, max_size=9, unique=True))
+    cut = draw(st.integers(1, len(names) - 1))
+    firms, workers = names[:cut], names[cut:]
+
+    def spaced(words):
+        return "".join(draw(_GAPS) + word for word in words)
+
+    lines = ["firms:" + spaced(firms), "workers:" + spaced(workers)]
+    quotas = [f"{f}={draw(st.integers(1, 3))}" for f in firms if draw(st.booleans())]
+    if quotas:
+        lines.append("quota:" + spaced(quotas))
+    for side, own, other in (("firm", firms, workers), ("worker", workers, firms)):
+        for a in own:
+            if draw(st.integers(0, 4)):
+                lst = draw(st.permutations(other))[:draw(st.integers(0, len(other)))]
+                lines.append(f"{side} {a}:" + spaced(lst))
+    lines = draw(st.permutations(lines))
+    out = []
+    for line in lines:
+        out += [""] * draw(st.integers(0, 1))
+        out.append(line + draw(st.sampled_from(["", "  # note", "#", " \t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_market_texts())
+def test_parse_market_matches_the_reference(text):
+    """Equal markets, equal tables in equal order, and equal warnings, in
+    order and pointing at the caller."""
+    _same_market_outcome(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_market_tables_match_the_reference(data):
+    """Markets built directly keep one-sided entries in their lists; the
+    tables built from those lists are the reference's."""
+    names = data.draw(st.lists(_IDS, min_size=2, max_size=9, unique=True))
+    cut = data.draw(st.integers(1, len(names) - 1))
+    firms, workers = names[:cut], names[cut:]
+    prefs = [{a: data.draw(st.permutations(other))[:data.draw(st.integers(0, len(other)))]
+              for a in own}
+             for own, other in ((firms, workers), (workers, firms))]
+    m = sf.Market(firms, workers, dict.fromkeys(firms, 1), *prefs)
+    assert {name: getattr(m, name) for name in CACHES} == reference_caches(m)
+
+
+@pytest.mark.parametrize("text,message,line", PARSE_ERRORS, ids=_short)
+def test_parse_errors_match_the_reference(text, message, line):
+    """The reference raised ValueError, not ParseError, on integers past the
+    interpreter's limit; every other text gives it the same error."""
+    if "too long" in message:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            reference_parse_market(text)
+    else:
+        assert _same_market_outcome(text) == (message, line)
+
+
+_VALUES = st.one_of(
+    st.fractions(min_value=0, max_value=3, max_denominator=20).map(str),
+    st.sampled_from(["0", "00", "-0", "0/3", "2/4", "06/4"]))
+_FAULTS = st.sampled_from(["-1", "-2/3", "1/0", "0/0", "-1/0", "x", "1.5",
+                           "+1", "1/", "/2", "1/-2", "\u0661"])
+
+
+def _sometimes(draw, one_in: int) -> bool:
+    return draw(st.sampled_from([False] * (one_in - 1) + [True]))
+
+
+@st.composite
+def _fraction_texts(draw, market):
+    """Matrices for ``market``: values on the acceptable pairs, zeros in
+    several spellings elsewhere, and now and then a faulty token, a nonzero
+    entry off the acceptable pairs, a row too short or too long, a row
+    missing or extra, comments and blank lines."""
+    nrows = market.n_firms + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    out = []
+    for i in range(nrows):
+        f = market.firms[min(i, market.n_firms - 1)]
+        row = [draw(_VALUES) if market.acceptable(f, w)
+               else "1" if _sometimes(draw, 20) else draw(st.sampled_from(["0", "0", "-0", "0/5"]))
+               for w in market.workers]
+        if row and _sometimes(draw, 6):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_FAULTS)
+        if _sometimes(draw, 12):
+            row = row[:-1] if draw(st.booleans()) else row + ["0"]
+        out += ["", "# c"][:draw(st.integers(0, 2))]
+        out.append(draw(_GAPS).join(row) + draw(st.sampled_from(["", " # r"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + "\n"
+
+
+def _same_fraction_outcome(market, text):
+    new, new_warnings = _outcome(sf.parse_fractional, market, text)
+    old, old_warnings = _outcome(reference_parse_fractional, market, text)
+    assert new == old and new_warnings == old_warnings == []
+    if isinstance(new, sf.FractionalMatching):
+        assert (new._denom, new._nums) == (old._denom, old._nums)
+    return new
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_fractional_matches_the_reference(data):
+    """Equal matrices in the same canonical form, or the same error."""
+    text = data.draw(_market_texts())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            m = sf.parse_market(text)
+        except sf.ParseError:
+            return
+    _same_fraction_outcome(m, data.draw(_fraction_texts(m)))
+
+
+@pytest.mark.parametrize("text,message,line", FRACTION_ERRORS, ids=_short)
+def test_fraction_errors_match_the_reference(text, message, line):
+    with pytest.warns(sf.OneSidedPreferenceWarning):
+        m = sf.parse_market(_FRACTION_MARKET_TEXT)
+    if "too long" in message:
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            reference_parse_fractional(m, text)
+    else:
+        assert _same_fraction_outcome(m, text) == (message, line)
