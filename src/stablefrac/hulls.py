@@ -195,17 +195,15 @@ def gen_random_market(seed: int, nf: int, nw: int, qmax: int,
     firms = tuple(f"f{i}" for i in range(1, nf + 1))
     workers = tuple(f"w{j}" for j in range(1, nw + 1))
     quota = {f: rng.randint(1, qmax) for f in firms}
-    firm_pref = {}
-    for f in firms:
-        chosen = [w for w in workers if rng.random() < p]
+
+    def draw(others: tuple[str, ...]) -> tuple[str, ...]:
+        chosen = [a for a in others if rng.random() < p]
         rng.shuffle(chosen)
-        firm_pref[f] = tuple(chosen)
-    worker_pref = {}
-    for w in workers:
-        chosen = [f for f in firms if rng.random() < p]
-        rng.shuffle(chosen)
-        worker_pref[w] = tuple(chosen)
-    firm_pref, worker_pref = _prune_mutual(firm_pref, worker_pref, warn=False)
+        return tuple(chosen)
+
+    firm_pref, worker_pref = _prune_mutual({f: draw(workers) for f in firms},
+                                           {w: draw(firms) for w in workers},
+                                           warn=False)
     return Market(firms, workers, quota, firm_pref, worker_pref)
 
 

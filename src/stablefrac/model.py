@@ -305,12 +305,14 @@ class FractionalMatching:
     def _from_scaled(cls, denom: int,
                      rows: Iterable[Iterable[int]]) -> "FractionalMatching":
         """The matrix ``rows / denom``, for integer rows and ``denom > 0``,
-        brought to the canonical form by one division by the gcd."""
+        brought to the canonical form by dividing each nonzero numerator by
+        the gcd of ``denom`` and the nonzero numerators."""
         rows = tuple(map(tuple, rows))
-        g = gcd(denom, *chain.from_iterable(rows)) if denom > 1 else 1
+        g = gcd(denom, *filter(None, chain.from_iterable(rows))) if denom > 1 else 1
         x = object.__new__(cls)
         x._denom, x._entries, x._stable = denom // g, None, None
-        x._nums = rows if g == 1 else tuple(tuple(n // g for n in r) for r in rows)
+        x._nums = rows if g == 1 else tuple(
+            tuple([n // g if n else 0 for n in r]) if any(r) else r for r in rows)
         return x
 
     @property
@@ -551,10 +553,18 @@ def parse_market(text: str) -> Market:
 
 
 def serialize_market(market: Market) -> str:
-    """The text ``parse_market`` reads back; ValueError for an unwritable id."""
+    """The text ``parse_market`` reads back as an equal market; ValueError
+    for an unwritable id, or for a one-sided entry, which the parser would
+    drop (the firms' first, as the parser warns)."""
     for name in chain(market.firms, market.workers):
         if not _ID_RE.fullmatch(name):
             raise ValueError(f"id {name!r} is not made of [A-Za-z0-9_.+-]")
+    for side, prefs, back in (("firm", market.firm_pref, market._wrank),
+                              ("worker", market.worker_pref, market._frank)):
+        for a, lst in prefs.items():
+            for b in lst:
+                if a not in back[b]:
+                    raise ValueError(f"{side} {a} lists {b} but {b} does not list {a}")
     lines = [
         "firms: " + " ".join(market.firms),
         "workers: " + " ".join(market.workers),

@@ -293,20 +293,20 @@ def _step_length(rows: tuple[_Inequality, ...], point: _Point,
 _INTERIOR_STEPS = 4
 
 
-def _drop_each(candidates: list[_Inequality], kept: list[_Inequality],
+def _drop_each(dropping: list[_Inequality], kept: list[_Inequality],
                n: int) -> Iterator[tuple[_Inequality, Rref]]:
-    """Each candidate with the basis of all the other rows, lazily.
+    """Each row of ``dropping`` with the basis of all the other rows, lazily.
 
-    ``kept`` is eliminated once; each candidate's basis is a copy of that
-    basis plus the other candidates.  By ``Rref.copy`` it equals a fresh
-    ``Rref`` of every row but the dropped one, in any order.
+    ``kept`` is eliminated once; each dropped row's basis is a copy of that
+    basis plus the other rows of ``dropping``.  By ``Rref.copy`` it equals a
+    fresh ``Rref`` of every row but the dropped one, in any order.
     """
     shared = Rref(n)
     for row in kept:
         shared.add(row.coeffs)
-    for dropped in candidates:
+    for dropped in dropping:
         basis = shared.copy()
-        for row in candidates:
+        for row in dropping:
             if row is not dropped:
                 basis.add(row.coeffs)
         yield dropped, basis

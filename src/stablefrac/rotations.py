@@ -26,7 +26,7 @@ parent.  The chain records each rotation's trade, the rows of its firms
 before and after it, and the search replays it: a child is a copy of its
 parent's rows with the cycle firms' rows swapped for those the chain gave
 them, so the search calls no ``apply_cycle``, scans no worker for the fit
-and sorts no row.  The search tests one candidate per rotation, where
+and sorts no row.  The search tests one child per rotation, where
 the rotation is first exposed, with ``_stable_step``, which decides from
 the cycle's firms alone; ``_exposed`` reads the rotations exposed at any
 listed matching off the same bitmasks.

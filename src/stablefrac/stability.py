@@ -10,10 +10,11 @@ It searches the worker -> (firm | unmatched) maps depth first and cuts a
 subtree only when every map in it overfills a firm, holds a swap block
 between workers already placed (staff only grows down a branch, so such a
 block never goes away), or holds a vacancy block at a firm that the
-workers still to be placed cannot fill.  Every complete map gets the full
-stability check, its own leaf check rather than ``_blocks``, so that the
-oracle shares no code with what it validates.  It uses neither deferred
-acceptance nor rotations.
+workers still to be placed cannot fill.  Its cap counts the nodes the
+search visits, so it bounds the work done, not a guess at it.  Every
+complete map gets the full stability check, its own leaf check rather
+than ``_blocks``, so that the oracle shares no code with what it
+validates.  It uses neither deferred acceptance nor rotations.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from typing import Iterable
 
 from .model import CapExceededError, Market, Matching
 
+# each cap counts what was built: the oracle's search nodes, the matchings
+# the rotation search lists, the members of a connected set
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 BLOCK_VACANCY = "firm-has-vacancy"
@@ -161,8 +164,8 @@ def enumerate_stable_bruteforce(
     Searches the worker -> (acceptable firm | unmatched) maps depth first,
     placing the workers in declaration order on an explicit stack, and runs
     the full vacancy and swap check on every complete map.  Raises
-    CapExceededError when the number of candidate maps, counted before the
-    search, exceeds ``cap``.
+    CapExceededError as soon as the search has visited more than ``cap``
+    nodes (see ``_search``).
 
     A subtree is cut only when the full check would reject each of its
     leaves, so the set equals that of scanning every map:
@@ -188,21 +191,25 @@ def enumerate_stable_bruteforce(
     None of the rules uses deferred acceptance or rotations, so the oracle
     stays independent of the structure it validates.
     """
-    total = 1
-    for w in market.workers:
-        if total > cap:
-            break
-        total *= 1 + len(market.acceptable_to_worker(w))
-    if total > cap:
-        raise CapExceededError(
-            f"{total}+ candidate matchings exceed the cap of {cap}")
-    return _search(market)[0]
+    return _search(market, cap)[0]
 
 
-def _search(market: Market) -> tuple[set[Matching], int]:
+def _search(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
+            ) -> tuple[set[Matching], int]:
     """The stable set by ``enumerate_stable_bruteforce``'s pruned search,
     and the number of nodes it visited: the partial maps it extended, the
-    empty one included.  Each complete map it reaches is a leaf, not a node."""
+    empty one included.  Each complete map it reaches is a leaf, not a node.
+    Raises CapExceededError at the first node past ``cap``.
+
+    The leaf check never rejects a complete map that the cuts let through;
+    it stays as the definition the cuts are argued against.  A swap block
+    (f, w) is cut where the later of w and f's worst staff member is
+    placed.  For a vacancy block (g, u), take the first of u and the
+    workers after u that list g and that g lists at which g stays short
+    unless that worker joins it.  At u, this caps u's choice at g.  At a
+    later worker, u forces it, and every such worker after it, to join g,
+    which fills g.  If there is no such worker, g is full at the leaf.
+    """
     quota = market.quota
     frank = market._frank
     wrank = market._wrank
@@ -284,6 +291,8 @@ def _search(market: Market) -> tuple[set[Matching], int]:
                 stable.add(Matching.build(market, staff))
         else:
             nodes += 1
+            if nodes > cap:
+                raise CapExceededError(f"{nodes}+ search nodes exceed the cap of {cap}")
             pending.append(iter(allowed(len(placed))))
         while pending:
             if len(placed) == len(pending):

@@ -9,7 +9,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
@@ -203,6 +203,16 @@ def reference_linear_combination(terms):
     return FractionalMatching.from_rows(grid)
 
 
+def reference_from_scaled(denom, rows):
+    """``(denominator, numerator rows)`` of ``rows / denom`` as
+    ``FractionalMatching._from_scaled`` once brought it to the canonical
+    form: the gcd over every cell, zeros included, and, when it is above 1,
+    a division of every cell."""
+    rows = tuple(map(tuple, rows))
+    g = gcd(denom, *itertools.chain.from_iterable(rows)) if denom > 1 else 1
+    return denom // g, rows if g == 1 else tuple(tuple(n // g for n in r) for r in rows)
+
+
 def reference_reconstruct(market, decomposition):
     grid = [[Fraction(0)] * market.n_workers for _ in market.firms]
     for mu, a in decomposition.terms:
@@ -240,8 +250,9 @@ def random_markets(nf, nw, qmax):
 
 # --- rotation-rich random markets --------------------------------------------
 
+# complete 12x12 markets: 13^12 maps, which the pruned search covers in 28-30
+# thousand nodes, well inside the default cap
 RICH_SIZE = 12
-RICH_CAP = 10 ** 14   # the default cap refuses 13^12 candidate maps
 
 
 def compare_rich(seed: int) -> tuple[int, int, bool]:
@@ -273,6 +284,26 @@ def cyclic_blocks(sizes: list[int]) -> Market:
         firms += fs
         workers += ws
     return Market(firms, workers, {f: 1 for f in firms}, fpref, wpref)
+
+
+def cloned_blocks(sizes: list[int], q: int) -> Market:
+    """``cyclic_blocks(sizes)`` with each worker cloned ``q`` times and every
+    firm of quota ``q``.
+
+    A firm lists the q clones of each worker group next to each other, in
+    clone order, and each clone keeps its group's list.  A block of size m
+    chains (m - 1) * q rotations, each moving one clone at a firm that keeps
+    its other q - 1 staff, so the market has prod((m - 1) * q + 1) stable
+    matchings, and the firm-optimal matching exposes one rotation per
+    block.
+    """
+    base = cyclic_blocks(sizes)
+    clones = {w: tuple(f"{w}.{c}" for c in range(q)) for w in base.workers}
+    return Market(base.firms, [c for w in base.workers for c in clones[w]],
+                  dict.fromkeys(base.firms, q),
+                  {f: [c for w in base.firm_pref[f] for c in clones[w]]
+                   for f in base.firms},
+                  {c: base.worker_pref[w] for w in base.workers for c in clones[w]})
 
 
 # --- balanced many-to-one markets -------------------------------------------

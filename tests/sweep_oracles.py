@@ -18,8 +18,8 @@ and once with the ``Fraction`` references, from the same seed, and compares
 the start, endpoint, trace and next rng draw.  Then, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
 ``enumerate_stable_via_rotations`` with the pruned search alone
-(``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search runs
-without the cap, which refuses their 13^12 candidate maps).  Then, on
+(``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search visits
+28-30 thousand nodes of their 13^12 maps).  Then, on
 balanced many-to-one markets (``oracles.balanced_market``: every firm of
 quota q, q times as many workers, complete lists; seeds 0 to
 min(N, 100) - 1), it checks at every
@@ -33,7 +33,12 @@ the pruned search's vacancy cut fires, it compares the pruned search with
 the exhaustive scan and the rotation search: sparse lists (density 0.3 to
 0.5, quotas up to 3) and more firms than workers (6x4 and 5x3), seeds 0 to
 N - 1 per size (``VACANCY_SIZES``), and ``oracles.cyclic_blocks`` with
-blocks [2]*4, [3, 3] and [2, 3].
+blocks [2]*4, [3, 3] and [2, 3].  Last, on many-to-one markets rich in
+rotations (``oracles.cloned_blocks``, ``CLONED_BLOCKS``), it compares the
+pruned search with the rotation search, the exhaustive scan too where it
+is small enough, and checks the chain, the predecessors and the listing
+as on the first three families, and the exposures as on the balanced
+markets.
 
 On every instance of the first three families, and on complete 20x20
 one-to-one markets (seeds 0 to min(N, 100) - 1), it also compares the
@@ -69,8 +74,9 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (RICH_SIZE, balanced_market, chain_agrees, compare_rich,
-                     cyclic_blocks, dominates, lattice_exposures_agree,
+from oracles import (RICH_SIZE, balanced_market, chain_agrees, cloned_blocks,
+                     compare_rich, cyclic_blocks, dominates,
+                     lattice_exposures_agree,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
@@ -96,6 +102,10 @@ BALANCED_SEEDS = 100
 VACANCY_SIZES = [(4, 6, 3, 0.3), (5, 7, 3, 0.4), (4, 6, 3, 0.5),
                  (6, 4, 1, 0.7), (6, 4, 2, 1.0), (5, 3, 1, 1.0), (5, 3, 2, 1.0)]
 VACANCY_BLOCKS = [[2] * 4, [3, 3], [2, 3]]
+# (block sizes, clones per worker, compared with the exhaustive scan)
+CLONED_BLOCKS = [([2], 2, True), ([3], 2, True), ([2], 3, True),
+                 ([2, 2], 2, True), ([2] * 4, 2, False), ([2] * 3, 3, False),
+                 ([3, 3], 3, False), ([2] * 6, 2, False)]
 
 
 def main(argv=None) -> int:
@@ -227,6 +237,21 @@ def main(argv=None) -> int:
     print(f"vacancy-rich family: {len(vacancy_markets)} markets, "
           f"{vacancy_listed} stable matchings, {vacancy_nodes} oracle nodes",
           flush=True)
+    cloned_listed = cloned_nodes = 0
+    for sizes, q, scanned in CLONED_BLOCKS:
+        m = cloned_blocks(sizes, q)
+        where = (len(m.firms), len(m.workers), q, sizes, 1.0)
+        stable, nodes = _search(m)
+        cloned_listed += len(stable)
+        cloned_nodes += nodes
+        if sf.enumerate_stable_via_rotations(m) != stable or \
+                scanned and reference_enumerate_stable(m) != stable:
+            disagreements.append(("cloned blocks", *where))
+        compare_chain(m, "cloned chain", *where)
+        if lattice_exposures_agree(m) != (len(stable), True):
+            disagreements.append(("cloned exposures", *where))
+    print(f"cloned blocks: {len(CLONED_BLOCKS)} markets, {cloned_listed} "
+          f"stable matchings, {cloned_nodes} oracle nodes", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")

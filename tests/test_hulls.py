@@ -7,7 +7,8 @@ from math import prod
 import pytest
 
 import stablefrac as sf
-from oracles import balanced_market, dominates, in_any_hull
+from oracles import balanced_market, cloned_blocks, dominates, in_any_hull
+from stablefrac.cli import main
 from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
 from stablefrac.rotations import _exposed, _lattice
@@ -106,16 +107,33 @@ def test_certify_integral_point(market, mu_w, x_worker):
     assert cert.terms == ((frozenset(), Fraction(1)),)
 
 
-def test_certificates_reconstruct_everywhere(fleet, fleet_stable):
-    for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
+def test_certificates_reconstruct_everywhere(fleet, fleet_stable, block_market,
+                                            cyclic_blocks):
+    """Every certificate rebuilds its point, and its terms form a strict
+    chain, the paper's second result: each term's rotation subset strictly
+    contains the previous one's, and each term is weakly worse than the
+    previous one for every firm and strictly worse for some firm."""
+    extra = [block_market, cyclic_blocks([2, 2, 3]), cyclic_blocks([2] * 6),
+             cloned_blocks([2] * 4, 2), cloned_blocks([3, 3], 3)]
+    stables = fleet_stable + [sorted(sf.enumerate_stable_bruteforce(m),
+                                     key=lambda mu: mu.assignment) for m in extra]
+    lengths = Counter()
+    for idx, (m, stable) in enumerate(zip(fleet + extra, stables)):
         for mu in stable:
             for x in sf.sample_hull(m, mu, seed=900 + idx, count=4):
                 cert = sf.certify_strongly_stable(m, x)
                 assert isinstance(cert, sf.HullCertificate)
                 assert cert.reconstruct(m) == x
                 # base weakly firm-dominates every certified term
-                for nu in _term_matchings(m, cert):
+                terms = _term_matchings(m, cert)
+                for nu in terms:
                     assert dominates(m, cert.base, nu)
+                subsets = [ids for ids, _ in cert.terms]
+                assert all(a < b for a, b in zip(subsets, subsets[1:]))
+                assert all(dominates(m, a, b, strict=True)
+                           for a, b in zip(terms, terms[1:]))
+                lengths[len(terms)] += 1
+    assert sum(lengths.values()) == 1168 and max(lengths) == 7
 
 
 def test_sample_hull_is_the_segment(market, mu_f, x_firm, x_worker):
@@ -289,6 +307,80 @@ def test_verify_rotation_rich_blocks(cyclic_blocks, sizes, counts):
             outcome.negative_points) == counts
 
 
+@pytest.mark.parametrize("sizes,q,stable", [
+    ([2] * 8, 1, 256),
+    ([3, 3, 3, 4], 1, 108),
+    ([2] * 4, 2, 81),
+    ([2] * 3, 3, 64),
+    ([3, 3], 3, 49),
+    ([2] * 6, 2, 729),
+], ids=["2x8", "3-3-3-4", "2x4-q2", "2x3-q3", "3-3-q3", "2x6-q2"])
+def test_verify_markets_of_many_maps(cyclic_blocks, sizes, q, stable):
+    """4.3e7 to 2.8e11 worker -> firm maps, which the oracle's pruned search
+    covers in 600 to 5 460 nodes: ``verify`` runs at the default cap, on
+    one-to-one cyclic blocks and their many-to-one clones."""
+    m = cyclic_blocks(sizes) if q == 1 else cloned_blocks(sizes, q)
+    outcome = sf.verify_characterization(m, 0, 50)
+    assert outcome.ok
+    assert outcome.stable_count == stable
+
+
+def test_certify_four_many_to_one_rotations():
+    """inc(mu) + sum(lambda_i * delta_i), lambda = 1/5, 2/5, 3/5, 4/5, over
+    the four rotations exposed at the firm-optimal matching of
+    ``cloned_blocks([2] * 4, 2)``, certifies with five nested terms of
+    weight 1/5: the base, then the rotations of the largest lambda first."""
+    m = cloned_blocks([2] * 4, 2)
+    mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    rotations = sf.find_cycles(sf.reduce_profile(m, mu))
+    lam = [Fraction(i, 5) for i in range(1, 5)]
+    # delta_i = inc(mu with rotation i) - inc(mu)
+    x = sf.FractionalMatching.linear_combination(
+        [(sf.incidence_vector(m, mu), 1 - sum(lam))]
+        + [(sf.incidence_vector(m, sf.apply_cycle(m, mu, rot)), a)
+           for rot, a in zip(rotations, lam)])
+    cert = sf.certify_strongly_stable(m, x)
+    assert isinstance(cert, sf.HullCertificate)
+    assert (cert.base, cert.rotations) == (mu, rotations)
+    assert cert.terms == tuple((frozenset(range(k, 4)), Fraction(1, 5))
+                               for k in range(4, -1, -1))
+    assert cert.reconstruct(m) == x
+
+
+@pytest.mark.parametrize("fault,kinds", [
+    ("lattice", {"brute force and the rotation lattice disagree",
+                 "passing point's top matching is not a listed stable matching"}),
+    ("almost-integral", {"passing point not almost integral"}),
+    ("certify", {"hull point fails the condition at (f2,w3)",
+                 "failing point lies in a connected-set hull"}),
+    ("vertex", {"endpoint is not a vertex (rank 0)"}),
+    ("integral", {"integral vertex is not a stable matching"}),
+    ("fractional", {"non-integral vertex passes the condition"}),
+])
+def test_verify_reports_each_counterexample(market, x_vertex, monkeypatch,
+                                            fault, kinds):
+    """Each check of ``verify`` reports its counterexample when what it
+    checks is made to fail.  At seed 0 with 100 samples the example market
+    gets four walks; the third ends on a fractional vertex, the others on
+    stable matchings."""
+    chain, listed, pred = _lattice(market)
+    top = sf.deferred_acceptance(market, sf.Side.FIRMS)
+    refusal = sf.certify_strongly_stable(market, x_vertex)
+    name, fake = {
+        "lattice": ("_lattice", lambda m: (
+            chain, {mu: a for mu, a in listed.items() if mu != top}, pred)),
+        "almost-integral": ("check_almost_integral", lambda m, x: False),
+        "certify": ("certify_strongly_stable",
+                    lambda m, x, rotations_of=None: refusal),
+        "vertex": ("is_extreme_point", lambda m, x: (False, 0)),
+        "integral": ("matching_from_matrix", lambda m, x: sf.Matching.build(m, {})),
+        "fractional": ("_first_failure", lambda m, x: None),
+    }[fault]
+    monkeypatch.setattr(sf.hulls, name, fake)
+    outcome = sf.verify_characterization(market, seed=0, samples=100)
+    assert {c.split(": ", 1)[1] for c in outcome.counterexamples} == kinds
+
+
 def test_verify_unique_stable_market():
     m = sf.parse_market("""
 firms: f1
@@ -314,15 +406,27 @@ worker w1:
     assert outcome.ok
 
 
-def test_verify_propagates_cap():
+def test_verify_propagates_cap(monkeypatch, tmp_path, capsys):
+    """One node past the oracle's default cap, ``verify`` raises
+    CapExceededError and the CLI exits 2; at the cap it runs.  The market's
+    search visits 247 nodes, so the default cap is lowered to 246."""
     text = ("firms: f1 f2\nworkers: " + " ".join(f"w{j}" for j in range(1, 31))
             + "\nquota: f1=2 f2=2\n"
             + "".join(f"firm f{i}: " + " ".join(f"w{j}" for j in range(1, 31))
                       + "\n" for i in (1, 2))
             + "".join(f"worker w{j}: f1 f2\n" for j in range(1, 31)))
     m = sf.parse_market(text)
-    with pytest.raises(sf.CapExceededError):
+    path = tmp_path / "thirty.market"
+    path.write_text(text)
+    monkeypatch.setattr(sf.enumerate_stable_bruteforce, "__defaults__", (246,))
+    with pytest.raises(sf.CapExceededError,
+                       match=r"^247\+ search nodes exceed the cap of 246$"):
         sf.verify_characterization(m, seed=1, samples=10)
+    assert main(["verify", str(path), "--samples", "10"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 247+ search nodes exceed the cap of 246\n"
+    monkeypatch.setattr(sf.enumerate_stable_bruteforce, "__defaults__", (247,))
+    assert sf.verify_characterization(m, seed=1, samples=10).ok
 
 
 def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market):

@@ -20,12 +20,14 @@ import stablefrac as sf
 from oracles import (
     firm_weak_prefix,
     reference_check_almost_integral,
+    reference_from_scaled,
     reference_linear_combination,
     reference_reconstruct,
     serialize_fractional,
     worker_weak_prefix,
 )
 from stablefrac.hulls import _random_mix
+from stablefrac.model import _from_cells
 from stablefrac.polytope import interior_walk
 from stablefrac.strong_stability import _first_failure
 
@@ -276,6 +278,32 @@ def test_almost_integral_property_on_raw_matrices(market, rows):
     x = sf.FractionalMatching.from_rows(rows)
     assert sf.check_almost_integral(market, x) == \
         reference_check_almost_integral(market, x)
+
+
+def test_from_scaled_matches_the_gcd_over_every_cell(market, fleet, fleet_stable,
+                                                     monkeypatch):
+    """``_from_scaled`` reduces by the gcd of the nonzero numerators and
+    divides no zero cell; its form equals that of the gcd over every cell
+    on each call the fleet's hull samples make, and on an all-zero grid."""
+    real = sf.FractionalMatching._from_scaled.__func__
+    calls = []
+
+    def recorded(cls, denom, rows):
+        rows = [list(row) for row in rows]
+        x = real(cls, denom, rows)
+        calls.append((denom, rows, x))
+        return x
+
+    monkeypatch.setattr(sf.FractionalMatching, "_from_scaled", classmethod(recorded))
+    for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
+        for mu in stable:
+            sf.sample_hull(m, mu, seed=idx, count=2)
+    _from_cells(market, 28, [])
+    for denom, rows, x in calls:
+        assert (x._denom, x._nums) == reference_from_scaled(denom, rows)
+    assert calls[-1][2]._nums == ((0,) * 4,) * 2 and calls[-1][2]._denom == 1
+    reduced = sum(x._denom < denom for denom, _, x in calls)
+    assert len(calls) > 100 and reduced > 50
 
 
 def test_canonical_form_from_every_source(fleet, fleet_stable):

@@ -223,6 +223,27 @@ def test_serialize_market_refuses_unreadable_ids(firms, workers, bad):
     assert str(err.value) == f"id {bad!r} is not made of [A-Za-z0-9_.+-]"
 
 
+@pytest.mark.parametrize("worker_w2,message", [
+    (("f2",), "firm f1 lists w2 but w2 does not list f1"),
+    (("f1", "f2"), "worker w1 lists f2 but f2 does not list w1"),
+])
+def test_serialize_market_refuses_one_sided_entries(worker_w2, message):
+    """A market built directly may keep one-sided entries, which the parser
+    would drop with a warning, reading back a different market; the first
+    one, firms before workers, is named rather than written."""
+    m = sf.Market(("f1", "f2"), ("w1", "w2"), {"f1": 1, "f2": 1},
+                  {"f1": ("w1", "w2"), "f2": ("w2",)},
+                  {"w1": ("f1", "f2"), "w2": worker_w2})
+    with pytest.raises(ValueError) as err:
+        sf.serialize_market(m)
+    assert str(err.value) == message
+
+
+def test_empty_linear_combination_is_refused():
+    with pytest.raises(ValueError, match="^empty combination$"):
+        sf.FractionalMatching.linear_combination([])
+
+
 def test_incidence_vectors_match_known_matrices(market, mu_f, mu_w):
     assert sf.incidence_vector(market, mu_f).entries == (
         (1, 1, 0, 0), (0, 0, 1, 1))

@@ -40,6 +40,13 @@ def test_quota_violation_reported(market):
     assert lhs == Fraction(5, 2) and rhs == 2
 
 
+def test_evaluation_refuses_a_matrix_of_other_dimensions(market):
+    for rows in ([[0] * 4], [[0] * 3, [0] * 3], [[0] * 4, [0] * 5]):
+        with pytest.raises(ValueError,
+                           match="^matrix dimensions do not match the market$"):
+            sf.check_stable_feasibility(market, sf.FractionalMatching.from_rows(rows))
+
+
 def test_unit_violation_reported(market):
     x = sf.parse_fractional(market, "1 0 0 0\n1/2 0 0 0\n")
     report = sf.check_feasibility(market, x)
@@ -367,6 +374,9 @@ def test_rref_matches_dense_elimination(rows):
         assert all(type(a) is int for a in row.values())
         assert row[p] > 0 and gcd(*row.values()) == 1
         assert {c: Fraction(a, row[p]) for c, a in row.items()} == reference.rows[p]
+    for col in basis.pivot_columns():
+        with pytest.raises(ValueError, match="^free_col is a pivot column$"):
+            basis.null_vector(col)
     for col in set(range(NCOLS)) - basis.pivot_columns():
         null = basis.null_vector(col)
         assert all(sum(a * b for a, b in zip(r, null)) == 0 for r in dense)

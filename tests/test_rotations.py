@@ -6,12 +6,16 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, RICH_CAP, balanced_market, chain_agrees,
-                     compare_rich, dominates, lattice_exposures_agree,
+from oracles import (RANDOM_SIZES, balanced_market, chain_agrees,
+                     cloned_blocks, compare_rich, dominates,
+                     lattice_exposures_agree,
                      random_markets, reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
                      reference_reduced_lists, reference_search,
                      rotations_at_a_firm_are_ordered)
+
+from stablefrac.rotations import _lattice
+from stablefrac.stability import _search
 
 DATA = Path(__file__).parent / "data"
 
@@ -166,6 +170,36 @@ def test_connected_set_of_six_rotations(cyclic_blocks, monkeypatch):
     with pytest.raises(AssertionError, match="overlapping rotations"):
         sf.connected_set(m, mu, (sigma, sigma))
     assert applied == []
+
+
+def test_connected_set_of_four_many_to_one_rotations():
+    """At the firm-optimal matching of ``cloned_blocks([2] * 4, 2)`` four
+    rotations are exposed, one per block; each moves one clone at a firm
+    that keeps its other staff member, and they span 16 matchings."""
+    m = cloned_blocks([2] * 4, 2)
+    mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
+    rotations = sf.find_cycles(sf.reduce_profile(m, mu))
+    assert len(rotations) == 4
+    for rot in rotations:
+        nu = sf.apply_cycle(m, mu, rot)
+        for d, f in enumerate(rot.firms):
+            kept = set(mu.matched(f)) & set(nu.matched(f))
+            assert len(kept) == 1 and len(nu.matched(f)) == 2
+            assert set(nu.matched(f)) - kept == {rot.workers[d]}
+    by_subset = {sf.apply_cycle_set(m, mu, subset)
+                 for size in range(5) for subset in combinations(rotations, size)}
+    assert len(by_subset) == 16
+    assert sf.connected_set(m, mu, rotations) == by_subset
+
+
+@pytest.mark.parametrize("firms,workers,message", [
+    (("f1",), ("w1",), "at least two firms"),
+    (("f1", "f1"), ("w1", "w2"), "must be distinct"),
+    (("f1", "f2"), ("w1",), "must align with firms"),
+])
+def test_rotation_rejects_malformed_cycles(firms, workers, message):
+    with pytest.raises(ValueError, match=message):
+        sf.Rotation(firms, workers)
 
 
 def test_rotation_enumeration_on_example(market, mu_f, mu_w):
@@ -410,9 +444,9 @@ def test_rotation_enumeration_on_random_markets(nf, nw, qmax):
 
 @pytest.mark.parametrize("seed,size", [(0, 4), (1, 4), (2, 5)])
 def test_rotation_rich_markets_match_the_oracle(seed, size):
-    """Complete 12x12 one-to-one markets, beyond the pruned search's default
-    cap, list the same stable set by rotations (``sweep_oracles.py`` runs
-    100 seeds)."""
+    """Complete 12x12 one-to-one markets, 13^12 maps that the pruned
+    search covers in 28-30 thousand nodes, list the same stable set by
+    rotations (``sweep_oracles.py`` runs 100 seeds)."""
     count, _, same = compare_rich(seed)
     assert (count, same) == (size, True)
 
@@ -503,18 +537,37 @@ def test_a_worker_placed_from_the_start_owes_no_rotation():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_balanced_many_to_one_markets_match_the_oracle(seed):
-    """Balanced 6x12 markets of quota 2, whose 7^12 candidate maps the
-    default cap refuses: the rotation search lists the pruned search's set,
-    and its masks agree with reductions at every stable matching."""
+    """Balanced 6x12 markets of quota 2, 7^12 maps that the pruned search
+    covers in 4-5 thousand nodes: the rotation search lists the pruned
+    search's set, and its masks agree with reductions at every stable
+    matching."""
     m = balanced_market(seed, 6, 2)
-    stable = sf.enumerate_stable_bruteforce(m, cap=RICH_CAP)
+    stable = sf.enumerate_stable_bruteforce(m)
     assert sf.enumerate_stable_via_rotations(m) == stable
     assert lattice_exposures_agree(m) == (len(stable), True)
 
 
+@pytest.mark.parametrize("sizes,q,counts", [
+    ([2] * 4, 2, (81, 8, 600)),
+    ([2] * 3, 3, (64, 9, 756)),
+    ([3, 3], 3, (49, 12, 2200)),
+    ([2] * 6, 2, (729, 12, 5460)),
+], ids=["2x4-q2", "2x3-q3", "3-3-q3", "2x6-q2"])
+def test_cloned_blocks_match_the_oracle(sizes, q, counts):
+    """Many-to-one markets rich in rotations, 4.3e7 to 2.8e11 maps each:
+    the rotation search lists the pruned search's set.  Pinned: the stable
+    matchings, the rotations and the nodes the pruned search visits."""
+    m = cloned_blocks(sizes, q)
+    stable, nodes = _search(m)
+    chain, listed, _ = _lattice(m)
+    assert listed.keys() == stable
+    assert (len(stable), len(chain), nodes) == counts
+
+
 def test_balanced_many_to_one_exposures_beyond_the_oracle():
-    """At 8x16 the 9^16 candidate maps exceed even the lifted cap, so only
-    the masks are checked against reductions."""
+    """At 8x16 only the masks are checked against reductions; the sweep
+    compares the listing with the pruned search, about 60 thousand nodes a
+    market."""
     counts = []
     for seed in range(10):
         count, same = lattice_exposures_agree(balanced_market(seed, 8, 2))
@@ -759,6 +812,10 @@ def test_apply_cycle_mismatch_branches(market, mu_f):
     empty = sf.Matching.build(market, {})
     with pytest.raises(sf.CycleMismatchError, match="is not employed by"):
         sf.apply_cycle(market, empty, sigma)
+    # a row already over its quota, in a matching built without the check
+    crowded = sf.Matching((("f1", ("w1", "w2", "w3")), ("f2", ("w4",))))
+    with pytest.raises(ValueError, match="^firm f1 exceeds its quota$"):
+        sf.apply_cycle(market, crowded, sigma)
 
 
 def test_apply_cycle_rows_match_a_full_rebuild(fleet, fleet_stable):

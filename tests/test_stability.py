@@ -128,7 +128,9 @@ worker w3: f1 f2 f3
     assert len(stable) >= 2
 
 
-def test_bruteforce_cap(market):
+def test_bruteforce_cap(market, tmp_path, capsys):
+    """The cap counts the nodes the pruned search visits: one node past it
+    raises CapExceededError, and ``stable-all --method brute`` exits 2."""
     firms = "firms: f1 f2\n"
     workers = "workers: " + " ".join(f"w{j}" for j in range(1, 31)) + "\n"
     quota = "quota: f1=2 f2=2\n"
@@ -136,19 +138,28 @@ def test_bruteforce_cap(market):
         f"firm f{i}: " + " ".join(f"w{j}" for j in range(1, 31)) + "\n"
         for i in (1, 2))
     wl = "".join(f"worker w{j}: f1 f2\n" for j in range(1, 31))
-    m = sf.parse_market(firms + workers + quota + fl + wl)
-    with pytest.raises(sf.CapExceededError):
-        sf.enumerate_stable_bruteforce(m)
-    # the cap is configurable: the example market has 3^4 = 81 candidate maps
-    with pytest.raises(sf.CapExceededError):
-        sf.enumerate_stable_bruteforce(market, cap=80)
-    assert len(sf.enumerate_stable_bruteforce(market, cap=81)) == 2
-    # a market without workers has one candidate map, the empty one
-    m = sf.parse_market("firms: f1\nworkers:\n")
-    assert len(sf.enumerate_stable_bruteforce(m, cap=1)) == 1
+    text = firms + workers + quota + fl + wl
+    m = sf.parse_market(text)
+    # 3^30 maps, yet the search visits 247 nodes
+    assert _search(m)[1] == 247
     with pytest.raises(sf.CapExceededError,
-                       match=r"^1\+ candidate matchings exceed the cap of 0$"):
-        sf.enumerate_stable_bruteforce(m, cap=0)
+                       match=r"^247\+ search nodes exceed the cap of 246$"):
+        sf.enumerate_stable_bruteforce(m, cap=246)
+    assert len(sf.enumerate_stable_bruteforce(m, cap=247)) == 1
+    path = tmp_path / "thirty.market"
+    path.write_text(text)
+    argv = ["stable-all", str(path), "--method", "brute", "--cap"]
+    assert main(argv + ["246"]) == 2
+    assert capsys.readouterr().err == \
+        "error: 247+ search nodes exceed the cap of 246\n"
+    assert main(argv + ["247"]) == 0
+    # the cap is configurable: the example market takes 13 nodes
+    with pytest.raises(sf.CapExceededError):
+        sf.enumerate_stable_bruteforce(market, cap=12)
+    assert len(sf.enumerate_stable_bruteforce(market, cap=13)) == 2
+    # a market without workers visits no node: the empty map is a leaf
+    m = sf.parse_market("firms: f1\nworkers:\n")
+    assert len(sf.enumerate_stable_bruteforce(m, cap=0)) == 1
 
 
 def test_bruteforce_matches_reference_on_structured_markets(
@@ -162,6 +173,14 @@ def test_bruteforce_matches_reference_on_structured_markets(
         assert stable == reference_enumerate_stable(m)
         sizes.append(len(stable))
     assert sizes[len(fleet):] == [24, 4, 12]
+
+
+def test_individual_rationality_needs_the_quota(market):
+    """A matching built without ``Matching.build``'s checks may overfill a
+    firm; it is not individually rational, and so not stable."""
+    crowded = sf.Matching((("f1", ("w1", "w2", "w3")), ("f2", ("w4",))))
+    assert not sf.is_individually_rational(market, crowded)
+    assert not sf.is_stable(market, crowded)
 
 
 def test_bruteforce_search_node_counts(block_market, cyclic_blocks):
