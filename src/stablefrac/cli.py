@@ -365,6 +365,8 @@ def _cmd_rotations(args, inputs, diagnostics) -> _Outcome:
 
 
 def _cmd_stable_all(args, inputs, diagnostics) -> _Outcome:
+    if args.cap < 0:
+        raise _CliError(f"--cap must be at least 0, not {args.cap}")
     market = _load(args.market, parse_market, "market", inputs, diagnostics)
     enumerate_stable = (enumerate_stable_bruteforce if args.method == "brute"
                         else enumerate_stable_via_rotations)

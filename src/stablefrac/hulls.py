@@ -34,7 +34,7 @@ from .model import (
     NotStableError,
     NotStronglyStableError,
     Rational,
-    _from_cells,
+    _mix,
     matching_from_matrix,
     _prune_mutual,
 )
@@ -261,8 +261,7 @@ def _random_mix(market: Market, matchings: list[Matching],
     raw = [rng.randint(0, 8) for _ in matchings]
     if not any(raw):
         raw[0] = 1
-    return _from_cells(market, sum(raw), ((f, w, r) for mu, r in zip(matchings, raw)
-                                          for f, ws in mu.assignment for w in ws))
+    return _mix(market, sum(raw), zip(matchings, raw))
 
 
 def verify_characterization(market: Market, seed: int,

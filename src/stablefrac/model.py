@@ -103,7 +103,10 @@ class Market:
     The constructor checks every field, each list as it ranks it, the firms'
     first; lists of undeclared agents are dropped, one-sided entries kept.
     Instances are immutable after construction and safe to share across
-    threads.  All operations in this library are pure functions.
+    threads.  All operations in this library are pure functions.  The
+    polytope layer keeps two derived tables on a market, each built on first
+    use: its index of the acceptable pairs for prefix sums, and the sparse
+    rows of its stable-feasibility system.
     """
 
     firms: tuple[str, ...]
@@ -365,13 +368,36 @@ class FractionalMatching:
         return FractionalMatching._from_scaled(denom, grid)
 
 
+def _from_flat(market: Market, denom: int, flat: list[int]) -> FractionalMatching:
+    """The matrix over ``denom`` whose numerators are ``flat`` in row-major
+    order: flat cell c is row c // n_workers, column c % n_workers."""
+    nw = market.n_workers
+    rows = zip(*[iter(flat)] * nw) if nw else [()] * market.n_firms
+    return FractionalMatching._from_scaled(denom, rows)
+
+
 def _from_cells(market: Market, denom: int,
-                cells: Iterable[tuple[str, str, int]]) -> FractionalMatching:
-    """The matrix over ``denom`` whose (f, w) numerator sums n over cells (f, w, n)."""
-    grid = [[0] * market.n_workers for _ in market.firms]
-    for f, w, n in cells:
-        grid[market.firm_index(f)][market.worker_index(w)] += n
-    return FractionalMatching._from_scaled(denom, grid)
+                cells: Iterable[tuple[int, int]]) -> FractionalMatching:
+    """The matrix over ``denom`` whose numerator at each flat cell c sums n
+    over cells (c, n)."""
+    flat = [0] * (market.n_firms * market.n_workers)
+    for c, n in cells:
+        flat[c] += n
+    return _from_flat(market, denom, flat)
+
+
+def _mix(market: Market, denom: int,
+         terms: Iterable[tuple[Matching, int]]) -> FractionalMatching:
+    """The matrix over ``denom`` whose numerators sum n times mu's incidence
+    over terms (mu, n)."""
+    nw, findex, windex = market.n_workers, market._findex, market._windex
+    flat = [0] * (market.n_firms * nw)
+    for mu, n in terms:
+        for f, ws in mu.assignment:
+            row = findex[f] * nw
+            for w in ws:
+                flat[row + windex[w]] += n
+    return _from_flat(market, denom, flat)
 
 
 @dataclass(frozen=True)
@@ -392,14 +418,13 @@ class Decomposition:
 
     def reconstruct(self, market: Market) -> FractionalMatching:
         denom = lcm(*(a.denominator for _, a in self.terms))
-        return _from_cells(market, denom, (
-            (f, w, a.numerator * (denom // a.denominator))
-            for mu, a in self.terms for f, ws in mu.assignment for w in ws))
+        return _mix(market, denom, (
+            (mu, a.numerator * (denom // a.denominator)) for mu, a in self.terms))
 
 
 def incidence_vector(market: Market, mu: Matching) -> FractionalMatching:
     """The 0/1 matrix with a unit entry exactly where a worker is employed."""
-    return _from_cells(market, 1, ((f, w, 1) for f, ws in mu.assignment for w in ws))
+    return _mix(market, 1, [(mu, 1)])
 
 
 def matching_from_matrix(market: Market, x: FractionalMatching) -> Matching:
@@ -585,7 +610,7 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
     Quota and stability constraints are checked separately.  A row's tokens
     other than ``0`` are read left to right; its first fault is reported.
     """
-    cells: list[tuple[str, str, int, int]] = []   # nonzero (f, w, num, denom)
+    cells: list[tuple[int, int, int]] = []    # nonzero (flat cell, num, denom)
     nrows = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -598,7 +623,7 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
         if len(tokens) != market.n_workers:
             raise ParseError(
                 f"expected {market.n_workers} entries, found {len(tokens)}", lineno)
-        f = market.firms[nrows]
+        f, row = market.firms[nrows], nrows * len(tokens)     # row's first flat cell
         nrows += 1
         unread = len(tokens) - tokens.count("0")     # counted in C
         for j, token in enumerate(tokens):
@@ -619,12 +644,11 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
                 raise ParseError(
                     f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
             if n:
-                cells.append((f, w, n, int(den or 1)))
+                cells.append((row + j, n, int(den or 1)))
     if nrows != market.n_firms:
         raise ParseError(
             f"expected {market.n_firms} rows, found {nrows}")
     # tokens need not be reduced, so their denominators' LCM need not be
     # least; ``_from_scaled`` divides it down
     denom = lcm(*{d for *_, d in cells})
-    return _from_cells(market, denom,
-                       ((f, w, n * (denom // d)) for f, w, n, d in cells))
+    return _from_cells(market, denom, ((c, n * (denom // d)) for c, n, d in cells))

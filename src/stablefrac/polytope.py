@@ -12,12 +12,20 @@ numerators N over its least common denominator D: every row is compared in
 ``int``, and the pass keeps each pair's weak prefix sums at D for the strong
 stability condition and its sweep.  The point keeps that report for its
 market, so every layer takes ``(market, x)`` and evaluates a point once;
-``check_feasibility`` is that report without its noblock rows.  Every
-constraint row is one sparse map from acceptable-pair position to its
-nonzero integer coefficient, shared by the vertex test and the two walks.
-The walks start from N and D, take integer null-space directions from
-``linalg.Rref`` and compare step lengths by cross-multiplication, so a step
-builds one ``Fraction``: its length.
+``check_feasibility`` is that report without its noblock rows.
+
+Each market keeps one index of its acceptable pairs, built on first use:
+every pair's cell and quota, and the pair positions along each agent's list.
+From it one prefix-sum pass over any pair vector v gives a . v for every row
+of the stable-feasibility system in O(pairs): the lists' totals are the
+quota and unit rows, and each pair's weak prefix sums on both sides give its
+noblock row.  The evaluation, the tight and ratio tests of the two walks,
+and the strong stability condition and sweep all read that pass.  A sparse
+constraint row, a map from acceptable-pair position to its nonzero integer
+coefficient, is needed only for a row that enters a basis: the vertex
+test's rank and the walks' ``linalg.Rref``.  The walks start from N and D,
+take integer null-space directions from ``Rref`` and compare step lengths by
+cross-multiplication, so a step builds one ``Fraction``: its length.
 """
 
 from __future__ import annotations
@@ -25,14 +33,115 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import Rref, rank
 from .model import (
     FractionalMatching, InfeasibleError, Market, Rational, _from_cells)
 
 ConstraintId = tuple[str, ...]
+
+
+class _Lists:
+    """One side's preference lists over the acceptable pairs, laid end to end.
+
+    ``order`` holds the pair positions of each list in turn, most-preferred
+    first; list i fills ``order[starts[i]:ends[i]]``.  Pair k's list, down to
+    and including k, fills ``order[base[k]:upto[k]]``.  With ``run`` the
+    running sums of a pair vector along ``order``, led by a zero, a list's
+    total is ``run[end] - run[start]`` and a pair's weak prefix sum
+    ``run[upto[k]] - run[base[k]]``.  The lists hold every pair once.
+    """
+
+    __slots__ = ("order", "starts", "ends", "base", "upto")
+
+    def __init__(self, lists: list[list[int]]):
+        self.order = list(chain.from_iterable(lists))
+        self.base, self.upto = [0] * len(self.order), [0] * len(self.order)
+        base, upto, self.starts, end = self.base, self.upto, [], 0
+        for positions in lists:
+            start = end
+            self.starts.append(start)
+            for k in positions:
+                end += 1
+                base[k] = start
+                upto[k] = end
+        self.ends = self.starts[1:] + [end]
+
+    def sums(self, v: list[int]) -> tuple[list[int], list[int]]:
+        """The running sums of v along ``order``, led by a zero, and each
+        pair's weak prefix sum of v along its list."""
+        run = [0, *accumulate([v[k] for k in self.order])]
+        return run, [run[u] - run[b] for u, b in zip(self.upto, self.base)]
+
+    def totals(self, run: list[int]) -> list[int]:
+        """Each list's total, from the running sums of ``sums``."""
+        return [run[e] - run[s] for s, e in zip(self.starts, self.ends)]
+
+
+class _PairIndex:
+    """A market's acceptable pairs indexed for prefix sums.
+
+    Pair k sits at flat cell ``cells[k]`` (firm index times the number of
+    workers, plus the worker index) and belongs to a firm of quota
+    ``quota[k]``.  ``firm`` holds every firm's list, in declaration order;
+    ``worker`` the lists of the workers with an acceptable pair, in
+    declaration order, which are the workers with a unit row of
+    ``_inequality_rows``.
+    """
+
+    __slots__ = ("cells", "quota", "firm", "worker")
+
+    def __init__(self, market: Market):
+        pairs, pos, quota = market.pairs(), market._pair_index, market.quota
+        nw, findex, windex = market.n_workers, market._findex, market._windex
+        self.cells = [findex[f] * nw + windex[w] for f, w in pairs]
+        self.quota = [quota[f] for f, _ in pairs]
+        self.firm = _Lists([[pos[f, w] for w in market.acceptable_to_firm(f)]
+                            for f in market.firms])
+        self.worker = _Lists([[pos[f, w] for f in market.acceptable_to_worker(w)]
+                              for w in market.workers if market.acceptable_to_worker(w)])
+
+    def noblock_row(self, k: int, sign: int) -> dict[int, int]:
+        """Pair k's noblock row times ``sign``: two slices of the lists,
+        the firm's better workers at 1 and the worker's better firms at q,
+        and q at k itself."""
+        firm, worker, q = self.firm, self.worker, sign * self.quota[k]
+        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], sign)
+        row.update(dict.fromkeys(worker.order[worker.base[k]:worker.upto[k] - 1], q))
+        row[k] = q
+        return row
+
+
+def _pair_index_of(market: Market) -> _PairIndex:
+    """The market's pair index, built on first use and kept on the market."""
+    if "_polytope_index" not in vars(market):
+        object.__setattr__(market, "_polytope_index", _PairIndex(market))
+    return market._polytope_index
+
+
+def _pair_values(index: _PairIndex, x: FractionalMatching) -> list[int]:
+    """The numerators of x on the acceptable pairs, in pair order."""
+    flat = list(chain.from_iterable(x._nums))
+    return [flat[c] for c in index.cells]
+
+
+def _noblock_lhs(index: _PairIndex, v: list[int], firm_sums: list[int],
+                 worker_sums: list[int]) -> list[int]:
+    """(F - v) + q W per pair: the no-blocking row's a . v before its sign."""
+    return [f - e + q * w for f, e, q, w in zip(firm_sums, v, index.quota, worker_sums)]
+
+
+def _row_values(index: _PairIndex, v: list[int]) -> list[int]:
+    """a . v for every row of ``_inequality_rows``, in its order, from one
+    prefix-sum pass along each side's lists: O(pairs), whatever the rows'
+    lengths."""
+    firm_run, firm_sums = index.firm.sums(v)
+    worker_run, worker_sums = index.worker.sums(v)
+    return [*index.firm.totals(firm_run), *index.worker.totals(worker_run),
+            *[-e for e in v], *[-a for a in _noblock_lhs(index, v, firm_sums, worker_sums)]]
 
 
 @dataclass(frozen=True)
@@ -109,8 +218,13 @@ def check_stable_feasibility(market: Market,
 def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
     """One evaluation of the stable-feasibility system at N = D * x.
 
-    A violation's lhs becomes a ``Fraction`` over D, its rhs is the row's
-    integer bound.
+    The quota and unit rows are the matrix's row and column sums.  The
+    noblock rows come from one prefix-sum pass over N on the pairs, whose
+    weak prefix sums the report keeps.  A constraint id is built only for a
+    tight or violated row.  The nonneg rows are N on the pairs, unless N has
+    a negative entry or a nonzero off the pairs: then one scan of every cell
+    reports the nonneg and zero rows in matrix order.  A violation's lhs
+    becomes a ``Fraction`` over D, its rhs is the row's integer bound.
     """
     denom, scaled = x._denom, x._nums
     if len(scaled) != market.n_firms or any(
@@ -119,46 +233,47 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
     violations: list[tuple[ConstraintId, Rational, Rational]] = []
     tight: list[ConstraintId] = []
 
-    def bound(cid: ConstraintId, lhs: int, rhs: int, upper: bool) -> None:
-        """Record the row  lhs <= D * rhs  (upper) or  lhs >= D * rhs."""
-        slack = rhs * denom - lhs if upper else lhs - rhs * denom
-        if slack == 0:
-            tight.append(cid)
-        elif slack < 0:
-            violations.append((cid, Fraction(lhs, denom), Fraction(rhs)))
+    def bound(kind: str, agents: Sequence[tuple[str, ...]], lhs: list[int],
+              rhs: Iterable[int], slack: list[int]) -> None:
+        """Record each row whose slack is zero as tight, below zero as
+        violated; a row's id is its kind and its agents."""
+        kind_ = (kind,)
+        tight.extend([kind_ + a for a, gap in zip(agents, slack) if not gap])
+        if min(slack, default=0) < 0:
+            violations.extend([(kind_ + a, Fraction(b, denom), Fraction(c))
+                               for a, b, c, gap in zip(agents, lhs, rhs, slack) if gap < 0])
 
-    for f, row in zip(market.firms, scaled):
-        bound(("quota", f), sum(row), market.quota[f], upper=True)
-    for w, column in zip(market.workers, zip(*scaled)):
-        bound(("unit", w), sum(column), 1, upper=True)
-    for f, row in zip(market.firms, scaled):
-        acceptable = set(market.acceptable_to_firm(f))
-        for w, v in zip(market.workers, row):
-            if w in acceptable:
-                bound(("nonneg", f, w), v, 0, upper=False)
-            elif v:
-                violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
+    caps = [market.quota[f] for f in market.firms]
+    loads = list(map(sum, scaled))
+    bound("quota", list(zip(market.firms)), loads, caps,
+          [c * denom - a for c, a in zip(caps, loads)])
+    loads = list(map(sum, zip(*scaled)))
+    bound("unit", list(zip(market.workers)), loads, repeat(1), [denom - a for a in loads])
 
-    pos, fidx, widx = market.pair_position, market.firm_index, market.worker_index
-    n = len(market.pairs())
-    entry, firm_sum, worker_sum = [0] * n, [0] * n, [0] * n
-    for f, row in zip(market.firms, scaled):
-        acc = 0
-        for w in market.acceptable_to_firm(f):
-            k = pos(f, w)
-            entry[k] = row[widx(w)]
-            acc += entry[k]
-            firm_sum[k] = acc
-    for w in market.workers:
-        acc, j = 0, widx(w)
-        for f in market.acceptable_to_worker(w):
-            acc += scaled[fidx(f)][j]
-            worker_sum[pos(f, w)] = acc
-    for k, (f, w) in enumerate(market.pairs()):
-        q = market.quota[f]
-        # (F - e) + q (W - e) + q e  with F, W the weak prefix sums at (f, w)
-        bound(("noblock", f, w), firm_sum[k] - entry[k] + q * worker_sum[k], q,
-              upper=False)
+    index, pairs = _pair_index_of(market), market.pairs()
+    flat = list(chain.from_iterable(scaled))
+    entry = [flat[c] for c in index.cells]
+    if min(flat, default=0) >= 0 and \
+            len(flat) - flat.count(0) == len(entry) - entry.count(0):
+        bound("nonneg", pairs, entry, repeat(0), entry)
+    else:
+        for f, row in zip(market.firms, scaled):
+            acceptable = set(market.acceptable_to_firm(f))
+            for w, v in zip(market.workers, row):
+                if w not in acceptable:
+                    if v:
+                        violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
+                elif v < 0:
+                    violations.append((("nonneg", f, w), Fraction(v, denom), Fraction(0)))
+                elif not v:
+                    tight.append(("nonneg", f, w))
+
+    firm_sum = index.firm.sums(entry)[1]
+    worker_sum = index.worker.sums(entry)[1]
+    lhs = _noblock_lhs(index, entry, firm_sum, worker_sum)
+    # (F - e) + q (W - e) + q e >= q  with F, W the weak prefix sums at (f, w)
+    bound("noblock", pairs, lhs, index.quota,
+          [a - q * denom for a, q in zip(lhs, index.quota)])
     return ConstraintReport(tuple(violations), tuple(tight),
                             _ScaledSums(firm_sum, worker_sum))
 
@@ -179,13 +294,7 @@ def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
     if kind == "nonneg":
         return {pos(*agents): 1}
     if kind == "noblock":
-        f, w = agents
-        q = market.quota[f]
-        workers, firms = market.acceptable_to_firm(f), market.acceptable_to_worker(w)
-        row = {pos(f, v): 1 for v in workers[:workers.index(w)]}    # f prefers v to w
-        row.update({pos(g, w): q for g in firms[:firms.index(f)]})  # w prefers g to f
-        row[pos(f, w)] = q
-        return row
+        return _pair_index_of(market).noblock_row(pos(*agents), 1)
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -223,32 +332,30 @@ def _inequality_rows(market: Market) -> tuple[_Inequality, ...]:
         coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
         return _Inequality(cid, coeffs, rhs)
 
+    index = _pair_index_of(market)
     rows = [row(("quota", f), 1, market.quota[f]) for f in market.firms]
     rows += [row(("unit", w), 1, 1)
              for w in market.workers if market.acceptable_to_worker(w)]
-    rows += [row(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
-    rows += [row(("noblock", f, w), -1, -market.quota[f])
-             for f, w in market.pairs()]
+    rows += [_Inequality(("nonneg", f, w), {k: -1}, 0)
+             for k, (f, w) in enumerate(market.pairs())]
+    rows += [_Inequality(("noblock", f, w), index.noblock_row(k, -1), -q)
+             for k, ((f, w), q) in enumerate(zip(market.pairs(), index.quota))]
     object.__setattr__(market, "_inequality_rows", tuple(rows))
     return market._inequality_rows
 
 
-def _dot(a: dict[int, int], b: list[int]) -> int:
-    return sum(u * b[c] for c, u in a.items())
-
-
 class _Point:
     """A walk point x = N / D on the acceptable pairs, taken from the point's
-    own form and kept reduced by ``move``; a row  a . x <= b  is tight
-    exactly when a . N == b * D."""
+    own form and kept reduced by ``move``."""
 
     def __init__(self, market: Market, x: FractionalMatching):
-        fidx, widx = market.firm_index, market.worker_index
+        self.index = _pair_index_of(market)
         self.denom = x._denom
-        self.nums = [x._nums[fidx(f)][widx(w)] for f, w in market.pairs()]
+        self.nums = _pair_values(self.index, x)
 
-    def is_tight(self, row: _Inequality) -> bool:
-        return _dot(row.coeffs, self.nums) == row.rhs * self.denom
+    def row_values(self) -> list[int]:
+        """a . N for every row of ``_inequality_rows``."""
+        return _row_values(self.index, self.nums)
 
     def move(self, step: Fraction, direction: list[int]) -> None:
         """x += step * direction, reduced to the least common denominator."""
@@ -259,31 +366,40 @@ class _Point:
         self.nums, self.denom = [n // g for n in nums], denom // g
 
     def matching(self, market: Market) -> FractionalMatching:
-        return _from_cells(market, self.denom,
-                           ((f, w, n) for (f, w), n in zip(market.pairs(), self.nums)))
+        return _from_cells(market, self.denom, zip(self.index.cells, self.nums))
 
 
-def _step_length(rows: tuple[_Inequality, ...], point: _Point,
+def _tight(rows: tuple[_Inequality, ...], point: _Point,
+           values: list[int]) -> list[_Inequality]:
+    """The rows  a . x <= b  with a . N == b * D, given ``values`` = a . N."""
+    denom = point.denom
+    return [row for row, value in zip(rows, values) if value == row.rhs * denom]
+
+
+def _step_length(rows: tuple[_Inequality, ...], point: _Point, values: list[int],
                  direction: list[int]) -> tuple[Fraction, list[_Inequality]]:
     """The ratio test: how far the point may move along direction and stay
     feasible, and the rows that bind at that distance.
 
     Row a . x <= b allows the step (b D - a . N) / (D a . d) when a . d > 0;
-    the ratios share D, so they are compared by cross-multiplying
-    (b D - a . N) / (a . d) and only the smallest becomes a ``Fraction``.
-    The polytope is bounded, so some row always binds, and a direction taken
-    from the null space of the tight rows leaves a positive step.
+    ``values`` holds every row's a . N, and a . d comes from one prefix-sum
+    pass over the direction.  The ratios share D, so they are compared by
+    cross-multiplying (b D - a . N) / (a . d) and only the smallest becomes
+    a ``Fraction``.  The polytope is bounded, so some row always binds, and
+    a direction taken from the null space of the tight rows leaves a
+    positive step.
     """
     best_num, best_den, binding = 0, 0, []
-    nums, denom = point.nums, point.denom
-    for row in rows:
-        ad = _dot(row.coeffs, direction)
-        if ad > 0:
-            num = row.rhs * denom - _dot(row.coeffs, nums)
-            if not binding or num * best_den < best_num * ad:
-                best_num, best_den, binding = num, ad, [row]
-            elif num * best_den == best_num * ad:
-                binding.append(row)
+    denom = point.denom
+    slopes = _row_values(point.index, direction)
+    for row, ad, an in zip(rows, slopes, values):
+        if ad <= 0:
+            continue
+        num = row.rhs * denom - an
+        if not binding or num * best_den < best_num * ad:
+            best_num, best_den, binding = num, ad, [row]
+        elif num * best_den == best_num * ad:
+            binding.append(row)
     best = Fraction(best_num, best_den * denom) if binding else None
     if best is None or best <= 0:
         raise AssertionError(f"ratio test gave no positive step ({best})")
@@ -318,11 +434,12 @@ def _slack_directions(tight: list[_Inequality], n: int,
     the other tight rows tight, lazily, in the walk's random order."""
     for dropped, basis in _drop_each(tight[:6], tight[6:], n):
         if basis.rank < n:
-            free = [c for c in range(n) if c not in basis.pivot_columns()]
+            pivots = basis.pivot_columns()
+            free = [c for c in range(n) if c not in pivots]
             rng.shuffle(free)
             for col in free:
                 direction = basis.null_vector(col)
-                s = _dot(dropped.coeffs, direction)
+                s = sum(a * direction[c] for c, a in dropped.coeffs.items())
                 if s:
                     yield [-v for v in direction] if s > 0 else direction
 
@@ -350,13 +467,14 @@ def interior_walk(market: Market, x: FractionalMatching,
     rows = _inequality_rows(market)
 
     for _ in range(_INTERIOR_STEPS):
-        tight = [row for row in rows if point.is_tight(row)]
+        values = point.row_values()
+        tight = _tight(rows, point, values)
         rng.shuffle(tight)
         # a usable direction almost always shows up early
         direction = next(_slack_directions(tight, n, rng), None)
         if direction is None:
             break
-        best, _ = _step_length(rows, point, direction)
+        best, _ = _step_length(rows, point, values, direction)
         point.move(best / 2, direction)
     return point.matching(market)
 
@@ -382,16 +500,15 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
     rows = _inequality_rows(market)
 
     basis = Rref(n)
-    for row in rows:
-        if point.is_tight(row):
-            basis.add(row.coeffs)
+    for row in _tight(rows, point, point.row_values()):
+        basis.add(row.coeffs)
     while basis.rank < n:
         pivots = basis.pivot_columns()
         free = [c for c in range(n) if c not in pivots]
         direction = basis.null_vector(rng.choice(free))
         if rng.random() < 0.5:
             direction = [-v for v in direction]
-        best, binding = _step_length(rows, point, direction)
+        best, binding = _step_length(rows, point, point.row_values(), direction)
         point.move(best, direction)
         for row in binding:
             basis.add(row.coeffs)

@@ -6,17 +6,18 @@ worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
 Both read the weak prefix sums of the point's one stable-feasibility
-evaluation.  One scan turns them into each pair's integer gaps: the full
-condition report reads every pair's, while ``decompose`` and ``peel`` stop
-at the first failing pair and refuse there, without building the other
-pairs' conditions.
+evaluation, with each pair's quota from the market's pair index: the full
+condition report builds every pair's gaps, while ``decompose`` and ``peel``
+scan for the first failing pair and refuse there, without building the
+other pairs' conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import groupby
+from operator import itemgetter
 
 from .model import (
     AlreadyIntegralError,
@@ -30,7 +31,8 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import check_feasibility, check_stable_feasibility
+from .polytope import (
+    _pair_index_of, _pair_values, check_feasibility, check_stable_feasibility)
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,6 @@ class StrongStabilityReport:
         return self.failures()[0]
 
 
-def _gaps(market: Market, x: FractionalMatching) -> Iterator[tuple[str, str, int, int]]:
-    """Each acceptable pair (f, w) with its integer gaps (q D - F, D - W),
-    lazily, where F and W are the weak prefix sums of the point's one
-    stable-feasibility evaluation at its denominator D.  Requires a
-    stable-feasible point (InfeasibleError otherwise)."""
-    sums = check_stable_feasibility(market, x).require()._sums
-    d = x._denom
-    for (f, w), firm_sum, worker_sum in zip(market.pairs(), sums.firm, sums.worker):
-        yield f, w, market.quota[f] * d - firm_sum, d - worker_sum
-
-
 def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCondition:
     """The pair's condition with factors gap / d; the product is zero
     whenever either factor is."""
@@ -96,17 +87,25 @@ def strong_stability_check(market: Market,
     prefix sums at the point's denominator D, the factors are (q D - F) / D
     and (D - W) / D.
     """
-    d = x._denom
-    conditions = tuple(_condition(*gaps, d) for gaps in _gaps(market, x))
+    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
+    conditions = tuple(_condition(f, w, q * d - firm_sum, d - worker_sum, d)
+                       for (f, w), q, firm_sum, worker_sum
+                       in zip(market.pairs(), _pair_index_of(market).quota,
+                              sums.firm, sums.worker))
     return StrongStabilityReport(conditions, not any(p.product for p in conditions))
 
 
 def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
     """``strong_stability_check(market, x).first_failure()``, or None when
-    the condition holds, without building the other pairs' conditions."""
-    for f, w, firm_gap, worker_gap in _gaps(market, x):
-        if firm_gap and worker_gap:
-            return _condition(f, w, firm_gap, worker_gap, x._denom)
+    the condition holds: one scan of the pairs' quotas and prefix sums stops
+    at the first pair whose gaps q D - F and D - W are both nonzero, and
+    only that pair's condition is built.  Requires a stable-feasible point
+    (InfeasibleError otherwise)."""
+    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
+    for k, (q, firm_sum, worker_sum) in enumerate(
+            zip(_pair_index_of(market).quota, sums.firm, sums.worker)):
+        if q * d != firm_sum and d != worker_sum:
+            return _condition(*market.pairs()[k], q * d - firm_sum, d - worker_sum, d)
     return None
 
 
@@ -176,31 +175,33 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     sum to one exactly, and the reconstruction is verified before returning.
 
     The sweep runs on the firms' integer prefix sums C = D c of the point's
-    one evaluation: the cuts T are the values C mod D, ceil(c - T / D) is
-    the floor division -((T - C) // D), and an interval [T, E) weighs
-    (E - T) / D.
+    one evaluation, pair by pair in pair order: the cuts T are the values
+    C mod D, and an interval [T, E) weighs (E - T) / D.  A pair k with entry
+    e = C_k - C_{k-1} > 0 is employed on [T, E) exactly when some T + m D
+    lies in [C_{k-1}, C_k), that is when (T - C_{k-1}) mod D < e; a pair
+    with no entry never is.  Each term's rows are written in worker-index
+    order; a row over its firm's quota, or a worker in two rows, raises
+    ``ValueError``.
     """
     failure = _first_failure(market, x)
     if failure is not None:
         raise failure._refusal()
-    sums = check_stable_feasibility(market, x)._sums
-    d, pos = x._denom, market.pair_position
-    prefix = {f: [(w, sums.firm[pos(f, w)]) for w in market.acceptable_to_firm(f)]
-              for f in market.firms}
-    cuts = sorted({0} | {c % d for firm_sums in prefix.values()
-                         for _, c in firm_sums})
+    after = check_stable_feasibility(market, x)._sums.firm
+    entry = _pair_values(_pair_index_of(market), x)
+    d = x._denom
+    # each supported pair with the firm's mass on better workers, and its entry
+    support = [(pair, c - e, e) for pair, c, e in zip(market.pairs(), after, entry) if e]
+    cuts = sorted({0} | {c % d for c in after})
     terms: list[tuple[Matching, Rational]] = []
     for t, end in zip(cuts, cuts[1:] + [d]):
-        chosen: dict[str, list[str]] = {}
-        for f, firm_sums in prefix.items():
-            chosen[f] = []
-            before = 0      # ceil((C_0 - T) / D) with C_0 = 0 and 0 <= T < D
-            for w, c in firm_sums:
-                now = -((t - c) // d)
-                if now > before:
-                    chosen[f].append(w)
-                before = now
-        terms.append((Matching.build(market, chosen), Fraction(end - t, d)))
+        rows = dict.fromkeys(market.firms, ())
+        employed = [pair for pair, before, e in support if (t - before) % d < e]
+        for f, staff in groupby(employed, itemgetter(0)):
+            rows[f] = tuple(map(itemgetter(1), staff))
+            if len(rows[f]) > market.quota[f]:
+                raise ValueError(f"firm {f} exceeds its quota")
+        # the constructor raises ValueError for a worker in two rows
+        terms.append((Matching(tuple(rows.items())), Fraction(end - t, d)))
     result = Decomposition(tuple(terms))
     if result.reconstruct(market) != x:
         raise AssertionError("decomposition does not reconstruct the point")

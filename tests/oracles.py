@@ -14,7 +14,7 @@ from math import gcd, lcm
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
-from stablefrac.polytope import _inequality_rows, check_stable_feasibility
+from stablefrac.polytope import _inequality_rows, _ScaledSums, check_stable_feasibility
 from stablefrac.rotations import _exposed, _lattice
 from stablefrac.stability import _search
 
@@ -436,6 +436,71 @@ def in_any_hull(market, cubes, x):
             for f, row in zip(market.firms, x._nums)}
     return any(_cube_coordinates(mu, rotations, rows, x._denom) is not None
                for mu, rotations in cubes.items())
+
+
+# --- the stable-feasibility system row by row -----------------------------
+#
+# ``polytope`` reads a . v for every row off one prefix-sum pass along the
+# agents' lists.  These are the same values row by row: the evaluator as it
+# was when each pair looked its cells up by name and every row was compared
+# on its own, and the sparse dot product of every row the walks use.
+
+def reference_evaluate(market, x):
+    """``polytope._evaluate`` before the pair index: every row bounded in
+    turn, each pair's prefix sums built by name lookups."""
+    denom, scaled = x._denom, x._nums
+    if len(scaled) != market.n_firms or any(
+            len(row) != market.n_workers for row in scaled):
+        raise ValueError("matrix dimensions do not match the market")
+    violations, tight = [], []
+
+    def bound(cid, lhs, rhs, upper):
+        slack = rhs * denom - lhs if upper else lhs - rhs * denom
+        if slack == 0:
+            tight.append(cid)
+        elif slack < 0:
+            violations.append((cid, Fraction(lhs, denom), Fraction(rhs)))
+
+    for f, row in zip(market.firms, scaled):
+        bound(("quota", f), sum(row), market.quota[f], upper=True)
+    for w, column in zip(market.workers, zip(*scaled)):
+        bound(("unit", w), sum(column), 1, upper=True)
+    for f, row in zip(market.firms, scaled):
+        acceptable = set(market.acceptable_to_firm(f))
+        for w, v in zip(market.workers, row):
+            if w in acceptable:
+                bound(("nonneg", f, w), v, 0, upper=False)
+            elif v:
+                violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
+
+    pos, fidx, widx = market.pair_position, market.firm_index, market.worker_index
+    n = len(market.pairs())
+    entry, firm_sum, worker_sum = [0] * n, [0] * n, [0] * n
+    for f, row in zip(market.firms, scaled):
+        acc = 0
+        for w in market.acceptable_to_firm(f):
+            k = pos(f, w)
+            entry[k] = row[widx(w)]
+            acc += entry[k]
+            firm_sum[k] = acc
+    for w in market.workers:
+        acc, j = 0, widx(w)
+        for f in market.acceptable_to_worker(w):
+            acc += scaled[fidx(f)][j]
+            worker_sum[pos(f, w)] = acc
+    for k, (f, w) in enumerate(market.pairs()):
+        q = market.quota[f]
+        bound(("noblock", f, w), firm_sum[k] - entry[k] + q * worker_sum[k], q,
+              upper=False)
+    return sf.ConstraintReport(tuple(violations), tuple(tight),
+                               _ScaledSums(firm_sum, worker_sum))
+
+
+def reference_row_values(market, v):
+    """a . v for every row of ``_inequality_rows``, in its order, each row's
+    sparse coefficients dotted with the pair vector v."""
+    return [sum(a * v[c] for c, a in row.coeffs.items())
+            for row in _inequality_rows(market)]
 
 
 # --- Fraction elimination and walks -----------------------------------------

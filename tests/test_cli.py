@@ -395,6 +395,16 @@ def test_verify_rejects_fewer_than_one_sample(capsys, market_file, samples):
     assert "--samples must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("method", ["brute", "rotations"])
+def test_stable_all_rejects_a_negative_cap(capsys, market_file, method):
+    assert main(["stable-all", market_file, "--method", method, "--cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--cap must be at least 0, not -1" in captured.err
+    assert main(["stable-all", market_file, "--method", method, "--cap", "0"]) == 2
+    assert "--cap must be at least" not in capsys.readouterr().err
+
+
 def _spliced(base: bytes):
     """``base`` with a random byte run replacing a random slice of it."""
     return st.tuples(st.integers(0, len(base)), st.integers(0, 16),

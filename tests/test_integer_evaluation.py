@@ -20,6 +20,7 @@ import stablefrac as sf
 from oracles import (
     firm_weak_prefix,
     reference_check_almost_integral,
+    reference_evaluate,
     reference_from_scaled,
     reference_linear_combination,
     reference_reconstruct,
@@ -132,6 +133,9 @@ def assert_matches_reference(market, x):
     assert repr(feasibility) == repr(reference_check_feasibility(market, x))
     report = sf.check_stable_feasibility(market, x)
     assert repr(report) == repr(reference_check_stable_feasibility(market, x))
+    reference = reference_evaluate(market, x)
+    assert (report.violations, report.tight, report._sums) == \
+        (reference.violations, reference.tight, reference._sums)
     if not feasibility.feasible:
         return "infeasible"
     if not report.feasible:

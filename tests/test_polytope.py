@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
-                     reference_interior_walk, reference_vertex_walk, walk_pair)
+                     reference_evaluate, reference_interior_walk,
+                     reference_row_values, reference_vertex_walk, walk_pair)
 from stablefrac import polytope
 from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank, solve_exact
-from stablefrac.polytope import _drop_each, _inequality_rows, _Point, interior_walk
+from stablefrac.polytope import (
+    _constraint_row, _drop_each, _evaluate, _inequality_rows, _pair_index_of, _Point,
+    _row_values, _tight, interior_walk)
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,7 +205,7 @@ def test_kept_basis_equals_a_fresh_one_on_walk_points(fleet, fleet_stable):
         sf.vertex_walk(m, start, rng, trace=trace)
         for y in [x, start] + trace:
             point = _Point(m, y)
-            tight = [row for row in rows if point.is_tight(row)]
+            tight = _tight(rows, point, point.row_values())
             rng.shuffle(tight)
             for dropped, basis in _drop_each(tight[:6], tight[6:], n):
                 fresh = Rref(n)
@@ -333,6 +336,53 @@ def _midpoint(m: sf.Market) -> sf.FractionalMatching:
     assert ends[0] != ends[1]
     return sf.FractionalMatching.linear_combination(
         [(ends[0], Fraction(1, 2)), (ends[1], Fraction(1, 2))])
+
+
+@st.composite
+def _pruned_markets(draw):
+    """Up to 4 firms of quota 1 to 3 and up to 5 workers, each agent listing
+    any subset of the other side in any order: one-sided entries, which the
+    market prunes, and agents left with no acceptable partner included."""
+    firms = [f"f{i}" for i in range(draw(st.integers(1, 4)))]
+    workers = [f"w{j}" for j in range(draw(st.integers(0, 5)))]
+
+    def lists(agents, others):
+        return {a: tuple(draw(st.permutations(others))[:draw(st.integers(0, len(others)))])
+                for a in agents}
+
+    quota = {f: draw(st.integers(1, 3)) for f in firms}
+    return sf.Market(firms, workers, quota, lists(firms, workers), lists(workers, firms))
+
+
+def _row_ids(m):
+    """Every constraint id of the stable-feasibility system."""
+    return ([("quota", f) for f in m.firms] + [("unit", w) for w in m.workers]
+            + [(kind, f, w) for kind in ("nonneg", "noblock") for f, w in m.pairs()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_pruned_markets(), data=st.data())
+def test_prefix_sum_pass_equals_the_sparse_rows(m, data):
+    """One prefix-sum pass gives every row's a . v, in row order, as the
+    sparse rows' dot products do, for integer vectors of either sign; every
+    sparse row, in ``_constraint_row`` and in ``_inequality_rows``, is its
+    dense definition; and the evaluation of a matrix with negative entries
+    and entries off the pairs equals the row-by-row reference."""
+    n = len(m.pairs())
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    assert _row_values(_pair_index_of(m), v) == reference_row_values(m, v)
+    for cid in _row_ids(m):
+        row = _constraint_row(m, cid)
+        assert [row.get(k, 0) for k in range(n)] == _dense_row(m, cid)
+    for row in _inequality_rows(m):
+        sign = 1 if row.cid[0] in ("quota", "unit") else -1
+        assert [sign * row.coeffs.get(k, 0) for k in range(n)] == _dense_row(m, row.cid)
+    x = sf.FractionalMatching.from_rows(
+        [[Fraction(data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 4)))
+          for _ in m.workers] for _ in m.firms])
+    report, reference = _evaluate(m, x), reference_evaluate(m, x)
+    assert (report.violations, report.tight, report._sums) == \
+        (reference.violations, reference.tight, reference._sums)
 
 
 def test_vertex_test_at_800_pairs():

@@ -325,6 +325,44 @@ sf.decompose(m, x)
     assert "AssertionError: decomposition does not reconstruct" in run.stderr
 
 
+_DOCTORED_SWEEP = """
+import sys
+import pytest
+import stablefrac as sf
+from stablefrac.polytope import ConstraintReport, _ScaledSums
+# both firms rank w1 first and hold half of each worker, so the sweep's first
+# term gives both of them w1; worker sums of D make every worker gap zero,
+# so the condition lets the doctored point through to the sweep
+m = sf.parse_market(
+    'firms: f1 f2\\nworkers: w1 w2\\nfirm f1: w1 w2\\nfirm f2: w1 w2\\n'
+    'worker w1: f1 f2\\nworker w2: f1 f2\\n')
+
+def doctored(firm_sums):
+    x = sf.parse_fractional(m, '1/2 1/2\\n1/2 1/2\\n')
+    x._stable = (m, ConstraintReport((), (), _ScaledSums(firm_sums, [2] * 4)))
+    return x
+
+with pytest.raises(ValueError, match='worker w1 assigned twice'):
+    sf.decompose(m, doctored([1, 2, 1, 2]))
+# a second prefix sum of 3 puts both of f1's workers in the first term
+with pytest.raises(ValueError, match='firm f1 exceeds its quota'):
+    sf.decompose(m, doctored([1, 3, 1, 2]))
+print('raised', sys.flags.optimize)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_sweep_refuses_doctored_prefix_sums(src_env, tmp_path, flags):
+    """A sweep fed prefix sums that put a worker in two rows of one term,
+    or a firm over its quota, raises; both checks hold under ``python -O``."""
+    script = tmp_path / "doctored_sweep.py"
+    script.write_text(_DOCTORED_SWEEP)
+    run = subprocess.run([sys.executable, *flags, str(script)], env=src_env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"raised {len(flags)}\n"
+
+
 def test_certify_term_check_survives_optimize(src_env, tmp_path):
     script = tmp_path / "no_rotations.py"
     script.write_text(f"""
