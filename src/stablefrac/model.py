@@ -368,22 +368,17 @@ class FractionalMatching:
         return FractionalMatching._from_scaled(denom, grid)
 
 
-def _from_flat(market: Market, denom: int, flat: list[int]) -> FractionalMatching:
-    """The matrix over ``denom`` whose numerators are ``flat`` in row-major
-    order: flat cell c is row c // n_workers, column c % n_workers."""
-    nw = market.n_workers
-    rows = zip(*[iter(flat)] * nw) if nw else [()] * market.n_firms
-    return FractionalMatching._from_scaled(denom, rows)
-
-
 def _from_cells(market: Market, denom: int,
                 cells: Iterable[tuple[int, int]]) -> FractionalMatching:
     """The matrix over ``denom`` whose numerator at each flat cell c sums n
-    over cells (c, n)."""
-    flat = [0] * (market.n_firms * market.n_workers)
+    over cells (c, n); flat cell c is row c // n_workers, column
+    c % n_workers."""
+    nw = market.n_workers
+    flat = [0] * (market.n_firms * nw)
     for c, n in cells:
         flat[c] += n
-    return _from_flat(market, denom, flat)
+    rows = zip(*[iter(flat)] * nw) if nw else [()] * market.n_firms
+    return FractionalMatching._from_scaled(denom, rows)
 
 
 def _mix(market: Market, denom: int,
@@ -391,13 +386,8 @@ def _mix(market: Market, denom: int,
     """The matrix over ``denom`` whose numerators sum n times mu's incidence
     over terms (mu, n)."""
     nw, findex, windex = market.n_workers, market._findex, market._windex
-    flat = [0] * (market.n_firms * nw)
-    for mu, n in terms:
-        for f, ws in mu.assignment:
-            row = findex[f] * nw
-            for w in ws:
-                flat[row + windex[w]] += n
-    return _from_flat(market, denom, flat)
+    return _from_cells(market, denom, ((findex[f] * nw + windex[w], n) for mu, n in terms
+                                       for f, ws in mu.assignment for w in ws))
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,11 @@ class _PairIndex:
         self.worker = _Lists([[pos[f, w] for f in market.acceptable_to_worker(w)]
                               for w in market.workers if market.acceptable_to_worker(w)])
 
-    def noblock_row(self, k: int, sign: int) -> dict[int, int]:
-        """Pair k's noblock row times ``sign``: two slices of the lists,
-        the firm's better workers at 1 and the worker's better firms at q,
-        and q at k itself."""
-        firm, worker, q = self.firm, self.worker, sign * self.quota[k]
-        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], sign)
+    def noblock_row(self, k: int) -> dict[int, int]:
+        """Pair k's noblock row: two slices of the lists, the firm's better
+        workers at 1 and the worker's better firms at q, and q at k itself."""
+        firm, worker, q = self.firm, self.worker, self.quota[k]
+        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], 1)
         row.update(dict.fromkeys(worker.order[worker.base[k]:worker.upto[k] - 1], q))
         row[k] = q
         return row
@@ -294,7 +293,7 @@ def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
     if kind == "nonneg":
         return {pos(*agents): 1}
     if kind == "noblock":
-        return _pair_index_of(market).noblock_row(pos(*agents), 1)
+        return _pair_index_of(market).noblock_row(pos(*agents))
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -332,14 +331,12 @@ def _inequality_rows(market: Market) -> tuple[_Inequality, ...]:
         coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
         return _Inequality(cid, coeffs, rhs)
 
-    index = _pair_index_of(market)
     rows = [row(("quota", f), 1, market.quota[f]) for f in market.firms]
     rows += [row(("unit", w), 1, 1)
              for w in market.workers if market.acceptable_to_worker(w)]
-    rows += [_Inequality(("nonneg", f, w), {k: -1}, 0)
-             for k, (f, w) in enumerate(market.pairs())]
-    rows += [_Inequality(("noblock", f, w), index.noblock_row(k, -1), -q)
-             for k, ((f, w), q) in enumerate(zip(market.pairs(), index.quota))]
+    rows += [row(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
+    rows += [row(("noblock", f, w), -1, -market.quota[f])
+             for f, w in market.pairs()]
     object.__setattr__(market, "_inequality_rows", tuple(rows))
     return market._inequality_rows
 

@@ -6,18 +6,19 @@ worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
 Both read the weak prefix sums of the point's one stable-feasibility
-evaluation, with each pair's quota from the market's pair index: the full
-condition report builds every pair's gaps, while ``decompose`` and ``peel``
-scan for the first failing pair and refuse there, without building the
-other pairs' conditions.
+evaluation, with each pair's quota from the market's pair index.  One
+helper turns them into every pair's integer gaps: the full condition report
+reads every pair's, while ``decompose`` and ``peel`` find the first failing
+pair with a scan in C and refuse there, without building the other pairs'
+conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, count, groupby
+from operator import itemgetter, mul
 
 from .model import (
     AlreadyIntegralError,
@@ -77,6 +78,16 @@ def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCo
         Fraction(firm_gap * worker_gap, d * d) if firm_gap and worker_gap else _ZERO)
 
 
+def _gaps(market: Market, x: FractionalMatching) -> tuple[list[int], list[int]]:
+    """Each acceptable pair's integer gaps q D - F and D - W, as two lists in
+    pair order, where F and W are the weak prefix sums of the point's one
+    stable-feasibility evaluation at its denominator D.  Requires a
+    stable-feasible point (InfeasibleError otherwise)."""
+    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
+    return ([q * d - f for q, f in zip(_pair_index_of(market).quota, sums.firm)],
+            [d - w for w in sums.worker])
+
+
 def strong_stability_check(market: Market,
                            x: FractionalMatching) -> StrongStabilityReport:
     """Evaluate the strong stability condition at every acceptable pair.
@@ -87,25 +98,20 @@ def strong_stability_check(market: Market,
     prefix sums at the point's denominator D, the factors are (q D - F) / D
     and (D - W) / D.
     """
-    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
-    conditions = tuple(_condition(f, w, q * d - firm_sum, d - worker_sum, d)
-                       for (f, w), q, firm_sum, worker_sum
-                       in zip(market.pairs(), _pair_index_of(market).quota,
-                              sums.firm, sums.worker))
+    firm_gaps, worker_gaps, d = *_gaps(market, x), x._denom
+    conditions = tuple(_condition(f, w, a, b, d) for (f, w), a, b
+                       in zip(market.pairs(), firm_gaps, worker_gaps))
     return StrongStabilityReport(conditions, not any(p.product for p in conditions))
 
 
 def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
     """``strong_stability_check(market, x).first_failure()``, or None when
-    the condition holds: one scan of the pairs' quotas and prefix sums stops
-    at the first pair whose gaps q D - F and D - W are both nonzero, and
-    only that pair's condition is built.  Requires a stable-feasible point
-    (InfeasibleError otherwise)."""
-    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
-    for k, (q, firm_sum, worker_sum) in enumerate(
-            zip(_pair_index_of(market).quota, sums.firm, sums.worker)):
-        if q * d != firm_sum and d != worker_sum:
-            return _condition(*market.pairs()[k], q * d - firm_sum, d - worker_sum, d)
+    the condition holds: a scan in C finds the first pair whose gaps are
+    both nonzero, and only that pair's condition is built.  Requires a
+    stable-feasible point (InfeasibleError otherwise)."""
+    firm_gaps, worker_gaps = _gaps(market, x)
+    for k in compress(count(), map(mul, firm_gaps, worker_gaps)):
+        return _condition(*market.pairs()[k], firm_gaps[k], worker_gaps[k], x._denom)
     return None
 
 

@@ -76,17 +76,17 @@ def test_certify_refuses_fractional_vertex(market, x_vertex):
 
 
 def test_certify_scans_the_condition_once(fleet, fleet_stable, monkeypatch):
-    """Certifying a point scans its pairs' condition once, refused or not: a
+    """Certifying a point scans its pairs' gaps once, refused or not: a
     refusal is the condition ``decompose`` refused at, and it equals the
     full report's first failure."""
-    first_failure = sf.strong_stability._first_failure
+    gaps = sf.strong_stability._gaps
     scans = []
 
     def counted(market, x):
         scans.append(x)
-        return first_failure(market, x)
+        return gaps(market, x)
 
-    monkeypatch.setattr(sf.strong_stability, "_first_failure", counted)
+    monkeypatch.setattr(sf.strong_stability, "_gaps", counted)
     outcomes = Counter()
     for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
         for x in _mixes(m, stable, idx, 4):

@@ -365,18 +365,15 @@ def _row_ids(m):
 def test_prefix_sum_pass_equals_the_sparse_rows(m, data):
     """One prefix-sum pass gives every row's a . v, in row order, as the
     sparse rows' dot products do, for integer vectors of either sign; every
-    sparse row, in ``_constraint_row`` and in ``_inequality_rows``, is its
-    dense definition; and the evaluation of a matrix with negative entries
-    and entries off the pairs equals the row-by-row reference."""
+    sparse row of ``_constraint_row`` is its dense definition; and the
+    evaluation of a matrix with negative entries and entries off the pairs
+    equals the row-by-row reference."""
     n = len(m.pairs())
     v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     assert _row_values(_pair_index_of(m), v) == reference_row_values(m, v)
     for cid in _row_ids(m):
         row = _constraint_row(m, cid)
         assert [row.get(k, 0) for k in range(n)] == _dense_row(m, cid)
-    for row in _inequality_rows(m):
-        sign = 1 if row.cid[0] in ("quota", "unit") else -1
-        assert [sign * row.coeffs.get(k, 0) for k in range(n)] == _dense_row(m, row.cid)
     x = sf.FractionalMatching.from_rows(
         [[Fraction(data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 4)))
           for _ in m.workers] for _ in m.firms])
