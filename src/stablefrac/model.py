@@ -103,10 +103,11 @@ class Market:
     The constructor checks every field, each list as it ranks it, the firms'
     first; lists of undeclared agents are dropped, one-sided entries kept.
     Instances are immutable after construction and safe to share across
-    threads.  All operations in this library are pure functions.  The
-    polytope layer keeps two derived tables on a market, each built on first
-    use: its index of the acceptable pairs for prefix sums, and the sparse
-    rows of its stable-feasibility system.
+    threads.  All operations in this library are pure functions.  Two
+    derived values are kept on a market, each built on first use: the
+    polytope layer's index of the acceptable pairs, which numbers the rows
+    of the stable-feasibility system, and deferred acceptance's two
+    matchings.
     """
 
     firms: tuple[str, ...]

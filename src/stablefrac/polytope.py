@@ -15,16 +15,18 @@ market, so every layer takes ``(market, x)`` and evaluates a point once;
 ``check_feasibility`` is that report without its noblock rows.
 
 Each market keeps one index of its acceptable pairs, built on first use:
-every pair's cell and quota, and the pair positions along each agent's list.
-From it one prefix-sum pass over any pair vector v gives a . v for every row
-of the stable-feasibility system in O(pairs): the lists' totals are the
-quota and unit rows, and each pair's weak prefix sums on both sides give its
-noblock row.  The evaluation, the tight and ratio tests of the two walks,
-and the strong stability condition and sweep all read that pass.  A sparse
-constraint row, a map from acceptable-pair position to its nonzero integer
-coefficient, is needed only for a row that enters a basis: the vertex
-test's rank and the walks' ``linalg.Rref``.  The walks start from N and D,
-take integer null-space directions from ``Rref`` and compare step lengths by
+every pair's cell and quota, the pair positions along each agent's list,
+and the one numbering of the stable-feasibility system's rows  a . x <= b
+with each row's bound b.  From it one prefix-sum pass over any pair vector v
+gives a . v for every row in O(pairs): the lists' totals are the quota and
+unit rows, and each pair's weak prefix sums on both sides give its noblock
+row.  The evaluation, the tight and ratio tests of the two walks, and the
+strong stability condition and sweep all read that pass.  A sparse row, a
+map from acceptable-pair position to its nonzero integer coefficient, is
+built from slices of the lists only for a row that enters a basis, the
+vertex test's rank or the walks' ``linalg.Rref``, or is the dropped row of
+an interior step.  The walks carry row numbers, start from N and D, take
+integer null-space directions from ``Rref`` and compare step lengths by
 cross-multiplication, so a step builds one ``Fraction``: its length.
 """
 
@@ -60,7 +62,7 @@ class _Lists:
     def __init__(self, lists: list[list[int]]):
         self.order = list(chain.from_iterable(lists))
         self.base, self.upto = [0] * len(self.order), [0] * len(self.order)
-        base, upto, self.starts, end = self.base, self.upto, [], 0
+        base, upto, self.starts, self.ends, end = self.base, self.upto, [], [], 0
         for positions in lists:
             start = end
             self.starts.append(start)
@@ -68,7 +70,7 @@ class _Lists:
                 end += 1
                 base[k] = start
                 upto[k] = end
-        self.ends = self.starts[1:] + [end]
+            self.ends.append(end)
 
     def sums(self, v: list[int]) -> tuple[list[int], list[int]]:
         """The running sums of v along ``order``, led by a zero, and each
@@ -82,17 +84,19 @@ class _Lists:
 
 
 class _PairIndex:
-    """A market's acceptable pairs indexed for prefix sums.
+    """A market's acceptable pairs indexed for prefix sums, and the numbered
+    rows  a . x <= b  of its stable-feasibility system.
 
     Pair k sits at flat cell ``cells[k]`` (firm index times the number of
     workers, plus the worker index) and belongs to a firm of quota
-    ``quota[k]``.  ``firm`` holds every firm's list, in declaration order;
-    ``worker`` the lists of the workers with an acceptable pair, in
-    declaration order, which are the workers with a unit row of
-    ``_inequality_rows``.
+    ``quota[k]``.  ``firm`` and ``worker`` hold every agent's list, in
+    declaration order.  The rows are numbered in one order: a quota row per
+    firm, a unit row per worker, then a nonneg row and a noblock row per
+    pair; ``bound`` holds each row's b.  A worker with no acceptable pair
+    has an all-zero unit row, which is never tight (0 < D) and never binds.
     """
 
-    __slots__ = ("cells", "quota", "firm", "worker")
+    __slots__ = ("cells", "quota", "firm", "worker", "bound")
 
     def __init__(self, market: Market):
         pairs, pos, quota = market.pairs(), market._pair_index, market.quota
@@ -102,13 +106,26 @@ class _PairIndex:
         self.firm = _Lists([[pos[f, w] for w in market.acceptable_to_firm(f)]
                             for f in market.firms])
         self.worker = _Lists([[pos[f, w] for f in market.acceptable_to_worker(w)]
-                              for w in market.workers if market.acceptable_to_worker(w)])
+                              for w in market.workers])
+        self.bound = [*(quota[f] for f in market.firms), *[1] * nw,
+                      *[0] * len(pairs), *[-q for q in self.quota]]
 
-    def noblock_row(self, k: int) -> dict[int, int]:
-        """Pair k's noblock row: two slices of the lists, the firm's better
-        workers at 1 and the worker's better firms at q, and q at k itself."""
-        firm, worker, q = self.firm, self.worker, self.quota[k]
-        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], 1)
+    def row(self, i: int) -> dict[int, int]:
+        """Row i's nonzero coefficients by pair position, from slices of the
+        lists: a quota or unit row is its list at 1, a nonneg row is -1 at
+        its pair, and pair k's noblock row is -1 at the firm's better workers
+        and -q at the worker's better firms and at k itself."""
+        firm, worker, n = self.firm, self.worker, len(self.quota)
+        nf, nw = len(firm.starts), len(worker.starts)
+        if i < nf + nw:
+            side, j = (firm, i) if i < nf else (worker, i - nf)
+            return dict.fromkeys(side.order[side.starts[j]:side.ends[j]], 1)
+        k = i - nf - nw
+        if k < n:
+            return {k: -1}
+        k -= n
+        q = -self.quota[k]
+        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], -1)
         row.update(dict.fromkeys(worker.order[worker.base[k]:worker.upto[k] - 1], q))
         row[k] = q
         return row
@@ -134,9 +151,8 @@ def _noblock_lhs(index: _PairIndex, v: list[int], firm_sums: list[int],
 
 
 def _row_values(index: _PairIndex, v: list[int]) -> list[int]:
-    """a . v for every row of ``_inequality_rows``, in its order, from one
-    prefix-sum pass along each side's lists: O(pairs), whatever the rows'
-    lengths."""
+    """a . v for every row of the index, by row number, from one prefix-sum
+    pass along each side's lists: O(pairs), whatever the rows' lengths."""
     firm_run, firm_sums = index.firm.sums(v)
     worker_run, worker_sums = index.worker.sums(v)
     return [*index.firm.totals(firm_run), *index.worker.totals(worker_run),
@@ -278,23 +294,21 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
 
 
 def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
-    """Nonzero coefficients of one constraint, by acceptable-pair position.
-
-    Every coefficient is 1 or the firm's quota.
-    """
+    """Nonzero coefficients of one constraint, by acceptable-pair position:
+    the pair index's row of the constraint's number."""
     kind, *agents = cid
-    pos = market.pair_position
+    nf, nw = market.n_firms, market.n_workers
     if kind == "quota":
-        f, = agents
-        return {pos(f, w): 1 for w in market.acceptable_to_firm(f)}
-    if kind == "unit":
-        w, = agents
-        return {pos(f, w): 1 for f in market.acceptable_to_worker(w)}
-    if kind == "nonneg":
-        return {pos(*agents): 1}
-    if kind == "noblock":
-        return _pair_index_of(market).noblock_row(pos(*agents))
-    raise ValueError(f"unknown constraint kind {kind!r}")
+        i = market.firm_index(*agents)
+    elif kind == "unit":
+        i = nf + market.worker_index(*agents)
+    elif kind == "nonneg":
+        i = nf + nw + market.pair_position(*agents)
+    elif kind == "noblock":
+        i = nf + nw + len(market.pairs()) + market.pair_position(*agents)
+    else:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    return _pair_index_of(market).row(i)
 
 
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
@@ -314,33 +328,6 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     return r == len(market.pairs()), r
 
 
-@dataclass(frozen=True)
-class _Inequality:
-    cid: ConstraintId
-    coeffs: dict[int, int]
-    rhs: int
-
-
-def _inequality_rows(market: Market) -> tuple[_Inequality, ...]:
-    """The stable-feasibility system normalized to  a . x <= b  rows, built
-    once per market and kept on it for every later walk, which only reads."""
-    if "_inequality_rows" in vars(market):
-        return market._inequality_rows
-
-    def row(cid: ConstraintId, sign: int, rhs: int) -> _Inequality:
-        coeffs = {c: sign * a for c, a in _constraint_row(market, cid).items()}
-        return _Inequality(cid, coeffs, rhs)
-
-    rows = [row(("quota", f), 1, market.quota[f]) for f in market.firms]
-    rows += [row(("unit", w), 1, 1)
-             for w in market.workers if market.acceptable_to_worker(w)]
-    rows += [row(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
-    rows += [row(("noblock", f, w), -1, -market.quota[f])
-             for f, w in market.pairs()]
-    object.__setattr__(market, "_inequality_rows", tuple(rows))
-    return market._inequality_rows
-
-
 class _Point:
     """A walk point x = N / D on the acceptable pairs, taken from the point's
     own form and kept reduced by ``move``."""
@@ -351,7 +338,7 @@ class _Point:
         self.nums = _pair_values(self.index, x)
 
     def row_values(self) -> list[int]:
-        """a . N for every row of ``_inequality_rows``."""
+        """a . N for every row of the index, by row number."""
         return _row_values(self.index, self.nums)
 
     def move(self, step: Fraction, direction: list[int]) -> None:
@@ -366,17 +353,18 @@ class _Point:
         return _from_cells(market, self.denom, zip(self.index.cells, self.nums))
 
 
-def _tight(rows: tuple[_Inequality, ...], point: _Point,
-           values: list[int]) -> list[_Inequality]:
-    """The rows  a . x <= b  with a . N == b * D, given ``values`` = a . N."""
+def _tight(point: _Point, values: list[int]) -> list[int]:
+    """The numbers of the rows  a . x <= b  with a . N == b * D, given
+    ``values`` = a . N."""
     denom = point.denom
-    return [row for row, value in zip(rows, values) if value == row.rhs * denom]
+    return [i for i, (value, b) in enumerate(zip(values, point.index.bound))
+            if value == b * denom]
 
 
-def _step_length(rows: tuple[_Inequality, ...], point: _Point, values: list[int],
-                 direction: list[int]) -> tuple[Fraction, list[_Inequality]]:
+def _step_length(point: _Point, values: list[int],
+                 direction: list[int]) -> tuple[Fraction, list[int]]:
     """The ratio test: how far the point may move along direction and stay
-    feasible, and the rows that bind at that distance.
+    feasible, and the numbers of the rows that bind at that distance.
 
     Row a . x <= b allows the step (b D - a . N) / (D a . d) when a . d > 0;
     ``values`` holds every row's a . N, and a . d comes from one prefix-sum
@@ -389,14 +377,14 @@ def _step_length(rows: tuple[_Inequality, ...], point: _Point, values: list[int]
     best_num, best_den, binding = 0, 0, []
     denom = point.denom
     slopes = _row_values(point.index, direction)
-    for row, ad, an in zip(rows, slopes, values):
+    for i, (ad, an, b) in enumerate(zip(slopes, values, point.index.bound)):
         if ad <= 0:
             continue
-        num = row.rhs * denom - an
+        num = b * denom - an
         if not binding or num * best_den < best_num * ad:
-            best_num, best_den, binding = num, ad, [row]
+            best_num, best_den, binding = num, ad, [i]
         elif num * best_den == best_num * ad:
-            binding.append(row)
+            binding.append(i)
     best = Fraction(best_num, best_den * denom) if binding else None
     if best is None or best <= 0:
         raise AssertionError(f"ratio test gave no positive step ({best})")
@@ -406,37 +394,40 @@ def _step_length(rows: tuple[_Inequality, ...], point: _Point, values: list[int]
 _INTERIOR_STEPS = 4
 
 
-def _drop_each(dropping: list[_Inequality], kept: list[_Inequality],
-               n: int) -> Iterator[tuple[_Inequality, Rref]]:
-    """Each row of ``dropping`` with the basis of all the other rows, lazily.
+def _drop_each(index: _PairIndex, dropping: list[int], kept: list[int],
+               n: int) -> Iterator[tuple[dict[int, int], Rref]]:
+    """The row of each number in ``dropping`` with the basis of all the
+    other rows, lazily.
 
-    ``kept`` is eliminated once; each dropped row's basis is a copy of that
-    basis plus the other rows of ``dropping``.  By ``Rref.copy`` it equals a
-    fresh ``Rref`` of every row but the dropped one, in any order.
+    ``kept`` is eliminated once and each row of ``dropping`` built once;
+    each dropped row's basis is a copy of the kept basis plus the other rows
+    of ``dropping``.  By ``Rref.copy`` it equals a fresh ``Rref`` of every
+    row but the dropped one, in any order.
     """
     shared = Rref(n)
-    for row in kept:
-        shared.add(row.coeffs)
-    for dropped in dropping:
+    for i in kept:
+        shared.add(index.row(i))
+    rows = [index.row(i) for i in dropping]
+    for dropped in rows:
         basis = shared.copy()
-        for row in dropping:
+        for row in rows:
             if row is not dropped:
-                basis.add(row.coeffs)
+                basis.add(row)
         yield dropped, basis
 
 
-def _slack_directions(tight: list[_Inequality], n: int,
+def _slack_directions(index: _PairIndex, tight: list[int], n: int,
                       rng: random.Random) -> Iterator[list[int]]:
     """Directions that give one of the first six tight rows slack and keep
     the other tight rows tight, lazily, in the walk's random order."""
-    for dropped, basis in _drop_each(tight[:6], tight[6:], n):
+    for dropped, basis in _drop_each(index, tight[:6], tight[6:], n):
         if basis.rank < n:
             pivots = basis.pivot_columns()
             free = [c for c in range(n) if c not in pivots]
             rng.shuffle(free)
             for col in free:
                 direction = basis.null_vector(col)
-                s = sum(a * direction[c] for c, a in dropped.coeffs.items())
+                s = sum(a * direction[c] for c, a in dropped.items())
                 if s:
                     yield [-v for v in direction] if s > 0 else direction
 
@@ -461,17 +452,16 @@ def interior_walk(market: Market, x: FractionalMatching,
     if n == 0:
         return x
     point = _Point(market, x)
-    rows = _inequality_rows(market)
 
     for _ in range(_INTERIOR_STEPS):
         values = point.row_values()
-        tight = _tight(rows, point, values)
+        tight = _tight(point, values)
         rng.shuffle(tight)
         # a usable direction almost always shows up early
-        direction = next(_slack_directions(tight, n, rng), None)
+        direction = next(_slack_directions(point.index, tight, n, rng), None)
         if direction is None:
             break
-        best, _ = _step_length(rows, point, values, direction)
+        best, _ = _step_length(point, values, direction)
         point.move(best / 2, direction)
     return point.matching(market)
 
@@ -486,29 +476,29 @@ def vertex_walk(market: Market, x: FractionalMatching, rng: random.Random,
     constraint tight, so the walk ends in at most one step per coordinate.
     Only the rows that bind in the ratio test become tight: a row tight
     before the step lies in the basis's span, so the direction keeps it
-    tight, and each row is added to the basis once.  Intermediate points are
-    appended to ``trace`` when given.
+    tight, and each row is built and added to the basis once.  Intermediate
+    points are appended to ``trace`` when given.
     """
     check_stable_feasibility(market, x).require()
     n = len(market.pairs())
     if n == 0:
         return x
     point = _Point(market, x)
-    rows = _inequality_rows(market)
+    row = point.index.row
 
     basis = Rref(n)
-    for row in _tight(rows, point, point.row_values()):
-        basis.add(row.coeffs)
+    for i in _tight(point, point.row_values()):
+        basis.add(row(i))
     while basis.rank < n:
         pivots = basis.pivot_columns()
         free = [c for c in range(n) if c not in pivots]
         direction = basis.null_vector(rng.choice(free))
         if rng.random() < 0.5:
             direction = [-v for v in direction]
-        best, binding = _step_length(rows, point, point.row_values(), direction)
+        best, binding = _step_length(point, point.row_values(), direction)
         point.move(best, direction)
-        for row in binding:
-            basis.add(row.coeffs)
+        for i in binding:
+            basis.add(row(i))
         if trace is not None:
             trace.append(point.matching(market))
     return point.matching(market)

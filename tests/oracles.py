@@ -14,7 +14,7 @@ from math import gcd, lcm
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
-from stablefrac.polytope import _inequality_rows, _ScaledSums, check_stable_feasibility
+from stablefrac.polytope import _ScaledSums, check_stable_feasibility
 from stablefrac.rotations import _exposed, _lattice
 from stablefrac.stability import _search
 
@@ -496,11 +496,54 @@ def reference_evaluate(market, x):
                                _ScaledSums(firm_sum, worker_sum))
 
 
+def dense_row(market, cid):
+    """One constraint's coefficients over the acceptable pairs, in pair
+    order, from its definition, before the sign of its  a . x <= b  row."""
+    kind, f, *rest = cid
+    coeff = {}
+    for g, w in market.pairs():
+        if kind == "quota":
+            coeff[g, w] = int(g == f)
+        elif kind == "unit":
+            coeff[g, w] = int(w == f)
+        elif kind == "nonneg":
+            coeff[g, w] = int((g, w) == (f, rest[0]))
+        else:
+            v = rest[0]
+            q = market.quota[f]
+            if (g, w) == (f, v):
+                coeff[g, w] = q
+            elif g == f:
+                coeff[g, w] = int(market.firm_rank(f, w) < market.firm_rank(f, v))
+            elif w == v:
+                coeff[g, w] = q * (market.worker_rank(v, g) < market.worker_rank(v, f))
+            else:
+                coeff[g, w] = 0
+    return [coeff[p] for p in market.pairs()]
+
+
+def reference_rows(market):
+    """Every row  a . x <= b  of the stable-feasibility system, numbered as
+    the pair index numbers them: (constraint id, a over the acceptable
+    pairs, b), each a read off its definition by ``dense_row``."""
+    signed = [(("quota", f), 1, market.quota[f]) for f in market.firms]
+    signed += [(("unit", w), 1, 1) for w in market.workers]
+    signed += [(("nonneg", f, w), -1, 0) for f, w in market.pairs()]
+    signed += [(("noblock", f, w), -1, -market.quota[f]) for f, w in market.pairs()]
+    return [(cid, [sign * a for a in dense_row(market, cid)], b)
+            for cid, sign, b in signed]
+
+
 def reference_row_values(market, v):
-    """a . v for every row of ``_inequality_rows``, in its order, each row's
-    sparse coefficients dotted with the pair vector v."""
-    return [sum(a * v[c] for c, a in row.coeffs.items())
-            for row in _inequality_rows(market)]
+    """a . v for every row of ``reference_rows``, in its order."""
+    return [sum(a * e for a, e in zip(coeffs, v))
+            for _, coeffs, _ in reference_rows(market)]
+
+
+def _sparse_rows(market):
+    """``reference_rows`` as (nonzero coefficients by pair position, b)."""
+    return [({c: a for c, a in enumerate(coeffs) if a}, b)
+            for _, coeffs, b in reference_rows(market)]
 
 
 # --- Fraction elimination and walks -----------------------------------------
@@ -567,10 +610,10 @@ def _dot(a, b):
 
 def _step_length(rows, vec, direction):
     best = None
-    for row in rows:
-        ad = _dot(row.coeffs, direction)
+    for coeffs, b in rows:
+        ad = _dot(coeffs, direction)
         if ad > 0:
-            t = (row.rhs - _dot(row.coeffs, vec)) / ad
+            t = (b - _dot(coeffs, vec)) / ad
             if best is None or t < best:
                 best = t
     if best is None or best <= 0:
@@ -592,10 +635,10 @@ def reference_interior_walk(market, x, rng: random.Random, steps=4):
     if n == 0:
         return x
     vec = list(x.flatten(market))
-    rows = _inequality_rows(market)
+    rows = _sparse_rows(market)
 
     for _ in range(steps):
-        tight = [row for row in rows if _dot(row.coeffs, vec) == row.rhs]
+        tight = [row for row in rows if _dot(row[0], vec) == row[1]]
         if not tight:
             break
         rng.shuffle(tight)
@@ -604,14 +647,14 @@ def reference_interior_walk(market, x, rng: random.Random, steps=4):
             basis = ReferenceRref(n)
             for row in tight:
                 if row is not dropped:
-                    basis.add(row.coeffs)
+                    basis.add(row[0])
             if basis.rank == n:
                 continue
             free = [c for c in range(n) if c not in basis.pivot_columns()]
             rng.shuffle(free)
             for col in free:
                 direction = basis.null_vector(col)
-                s = _dot(dropped.coeffs, direction)
+                s = _dot(dropped[0], direction)
                 if s == 0:
                     continue
                 if s > 0:
@@ -633,12 +676,12 @@ def reference_vertex_walk(market, x, rng: random.Random, trace=None):
     if n == 0:
         return x
     vec = list(x.flatten(market))
-    rows = _inequality_rows(market)
+    rows = _sparse_rows(market)
 
     basis = ReferenceRref(n)
-    for row in rows:
-        if _dot(row.coeffs, vec) == row.rhs:
-            basis.add(row.coeffs)
+    for coeffs, b in rows:
+        if _dot(coeffs, vec) == b:
+            basis.add(coeffs)
     while basis.rank < n:
         pivots = basis.pivot_columns()
         free = [c for c in range(n) if c not in pivots]
@@ -647,9 +690,9 @@ def reference_vertex_walk(market, x, rng: random.Random, trace=None):
             direction = [-v for v in direction]
         best = _step_length(rows, vec, direction)
         vec = [v + best * d for v, d in zip(vec, direction)]
-        for row in rows:
-            if _dot(row.coeffs, vec) == row.rhs:
-                basis.add(row.coeffs)
+        for coeffs, b in rows:
+            if _dot(coeffs, vec) == b:
+                basis.add(coeffs)
         if trace is not None:
             trace.append(from_pair_values(market, vec))
     return from_pair_values(market, vec)

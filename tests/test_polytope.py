@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -8,15 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, ReferenceRref, random_markets,
+from oracles import (RANDOM_SIZES, ReferenceRref, dense_row, random_markets,
                      reference_evaluate, reference_interior_walk,
-                     reference_row_values, reference_vertex_walk, walk_pair)
+                     reference_row_values, reference_rows, reference_vertex_walk,
+                     walk_pair)
 from stablefrac import polytope
 from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank, solve_exact
 from stablefrac.polytope import (
-    _constraint_row, _drop_each, _evaluate, _inequality_rows, _pair_index_of, _Point,
+    _constraint_row, _drop_each, _evaluate, _Lists, _pair_index_of, _PairIndex, _Point,
     _row_values, _tight, interior_walk)
 
 DATA = Path(__file__).parent / "data"
@@ -169,24 +172,24 @@ def test_walks_match_fraction_reference(fleet, fleet_stable, block_market,
 def test_vertex_walk_adds_each_row_once(fleet, fleet_stable, monkeypatch):
     # a row tight before a step stays tight, so only the rows that bind in
     # the ratio test are new; re-adding the old ones is wasted elimination
-    added = []
-    real_add = Rref.add
+    built = []
+    row = _PairIndex.row
 
-    def add(self, vector):
-        added.append(vector)
-        return real_add(self, vector)
+    def recorded(self, i):
+        built.append(i)
+        return row(self, i)
 
-    monkeypatch.setattr(Rref, "add", add)
+    monkeypatch.setattr(_PairIndex, "row", recorded)
     rng = random.Random(31)
     walks = 0
     for m, stable in zip(fleet, fleet_stable):
         for _ in range(3):
             start = interior_walk(m, _random_mix(m, stable, rng), rng)
-            added.clear()
+            built.clear()
             sf.vertex_walk(m, start, rng)
-            counts = Counter(map(id, added))
+            counts = Counter(built)
             assert max(counts.values(), default=1) == 1
-            walks += len(added) > 0
+            walks += len(built) > 0
     assert walks > 80
 
 
@@ -198,46 +201,73 @@ def test_kept_basis_equals_a_fresh_one_on_walk_points(fleet, fleet_stable):
     bases = 0
     for m, stable in zip(fleet, fleet_stable):
         n = len(m.pairs())
-        rows = _inequality_rows(m)
+        index = _pair_index_of(m)
         x = _random_mix(m, stable, rng)
         start = interior_walk(m, x, rng)
         trace = []
         sf.vertex_walk(m, start, rng, trace=trace)
         for y in [x, start] + trace:
             point = _Point(m, y)
-            tight = _tight(rows, point, point.row_values())
+            tight = _tight(point, point.row_values())
             rng.shuffle(tight)
-            for dropped, basis in _drop_each(tight[:6], tight[6:], n):
+            for i, (dropped, basis) in zip(tight, _drop_each(index, tight[:6], tight[6:], n)):
+                assert dropped == index.row(i)
                 fresh = Rref(n)
-                for row in tight:
-                    if row is not dropped:
-                        fresh.add(row.coeffs)
+                for j in tight:
+                    if j != i:
+                        fresh.add(index.row(j))
                 assert basis.rows == fresh.rows
                 bases += 1
     assert bases > 500
 
 
-def test_verify_builds_the_inequality_rows_once(block_market, monkeypatch):
-    """Two interior and two vertex walks on one market share one build of its
-    rows, which keep the order and values of a fresh build."""
-    m = sf.parse_market(sf.serialize_market(block_market))    # nothing cached
-    made = []
+def test_verify_builds_each_pair_index_once_and_only_tight_rows(
+        market, block_market, fleet, monkeypatch):
+    """A verify run builds its market's pair index once, and the walks build
+    the sparse row of a number only where that row is tight at the walk's
+    current point: before a step, or after it where the row binds."""
+    indexed, points, checked = [], [], Counter()
+    init, row = _PairIndex.__init__, _PairIndex.row
+    walking = None
 
-    class Counted(sf.polytope._Inequality):
-        def __init__(self, cid, coeffs, rhs):
-            made.append(cid)
-            super().__init__(cid, coeffs, rhs)
+    def counted(self, market):
+        indexed.append(market)
+        init(self, market)
 
-    monkeypatch.setattr(sf.polytope, "_Inequality", Counted)
-    outcome = sf.verify_characterization(m, seed=0, samples=50)
-    assert outcome.ok and outcome.vertex_points == 2
-    rows = _inequality_rows(m)
-    assert made == [row.cid for row in rows]
-    assert _inequality_rows(m) is rows
-    monkeypatch.undo()
-    fresh = _inequality_rows(sf.parse_market(sf.serialize_market(m)))
-    assert [(r.cid, r.coeffs, r.rhs) for r in rows] == \
-        [(r.cid, r.coeffs, r.rhs) for r in fresh]
+    class Recorded(_Point):
+        def __init__(self, market, x):
+            super().__init__(market, x)
+            points.append(self)
+
+    def checked_row(self, i):
+        if walking:
+            point = points[-1]
+            assert _row_values(self, point.nums)[i] == self.bound[i] * point.denom
+            checked[walking] += 1
+        return row(self, i)
+
+    def walk(fn):
+        def walked(*args, **kwargs):
+            nonlocal walking
+            walking = fn.__name__
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                walking = None
+        return walked
+
+    monkeypatch.setattr(_PairIndex, "__init__", counted)
+    monkeypatch.setattr(_PairIndex, "row", checked_row)
+    monkeypatch.setattr(polytope, "_Point", Recorded)
+    for name in ("interior_walk", "vertex_walk"):
+        monkeypatch.setattr(sf.hulls, name, walk(getattr(sf.hulls, name)))
+    # the interior walks step on the first and last; on most markets they do not
+    for given in (market, block_market, fleet[5]):
+        m = sf.parse_market(sf.serialize_market(given))    # nothing cached
+        indexed.clear()
+        outcome = sf.verify_characterization(m, seed=0, samples=50)
+        assert outcome.ok and indexed == [m]
+    assert checked["interior_walk"] > 200 and checked["vertex_walk"] > 150
 
 
 def test_walks_at_check_dense_sizes():
@@ -277,34 +307,9 @@ def _dense_rank(rows: list[list[Fraction]]) -> int:
     return len(basis)
 
 
-def _dense_row(m: sf.Market, cid) -> list[Fraction]:
-    """One constraint row over all acceptable pairs, built from its definition."""
-    kind, f, *rest = cid
-    coeff = {}
-    for g, w in m.pairs():
-        if kind == "quota":
-            coeff[g, w] = int(g == f)
-        elif kind == "unit":
-            coeff[g, w] = int(w == f)
-        elif kind == "nonneg":
-            coeff[g, w] = int((g, w) == (f, rest[0]))
-        else:
-            v = rest[0]
-            q = m.quota[f]
-            if (g, w) == (f, v):
-                coeff[g, w] = q
-            elif g == f:
-                coeff[g, w] = int(m.firm_rank(f, w) < m.firm_rank(f, v))
-            elif w == v:
-                coeff[g, w] = q * (m.worker_rank(v, g) < m.worker_rank(v, f))
-            else:
-                coeff[g, w] = 0
-    return [Fraction(coeff[p]) for p in m.pairs()]
-
-
 def _reference_vertex_test(m: sf.Market, x: sf.FractionalMatching,
                            rng: random.Random) -> tuple[bool, int]:
-    rows = [_dense_row(m, cid) for cid in sf.check_stable_feasibility(m, x).tight]
+    rows = [dense_row(m, cid) for cid in sf.check_stable_feasibility(m, x).tight]
     rng.shuffle(rows)
     r = _dense_rank(rows)
     return r == len(m.pairs()), r
@@ -354,32 +359,80 @@ def _pruned_markets(draw):
     return sf.Market(firms, workers, quota, lists(firms, workers), lists(workers, firms))
 
 
-def _row_ids(m):
-    """Every constraint id of the stable-feasibility system."""
-    return ([("quota", f) for f in m.firms] + [("unit", w) for w in m.workers]
-            + [(kind, f, w) for kind in ("nonneg", "noblock") for f, w in m.pairs()])
-
-
 @settings(max_examples=150, deadline=None)
 @given(m=_pruned_markets(), data=st.data())
-def test_prefix_sum_pass_equals_the_sparse_rows(m, data):
-    """One prefix-sum pass gives every row's a . v, in row order, as the
-    sparse rows' dot products do, for integer vectors of either sign; every
-    sparse row of ``_constraint_row`` is its dense definition; and the
-    evaluation of a matrix with negative entries and entries off the pairs
-    equals the row-by-row reference."""
-    n = len(m.pairs())
+def test_pair_index_rows_are_the_definition(m, data):
+    """Every numbered row of the pair index, with its sign and its bound, is
+    its definition, and ``_constraint_row`` gives it by constraint id; one
+    prefix-sum pass gives every row's a . v, in row order, for integer
+    vectors of either sign; and the evaluation of a matrix with negative
+    entries and entries off the pairs equals the row-by-row reference."""
+    n, index = len(m.pairs()), _pair_index_of(m)
+    rows = reference_rows(m)
+    assert len(index.bound) == len(rows) == m.n_firms + m.n_workers + 2 * n
+    for i, (cid, coeffs, b) in enumerate(rows):
+        row = index.row(i)
+        assert [row.get(k, 0) for k in range(n)] == coeffs and 0 not in row.values()
+        assert index.bound[i] == b
+        assert _constraint_row(m, cid) == row
     v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-    assert _row_values(_pair_index_of(m), v) == reference_row_values(m, v)
-    for cid in _row_ids(m):
-        row = _constraint_row(m, cid)
-        assert [row.get(k, 0) for k in range(n)] == _dense_row(m, cid)
+    assert _row_values(index, v) == reference_row_values(m, v)
     x = sf.FractionalMatching.from_rows(
         [[Fraction(data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 4)))
           for _ in m.workers] for _ in m.firms])
     report, reference = _evaluate(m, x), reference_evaluate(m, x)
     assert (report.violations, report.tight, report._sums) == \
         (reference.violations, reference.tight, reference._sums)
+
+
+def test_lists_end_each_list_once():
+    """One start and one end per list, empty lists and no lists included."""
+    for lists in ([], [[]], [[2, 0], [], [1]]):
+        side = _Lists(lists)
+        assert len(side.starts) == len(side.ends) == len(lists)
+        assert [side.order[s:e] for s, e in zip(side.starts, side.ends)] == lists
+    m = sf.Market(["f1", "f2"], [], {"f1": 1, "f2": 2}, {}, {})
+    index = _pair_index_of(m)
+    assert index.bound == [1, 2] and [index.row(i) for i in range(2)] == [{}, {}]
+    assert _row_values(index, []) == [0, 0]
+
+
+def test_constraint_row_refuses_an_unknown_kind(market):
+    with pytest.raises(ValueError, match="^unknown constraint kind 'zero'$"):
+        _constraint_row(market, ("zero", "f1", "w1"))
+
+
+_REFUSED_STEP = """
+import sys
+import pytest
+import stablefrac as sf
+from stablefrac.polytope import _Point, _step_length
+m = sf.parse_market(open(sys.argv[1]).read())
+x = sf.incidence_vector(m, sf.deferred_acceptance(m, sf.Side.FIRMS))
+point = _Point(m, x)
+values = point.row_values()
+# a zero direction moves no row, so none binds
+with pytest.raises(AssertionError, match=r'^ratio test gave no positive step \\(None\\)$'):
+    _step_length(point, values, [0] * len(point.nums))
+# lowering an unmatched pair's zero leaves its tight nonneg row at once
+direction = [0] * len(point.nums)
+direction[point.nums.index(0)] = -1
+with pytest.raises(AssertionError, match=r'^ratio test gave no positive step \\(0\\)$'):
+    _step_length(point, values, direction)
+print('raised', sys.flags.optimize)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_ratio_test_refuses_no_positive_step(src_env, tmp_path, flags):
+    """The ratio test raises for a zero direction and for a direction that
+    leaves a tight nonneg row at once; both hold under ``python -O``."""
+    script = tmp_path / "refused_step.py"
+    script.write_text(_REFUSED_STEP)
+    run = subprocess.run([sys.executable, *flags, str(script), str(DATA / "example.market")],
+                         env=src_env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"raised {len(flags)}\n"
 
 
 def test_vertex_test_at_800_pairs():
