@@ -23,9 +23,11 @@ unit rows, and each pair's weak prefix sums on both sides give its noblock
 row.  The evaluation, the tight and ratio tests of the two walks, and the
 strong stability condition and sweep all read that pass.  A sparse row, a
 map from acceptable-pair position to its nonzero integer coefficient, is
-built from slices of the lists only for a row that enters a basis, the
-vertex test's rank or the walks' ``linalg.Rref``, or is the dropped row of
-an interior step.  The walks carry row numbers, start from N and D, take
+built from slices of the lists only for a row that enters a basis of the
+walks' ``linalg.Rref`` or is the dropped row of an interior step.  The
+vertex test reads its tight rows off the point's kept evaluation and builds
+each from the same slices restricted to the point's support, the pairs
+where it is nonzero.  The walks carry row numbers, start from N and D, take
 integer null-space directions from ``Rref`` and compare step lengths by
 cross-multiplication, so a step builds one ``Fraction``: its length.
 """
@@ -35,15 +37,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import Rref, rank
 from .model import (
     FractionalMatching, InfeasibleError, Market, Rational, _from_cells)
 
 ConstraintId = tuple[str, ...]
+Slicer = Callable[[int, int], list[int]]
 
 
 class _Lists:
@@ -52,9 +55,9 @@ class _Lists:
     ``order`` holds the pair positions of each list in turn, most-preferred
     first; list i fills ``order[starts[i]:ends[i]]``.  Pair k's list, down to
     and including k, fills ``order[base[k]:upto[k]]``.  With ``run`` the
-    running sums of a pair vector along ``order``, led by a zero, a list's
-    total is ``run[end] - run[start]`` and a pair's weak prefix sum
-    ``run[upto[k]] - run[base[k]]``.  The lists hold every pair once.
+    running sums of a pair vector along ``order``, led by a zero, a pair's
+    weak prefix sum is ``run[upto[k]] - run[base[k]]``, and a list's total
+    is the weak prefix sum at its last pair.  The lists hold every pair once.
     """
 
     __slots__ = ("order", "starts", "ends", "base", "upto")
@@ -72,15 +75,27 @@ class _Lists:
                 upto[k] = end
             self.ends.append(end)
 
-    def sums(self, v: list[int]) -> tuple[list[int], list[int]]:
-        """The running sums of v along ``order``, led by a zero, and each
-        pair's weak prefix sum of v along its list."""
+    def sums(self, v: list[int]) -> list[int]:
+        """Each pair's weak prefix sum of v along its list."""
         run = [0, *accumulate([v[k] for k in self.order])]
-        return run, [run[u] - run[b] for u, b in zip(self.upto, self.base)]
+        return [run[u] - run[b] for u, b in zip(self.upto, self.base)]
 
-    def totals(self, run: list[int]) -> list[int]:
-        """Each list's total, from the running sums of ``sums``."""
-        return [run[e] - run[s] for s, e in zip(self.starts, self.ends)]
+    def totals(self, sums: list[int]) -> list[int]:
+        """Each list's total, from the weak prefix sums of ``sums``."""
+        order = self.order
+        return [sums[order[e - 1]] if e > s else 0 for s, e in zip(self.starts, self.ends)]
+
+    def slice(self, a: int, b: int) -> list[int]:
+        """The pairs of ``order[a:b]``."""
+        return self.order[a:b]
+
+    def slicer(self, v: list[int]) -> Slicer:
+        """``slice`` restricted to the pairs where v is nonzero.  One count
+        pass along ``order`` gives how many of them come before each
+        position, and so each slice's share of them."""
+        flags = [v[k] != 0 for k in self.order]
+        kept, before = list(compress(self.order, flags)), [0, *accumulate(flags)]
+        return lambda a, b: kept[before[a]:before[b]]
 
 
 class _PairIndex:
@@ -110,24 +125,34 @@ class _PairIndex:
         self.bound = [*(quota[f] for f in market.firms), *[1] * nw,
                       *[0] * len(pairs), *[-q for q in self.quota]]
 
-    def row(self, i: int) -> dict[int, int]:
+    def row(self, i: int, slicers: tuple[Slicer, Slicer] | None = None
+            ) -> dict[int, int]:
         """Row i's nonzero coefficients by pair position, from slices of the
-        lists: a quota or unit row is its list at 1, a nonneg row is -1 at
-        its pair, and pair k's noblock row is -1 at the firm's better workers
-        and -q at the worker's better firms and at k itself."""
+        lists: a quota or unit row is its list at 1, pair k's nonneg row is
+        -1 at the last pair of the firm's list down to k, which is k, and its
+        noblock row is -1 along the firm's list down to k and -q along the
+        worker's list down to k, which overwrites k: -1 at the firm's better
+        workers, -q at the worker's better firms and at k itself.
+
+        The slices are the lists' ``slice``, or the firm's and worker's
+        ``slicers``: those of ``_Lists.slicer`` give the row restricted to
+        a point's support.
+        """
         firm, worker, n = self.firm, self.worker, len(self.quota)
         nf, nw = len(firm.starts), len(worker.starts)
+        cut, cut_worker = slicers or (firm.slice, worker.slice)
+        if i < nf:
+            return dict.fromkeys(cut(firm.starts[i], firm.ends[i]), 1)
         if i < nf + nw:
-            side, j = (firm, i) if i < nf else (worker, i - nf)
-            return dict.fromkeys(side.order[side.starts[j]:side.ends[j]], 1)
+            i -= nf
+            return dict.fromkeys(cut_worker(worker.starts[i], worker.ends[i]), 1)
         k = i - nf - nw
         if k < n:
-            return {k: -1}
+            return dict.fromkeys(cut(firm.upto[k] - 1, firm.upto[k]), -1)
         k -= n
-        q = -self.quota[k]
-        row = dict.fromkeys(firm.order[firm.base[k]:firm.upto[k] - 1], -1)
-        row.update(dict.fromkeys(worker.order[worker.base[k]:worker.upto[k] - 1], q))
-        row[k] = q
+        row = dict.fromkeys(cut(firm.base[k], firm.upto[k]), -1)
+        row.update(dict.fromkeys(cut_worker(worker.base[k], worker.upto[k]),
+                                 -self.quota[k]))
         return row
 
 
@@ -153,9 +178,8 @@ def _noblock_lhs(index: _PairIndex, v: list[int], firm_sums: list[int],
 def _row_values(index: _PairIndex, v: list[int]) -> list[int]:
     """a . v for every row of the index, by row number, from one prefix-sum
     pass along each side's lists: O(pairs), whatever the rows' lengths."""
-    firm_run, firm_sums = index.firm.sums(v)
-    worker_run, worker_sums = index.worker.sums(v)
-    return [*index.firm.totals(firm_run), *index.worker.totals(worker_run),
+    firm_sums, worker_sums = index.firm.sums(v), index.worker.sums(v)
+    return [*index.firm.totals(firm_sums), *index.worker.totals(worker_sums),
             *[-e for e in v], *[-a for a in _noblock_lhs(index, v, firm_sums, worker_sums)]]
 
 
@@ -283,8 +307,7 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
                 elif not v:
                     tight.append(("nonneg", f, w))
 
-    firm_sum = index.firm.sums(entry)[1]
-    worker_sum = index.worker.sums(entry)[1]
+    firm_sum, worker_sum = index.firm.sums(entry), index.worker.sums(entry)
     lhs = _noblock_lhs(index, entry, firm_sum, worker_sum)
     # (F - e) + q (W - e) + q e >= q  with F, W the weak prefix sums at (f, w)
     bound("noblock", pairs, lhs, index.quota,
@@ -293,39 +316,32 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
                             _ScaledSums(firm_sum, worker_sum))
 
 
-def _constraint_row(market: Market, cid: ConstraintId) -> dict[int, int]:
-    """Nonzero coefficients of one constraint, by acceptable-pair position:
-    the pair index's row of the constraint's number."""
-    kind, *agents = cid
-    nf, nw = market.n_firms, market.n_workers
-    if kind == "quota":
-        i = market.firm_index(*agents)
-    elif kind == "unit":
-        i = nf + market.worker_index(*agents)
-    elif kind == "nonneg":
-        i = nf + nw + market.pair_position(*agents)
-    elif kind == "noblock":
-        i = nf + nw + len(market.pairs()) + market.pair_position(*agents)
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return _pair_index_of(market).row(i)
-
-
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     """Vertex test: x is a vertex exactly when the exactly-tight constraints
     of the stable-feasibility system have rank equal to the number of
     acceptable pairs.  Returns that verdict and the rank.
 
-    The nonneg rows are presolved: a tight one is the unit vector of its
-    pair, so each adds one to the rank and fixes its coordinate, which the
-    exact rank of the other tight rows then drops.
+    A feasible point's tight nonneg rows are exactly the unit vectors of its
+    zero pairs Z, so the rank is |Z| plus the rank of the other tight rows
+    restricted to the supported pairs S.  Those rows are found from the
+    point's kept evaluation, without constraint ids: a quota or unit row's
+    lhs is its list's total, the weak prefix sum at the list's last pair,
+    and a noblock row's comes from the pair's two weak prefix sums.  Each is
+    built on S from the supported slices of the lists, which one count pass
+    per side gives, and ``linalg.rank`` eliminates them.
     """
-    tight = check_stable_feasibility(market, x).require().tight
-    fixed = {market.pair_position(*cid[1:]) for cid in tight if cid[0] == "nonneg"}
-    rest = [{c: a for c, a in _constraint_row(market, cid).items() if c not in fixed}
-            for cid in tight if cid[0] != "nonneg"]
-    r = len(fixed) + rank(rest, len(market.pairs()))
-    return r == len(market.pairs()), r
+    sums = check_stable_feasibility(market, x).require()._sums
+    index, denom = _pair_index_of(market), x._denom
+    entry = _pair_values(index, x)
+    firm, worker, n = index.firm, index.worker, len(entry)
+    totals = [*firm.totals(sums.firm), *worker.totals(sums.worker)]
+    tight = [i for i, (t, b) in enumerate(zip(totals, index.bound)) if t == b * denom]
+    first = len(totals) + n
+    tight += [first + k for k, (a, q) in enumerate(zip(
+        _noblock_lhs(index, entry, sums.firm, sums.worker), index.quota)) if a == q * denom]
+    slicers = firm.slicer(entry), worker.slicer(entry)
+    r = entry.count(0) + rank([index.row(i, slicers) for i in tight], n)
+    return r == n, r
 
 
 class _Point:

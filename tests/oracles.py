@@ -540,6 +540,35 @@ def reference_row_values(market, v):
             for _, coeffs, _ in reference_rows(market)]
 
 
+def dense_rank(rows):
+    """Dense exact Gaussian elimination over full rows: the reference rank.
+
+    Each basis row is 1 at its pivot and 0 at the pivots before it, so one
+    pass over the basis in order clears every pivot of a new row.
+    """
+    basis = []
+    for row in rows:
+        v = [Fraction(a) for a in row]
+        for p, b in basis:
+            if v[p]:
+                c = v[p]
+                v = [a - c * y if y else a for a, y in zip(v, b)]
+        pivot = next((c for c, a in enumerate(v) if a), None)
+        if pivot is not None:
+            basis.append((pivot, [a / v[pivot] for a in v]))
+    return len(basis)
+
+
+def reference_vertex_test(market, x, rng: random.Random):
+    """``is_extreme_point`` from its definition: the dense rank of every
+    tight row of ``reference_evaluate``, nonneg rows included, in a shuffled
+    order."""
+    rows = [dense_row(market, cid) for cid in reference_evaluate(market, x).tight]
+    rng.shuffle(rows)
+    r = dense_rank(rows)
+    return r == len(market.pairs()), r
+
+
 def _sparse_rows(market):
     """``reference_rows`` as (nonzero coefficients by pair position, b)."""
     return [({c: a for c, a in enumerate(coeffs) if a}, b)

@@ -15,7 +15,10 @@ it compares the lists of ``reduce_profile`` with
 several stable matchings it also runs ``interior_walk`` and then
 ``vertex_walk`` from a random mix of the stable matchings, once in integers
 and once with the ``Fraction`` references, from the same seed, and compares
-the start, endpoint, trace and next rng draw.  Then, on complete 12x12
+the start, endpoint, trace and next rng draw; at the mix, the walk's start
+and its endpoint it compares ``is_extreme_point``, which ranks the tight
+rows on the point's support, with the dense rank of every tight row
+(``oracles.reference_vertex_test``).  Then, on complete 12x12
 one-to-one markets, which are rich in rotations, it compares
 ``enumerate_stable_via_rotations`` with the pruned search alone
 (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search visits
@@ -63,7 +66,7 @@ repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took 3 min 36 s to 3 min 51 s on one core of a 2-vCPU VM;
+The full sweep took 4 min 39 s on one core of a 2-vCPU VM;
 the exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets takes about 2
 minutes of it.
 Each rich market takes the pruned search 0.1-0.16 s.
@@ -80,10 +83,10 @@ from oracles import (RICH_SIZE, balanced_market, chain_agrees, cloned_blocks,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
-                     reference_vertex_walk, rotations_at_a_firm_are_ordered,
-                     walk_pair)
+                     reference_vertex_test, reference_vertex_walk,
+                     rotations_at_a_firm_are_ordered, walk_pair)
 from stablefrac.hulls import _random_mix
-from stablefrac.polytope import interior_walk, vertex_walk
+from stablefrac.polytope import interior_walk, is_extreme_point, vertex_walk
 from stablefrac.rotations import _lattice
 from stablefrac.stability import _search
 
@@ -167,10 +170,15 @@ def main(argv=None) -> int:
                     key = f"{nf},{nw},{qmax}:{seed}:{density}"
                     x = _random_mix(m, sorted(reference, key=lambda mu: mu.assignment),
                                     random.Random(key))
-                    if (walk_pair(m, x, key, interior_walk, vertex_walk)
-                            != walk_pair(m, x, key, reference_interior_walk,
-                                         reference_vertex_walk)):
+                    walked = walk_pair(m, x, key, interior_walk, vertex_walk)
+                    if walked != walk_pair(m, x, key, reference_interior_walk,
+                                           reference_vertex_walk):
                         disagreements.append(("walks", nf, nw, qmax, seed, density))
+                    rng = random.Random(key)
+                    if any(is_extreme_point(m, p) != reference_vertex_test(m, p, rng)
+                           for p in (x, *walked[:2])):
+                        disagreements.append(("vertex test", nf, nw, qmax, seed,
+                                              density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings, {size_nodes} oracle "
               "nodes at this size", flush=True)
@@ -256,7 +264,7 @@ def main(argv=None) -> int:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
-          f"(walks compared on each), {profiles} reduced profiles, "
+          f"(walks and vertex tests compared on each), {profiles} reduced profiles, "
           f"{chains} chains ({chain_rotations} rotations, {edges} "
           f"predecessor pairs, {searched} matchings listed), "
           f"{len(disagreements)} disagreements")

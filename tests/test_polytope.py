@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, ReferenceRref, dense_row, random_markets,
-                     reference_evaluate, reference_interior_walk,
-                     reference_row_values, reference_rows, reference_vertex_walk,
-                     walk_pair)
+from oracles import (RANDOM_SIZES, ReferenceRref, balanced_market, cloned_blocks,
+                     dense_rank, random_markets, reference_evaluate,
+                     reference_interior_walk, reference_row_values, reference_rows,
+                     reference_vertex_test, reference_vertex_walk, walk_pair)
 from stablefrac import polytope
 from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
 from stablefrac.linalg import Rref, rank, solve_exact
 from stablefrac.polytope import (
-    _constraint_row, _drop_each, _evaluate, _Lists, _pair_index_of, _PairIndex, _Point,
+    _drop_each, _evaluate, _Lists, _pair_index_of, _PairIndex, _Point,
     _row_values, _tight, interior_walk)
 
 DATA = Path(__file__).parent / "data"
@@ -239,12 +239,12 @@ def test_verify_builds_each_pair_index_once_and_only_tight_rows(
             super().__init__(market, x)
             points.append(self)
 
-    def checked_row(self, i):
+    def checked_row(self, i, *slicers):
         if walking:
             point = points[-1]
             assert _row_values(self, point.nums)[i] == self.bound[i] * point.denom
             checked[walking] += 1
-        return row(self, i)
+        return row(self, i, *slicers)
 
     def walk(fn):
         def walked(*args, **kwargs):
@@ -286,52 +286,78 @@ def test_constraint_labels(market):
 
 # --- the sparse, presolved rank against a dense reference ------------------
 
-def _dense_rank(rows: list[list[Fraction]]) -> int:
-    """Dense exact Gaussian elimination over full rows: the reference rank."""
-    basis: dict[int, list[Fraction]] = {}
-    for row in rows:
-        v = [Fraction(a) for a in row]
-        for p, b in basis.items():
-            if v[p]:
-                c = v[p]
-                v = [a - c * y for a, y in zip(v, b)]
-        pivot = next((c for c, a in enumerate(v) if a), None)
-        if pivot is None:
-            continue
-        v = [a / v[pivot] for a in v]
-        for p, b in basis.items():
-            if b[pivot]:
-                c = b[pivot]
-                basis[p] = [a - c * y for a, y in zip(b, v)]
-        basis[pivot] = v
-    return len(basis)
+def _vertex_test_points(m, stable, rng):
+    """Points of m's polytope for the vertex test: its stable matchings, two
+    hull samples, the firm/worker midpoint when they differ, and the start
+    and end of the two walks from the last of them."""
+    points = [sf.incidence_vector(m, mu) for mu in stable]
+    points += sf.sample_hull(m, stable[0], 7, 2)
+    if len(stable) > 1:
+        points.append(_midpoint(m))
+    start = interior_walk(m, points[-1], rng)
+    return points + [start, sf.vertex_walk(m, start, rng)]
 
 
-def _reference_vertex_test(m: sf.Market, x: sf.FractionalMatching,
-                           rng: random.Random) -> tuple[bool, int]:
-    rows = [dense_row(m, cid) for cid in sf.check_stable_feasibility(m, x).tight]
-    rng.shuffle(rows)
-    r = _dense_rank(rows)
-    return r == len(m.pairs()), r
+def _stable(m):
+    return sorted(sf.enumerate_stable_via_rotations(m), key=lambda mu: mu.assignment)
+
+
+def _noblock_supports(m, x):
+    """Whether each tight noblock row of x sits at a supported pair."""
+    return {bool(x.value(m, *cid[1:])) for cid in sf.check_stable_feasibility(m, x).tight
+            if cid[0] == "noblock"}
 
 
 def test_vertex_rank_matches_dense_reference(fleet, fleet_stable):
+    """The rank on the support equals the dense rank of every tight row, on
+    the one-to-one fleet, cloned blocks and balanced many-to-one markets,
+    and the points reach tight noblock rows at supported and at unsupported
+    pairs, where the row's own coefficient is left out."""
     rng = random.Random(2024)
-    checked = 0
-    for m, stable in zip(fleet, fleet_stable):
-        points = [sf.incidence_vector(m, mu) for mu in stable]
-        points += sf.sample_hull(m, stable[0], 7, 2)
-        start = interior_walk(m, points[-1], rng)
-        points += [start, sf.vertex_walk(m, start, rng)]
-        for x in points:
-            assert sf.is_extreme_point(m, x) == _reference_vertex_test(m, x, rng)
+    many = [cloned_blocks([2] * 4, 2), *(balanced_market(seed, 6, 2) for seed in range(3))]
+    markets = [*zip(fleet, fleet_stable), *zip(many, map(_stable, many))]
+    checked, supports = 0, set()
+    for m, stable in markets:
+        for x in _vertex_test_points(m, stable, rng):
+            assert sf.is_extreme_point(m, x) == reference_vertex_test(m, x, rng)
             checked += 1
+            supports |= _noblock_supports(m, x)
     for seed in (0, 2, 3):
         m = sf.gen_random_market(seed, 10, 13, 2, density=1.0)
         mid = _midpoint(m)
-        assert sf.is_extreme_point(m, mid) == _reference_vertex_test(m, mid, rng)
+        assert sf.is_extreme_point(m, mid) == reference_vertex_test(m, mid, rng)
         checked += 1
-    assert checked > 150
+    assert checked > 150 and supports == {False, True}
+
+
+def test_rank_gets_the_tight_rows_on_the_support(monkeypatch, fleet, fleet_stable):
+    """The rows the vertex test eliminates are, as a multiset, the tight
+    quota, unit and noblock rows of the definition restricted to the
+    point's support, and have no column off it."""
+    seen = []
+
+    def spy(rows, ncols):
+        seen.append(rows)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(polytope, "rank", spy)
+    rng = random.Random(7)
+    block = cloned_blocks([2] * 4, 2)
+    checked = 0
+    for m, stable in [*zip(fleet, fleet_stable), (block, _stable(block))]:
+        rows = {cid: coeffs for cid, coeffs, _ in reference_rows(m)}
+        for x in _vertex_test_points(m, stable, rng):
+            support = {k for k, (f, w) in enumerate(m.pairs()) if x.value(m, f, w)}
+            seen.clear()
+            sf.is_extreme_point(m, x)
+            [passed] = seen
+            expected = [{k: a for k, a in enumerate(rows[cid]) if a and k in support}
+                        for cid in reference_evaluate(m, x).tight if cid[0] != "nonneg"]
+            assert all(set(row) <= support for row in passed)
+            assert Counter(frozenset(r.items()) for r in passed) == \
+                Counter(frozenset(r.items()) for r in expected)
+            checked += 1
+    assert checked > 250
 
 
 def _midpoint(m: sf.Market) -> sf.FractionalMatching:
@@ -363,18 +389,21 @@ def _pruned_markets(draw):
 @given(m=_pruned_markets(), data=st.data())
 def test_pair_index_rows_are_the_definition(m, data):
     """Every numbered row of the pair index, with its sign and its bound, is
-    its definition, and ``_constraint_row`` gives it by constraint id; one
-    prefix-sum pass gives every row's a . v, in row order, for integer
-    vectors of either sign; and the evaluation of a matrix with negative
-    entries and entries off the pairs equals the row-by-row reference."""
+    its definition, and so is its restriction to a random support, built
+    from the slices of ``_Lists.slicer``; one prefix-sum pass gives every
+    row's a . v, in row order, for integer vectors of either sign; and the
+    evaluation of a matrix with negative entries and entries off the pairs
+    equals the row-by-row reference."""
     n, index = len(m.pairs()), _pair_index_of(m)
     rows = reference_rows(m)
+    support = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    slicers = index.firm.slicer(support), index.worker.slicer(support)
     assert len(index.bound) == len(rows) == m.n_firms + m.n_workers + 2 * n
-    for i, (cid, coeffs, b) in enumerate(rows):
+    for i, (_, coeffs, b) in enumerate(rows):
         row = index.row(i)
         assert [row.get(k, 0) for k in range(n)] == coeffs and 0 not in row.values()
         assert index.bound[i] == b
-        assert _constraint_row(m, cid) == row
+        assert index.row(i, slicers) == {k: a for k, a in row.items() if support[k]}
     v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     assert _row_values(index, v) == reference_row_values(m, v)
     x = sf.FractionalMatching.from_rows(
@@ -395,11 +424,6 @@ def test_lists_end_each_list_once():
     index = _pair_index_of(m)
     assert index.bound == [1, 2] and [index.row(i) for i in range(2)] == [{}, {}]
     assert _row_values(index, []) == [0, 0]
-
-
-def test_constraint_row_refuses_an_unknown_kind(market):
-    with pytest.raises(ValueError, match="^unknown constraint kind 'zero'$"):
-        _constraint_row(market, ("zero", "f1", "w1"))
 
 
 _REFUSED_STEP = """
@@ -461,9 +485,9 @@ def test_rref_matches_dense_elimination(rows):
     dense = [[Fraction(row.get(c, 0)) for c in range(NCOLS)] for row in rows]
     basis = Rref(NCOLS)
     for k, row in enumerate(rows):
-        rose = _dense_rank(dense[:k + 1]) > _dense_rank(dense[:k])
+        rose = dense_rank(dense[:k + 1]) > dense_rank(dense[:k])
         assert basis.add(row) is rose
-    assert basis.rank == rank(rows, NCOLS) == _dense_rank(dense)
+    assert basis.rank == rank(rows, NCOLS) == dense_rank(dense)
     reference = ReferenceRref(NCOLS)
     for row in rows:
         reference.add(row)
