@@ -354,8 +354,8 @@ def _cmd_rotations(args, inputs, diagnostics) -> _Outcome:
     result = {
         "matching": dict(mu.assignment),
         "reduced": {
-            "firms": {f: list(profile.firm_list(f)) for f in market.firms},
-            "workers": {w: list(profile.worker_list(w)) for w in market.workers},
+            "firms": {f: list(lst) for f, lst in profile.firm_lists.items()},
+            "workers": {w: list(lst) for w, lst in profile.worker_lists.items()},
         },
         "rotations": [_rotation(rot) for rot in rotations],
     }

@@ -12,7 +12,8 @@ reference the tests hold the cube test to.
 The harness reads the exposed rotations off the predecessor masks that the
 rotation chain builds (``rotations._exposed``): r_j is exposed at a listed
 matching when r_j is not applied there and every rotation of its mask is.
-It tests a failing point on one cube only.
+That table of cubes is the one copy: certification looks its base up there
+once, and a failing point is tested on one cube only.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class HullCertificate:
 
 def certify_strongly_stable(
         market: Market, x: FractionalMatching,
-        rotations_of: Callable[[Matching], tuple[Rotation, ...]] | None = None
+        rotations_of: Callable[[Matching], tuple[Rotation, ...] | None] | None = None
 ) -> HullCertificate | PairCondition:
     """Certify hull membership constructively, or refuse with a witness pair.
 
@@ -90,7 +91,8 @@ def certify_strongly_stable(
     its subset is the rotations whose coordinate is 1.  A term that is no
     vertex of that cube would falsify the characterization; it raises
     instead of being swallowed.  ``rotations_of(base)``, when given, stands
-    in for reducing the base's profile.
+    in for reducing the base's profile: a lookup of the known stable
+    matchings' rotations, whose None refuses the base with NotStableError.
     """
     try:
         decomposition = decompose(market, x)
@@ -99,6 +101,8 @@ def certify_strongly_stable(
     base = decomposition.terms[0][0]
     rotations = (rotations_of(base) if rotations_of is not None
                  else find_cycles(reduce_profile(market, base)))
+    if rotations is None:
+        raise NotStableError("top matching is not a listed stable matching")
     terms: list[tuple[frozenset[int], Rational]] = []
     for mu, weight in decomposition.terms:
         lam = _cube_coordinates(
@@ -297,15 +301,10 @@ def verify_characterization(market: Market, seed: int,
     cubes = {mu: _exposed(market, chain, pred, listed[mu])
              for mu in stable if mu in listed}
 
-    def known_rotations(base: Matching) -> tuple[Rotation, ...]:
-        if base not in cubes:
-            raise NotStableError("top matching is not a listed stable matching")
-        return cubes[base]
-
     def classify(x: FractionalMatching, origin: str, expect_member: bool) -> bool:
         """Record counterexamples at x; true when x passes the condition."""
         try:
-            cert = certify_strongly_stable(market, x, known_rotations)
+            cert = certify_strongly_stable(market, x, cubes.get)
         except NotStableError as exc:
             counterexamples.append(f"{origin}: passing point's {exc}")
             return True

@@ -103,10 +103,12 @@ class Market:
     The constructor checks every field, each list as it ranks it, the firms'
     first; lists of undeclared agents are dropped, one-sided entries kept.
     Instances are immutable after construction and safe to share across
-    threads.  All operations in this library are pure functions.  Two
-    derived values are kept on a market, each built on first use: the
-    polytope layer's index of the acceptable pairs, which numbers the rows
-    of the stable-feasibility system, and deferred acceptance's two
+    threads.  All operations in this library are pure functions.  The
+    constructor keeps each agent's index, rank table and acceptable list,
+    and the acceptable pairs in order.  Two derived values are kept on a
+    market, each built on first use: the polytope layer's index of the
+    acceptable pairs, the one place that holds a pair's position and numbers
+    the rows of the stable-feasibility system, and deferred acceptance's two
     matchings.
     """
 
@@ -155,7 +157,6 @@ class Market:
         # canonical order: firm declaration order, then worker declaration order
         pairs = tuple((f, w) for f in self.firms
                       for w in sorted(firm_acc[f], key=windex.__getitem__))
-        pair_index = {p: k for k, p in enumerate(pairs)}
         object.__setattr__(self, "firm_pref", firm_pref)
         object.__setattr__(self, "worker_pref", worker_pref)
         object.__setattr__(self, "_findex", findex)
@@ -165,7 +166,6 @@ class Market:
         object.__setattr__(self, "_firm_acc", firm_acc)
         object.__setattr__(self, "_worker_acc", worker_acc)
         object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_pair_index", pair_index)
 
     @property
     def n_firms(self) -> int:
@@ -189,14 +189,12 @@ class Market:
         return self._wrank[w][f]
 
     def acceptable(self, f: str, w: str) -> bool:
-        return (f, w) in self._pair_index
+        """Whether f and w list each other; False for an unknown name."""
+        return w in self._frank.get(f, ()) and f in self._wrank.get(w, ())
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         """Mutually acceptable pairs in (firm declaration, worker declaration) order."""
         return self._pairs
-
-    def pair_position(self, f: str, w: str) -> int:
-        return self._pair_index[(f, w)]
 
     def acceptable_to_firm(self, f: str) -> tuple[str, ...]:
         """f's preference list restricted to mutually acceptable workers."""
@@ -401,12 +399,6 @@ class Decomposition:
 
     terms: tuple[tuple[Matching, Rational], ...]
 
-    def matchings(self) -> tuple[Matching, ...]:
-        return tuple(mu for mu, _ in self.terms)
-
-    def weights(self) -> tuple[Rational, ...]:
-        return tuple(a for _, a in self.terms)
-
     def reconstruct(self, market: Market) -> FractionalMatching:
         denom = lcm(*(a.denominator for _, a in self.terms))
         return _mix(market, denom, (
@@ -600,6 +592,8 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
     be nonnegative and entries on non-acceptable pairs must be exactly zero.
     Quota and stability constraints are checked separately.  A row's tokens
     other than ``0`` are read left to right; its first fault is reported.
+    With no workers every row is blank, so text with no non-blank line is
+    the matrix with no columns.
     """
     cells: list[tuple[int, int, int]] = []    # nonzero (flat cell, num, denom)
     nrows = 0
@@ -636,7 +630,7 @@ def parse_fractional(market: Market, text: str) -> FractionalMatching:
                     f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
             if n:
                 cells.append((row + j, n, int(den or 1)))
-    if nrows != market.n_firms:
+    if nrows != market.n_firms and market.n_workers:
         raise ParseError(
             f"expected {market.n_firms} rows, found {nrows}")
     # tokens need not be reduced, so their denominators' LCM need not be

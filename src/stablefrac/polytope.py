@@ -9,15 +9,17 @@ pairs are identically zero and are eliminated rather than carried along.
 
 Both systems are evaluated in one integer pass over the point's own form,
 numerators N over its least common denominator D: every row is compared in
-``int``, and the pass keeps each pair's weak prefix sums at D for the strong
-stability condition and its sweep.  The point keeps that report for its
-market, so every layer takes ``(market, x)`` and evaluates a point once;
-``check_feasibility`` is that report without its noblock rows.
+``int``, and the pass keeps N on the pairs and each pair's weak prefix sums
+at D.  The point keeps that report for its market, so every layer takes
+``(market, x)`` and evaluates a point once: the vertex test, the walks and
+the strong stability sweep read N off the report, the strong stability
+condition its sums, and ``check_feasibility`` is the report without its
+noblock rows.
 
-Each market keeps one index of its acceptable pairs, built on first use:
-every pair's cell and quota, the pair positions along each agent's list,
-and the one numbering of the stable-feasibility system's rows  a . x <= b
-with each row's bound b.  From it one prefix-sum pass over any pair vector v
+Each market keeps one index of its acceptable pairs, built on first use and
+the one place that numbers them: every pair's cell and quota, the pair
+positions along each agent's list, and the one numbering of the
+stable-feasibility system's rows  a . x <= b  with each row's bound b.  From it one prefix-sum pass over any pair vector v
 gives a . v for every row in O(pairs): the lists' totals are the quota and
 unit rows, and each pair's weak prefix sums on both sides give its noblock
 row.  The evaluation, the tight and ratio tests of the two walks, and the
@@ -102,10 +104,11 @@ class _PairIndex:
     """A market's acceptable pairs indexed for prefix sums, and the numbered
     rows  a . x <= b  of its stable-feasibility system.
 
-    Pair k sits at flat cell ``cells[k]`` (firm index times the number of
-    workers, plus the worker index) and belongs to a firm of quota
-    ``quota[k]``.  ``firm`` and ``worker`` hold every agent's list, in
-    declaration order.  The rows are numbered in one order: a quota row per
+    Pair k, the k-th of ``market.pairs()``, sits at flat cell ``cells[k]``
+    (firm index times the number of workers, plus the worker index) and
+    belongs to a firm of quota ``quota[k]``.  ``firm`` and ``worker`` hold
+    every agent's list as pair positions, in declaration order; the map from
+    a pair to its position lives only while they are laid out.  The rows are numbered in one order: a quota row per
     firm, a unit row per worker, then a nonneg row and a noblock row per
     pair; ``bound`` holds each row's b.  A worker with no acceptable pair
     has an all-zero unit row, which is never tight (0 < D) and never binds.
@@ -114,7 +117,8 @@ class _PairIndex:
     __slots__ = ("cells", "quota", "firm", "worker", "bound")
 
     def __init__(self, market: Market):
-        pairs, pos, quota = market.pairs(), market._pair_index, market.quota
+        pairs, quota = market.pairs(), market.quota
+        pos = {p: k for k, p in enumerate(pairs)}
         nw, findex, windex = market.n_workers, market._findex, market._windex
         self.cells = [findex[f] * nw + windex[w] for f, w in pairs]
         self.quota = [quota[f] for f, _ in pairs]
@@ -163,12 +167,6 @@ def _pair_index_of(market: Market) -> _PairIndex:
     return market._polytope_index
 
 
-def _pair_values(index: _PairIndex, x: FractionalMatching) -> list[int]:
-    """The numerators of x on the acceptable pairs, in pair order."""
-    flat = list(chain.from_iterable(x._nums))
-    return [flat[c] for c in index.cells]
-
-
 def _noblock_lhs(index: _PairIndex, v: list[int], firm_sums: list[int],
                  worker_sums: list[int]) -> list[int]:
     """(F - v) + q W per pair: the no-blocking row's a . v before its sign."""
@@ -185,12 +183,15 @@ def _row_values(index: _PairIndex, v: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class _ScaledSums:
-    """Weak prefix sums of one point, times the point's denominator.
+    """One point's numerators on the acceptable pairs and its weak prefix
+    sums, all times the point's denominator.
 
-    ``firm[k]`` is the firm's cumulative mass down to the worker of the k-th
-    acceptable pair, ``worker[k]`` the worker's down to the firm.
+    ``entry[k]`` is the point's numerator at the k-th acceptable pair,
+    ``firm[k]`` the firm's cumulative mass down to the pair's worker,
+    ``worker[k]`` the worker's down to the firm.
     """
 
+    entry: list[int]
     firm: list[int]
     worker: list[int]
 
@@ -208,13 +209,10 @@ class ConstraintReport:
     def feasible(self) -> bool:
         return not self.violations
 
-    def first_violation(self) -> tuple[ConstraintId, Rational, Rational]:
-        return self.violations[0]
-
     def require(self) -> ConstraintReport:
         """The report; InfeasibleError at the first violated constraint, if any."""
         if self.violations:
-            raise InfeasibleError(*self.first_violation())
+            raise InfeasibleError(*self.violations[0])
         return self
 
 
@@ -246,8 +244,10 @@ def check_stable_feasibility(market: Market,
     For a pair (f, w): the mass f gives to strictly better workers, plus
     quota-many times the mass w gives to strictly better firms, plus
     quota-many times the pair's own entry, must reach the quota.  The report
-    keeps the evaluation's weak prefix sums for ``strong_stability``, and the
-    point keeps the report: a second call for the same market returns it.
+    keeps the point's numerators on the pairs and the evaluation's weak
+    prefix sums, which the vertex test, the walks and ``strong_stability``
+    read, and the point keeps the report: a second call for the same market
+    returns it.
     """
     if x._stable is None or x._stable[0] is not market:
         x._stable = (market, _evaluate(market, x))
@@ -258,12 +258,13 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
     """One evaluation of the stable-feasibility system at N = D * x.
 
     The quota and unit rows are the matrix's row and column sums.  The
-    noblock rows come from one prefix-sum pass over N on the pairs, whose
-    weak prefix sums the report keeps.  A constraint id is built only for a
-    tight or violated row.  The nonneg rows are N on the pairs, unless N has
-    a negative entry or a nonzero off the pairs: then one scan of every cell
-    reports the nonneg and zero rows in matrix order.  A violation's lhs
-    becomes a ``Fraction`` over D, its rhs is the row's integer bound.
+    noblock rows come from one prefix-sum pass over N on the pairs; the
+    report keeps N on the pairs and the weak prefix sums.  A constraint id
+    is built only for a tight or violated row.  The nonneg rows are N on the
+    pairs, unless N has a negative entry or a nonzero off the pairs: then
+    one scan of every cell reports the nonneg and zero rows in matrix order.
+    A violation's lhs becomes a ``Fraction`` over D, its rhs is the row's
+    integer bound.
     """
     denom, scaled = x._denom, x._nums
     if len(scaled) != market.n_firms or any(
@@ -313,7 +314,7 @@ def _evaluate(market: Market, x: FractionalMatching) -> ConstraintReport:
     bound("noblock", pairs, lhs, index.quota,
           [a - q * denom for a, q in zip(lhs, index.quota)])
     return ConstraintReport(tuple(violations), tuple(tight),
-                            _ScaledSums(firm_sum, worker_sum))
+                            _ScaledSums(entry, firm_sum, worker_sum))
 
 
 def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
@@ -331,8 +332,7 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     per side gives, and ``linalg.rank`` eliminates them.
     """
     sums = check_stable_feasibility(market, x).require()._sums
-    index, denom = _pair_index_of(market), x._denom
-    entry = _pair_values(index, x)
+    index, denom, entry = _pair_index_of(market), x._denom, sums.entry
     firm, worker, n = index.firm, index.worker, len(entry)
     totals = [*firm.totals(sums.firm), *worker.totals(sums.worker)]
     tight = [i for i, (t, b) in enumerate(zip(totals, index.bound)) if t == b * denom]
@@ -346,12 +346,12 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
 
 class _Point:
     """A walk point x = N / D on the acceptable pairs, taken from the point's
-    own form and kept reduced by ``move``."""
+    kept evaluation and kept reduced by ``move``."""
 
     def __init__(self, market: Market, x: FractionalMatching):
         self.index = _pair_index_of(market)
         self.denom = x._denom
-        self.nums = _pair_values(self.index, x)
+        self.nums = check_stable_feasibility(market, x)._sums.entry
 
     def row_values(self) -> list[int]:
         """a . N for every row of the index, by row number."""

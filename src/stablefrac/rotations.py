@@ -64,12 +64,6 @@ class ReducedProfile:
     firm_lists: dict[str, tuple[str, ...]]
     worker_lists: dict[str, tuple[str, ...]]
 
-    def firm_list(self, f: str) -> tuple[str, ...]:
-        return self.firm_lists[f]
-
-    def worker_list(self, w: str) -> tuple[str, ...]:
-        return self.worker_lists[w]
-
 
 @dataclass(frozen=True)
 class Rotation:

@@ -147,8 +147,8 @@ def blocking_pairs(market: Market, mu: Matching) -> tuple[BlockingPair, ...]:
     it likes less than w.  A partner that an agent does not list ranks below
     every one it lists.
     """
-    return tuple(sorted(_blocks(market, mu, market.firms),
-                        key=lambda b: market.pair_position(b.firm, b.worker)))
+    return tuple(sorted(_blocks(market, mu, market.firms), key=lambda b: (
+        market.firm_index(b.firm), market.worker_index(b.worker))))
 
 
 def is_stable(market: Market, mu: Matching) -> bool:

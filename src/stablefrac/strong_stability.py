@@ -5,12 +5,12 @@ either the firm has exhausted its quota on weakly better workers or the
 worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
-Both read the weak prefix sums of the point's one stable-feasibility
-evaluation, with each pair's quota from the market's pair index.  One
-helper turns them into every pair's integer gaps: the full condition report
-reads every pair's, while ``decompose`` and ``peel`` find the first failing
-pair with a scan in C and refuse there, without building the other pairs'
-conditions.
+Both read the weak prefix sums that the point's one stable-feasibility
+evaluation keeps, the sweep also its numerators on the pairs, with each
+pair's quota from the market's pair index.  One helper turns them into
+every pair's integer gaps: the full condition report reads every pair's,
+while ``decompose`` and ``peel`` find the first failing pair with a scan in
+C and refuse there, without building the other pairs' conditions.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .model import (
     _ZERO,
     incidence_vector,
 )
-from .polytope import (
-    _pair_index_of, _pair_values, check_feasibility, check_stable_feasibility)
+from .polytope import _pair_index_of, check_feasibility, check_stable_feasibility
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,8 @@ class StrongStabilityReport:
     pairs: tuple[PairCondition, ...]
     overall: bool
 
-    def failures(self) -> tuple[PairCondition, ...]:
-        return tuple(p for p in self.pairs if p.product != 0)
-
     def first_failure(self) -> PairCondition:
-        return self.failures()[0]
+        return next(p for p in self.pairs if p.product != 0)
 
 
 def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCondition:
@@ -192,9 +188,8 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     failure = _first_failure(market, x)
     if failure is not None:
         raise failure._refusal()
-    after = check_stable_feasibility(market, x)._sums.firm
-    entry = _pair_values(_pair_index_of(market), x)
-    d = x._denom
+    sums, d = check_stable_feasibility(market, x)._sums, x._denom
+    after, entry = sums.firm, sums.entry
     # each supported pair with the firm's mass on better workers, and its entry
     support = [(pair, c - e, e) for pair, c, e in zip(market.pairs(), after, entry) if e]
     cuts = sorted({0} | {c % d for c in after})

@@ -306,6 +306,59 @@ def cloned_blocks(sizes: list[int], q: int) -> Market:
                   {c: base.worker_pref[w] for w in base.workers for c in clones[w]})
 
 
+# --- markets with a prescribed rotation poset --------------------------------
+
+def poset_market(n: int, less: set[tuple[int, int]], q: int = 1) -> Market:
+    """A market whose rotation poset is the strict order ``less`` on the
+    elements 0..n-1, given closed: it holds (k, i) for every k < i.
+
+    Element i has firms ``a{i}``, ``b{i}`` and workers ``x{i}``, ``y{i}``:
+
+    - a_i lists x_i, then x_k for each k < i, then y_i;
+    - b_i lists y_i, x_i;
+    - x_i lists b_i, then a_j for each j > i, then a_i;
+    - y_i lists a_i, b_i.
+
+    Rotation r_i trades x_i and y_i between a_i and b_i, and for k < i the
+    pair (a_i, x_k) blocks exactly when r_i is applied and r_k is not, so
+    the stable matchings are the order ideals (Irving & Leather 1986).  With
+    ``q > 1`` each worker is cloned q times and every firm has quota q, as
+    in ``cloned_blocks``; that market's rotations need not be one per
+    element.
+    """
+    firm_pref, worker_pref = {}, {}
+    for i in range(n):
+        below = [f"x{k}" for k in range(n) if (k, i) in less]
+        above = [f"a{j}" for j in range(n) if (i, j) in less]
+        firm_pref[f"a{i}"] = [f"x{i}", *below, f"y{i}"]
+        firm_pref[f"b{i}"] = [f"y{i}", f"x{i}"]
+        worker_pref[f"x{i}"] = [f"b{i}", *above, f"a{i}"]
+        worker_pref[f"y{i}"] = [f"a{i}", f"b{i}"]
+    clones = {w: [f"{w}.{c}" for c in range(q)] if q > 1 else [w] for w in worker_pref}
+    return Market(list(firm_pref), [c for w in worker_pref for c in clones[w]],
+                  dict.fromkeys(firm_pref, q),
+                  {f: [c for w in ws for c in clones[w]] for f, ws in firm_pref.items()},
+                  {c: fs for w, fs in worker_pref.items() for c in clones[w]})
+
+
+def random_order(seed: int, n: int, p: float) -> set[tuple[int, int]]:
+    """A seeded strict order on 0..n-1, closed: each pair k < i is drawn
+    with probability p, and i lies above each drawn k and all below k."""
+    rng = random.Random(f"order:{seed}:{n}:{p}")
+    below: list[set[int]] = []
+    for i in range(n):
+        drawn = [k for k in range(i) if rng.random() < p]
+        below.append(set(drawn).union(*(below[k] for k in drawn)))
+    return {(k, i) for i in range(n) for k in below[i]}
+
+
+def order_ideals(n: int, less: set[tuple[int, int]]) -> int:
+    """The number of down-closed subsets of 0..n-1 under ``less``."""
+    below = [sum(1 << k for k in range(n) if (k, i) in less) for i in range(n)]
+    return sum(all(below[i] & ~s == 0 for i in range(n) if s >> i & 1)
+               for s in range(1 << n))
+
+
 # --- balanced many-to-one markets -------------------------------------------
 
 def balanced_market(seed: int, nf: int, q: int) -> Market:
@@ -473,13 +526,14 @@ def reference_evaluate(market, x):
             elif v:
                 violations.append((("zero", f, w), Fraction(v, denom), Fraction(0)))
 
-    pos, fidx, widx = market.pair_position, market.firm_index, market.worker_index
+    pos = {p: k for k, p in enumerate(market.pairs())}.__getitem__
+    fidx, widx = market.firm_index, market.worker_index
     n = len(market.pairs())
     entry, firm_sum, worker_sum = [0] * n, [0] * n, [0] * n
     for f, row in zip(market.firms, scaled):
         acc = 0
         for w in market.acceptable_to_firm(f):
-            k = pos(f, w)
+            k = pos((f, w))
             entry[k] = row[widx(w)]
             acc += entry[k]
             firm_sum[k] = acc
@@ -487,13 +541,13 @@ def reference_evaluate(market, x):
         acc, j = 0, widx(w)
         for f in market.acceptable_to_worker(w):
             acc += scaled[fidx(f)][j]
-            worker_sum[pos(f, w)] = acc
+            worker_sum[pos((f, w))] = acc
     for k, (f, w) in enumerate(market.pairs()):
         q = market.quota[f]
         bound(("noblock", f, w), firm_sum[k] - entry[k] + q * worker_sum[k], q,
               upper=False)
     return sf.ConstraintReport(tuple(violations), tuple(tight),
-                               _ScaledSums(firm_sum, worker_sum))
+                               _ScaledSums(entry, firm_sum, worker_sum))
 
 
 def dense_row(market, cid):
@@ -883,6 +937,8 @@ def reference_parse_fractional(market, text):
                     f"nonzero entry for non-acceptable pair ({f},{w})", lineno)
             row.append((n, int(den or 1)))
         rows.append(row)
+    if not market.n_workers:        # every row of an n x 0 matrix is blank
+        rows = [[] for _ in market.firms]
     if len(rows) != market.n_firms:
         raise sf.ParseError(
             f"expected {market.n_firms} rows, found {len(rows)}")
@@ -892,7 +948,7 @@ def reference_parse_fractional(market, text):
 
 
 CACHES = ("_findex", "_windex", "_frank", "_wrank", "_firm_acc", "_worker_acc",
-          "_pairs", "_pair_index")
+          "_pairs")
 
 
 def reference_caches(market):
@@ -910,6 +966,5 @@ def reference_caches(market):
         for w in market.workers}
     pairs = tuple((f, w) for f in market.firms
                   for w in sorted(firm_acc[f], key=windex.__getitem__))
-    pair_index = {p: k for k, p in enumerate(pairs)}
     return dict(zip(CACHES, (findex, windex, frank, wrank, firm_acc, worker_acc,
-                             pairs, pair_index)))
+                             pairs)))

@@ -63,9 +63,9 @@ def test_criterion_4_decomposition_roundtrip(fleet, fleet_stable):
                 for x in sf.sample_hull(m, mu, seed=seed, count=3):
                     dec = sf.decompose(m, x)
                     assert dec.reconstruct(m) == x
-                    assert sum(dec.weights()) == 1
-                    assert all(a > 0 for a in dec.weights())
-                    chain = dec.matchings()
+                    chain, weights = zip(*dec.terms)
+                    assert sum(weights) == 1
+                    assert all(a > 0 for a in weights)
                     for a, b in zip(chain, chain[1:]):
                         assert dominates(m, a, b, strict=True)
                     checked += 1

@@ -153,6 +153,26 @@ def test_decompose_integral(capsys, market_file, firm_opt_file):
     assert [t["weight"] for t in report["result"]["terms"]] == ["1"]
 
 
+@pytest.mark.parametrize("market_text", [
+    "firms: f1\nworkers:\n", "firms: f1 f2\nworkers:\nquota: f2=2\n",
+    "firms:\nworkers: w1\n"])
+def test_check_and_decompose_on_a_side_without_agents(capsys, tmp_path,
+                                                      market_text):
+    """A market with no workers or no firms has one point, the empty
+    matrix, written as no non-blank line; both commands accept it."""
+    market = tmp_path / "m.market"
+    market.write_text(market_text)
+    point = tmp_path / "x.frac"
+    point.write_text("# no entries\n")
+    code, report = run_json(capsys, ["check", str(market), str(point)])
+    assert code == 0
+    assert report["result"]["vertex"] == {"is_vertex": True, "rank": 0,
+                                          "dimension": 0}
+    code, report = run_json(capsys, ["decompose", str(market), str(point)])
+    assert code == 0
+    assert [t["weight"] for t in report["result"]["terms"]] == ["1"]
+
+
 def test_rotations_default_base(capsys, market_file):
     code, report = run_json(capsys, ["rotations", market_file])
     assert code == 0

@@ -400,6 +400,33 @@ def test_acceptability_is_mutual(fleet):
                 assert m.acceptable(f, w) == both
 
 
+def test_acceptable_on_api_built_markets_with_one_sided_entries():
+    """A market built through the constructor keeps one-sided entries in its
+    lists; ``acceptable`` is "both list each other", exactly the pairs, and
+    False for a name the market does not declare or for swapped sides."""
+    rng = random.Random(8)
+    one_sided = 0
+    for _ in range(40):
+        firms = [f"f{i}" for i in range(rng.randint(1, 5))]
+        workers = [f"w{j}" for j in range(rng.randint(0, 5))]
+        firm_pref = {f: tuple(rng.sample(workers, rng.randint(0, len(workers))))
+                     for f in firms}
+        worker_pref = {w: tuple(rng.sample(firms, rng.randint(0, len(firms))))
+                       for w in workers}
+        m = sf.Market(firms, workers, dict.fromkeys(firms, 1), firm_pref, worker_pref)
+        for f in firms:
+            for w in workers:
+                both = w in firm_pref[f] and f in worker_pref[w]
+                one_sided += (w in firm_pref[f]) != (f in worker_pref[w])
+                assert m.acceptable(f, w) == both == ((f, w) in m.pairs())
+                assert not m.acceptable(w, f)
+            assert not m.acceptable(f, "nobody")
+        for w in workers:
+            assert not m.acceptable("nobody", w)
+        assert not m.acceptable("nobody", "nobody")
+    assert one_sided > 50
+
+
 def test_matching_build_validates(market):
     with pytest.raises(ValueError):
         sf.Matching.build(market, {"f1": ["w1", "w2", "w3"]})   # over quota
@@ -508,6 +535,22 @@ def test_market_and_fractional_text_round_trips(data):
         [[data.draw(values) if m.acceptable(f, w) else 0 for w in m.workers]
          for f in m.firms])
     assert sf.parse_fractional(m, serialize_fractional(m, x)) == x
+
+
+@pytest.mark.parametrize("firms,workers", [(["f1"], []), (["f1", "f2"], []),
+                                           ([], ["w1"]), ([], [])])
+def test_matrices_round_trip_on_a_side_without_agents(firms, workers):
+    """An n x 0 matrix is n blank rows, and ``parse_fractional`` skips blank
+    lines, so text with no non-blank line reads as that matrix; a non-blank
+    line still fails on its number of entries."""
+    m = sf.Market(firms, workers, dict.fromkeys(firms, 2), {}, {})
+    x = sf.FractionalMatching([[] for _ in firms])
+    assert sf.parse_fractional(m, serialize_fractional(m, x)) == x
+    assert sf.parse_fractional(m, "\n# nothing\n") == x == \
+        reference_parse_fractional(m, "")
+    if firms and not workers:
+        with pytest.raises(sf.ParseError, match="^line 2: expected 0 entries, found 1$"):
+            sf.parse_fractional(m, "\n0\n")
 
 
 # --- the parsers against their earlier forms in ``oracles`` ---------------

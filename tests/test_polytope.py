@@ -41,7 +41,7 @@ def test_quota_violation_reported(market):
     x = sf.parse_fractional(market, "1 1/2 1/2 1/2\n0 0 0 0\n")
     report = sf.check_feasibility(market, x)
     assert not report.feasible
-    cid, lhs, rhs = report.first_violation()
+    cid, lhs, rhs = report.violations[0]
     assert cid == ("quota", "f1")
     assert lhs == Fraction(5, 2) and rhs == 2
 

@@ -8,8 +8,8 @@ import pytest
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, balanced_market, chain_agrees,
                      cloned_blocks, compare_rich, dominates,
-                     lattice_exposures_agree,
-                     random_markets, reduced_lists_keep_the_base,
+                     lattice_exposures_agree, order_ideals, poset_market,
+                     random_markets, random_order, reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
                      reference_reduced_lists, reference_search,
                      rotations_at_a_firm_are_ordered)
@@ -22,20 +22,20 @@ DATA = Path(__file__).parent / "data"
 
 def test_reduced_lists_at_firm_optimal(market, mu_f):
     profile = sf.reduce_profile(market, mu_f)
-    assert profile.firm_list("f1") == ("w1", "w2", "w4")
-    assert profile.firm_list("f2") == ("w4", "w3", "w2")
-    assert profile.worker_list("w1") == ("f1",)
-    assert profile.worker_list("w2") == ("f2", "f1")
-    assert profile.worker_list("w3") == ("f2",)
-    assert profile.worker_list("w4") == ("f1", "f2")
+    assert profile.firm_lists["f1"] == ("w1", "w2", "w4")
+    assert profile.firm_lists["f2"] == ("w4", "w3", "w2")
+    assert profile.worker_lists["w1"] == ("f1",)
+    assert profile.worker_lists["w2"] == ("f2", "f1")
+    assert profile.worker_lists["w3"] == ("f2",)
+    assert profile.worker_lists["w4"] == ("f1", "f2")
 
 
 def test_reduced_lists_at_worker_optimal(market, mu_w):
     profile = sf.reduce_profile(market, mu_w)
     for f in market.firms:
-        assert set(profile.firm_list(f)) == set(mu_w.matched(f))
+        assert set(profile.firm_lists[f]) == set(mu_w.matched(f))
     for w in market.workers:
-        assert profile.worker_list(w) == (mu_w.employer(w),)
+        assert profile.worker_lists[w] == (mu_w.employer(w),)
 
 
 def test_reduction_on_single_pair_market():
@@ -48,8 +48,8 @@ worker w1: f1
 """)
     mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
     profile = sf.reduce_profile(m, mu)
-    assert profile.firm_list("f1") == ("w1",)
-    assert profile.worker_list("w1") == ("f1",)
+    assert profile.firm_lists["f1"] == ("w1",)
+    assert profile.worker_lists["w1"] == ("f1",)
 
 
 def test_reduction_rejects_unstable_matchings(market):
@@ -246,11 +246,11 @@ def test_reduced_lists_are_mutual(fleet, fleet_stable):
             assert list(red.firm_lists) == list(m.firms)
             assert list(red.worker_lists) == list(m.workers)
             for f in m.firms:
-                for w in red.firm_list(f):
-                    assert f in red.worker_list(w)
+                for w in red.firm_lists[f]:
+                    assert f in red.worker_lists[w]
             for w in m.workers:
-                for f in red.worker_list(w):
-                    assert w in red.firm_list(f)
+                for f in red.worker_lists[w]:
+                    assert w in red.firm_lists[f]
 
 
 def test_one_pass_reduction_matches_the_fixpoint(fleet):
@@ -901,3 +901,41 @@ def test_stable_step_on_hand_made_steps(monkeypatch, name):
     assert sf.rotations._stable_step(m, nu, sigma) is False
     assert full_checks == []
     assert not sf.is_stable(m, nu)
+
+
+# Strict orders, closed, on 0..n-1: a diamond, the crown on three minimal
+# and three maximal elements, and a seeded random order with two joins.
+POSETS = {
+    "diamond": (4, {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}),
+    "crown": (6, {(i, 3 + j) for i in range(3) for j in range(3) if i != j}),
+    "random": (10, random_order(0, 10, 0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_poset_market_has_the_prescribed_rotation_poset(name):
+    """The rotation search finds one rotation per element, ordered as the
+    prescribed order; the stable matchings are its order ideals, as brute
+    force lists them, and the characterization holds."""
+    n, less = POSETS[name]
+    m = poset_market(n, less)
+    chain, listed, pred = _lattice(m)
+    element = [int(next(f for f in sigma.firms if f.startswith("a"))[1:])
+               for sigma in chain]
+    assert sorted(element) == list(range(n))
+    assert {(element[k], element[j]) for j in range(n) for k in range(n)
+            if pred[j] >> k & 1} == less
+    assert len(listed) == order_ideals(n, less)
+    assert listed.keys() == sf.enumerate_stable_bruteforce(m)
+    report = sf.verify_characterization(m, 0, 25)
+    assert report.ok and report.stable_count == len(listed)
+
+
+@pytest.mark.parametrize("name", sorted(POSETS))
+def test_cloned_poset_market_lists_what_brute_force_finds(name):
+    """With every worker cloned and every quota 2, the rotation listing
+    still equals brute force's stable set, though the rotations are no
+    longer one per element."""
+    n, less = POSETS[name]
+    m = poset_market(n, less, q=2)
+    assert _lattice(m)[1].keys() == sf.enumerate_stable_bruteforce(m)

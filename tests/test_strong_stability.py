@@ -24,7 +24,7 @@ def test_condition_witness_on_fractional_vertex(market, x_vertex):
     assert witness.worker_factor == Fraction(1, 2)
     assert witness.product == Fraction(1, 4)
     # the only failing pair
-    assert [(c.firm, c.worker) for c in report.failures()] == [("f2", "w3")]
+    assert [(c.firm, c.worker) for c in report.pairs if c.product] == [("f2", "w3")]
 
 
 def test_stable_incidences_pass_condition(market, x_firm, x_worker):
@@ -108,7 +108,7 @@ def test_support_matching_reads_a_kept_report(monkeypatch, market, text,
     feasibility = sf.check_feasibility(market, x)
     assert feasibility.feasible == (not feasibility_violations)
     if feasibility_violations:
-        assert fresh[:3] == feasibility.first_violation()
+        assert fresh[:3] == feasibility.violations[0]
 
 
 def test_peel_midpoint(market, mu_f, x_mid, x_worker):
@@ -296,10 +296,10 @@ def test_rotations_with_equal_weight_merge_into_one_term(block_market):
     assert dec.terms == _peel_terms(m, x)
     # rotation i is applied from threshold 1 - lambda_i on: five matchings
     # would need five terms, but the two rotations at 1/3 arrive together
-    assert dec.weights() == (Fraction(1, 4), Fraction(1, 4),
-                             Fraction(1, 6), Fraction(1, 3))
+    assert tuple(a for _, a in dec.terms) == (Fraction(1, 4), Fraction(1, 4),
+                                              Fraction(1, 6), Fraction(1, 3))
     rotations = list(rotations)
-    assert dec.matchings() == (
+    assert tuple(mu for mu, _ in dec.terms) == (
         base,
         sf.apply_cycle_set(m, base, rotations[3:]),
         sf.apply_cycle_set(m, base, rotations[2:]),
@@ -339,7 +339,7 @@ m = sf.parse_market(
 
 def doctored(firm_sums):
     x = sf.parse_fractional(m, '1/2 1/2\\n1/2 1/2\\n')
-    x._stable = (m, ConstraintReport((), (), _ScaledSums(firm_sums, [2] * 4)))
+    x._stable = (m, ConstraintReport((), (), _ScaledSums([1] * 4, firm_sums, [2] * 4)))
     return x
 
 with pytest.raises(ValueError, match='worker w1 assigned twice'):
