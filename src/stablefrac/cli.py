@@ -422,10 +422,21 @@ def _cmd_gen(args, inputs, diagnostics) -> _Outcome:
     return result, text.splitlines(), EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that words an invalid choice as Python 3.10 to
+    3.13.0 do, with the repr of each choice, whatever the interpreter's
+    argparse says; subparsers are built from the same class."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)"
+                                         % (value, ", ".join(map(repr, action.choices))))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as is."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablefrac",
         description="Exact analysis of stable and strongly stable fractional "
                     "matchings in many-to-one markets.")

@@ -9,9 +9,9 @@ point inside the cube of its top matching.  ``verify_characterization``
 stress-tests the equivalence from both directions against brute-force
 enumeration and the cube test; the subset search ``point_in_hull`` is the
 reference the tests hold the cube test to.
-The harness reads the exposed rotations off the predecessor masks that the
-rotation chain builds (``rotations._exposed``): r_j is exposed at a listed
-matching when r_j is not applied there and every rotation of its mask is.
+The harness builds the rotation chain once (``rotations._Chain``), lists
+its stable matchings, each with the opaque mask of its applied rotations,
+and asks the chain which rotations each mask exposes (``_Chain.exposed``).
 That table of cubes is the one copy: certification looks its base up there
 once, and a failing point is tested on one cube only.
 """
@@ -42,8 +42,7 @@ from .model import (
 from .polytope import interior_walk, is_extreme_point, vertex_walk
 from .rotations import (
     Rotation,
-    _exposed,
-    _lattice,
+    _Chain,
     connected_set,
     find_cycles,
     reduce_profile,
@@ -275,9 +274,9 @@ def verify_characterization(market: Market, seed: int,
     Positive direction: sampled hull points must satisfy the strong stability
     condition, certify constructively (the sweep has already checked that
     the certificate's terms rebuild the point), and be almost integral.
-    The rotation search runs once: its stable set must equal brute force's,
-    or that is a counterexample, and each stable matching's exposed
-    rotations are read off its mask and the rotations' predecessor masks,
+    The rotation chain is built and listed once: its stable set must equal
+    brute force's, or that is a counterexample, and the chain reads each
+    stable matching's exposed rotations off the mask it was listed with,
     with no reduction of its profile.
     Certification looks the top matching's rotations up there, and a
     passing point whose top matching is not in the stable set is a
@@ -291,15 +290,15 @@ def verify_characterization(market: Market, seed: int,
     """
     oracle = enumerate_stable_bruteforce(market)
     stable = sorted(oracle, key=attrgetter("assignment"))
-    chain, listed, pred = _lattice(market)
+    chain = _Chain(market)
+    listed = chain.listing()
 
     counterexamples: list[str] = []
     notes: list[str] = []
     if listed.keys() != oracle:
         counterexamples.append(
             "stable set: brute force and the rotation lattice disagree")
-    cubes = {mu: _exposed(market, chain, pred, listed[mu])
-             for mu in stable if mu in listed}
+    cubes = {mu: chain.exposed(listed[mu]) for mu in stable if mu in listed}
 
     def classify(x: FractionalMatching, origin: str, expect_member: bool) -> bool:
         """Record counterexamples at x; true when x passes the condition."""

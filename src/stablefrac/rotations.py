@@ -10,25 +10,26 @@ a firm to the employer of its next listed worker are the rotations
 (Gusfield & Irving 1989; Roth & Sotomayor 1990 for q-responsive firms), and
 applying one trades along the cycle and lands on another stable matching.
 
-Enumeration finds the rotations once, on one chain from the firm-optimal to
-the worker-optimal matching, without reducing a profile: each full firm
-keeps a pointer into its list that only moves forward (Gusfield 1987), so
-the chain reads every firm's list once in all.  The same pass reads off
-each rotation's predecessors in the rotation poset, as a bitmask: the
-rotation before it at each of its firms, and, for each worker a firm's
-pointer passes because the worker works for a firm it ranks at least as
-high, the rotation that first moved it that high, each with its own
-predecessors.  The chain's order is a linear extension of the poset,
-whose closed sets are the stable matchings, so a depth-first search that
-adds a rotation later in that order than the last one added, once its
-predecessors are applied, lists each stable matching once, from one
-parent.  The chain records each rotation's trade, the rows of its firms
-before and after it, and the search replays it: a child is a copy of its
-parent's rows with the cycle firms' rows swapped for those the chain gave
-them, so the search calls no ``apply_cycle``, scans no worker for the fit
-and sorts no row.  The search tests one child per rotation, where
-the rotation is first exposed, with ``_stable_step``, which decides from
-the cycle's firms alone; ``_exposed`` reads the rotations exposed at any
+Enumeration finds the rotations once, on one chain from the firm-optimal
+to the worker-optimal matching (``_Chain``), without reducing a profile:
+each full firm keeps a pointer into its list that only moves forward
+(Gusfield 1987), so the chain reads every firm's list once in all.  The
+same pass reads off each rotation's predecessors in the rotation poset, as
+a bitmask: the rotation before it at each of its firms, and, for each
+worker a firm's pointer passes because the worker works for a firm it
+ranks at least as high, the rotation that first moved it that high, each
+with its own predecessors.  The chain's order is a linear extension of the
+poset, whose closed sets are the stable matchings, so a depth-first search
+that adds a rotation later in that order than the last one added, once its
+predecessors are applied, lists each stable matching once, from one parent
+(``_Chain.listing``).  Building the chain is polynomial; only the listing
+is exponential.  The chain records each rotation's trade, the rows of its
+firms before and after it, and the search replays it: a child is a copy of
+its parent's rows with the cycle firms' rows swapped for those the chain
+gave them, so the search calls no ``apply_cycle``, scans no worker for the
+fit and sorts no row.  The search tests one child per rotation, where the
+rotation is first exposed, with ``_stable_step``, which decides from the
+cycle's firms alone; ``_Chain.exposed`` reads the rotations exposed at any
 listed matching off the same bitmasks.
 """
 
@@ -280,9 +281,9 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     and every pair blocking mu has its firm on the cycle; a stable mu, as in
     the enumeration, qualifies.  Precondition: every cycle worker's new pair
     is mutually acceptable and the worker strictly prefers its new firm to
-    its old one.  The chain of ``_lattice`` checks this for each rotation it
-    finds; the search passes each of them here once more, where it is first
-    exposed, and the search passes no other rotation here.
+    its old one.  ``_Chain`` checks this for each rotation it finds; its
+    listing passes each of them here once more, where it is first exposed,
+    and passes no other rotation here.
 
     Then nu is individually rational: ``apply_cycle`` keeps every quota,
     and a trade the search replays gives each cycle firm the row that
@@ -298,21 +299,20 @@ def _stable_step(market: Market, nu: Matching, sigma: Rotation) -> bool:
     return next(_blocks(market, nu, sigma.firms), None) is None
 
 
-def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
-             ) -> tuple[list[Rotation], dict[Matching, int], list[int]]:
-    """The rotation search: ``(rotations, listed, pred)``.
-
-    ``rotations`` is r_1, ..., r_n in the chain's order, ``listed`` maps
-    each stable matching to the bitmask of the rotations applied to the
-    firm-optimal matching to reach it, and ``pred[j]`` is the bitmask of
-    D_j, the rotations that precede r_j.
-
-    Chain phase: from the firm-optimal matching, find the rotations exposed
-    at the current matching, apply them one at a time and repeat until none
-    is exposed.  Every rotation lies on every maximal chain of the stable
-    lattice (Gusfield & Irving, 1989; the many-to-one case follows by
-    cloning each firm into quota-many copies), so this one chain of at most
-    |R| + 1 steps finds the whole rotation set R.
+class _Chain:
+    """The rotation chain of a market: from the firm-optimal matching
+    ``start``, find the rotations exposed at the current matching, apply
+    them one at a time and repeat until none is exposed.  Every rotation
+    lies on every maximal chain of the stable lattice (Gusfield & Irving,
+    1989; the many-to-one case follows by cloning each firm into
+    quota-many copies), so this one chain of at most |R| + 1 steps finds
+    the whole rotation set R.  ``rotations`` is r_1, ..., r_n in the
+    chain's order, ``pred[j]`` the bitmask of D_j, the rotations that
+    precede r_j, and ``trades[j]`` r_j's trade: for each of its firms, the
+    firm's index and its rows before and after the step.  Building the
+    chain is polynomial; ``listing`` runs the exponential search over the
+    closed sets, and ``exposed`` reads a listed matching's cube off the
+    masks.
 
     A step reduces no profile (Gusfield 1987).  Each full firm f keeps a
     pointer into its list that rests at the first worker w after f's worst
@@ -332,7 +332,8 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
     full firm and step.  Each rotation must meet the precondition of
     ``_stable_step`` and each matching the chain reaches must pass
     ``_stable_step``; the chain must end at the worker-optimal matching,
-    and no rotation may be found twice.
+    and no rotation may be found twice.  Each failure raises
+    ``AssertionError``.
 
     The same pass reads off the predecessors (Gusfield 1987).  Each full
     firm f keeps ``due[f]``, a set of rotations that must precede f's next
@@ -355,159 +356,164 @@ def _lattice(market: Market, cap: int = DEFAULT_ENUMERATION_CAP
       ranks that high, no rotation is owed.
 
     Every set entered is some D_i plus r_i, which is closed, and unions of
-    closed sets are closed, so no transitive closure is needed.  The chain
-    also records each rotation's trade: for each of its firms, the firm's
-    index and its rows before and after the step.
-
-    Search phase: the chain's order is a linear extension of the rotation
-    poset, since a rotation is exposed only after all of its predecessors
-    were applied.  So a nonempty closed set I has exactly one parent, I
-    minus its highest-index rotation, which is closed as well, and its
-    matching is the parent's with that rotation applied, exposed and so
-    fitting.  A depth-first search from the firm-optimal matching extends
-    each matching by every r_j with j above the last index added and
-    ``pred[j]`` inside the applied set, and by nothing else.  Every stable
-    matching is reached this way; one reached twice would be an error, and
-    is raised as one.
-
-    The child is built by replaying r_j's recorded trade, which is exact,
-    many-to-one included.  The rotations at one firm are totally ordered in
-    the poset, since ``due[f]`` puts each of them in the next one's mask.
-    So at any closed set where r_j is applied, each of r_j's firms has had
-    exactly the rotations at that firm that precede r_j, the same ones as
-    on the chain, and its row is the row the chain gave it before r_j.  The
-    search checks that equality for each firm, and raises
-    ``AssertionError`` where it fails; equal rows imply the fit
-    ``apply_cycle`` checks, each cycle worker employed by the next firm.
-
-    One check bears the load: at the applied set equal to ``pred[j]``,
-    where r_j is first exposed, the child must pass ``_stable_step``, or
-    ``AssertionError`` is raised; that is one test per rotation.  A mask
-    that misses a predecessor fails it: were ``pred[j]`` the first such
-    mask, every earlier mask would be exact, so ``pred[j]`` would be a
-    closed set at which r_j is not exposed.  ``_exposed`` reads the
-    rotations exposed at any listed matching off these masks.
-
-    Raises ``CapExceededError`` once more than ``cap`` matchings, the
-    firm-optimal one included, are listed.
+    closed sets are closed, so no transitive closure is needed.
     """
-    start = deferred_acceptance(market, Side.FIRMS)
-    mu_w = deferred_acceptance(market, Side.WORKERS)
-    frank, wrank = market._frank, market._wrank
-    employer = {w: f for f, ws in start.assignment for w in ws}
-    # per worker: its rank of each employer it held, with the rotations
-    # applied by then; its firm-optimal employer comes with none
-    moves = {w: [(wrank[w][f], 0)] for w, f in employer.items()}
-    # every worker matched in mu_w is matched at every step (rural hospitals)
-    top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
-    # per full firm: its list, its pointer, its worst mu_w partner's rank,
-    # and the rotations its next rotation must follow
-    lists, at, bottom, due = {}, {}, {}, {}
-    for (f, ws), (_, ws_w) in zip(start.assignment, mu_w.assignment):
-        if len(ws) == market.quota[f]:
-            lists[f] = lst = market.acceptable_to_firm(f)
-            at[f] = 1 + max(map(lst.index, ws))
-            bottom[f] = max(map(frank[f].__getitem__, ws_w), default=-1)
-            due[f] = 0
-    rotations: list[Rotation] = []
-    pred: list[int] = []
-    # per rotation: (firm index, its row before, its row after) per firm
-    trades: list[list[tuple[int, tuple, tuple]]] = []
-    mu = start
-    while True:
-        successor, wanted = {}, {}
-        for f, lst in lists.items():
-            i, rank = at[f], frank[f]
-            while i < len(lst) and rank[lst[i]] <= bottom[f]:
-                w = lst[i]
-                mine = wrank[w]
-                if w in top and top[w] <= mine[f]:
-                    if mine[f] < mine[employer[w]]:
-                        successor[f], wanted[f] = employer[w], w
-                        break
-                    due[f] |= next(s for r, s in moves[w] if r <= mine[f])
-                i += 1
-            at[f] = i
-        exposed = _cycles(market.firms, successor, wanted)
-        if not exposed:
-            break
-        for sigma in exposed:
-            mask = 0
-            for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
-                old = sigma.firms[(d + 1) % len(sigma.firms)]
-                if not (market.acceptable(f, w) and market.acceptable(old, w)
-                        and wrank[w][f] < wrank[w][old]):
+
+    def __init__(self, market: Market):
+        start = deferred_acceptance(market, Side.FIRMS)
+        mu_w = deferred_acceptance(market, Side.WORKERS)
+        frank, wrank = market._frank, market._wrank
+        employer = {w: f for f, ws in start.assignment for w in ws}
+        # per worker: its rank of each employer it held, with the rotations
+        # applied by then; its firm-optimal employer comes with none
+        moves = {w: [(wrank[w][f], 0)] for w, f in employer.items()}
+        # every worker matched in mu_w is matched at every step (rural hospitals)
+        top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
+        # per full firm: its list, its pointer, its worst mu_w partner's rank,
+        # and the rotations its next rotation must follow
+        lists, at, bottom, due = {}, {}, {}, {}
+        for (f, ws), (_, ws_w) in zip(start.assignment, mu_w.assignment):
+            if len(ws) == market.quota[f]:
+                lists[f] = lst = market.acceptable_to_firm(f)
+                at[f] = 1 + max(map(lst.index, ws))
+                bottom[f] = max(map(frank[f].__getitem__, ws_w), default=-1)
+                due[f] = 0
+        rotations: list[Rotation] = []
+        pred: list[int] = []
+        # per rotation: (firm index, its row before, its row after) per firm
+        trades: list[list[tuple[int, tuple, tuple]]] = []
+        mu = start
+        while True:
+            successor, wanted = {}, {}
+            for f, lst in lists.items():
+                i, rank = at[f], frank[f]
+                while i < len(lst) and rank[lst[i]] <= bottom[f]:
+                    w = lst[i]
+                    mine = wrank[w]
+                    if w in top and top[w] <= mine[f]:
+                        if mine[f] < mine[employer[w]]:
+                            successor[f], wanted[f] = employer[w], w
+                            break
+                        due[f] |= next(s for r, s in moves[w] if r <= mine[f])
+                    i += 1
+                at[f] = i
+            exposed = _cycles(market.firms, successor, wanted)
+            if not exposed:
+                break
+            for sigma in exposed:
+                mask = 0
+                for d, (f, w) in enumerate(zip(sigma.firms, sigma.workers)):
+                    old = sigma.firms[(d + 1) % len(sigma.firms)]
+                    if not (market.acceptable(f, w) and market.acceptable(old, w)
+                            and wrank[w][f] < wrank[w][old]):
+                        raise AssertionError(
+                            f"cycle worker {w} must move up from {old} to {f}")
+                    mask |= due[f]
+                nu = apply_cycle(market, mu, sigma)
+                if not _stable_step(market, nu, sigma):
                     raise AssertionError(
-                        f"cycle worker {w} must move up from {old} to {f}")
-                mask |= due[f]
-            nu = apply_cycle(market, mu, sigma)
-            if not _stable_step(market, nu, sigma):
-                raise AssertionError(
-                    "the rotation chain must pass only stable matchings")
-            trades.append([(i, mu.assignment[i], nu.assignment[i])
-                           for i in map(market._findex.__getitem__, sigma.firms)])
-            mu = nu
-            done = mask | 1 << len(rotations)
-            for f, w in zip(sigma.firms, sigma.workers):
-                employer[w], due[f] = f, done
-                moves[w].append((wrank[w][f], done))
-            rotations.append(sigma)
-            pred.append(mask)
-    if mu != mu_w:
-        raise AssertionError(
-            "the rotation chain must end at the worker-optimal matching")
-    if len(set(rotations)) != len(rotations):
-        raise AssertionError("a rotation was found twice on the chain")
+                        "the rotation chain must pass only stable matchings")
+                trades.append([(i, mu.assignment[i], nu.assignment[i])
+                               for i in map(market._findex.__getitem__, sigma.firms)])
+                mu = nu
+                done = mask | 1 << len(rotations)
+                for f, w in zip(sigma.firms, sigma.workers):
+                    employer[w], due[f] = f, done
+                    moves[w].append((wrank[w][f], done))
+                rotations.append(sigma)
+                pred.append(mask)
+        if mu != mu_w:
+            raise AssertionError(
+                "the rotation chain must end at the worker-optimal matching")
+        if len(set(rotations)) != len(rotations):
+            raise AssertionError("a rotation was found twice on the chain")
+        self.market, self.start = market, start
+        self.rotations, self.pred, self.trades = rotations, pred, trades
 
-    listed: dict[Matching, int] = {}
-    count = 0
-    # (matching, bitmask of the rotations applied, next index)
-    stack: list[tuple[Matching, int, int]] = [(start, 0, 0)]
-    while stack:
-        mu, applied, first = stack.pop()
-        listed[mu] = applied
-        count += 1
-        if count > cap:
-            raise CapExceededError(
-                f"{count}+ stable matchings exceed the cap of {cap}")
-        for j in range(first, len(rotations)):
-            if pred[j] & ~applied:
-                continue
-            rows = list(mu.assignment)
-            for i, before, after in trades[j]:
-                if rows[i] != before:
+    def listing(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[Matching, int]:
+        """The rotation search: each stable matching, mapped to the bitmask
+        of the rotations applied to ``start`` to reach it.
+
+        The chain's order is a linear extension of the rotation poset, since
+        a rotation is exposed only after all of its predecessors were
+        applied.  So a nonempty closed set I has exactly one parent, I minus
+        its highest-index rotation, which is closed as well, and its
+        matching is the parent's with that rotation applied, exposed and so
+        fitting.  A depth-first search from the firm-optimal matching
+        extends each matching by every r_j with j above the last index
+        added and ``pred[j]`` inside the applied set, and by nothing else.
+        Every stable matching is reached this way; one reached twice would
+        be an error, and is raised as one.
+
+        The child is built by replaying r_j's recorded trade, which is
+        exact, many-to-one included.  The rotations at one firm are totally
+        ordered in the poset, since ``due[f]`` puts each of them in the next
+        one's mask.  So at any closed set where r_j is applied, each of
+        r_j's firms has had exactly the rotations at that firm that precede
+        r_j, the same ones as on the chain, and its row is the row the chain
+        gave it before r_j.  The search checks that equality for each firm,
+        and raises ``AssertionError`` where it fails; equal rows imply the
+        fit ``apply_cycle`` checks, each cycle worker employed by the next
+        firm.
+
+        One check bears the load: at the applied set equal to ``pred[j]``,
+        where r_j is first exposed, the child must pass ``_stable_step``, or
+        ``AssertionError`` is raised; that is one test per rotation.  A mask
+        that misses a predecessor fails it: were ``pred[j]`` the first such
+        mask, every earlier mask would be exact, so ``pred[j]`` would be a
+        closed set at which r_j is not exposed.
+
+        Raises ``CapExceededError`` once more than ``cap`` matchings, the
+        firm-optimal one included, are listed.
+        """
+        rotations, pred, trades = self.rotations, self.pred, self.trades
+        listed: dict[Matching, int] = {}
+        count = 0
+        # (matching, bitmask of the rotations applied, next index)
+        stack: list[tuple[Matching, int, int]] = [(self.start, 0, 0)]
+        while stack:
+            mu, applied, first = stack.pop()
+            listed[mu] = applied
+            count += 1
+            if count > cap:
+                raise CapExceededError(
+                    f"{count}+ stable matchings exceed the cap of {cap}")
+            for j in range(first, len(rotations)):
+                if pred[j] & ~applied:
+                    continue
+                rows = list(mu.assignment)
+                for i, before, after in trades[j]:
+                    if rows[i] != before:
+                        raise AssertionError(
+                            "each rotation's firms must hold the rows they held "
+                            "on the chain")
+                    rows[i] = after
+                nu = Matching._derive(tuple(rows))
+                if applied == pred[j] and not _stable_step(self.market, nu, rotations[j]):
                     raise AssertionError(
-                        "each rotation's firms must hold the rows they held "
-                        "on the chain")
-                rows[i] = after
-            nu = Matching._derive(tuple(rows))
-            if applied == pred[j] and not _stable_step(market, nu, rotations[j]):
-                raise AssertionError(
-                    "each rotation must be exposed once its predecessors "
-                    "are applied")
-            stack.append((nu, applied | 1 << j, j + 1))
-    if len(listed) != count:
-        raise AssertionError("a stable matching was generated twice")
-    return rotations, listed, pred
+                        "each rotation must be exposed once its predecessors "
+                        "are applied")
+                stack.append((nu, applied | 1 << j, j + 1))
+        if len(listed) != count:
+            raise AssertionError("a stable matching was generated twice")
+        return listed
 
-
-def _exposed(market: Market, rotations: Sequence[Rotation], pred: Sequence[int],
-             applied: int) -> tuple[Rotation, ...]:
-    """The rotations exposed at the listed matching with mask ``applied``,
-    by their first firm's index as ``find_cycles`` returns them: each r_j
-    outside ``applied`` whose predecessors ``pred[j]`` all lie inside it."""
-    return tuple(sorted(
-        (sigma for j, sigma in enumerate(rotations)
-         if not (applied >> j) & 1 and not pred[j] & ~applied),
-        key=lambda sigma: market.firm_index(sigma.firms[0])))
+    def exposed(self, applied: int) -> tuple[Rotation, ...]:
+        """The rotations exposed at the listed matching with mask ``applied``,
+        by their first firm's index as ``find_cycles`` returns them: each r_j
+        outside ``applied`` whose predecessors ``pred[j]`` all lie inside it."""
+        return tuple(sorted(
+            (sigma for j, sigma in enumerate(self.rotations)
+             if not (applied >> j) & 1 and not self.pred[j] & ~applied),
+            key=lambda sigma: self.market.firm_index(sigma.firms[0])))
 
 
 def enumerate_stable_via_rotations(
         market: Market, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Matching]:
     """All stable matchings, one per closed set of the rotation poset: the
-    matchings that the rotation search ``_lattice`` lists.
+    matchings that the rotation search ``_Chain.listing`` lists.
 
     Raises ``CapExceededError`` once more than ``cap`` matchings, the
     firm-optimal one included, are listed.
     """
-    return set(_lattice(market, cap)[1])
+    return set(_Chain(market).listing(cap))

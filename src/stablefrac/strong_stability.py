@@ -61,8 +61,10 @@ class StrongStabilityReport:
     pairs: tuple[PairCondition, ...]
     overall: bool
 
-    def first_failure(self) -> PairCondition:
-        return next(p for p in self.pairs if p.product != 0)
+    def first_failure(self) -> PairCondition | None:
+        """The first pair whose product is nonzero, or None on a passing
+        report."""
+        return next((p for p in self.pairs if p.product != 0), None)
 
 
 def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCondition:

@@ -15,7 +15,7 @@ import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
 from stablefrac.polytope import _ScaledSums, check_stable_feasibility
-from stablefrac.rotations import _exposed, _lattice
+from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
 
 
@@ -352,6 +352,25 @@ def random_order(seed: int, n: int, p: float) -> set[tuple[int, int]]:
     return {(k, i) for i in range(n) for k in below[i]}
 
 
+def chain_elements(chain) -> list[int]:
+    """The element i of a ``poset_market`` (q = 1) that each rotation of
+    its chain belongs to, read off the rotation's firm a_i."""
+    return [int(next(f for f in sigma.firms if f.startswith("a"))[1:])
+            for sigma in chain.rotations]
+
+
+def chain_order(chain, n: int) -> set[tuple[int, int]] | None:
+    """The strict order on 0..n-1 that the chain of ``poset_market(n,
+    less)`` (q = 1) reads off: (k, i) when ``pred`` puts the rotation at
+    firm a_k below the one at a_i.  None unless the chain has exactly one
+    rotation per element."""
+    element = chain_elements(chain)
+    if sorted(element) != list(range(n)):
+        return None
+    return {(element[k], element[j]) for j, mask in enumerate(chain.pred)
+            for k in range(n) if mask >> k & 1}
+
+
 def order_ideals(n: int, less: set[tuple[int, int]]) -> int:
     """The number of down-closed subsets of 0..n-1 under ``less``."""
     below = [sum(1 << k for k in range(n) if (k, i) in less) for i in range(n)]
@@ -381,20 +400,21 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
     whether its masks agree with reductions.
 
     At every listed matching the rotations read off the masks
-    (``rotations._exposed``) must be ``find_cycles(reduce_profile(...))``,
+    (``rotations._Chain.exposed``) must be ``find_cycles(reduce_profile(...))``,
     and each ``pred[j]`` must be D_j: the intersection of the listed closed
     sets that contain r_j, with r_j itself removed.
     """
-    chain, listed, pred = _lattice(market)
-    below = [~0] * len(chain)
+    chain = _Chain(market)
+    listed = chain.listing()
+    below = [~0] * len(chain.rotations)
     for applied in listed.values():
-        for j in range(len(chain)):
+        for j in range(len(chain.rotations)):
             if applied >> j & 1:
                 below[j] &= applied
-    same = all(p == b & ~(1 << j) for j, (p, b) in enumerate(zip(pred, below)))
+    same = all(p == b & ~(1 << j)
+               for j, (p, b) in enumerate(zip(chain.pred, below)))
     same = same and all(
-        _exposed(market, chain, pred, applied)
-        == sf.find_cycles(sf.reduce_profile(market, mu))
+        chain.exposed(applied) == sf.find_cycles(sf.reduce_profile(market, mu))
         for mu, applied in listed.items())
     return len(listed), same
 
@@ -404,7 +424,8 @@ def reference_search(market: Market) -> tuple[dict, list[int]]:
     the chain's rotations applied to reach it, and each rotation's
     predecessors, from a search that is not told the predecessors and
     builds every matching with ``apply_cycle``: the search and the masks
-    ``rotations._lattice`` once built while it listed.
+    the rotation search once built while it listed.  It needs only the
+    chain's rotations (``rotations._Chain``), not its listing.
 
     Over the chain's rotations r_j, a depth-first search extends each listed
     closed set by the r_j above its last index.  A candidate whose
@@ -414,7 +435,7 @@ def reference_search(market: Market) -> tuple[dict, list[int]]:
     sets that contain D_j and not r_j, and the search lists D_j with j among
     its candidates, so ``known[j]`` ends equal to D_j.
     """
-    rotations = _lattice(market)[0]
+    rotations = _Chain(market).rotations
     n = len(rotations)
     known = [(1 << n) - 1] * n
     listed = {}
@@ -454,7 +475,7 @@ def reference_chain(market: Market) -> list:
     """The rotations of the chain that reduces the whole profile at every
     step, in the order it finds them: from the firm-optimal matching,
     ``find_cycles(reduce_profile(...))``, every exposed rotation applied at
-    once, until none is exposed.  ``rotations._lattice`` reads the same
+    once, until none is exposed.  ``rotations._Chain`` reads the same
     rotations off one pointer per firm; ``reduce_profile`` gates each step
     on ``is_stable``."""
     mu = sf.deferred_acceptance(market, sf.Side.FIRMS)
@@ -468,11 +489,11 @@ def reference_chain(market: Market) -> list:
 
 
 def chain_agrees(market: Market) -> tuple[int, bool]:
-    """The number of rotations on the chain of ``rotations._lattice``, and
+    """The number of rotations on the chain of ``rotations._Chain``, and
     whether they are ``reference_chain``'s in the same order and every
     matching the chain passes, its rotations applied one at a time from the
     firm-optimal matching, is stable."""
-    chain = _lattice(market)[0]
+    chain = _Chain(market).rotations
     mu = sf.deferred_acceptance(market, sf.Side.FIRMS)
     stable = True
     for sigma in chain:

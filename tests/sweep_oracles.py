@@ -41,7 +41,12 @@ rotations (``oracles.cloned_blocks``, ``CLONED_BLOCKS``), it compares the
 pruned search with the rotation search, the exhaustive scan too where it
 is small enough, and checks the chain, the predecessors and the listing
 as on the first three families, and the exposures as on the balanced
-markets.
+markets.  Last, on markets with a prescribed rotation poset
+(``oracles.poset_market``) of random orders (``oracles.random_order``: 4 to
+12 elements, edge probabilities 0.1, 0.25 and 0.5, seeds 0 to min(N, 50) -
+1), it checks that the chain's predecessor masks are the order
+(``oracles.chain_order``) and that the listing has one matching per order
+ideal, and at every fourth seed that it is the pruned search's set.
 
 On every instance of the first three families, and on complete 20x20
 one-to-one markets (seeds 0 to min(N, 100) - 1), it also compares the
@@ -69,7 +74,8 @@ repository root:
 The full sweep took 4 min 39 s on one core of a 2-vCPU VM;
 the exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets takes about 2
 minutes of it.
-Each rich market takes the pruned search 0.1-0.16 s.
+Each rich market takes the pruned search 0.1-0.16 s.  The random-order
+family takes about 5 s: 1350 poset markets, 158270 stable matchings.
 """
 
 import argparse
@@ -77,9 +83,10 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (RICH_SIZE, balanced_market, chain_agrees, cloned_blocks,
-                     compare_rich, cyclic_blocks, dominates,
-                     lattice_exposures_agree,
+from oracles import (RICH_SIZE, balanced_market, chain_agrees, chain_order,
+                     cloned_blocks, compare_rich, cyclic_blocks, dominates,
+                     lattice_exposures_agree, order_ideals, poset_market,
+                     random_order,
                      reduced_lists_keep_the_base,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
@@ -87,7 +94,7 @@ from oracles import (RICH_SIZE, balanced_market, chain_agrees, cloned_blocks,
                      rotations_at_a_firm_are_ordered, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, is_extreme_point, vertex_walk
-from stablefrac.rotations import _lattice
+from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
 
 SIZES = [(5, 5, 1), (3, 5, 2), (4, 6, 2), (4, 5, 3), (3, 6, 3), (5, 6, 2),
@@ -109,6 +116,12 @@ VACANCY_BLOCKS = [[2] * 4, [3, 3], [2, 3]]
 CLONED_BLOCKS = [([2], 2, True), ([3], 2, True), ([2], 3, True),
                  ([2, 2], 2, True), ([2] * 4, 2, False), ([2] * 3, 3, False),
                  ([3, 3], 3, False), ([2] * 6, 2, False)]
+# random orders for poset markets: elements, edge probabilities and seeds;
+# the listing is compared with the pruned search at every ORDER_ORACLE-th seed
+ORDER_SIZES = range(4, 13)
+ORDER_DENSITIES = (0.1, 0.25, 0.5)
+ORDER_SEEDS = 50
+ORDER_ORACLE = 4
 
 
 def main(argv=None) -> int:
@@ -127,11 +140,12 @@ def main(argv=None) -> int:
         chain_rotations += count
         if not same:
             disagreements.append((name, *where))
-        rotations, listed, pred = _lattice(m)
+        chain = _Chain(m)
+        listed, pred = chain.listing(), chain.pred
         edges += sum(bin(mask).count("1") for mask in pred)
         reference_listed, reference_pred = reference_search(m)
         if pred != reference_pred or \
-                not rotations_at_a_firm_are_ordered(rotations, pred):
+                not rotations_at_a_firm_are_ordered(chain.rotations, pred):
             disagreements.append((f"{name} predecessors", *where))
         searched += len(listed)
         if listed != reference_listed:
@@ -260,6 +274,27 @@ def main(argv=None) -> int:
             disagreements.append(("cloned exposures", *where))
     print(f"cloned blocks: {len(CLONED_BLOCKS)} markets, {cloned_listed} "
           f"stable matchings, {cloned_nodes} oracle nodes", flush=True)
+    order_seeds = min(args.seeds, ORDER_SEEDS)
+    orders = order_listed = order_nodes = 0
+    for n in ORDER_SIZES:
+        for p in ORDER_DENSITIES:
+            for seed in range(order_seeds):
+                less = random_order(seed, n, p)
+                m = poset_market(n, less)
+                chain = _Chain(m)
+                listed = chain.listing()
+                orders += 1
+                order_listed += len(listed)
+                if chain_order(chain, n) != less or \
+                        len(listed) != order_ideals(n, less):
+                    disagreements.append(("poset market", n, n, 1, seed, p))
+                if seed % ORDER_ORACLE == 0:
+                    stable, nodes = _search(m)
+                    order_nodes += nodes
+                    if listed.keys() != stable:
+                        disagreements.append(("poset listing", n, n, 1, seed, p))
+    print(f"random orders: {orders} poset markets, {order_listed} stable "
+          f"matchings, {order_nodes} oracle nodes", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")

@@ -7,11 +7,12 @@ from math import prod
 import pytest
 
 import stablefrac as sf
-from oracles import balanced_market, cloned_blocks, dominates, in_any_hull
+from oracles import (balanced_market, chain_elements, cloned_blocks, dominates,
+                     in_any_hull, poset_market)
 from stablefrac.cli import main
 from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
-from stablefrac.rotations import _exposed, _lattice
+from stablefrac.rotations import _Chain
 from stablefrac.strong_stability import _first_failure
 
 
@@ -363,12 +364,15 @@ def test_verify_reports_each_counterexample(market, x_vertex, monkeypatch,
     checks is made to fail.  At seed 0 with 100 samples the example market
     gets four walks; the third ends on a fractional vertex, the others on
     stable matchings."""
-    chain, listed, pred = _lattice(market)
     top = sf.deferred_acceptance(market, sf.Side.FIRMS)
     refusal = sf.certify_strongly_stable(market, x_vertex)
+
+    class ChainMissingTop(_Chain):
+        def listing(self, *cap):
+            return {mu: a for mu, a in super().listing(*cap).items() if mu != top}
+
     name, fake = {
-        "lattice": ("_lattice", lambda m: (
-            chain, {mu: a for mu, a in listed.items() if mu != top}, pred)),
+        "lattice": ("_Chain", ChainMissingTop),
         "almost-integral": ("check_almost_integral", lambda m, x: False),
         "certify": ("certify_strongly_stable",
                     lambda m, x, rotations_of=None: refusal),
@@ -615,7 +619,7 @@ def test_one_cube_agrees_with_every_cube(fleet, block_market, cyclic_blocks,
 
     monkeypatch.setattr(sf.hulls, "certify_strongly_stable", recorded)
     monkeypatch.setattr(sf.hulls, "enumerate_stable_bruteforce",
-                        lambda m: set(_lattice(m)[1]))
+                        lambda m: set(_Chain(m).listing()))
     markets = fleet + [block_market, cyclic_blocks([2, 2, 3, 3]),
                        cyclic_blocks([2] * 5)]
     markets += [balanced_market(seed, 6, 2) for seed in range(10)]
@@ -623,11 +627,53 @@ def test_one_cube_agrees_with_every_cube(fleet, block_market, cyclic_blocks,
     for idx, m in enumerate(markets):
         points.clear()
         assert sf.verify_characterization(m, seed=idx, samples=50).ok
-        chain, listed, pred = _lattice(m)
-        cubes = {mu: _exposed(m, chain, pred, applied)
-                 for mu, applied in listed.items()}
+        chain = _Chain(m)
+        cubes = {mu: chain.exposed(applied)
+                 for mu, applied in chain.listing().items()}
         for x in points:
             inside = in_any_hull(m, cubes, x)
             assert _in_a_hull(m, cubes, x) == inside
             answers[inside] += 1
     assert answers == {True: 3036, False: 444}
+
+
+def test_a_base_with_rotations_exposed_from_different_chains():
+    """On the diamond r0 < r1, r2 < r3 (``oracles.poset_market``), the base
+    M({r0}) exposes r1 and r2, two incomparable rotations both below the
+    join r3.  Half of M({r0, r1}) and half of M({r0, r2}) lies in that
+    base's cube and certifies with it; half of M({r0}) and half of
+    M({r0, r1, r2, r3}) is refused at a pair and lies in no cube."""
+    m = poset_market(4, {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)})
+    chain = _Chain(m)
+    listed = chain.listing()
+    index = {e: j for j, e in enumerate(chain_elements(chain))}
+    at = {applied: mu for mu, applied in listed.items()}
+
+    def matching(*elements):
+        return at[sum(1 << index[e] for e in elements)]
+
+    def half_and_half(mu, nu):
+        return sf.FractionalMatching.linear_combination(
+            [(sf.incidence_vector(m, mu), Fraction(1, 2)),
+             (sf.incidence_vector(m, nu), Fraction(1, 2))])
+
+    cubes = {mu: chain.exposed(applied) for mu, applied in listed.items()}
+    base = matching(0)
+    r1, r2 = (chain.rotations[index[e]] for e in (1, 2))
+    assert set(cubes[base]) == {r1, r2}
+    join = chain.pred[index[3]]
+    assert join >> index[1] & 1 and join >> index[2] & 1
+    assert not chain.pred[index[1]] >> index[2] & 1
+    assert not chain.pred[index[2]] >> index[1] & 1
+
+    x = half_and_half(matching(0, 1), matching(0, 2))
+    cert = sf.certify_strongly_stable(m, x, cubes.get)
+    assert isinstance(cert, sf.HullCertificate)
+    assert cert.base == base and set(cert.rotations) == {r1, r2}
+    assert cert.reconstruct(m) == x
+    assert _in_a_hull(m, cubes, x)
+
+    y = half_and_half(base, matching(0, 1, 2, 3))
+    assert isinstance(sf.certify_strongly_stable(m, y, cubes.get), sf.PairCondition)
+    assert not _in_a_hull(m, cubes, y)
+    assert not in_any_hull(m, cubes, y)

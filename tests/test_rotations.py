@@ -7,14 +7,14 @@ import pytest
 
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, balanced_market, chain_agrees,
-                     cloned_blocks, compare_rich, dominates,
+                     chain_order, cloned_blocks, compare_rich, dominates,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_markets, random_order, reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
                      reference_reduced_lists, reference_search,
                      rotations_at_a_firm_are_ordered)
 
-from stablefrac.rotations import _lattice
+from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
 
 DATA = Path(__file__).parent / "data"
@@ -426,9 +426,9 @@ def test_rotation_exposed_only_after_two_others(text):
     assert len(stable) == 5
     assert stable == reference_enumerate_stable(m)
     assert sf.enumerate_stable_via_rotations(m) == stable
-    chain, _, pred = sf.rotations._lattice(m)
-    assert chain == [first, second, third]
-    assert pred == [0, 0, 0b11] == reference_search(m)[1]
+    chain = _Chain(m)
+    assert chain.rotations == [first, second, third]
+    assert chain.pred == [0, 0, 0b11] == reference_search(m)[1]
 
 
 @pytest.mark.parametrize("nf,nw,qmax", RANDOM_SIZES)
@@ -494,7 +494,7 @@ def test_predecessors_read_off_the_chain_match_the_learned_ones(
     markets += [balanced_market(seed, 12, 3) for seed in range(10)]
     rotations = edges = 0
     for m in markets:
-        pred = sf.rotations._lattice(m)[2]
+        pred = _Chain(m).pred
         assert pred == reference_search(m)[1]
         rotations += len(pred)
         edges += sum(bin(mask).count("1") for mask in pred)
@@ -516,9 +516,10 @@ def test_listed_matchings_match_the_reference_search(fleet, cyclic_blocks):
                 for seed in range(10)]
     listed = 0
     for m in markets:
-        rotations, found, pred = sf.rotations._lattice(m)
-        assert rotations_at_a_firm_are_ordered(rotations, pred)
-        assert (found, pred) == reference_search(m)
+        chain = _Chain(m)
+        found = chain.listing()
+        assert rotations_at_a_firm_are_ordered(chain.rotations, chain.pred)
+        assert (found, chain.pred) == reference_search(m)
         listed += len(found)
     assert listed == 2334
 
@@ -531,7 +532,7 @@ def test_a_worker_placed_from_the_start_owes_no_rotation():
     rotations that moved the worker, and not at its firm-optimal employer,
     adds the false edge r_1 -> r_2 (counting from r_0)."""
     m = balanced_market(5, 10, 2)
-    pred = sf.rotations._lattice(m)[2]
+    pred = _Chain(m).pred
     assert pred == [0, 0, 0b1, 0b101] == reference_search(m)[1]
 
 
@@ -559,9 +560,9 @@ def test_cloned_blocks_match_the_oracle(sizes, q, counts):
     matchings, the rotations and the nodes the pruned search visits."""
     m = cloned_blocks(sizes, q)
     stable, nodes = _search(m)
-    chain, listed, _ = _lattice(m)
-    assert listed.keys() == stable
-    assert (len(stable), len(chain), nodes) == counts
+    chain = _Chain(m)
+    assert chain.listing().keys() == stable
+    assert (len(stable), len(chain.rotations), nodes) == counts
 
 
 def test_balanced_many_to_one_exposures_beyond_the_oracle():
@@ -577,9 +578,9 @@ def test_balanced_many_to_one_exposures_beyond_the_oracle():
 
 
 def test_pointer_chain_matches_the_reduction_chain(fleet, cyclic_blocks):
-    """The chain of ``_lattice`` finds the rotations of the chain that
-    reduces the whole profile at every step, in the same order, and every
-    matching it passes is stable."""
+    """``_Chain`` finds the rotations of the chain that reduces the whole
+    profile at every step, in the same order, and every matching it passes
+    is stable."""
     markets = list(fleet)
     markets += [sf.parse_market(text) for text in JOINED_ROTATION_MARKETS]
     for size in RANDOM_SIZES:
@@ -678,7 +679,7 @@ def test_listed_matchings_build_no_lookups(monkeypatch, cyclic_blocks):
         return real(market, nu, sigma)
 
     monkeypatch.setattr(sf.rotations, "_stable_step", recorded)
-    listed = sf.rotations._lattice(m)[1]
+    listed = _Chain(m).listing()
     assert len(listed) == 1728
     with_lookups = [mu for mu in listed
                     if "_rows" in vars(mu) or "_employer" in vars(mu)]
@@ -750,7 +751,7 @@ sf.rotations._cycles = real_cycles
 sf.rotations.apply_cycle = real_apply_cycle
 try:
     patched("rotations_replaying_no_trade", "rows[i] = after",
-            "rows[i] = before")._lattice(m)
+            "rows[i] = before").enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
 
@@ -769,7 +770,8 @@ sf.rotations._cycles = real_cycles
 try:
     patched("rotations_without_passed_workers",
             "due[f] |= next(s for r, s in moves[w] if r <= mine[f])", "pass",
-            )._lattice(sf.gen_random_market(1, 5, 5, 1, density=1.0))
+            ).enumerate_stable_via_rotations(
+                sf.gen_random_market(1, 5, 5, 1, density=1.0))
 except AssertionError as exc:
     print("raised:", exc)
 
@@ -778,7 +780,8 @@ except AssertionError as exc:
 try:
     patched("rotations_recording_wrong_rows",
             "(i, mu.assignment[i], nu.assignment[i])",
-            "(i, nu.assignment[i], nu.assignment[i])")._lattice(m)
+            "(i, nu.assignment[i], nu.assignment[i])"
+            ).enumerate_stable_via_rotations(m)
 except AssertionError as exc:
     print("raised:", exc)
 """)
@@ -919,12 +922,9 @@ def test_poset_market_has_the_prescribed_rotation_poset(name):
     force lists them, and the characterization holds."""
     n, less = POSETS[name]
     m = poset_market(n, less)
-    chain, listed, pred = _lattice(m)
-    element = [int(next(f for f in sigma.firms if f.startswith("a"))[1:])
-               for sigma in chain]
-    assert sorted(element) == list(range(n))
-    assert {(element[k], element[j]) for j in range(n) for k in range(n)
-            if pred[j] >> k & 1} == less
+    chain = _Chain(m)
+    assert chain_order(chain, n) == less
+    listed = chain.listing()
     assert len(listed) == order_ideals(n, less)
     assert listed.keys() == sf.enumerate_stable_bruteforce(m)
     report = sf.verify_characterization(m, 0, 25)
@@ -938,4 +938,27 @@ def test_cloned_poset_market_lists_what_brute_force_finds(name):
     longer one per element."""
     n, less = POSETS[name]
     m = poset_market(n, less, q=2)
-    assert _lattice(m)[1].keys() == sf.enumerate_stable_bruteforce(m)
+    assert _Chain(m).listing().keys() == sf.enumerate_stable_bruteforce(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n,p", [(40, 0.1), (40, 0.25), (80, 0.05)])
+def test_chain_reads_the_prescribed_order_past_the_listing(n, p, seed):
+    """The chain alone, which is polynomial, reads the prescribed order off
+    poset markets of 40 and 80 elements, whose stable matchings are far too
+    many to list: one rotation per element, and ``pred`` is the order."""
+    less = random_order(seed, n, p)
+    assert less
+    assert chain_order(_Chain(poset_market(n, less)), n) == less
+
+
+def test_poset_market_on_twelve_elements_lists_its_ideals():
+    """A random order on 12 elements: the listing has one stable matching
+    per order ideal, 192 of them, and is what brute force finds."""
+    n, less = 12, random_order(0, 12, 0.25)
+    m = poset_market(n, less)
+    chain = _Chain(m)
+    assert chain_order(chain, n) == less
+    listed = chain.listing()
+    assert len(listed) == order_ideals(n, less) == 192
+    assert listed.keys() == sf.enumerate_stable_bruteforce(m)

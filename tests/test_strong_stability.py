@@ -38,6 +38,17 @@ def test_midpoint_passes_condition(market, x_mid):
     assert all(c.product == 0 for c in report.pairs)
 
 
+def test_first_failure_is_none_on_a_passing_report(market, x_mid, x_vertex):
+    """A failing report gives its first failing pair; a passing one gives
+    None, and no StopIteration escapes into a caller's ``map``."""
+    failing = sf.strong_stability_check(market, x_vertex)
+    assert failing.first_failure() == _pair(failing, "f2", "w3")
+    passing = sf.strong_stability_check(market, x_mid)
+    assert passing.first_failure() is None
+    assert list(map(lambda r: r.first_failure(), [passing, failing])) == \
+        [None, _pair(failing, "f2", "w3")]
+
+
 def test_condition_requires_stable_feasibility(market):
     zero = sf.parse_fractional(market, "0 0 0 0\n0 0 0 0\n")
     with pytest.raises(sf.InfeasibleError):
