@@ -3,12 +3,16 @@
 A connected set is a stable matching with any subset of its exposed
 rotations applied.  The rotations are firm-disjoint, so its hull is the
 affine cube ``inc(mu) + sum(lambda_i * delta_i)`` over lambda in [0,1]^k,
-and ``_cube_coordinates`` decides membership exactly by reading lambda off
-the rotations' rows.  ``certify_strongly_stable`` writes a strongly stable
-point inside the cube of its top matching.  ``verify_characterization``
-stress-tests the equivalence from both directions against brute-force
-enumeration and the cube test; the subset search ``point_in_hull`` is the
-reference the tests hold the cube test to.
+and ``_cube_coordinates`` decides membership exactly by reading D * lambda,
+D the point's denominator, off its cells.  ``certify_strongly_stable``
+reads a strongly stable point's coordinates once, in the cube of its top
+matching, and gives term k of the ordered decomposition, which starts at
+threshold T_k / D, the rotations with D * lambda_i + T_k >= D: a rotation
+firm lists the worker it trades away (mass 1 - lambda_i) before the one it
+gains (lambda_i), so the sweep employs the gained one from 1 - lambda_i on.
+``verify_characterization`` stress-tests the equivalence from both
+directions against brute-force enumeration and the cube test; the subset
+search ``point_in_hull`` is the reference the tests hold the cube test to.
 The harness builds the rotation chain once (``rotations._Chain``), lists
 its stable matchings, each with the opaque mask of its applied rotations,
 and asks the chain which rotations each mask exposes (``_Chain.exposed``).
@@ -85,13 +89,17 @@ def certify_strongly_stable(
     Requires a stable-feasible point (InfeasibleError otherwise).  When the
     strong stability condition fails, the refusal is the first failing
     ``PairCondition`` with its factors, the one ``decompose`` refused at,
-    so the condition is scanned once.  When it holds, every term of the
-    ordered decomposition is read as a vertex of the base matching's cube:
-    its subset is the rotations whose coordinate is 1.  A term that is no
-    vertex of that cube would falsify the characterization; it raises
-    instead of being swallowed.  ``rotations_of(base)``, when given, stands
-    in for reducing the base's profile: a lookup of the known stable
-    matchings' rotations, whose None refuses the base with NotStableError.
+    so the condition is scanned once.  When it holds, the point's
+    coordinates D * lambda in its base matching's cube are read once, and
+    term k, which starts at threshold T_k / D (T_k is D times the earlier
+    terms' weights, an integer), gets {i : D * lambda_i + T_k >= D}, since
+    each rotation firm lists its lost worker (mass 1 - lambda_i) before its
+    gained one.  A strongly stable point outside its base's cube would
+    falsify the paper's Theorem 1; it raises AssertionError, under
+    ``python -O`` too, instead of being swallowed.  ``rotations_of(base)``,
+    when given, stands in for reducing the base's profile: a lookup of the
+    known stable matchings' rotations, whose None refuses the base with
+    NotStableError.
     """
     try:
         decomposition = decompose(market, x)
@@ -102,45 +110,49 @@ def certify_strongly_stable(
                  else find_cycles(reduce_profile(market, base)))
     if rotations is None:
         raise NotStableError("top matching is not a listed stable matching")
-    terms: list[tuple[frozenset[int], Rational]] = []
-    for mu, weight in decomposition.terms:
-        lam = _cube_coordinates(
-            base, rotations, {f: dict.fromkeys(ws, 1) for f, ws in mu.assignment})
-        if lam is None:
-            raise AssertionError(
-                "decomposition term is not a cyclic matching of the base")
-        terms.append((frozenset(i for i, v in enumerate(lam) if v == 1), weight))
+    lam = _cube_coordinates(market, base, rotations, x)
+    if lam is None:
+        raise AssertionError("strongly stable point lies outside its base's cube")
+    d, done, terms = x._denom, 0, []
+    for _, weight in decomposition.terms:
+        terms.append((frozenset(i for i, v in enumerate(lam) if v + done >= d), weight))
+        done += weight.numerator * (d // weight.denominator)
     return HullCertificate(base, rotations, tuple(terms), decomposition)
 
 
-def _cube_coordinates(base: Matching, rotations: tuple[Rotation, ...],
-                      rows: dict[str, dict[str, Rational]], denom: int = 1
-                      ) -> tuple[Rational, ...] | None:
-    """``denom`` times the lambda in [0,1]^k with ``rows = inc(base) +
-    sum(lambda_i * delta_i)``, or None.
+def _cube_coordinates(market: Market, base: Matching,
+                      rotations: tuple[Rotation, ...], x: FractionalMatching
+                      ) -> tuple[int, ...] | None:
+    """D times the lambda in [0,1]^k with ``x = inc(base) +
+    sum(lambda_i * delta_i)``, as integers, D being x's denominator, or None.
 
-    ``rows`` maps a firm to its nonzero entries as numerators over ``denom``,
-    ``{worker: value}``.  On each of rotation i's firms the gained worker
-    carries lambda_i and the lost one 1 - lambda_i; every other entry equals
-    the base incidence.
+    Reads only the cells that the cube fixes and each row's count of
+    nonzero cells.  On each of rotation i's firms the gained worker carries
+    lambda_i and the lost one 1 - lambda_i; every other staff cell of the
+    base carries 1; and a row holds no other nonzero cell, which its count
+    says.  The count also refuses a lambda_i outside [0, 1], which leaves
+    both traded cells nonzero.  ``certify_strongly_stable`` reads the
+    ordered decomposition's terms off these coordinates by the threshold
+    rule: the sweep trades rotation i's firms from threshold 1 - lambda_i
+    on.
     """
-    lam: list[Rational] = []
-    traded: dict[str, tuple[str, str]] = {}
+    nums, d = x._nums, x._denom
+    findex, windex = market._findex, market._windex
+    lam: list[int] = []
+    lost: dict[str, tuple[str, bool]] = {}   # firm -> (worker it trades, both held)
     for rot in rotations:
-        value = rows.get(rot.firms[0], {}).get(rot.workers[0], 0)
-        if not 0 <= value <= denom:
-            return None
-        for d, f in enumerate(rot.firms):
-            row = rows.get(f, {})
-            gained, lost = rot.workers[d], rot.workers[d - 1]
-            if row.get(gained, 0) != value or row.get(lost, 0) != denom - value:
+        value = nums[findex[rot.firms[0]]][windex[rot.workers[0]]]
+        for k, f in enumerate(rot.firms):
+            row = nums[findex[f]]
+            if row[windex[rot.workers[k]]] != value or \
+                    row[windex[rot.workers[k - 1]]] != d - value:
                 return None
-            traded[f] = (gained, lost)
+            lost[f] = (rot.workers[k - 1], 0 < value < d)
         lam.append(value)
     for f, staff in base.assignment:
-        pair = traded.get(f, ())
-        rest = {w: v for w, v in rows.get(f, {}).items() if w not in pair}
-        if rest != {w: denom for w in staff if w not in pair}:
+        row, (traded, split) = nums[findex[f]], lost.get(f, (None, False))
+        if len(row) - row.count(0) != len(staff) + split or any(
+                row[windex[w]] != d for w in staff if w != traded):
             return None
     return tuple(lam)
 
@@ -159,10 +171,7 @@ def _in_a_hull(market: Market, cubes: dict[Matching, tuple[Rotation, ...]],
         top = support_matching(market, x)
     except ContestedWorkerError:
         return False
-    rows = {f: {w: n for w, n in zip(market.workers, row) if n}
-            for f, row in zip(market.firms, x._nums)}
-    return top in cubes and \
-        _cube_coordinates(top, cubes[top], rows, x._denom) is not None
+    return top in cubes and _cube_coordinates(market, top, cubes[top], x) is not None
 
 
 def sample_hull(market: Market, mu: Matching, seed: int, count: int,

@@ -352,6 +352,15 @@ def random_order(seed: int, n: int, p: float) -> set[tuple[int, int]]:
     return {(k, i) for i in range(n) for k in below[i]}
 
 
+# Strict orders, closed, on 0..n-1: a diamond, the crown on three minimal
+# and three maximal elements, and a seeded random order with two joins.
+POSETS = {
+    "diamond": (4, {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}),
+    "crown": (6, {(i, 3 + j) for i in range(3) for j in range(3) if i != j}),
+    "random": (10, random_order(0, 10, 0.25)),
+}
+
+
 def chain_elements(chain) -> list[int]:
     """The element i of a ``poset_market`` (q = 1) that each rotation of
     its chain belongs to, read off the rotation's firm a_i."""
@@ -506,9 +515,7 @@ def in_any_hull(market, cubes, x):
     """Whether x lies in the cube of some stable matching of ``cubes``
     (matching -> its exposed rotations): the test of every cube, which
     ``hulls._in_a_hull`` narrows to the cube of x's support matching."""
-    rows = {f: {w: n for w, n in zip(market.workers, row) if n}
-            for f, row in zip(market.firms, x._nums)}
-    return any(_cube_coordinates(mu, rotations, rows, x._denom) is not None
+    return any(_cube_coordinates(market, mu, rotations, x) is not None
                for mu, rotations in cubes.items())
 
 

@@ -46,7 +46,13 @@ markets.  Last, on markets with a prescribed rotation poset
 12 elements, edge probabilities 0.1, 0.25 and 0.5, seeds 0 to min(N, 50) -
 1), it checks that the chain's predecessor masks are the order
 (``oracles.chain_order``) and that the listing has one matching per order
-ideal, and at every fourth seed that it is the pruned search's set.
+ideal, and at every fourth seed that it is the pruned search's set and
+that ``verify_characterization(m, 0, 25)`` is ok, which runs the hull
+certificates on rotation posets with joins; it prints the negative density
+of those runs' mixes, summed.  Then, on the same random orders of 3 to 7
+elements with every worker cloned and every quota 2 (``poset_market(n,
+less, q=2)``, seeds 0 to min(N, 20) - 1), whose rotations are no longer one
+per element, it checks that the listing is the pruned search's set.
 
 On every instance of the first three families, and on complete 20x20
 one-to-one markets (seeds 0 to min(N, 100) - 1), it also compares the
@@ -71,11 +77,13 @@ repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took 4 min 39 s on one core of a 2-vCPU VM;
+The full sweep took 4 min 45 s on one core of a 2-vCPU VM;
 the exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets takes about 2
 minutes of it.
 Each rich market takes the pruned search 0.1-0.16 s.  The random-order
-family takes about 5 s: 1350 poset markets, 158270 stable matchings.
+family takes about 5 s (1350 poset markets, 158270 stable matchings), and
+its 351 verify runs 33 s; the cloned random orders take 3 s (300 markets,
+43944 stable matchings).  With ``--seeds 20`` the sweep takes about 37 s.
 """
 
 import argparse
@@ -122,6 +130,10 @@ ORDER_SIZES = range(4, 13)
 ORDER_DENSITIES = (0.1, 0.25, 0.5)
 ORDER_SEEDS = 50
 ORDER_ORACLE = 4
+# cloned random orders (quota 2): elements and seeds; the listing is
+# compared with the pruned search on every one
+CLONED_ORDER_SIZES = range(3, 8)
+CLONED_ORDER_SEEDS = 20
 
 
 def main(argv=None) -> int:
@@ -275,7 +287,7 @@ def main(argv=None) -> int:
     print(f"cloned blocks: {len(CLONED_BLOCKS)} markets, {cloned_listed} "
           f"stable matchings, {cloned_nodes} oracle nodes", flush=True)
     order_seeds = min(args.seeds, ORDER_SEEDS)
-    orders = order_listed = order_nodes = 0
+    orders = order_listed = order_nodes = verified = negatives = mixes = 0
     for n in ORDER_SIZES:
         for p in ORDER_DENSITIES:
             for seed in range(order_seeds):
@@ -293,8 +305,34 @@ def main(argv=None) -> int:
                     order_nodes += nodes
                     if listed.keys() != stable:
                         disagreements.append(("poset listing", n, n, 1, seed, p))
+                    report = sf.verify_characterization(m, 0, 25)
+                    verified += 1
+                    if not report.ok:
+                        disagreements.append(("poset verify", n, n, 1, seed, p))
+                    # "negative density a/b over stable-set mixes"
+                    a, b = map(int, report.notes[0].split()[2].split("/"))
+                    negatives, mixes = negatives + a, mixes + b
     print(f"random orders: {orders} poset markets, {order_listed} stable "
-          f"matchings, {order_nodes} oracle nodes", flush=True)
+          f"matchings, {order_nodes} oracle nodes; {verified} verify runs, "
+          f"negative density {negatives}/{mixes}", flush=True)
+    cloned_orders = cloned_order_listed = cloned_order_nodes = most = 0
+    for n in CLONED_ORDER_SIZES:
+        for p in ORDER_DENSITIES:
+            for seed in range(min(args.seeds, CLONED_ORDER_SEEDS)):
+                m = poset_market(n, random_order(seed, n, p), q=2)
+                chain = _Chain(m)
+                listed = chain.listing()
+                stable, nodes = _search(m)
+                cloned_orders += 1
+                cloned_order_listed += len(listed)
+                cloned_order_nodes += nodes
+                most = max(most, len(chain.rotations))
+                if listed.keys() != stable:
+                    disagreements.append(("cloned poset listing", n, n, 2,
+                                          seed, p))
+    print(f"cloned random orders: {cloned_orders} poset markets (q = 2), "
+          f"{cloned_order_listed} stable matchings, at most {most} rotations, "
+          f"{cloned_order_nodes} oracle nodes", flush=True)
     for name, *where in disagreements:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")

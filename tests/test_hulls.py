@@ -7,8 +7,8 @@ from math import prod
 import pytest
 
 import stablefrac as sf
-from oracles import (balanced_market, chain_elements, cloned_blocks, dominates,
-                     in_any_hull, poset_market)
+from oracles import (POSETS, balanced_market, chain_elements, cloned_blocks,
+                     dominates, in_any_hull, poset_market)
 from stablefrac.cli import main
 from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
@@ -21,12 +21,6 @@ def _term_matchings(market, cert):
     return tuple(sf.apply_cycle_set(market, cert.base,
                                     [cert.rotations[i] for i in sorted(ids)])
                  for ids, _ in cert.terms)
-
-
-def _rows(market, x):
-    """A point as sparse per-firm rows, ``{firm: {worker: nonzero value}}``."""
-    return {f: {w: v for w, v in zip(market.workers, row) if v}
-            for f, row in zip(market.firms, x.entries)}
 
 
 def _cube_against_subset_search(market, stable, points, max_rotations):
@@ -44,9 +38,9 @@ def _cube_against_subset_search(market, stable, points, max_rotations):
                 sf.incidence_vector(market, m).flatten(market) for m in members]))
     pairs = inside = 0
     for x in points:
-        rows, flat = _rows(market, x), x.flatten(market)
+        flat = x.flatten(market)
         for mu, rotations, vectors in cubes:
-            member = _cube_coordinates(mu, rotations, rows) is not None
+            member = _cube_coordinates(market, mu, rotations, x) is not None
             assert member == sf.point_in_hull(vectors, flat)
             pairs += 1
             inside += member
@@ -99,6 +93,29 @@ def test_certify_scans_the_condition_once(fleet, fleet_stable, monkeypatch):
                 assert repr(cert) == repr(sf.strong_stability_check(m, x).first_failure())
             outcomes[refused] += 1
     assert outcomes == {False: 92, True: 28}
+
+
+def test_certify_reads_one_cube(fleet, fleet_stable, monkeypatch):
+    """A certificate reads its point's cube coordinates once, however many
+    terms its decomposition has, and a refusal at a pair reads none.  Read
+    once per term, the 92 certificates of these mixes made 137 readings."""
+    cube_coordinates = sf.hulls._cube_coordinates
+    readings = []
+
+    def counted(market, base, rotations, x):
+        readings.append(x)
+        return cube_coordinates(market, base, rotations, x)
+
+    monkeypatch.setattr(sf.hulls, "_cube_coordinates", counted)
+    terms = Counter()
+    for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
+        for x in _mixes(m, stable, idx, 4):
+            readings.clear()
+            cert = sf.certify_strongly_stable(m, x)
+            refused = isinstance(cert, sf.PairCondition)
+            assert readings == ([] if refused else [x])
+            terms[0 if refused else len(cert.terms)] += 1
+    assert terms == {0: 28, 1: 54, 2: 31, 3: 7}
 
 
 def test_certify_integral_point(market, mu_w, x_worker):
@@ -213,7 +230,9 @@ def test_cube_coordinates_round_trip(block_market, cyclic_blocks):
                     m, base, [r for r, c in zip(rotations, chosen) if c])
                 terms.append((sf.incidence_vector(m, nu), weight))
         x = sf.FractionalMatching.linear_combination(terms)
-        assert _cube_coordinates(base, rotations, _rows(m, x)) == lam
+        scaled = _cube_coordinates(m, base, rotations, x)
+        assert all(type(v) is int for v in scaled)
+        assert tuple(Fraction(v, x._denom) for v in scaled) == lam
 
 
 def test_cube_coordinates_rejections(block_market):
@@ -223,30 +242,40 @@ def test_cube_coordinates_rejections(block_market):
     start = sf.incidence_vector(m, base)
 
     def along(k, value):
-        """Rows of inc(base) + value * delta_k."""
+        """inc(base) + value * delta_k."""
         moved = sf.incidence_vector(m, sf.apply_cycle(m, base, rotations[k]))
-        return _rows(m, sf.FractionalMatching.linear_combination(
-            [(start, 1 - value), (moved, value)]))
+        return sf.FractionalMatching.linear_combination(
+            [(start, 1 - value), (moved, value)])
+
+    def rewrite(x, firm, cells):
+        """x with the row of ``firm`` replaced by ``cells``."""
+        rows = [list(row) for row in x.entries]
+        rows[m.firm_index(firm)] = [cells.get(w, 0) for w in m.workers]
+        return sf.FractionalMatching.from_rows(rows)
 
     third = Fraction(1, 3)
-    assert _cube_coordinates(base, rotations, along(0, third)) == (third, 0, 0, 0)
+    assert _cube_coordinates(m, base, rotations, along(0, third)) == (1, 0, 0, 0)
+    # a negative entry, and one above 1
     for value in (-third, 1 + third):
-        assert _cube_coordinates(base, rotations, along(0, value)) is None
+        assert _cube_coordinates(m, base, rotations, along(0, value)) is None
     # the second firm of the 3-cycle moves another share than the first
-    rows = along(3, Fraction(1, 2))
-    rows["f8"] = {"w8": 1 - third, "w9": third}
-    assert _cube_coordinates(base, rotations, rows) is None
+    x = rewrite(along(3, Fraction(1, 2)), "f8", {"w8": 1 - third, "w9": third})
+    assert _cube_coordinates(m, base, rotations, x) is None
     # f1 moves its w10 share, which no rotation trades, onto w3
-    rows = along(0, Fraction(1, 2))
-    rows["f1"] = {"w1": Fraction(1, 2), "w2": Fraction(1, 2), "w3": 1}
-    assert _cube_coordinates(base, rotations, rows) is None
+    x = rewrite(along(0, Fraction(1, 2)), "f1",
+                {"w1": Fraction(1, 2), "w2": Fraction(1, 2), "w3": 1})
+    assert _cube_coordinates(m, base, rotations, x) is None
+    # f1 also holds w3, which neither its staff nor a rotation gives it
+    x = rewrite(along(0, Fraction(1, 2)), "f1", {"w1": Fraction(1, 2),
+                                                 "w2": Fraction(1, 2),
+                                                 "w10": 1, "w3": third})
+    assert _cube_coordinates(m, base, rotations, x) is None
     # after the f1/f2 swap, f2 is in no rotation and must keep w1
     swapped = sf.apply_cycle(m, base, rotations[0])
     rest = sf.find_cycles(sf.reduce_profile(m, swapped))
-    rows = _rows(m, sf.incidence_vector(m, swapped))
-    assert _cube_coordinates(swapped, rest, rows) == (0, 0, 0)
-    rows["f2"] = {"w2": 1}
-    assert _cube_coordinates(swapped, rest, rows) is None
+    x = sf.incidence_vector(m, swapped)
+    assert _cube_coordinates(m, swapped, rest, x) == (0, 0, 0)
+    assert _cube_coordinates(m, swapped, rest, rewrite(x, "f2", {"w2": 1})) is None
 
 
 def test_gen_random_market_deterministic():
@@ -434,10 +463,18 @@ def test_verify_propagates_cap(monkeypatch, tmp_path, capsys):
 
 
 def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market):
+    """Each certificate term's rotation subset, read off the point's cube
+    coordinates by the threshold rule, rebuilds the matching the sweep gave
+    that term: on the fleet, the block market, many-to-one cloned blocks,
+    and poset markets whose rotation posets have joins, one-to-one and
+    cloned with quota 2."""
     checked = 0
-    block_stable = sorted(sf.enumerate_stable_bruteforce(block_market),
-                          key=lambda mu: mu.assignment)
-    cases = list(zip(fleet, fleet_stable)) + [(block_market, block_stable)]
+    extra = [block_market, cloned_blocks([2] * 4, 2), cloned_blocks([3, 3], 3)]
+    extra += [poset_market(*POSETS[name]) for name in ("diamond", "crown", "random")]
+    extra.append(poset_market(*POSETS["diamond"], q=2))
+    cases = list(zip(fleet, fleet_stable)) + [
+        (m, sorted(sf.enumerate_stable_bruteforce(m), key=lambda mu: mu.assignment))
+        for m in extra]
     for idx, (m, stable) in enumerate(cases):
         for mu in stable:
             for x in sf.sample_hull(m, mu, seed=300 + idx, count=2):
@@ -446,7 +483,7 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
                     _term_matchings(m, cert)
                 assert cert._decomposition == sf.decompose(m, x)
                 checked += 1
-    assert checked >= 150
+    assert checked == 714
 
 
 def test_verify_reduces_only_the_chains_profiles(block_market, monkeypatch):
@@ -643,7 +680,7 @@ def test_a_base_with_rotations_exposed_from_different_chains():
     join r3.  Half of M({r0, r1}) and half of M({r0, r2}) lies in that
     base's cube and certifies with it; half of M({r0}) and half of
     M({r0, r1, r2, r3}) is refused at a pair and lies in no cube."""
-    m = poset_market(4, {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)})
+    m = poset_market(*POSETS["diamond"])
     chain = _Chain(m)
     listed = chain.listing()
     index = {e: j for j, e in enumerate(chain_elements(chain))}

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (RANDOM_SIZES, balanced_market, chain_agrees,
+from oracles import (POSETS, RANDOM_SIZES, balanced_market, chain_agrees,
                      chain_order, cloned_blocks, compare_rich, dominates,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_markets, random_order, reduced_lists_keep_the_base,
@@ -904,15 +904,6 @@ def test_stable_step_on_hand_made_steps(monkeypatch, name):
     assert sf.rotations._stable_step(m, nu, sigma) is False
     assert full_checks == []
     assert not sf.is_stable(m, nu)
-
-
-# Strict orders, closed, on 0..n-1: a diamond, the crown on three minimal
-# and three maximal elements, and a seeded random order with two joins.
-POSETS = {
-    "diamond": (4, {(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}),
-    "crown": (6, {(i, 3 + j) for i in range(3) for j in range(3) if i != j}),
-    "random": (10, random_order(0, 10, 0.25)),
-}
 
 
 @pytest.mark.parametrize("name", sorted(POSETS))

@@ -391,5 +391,5 @@ sf.certify_strongly_stable(m, x)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 1, run.stderr
-    assert ("AssertionError: decomposition term is not a cyclic matching"
+    assert ("AssertionError: strongly stable point lies outside its base's cube"
             in run.stderr)
