@@ -253,11 +253,19 @@ def point_in_hull(points: list[tuple[Rational, ...]],
 
 @dataclass(frozen=True)
 class CharacterizationReport:
-    """Counts and counterexamples from one harness run."""
+    """Counts and counterexamples from one harness run.
+
+    ``negative_points`` counts every point the condition refused: the
+    ``mixes_refused`` of the ``mixes_drawn`` random mixes of the stable
+    matchings, then the walk points.  The first note states the mixes'
+    ratio as text.
+    """
 
     stable_count: int
     hull_points: int
     negative_points: int
+    mixes_drawn: int
+    mixes_refused: int
     vertex_points: int
     counterexamples: tuple[str, ...]
     notes: tuple[str, ...]
@@ -337,16 +345,15 @@ def verify_characterization(market: Market, seed: int,
             hull_points += 1
             classify(x, f"hull sample {idx}/{k}", expect_member=True)
 
-    negative_points = 0
-    mixes = max(1, samples // 2)
+    refused, mixes = 0, max(1, samples // 2)
     rng = random.Random(f"negatives:{seed}")
     for k in range(mixes):
         x = _random_mix(market, stable, rng)
         if not classify(x, f"mix {k}", expect_member=False):
-            negative_points += 1
-    notes.append(f"negative density {negative_points}/{mixes} over stable-set mixes")
+            refused += 1
+    notes.append(f"negative density {refused}/{mixes} over stable-set mixes")
 
-    vertex_points = 0
+    negative_points, vertex_points = refused, 0
     wrng = random.Random(f"vertex:{seed}")
     walks = max(1, min(4, samples // 25))
     for k in range(walks):
@@ -376,6 +383,7 @@ def verify_characterization(market: Market, seed: int,
         stable_count=len(stable),
         hull_points=hull_points,
         negative_points=negative_points,
+        mixes_drawn=mixes, mixes_refused=refused,
         vertex_points=vertex_points,
         counterexamples=tuple(counterexamples),
         notes=tuple(notes),

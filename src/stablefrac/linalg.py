@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SparseRow = Mapping[int, int]   # column -> nonzero integer coefficient
 
@@ -120,9 +120,15 @@ def _primitive(row: dict[int, int], p: int) -> dict[int, int]:
     return {c: a // content for c, a in row.items()} if content != 1 else row
 
 
-def rank(rows: Sequence[SparseRow], ncols: int) -> int:
-    basis = Rref(ncols)
-    for row in rows:
+def rank(rows: Iterable[SparseRow], ncols: int) -> int:
+    """The rank of ``rows``, which touch at most ``ncols`` distinct columns.
+
+    The rows are pulled one at a time, so ``rows`` may build them lazily.
+    ``ncols`` bounds the rank, so no row is pulled once the rank reaches it:
+    the row that brings it there is the last one pulled.
+    """
+    basis, rows = Rref(ncols), iter(rows)
+    while basis.rank < ncols and (row := next(rows, None)) is not None:
         basis.add(row)
     return basis.rank
 

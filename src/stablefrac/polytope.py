@@ -19,18 +19,21 @@ noblock rows.
 Each market keeps one index of its acceptable pairs, built on first use and
 the one place that numbers them: every pair's cell and quota, the pair
 positions along each agent's list, and the one numbering of the
-stable-feasibility system's rows  a . x <= b  with each row's bound b.  From it one prefix-sum pass over any pair vector v
-gives a . v for every row in O(pairs): the lists' totals are the quota and
-unit rows, and each pair's weak prefix sums on both sides give its noblock
-row.  The evaluation, the tight and ratio tests of the two walks, and the
-strong stability condition and sweep all read that pass.  A sparse row, a
-map from acceptable-pair position to its nonzero integer coefficient, is
-built from slices of the lists only for a row that enters a basis of the
-walks' ``linalg.Rref`` or is the dropped row of an interior step.  The
-vertex test reads its tight rows off the point's kept evaluation and builds
-each from the same slices restricted to the point's support, the pairs
-where it is nonzero.  The walks carry row numbers, start from N and D, take
-integer null-space directions from ``Rref`` and compare step lengths by
+stable-feasibility system's rows  a . x <= b  with each row's bound b.  From
+it one prefix-sum pass over any pair vector v gives a . v for every row in
+O(pairs): the lists' totals are the quota and unit rows, and each pair's
+weak prefix sums on both sides give its noblock row.  The evaluation, the
+tight and ratio tests of the two walks, and the strong stability condition
+and sweep all read that pass.  A sparse row, a map from acceptable-pair
+position to its nonzero integer coefficient, is built from slices of the
+lists only for a row that enters a basis of the walks' ``linalg.Rref`` or is
+the dropped row of an interior step.  The vertex test reads its tight rows'
+numbers off the point's kept evaluation and builds each row lazily, in
+row-number order, from the same slices restricted to the point's support S,
+the pairs where it is nonzero; ``linalg.rank`` pulls them until the rank
+reaches |S|, so on a vertex no row after the one that completes the rank is
+built.  The walks carry row numbers, start from N and D, take integer
+null-space directions from ``Rref`` and compare step lengths by
 cross-multiplication, so a step builds one ``Fraction``: its length.
 """
 
@@ -108,10 +111,11 @@ class _PairIndex:
     (firm index times the number of workers, plus the worker index) and
     belongs to a firm of quota ``quota[k]``.  ``firm`` and ``worker`` hold
     every agent's list as pair positions, in declaration order; the map from
-    a pair to its position lives only while they are laid out.  The rows are numbered in one order: a quota row per
-    firm, a unit row per worker, then a nonneg row and a noblock row per
-    pair; ``bound`` holds each row's b.  A worker with no acceptable pair
-    has an all-zero unit row, which is never tight (0 < D) and never binds.
+    a pair to its position lives only while they are laid out.  The rows are
+    numbered in one order: a quota row per firm, a unit row per worker, then
+    a nonneg row and a noblock row per pair; ``bound`` holds each row's b.
+    A worker with no acceptable pair has an all-zero unit row, which is never
+    tight (0 < D) and never binds.
     """
 
     __slots__ = ("cells", "quota", "firm", "worker", "bound")
@@ -329,7 +333,11 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     lhs is its list's total, the weak prefix sum at the list's last pair,
     and a noblock row's comes from the pair's two weak prefix sums.  Each is
     built on S from the supported slices of the lists, which one count pass
-    per side gives, and ``linalg.rank`` eliminates them.
+    per side gives.  The rows touch only the |S| columns of S, so their rank
+    is at most |S|: they are built lazily, in row-number order, and
+    ``linalg.rank`` eliminates them until the rank reaches |S|.  On a vertex
+    no row after the one that brings the rank to |S| is built; on a
+    non-vertex every tight row is.
     """
     sums = check_stable_feasibility(market, x).require()._sums
     index, denom, entry = _pair_index_of(market), x._denom, sums.entry
@@ -339,8 +347,8 @@ def is_extreme_point(market: Market, x: FractionalMatching) -> tuple[bool, int]:
     first = len(totals) + n
     tight += [first + k for k, (a, q) in enumerate(zip(
         _noblock_lhs(index, entry, sums.firm, sums.worker), index.quota)) if a == q * denom]
-    slicers = firm.slicer(entry), worker.slicer(entry)
-    r = entry.count(0) + rank([index.row(i, slicers) for i in tight], n)
+    slicers, zeros = (firm.slicer(entry), worker.slicer(entry)), entry.count(0)
+    r = zeros + rank((index.row(i, slicers) for i in tight), n - zeros)
     return r == n, r
 
 

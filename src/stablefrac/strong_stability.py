@@ -67,12 +67,13 @@ class StrongStabilityReport:
         return next((p for p in self.pairs if p.product != 0), None)
 
 
-def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int) -> PairCondition:
-    """The pair's condition with factors gap / d; the product is zero
-    whenever either factor is."""
+def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int,
+               factor: dict[int, Rational]) -> PairCondition:
+    """The pair's condition with factors gap / d, read off ``factor``, which
+    maps each gap to its factor; the product is zero whenever either factor
+    is."""
     return PairCondition(
-        f, w, Fraction(firm_gap, d) if firm_gap else _ZERO,
-        Fraction(worker_gap, d) if worker_gap else _ZERO,
+        f, w, factor[firm_gap], factor[worker_gap],
         Fraction(firm_gap * worker_gap, d * d) if firm_gap and worker_gap else _ZERO)
 
 
@@ -94,12 +95,15 @@ def strong_stability_check(market: Market,
     carries both factors and their product per pair; ``overall`` is true
     exactly when every product is zero.  With F and W the integer weak
     prefix sums at the point's denominator D, the factors are (q D - F) / D
-    and (D - W) / D.
+    and (D - W) / D.  A point has few distinct gap values, so one
+    ``Fraction`` is built per value and shared by every pair with that gap,
+    and a product only where both gaps are nonzero.
     """
     firm_gaps, worker_gaps, d = *_gaps(market, x), x._denom
-    conditions = tuple(_condition(f, w, a, b, d) for (f, w), a, b
+    factor = {g: Fraction(g, d) if g else _ZERO for g in {*firm_gaps, *worker_gaps}}
+    conditions = tuple(_condition(f, w, a, b, d, factor) for (f, w), a, b
                        in zip(market.pairs(), firm_gaps, worker_gaps))
-    return StrongStabilityReport(conditions, not any(p.product for p in conditions))
+    return StrongStabilityReport(conditions, not any(map(mul, firm_gaps, worker_gaps)))
 
 
 def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
@@ -109,7 +113,9 @@ def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | Non
     stable-feasible point (InfeasibleError otherwise)."""
     firm_gaps, worker_gaps = _gaps(market, x)
     for k in compress(count(), map(mul, firm_gaps, worker_gaps)):
-        return _condition(*market.pairs()[k], firm_gaps[k], worker_gaps[k], x._denom)
+        a, b, d = firm_gaps[k], worker_gaps[k], x._denom
+        return _condition(*market.pairs()[k], a, b, d,
+                          {a: Fraction(a, d), b: Fraction(b, d)})
     return None
 
 

@@ -147,6 +147,23 @@ def worker_weak_prefix(market: Market, x: FractionalMatching,
     return out
 
 
+def reference_condition(market: Market, x: FractionalMatching):
+    """Each acceptable pair's strong stability condition from its definition,
+    in ``Fraction``: the firm factor is the quota minus the firm's weak
+    prefix sum down to the worker, the worker factor one minus the worker's
+    down to the firm, both summed from ``x.value``, and the product theirs."""
+    out = []
+    for f, w in market.pairs():
+        firm = market.quota[f] - sum(
+            (x.value(market, f, v) for v in market.acceptable_to_firm(f)
+             if market.firm_rank(f, v) <= market.firm_rank(f, w)), Fraction(0))
+        worker = 1 - sum(
+            (x.value(market, g, w) for g in market.acceptable_to_worker(w)
+             if market.worker_rank(w, g) <= market.worker_rank(w, f)), Fraction(0))
+        out.append(sf.PairCondition(f, w, firm, worker, firm * worker))
+    return tuple(out)
+
+
 def dominates(market, x, y, agents=None, strict=False):
     """Whether x gives every agent at least y's cumulative mass at each rank
     of its list; with ``strict``, also more at some rank of some agent.

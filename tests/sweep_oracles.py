@@ -309,9 +309,8 @@ def main(argv=None) -> int:
                     verified += 1
                     if not report.ok:
                         disagreements.append(("poset verify", n, n, 1, seed, p))
-                    # "negative density a/b over stable-set mixes"
-                    a, b = map(int, report.notes[0].split()[2].split("/"))
-                    negatives, mixes = negatives + a, mixes + b
+                    negatives += report.mixes_refused
+                    mixes += report.mixes_drawn
     print(f"random orders: {orders} poset markets, {order_listed} stable "
           f"matchings, {order_nodes} oracle nodes; {verified} verify runs, "
           f"negative density {negatives}/{mixes}", flush=True)

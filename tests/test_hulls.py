@@ -308,6 +308,19 @@ def test_verify_example_market(market):
     assert outcome.counterexamples == ()
 
 
+def test_verify_keeps_the_mix_counts(market, block_market):
+    """The stable-set mixes drawn and refused are fields of the report; the
+    refused ones are among the negative points, and the first note words the
+    two counts."""
+    for m, seed, samples, counts in [(market, 5, 200, (100, 0, 8)),
+                                     (block_market, 1, 10, (5, 5, 9))]:
+        outcome = sf.verify_characterization(m, seed, samples)
+        assert (outcome.mixes_drawn, outcome.mixes_refused,
+                outcome.negative_points) == counts
+        assert outcome.notes == (f"negative density {counts[1]}/{counts[0]} "
+                                 "over stable-set mixes",)
+
+
 def test_verify_block_market_without_subset_search(block_market, monkeypatch):
     def refuse(points, target):
         raise AssertionError("verify must decide hull membership by the cube test")

@@ -331,33 +331,56 @@ def test_vertex_rank_matches_dense_reference(fleet, fleet_stable):
 
 
 def test_rank_gets_the_tight_rows_on_the_support(monkeypatch, fleet, fleet_stable):
-    """The rows the vertex test eliminates are, as a multiset, the tight
-    quota, unit and noblock rows of the definition restricted to the
-    point's support, and have no column off it."""
-    seen = []
+    """The rows the vertex test hands ``rank`` are pulled, in order, from the
+    tight quota, unit and noblock rows of the definition restricted to the
+    point's support S, with no column off it and |S| as the column bound.
+    On a vertex the last row pulled is the one that brings the rank to |S|;
+    on a non-vertex every such row is pulled.  A row is built only when
+    pulled."""
+    seen, built = [], []
+    row = _PairIndex.row
+
+    def counted(self, i, slicers=None):
+        built.append(i)
+        return row(self, i, slicers)
 
     def spy(rows, ncols):
-        seen.append(rows)
-        return rank(rows, ncols)
+        pulled = []
+        seen.append((pulled, ncols))
+
+        def record():
+            for row in rows:
+                pulled.append(row)
+                yield row
+        return rank(record(), ncols)
 
     monkeypatch.setattr(polytope, "rank", spy)
+    monkeypatch.setattr(_PairIndex, "row", counted)
     rng = random.Random(7)
     block = cloned_blocks([2] * 4, 2)
-    checked = 0
+    checked, vertices = 0, 0
     for m, stable in [*zip(fleet, fleet_stable), (block, _stable(block))]:
         rows = {cid: coeffs for cid, coeffs, _ in reference_rows(m)}
         for x in _vertex_test_points(m, stable, rng):
             support = {k for k, (f, w) in enumerate(m.pairs()) if x.value(m, f, w)}
             seen.clear()
-            sf.is_extreme_point(m, x)
-            [passed] = seen
+            built.clear()
+            is_vertex, _ = sf.is_extreme_point(m, x)
+            [(pulled, ncols)] = seen
             expected = [{k: a for k, a in enumerate(rows[cid]) if a and k in support}
                         for cid in reference_evaluate(m, x).tight if cid[0] != "nonneg"]
-            assert all(set(row) <= support for row in passed)
-            assert Counter(frozenset(r.items()) for r in passed) == \
-                Counter(frozenset(r.items()) for r in expected)
+            assert ncols == len(support)
+            assert all(set(row) <= support for row in pulled)
+            if is_vertex:
+                basis, stop = ReferenceRref(len(m.pairs())), 0
+                while basis.rank < len(support):
+                    basis.add(expected[stop])
+                    stop += 1
+                expected = expected[:stop]
+                vertices += 1
+            assert pulled == expected and len(built) == len(pulled)
             checked += 1
-    assert checked > 250
+    assert checked > 250 and 0 < vertices < checked
 
 
 def _midpoint(m: sf.Market) -> sf.FractionalMatching:
@@ -508,6 +531,26 @@ def test_rref_matches_dense_elimination(rows):
         scale = null[col]
         assert scale > 0
         assert null == [scale * a for a in reference.null_vector(col)]
+
+
+def _raise_after(rows, last):
+    """The first ``last`` rows, then an error if another row is pulled."""
+    yield from rows[:last]
+    raise AssertionError("a row was pulled after the rank reached ncols")
+
+
+@given(sparse_rows, st.sets(st.integers(0, NCOLS - 1), min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_rank_stops_at_full_rank(rows, columns):
+    """``rank`` pulls no row after the one that brings the rank to ncols,
+    here the number of columns the rows touch, wherever those lie, and none
+    at all when ncols is 0."""
+    rows = [{c: a for c, a in row.items() if c in columns} for row in rows]
+    rows += [{c: 1} for c in sorted(columns)]
+    dense = [[Fraction(row.get(c, 0)) for c in range(NCOLS)] for row in rows]
+    last = next(k for k in range(len(rows) + 1) if dense_rank(dense[:k]) == len(columns))
+    assert rank(_raise_after(rows, last), len(columns)) == len(columns)
+    assert rank(_raise_after(rows, 0), 0) == 0
 
 
 @given(sparse_rows, sparse_rows)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import dominates
+from oracles import cloned_blocks, dominates, reference_condition
+from stablefrac.hulls import _random_mix
+from stablefrac.strong_stability import _first_failure
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,6 +213,35 @@ def test_stable_incidences_pass_condition_everywhere(fleet, fleet_stable):
     for m, stable in zip(fleet, fleet_stable):
         for mu in stable:
             assert sf.strong_stability_check(m, sf.incidence_vector(m, mu)).overall
+
+
+def test_condition_matches_its_definition(fleet, fleet_stable):
+    """The condition report equals ``reference_condition`` on the fleet's
+    stable matchings, the midpoints of consecutive ones and failing mixes of
+    them, and on a cloned block market, as does the first failure; every
+    factor of one value is one shared object."""
+    block = cloned_blocks([2] * 4, 2)
+    block_stable = sorted(sf.enumerate_stable_via_rotations(block),
+                          key=lambda mu: mu.assignment)
+    rng = random.Random(34)
+    checked = failing = 0
+    for m, stable in [*zip(fleet, fleet_stable), (block, block_stable)]:
+        points = [sf.incidence_vector(m, mu) for mu in stable]
+        points += [sf.FractionalMatching.linear_combination(
+            [(x, Fraction(1, 2)), (y, Fraction(1, 2))]) for x, y in zip(points, points[1:])]
+        mixes = [_random_mix(m, stable, rng) for _ in range(4)]
+        points += [x for x in mixes if any(c.product for c in reference_condition(m, x))]
+        for x in points:
+            report = sf.strong_stability_check(m, x)
+            want = reference_condition(m, x)
+            assert report.pairs == want
+            assert report.overall == all(c.product == 0 for c in want)
+            assert _first_failure(m, x) == next((c for c in want if c.product), None)
+            factors = [v for c in report.pairs for v in (c.firm_factor, c.worker_factor)]
+            assert len({id(v) for v in factors}) == len(set(factors))
+            checked += 1
+            failing += not report.overall
+    assert checked > 250 and failing > 30
 
 
 def test_sampled_points_decompose_and_sandwich(fleet, fleet_stable):
