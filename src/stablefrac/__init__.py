@@ -3,136 +3,19 @@
 Stable matchings, the fractional matching polytopes, the strong stability
 condition, ordered convex decompositions, rotations, connected-set hulls,
 and a brute-force oracle harness that cross-validates all of it.
+
+Each module lists its public names in its own ``__all__``; the package
+re-exports them, and its ``__all__`` is those six lists joined.
 """
 
-from .model import (
-    AlreadyIntegralError,
-    CapExceededError,
-    ContestedWorkerError,
-    CycleMismatchError,
-    Decomposition,
-    FractionalMatching,
-    InfeasibleError,
-    Market,
-    MarketError,
-    Matching,
-    NotStableError,
-    NotStronglyStableError,
-    OneSidedPreferenceWarning,
-    ParseError,
-    Rational,
-    incidence_vector,
-    matching_from_matrix,
-    parse_fractional,
-    parse_market,
-    serialize_market,
-)
-from .stability import (
-    BLOCK_SWAP,
-    BLOCK_VACANCY,
-    BlockingPair,
-    Side,
-    blocking_pairs,
-    deferred_acceptance,
-    enumerate_stable_bruteforce,
-    is_individually_rational,
-    is_stable,
-)
-from .polytope import (
-    ConstraintReport,
-    check_feasibility,
-    check_stable_feasibility,
-    constraint_label,
-    is_extreme_point,
-    vertex_walk,
-)
-from .strong_stability import (
-    PairCondition,
-    StrongStabilityReport,
-    check_almost_integral,
-    decompose,
-    peel,
-    strong_stability_check,
-    support_matching,
-)
-from .rotations import (
-    ReducedProfile,
-    Rotation,
-    apply_cycle,
-    apply_cycle_set,
-    connected_set,
-    enumerate_stable_via_rotations,
-    find_cycles,
-    reduce_profile,
-)
-from .hulls import (
-    CharacterizationReport,
-    HullCertificate,
-    certify_strongly_stable,
-    gen_random_market,
-    point_in_hull,
-    sample_hull,
-    verify_characterization,
-)
+from .model import *
+from .stability import *
+from .polytope import *
+from .strong_stability import *
+from .rotations import *
+from .hulls import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlreadyIntegralError",
-    "BLOCK_SWAP",
-    "BLOCK_VACANCY",
-    "BlockingPair",
-    "CapExceededError",
-    "CharacterizationReport",
-    "ConstraintReport",
-    "ContestedWorkerError",
-    "CycleMismatchError",
-    "Decomposition",
-    "FractionalMatching",
-    "HullCertificate",
-    "InfeasibleError",
-    "Market",
-    "MarketError",
-    "Matching",
-    "NotStableError",
-    "NotStronglyStableError",
-    "OneSidedPreferenceWarning",
-    "PairCondition",
-    "ParseError",
-    "Rational",
-    "ReducedProfile",
-    "Rotation",
-    "Side",
-    "StrongStabilityReport",
-    "apply_cycle",
-    "apply_cycle_set",
-    "blocking_pairs",
-    "certify_strongly_stable",
-    "check_almost_integral",
-    "check_feasibility",
-    "check_stable_feasibility",
-    "connected_set",
-    "constraint_label",
-    "decompose",
-    "deferred_acceptance",
-    "enumerate_stable_bruteforce",
-    "enumerate_stable_via_rotations",
-    "find_cycles",
-    "gen_random_market",
-    "incidence_vector",
-    "is_extreme_point",
-    "is_individually_rational",
-    "is_stable",
-    "matching_from_matrix",
-    "parse_fractional",
-    "parse_market",
-    "peel",
-    "point_in_hull",
-    "reduce_profile",
-    "sample_hull",
-    "serialize_market",
-    "strong_stability_check",
-    "support_matching",
-    "vertex_walk",
-    "verify_characterization",
-]
+__all__ = (model.__all__ + stability.__all__ + polytope.__all__
+           + strong_stability.__all__ + rotations.__all__ + hulls.__all__)

@@ -28,18 +28,11 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterable
 
-from .hulls import certify_strongly_stable, gen_random_market, verify_characterization
+from .hulls import certify_strongly_stable, verify_characterization
 from .model import (
-    InfeasibleError,
-    Market,
-    MarketError,
-    Matching,
-    matching_from_matrix,
-    incidence_vector,
-    parse_fractional,
-    parse_market,
-    serialize_market,
-)
+    InfeasibleError, Market, MarketError, Matching, gen_random_market,
+    incidence_vector, matching_from_matrix, parse_fractional, parse_market,
+    serialize_market)
 from .polytope import check_stable_feasibility, constraint_label, is_extreme_point
 from .rotations import (
     Rotation,
@@ -78,7 +71,8 @@ def _read_file(path: str) -> tuple[str, str]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError(f"{path}: not valid UTF-8 ({exc})") from exc
-    return text, hashlib.sha256(data).hexdigest()
+    # a leading byte-order mark is not part of the text; the digest is the bytes'
+    return text.removeprefix("\ufeff"), hashlib.sha256(data).hexdigest()
 
 
 def _load(path: str, parse, key: str, inputs: dict, diagnostics: list[str]):
@@ -317,7 +311,7 @@ def _cmd_decompose(args, inputs, diagnostics) -> _Outcome:
         human = ["not strongly stable", "witness pair ({firm},{worker}): "
                  "product {product}".format(**refusal)]
         return {"refusal": refusal}, human, EXIT_PROPERTY_FAILS
-    terms = certificate._decomposition.terms
+    terms = certificate.decomposition.terms
     result = {
         "terms": [{"matching": dict(mu.assignment), "weight": str(weight)}
                   for mu, weight in terms],

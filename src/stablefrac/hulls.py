@@ -41,7 +41,6 @@ from .model import (
     Rational,
     _mix,
     matching_from_matrix,
-    _prune_mutual,
 )
 from .polytope import interior_walk, is_extreme_point, vertex_walk
 from .rotations import (
@@ -60,6 +59,15 @@ from .strong_stability import (
     support_matching,
 )
 
+__all__ = (
+    "CharacterizationReport",
+    "HullCertificate",
+    "certify_strongly_stable",
+    "point_in_hull",
+    "sample_hull",
+    "verify_characterization",
+)
+
 
 @dataclass(frozen=True)
 class HullCertificate:
@@ -67,17 +75,15 @@ class HullCertificate:
 
     ``base`` is the top matching of the ordered decomposition, ``rotations``
     its rotation set, and every term names the subset of rotation indices
-    that turns the base into that term's matching.  ``_decomposition`` is
-    the ordered decomposition the terms were read from, term for term.
+    that turns the base into that term's matching.  ``decomposition`` is
+    the ordered decomposition the terms were read from, term for term; it
+    takes no part in equality or the repr.
     """
 
     base: Matching
     rotations: tuple[Rotation, ...]
     terms: tuple[tuple[frozenset[int], Rational], ...]
-    _decomposition: Decomposition = field(compare=False, repr=False)
-
-    def reconstruct(self, market: Market) -> FractionalMatching:
-        return self._decomposition.reconstruct(market)
+    decomposition: Decomposition = field(compare=False, repr=False)
 
 
 def certify_strongly_stable(
@@ -175,48 +181,16 @@ def _in_a_hull(market: Market, cubes: dict[Matching, tuple[Rotation, ...]],
 
 
 def sample_hull(market: Market, mu: Matching, seed: int, count: int,
-                rotations: tuple[Rotation, ...] | None = None
-                ) -> list[FractionalMatching]:
-    """Random rational convex combinations over the connected set of mu,
+                rotations: tuple[Rotation, ...]) -> list[FractionalMatching]:
+    """Random rational convex combinations over the connected set of mu and
+    ``rotations``, the rotations exposed at mu, which the caller supplies
+    (``verify_characterization`` reads them off the rotation chain);
     deterministic in the seed.  ``_random_mix`` draws small integer weights,
-    so denominators stay below a small multiple of the connected-set size.
-    ``rotations``, when given, are mu's known exposed rotations."""
-    if rotations is None:
-        rotations = find_cycles(reduce_profile(market, mu))
+    so denominators stay below a small multiple of the connected-set size."""
     members = sorted(connected_set(market, mu, rotations),
                      key=attrgetter("assignment"))
     rng = random.Random(f"hull:{seed}")
     return [_random_mix(market, members, rng) for _ in range(count)]
-
-
-def gen_random_market(seed: int, nf: int, nw: int, qmax: int,
-                      density: float | None = None) -> Market:
-    """A deterministic random market.
-
-    Each agent draws a uniform random subset of the other side in uniform
-    random order; quotas are uniform on [1, qmax]; one-sided entries are
-    pruned silently.  ``density`` overrides the per-entry inclusion
-    probability (1.0 gives complete lists); the default of None keeps the
-    subset distribution uniform.  Randomness only shapes the instance; all
-    matching arithmetic downstream stays exact.
-    """
-    if nf < 1 or nw < 1 or qmax < 1:
-        raise ValueError("nf, nw and qmax must all be at least 1")
-    p = 0.5 if density is None else density
-    rng = random.Random(f"market:{seed}:{nf}:{nw}:{qmax}:{p}")
-    firms = tuple(f"f{i}" for i in range(1, nf + 1))
-    workers = tuple(f"w{j}" for j in range(1, nw + 1))
-    quota = {f: rng.randint(1, qmax) for f in firms}
-
-    def draw(others: tuple[str, ...]) -> tuple[str, ...]:
-        chosen = [a for a in others if rng.random() < p]
-        rng.shuffle(chosen)
-        return tuple(chosen)
-
-    firm_pref, worker_pref = _prune_mutual({f: draw(workers) for f in firms},
-                                           {w: draw(firms) for w in workers},
-                                           warn=False)
-    return Market(firms, workers, quota, firm_pref, worker_pref)
 
 
 def point_in_hull(points: list[tuple[Rational, ...]],

@@ -10,6 +10,7 @@ Floats appear only in ``gen_random_market``, where draws against
 
 from __future__ import annotations
 
+import random
 import re
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,30 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
+
+__all__ = (
+    "AlreadyIntegralError",
+    "CapExceededError",
+    "ContestedWorkerError",
+    "CycleMismatchError",
+    "Decomposition",
+    "FractionalMatching",
+    "InfeasibleError",
+    "Market",
+    "MarketError",
+    "Matching",
+    "NotStableError",
+    "NotStronglyStableError",
+    "OneSidedPreferenceWarning",
+    "ParseError",
+    "Rational",
+    "gen_random_market",
+    "incidence_vector",
+    "matching_from_matrix",
+    "parse_fractional",
+    "parse_market",
+    "serialize_market",
+)
 
 Rational = Fraction
 
@@ -181,13 +206,6 @@ class Market:
     def worker_index(self, w: str) -> int:
         return self._windex[w]
 
-    def firm_rank(self, f: str, w: str) -> int:
-        """Position of w in f's declared list (0 = most preferred)."""
-        return self._frank[f][w]
-
-    def worker_rank(self, w: str, f: str) -> int:
-        return self._wrank[w][f]
-
     def acceptable(self, f: str, w: str) -> bool:
         """Whether f and w list each other; False for an unknown name."""
         return w in self._frank.get(f, ()) and f in self._wrank.get(w, ())
@@ -343,10 +361,6 @@ class FractionalMatching:
     def value(self, market: Market, f: str, w: str) -> Rational:
         return self.entries[market.firm_index(f)][market.worker_index(w)]
 
-    def flatten(self, market: Market) -> tuple[Rational, ...]:
-        """The coordinates on the acceptable pairs, in canonical pair order."""
-        return tuple(self.value(market, f, w) for f, w in market.pairs())
-
     def is_integral(self) -> bool:
         return self._denom == 1
 
@@ -448,6 +462,36 @@ def _prune_mutual(firm_pref: dict[str, tuple[str, ...]],
                         f"but {b} does not list {a}",
                         OneSidedPreferenceWarning, stacklevel=3)
     return tuple(out)
+
+
+def gen_random_market(seed: int, nf: int, nw: int, qmax: int,
+                      density: float | None = None) -> Market:
+    """A deterministic random market.
+
+    Each agent draws a uniform random subset of the other side in uniform
+    random order; quotas are uniform on [1, qmax]; one-sided entries are
+    pruned silently.  ``density`` overrides the per-entry inclusion
+    probability (1.0 gives complete lists); the default of None keeps the
+    subset distribution uniform.  Randomness only shapes the instance; all
+    matching arithmetic downstream stays exact.
+    """
+    if nf < 1 or nw < 1 or qmax < 1:
+        raise ValueError("nf, nw and qmax must all be at least 1")
+    p = 0.5 if density is None else density
+    rng = random.Random(f"market:{seed}:{nf}:{nw}:{qmax}:{p}")
+    firms = tuple(f"f{i}" for i in range(1, nf + 1))
+    workers = tuple(f"w{j}" for j in range(1, nw + 1))
+    quota = {f: rng.randint(1, qmax) for f in firms}
+
+    def draw(others: tuple[str, ...]) -> tuple[str, ...]:
+        chosen = [a for a in others if rng.random() < p]
+        rng.shuffle(chosen)
+        return tuple(chosen)
+
+    firm_pref, worker_pref = _prune_mutual({f: draw(workers) for f in firms},
+                                           {w: draw(firms) for w in workers},
+                                           warn=False)
+    return Market(firms, workers, quota, firm_pref, worker_pref)
 
 
 def _parse_ids(text: str, lineno: int) -> tuple[str, ...]:

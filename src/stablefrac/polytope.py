@@ -50,6 +50,15 @@ from .linalg import Rref, rank
 from .model import (
     FractionalMatching, InfeasibleError, Market, Rational, _from_cells)
 
+__all__ = (
+    "ConstraintReport",
+    "check_feasibility",
+    "check_stable_feasibility",
+    "constraint_label",
+    "is_extreme_point",
+    "vertex_walk",
+)
+
 ConstraintId = tuple[str, ...]
 Slicer = Callable[[int, int], list[int]]
 
@@ -58,27 +67,28 @@ class _Lists:
     """One side's preference lists over the acceptable pairs, laid end to end.
 
     ``order`` holds the pair positions of each list in turn, most-preferred
-    first; list i fills ``order[starts[i]:ends[i]]``.  Pair k's list, down to
-    and including k, fills ``order[base[k]:upto[k]]``.  With ``run`` the
-    running sums of a pair vector along ``order``, led by a zero, a pair's
-    weak prefix sum is ``run[upto[k]] - run[base[k]]``, and a list's total
-    is the weak prefix sum at its last pair.  The lists hold every pair once.
+    first.  The lists lie end to end, so ``starts`` holds both bounds of
+    each: list i fills ``order[starts[i]:starts[i + 1]]``, and the last
+    entry is ``len(order)``.  Pair k's list, down to and including k, fills
+    ``order[base[k]:upto[k]]``.  With ``run`` the running sums of a pair
+    vector along ``order``, led by a zero, a pair's weak prefix sum is
+    ``run[upto[k]] - run[base[k]]``, and a list's total is the weak prefix
+    sum at its last pair.  The lists hold every pair once.
     """
 
-    __slots__ = ("order", "starts", "ends", "base", "upto")
+    __slots__ = ("order", "starts", "base", "upto")
 
     def __init__(self, lists: list[list[int]]):
         self.order = list(chain.from_iterable(lists))
         self.base, self.upto = [0] * len(self.order), [0] * len(self.order)
-        base, upto, self.starts, self.ends, end = self.base, self.upto, [], [], 0
+        base, upto, self.starts, end = self.base, self.upto, [0], 0
         for positions in lists:
             start = end
-            self.starts.append(start)
             for k in positions:
                 end += 1
                 base[k] = start
                 upto[k] = end
-            self.ends.append(end)
+            self.starts.append(end)
 
     def sums(self, v: list[int]) -> list[int]:
         """Each pair's weak prefix sum of v along its list."""
@@ -87,8 +97,8 @@ class _Lists:
 
     def totals(self, sums: list[int]) -> list[int]:
         """Each list's total, from the weak prefix sums of ``sums``."""
-        order = self.order
-        return [sums[order[e - 1]] if e > s else 0 for s, e in zip(self.starts, self.ends)]
+        order, starts = self.order, self.starts
+        return [sums[order[e - 1]] if e > s else 0 for s, e in zip(starts, starts[1:])]
 
     def slice(self, a: int, b: int) -> list[int]:
         """The pairs of ``order[a:b]``."""
@@ -147,13 +157,13 @@ class _PairIndex:
         a point's support.
         """
         firm, worker, n = self.firm, self.worker, len(self.quota)
-        nf, nw = len(firm.starts), len(worker.starts)
+        nf, nw = len(firm.starts) - 1, len(worker.starts) - 1
         cut, cut_worker = slicers or (firm.slice, worker.slice)
         if i < nf:
-            return dict.fromkeys(cut(firm.starts[i], firm.ends[i]), 1)
+            return dict.fromkeys(cut(firm.starts[i], firm.starts[i + 1]), 1)
         if i < nf + nw:
             i -= nf
-            return dict.fromkeys(cut_worker(worker.starts[i], worker.ends[i]), 1)
+            return dict.fromkeys(cut_worker(worker.starts[i], worker.starts[i + 1]), 1)
         k = i - nf - nw
         if k < n:
             return dict.fromkeys(cut(firm.upto[k] - 1, firm.upto[k]), -1)

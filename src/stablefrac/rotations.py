@@ -53,6 +53,16 @@ from .stability import (
     is_stable,
 )
 
+__all__ = (
+    "ReducedProfile",
+    "Rotation",
+    "apply_cycle",
+    "connected_set",
+    "enumerate_stable_via_rotations",
+    "find_cycles",
+    "reduce_profile",
+)
+
 
 @dataclass(frozen=True)
 class ReducedProfile:
@@ -234,34 +244,20 @@ def apply_cycle(market: Market, mu: Matching, sigma: Rotation) -> Matching:
     return Matching._derive(tuple(rows))
 
 
-def _disjoint(cycles: Iterable[Rotation]) -> tuple[Rotation, ...]:
-    """``cycles`` as a tuple, once they are checked to be firm-disjoint."""
-    cycles = tuple(cycles)
-    seen: set[str] = set()
-    for rot in cycles:
-        overlap = seen & set(rot.firms)
-        if overlap:
-            raise AssertionError(f"overlapping rotations at {sorted(overlap)}")
-        seen.update(rot.firms)
-    return cycles
-
-
-def apply_cycle_set(market: Market, mu: Matching,
-                    cycles: Iterable[Rotation]) -> Matching:
-    """Apply a set of rotations; they are disjoint, so the order is irrelevant."""
-    result = mu
-    for rot in _disjoint(cycles):
-        result = apply_cycle(market, result, rot)
-    return result
-
-
 def connected_set(market: Market, mu: Matching,
                   kprime: Sequence[Rotation]) -> set[Matching]:
     """All matchings reachable from mu by applying a subset of ``kprime``;
     ``CapExceededError``, before any rotation is applied, when the 2^k
     subsets exceed ``DEFAULT_ENUMERATION_CAP``.  The members double with
-    each rotation, one ``apply_cycle`` per new member."""
-    kprime = _disjoint(kprime)
+    each rotation, one ``apply_cycle`` per new member.  The rotations must
+    be firm-disjoint, as those exposed at one matching are; an overlap
+    raises ``AssertionError``."""
+    seen: set[str] = set()
+    for rot in kprime:
+        overlap = seen & set(rot.firms)
+        if overlap:
+            raise AssertionError(f"overlapping rotations at {sorted(overlap)}")
+        seen.update(rot.firms)
     if 2 ** len(kprime) > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(f"2^{len(kprime)} connected matchings exceed "
                                f"the cap of {DEFAULT_ENUMERATION_CAP}")

@@ -27,6 +27,18 @@ from typing import Iterable
 
 from .model import CapExceededError, Market, Matching
 
+__all__ = (
+    "BLOCK_SWAP",
+    "BLOCK_VACANCY",
+    "BlockingPair",
+    "Side",
+    "blocking_pairs",
+    "deferred_acceptance",
+    "enumerate_stable_bruteforce",
+    "is_individually_rational",
+    "is_stable",
+)
+
 # each cap counts what was built: the oracle's search nodes, the matchings
 # the rotation search lists, the members of a connected set
 DEFAULT_ENUMERATION_CAP = 10_000_000

@@ -34,6 +34,16 @@ from .model import (
 )
 from .polytope import _pair_index_of, check_feasibility, check_stable_feasibility
 
+__all__ = (
+    "PairCondition",
+    "StrongStabilityReport",
+    "check_almost_integral",
+    "decompose",
+    "peel",
+    "strong_stability_check",
+    "support_matching",
+)
+
 
 @dataclass(frozen=True)
 class PairCondition:

@@ -1,5 +1,8 @@
 """Reference oracles that the library's faster code is compared against,
-the matrix text writer, and the random markets several test modules share.
+the matrix text writer, the random markets several test modules share, and
+the helpers only the tests need: positions read off the declared lists, a
+point's pair coordinates, a set of rotations applied in turn and a hull
+certificate's point rebuilt from its rotation subsets.
 
 Not a test module: ``test_*.py`` files and ``sweep_oracles.py`` import it.
 """
@@ -19,6 +22,59 @@ from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
 
 
+# --- positions, coordinates and rotation sets, read without the library ----
+#
+# The library keeps rank tables and applies rotations on its own paths; these
+# read a position off the declared lists and apply a set of rotations one
+# ``apply_cycle`` at a time.
+
+def firm_rank(market, f, w):
+    """Position of w in f's declared list (0 = most preferred)."""
+    return market.firm_pref[f].index(w)
+
+
+def worker_rank(market, w, f):
+    """Position of f in w's declared list (0 = most preferred)."""
+    return market.worker_pref[w].index(f)
+
+
+def flatten(market, x):
+    """The coordinates of x on the acceptable pairs, in the market's pair order."""
+    return tuple(x.value(market, f, w) for f, w in market.pairs())
+
+
+def apply_cycle_set(market, mu, cycles):
+    """mu with each rotation of ``cycles`` applied in turn; for firm-disjoint
+    rotations the order is irrelevant."""
+    for rot in cycles:
+        mu = sf.apply_cycle(market, mu, rot)
+    return mu
+
+
+def certificate_matchings(market, cert):
+    """Each hull certificate term's matching, rebuilt from its rotation
+    subset: the base with those rotations applied."""
+    return tuple(apply_cycle_set(market, cert.base,
+                                 [cert.rotations[i] for i in sorted(ids)])
+                 for ids, _ in cert.terms)
+
+
+def reconstruct(market, cert):
+    """The point a hull certificate describes: its terms' matchings, rebuilt
+    from the rotation subsets, mixed with the terms' weights.  It reads
+    neither the certificate's decomposition nor ``Decomposition.reconstruct``."""
+    return FractionalMatching.linear_combination(
+        [(sf.incidence_vector(market, mu), weight) for mu, (_, weight)
+         in zip(certificate_matchings(market, cert), cert.terms)])
+
+
+def hull_samples(market, mu, seed, count):
+    """``sample_hull`` over the connected set of mu and the rotations its
+    reduced profile exposes."""
+    return sf.sample_hull(market, mu, seed, count,
+                          sf.find_cycles(sf.reduce_profile(market, mu)))
+
+
 def reference_enumerate_stable(market):
     """Every worker -> (acceptable firm | unmatched) map, each fully checked.
 
@@ -27,8 +83,8 @@ def reference_enumerate_stable(market):
     """
     choices = [(None,) + market.acceptable_to_worker(w) for w in market.workers]
     quota = market.quota
-    frank = {f: market._frank[f] for f in market.firms}
-    wrank = {w: market._wrank[w] for w in market.workers}
+    frank = {f: {w: r for r, w in enumerate(market.firm_pref[f])} for f in market.firms}
+    wrank = {w: {f: r for r, f in enumerate(market.worker_pref[w])} for w in market.workers}
     pairs = market.pairs()
     workers = market.workers
 
@@ -73,17 +129,17 @@ def reference_reduced_lists(market, mu):
     firm_lists, worker_lists = {}, {}
     for f in market.firms:
         mine, bottom = mu.matched(f), mu_w.matched(f)
-        lo = min((market.firm_rank(f, w) for w in mine), default=None)
-        hi = max((market.firm_rank(f, w) for w in bottom), default=None)
+        lo = min((firm_rank(market, f, w) for w in mine), default=None)
+        hi = max((firm_rank(market, f, w) for w in bottom), default=None)
         firm_lists[f] = () if lo is None or hi is None else tuple(
             w for w in market.acceptable_to_firm(f)
-            if lo <= market.firm_rank(f, w) <= hi)
+            if lo <= firm_rank(market, f, w) <= hi)
     for w in market.workers:
         current, top = mu.employer(w), mu_w.employer(w)
         worker_lists[w] = () if current is None or top is None else tuple(
             f for f in market.acceptable_to_worker(w)
-            if market.worker_rank(w, top) <= market.worker_rank(w, f)
-            <= market.worker_rank(w, current))
+            if worker_rank(market, w, top) <= worker_rank(market, w, f)
+            <= worker_rank(market, w, current))
 
     changed = True
     while changed:
@@ -156,10 +212,10 @@ def reference_condition(market: Market, x: FractionalMatching):
     for f, w in market.pairs():
         firm = market.quota[f] - sum(
             (x.value(market, f, v) for v in market.acceptable_to_firm(f)
-             if market.firm_rank(f, v) <= market.firm_rank(f, w)), Fraction(0))
+             if firm_rank(market, f, v) <= firm_rank(market, f, w)), Fraction(0))
         worker = 1 - sum(
             (x.value(market, g, w) for g in market.acceptable_to_worker(w)
-             if market.worker_rank(w, g) <= market.worker_rank(w, f)), Fraction(0))
+             if worker_rank(market, w, g) <= worker_rank(market, w, f)), Fraction(0))
         out.append(sf.PairCondition(f, w, firm, worker, firm * worker))
     return tuple(out)
 
@@ -321,6 +377,35 @@ def cloned_blocks(sizes: list[int], q: int) -> Market:
                   {f: [c for w in base.firm_pref[f] for c in clones[w]]
                    for f in base.firms},
                   {c: base.worker_pref[w] for w in base.workers for c in clones[w]})
+
+
+# (block sizes, clones per worker) of the spare-firm markets; each gets one
+# or two spare firms
+SPARE_SIZES = [([2, 2], 1), ([2, 3], 1), ([2, 2, 2], 1), ([3], 2), ([2, 2], 2),
+               ([2], 3)]
+
+
+def spare_blocks(sizes: list[int], q: int, spares: int, seed: int) -> Market:
+    """``cloned_blocks(sizes, q)`` with ``spares`` more firms of quota 2, the
+    spare firms ``s0``, ``s1``, ...
+
+    Each spare firm lists a seeded random half of the workers, in random
+    order, and each of those workers inserts the spare firm at a seeded
+    random position of its own list.  A spare firm can draw a worker away
+    from its block, so firms stay short of their quotas in markets that keep
+    several stable matchings: vacancies on a rich lattice.
+    """
+    base = cloned_blocks(sizes, q)
+    rng = random.Random(f"spare:{sizes}:{q}:{spares}:{seed}")
+    names = [f"s{k}" for k in range(spares)]
+    firm_pref = dict(base.firm_pref)
+    worker_pref = {w: list(fs) for w, fs in base.worker_pref.items()}
+    for s in names:
+        firm_pref[s] = rng.sample(base.workers, len(base.workers) // 2)
+        for w in firm_pref[s]:
+            worker_pref[w].insert(rng.randint(0, len(worker_pref[w])), s)
+    return Market(base.firms + tuple(names), base.workers,
+                  {**base.quota, **dict.fromkeys(names, 2)}, firm_pref, worker_pref)
 
 
 # --- markets with a prescribed rotation poset --------------------------------
@@ -511,7 +596,7 @@ def reference_chain(market: Market) -> list:
         if not exposed:
             return rotations
         rotations.extend(exposed)
-        mu = sf.apply_cycle_set(market, mu, exposed)
+        mu = apply_cycle_set(market, mu, exposed)
 
 
 def chain_agrees(market: Market) -> tuple[int, bool]:
@@ -613,9 +698,9 @@ def dense_row(market, cid):
             if (g, w) == (f, v):
                 coeff[g, w] = q
             elif g == f:
-                coeff[g, w] = int(market.firm_rank(f, w) < market.firm_rank(f, v))
+                coeff[g, w] = int(firm_rank(market, f, w) < firm_rank(market, f, v))
             elif w == v:
-                coeff[g, w] = q * (market.worker_rank(v, g) < market.worker_rank(v, f))
+                coeff[g, w] = q * (worker_rank(market, v, g) < worker_rank(market, v, f))
             else:
                 coeff[g, w] = 0
     return [coeff[p] for p in market.pairs()]
@@ -762,7 +847,7 @@ def reference_interior_walk(market, x, rng: random.Random, steps=4):
     n = len(market.pairs())
     if n == 0:
         return x
-    vec = list(x.flatten(market))
+    vec = list(flatten(market, x))
     rows = _sparse_rows(market)
 
     for _ in range(steps):
@@ -803,7 +888,7 @@ def reference_vertex_walk(market, x, rng: random.Random, trace=None):
     n = len(market.pairs())
     if n == 0:
         return x
-    vec = list(x.flatten(market))
+    vec = list(flatten(market, x))
     rows = _sparse_rows(market)
 
     basis = ReferenceRref(n)

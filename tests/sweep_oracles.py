@@ -36,7 +36,12 @@ the pruned search's vacancy cut fires, it compares the pruned search with
 the exhaustive scan and the rotation search: sparse lists (density 0.3 to
 0.5, quotas up to 3) and more firms than workers (6x4 and 5x3), seeds 0 to
 N - 1 per size (``VACANCY_SIZES``), and ``oracles.cyclic_blocks`` with
-blocks [2]*4, [3, 3] and [2, 3].  Last, on many-to-one markets rich in
+blocks [2]*4, [3, 3] and [2, 3].  Then, on vacancies in rich lattices,
+cloned blocks with one or two spare firms of quota 2 (``oracles.spare_blocks``
+over ``oracles.SPARE_SIZES``, seeds 0 to min(N, 20) - 1), it compares the
+same three and counts the markets with several stable matchings, each of
+which must have a firm short of its quota, and those where a spare firm
+hires.  Last, on many-to-one markets rich in
 rotations (``oracles.cloned_blocks``, ``CLONED_BLOCKS``), it compares the
 pruned search with the rotation search, the exhaustive scan too where it
 is small enough, and checks the chain, the predecessors and the listing
@@ -77,9 +82,9 @@ repository root:
 
     PYTHONPATH=src python tests/sweep_oracles.py [--seeds N]
 
-The full sweep took 4 min 45 s on one core of a 2-vCPU VM;
+The full sweep took 5 min 19 s on one core of a 2-vCPU VM;
 the exhaustive scan of the (6, 6, 1) and (5, 6, 2) markets takes about 2
-minutes of it.
+minutes of it, and the spare-firm blocks about 9 s.
 Each rich market takes the pruned search 0.1-0.16 s.  The random-order
 family takes about 5 s (1350 poset markets, 158270 stable matchings), and
 its 351 verify runs 33 s; the cloned random orders take 3 s (300 markets,
@@ -91,7 +96,7 @@ import random
 import sys
 
 import stablefrac as sf
-from oracles import (RICH_SIZE, balanced_market, chain_agrees, chain_order,
+from oracles import (RICH_SIZE, SPARE_SIZES, balanced_market, chain_agrees, chain_order,
                      cloned_blocks, compare_rich, cyclic_blocks, dominates,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_order,
@@ -99,7 +104,7 @@ from oracles import (RICH_SIZE, balanced_market, chain_agrees, chain_order,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
                      reference_vertex_test, reference_vertex_walk,
-                     rotations_at_a_firm_are_ordered, walk_pair)
+                     rotations_at_a_firm_are_ordered, spare_blocks, walk_pair)
 from stablefrac.hulls import _random_mix
 from stablefrac.polytope import interior_walk, is_extreme_point, vertex_walk
 from stablefrac.rotations import _Chain
@@ -120,6 +125,7 @@ BALANCED_SEEDS = 100
 VACANCY_SIZES = [(4, 6, 3, 0.3), (5, 7, 3, 0.4), (4, 6, 3, 0.5),
                  (6, 4, 1, 0.7), (6, 4, 2, 1.0), (5, 3, 1, 1.0), (5, 3, 2, 1.0)]
 VACANCY_BLOCKS = [[2] * 4, [3, 3], [2, 3]]
+SPARE_SEEDS = 20
 # (block sizes, clones per worker, compared with the exhaustive scan)
 CLONED_BLOCKS = [([2], 2, True), ([3], 2, True), ([2], 3, True),
                  ([2, 2], 2, True), ([2] * 4, 2, False), ([2] * 3, 3, False),
@@ -270,6 +276,30 @@ def main(argv=None) -> int:
             disagreements.append(("vacancy-rich", *size, seed, density))
     print(f"vacancy-rich family: {len(vacancy_markets)} markets, "
           f"{vacancy_listed} stable matchings, {vacancy_nodes} oracle nodes",
+          flush=True)
+    spare_markets = spare_several = spare_hiring = spare_listed = spare_nodes = 0
+    for sizes, q in SPARE_SIZES:
+        for spares in (1, 2):
+            for seed in range(min(args.seeds, SPARE_SEEDS)):
+                m = spare_blocks(sizes, q, spares, seed)
+                where = (len(m.firms), len(m.workers), q, seed, sizes)
+                stable, nodes = _search(m)
+                spare_markets += 1
+                spare_listed += len(stable)
+                spare_nodes += nodes
+                if not stable == reference_enumerate_stable(m) == \
+                        sf.enumerate_stable_via_rotations(m):
+                    disagreements.append(("spare firms", *where))
+                if len(stable) > 1:
+                    spare_several += 1
+                    if all(len(mu.matched(f)) == m.quota[f]
+                           for mu in stable for f in m.firms):
+                        disagreements.append(("spare firms, no vacancy", *where))
+                    spare_hiring += any(mu.matched(f) for mu in stable
+                                        for f in m.firms[len(m.firms) - spares:])
+    print(f"spare-firm blocks: {spare_markets} markets, {spare_several} with "
+          f"several stable matchings, a spare firm hiring in {spare_hiring} of "
+          f"them, {spare_listed} stable matchings, {spare_nodes} oracle nodes",
           flush=True)
     cloned_listed = cloned_nodes = 0
     for sizes, q, scanned in CLONED_BLOCKS:

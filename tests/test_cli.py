@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -379,6 +380,29 @@ def test_non_utf8_market_exits_2(capsys, tmp_path):
     assert main(["solve", str(bad)]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("command,names", [
+    ("solve", ["example.market"]),
+    ("check", ["example.market", "mid.frac"]),
+    ("check", ["example.market", "vertex.frac"]),
+])
+def test_byte_order_mark_is_not_part_of_the_text(capsys, tmp_path, command, names):
+    """Files saved with a UTF-8 byte-order mark give the report of their
+    twins without one, in both forms; only the digests, which are taken
+    over the raw bytes, differ."""
+    paths = [tmp_path / name for name in names]
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        for path, name in zip(paths, names):
+            path.write_bytes(bom + (DATA / name).read_bytes())
+        code, report = run_json(capsys, [command, *map(str, paths)])
+        for entry in report["inputs"].values():
+            raw = Path(entry["path"]).read_bytes()
+            assert raw.startswith(bom) and entry.pop("sha256") == hashlib.sha256(raw).hexdigest()
+        human = main([command, *map(str, paths)]), capsys.readouterr()
+        outputs.append((code, report, human))
+    assert outputs[0] == outputs[1]
 
 
 def test_module_runs_the_cli(src_env):

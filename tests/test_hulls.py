@@ -7,20 +7,14 @@ from math import prod
 import pytest
 
 import stablefrac as sf
-from oracles import (POSETS, balanced_market, chain_elements, cloned_blocks,
-                     dominates, in_any_hull, poset_market)
+from oracles import (POSETS, apply_cycle_set, balanced_market, certificate_matchings,
+                     chain_elements, cloned_blocks, dominates, flatten, hull_samples,
+                     in_any_hull, poset_market, reconstruct)
 from stablefrac.cli import main
 from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
 from stablefrac.rotations import _Chain
 from stablefrac.strong_stability import _first_failure
-
-
-def _term_matchings(market, cert):
-    """Each certificate term's matching, rebuilt from its rotation subset."""
-    return tuple(sf.apply_cycle_set(market, cert.base,
-                                    [cert.rotations[i] for i in sorted(ids)])
-                 for ids, _ in cert.terms)
 
 
 def _cube_against_subset_search(market, stable, points, max_rotations):
@@ -35,10 +29,10 @@ def _cube_against_subset_search(market, stable, points, max_rotations):
             members = sorted(sf.connected_set(market, mu, rotations),
                              key=lambda m: m.assignment)
             cubes.append((mu, rotations, [
-                sf.incidence_vector(market, m).flatten(market) for m in members]))
+                flatten(market, sf.incidence_vector(market, m)) for m in members]))
     pairs = inside = 0
     for x in points:
-        flat = x.flatten(market)
+        flat = flatten(market, x)
         for mu, rotations, vectors in cubes:
             member = _cube_coordinates(market, mu, rotations, x) is not None
             assert member == sf.point_in_hull(vectors, flat)
@@ -60,7 +54,7 @@ def test_certify_midpoint(market, mu_f, x_mid):
     assert len(cert.rotations) == 1
     assert cert.terms == ((frozenset(), Fraction(1, 2)),
                           (frozenset({0}), Fraction(1, 2)))
-    assert cert.reconstruct(market) == x_mid
+    assert reconstruct(market, cert) == x_mid
 
 
 def test_certify_refuses_fractional_vertex(market, x_vertex):
@@ -138,12 +132,12 @@ def test_certificates_reconstruct_everywhere(fleet, fleet_stable, block_market,
     lengths = Counter()
     for idx, (m, stable) in enumerate(zip(fleet + extra, stables)):
         for mu in stable:
-            for x in sf.sample_hull(m, mu, seed=900 + idx, count=4):
+            for x in hull_samples(m, mu, seed=900 + idx, count=4):
                 cert = sf.certify_strongly_stable(m, x)
                 assert isinstance(cert, sf.HullCertificate)
-                assert cert.reconstruct(m) == x
+                assert reconstruct(m, cert) == x
                 # base weakly firm-dominates every certified term
-                terms = _term_matchings(m, cert)
+                terms = certificate_matchings(m, cert)
                 for nu in terms:
                     assert dominates(m, cert.base, nu)
                 subsets = [ids for ids, _ in cert.terms]
@@ -155,7 +149,7 @@ def test_certificates_reconstruct_everywhere(fleet, fleet_stable, block_market,
 
 
 def test_sample_hull_is_the_segment(market, mu_f, x_firm, x_worker):
-    points = sf.sample_hull(market, mu_f, seed=3, count=24)
+    points = hull_samples(market, mu_f, seed=3, count=24)
     assert len(points) == 24
     for x in points:
         lam = x.value(market, "f1", "w2")
@@ -166,10 +160,10 @@ def test_sample_hull_is_the_segment(market, mu_f, x_firm, x_worker):
 
 
 def test_sample_hull_deterministic(market, mu_f):
-    a = sf.sample_hull(market, mu_f, seed=11, count=6)
-    b = sf.sample_hull(market, mu_f, seed=11, count=6)
+    a = hull_samples(market, mu_f, seed=11, count=6)
+    b = hull_samples(market, mu_f, seed=11, count=6)
     assert a == b
-    assert sf.sample_hull(market, mu_f, seed=11, count=0) == []
+    assert hull_samples(market, mu_f, seed=11, count=0) == []
 
 
 def test_point_in_hull_segment():
@@ -194,7 +188,7 @@ def test_cube_test_agrees_with_subset_search_on_fleet(fleet, fleet_stable):
     for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
         points = _mixes(m, stable, idx, 30)
         for j, mu in enumerate(stable):
-            points += sf.sample_hull(m, mu, seed=700 + 31 * idx + j, count=16)
+            points += hull_samples(m, mu, seed=700 + 31 * idx + j, count=16)
         # rotations are firm-disjoint, so no connected set is skipped
         p, i = _cube_against_subset_search(m, stable, points, len(m.firms))
         pairs += p
@@ -208,7 +202,7 @@ def test_cube_test_agrees_with_subset_search_on_block_market(block_market):
                     key=lambda mu: mu.assignment)
     points = _mixes(block_market, stable, 40, 2)
     for j in range(0, len(stable), 6):
-        points += sf.sample_hull(block_market, stable[j], seed=40 + j, count=1)
+        points += hull_samples(block_market, stable[j], seed=40 + j, count=1)
     pairs, inside = _cube_against_subset_search(block_market, stable, points, 3)
     assert 0 < inside < pairs
 
@@ -226,7 +220,7 @@ def test_cube_coordinates_round_trip(block_market, cyclic_blocks):
         for chosen in product((False, True), repeat=len(rotations)):
             weight = prod(v if c else 1 - v for v, c in zip(lam, chosen))
             if weight:
-                nu = sf.apply_cycle_set(
+                nu = apply_cycle_set(
                     m, base, [r for r, c in zip(rotations, chosen) if c])
                 terms.append((sf.incidence_vector(m, nu), weight))
         x = sf.FractionalMatching.linear_combination(terms)
@@ -387,7 +381,7 @@ def test_certify_four_many_to_one_rotations():
     assert (cert.base, cert.rotations) == (mu, rotations)
     assert cert.terms == tuple((frozenset(range(k, 4)), Fraction(1, 5))
                                for k in range(4, -1, -1))
-    assert cert.reconstruct(m) == x
+    assert reconstruct(m, cert) == x
 
 
 @pytest.mark.parametrize("fault,kinds", [
@@ -490,11 +484,11 @@ def test_certificate_keeps_the_sweep_matchings(fleet, fleet_stable, block_market
         for m in extra]
     for idx, (m, stable) in enumerate(cases):
         for mu in stable:
-            for x in sf.sample_hull(m, mu, seed=300 + idx, count=2):
+            for x in hull_samples(m, mu, seed=300 + idx, count=2):
                 cert = sf.certify_strongly_stable(m, x)
-                assert tuple(mu for mu, _ in cert._decomposition.terms) == \
-                    _term_matchings(m, cert)
-                assert cert._decomposition == sf.decompose(m, x)
+                assert tuple(mu for mu, _ in cert.decomposition.terms) == \
+                    certificate_matchings(m, cert)
+                assert cert.decomposition == sf.decompose(m, x)
                 checked += 1
     assert checked == 714
 
@@ -595,13 +589,13 @@ def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
         cubes = {mu: sf.find_cycles(sf.reduce_profile(m, mu)) for mu in stable}
         rng = random.Random(f"known:{idx}")
         points = [x for mu in stable
-                  for x in sf.sample_hull(m, mu, seed=400 + idx, count=2)]
+                  for x in hull_samples(m, mu, seed=400 + idx, count=2)]
         points += [_random_mix(m, stable, rng) for _ in range(4)]
         for x in points:
             cert = sf.certify_strongly_stable(m, x, cubes.__getitem__)
             assert cert == sf.certify_strongly_stable(m, x)
             if isinstance(cert, sf.HullCertificate):
-                assert cert._decomposition == sf.decompose(m, x)
+                assert cert.decomposition == sf.decompose(m, x)
                 certified += 1
             else:
                 refused += 1
@@ -621,7 +615,7 @@ def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
                                       + [(block_market, block_stable)]):
         rng = random.Random(f"first-failure:{idx}")
         points = [x for mu in stable
-                  for x in sf.sample_hull(m, mu, seed=500 + idx, count=2)]
+                  for x in hull_samples(m, mu, seed=500 + idx, count=2)]
         points += _mixes(m, stable, idx, 4)
         if m.pairs():
             points.append(sf.vertex_walk(m, interior_walk(m, points[-1], rng), rng))
@@ -720,7 +714,7 @@ def test_a_base_with_rotations_exposed_from_different_chains():
     cert = sf.certify_strongly_stable(m, x, cubes.get)
     assert isinstance(cert, sf.HullCertificate)
     assert cert.base == base and set(cert.rotations) == {r1, r2}
-    assert cert.reconstruct(m) == x
+    assert reconstruct(m, cert) == x
     assert _in_a_hull(m, cubes, x)
 
     y = half_and_half(base, matching(0, 1, 2, 3))

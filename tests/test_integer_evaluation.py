@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import stablefrac as sf
 from oracles import (
     firm_weak_prefix,
+    hull_samples,
     reference_check_almost_integral,
     reference_evaluate,
     reference_from_scaled,
@@ -170,7 +171,7 @@ def test_integer_evaluation_matches_reference_on_fleet(fleet, fleet_stable):
         points = list(incidences)
         points += [_random_mix(m, stable, rng) for _ in range(4)]
         for mu in stable[:2]:
-            points += sf.sample_hull(m, mu, seed=rng.randint(0, 999), count=2)
+            points += hull_samples(m, mu, seed=rng.randint(0, 999), count=2)
         if m.pairs():
             start = interior_walk(m, points[-1], rng)
             trace = []
@@ -301,7 +302,7 @@ def test_from_scaled_matches_the_gcd_over_every_cell(market, fleet, fleet_stable
     monkeypatch.setattr(sf.FractionalMatching, "_from_scaled", classmethod(recorded))
     for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
         for mu in stable:
-            sf.sample_hull(m, mu, seed=idx, count=2)
+            hull_samples(m, mu, seed=idx, count=2)
     _from_cells(market, 28, [])
     for denom, rows, x in calls:
         assert (x._denom, x._nums) == reference_from_scaled(denom, rows)
@@ -330,7 +331,7 @@ def test_canonical_form_from_every_source(fleet, fleet_stable):
                  for v in incidences + [x]]
         assert_canonical(sf.FractionalMatching.linear_combination(terms),
                          reference_linear_combination(terms))
-        for y in [x] + sf.sample_hull(m, stable[0], seed=rng.randint(0, 999), count=2):
+        for y in [x] + hull_samples(m, stable[0], seed=rng.randint(0, 999), count=2):
             reference = sf.FractionalMatching.from_rows(y.entries)
             assert_canonical(y, reference)
             assert_canonical(sf.parse_fractional(m, serialize_fractional(m, y)),

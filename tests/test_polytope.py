@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, ReferenceRref, balanced_market, cloned_blocks,
-                     dense_rank, random_markets, reference_evaluate,
+                     dense_rank, hull_samples, random_markets, reference_evaluate,
                      reference_interior_walk, reference_row_values, reference_rows,
                      reference_vertex_test, reference_vertex_walk, walk_pair)
 from stablefrac import polytope
@@ -291,7 +291,7 @@ def _vertex_test_points(m, stable, rng):
     hull samples, the firm/worker midpoint when they differ, and the start
     and end of the two walks from the last of them."""
     points = [sf.incidence_vector(m, mu) for mu in stable]
-    points += sf.sample_hull(m, stable[0], 7, 2)
+    points += hull_samples(m, stable[0], 7, 2)
     if len(stable) > 1:
         points.append(_midpoint(m))
     start = interior_walk(m, points[-1], rng)
@@ -438,11 +438,12 @@ def test_pair_index_rows_are_the_definition(m, data):
 
 
 def test_lists_end_each_list_once():
-    """One start and one end per list, empty lists and no lists included."""
+    """One start per list and the end of the last, empty lists and no lists
+    included."""
     for lists in ([], [[]], [[2, 0], [], [1]]):
         side = _Lists(lists)
-        assert len(side.starts) == len(side.ends) == len(lists)
-        assert [side.order[s:e] for s, e in zip(side.starts, side.ends)] == lists
+        assert len(side.starts) == len(lists) + 1 and side.starts[-1] == len(side.order)
+        assert [side.order[s:e] for s, e in zip(side.starts, side.starts[1:])] == lists
     m = sf.Market(["f1", "f2"], [], {"f1": 1, "f2": 2}, {}, {})
     index = _pair_index_of(m)
     assert index.bound == [1, 2] and [index.row(i) for i in range(2)] == [{}, {}]

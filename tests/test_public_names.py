@@ -5,13 +5,16 @@
 calls ``Matching.as_dict``.  A name missing from the library would otherwise
 show only as a crash of a traced benchmark run, and a command that bypasses
 a traced layer only as that layer's metrics reading 0.  The benchmark's own
-selftest runs here too.
+selftest runs here too.  Each public name is listed once, in the ``__all__``
+of the module that defines it, and the package's ``__all__`` joins those
+lists.
 """
 
 import importlib
 import importlib.util
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import stablefrac as sf
@@ -47,6 +50,30 @@ def test_traced_names_resolve():
 def test_exported_names_resolve_once():
     assert len(set(sf.__all__)) == len(sf.__all__)
     assert [name for name in sf.__all__ if not hasattr(sf, name)] == []
+
+
+MODULES = [importlib.import_module(f"stablefrac.{name}") for name in
+           ("model", "stability", "polytope", "strong_stability", "rotations", "hulls")]
+
+
+def test_module_lists_share_no_name():
+    names = list(chain.from_iterable(module.__all__ for module in MODULES))
+    assert len(set(names)) == len(names)
+
+
+def test_each_name_resolves_in_its_own_module():
+    """Each listed name is bound in its module, to the object the package
+    exports; a listed class or function is defined there."""
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(sf, name) is value
+            owner = getattr(value, "__module__", module.__name__)
+            assert owner == module.__name__ or not owner.startswith("stablefrac"), name
+
+
+def test_package_list_joins_the_module_lists():
+    assert sf.__all__ == tuple(chain.from_iterable(module.__all__ for module in MODULES))
 
 
 def test_commands_reach_the_public_layers(capsys):

@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import (POSETS, RANDOM_SIZES, balanced_market, chain_agrees,
-                     chain_order, cloned_blocks, compare_rich, dominates,
+from oracles import (POSETS, RANDOM_SIZES, SPARE_SIZES, apply_cycle_set, balanced_market,
+                     chain_agrees, chain_order, cloned_blocks, compare_rich, dominates,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_markets, random_order, reduced_lists_keep_the_base,
                      reduced_market, reference_enumerate_stable,
                      reference_reduced_lists, reference_search,
-                     rotations_at_a_firm_are_ordered)
+                     rotations_at_a_firm_are_ordered, spare_blocks)
 
 from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
@@ -95,13 +95,13 @@ def test_apply_cycle_rejects_wrong_base(market, mu_f, mu_w):
         sf.apply_cycle(market, mu_w, sigma)
 
 
-def test_apply_cycle_set_empty_is_identity(market, mu_f):
-    assert sf.apply_cycle_set(market, mu_f, []) == mu_f
+def test_connected_set_of_no_rotations_is_the_matching(market, mu_f):
+    assert sf.connected_set(market, mu_f, ()) == {mu_f}
 
 
 def test_apply_cycle_set_single(market, mu_f, mu_w):
     rotations = sf.find_cycles(sf.reduce_profile(market, mu_f))
-    assert sf.apply_cycle_set(market, mu_f, rotations) == mu_w
+    assert apply_cycle_set(market, mu_f, rotations) == mu_w
 
 
 def test_twin_cycles_commute(twin_cycle_market):
@@ -116,7 +116,7 @@ def test_twin_cycles_commute(twin_cycle_market):
     assert second in sf.find_cycles(sf.reduce_profile(m, via_first))
     one_way = sf.apply_cycle(m, via_first, second)
     other_way = sf.apply_cycle(m, sf.apply_cycle(m, mu, second), first)
-    assert one_way == other_way == sf.apply_cycle_set(m, mu, rotations)
+    assert one_way == other_way
 
 
 def test_twin_cycle_connected_set(twin_cycle_market):
@@ -158,7 +158,7 @@ def test_connected_set_of_six_rotations(cyclic_blocks, monkeypatch):
     mu = sf.deferred_acceptance(m, sf.Side.FIRMS)
     rotations = sf.find_cycles(sf.reduce_profile(m, mu))
     assert len(rotations) == 6
-    by_subset = {sf.apply_cycle_set(m, mu, subset)
+    by_subset = {apply_cycle_set(m, mu, subset)
                  for size in range(7) for subset in combinations(rotations, size)}
     assert len(by_subset) == 64
     assert sf.connected_set(m, mu, rotations) == by_subset
@@ -186,7 +186,7 @@ def test_connected_set_of_four_many_to_one_rotations():
             kept = set(mu.matched(f)) & set(nu.matched(f))
             assert len(kept) == 1 and len(nu.matched(f)) == 2
             assert set(nu.matched(f)) - kept == {rot.workers[d]}
-    by_subset = {sf.apply_cycle_set(m, mu, subset)
+    by_subset = {apply_cycle_set(m, mu, subset)
                  for size in range(5) for subset in combinations(rotations, size)}
     assert len(by_subset) == 16
     assert sf.connected_set(m, mu, rotations) == by_subset
@@ -563,6 +563,33 @@ def test_cloned_blocks_match_the_oracle(sizes, q, counts):
     chain = _Chain(m)
     assert chain.listing().keys() == stable
     assert (len(stable), len(chain.rotations), nodes) == counts
+
+
+def test_spare_blocks_match_the_oracle():
+    """Cloned blocks with one or two spare firms of quota 2
+    (``oracles.spare_blocks``), seeds 0-2: the pruned search, the exhaustive
+    scan and the rotation search list the same set.  Every market with
+    several stable matchings has a firm short of its quota, and in some of
+    them a spare firm hires.  Pinned: the markets with several stable
+    matchings, those where a spare firm hires, the stable matchings and the
+    pruned search's nodes."""
+    several = hiring = listed = visited = 0
+    for sizes, q in SPARE_SIZES:
+        for spares in (1, 2):
+            for seed in range(3):
+                m = spare_blocks(sizes, q, spares, seed)
+                stable, nodes = _search(m)
+                assert reference_enumerate_stable(m) == stable
+                assert sf.enumerate_stable_via_rotations(m) == stable
+                listed += len(stable)
+                visited += nodes
+                if len(stable) > 1:
+                    several += 1
+                    assert any(len(mu.matched(f)) < m.quota[f]
+                               for mu in stable for f in m.firms)
+                    hiring += any(mu.matched(f) for mu in stable
+                                  for f in m.firms[len(m.firms) - spares:])
+    assert (several, hiring, listed, visited) == (12, 5, 57, 1277)
 
 
 def test_balanced_many_to_one_exposures_beyond_the_oracle():

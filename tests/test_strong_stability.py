@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import stablefrac as sf
-from oracles import cloned_blocks, dominates, reference_condition
+from oracles import (apply_cycle_set, cloned_blocks, dominates, hull_samples,
+                     reference_condition)
 from stablefrac.hulls import _random_mix
 from stablefrac.strong_stability import _first_failure
 
@@ -249,7 +250,7 @@ def test_sampled_points_decompose_and_sandwich(fleet, fleet_stable):
         top = sf.incidence_vector(m, sf.deferred_acceptance(m, sf.Side.FIRMS))
         bottom = sf.incidence_vector(m, sf.deferred_acceptance(m, sf.Side.WORKERS))
         for mu in stable:
-            for x in sf.sample_hull(m, mu, seed=40 + idx, count=5):
+            for x in hull_samples(m, mu, seed=40 + idx, count=5):
                 report = sf.strong_stability_check(m, x)
                 assert report.overall
                 chosen = sf.support_matching(m, x)
@@ -273,7 +274,7 @@ def test_peel_shrinks_support_and_keeps_condition(fleet, fleet_stable):
         if len(stable) < 2:
             continue
         for mu in stable:
-            for x in sf.sample_hull(m, mu, seed=rng.randint(0, 10 ** 6), count=3):
+            for x in hull_samples(m, mu, seed=rng.randint(0, 10 ** 6), count=3):
                 if x.is_integral():
                     continue
                 alpha, chosen, residue = sf.peel(m, x)
@@ -302,7 +303,7 @@ def test_peel_oracle_matches_decompose_on_fleet(fleet, fleet_stable):
     checked = 0
     for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
         for mu in stable:
-            for x in sf.sample_hull(m, mu, seed=700 + idx, count=2):
+            for x in hull_samples(m, mu, seed=700 + idx, count=2):
                 assert sf.decompose(m, x).terms == _peel_terms(m, x)
                 checked += 1
     assert checked >= 100
@@ -316,7 +317,7 @@ def test_peel_oracle_matches_decompose_on_block_market(block_market):
     assert len(stable) == 24
     longest = 0
     for idx, mu in enumerate(stable):
-        for x in sf.sample_hull(m, mu, seed=idx, count=2):
+        for x in hull_samples(m, mu, seed=idx, count=2):
             dec = sf.decompose(m, x)
             assert dec.terms == _peel_terms(m, x)
             longest = max(longest, len(dec.terms))
@@ -343,9 +344,9 @@ def test_rotations_with_equal_weight_merge_into_one_term(block_market):
     rotations = list(rotations)
     assert tuple(mu for mu, _ in dec.terms) == (
         base,
-        sf.apply_cycle_set(m, base, rotations[3:]),
-        sf.apply_cycle_set(m, base, rotations[2:]),
-        sf.apply_cycle_set(m, base, rotations))
+        apply_cycle_set(m, base, rotations[3:]),
+        apply_cycle_set(m, base, rotations[2:]),
+        apply_cycle_set(m, base, rotations))
 
 
 def test_reconstruction_check_survives_optimize(src_env, tmp_path):
