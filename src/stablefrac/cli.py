@@ -14,6 +14,8 @@ JSON envelope under ``--json``, written by ``_dumps`` into one list joined
 once, else the lines and one ``note:`` line per diagnostic; ``_CliError``
 and ``MarketError`` become ``error: ...`` on stderr and exit 2.  The lines
 are read only without ``--json``, so a command may return them as a generator.
+A report that cannot be written, because its reader closed the pipe, exits
+2 too (``main_entry``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import warnings
 from itertools import chain, repeat
@@ -507,7 +510,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """Run ``main`` and exit with its code.  A reader that closes the pipe
+    early (``stablefrac ... | head``) leaves the report unwritten: stdout is
+    pointed at the null device, so the exit flush cannot fail again, and
+    the exit code is 2."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -53,9 +53,9 @@ from .rotations import (
 from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
     PairCondition,
-    _first_failure,
     check_almost_integral,
     decompose,
+    strong_stability_check,
     support_matching,
 )
 
@@ -213,12 +213,10 @@ def point_in_hull(points: list[tuple[Rational, ...]],
         column = [p[c] for p in points]
         if not min(column) <= target[c] <= max(column):
             return False
-    max_size = min(len(points), dim + 1)
-    for size in range(2, max_size + 1):
+    rhs = [*target, Fraction(1)]
+    for size in range(2, min(len(points), dim + 1) + 1):
         for subset in combinations(points, size):
-            rows = [[p[c] for p in subset] for c in range(dim)]
-            rows.append([Fraction(1)] * size)
-            rhs = list(target) + [Fraction(1)]
+            rows = [[p[c] for p in subset] for c in range(dim)] + [[Fraction(1)] * size]
             status, coeffs = solve_exact(rows, rhs)
             if status == "unique" and all(c >= 0 for c in coeffs):
                 return True
@@ -285,7 +283,6 @@ def verify_characterization(market: Market, seed: int,
     listed = chain.listing()
 
     counterexamples: list[str] = []
-    notes: list[str] = []
     if listed.keys() != oracle:
         counterexamples.append(
             "stable set: brute force and the rotation lattice disagree")
@@ -325,9 +322,8 @@ def verify_characterization(market: Market, seed: int,
         x = _random_mix(market, stable, rng)
         if not classify(x, f"mix {k}", expect_member=False):
             refused += 1
-    notes.append(f"negative density {refused}/{mixes} over stable-set mixes")
 
-    negative_points, vertex_points = refused, 0
+    negative_points = refused
     wrng = random.Random(f"vertex:{seed}")
     walks = max(1, min(4, samples // 25))
     for k in range(walks):
@@ -336,8 +332,7 @@ def verify_characterization(market: Market, seed: int,
             negative_points += 1
         trace: list[FractionalMatching] = []
         v = vertex_walk(market, start, wrng, trace=trace)
-        vertex_points += 1
-        for j, mid in enumerate(trace[:-1] if trace else []):
+        for j, mid in enumerate(trace[:-1]):
             if not classify(mid, f"walk {k} step {j}", expect_member=False):
                 negative_points += 1
         is_vertex, rank_value = is_extreme_point(market, v)
@@ -348,17 +343,15 @@ def verify_characterization(market: Market, seed: int,
             if matching_from_matrix(market, v) not in stable:
                 counterexamples.append(
                     f"walk {k}: integral vertex is not a stable matching")
-        else:
-            if _first_failure(market, v) is None:
-                counterexamples.append(
-                    f"walk {k}: non-integral vertex passes the condition")
+        elif strong_stability_check(market, v).overall:
+            counterexamples.append(f"walk {k}: non-integral vertex passes the condition")
 
     return CharacterizationReport(
         stable_count=len(stable),
         hull_points=hull_points,
         negative_points=negative_points,
         mixes_drawn=mixes, mixes_refused=refused,
-        vertex_points=vertex_points,
+        vertex_points=walks,
         counterexamples=tuple(counterexamples),
-        notes=tuple(notes),
+        notes=(f"negative density {refused}/{mixes} over stable-set mixes",),
     )

@@ -7,10 +7,11 @@ is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep.
 Both read the weak prefix sums that the point's one stable-feasibility
 evaluation keeps, the sweep also its numerators on the pairs, with each
-pair's quota from the market's pair index.  One helper turns them into
-every pair's integer gaps: the full condition report reads every pair's,
-while ``decompose`` and ``peel`` find the first failing pair with a scan in
-C and refuse there, without building the other pairs' conditions.
+pair's quota from the market's pair index.  ``strong_stability_check`` is
+the one evaluator of the condition: its report keeps every pair's integer
+gaps and the verdict, and builds a pair's ``PairCondition`` only when it is
+read, so ``decompose`` and ``peel`` refuse at the first failing pair
+without building the others'.
 """
 
 from __future__ import annotations
@@ -68,65 +69,61 @@ class PairCondition:
 
 @dataclass(frozen=True)
 class StrongStabilityReport:
-    pairs: tuple[PairCondition, ...]
+    """The strong stability condition of one point, kept as integers.
+
+    ``firm_gaps`` and ``worker_gaps`` hold each acceptable pair's gaps
+    q D - F and D - W in the order of ``names``, where F and W are the
+    pair's weak prefix sums at the point's denominator ``denom``; the pair's
+    factors are gap / D.  ``overall`` is true exactly when no pair has both
+    gaps nonzero.  No ``PairCondition`` is built until ``pairs`` or
+    ``first_failure`` is read.
+    """
+
+    names: tuple[tuple[str, str], ...]
+    firm_gaps: list[int]
+    worker_gaps: list[int]
+    denom: int
     overall: bool
+
+    @property
+    def pairs(self) -> tuple[PairCondition, ...]:
+        """Every pair's condition.  A point has few distinct gap values, so
+        one ``Fraction`` is built per value and shared by every pair with
+        that gap, and a product only where both gaps are nonzero."""
+        d = self.denom
+        factor = {g: Fraction(g, d) if g else _ZERO
+                  for g in {*self.firm_gaps, *self.worker_gaps}}
+        return tuple(PairCondition(f, w, factor[a], factor[b],
+                                   Fraction(a * b, d * d) if a and b else _ZERO)
+                     for (f, w), a, b in zip(self.names, self.firm_gaps, self.worker_gaps))
 
     def first_failure(self) -> PairCondition | None:
         """The first pair whose product is nonzero, or None on a passing
-        report."""
-        return next((p for p in self.pairs if p.product != 0), None)
-
-
-def _condition(f: str, w: str, firm_gap: int, worker_gap: int, d: int,
-               factor: dict[int, Rational]) -> PairCondition:
-    """The pair's condition with factors gap / d, read off ``factor``, which
-    maps each gap to its factor; the product is zero whenever either factor
-    is."""
-    return PairCondition(
-        f, w, factor[firm_gap], factor[worker_gap],
-        Fraction(firm_gap * worker_gap, d * d) if firm_gap and worker_gap else _ZERO)
-
-
-def _gaps(market: Market, x: FractionalMatching) -> tuple[list[int], list[int]]:
-    """Each acceptable pair's integer gaps q D - F and D - W, as two lists in
-    pair order, where F and W are the weak prefix sums of the point's one
-    stable-feasibility evaluation at its denominator D.  Requires a
-    stable-feasible point (InfeasibleError otherwise)."""
-    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
-    return ([q * d - f for q, f in zip(_pair_index_of(market).quota, sums.firm)],
-            [d - w for w in sums.worker])
+        report: a scan in C finds the first pair whose gaps are both
+        nonzero, and only that pair's condition is built."""
+        if self.overall:
+            return None
+        k = next(compress(count(), map(mul, self.firm_gaps, self.worker_gaps)))
+        a, b, d = self.firm_gaps[k], self.worker_gaps[k], self.denom
+        return PairCondition(*self.names[k], Fraction(a, d), Fraction(b, d),
+                             Fraction(a * b, d * d))
 
 
 def strong_stability_check(market: Market,
                            x: FractionalMatching) -> StrongStabilityReport:
     """Evaluate the strong stability condition at every acceptable pair.
 
-    Requires a stable-feasible point (InfeasibleError otherwise).  The report
-    carries both factors and their product per pair; ``overall`` is true
-    exactly when every product is zero.  With F and W the integer weak
-    prefix sums at the point's denominator D, the factors are (q D - F) / D
-    and (D - W) / D.  A point has few distinct gap values, so one
-    ``Fraction`` is built per value and shared by every pair with that gap,
-    and a product only where both gaps are nonzero.
+    Requires a stable-feasible point (InfeasibleError otherwise).  With F
+    and W the integer weak prefix sums of the point's one stable-feasibility
+    evaluation at its denominator D, the report keeps every pair's gaps
+    q D - F and D - W and whether the condition holds, decided by one scan
+    in C; it builds the pairs' conditions only when they are read.
     """
-    firm_gaps, worker_gaps, d = *_gaps(market, x), x._denom
-    factor = {g: Fraction(g, d) if g else _ZERO for g in {*firm_gaps, *worker_gaps}}
-    conditions = tuple(_condition(f, w, a, b, d, factor) for (f, w), a, b
-                       in zip(market.pairs(), firm_gaps, worker_gaps))
-    return StrongStabilityReport(conditions, not any(map(mul, firm_gaps, worker_gaps)))
-
-
-def _first_failure(market: Market, x: FractionalMatching) -> PairCondition | None:
-    """``strong_stability_check(market, x).first_failure()``, or None when
-    the condition holds: a scan in C finds the first pair whose gaps are
-    both nonzero, and only that pair's condition is built.  Requires a
-    stable-feasible point (InfeasibleError otherwise)."""
-    firm_gaps, worker_gaps = _gaps(market, x)
-    for k in compress(count(), map(mul, firm_gaps, worker_gaps)):
-        a, b, d = firm_gaps[k], worker_gaps[k], x._denom
-        return _condition(*market.pairs()[k], a, b, d,
-                          {a: Fraction(a, d), b: Fraction(b, d)})
-    return None
+    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
+    firm_gaps = [q * d - f for q, f in zip(_pair_index_of(market).quota, sums.firm)]
+    worker_gaps = [d - w for w in sums.worker]
+    return StrongStabilityReport(market.pairs(), firm_gaps, worker_gaps, d,
+                                 not any(map(mul, firm_gaps, worker_gaps)))
 
 
 def support_matching(market: Market, x: FractionalMatching) -> Matching:
@@ -164,7 +161,7 @@ def peel(market: Market, x: FractionalMatching
     integral point remains gives the same terms as ``decompose`` by an
     independent route, which is what the tests compare against.
     """
-    failure = _first_failure(market, x)
+    failure = strong_stability_check(market, x).first_failure()
     if failure is not None:
         raise failure._refusal()
     mu = support_matching(market, x)
@@ -203,7 +200,7 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     order; a row over its firm's quota, or a worker in two rows, raises
     ``ValueError``.
     """
-    failure = _first_failure(market, x)
+    failure = strong_stability_check(market, x).first_failure()
     if failure is not None:
         raise failure._refusal()
     sums, d = check_stable_feasibility(market, x)._sums, x._denom

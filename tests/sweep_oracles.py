@@ -18,9 +18,11 @@ and once with the ``Fraction`` references, from the same seed, and compares
 the start, endpoint, trace and next rng draw; at the mix, the walk's start
 and its endpoint it compares ``is_extreme_point``, which ranks the tight
 rows on the point's support, with the dense rank of every tight row
-(``oracles.reference_vertex_test``).  Then, on complete 12x12
-one-to-one markets, which are rich in rotations, it compares
-``enumerate_stable_via_rotations`` with the pruned search alone
+(``oracles.reference_vertex_test``), and at the mix and the endpoint it
+compares ``strong_stability_check``'s verdict, first failing pair and
+every pair's factors with the definition (``oracles.reference_condition``).
+Then, on complete 12x12 one-to-one markets, which are rich in rotations,
+it compares ``enumerate_stable_via_rotations`` with the pruned search alone
 (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search visits
 28-30 thousand nodes of their 13^12 maps).  Then, on
 balanced many-to-one markets (``oracles.balanced_market``: every firm of
@@ -100,7 +102,7 @@ from oracles import (RICH_SIZE, SPARE_SIZES, balanced_market, chain_agrees, chai
                      cloned_blocks, compare_rich, cyclic_blocks, dominates,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_order,
-                     reduced_lists_keep_the_base,
+                     reduced_lists_keep_the_base, reference_condition,
                      reference_enumerate_stable, reference_interior_walk,
                      reference_reduced_lists, reference_search,
                      reference_vertex_test, reference_vertex_walk,
@@ -142,12 +144,23 @@ CLONED_ORDER_SIZES = range(3, 8)
 CLONED_ORDER_SEEDS = 20
 
 
+def condition_agrees(m, x) -> bool:
+    """Whether ``strong_stability_check`` gives the definition's verdict,
+    first failing pair and every pair's factors at x."""
+    report, want = sf.strong_stability_check(m, x), reference_condition(m, x)
+    failing = [c for c in want if c.product]
+    return (report.overall == (not failing)
+            and report.first_failure() == next(iter(failing), None)
+            and report.pairs == want)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=450,
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
     instances = multi = profiles = chains = chain_rotations = edges = 0
+    conditions = 0
     searched = size_nodes = 0
     disagreements = []
 
@@ -211,6 +224,11 @@ def main(argv=None) -> int:
                            for p in (x, *walked[:2])):
                         disagreements.append(("vertex test", nf, nw, qmax, seed,
                                               density))
+                    for p in (x, walked[1]):
+                        conditions += 1
+                        if not condition_agrees(m, p):
+                            disagreements.append(("strong stability", nf, nw, qmax,
+                                                  seed, density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings, {size_nodes} oracle "
               "nodes at this size", flush=True)
@@ -366,7 +384,8 @@ def main(argv=None) -> int:
         print(f"DISAGREE {name}: size {tuple(where[:3])} seed {where[3]} "
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
-          f"(walks and vertex tests compared on each), {profiles} reduced profiles, "
+          f"(walks and vertex tests compared on each), {conditions} strong stability "
+          f"reports, {profiles} reduced profiles, "
           f"{chains} chains ({chain_rotations} rotations, {edges} "
           f"predecessor pairs, {searched} matchings listed), "
           f"{len(disagreements)} disagreements")

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import warnings
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stablefrac as sf
+from oracles import cloned_blocks, serialize_fractional
 from stablefrac import cli
 from stablefrac.cli import _dumps, build_parser, main
+from stablefrac.hulls import _random_mix
 
 DATA = Path(__file__).parent / "data"
 SCHEMA = json.loads(
@@ -172,6 +175,31 @@ def test_check_and_decompose_on_a_side_without_agents(capsys, tmp_path,
     code, report = run_json(capsys, ["decompose", str(market), str(point)])
     assert code == 0
     assert [t["weight"] for t in report["result"]["terms"]] == ["1"]
+
+
+def test_check_and_decompose_name_the_same_witness(capsys, tmp_path, block_market):
+    """``check`` and ``decompose`` name the report's first failure, factors
+    and product included, on the example's fractional vertex (one failing
+    pair) and on a mix of the block market's stable matchings (three)."""
+    stable = sorted(sf.enumerate_stable_bruteforce(block_market),
+                    key=lambda mu: mu.assignment)
+    mix = _random_mix(block_market, stable, random.Random(0))
+    cases = [((DATA / "example.market").read_text(), (DATA / "vertex.frac").read_text()),
+             (sf.serialize_market(block_market), serialize_fractional(block_market, mix))]
+    for market_text, point_text in cases:
+        (tmp_path / "m.market").write_text(market_text)
+        (tmp_path / "x.frac").write_text(point_text)
+        argv = [str(tmp_path / "m.market"), str(tmp_path / "x.frac")]
+        market = sf.parse_market(market_text)
+        want = cli._condition(sf.strong_stability_check(
+            market, sf.parse_fractional(market, point_text)).first_failure())
+        code, checked = run_json(capsys, ["check", *argv])
+        assert code == 1
+        assert next(p for p in checked["result"]["condition"]["pairs"]
+                    if p["product"] != "0") == want
+        code, decomposed = run_json(capsys, ["decompose", *argv])
+        assert code == 1
+        assert decomposed["result"]["refusal"] == {"kind": "not-strongly-stable", **want}
 
 
 def test_rotations_default_base(capsys, market_file):
@@ -415,6 +443,27 @@ def test_module_runs_the_cli(src_env):
                           env=src_env, capture_output=True, text=True, timeout=60)
     assert bare.returncode == 2
     assert "usage:" in bare.stderr
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_pipe_exits_2_without_a_traceback(src_env, tmp_path, json_flag):
+    """A reader that closes the pipe after one line leaves the report
+    unwritten: exit 2, and no traceback.  The 729 stable matchings of six
+    cloned swaps print well over the pipe's 64 KiB buffer, so the command is
+    still writing when the pipe closes."""
+    path = tmp_path / "blocks.market"
+    path.write_text(sf.serialize_market(cloned_blocks([2] * 6, 2)))
+    argv = [sys.executable, "-m", "stablefrac.cli", "stable-all", str(path),
+            "--method", "rotations", *json_flag]
+    full = subprocess.run(argv, env=src_env, capture_output=True, timeout=60)
+    assert full.returncode == 0 and len(full.stdout) > 1 << 16
+    with subprocess.Popen(argv, env=src_env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as child:
+        child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_prune_warning_lands_in_diagnostics(capsys, tmp_path):

@@ -9,12 +9,11 @@ import pytest
 import stablefrac as sf
 from oracles import (POSETS, apply_cycle_set, balanced_market, certificate_matchings,
                      chain_elements, cloned_blocks, dominates, flatten, hull_samples,
-                     in_any_hull, poset_market, reconstruct)
+                     in_any_hull, poset_market, reconstruct, reference_condition)
 from stablefrac.cli import main
 from stablefrac.hulls import _cube_coordinates, _in_a_hull, _random_mix
 from stablefrac.polytope import interior_walk
 from stablefrac.rotations import _Chain
-from stablefrac.strong_stability import _first_failure
 
 
 def _cube_against_subset_search(market, stable, points, max_rotations):
@@ -65,17 +64,17 @@ def test_certify_refuses_fractional_vertex(market, x_vertex):
 
 
 def test_certify_scans_the_condition_once(fleet, fleet_stable, monkeypatch):
-    """Certifying a point scans its pairs' gaps once, refused or not: a
+    """Certifying a point evaluates the condition once, refused or not: a
     refusal is the condition ``decompose`` refused at, and it equals the
-    full report's first failure."""
-    gaps = sf.strong_stability._gaps
+    report's first failure."""
+    check = sf.strong_stability.strong_stability_check
     scans = []
 
     def counted(market, x):
         scans.append(x)
-        return gaps(market, x)
+        return check(market, x)
 
-    monkeypatch.setattr(sf.strong_stability, "_gaps", counted)
+    monkeypatch.setattr(sf.strong_stability, "strong_stability_check", counted)
     outcomes = Counter()
     for idx, (m, stable) in enumerate(zip(fleet, fleet_stable)):
         for x in _mixes(m, stable, idx, 4):
@@ -84,7 +83,7 @@ def test_certify_scans_the_condition_once(fleet, fleet_stable, monkeypatch):
             assert scans == [x]
             refused = isinstance(cert, sf.PairCondition)
             if refused:
-                assert repr(cert) == repr(sf.strong_stability_check(m, x).first_failure())
+                assert repr(cert) == repr(check(m, x).first_failure())
             outcomes[refused] += 1
     assert outcomes == {False: 92, True: 28}
 
@@ -414,7 +413,8 @@ def test_verify_reports_each_counterexample(market, x_vertex, monkeypatch,
                     lambda m, x, rotations_of=None: refusal),
         "vertex": ("is_extreme_point", lambda m, x: (False, 0)),
         "integral": ("matching_from_matrix", lambda m, x: sf.Matching.build(m, {})),
-        "fractional": ("_first_failure", lambda m, x: None),
+        "fractional": ("strong_stability_check",
+                       lambda m, x: sf.StrongStabilityReport((), [], [], 1, True)),
     }[fault]
     monkeypatch.setattr(sf.hulls, name, fake)
     outcome = sf.verify_characterization(market, seed=0, samples=100)
@@ -605,9 +605,10 @@ def test_certify_with_known_rotations_matches_certify(fleet, fleet_stable,
 
 def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
                                                   block_market):
-    """The scan that certification reads gives the full report's verdict and
-    its first failing pair, factors and product included, on hull samples,
-    mixes of the whole stable set and walk points."""
+    """The report's verdict, its first failing pair and every pair's
+    condition, factors and product included, are the definition's
+    (``reference_condition``) on hull samples, mixes of the whole stable set
+    and walk points."""
     block_stable = sorted(sf.enumerate_stable_bruteforce(block_market),
                           key=lambda mu: mu.assignment)
     outcomes = Counter()
@@ -620,12 +621,12 @@ def test_first_failure_agrees_with_pair_conditions(fleet, fleet_stable,
         if m.pairs():
             points.append(sf.vertex_walk(m, interior_walk(m, points[-1], rng), rng))
         for x in points:
-            full = sf.strong_stability_check(m, x)
-            failure = _first_failure(m, x)
-            assert (failure is None) == full.overall
-            if failure is not None:
-                assert repr(failure) == repr(full.first_failure())
-            outcomes[full.overall] += 1
+            report, want = sf.strong_stability_check(m, x), reference_condition(m, x)
+            failing = [c for c in want if c.product]
+            assert report.overall == (not failing)
+            assert repr(report.first_failure()) == repr(next(iter(failing), None))
+            assert report.pairs == want
+            outcomes[report.overall] += 1
     assert outcomes[True] >= 250 and outcomes[False] >= 30
 
 

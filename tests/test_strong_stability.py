@@ -10,7 +10,6 @@ import stablefrac as sf
 from oracles import (apply_cycle_set, cloned_blocks, dominates, hull_samples,
                      reference_condition)
 from stablefrac.hulls import _random_mix
-from stablefrac.strong_stability import _first_failure
 
 DATA = Path(__file__).parent / "data"
 
@@ -237,7 +236,7 @@ def test_condition_matches_its_definition(fleet, fleet_stable):
             want = reference_condition(m, x)
             assert report.pairs == want
             assert report.overall == all(c.product == 0 for c in want)
-            assert _first_failure(m, x) == next((c for c in want if c.product), None)
+            assert report.first_failure() == next((c for c in want if c.product), None)
             factors = [v for c in report.pairs for v in (c.firm_factor, c.worker_factor)]
             assert len({id(v) for v in factors}) == len(set(factors))
             checked += 1
