@@ -26,6 +26,7 @@ import hashlib
 import os
 import sys
 import warnings
+from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -282,8 +283,14 @@ def _cmd_check(args, inputs, diagnostics) -> _Outcome:
     condition = strong_stability_check(market, x)
     is_vertex, rank_value = is_extreme_point(market, x)
     dimension = len(market.pairs())
-    result["condition"] = {"overall": condition.overall,
-                           "pairs": [_condition(c) for c in condition.pairs]}
+    # the records are read off the integer gaps, priced per distinct value:
+    # one string per gap value, a product only where both gaps are nonzero
+    d, firm_gaps, worker_gaps = condition.denom, condition.firm_gaps, condition.worker_gaps
+    text = {g: str(Fraction(g, d)) for g in {*firm_gaps, *worker_gaps}}
+    result["condition"] = {"overall": condition.overall, "pairs": [
+        {"firm": f, "worker": w, "firm_factor": text[a], "worker_factor": text[b],
+         "product": str(Fraction(a * b, d * d)) if a and b else "0"}
+        for (f, w), a, b in zip(condition.names, firm_gaps, worker_gaps)]}
     result["vertex"] = {"is_vertex": is_vertex,
                         "rank": rank_value, "dimension": dimension}
     if condition.overall:

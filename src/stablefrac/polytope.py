@@ -120,8 +120,9 @@ class _PairIndex:
     Pair k, the k-th of ``market.pairs()``, sits at flat cell ``cells[k]``
     (firm index times the number of workers, plus the worker index) and
     belongs to a firm of quota ``quota[k]``.  ``firm`` and ``worker`` hold
-    every agent's list as pair positions, in declaration order; the map from
-    a pair to its position lives only while they are laid out.  The rows are
+    every agent's list as pair positions, in declaration order.  While they
+    are laid out, a list indexed by flat cell holds each pair's position:
+    firm i's entry at worker j is ``pos[i * nw + j]``.  The rows are
     numbered in one order: a quota row per firm, a unit row per worker, then
     a nonneg row and a noblock row per pair; ``bound`` holds each row's b.
     A worker with no acceptable pair has an all-zero unit row, which is never
@@ -132,14 +133,18 @@ class _PairIndex:
 
     def __init__(self, market: Market):
         pairs, quota = market.pairs(), market.quota
-        pos = {p: k for k, p in enumerate(pairs)}
         nw, findex, windex = market.n_workers, market._findex, market._windex
         self.cells = [findex[f] * nw + windex[w] for f, w in pairs]
         self.quota = [quota[f] for f, _ in pairs]
-        self.firm = _Lists([[pos[f, w] for w in market.acceptable_to_firm(f)]
-                            for f in market.firms])
-        self.worker = _Lists([[pos[f, w] for f in market.acceptable_to_worker(w)]
-                              for w in market.workers])
+        pos = [0] * (market.n_firms * nw)
+        for k, cell in enumerate(self.cells):
+            pos[cell] = k
+        self.firm = _Lists([[pos[i * nw + windex[w]]
+                             for w in market.acceptable_to_firm(f)]
+                            for i, f in enumerate(market.firms)])
+        self.worker = _Lists([[pos[findex[f] * nw + j]
+                               for f in market.acceptable_to_worker(w)]
+                              for j, w in enumerate(market.workers)])
         self.bound = [*(quota[f] for f in market.firms), *[1] * nw,
                       *[0] * len(pairs), *[-q for q in self.quota]]
 
@@ -175,7 +180,9 @@ class _PairIndex:
 
 
 def _pair_index_of(market: Market) -> _PairIndex:
-    """The market's pair index, built on first use and kept on the market."""
+    """The market's pair index, built on first use and kept on the market,
+    so a command that evaluates no point, such as ``stable-all``, never
+    builds it."""
     if "_polytope_index" not in vars(market):
         object.__setattr__(market, "_polytope_index", _PairIndex(market))
     return market._polytope_index
@@ -231,8 +238,7 @@ class ConstraintReport:
 
 
 def constraint_label(cid: ConstraintId) -> str:
-    kind, *agents = cid
-    return f"{kind}:{','.join(agents)}"
+    return cid[0] + ":" + ",".join(cid[1:])
 
 
 def check_feasibility(market: Market, x: FractionalMatching) -> ConstraintReport:

@@ -11,7 +11,9 @@ pair's quota from the market's pair index.  ``strong_stability_check`` is
 the one evaluator of the condition: its report keeps every pair's integer
 gaps and the verdict, and builds a pair's ``PairCondition`` only when it is
 read, so ``decompose`` and ``peel`` refuse at the first failing pair
-without building the others'.
+without building the others'.  The CLI's ``check`` builds no
+``PairCondition`` for its records: it writes them off the integer gaps,
+with one string per distinct gap value.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from math import gcd, lcm
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
-from stablefrac.polytope import _ScaledSums, check_stable_feasibility
+from stablefrac.polytope import _Lists, _PairIndex, _ScaledSums, check_stable_feasibility
 from stablefrac.rotations import _Chain
 from stablefrac.stability import _search
 
@@ -757,6 +757,23 @@ def _sparse_rows(market):
     """``reference_rows`` as (nonzero coefficients by pair position, b)."""
     return [({c: a for c, a in enumerate(coeffs) if a}, b)
             for _, coeffs, b in reference_rows(market)]
+
+
+def reference_pair_index(market):
+    """``_PairIndex(market)`` as built when the lists read each pair's
+    position off a map keyed by (firm, worker), not off its flat cell."""
+    pairs, quota, nw = market.pairs(), market.quota, market.n_workers
+    pos = {p: k for k, p in enumerate(pairs)}
+    index = _PairIndex.__new__(_PairIndex)
+    index.cells = [market.firm_index(f) * nw + market.worker_index(w) for f, w in pairs]
+    index.quota = [quota[f] for f, _ in pairs]
+    index.firm = _Lists([[pos[f, w] for w in market.acceptable_to_firm(f)]
+                         for f in market.firms])
+    index.worker = _Lists([[pos[f, w] for f in market.acceptable_to_worker(w)]
+                           for w in market.workers])
+    index.bound = [*(quota[f] for f in market.firms), *[1] * nw,
+                   *[0] * len(pairs), *[-q for q in index.quota]]
+    return index
 
 
 # --- Fraction elimination and walks -----------------------------------------

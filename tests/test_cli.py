@@ -202,6 +202,44 @@ def test_check_and_decompose_name_the_same_witness(capsys, tmp_path, block_marke
         assert decomposed["result"]["refusal"] == {"kind": "not-strongly-stable", **want}
 
 
+def test_check_condition_records_are_the_reports(capsys, tmp_path, market, x_vertex,
+                                                 fleet, fleet_stable):
+    """``check --json`` writes its condition records off the report's integer
+    gaps, one string per distinct gap value; they equal ``_condition`` of
+    every pair the API's report gives, on the fleet's stable matchings and
+    midpoints, failing mixes of several stable matchings, the example's
+    fractional vertex, q = 2 points of cloned blocks and a market with no
+    workers."""
+    def midpoint(m, a, b):
+        return sf.FractionalMatching.linear_combination(
+            [(sf.incidence_vector(m, a), Fraction(1, 2)),
+             (sf.incidence_vector(m, b), Fraction(1, 2))])
+
+    rng = random.Random(0)
+    cases = [(market, x_vertex)]
+    for m, stable in zip(fleet, fleet_stable):
+        cases += [(m, sf.incidence_vector(m, mu)) for mu in stable]
+        cases += [(m, midpoint(m, stable[0], mu)) for mu in stable[1:]]
+        if len(stable) > 2:
+            cases += [(m, _random_mix(m, stable, rng)) for _ in range(3)]
+    cloned = cloned_blocks([2, 3], 2)
+    stable = sorted(sf.enumerate_stable_bruteforce(cloned), key=lambda mu: mu.assignment)
+    cases += [(cloned, midpoint(cloned, stable[0], stable[-1]))]
+    cases += [(cloned, _random_mix(cloned, stable, rng)) for _ in range(3)]
+    empty = sf.parse_market("firms: f1 f2\nworkers:\n")
+    cases.append((empty, sf.parse_fractional(empty, "")))
+    products = []
+    for m, x in cases:
+        (tmp_path / "m.market").write_text(sf.serialize_market(m))
+        (tmp_path / "x.frac").write_text(serialize_fractional(m, x))
+        _, report = run_json(capsys, ["check", str(tmp_path / "m.market"),
+                                      str(tmp_path / "x.frac")])
+        want = [cli._condition(c) for c in sf.strong_stability_check(m, x).pairs]
+        assert report["result"]["condition"]["pairs"] == want
+        products.append(len({c["product"] for c in want} - {"0"}))
+    assert max(products) > 1
+
+
 def test_rotations_default_base(capsys, market_file):
     code, report = run_json(capsys, ["rotations", market_file])
     assert code == 0

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import stablefrac as sf
 from oracles import (RANDOM_SIZES, ReferenceRref, balanced_market, cloned_blocks,
                      dense_rank, hull_samples, random_markets, reference_evaluate,
-                     reference_interior_walk, reference_row_values, reference_rows,
-                     reference_vertex_test, reference_vertex_walk, walk_pair)
+                     reference_interior_walk, reference_pair_index, reference_row_values,
+                     reference_rows, reference_vertex_test, reference_vertex_walk,
+                     walk_pair)
 from stablefrac import polytope
 from stablefrac.cli import main
 from stablefrac.hulls import _random_mix
@@ -408,6 +409,12 @@ def _pruned_markets(draw):
     return sf.Market(firms, workers, quota, lists(firms, workers), lists(workers, firms))
 
 
+def _index_fields(index):
+    return (index.cells, index.quota, index.bound,
+            *((lists.order, lists.starts, lists.base, lists.upto)
+              for lists in (index.firm, index.worker)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=_pruned_markets(), data=st.data())
 def test_pair_index_rows_are_the_definition(m, data):
@@ -416,8 +423,10 @@ def test_pair_index_rows_are_the_definition(m, data):
     from the slices of ``_Lists.slicer``; one prefix-sum pass gives every
     row's a . v, in row order, for integer vectors of either sign; and the
     evaluation of a matrix with negative entries and entries off the pairs
-    equals the row-by-row reference."""
+    equals the row-by-row reference.  The index equals the one whose lists
+    read positions off a map keyed by (firm, worker), field for field."""
     n, index = len(m.pairs()), _pair_index_of(m)
+    assert _index_fields(index) == _index_fields(reference_pair_index(m))
     rows = reference_rows(m)
     support = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     slicers = index.firm.slicer(support), index.worker.slicer(support)
@@ -435,6 +444,20 @@ def test_pair_index_rows_are_the_definition(m, data):
     report, reference = _evaluate(m, x), reference_evaluate(m, x)
     assert (report.violations, report.tight, report._sums) == \
         (reference.violations, reference.tight, reference._sums)
+
+
+@pytest.mark.parametrize("m", [
+    # w2 lists no firm, so it has no acceptable pair; f2's list is empty
+    sf.Market(["f1", "f2", "f3"], ["w1", "w2", "w3"], {"f1": 2, "f2": 1, "f3": 3},
+              {"f1": ("w3", "w1", "w2"), "f2": (), "f3": ("w1", "w3")},
+              {"w1": ("f3", "f1"), "w2": (), "w3": ("f1", "f3")}),
+    sf.Market(["f1", "f2"], [], {"f1": 1, "f2": 2}, {"f1": (), "f2": ()}, {}),
+], ids=["unpaired-agents", "no-workers"])
+def test_pair_index_matches_the_tuple_keyed_build(m):
+    """The index that reads pair positions off flat cells equals the one
+    keyed by (firm, worker), field for field, with agents left unpaired and
+    with no workers at all; the pruned markets of the row test check it too."""
+    assert _index_fields(_PairIndex(m)) == _index_fields(reference_pair_index(m))
 
 
 def test_lists_end_each_list_once():

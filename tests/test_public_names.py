@@ -101,8 +101,13 @@ def test_commands_reach_the_public_layers(capsys):
     assert certify | {"hulls.sample_hull", "polytope.is_extreme_point"} <= seen["verify"]
 
 
-def test_bench_selftest_passes():
-    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+def test_bench_selftest_passes(tmp_path):
+    """The self-test writes its inputs under ``.bench_work/`` of its working
+    directory, so it runs in a directory of its own, linked to the
+    checkout's sources, and leaves a benchmark run in the checkout alone."""
+    for name in ("src", "bench", "BENCHMARK.json"):
+        (tmp_path / name).symlink_to(ROOT / name)
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "selftest ok" in done.stdout
