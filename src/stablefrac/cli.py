@@ -258,10 +258,9 @@ def _cmd_solve(args, inputs, diagnostics) -> _Outcome:
                  for row in incidence_vector(market, mu).entries]
     result = {"side": args.side, "matching": dict(mu.assignment),
               "incidence": incidence}
-    human = [f"side: {args.side}",
-             *("  " + _staff(f, ws) for f, ws in mu.assignment),
-             "incidence:",
-             *("  " + " ".join(row) for row in incidence)]
+    human = chain([f"side: {args.side}"],
+                  ("  " + _staff(f, ws) for f, ws in mu.assignment),
+                  ["incidence:"], ("  " + " ".join(row) for row in incidence))
     return result, human, EXIT_OK
 
 
@@ -332,15 +331,18 @@ def _cmd_decompose(args, inputs, diagnostics) -> _Outcome:
                       for ids, weight in certificate.terms],
         },
     }
-    human = ["decomposition:",
-             *(f"  {weight} * {_matching_line(mu)}" for mu, weight in terms),
-             f"certificate base: {_matching_line(certificate.base)}"]
-    for k, (ids, weight) in enumerate(certificate.terms):
-        names = ",".join(str(i) for i in sorted(ids)) or "-"
-        human.append(f"  term {k}: rotations {{{names}}} weight {weight}")
-    human += [f"rotation {i}: {_rotation_words(rot)}"
-              for i, rot in enumerate(certificate.rotations)]
-    return result, human, EXIT_OK
+
+    def human():
+        yield "decomposition:"
+        for mu, weight in terms:
+            yield f"  {weight} * {_matching_line(mu)}"
+        yield f"certificate base: {_matching_line(certificate.base)}"
+        for k, (ids, weight) in enumerate(certificate.terms):
+            names = ",".join(str(i) for i in sorted(ids)) or "-"
+            yield f"  term {k}: rotations {{{names}}} weight {weight}"
+        for i, rot in enumerate(certificate.rotations):
+            yield f"rotation {i}: {_rotation_words(rot)}"
+    return result, human(), EXIT_OK
 
 
 def _cmd_rotations(args, inputs, diagnostics) -> _Outcome:
@@ -363,9 +365,13 @@ def _cmd_rotations(args, inputs, diagnostics) -> _Outcome:
         },
         "rotations": [_rotation(rot) for rot in rotations],
     }
-    human = [f"matching: {_matching_line(mu)}", f"rotations: {len(rotations)}",
-             *(f"  {i}: {_rotation_words(rot)}" for i, rot in enumerate(rotations))]
-    return result, human, EXIT_OK
+
+    def human():
+        yield f"matching: {_matching_line(mu)}"
+        yield f"rotations: {len(rotations)}"
+        for i, rot in enumerate(rotations):
+            yield f"  {i}: {_rotation_words(rot)}"
+    return result, human(), EXIT_OK
 
 
 def _cmd_stable_all(args, inputs, diagnostics) -> _Outcome:

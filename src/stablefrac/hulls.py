@@ -10,14 +10,17 @@ matching, and gives term k of the ordered decomposition, which starts at
 threshold T_k / D, the rotations with D * lambda_i + T_k >= D: a rotation
 firm lists the worker it trades away (mass 1 - lambda_i) before the one it
 gains (lambda_i), so the sweep employs the gained one from 1 - lambda_i on.
-``verify_characterization`` stress-tests the equivalence from both
-directions against brute-force enumeration and the cube test; the subset
-search ``point_in_hull`` is the reference the tests hold the cube test to.
-The harness builds the rotation chain once (``rotations._Chain``), lists
-its stable matchings, each with the opaque mask of its applied rotations,
-and asks the chain which rotations each mask exposes (``_Chain.exposed``).
-That table of cubes is the one copy: certification looks its base up there
-once, and a failing point is tested on one cube only.
+On its own, certification reads the top matching's exposed rotations with
+one pointer scan per full firm (``rotations._scan_rotations``), without
+reducing its profile.  ``verify_characterization`` stress-tests the
+equivalence from both directions against brute-force enumeration and the
+cube test; the subset search ``point_in_hull`` is the reference the tests
+hold the cube test to.  The harness builds the rotation chain once
+(``rotations._Chain``), lists its stable matchings, each with the opaque
+mask of its applied rotations, and asks the chain which rotations each mask
+exposes (``_Chain.exposed``).  That table of cubes is the one copy:
+certification looks its base up there once, and a failing point is tested
+on one cube only.
 """
 
 from __future__ import annotations
@@ -43,13 +46,7 @@ from .model import (
     matching_from_matrix,
 )
 from .polytope import interior_walk, is_extreme_point, vertex_walk
-from .rotations import (
-    Rotation,
-    _Chain,
-    connected_set,
-    find_cycles,
-    reduce_profile,
-)
+from .rotations import Rotation, _Chain, _scan_rotations, connected_set
 from .stability import enumerate_stable_bruteforce
 from .strong_stability import (
     PairCondition,
@@ -102,9 +99,12 @@ def certify_strongly_stable(
     each rotation firm lists its lost worker (mass 1 - lambda_i) before its
     gained one.  A strongly stable point outside its base's cube would
     falsify the paper's Theorem 1; it raises AssertionError, under
-    ``python -O`` too, instead of being swallowed.  ``rotations_of(base)``,
-    when given, stands in for reducing the base's profile: a lookup of the
-    known stable matchings' rotations, whose None refuses the base with
+    ``python -O`` too, instead of being swallowed.  The base's rotations
+    are read with one pointer scan per full firm (``_scan_rotations``: the
+    rotations ``find_cycles(reduce_profile(...))`` gives, with no reduced
+    list), which refuses an unstable base with NotStableError.
+    ``rotations_of(base)``, when given, stands in for the scan: a lookup of
+    the known stable matchings' rotations, whose None refuses the base with
     NotStableError.
     """
     try:
@@ -113,7 +113,7 @@ def certify_strongly_stable(
         return refusal._condition
     base = decomposition.terms[0][0]
     rotations = (rotations_of(base) if rotations_of is not None
-                 else find_cycles(reduce_profile(market, base)))
+                 else _scan_rotations(market, base))
     if rotations is None:
         raise NotStableError("top matching is not a listed stable matching")
     lam = _cube_coordinates(market, base, rotations, x)

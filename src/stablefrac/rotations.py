@@ -31,6 +31,14 @@ fit and sorts no row.  The search tests one child per rotation, where the
 rotation is first exposed, with ``_stable_step``, which decides from the
 cycle's firms alone; ``_Chain.exposed`` reads the rotations exposed at any
 listed matching off the same bitmasks.
+
+So one rotation set, the rotations exposed at a stable matching, has three
+routes: ``find_cycles(reduce_profile(...))``, which the ``rotations``
+command takes because it reports the reduced lists; ``_Chain.exposed``, off
+a listed matching's mask, which ``verify`` takes; and ``_scan_rotations``,
+one pointer scan per full firm by ``_Chain``'s rule, which certification
+takes for a matching that was not listed.  The tests hold the three to one
+another at every listed matching.
 """
 
 from __future__ import annotations
@@ -172,6 +180,42 @@ def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
             successor[f] = employer
             wanted[f] = w
     return _cycles(tuple(profile.firm_lists), successor, wanted)
+
+
+def _scan_rotations(market: Market, mu: Matching) -> tuple[Rotation, ...]:
+    """The rotations exposed at the stable matching mu, as ``find_cycles(
+    reduce_profile(market, mu))`` gives them, read with one pointer scan per
+    full firm and no reduced list.
+
+    Raises ``NotStableError``, with ``reduce_profile``'s message, when mu is
+    not stable.  Each full firm f scans its list from just after its worst
+    staff member and stops at the first worker w that f ranks no lower than
+    its worst worker-optimal partner, that ranks f no better than its own
+    worker-optimal employer and strictly above its current one: the rule
+    ``_Chain`` applies with its pointers.  These are the tests of both spans
+    of the reduction, so w is the first worker after the staff on f's
+    reduced list, and w's employer is f's successor; a firm below quota has
+    none.  ``_cycles`` takes the cycles of this map.
+    """
+    if not is_stable(market, mu):
+        raise NotStableError("reduction requires a stable matching")
+    mu_w = deferred_acceptance(market, Side.WORKERS)
+    frank, wrank, employer = market._frank, market._wrank, mu._employer
+    top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
+    successor, wanted = {}, {}
+    for (f, ws), (_, ws_w) in zip(mu.assignment, mu_w.assignment):
+        if len(ws) < market.quota[f]:
+            continue
+        lst, rank = market.acceptable_to_firm(f), frank[f]
+        bottom = max(map(rank.__getitem__, ws_w))
+        for w in lst[1 + max(map(lst.index, ws)):]:
+            if rank[w] > bottom:
+                break
+            mine = wrank[w]
+            if w in top and top[w] <= mine[f] < mine[employer[w]]:
+                successor[f], wanted[f] = employer[w], w
+                break
+    return _cycles(market.firms, successor, wanted)
 
 
 def _cycles(firms: Sequence[str], successor: dict[str, str],

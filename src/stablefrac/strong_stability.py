@@ -4,24 +4,25 @@ A stable-feasible point is strongly stable when, for every acceptable pair,
 either the firm has exhausted its quota on weakly better workers or the
 worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
-the eyes of all firms, read off the firms' cumulative masses in one sweep.
-Both read the weak prefix sums that the point's one stable-feasibility
-evaluation keeps, the sweep also its numerators on the pairs, with each
-pair's quota from the market's pair index.  ``strong_stability_check`` is
-the one evaluator of the condition: its report keeps every pair's integer
-gaps and the verdict, and builds a pair's ``PairCondition`` only when it is
-read, so ``decompose`` and ``peel`` refuse at the first failing pair
-without building the others'.  The CLI's ``check`` builds no
-``PairCondition`` for its records: it writes them off the integer gaps,
-with one string per distinct gap value.
+the eyes of all firms, read off the firms' cumulative masses in one sweep,
+which rebuilds at each cut only the rows of the firms whose pairs enter or
+leave there.  Both read the weak prefix sums that the point's one
+stable-feasibility evaluation keeps, the sweep also its numerators on the
+pairs, with each pair's quota from the market's pair index.
+``strong_stability_check`` is the one evaluator of the condition: its
+report keeps every pair's integer gaps and the verdict, and builds a pair's
+``PairCondition`` only when it is read, so ``decompose`` and ``peel``
+refuse at the first failing pair without building the others'.  The CLI's
+``check`` builds no ``PairCondition`` for its records: it writes them off
+the integer gaps, with one string per distinct gap value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, groupby
-from operator import itemgetter, mul
+from itertools import compress, count
+from operator import mul
 
 from .model import (
     AlreadyIntegralError,
@@ -194,32 +195,45 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     sum to one exactly, and the reconstruction is verified before returning.
 
     The sweep runs on the firms' integer prefix sums C = D c of the point's
-    one evaluation, pair by pair in pair order: the cuts T are the values
-    C mod D, and an interval [T, E) weighs (E - T) / D.  A pair k with entry
-    e = C_k - C_{k-1} > 0 is employed on [T, E) exactly when some T + m D
-    lies in [C_{k-1}, C_k), that is when (T - C_{k-1}) mod D < e; a pair
-    with no entry never is.  Each term's rows are written in worker-index
-    order; a row over its firm's quota, or a worker in two rows, raises
-    ``ValueError``.
+    one evaluation.  A pair with entry e = C_k - C_{k-1} > 0 is employed
+    exactly on the threshold arc [C_{k-1}, C_k) mod D: it enters at
+    C_{k-1} mod D and leaves at C_k mod D, or never leaves when e = D; a
+    pair with no entry never is.  The cuts T are 0 and the points where
+    some pair enters or leaves, which are the values C mod D (the first
+    pair along a firm's list to reach a value mod D has 0 < e < D), and an
+    interval [T, E) weighs (E - T) / D.  So a term differs from the one
+    before only in the rows of firms with a pair that enters or leaves at
+    its cut.  The first term builds every row; each later term rebuilds
+    only those rows, keeping the pairs with (T - C_{k-1}) mod D < e, and
+    carries every other row over as the same tuple.  Rows are written in
+    worker-index order; a rebuilt row over its firm's quota, or a worker in
+    two rows, raises ``ValueError``.
     """
     failure = strong_stability_check(market, x).first_failure()
     if failure is not None:
         raise failure._refusal()
     sums, d = check_stable_feasibility(market, x)._sums, x._denom
-    after, entry = sums.firm, sums.entry
-    # each supported pair with the firm's mass on better workers, and its entry
-    support = [(pair, c - e, e) for pair, c, e in zip(market.pairs(), after, entry) if e]
-    cuts = sorted({0} | {c % d for c in after})
+    # per firm: each supported pair's worker, the firm's mass on better
+    # workers and the entry; per cut: the firms whose rows change there
+    support: dict[str, list[tuple[str, int, int]]] = {f: [] for f in market.firms}
+    changes: dict[int, dict[str, None]] = {0: dict.fromkeys(market.firms)}
+    for (f, w), c, e in zip(market.pairs(), sums.firm, sums.entry):
+        if e:
+            support[f].append((w, c - e, e))
+            if e < d:
+                changes.setdefault((c - e) % d, {})[f] = None
+                changes.setdefault(c % d, {})[f] = None
+    cuts = sorted(changes)
+    rows = dict.fromkeys(market.firms)      # cut 0 builds every row
     terms: list[tuple[Matching, Rational]] = []
     for t, end in zip(cuts, cuts[1:] + [d]):
-        rows = dict.fromkeys(market.firms, ())
-        employed = [pair for pair, before, e in support if (t - before) % d < e]
-        for f, staff in groupby(employed, itemgetter(0)):
-            rows[f] = tuple(map(itemgetter(1), staff))
-            if len(rows[f]) > market.quota[f]:
+        for f in changes[t]:
+            staff = tuple(w for w, before, e in support[f] if (t - before) % d < e)
+            if len(staff) > market.quota[f]:
                 raise ValueError(f"firm {f} exceeds its quota")
+            rows[f] = (f, staff)
         # the constructor raises ValueError for a worker in two rows
-        terms.append((Matching(tuple(rows.items())), Fraction(end - t, d)))
+        terms.append((Matching(tuple(rows.values())), Fraction(end - t, d)))
     result = Decomposition(tuple(terms))
     if result.reconstruct(market) != x:
         raise AssertionError("decomposition does not reconstruct the point")

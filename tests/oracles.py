@@ -13,12 +13,13 @@ import re
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 import stablefrac as sf
 from stablefrac import FractionalMatching, Market, Rational
 from stablefrac.hulls import _cube_coordinates
 from stablefrac.polytope import _Lists, _PairIndex, _ScaledSums, check_stable_feasibility
-from stablefrac.rotations import _Chain
+from stablefrac.rotations import _Chain, _scan_rotations
 from stablefrac.stability import _search
 
 
@@ -296,6 +297,29 @@ def reference_reconstruct(market, decomposition):
     return FractionalMatching.from_rows(grid)
 
 
+def reference_sweep(market, x):
+    """The ordered decomposition's terms by the per-cut threshold sweep, as
+    ``strong_stability.decompose`` once ran it: at every cut T every firm's
+    row is rebuilt from all of its supported pairs, a pair with entry e > 0
+    and the firm's mass C on better workers being employed when
+    (T - C) mod D < e.  ``decompose`` rebuilds only the rows of firms with
+    a pair entering or leaving at T; its terms must be these."""
+    sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
+    support = [(pair, c - e, e)
+               for pair, c, e in zip(market.pairs(), sums.firm, sums.entry) if e]
+    cuts = sorted({0} | {c % d for c in sums.firm})
+    terms = []
+    for t, end in zip(cuts, cuts[1:] + [d]):
+        rows = dict.fromkeys(market.firms, ())
+        employed = [pair for pair, before, e in support if (t - before) % d < e]
+        for f, staff in itertools.groupby(employed, itemgetter(0)):
+            rows[f] = tuple(map(itemgetter(1), staff))
+            if len(rows[f]) > market.quota[f]:
+                raise ValueError(f"firm {f} exceeds its quota")
+        terms.append((sf.Matching(tuple(rows.items())), Fraction(end - t, d)))
+    return tuple(terms)
+
+
 def reference_check_almost_integral(market, x):
     for j in range(market.n_workers):
         positives = sum(1 for row in x.entries if row[j] > 0)
@@ -511,7 +535,8 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
     whether its masks agree with reductions.
 
     At every listed matching the rotations read off the masks
-    (``rotations._Chain.exposed``) must be ``find_cycles(reduce_profile(...))``,
+    (``rotations._Chain.exposed``) must be those of the pointer scan
+    (``rotations._scan_rotations``) and ``find_cycles(reduce_profile(...))``,
     and each ``pred[j]`` must be D_j: the intersection of the listed closed
     sets that contain r_j, with r_j itself removed.
     """
@@ -525,7 +550,8 @@ def lattice_exposures_agree(market: Market) -> tuple[int, bool]:
     same = all(p == b & ~(1 << j)
                for j, (p, b) in enumerate(zip(chain.pred, below)))
     same = same and all(
-        chain.exposed(applied) == sf.find_cycles(sf.reduce_profile(market, mu))
+        chain.exposed(applied) == _scan_rotations(market, mu)
+        == sf.find_cycles(sf.reduce_profile(market, mu))
         for mu, applied in listed.items())
     return len(listed), same
 

@@ -20,7 +20,10 @@ and its endpoint it compares ``is_extreme_point``, which ranks the tight
 rows on the point's support, with the dense rank of every tight row
 (``oracles.reference_vertex_test``), and at the mix and the endpoint it
 compares ``strong_stability_check``'s verdict, first failing pair and
-every pair's factors with the definition (``oracles.reference_condition``).
+every pair's factors with the definition (``oracles.reference_condition``);
+at the mix and at every point of the walks that passes the condition it
+compares ``decompose``, which rebuilds only the rows each cut changes, with
+the per-cut sweep (``oracles.reference_sweep``).
 Then, on complete 12x12 one-to-one markets, which are rich in rotations,
 it compares ``enumerate_stable_via_rotations`` with the pruned search alone
 (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search visits
@@ -29,7 +32,8 @@ balanced many-to-one markets (``oracles.balanced_market``: every firm of
 quota q, q times as many workers, complete lists; seeds 0 to
 min(N, 100) - 1), it checks at every
 stable matching that the exposures read off the rotation search's masks
-are those of ``reduce_profile`` (``oracles.lattice_exposures_agree``) and
+are those of the pointer scan and of ``reduce_profile``
+(``oracles.lattice_exposures_agree``) and
 that the base is stable and firm-optimal in its reduced lists rebuilt as a
 market (``oracles.reduced_lists_keep_the_base``), and at 6x12 and 8x16
 (q = 2) and 6x18 (q = 3) that the rotation search lists the pruned
@@ -90,7 +94,9 @@ minutes of it, and the spare-firm blocks about 9 s.
 Each rich market takes the pruned search 0.1-0.16 s.  The random-order
 family takes about 5 s (1350 poset markets, 158270 stable matchings), and
 its 351 verify runs 33 s; the cloned random orders take 3 s (300 markets,
-43944 stable matchings).  With ``--seeds 20`` the sweep takes about 37 s.
+43944 stable matchings).  With ``--seeds 20`` the sweep took 56 s on the
+same VM, 9 s more than before it compared the decompositions and the
+pointer scan.
 """
 
 import argparse
@@ -104,7 +110,7 @@ from oracles import (RICH_SIZE, SPARE_SIZES, balanced_market, chain_agrees, chai
                      random_order,
                      reduced_lists_keep_the_base, reference_condition,
                      reference_enumerate_stable, reference_interior_walk,
-                     reference_reduced_lists, reference_search,
+                     reference_reduced_lists, reference_search, reference_sweep,
                      reference_vertex_test, reference_vertex_walk,
                      rotations_at_a_firm_are_ordered, spare_blocks, walk_pair)
 from stablefrac.hulls import _random_mix
@@ -160,7 +166,7 @@ def main(argv=None) -> int:
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
     instances = multi = profiles = chains = chain_rotations = edges = 0
-    conditions = 0
+    conditions = sweeps = 0
     searched = size_nodes = 0
     disagreements = []
 
@@ -229,6 +235,12 @@ def main(argv=None) -> int:
                         if not condition_agrees(m, p):
                             disagreements.append(("strong stability", nf, nw, qmax,
                                                   seed, density))
+                    for p in (x, walked[0], *walked[2]):
+                        if sf.strong_stability_check(m, p).overall:
+                            sweeps += 1
+                            if sf.decompose(m, p).terms != reference_sweep(m, p):
+                                disagreements.append(("sweep", nf, nw, qmax, seed,
+                                                      density))
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings, {size_nodes} oracle "
               "nodes at this size", flush=True)
@@ -385,7 +397,7 @@ def main(argv=None) -> int:
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
           f"(walks and vertex tests compared on each), {conditions} strong stability "
-          f"reports, {profiles} reduced profiles, "
+          f"reports, {sweeps} decompositions, {profiles} reduced profiles, "
           f"{chains} chains ({chain_rotations} rotations, {edges} "
           f"predecessor pairs, {searched} matchings listed), "
           f"{len(disagreements)} disagreements")

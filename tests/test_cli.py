@@ -297,6 +297,30 @@ def test_stable_all_json_formats_no_human_lines(capsys, block_file,
     assert capsys.readouterr().out == expected
 
 
+def test_json_formats_no_human_lines(capsys, market_file, mid_file, monkeypatch):
+    """``solve``, ``decompose`` and ``rotations`` format no line for humans
+    under ``--json``, and print the same report; without it they print
+    their lines."""
+    commands = [["solve", market_file], ["decompose", market_file, mid_file],
+                ["rotations", market_file]]
+    expected = []
+    for argv in commands:
+        assert main(argv + ["--json"]) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("a human-readable line was formatted under --json")
+
+    for name in ("_matching_line", "_staff", "_rotation_words"):
+        monkeypatch.setattr(f"stablefrac.cli.{name}", refuse)
+    for argv, out in zip(commands, expected):
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr().out == out
+        with pytest.raises(AssertionError, match="human-readable"):
+            main(argv)
+        capsys.readouterr()
+
+
 def test_stable_all_rotations_honours_cap(capsys, block_file, tmp_path):
     argv = ["stable-all", block_file, "--method", "rotations"]
     assert main(argv + ["--cap", "23"]) == 2

@@ -498,22 +498,27 @@ def test_verify_reduces_only_the_chains_profiles(block_market, monkeypatch):
     chain reads its rotations off one pointer per firm in three steps, four
     rotations exposed at the firm-optimal matching, one after them and none
     at the worker-optimal matching, and each stable matching's exposed
-    rotations are read off the lattice's masks.  With a reduction per chain
-    step it made 3 reductions, and 24 with one per stable matching."""
+    rotations, its certificates' bases' included, are read off the
+    lattice's masks, with no pointer scan of a base.  With a reduction per
+    chain step it made 3 reductions, and 24 with one per stable matching."""
     calls, steps = [], []
-    reduce_profile = sf.rotations.reduce_profile
+    reduce_profile, scan = sf.rotations.reduce_profile, sf.hulls._scan_rotations
     cycles = sf.rotations._cycles
 
     def counted_reduce(market, mu):
         calls.append(mu)
         return reduce_profile(market, mu)
 
+    def counted_scan(market, mu):
+        calls.append(mu)
+        return scan(market, mu)
+
     def counted_cycles(firms, successor, wanted):
         found = cycles(firms, successor, wanted)
         steps.append(len(found))
         return found
 
-    monkeypatch.setattr(sf.hulls, "reduce_profile", counted_reduce)
+    monkeypatch.setattr(sf.hulls, "_scan_rotations", counted_scan)
     monkeypatch.setattr(sf.rotations, "reduce_profile", counted_reduce)
     monkeypatch.setattr(sf.rotations, "_cycles", counted_cycles)
     outcome = sf.verify_characterization(block_market, seed=1, samples=10)

@@ -14,7 +14,7 @@ from oracles import (POSETS, RANDOM_SIZES, SPARE_SIZES, apply_cycle_set, balance
                      reference_reduced_lists, reference_search,
                      rotations_at_a_firm_are_ordered, spare_blocks)
 
-from stablefrac.rotations import _Chain
+from stablefrac.rotations import _Chain, _scan_rotations
 from stablefrac.stability import _search
 
 DATA = Path(__file__).parent / "data"
@@ -53,9 +53,13 @@ worker w1: f1
 
 
 def test_reduction_rejects_unstable_matchings(market):
+    """The reduction and the pointer scan that certification reads a base's
+    rotations with refuse an unstable matching with the same message."""
     unstable = sf.Matching.build(market, {"f1": ["w1", "w3"], "f2": ["w2", "w4"]})
-    with pytest.raises(sf.NotStableError):
-        sf.reduce_profile(market, unstable)
+    for read in (sf.reduce_profile, _scan_rotations):
+        with pytest.raises(sf.NotStableError,
+                           match="^reduction requires a stable matching$"):
+            read(market, unstable)
 
 
 def test_single_rotation_at_firm_optimal(market, mu_f):

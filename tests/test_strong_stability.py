@@ -1,14 +1,15 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import stablefrac as sf
-from oracles import (apply_cycle_set, cloned_blocks, dominates, hull_samples,
-                     reference_condition)
+from oracles import (SPARE_SIZES, apply_cycle_set, cloned_blocks, dominates,
+                     hull_samples, reference_condition, reference_sweep, spare_blocks)
 from stablefrac.hulls import _random_mix
 
 DATA = Path(__file__).parent / "data"
@@ -348,6 +349,87 @@ def test_rotations_with_equal_weight_merge_into_one_term(block_market):
         apply_cycle_set(m, base, rotations))
 
 
+def _lambda_points(m, mu, rng, count):
+    """inc(mu) + sum(lambda_i * delta_i) over the rotations exposed at mu,
+    each lambda_i drawn from the sixths of [0, 1]."""
+    inc = sf.incidence_vector(m, mu)
+    moved = [sf.incidence_vector(m, sf.apply_cycle(m, mu, rot))
+             for rot in sf.find_cycles(sf.reduce_profile(m, mu))]
+    points = []
+    for _ in range(count):
+        parts = [(inc, Fraction(1))]
+        for delta in moved:
+            lam = Fraction(rng.randint(0, 6), 6)
+            parts += [(delta, lam), (inc, -lam)]
+        points.append(sf.FractionalMatching.linear_combination(parts))
+    return points
+
+
+@pytest.fixture(scope="module")
+def sweep_points(fleet, fleet_stable, block_market):
+    """(market, strongly stable point) pairs: the fleet's hull samples,
+    lambda points on the block market, and hull samples on cloned blocks of
+    quota 2 and on spare blocks, where firms stay short of their quotas."""
+    def stable(m):
+        return sorted(sf.enumerate_stable_via_rotations(m), key=lambda mu: mu.assignment)
+
+    rng = random.Random("sweep")
+    cases = [(m, x) for idx, (m, stable_set) in enumerate(zip(fleet, fleet_stable))
+             for mu in stable_set for x in hull_samples(m, mu, seed=600 + idx, count=2)]
+    cases += [(block_market, x) for mu in stable(block_market)
+              for x in _lambda_points(block_market, mu, rng, 2)]
+    extra = [cloned_blocks([2, 3], 2), cloned_blocks([2] * 3, 2)]
+    extra += [spare_blocks(sizes, q, spares, 0) for sizes, q in SPARE_SIZES
+              for spares in (1, 2)]
+    cases += [(m, x) for idx, m in enumerate(extra) for mu in stable(m)
+              for x in hull_samples(m, mu, seed=idx, count=2)]
+    return cases
+
+
+def test_decompose_matches_the_reference_sweep(sweep_points):
+    """``decompose``, which rebuilds only the rows each cut changes, gives
+    the terms of the per-cut sweep (``oracles.reference_sweep``)."""
+    lengths = Counter()
+    for m, x in sweep_points:
+        terms = sf.decompose(m, x).terms
+        assert terms == reference_sweep(m, x)
+        lengths[len(terms)] += 1
+    assert lengths == {1: 121, 2: 105, 3: 48, 4: 22}
+
+
+def _moving_firms(m, x, t):
+    """The firms with a pair that enters or leaves the threshold sweep at t:
+    a pair with entry 0 < e < 1 and the firm's mass c on better workers
+    enters at the fractional part of c and leaves at that of c + e."""
+    moving = set()
+    for f in m.firms:
+        c = Fraction(0)
+        for w in m.acceptable_to_firm(f):
+            e = x.value(m, f, w)
+            if 0 < e < 1 and t in (c % 1, (c + e) % 1):
+                moving.add(f)
+            c += e
+    return moving
+
+
+def test_sweep_carries_unmoved_rows_over(sweep_points):
+    """A term's row of a firm with no pair entering or leaving at its cut
+    is the previous term's own tuple."""
+    carried = rebuilt = 0
+    for m, x in sweep_points:
+        terms, t = sf.decompose(m, x).terms, Fraction(0)
+        for (before, weight), (after, _) in zip(terms, terms[1:]):
+            t += weight
+            moving = _moving_firms(m, x, t)
+            for old, new in zip(before.assignment, after.assignment):
+                if old[0] in moving:
+                    rebuilt += 1
+                else:
+                    assert new is old
+                    carried += 1
+    assert carried > rebuilt > 0
+
+
 def test_reconstruction_check_survives_optimize(src_env, tmp_path):
     script = tmp_path / "wrong_reconstruct.py"
     script.write_text(f"""
@@ -416,7 +498,7 @@ m = sf.parse_market(open({str(DATA / "example.market")!r}).read())
 x = sf.parse_fractional(m, open({str(DATA / "mid.frac")!r}).read())
 # with no rotations the base's cube is the base alone, so the second term
 # of the midpoint's decomposition is no vertex of it
-sf.hulls.find_cycles = lambda profile: ()
+sf.hulls._scan_rotations = lambda market, mu: ()
 sf.certify_strongly_stable(m, x)
 """)
     run = subprocess.run([sys.executable, "-O", str(script)], env=src_env,
