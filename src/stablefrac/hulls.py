@@ -11,16 +11,15 @@ threshold T_k / D, the rotations with D * lambda_i + T_k >= D: a rotation
 firm lists the worker it trades away (mass 1 - lambda_i) before the one it
 gains (lambda_i), so the sweep employs the gained one from 1 - lambda_i on.
 On its own, certification reads the top matching's exposed rotations with
-one pointer scan per full firm (``rotations._scan_rotations``), without
-reducing its profile.  ``verify_characterization`` stress-tests the
-equivalence from both directions against brute-force enumeration and the
-cube test; the subset search ``point_in_hull`` is the reference the tests
-hold the cube test to.  The harness builds the rotation chain once
-(``rotations._Chain``), lists its stable matchings, each with the opaque
-mask of its applied rotations, and asks the chain which rotations each mask
-exposes (``_Chain.exposed``).  That table of cubes is the one copy:
-certification looks its base up there once, and a failing point is tested
-on one cube only.
+the rotation chain's pointer scan (``rotations._Pointers``).
+``verify_characterization`` stress-tests the equivalence from both
+directions against brute-force enumeration and the cube test; the subset
+search ``point_in_hull`` is the reference the tests hold the cube test to.
+The harness builds the rotation chain once (``rotations._Chain``), lists
+its stable matchings, each with the opaque mask of its applied rotations,
+and asks the chain which rotations each mask exposes (``_Chain.exposed``).
+That table of cubes is the one copy: certification looks its base up there
+once, and a failing point is tested on one cube only.
 """
 
 from __future__ import annotations
@@ -100,12 +99,10 @@ def certify_strongly_stable(
     gained one.  A strongly stable point outside its base's cube would
     falsify the paper's Theorem 1; it raises AssertionError, under
     ``python -O`` too, instead of being swallowed.  The base's rotations
-    are read with one pointer scan per full firm (``_scan_rotations``: the
-    rotations ``find_cycles(reduce_profile(...))`` gives, with no reduced
-    list), which refuses an unstable base with NotStableError.
-    ``rotations_of(base)``, when given, stands in for the scan: a lookup of
-    the known stable matchings' rotations, whose None refuses the base with
-    NotStableError.
+    are one ``rotations._Pointers`` scan (``_scan_rotations``), which
+    refuses an unstable base with NotStableError.  ``rotations_of(base)``,
+    when given, stands in for the scan: a lookup of the known stable
+    matchings' rotations, whose None refuses the base with NotStableError.
     """
     try:
         decomposition = decompose(market, x)

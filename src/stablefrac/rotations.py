@@ -12,13 +12,13 @@ applying one trades along the cycle and lands on another stable matching.
 
 Enumeration finds the rotations once, on one chain from the firm-optimal
 to the worker-optimal matching (``_Chain``), without reducing a profile:
-each full firm keeps a pointer into its list that only moves forward
-(Gusfield 1987), so the chain reads every firm's list once in all.  The
-same pass reads off each rotation's predecessors in the rotation poset, as
-a bitmask: the rotation before it at each of its firms, and, for each
-worker a firm's pointer passes because the worker works for a firm it
-ranks at least as high, the rotation that first moved it that high, each
-with its own predecessors.  The chain's order is a linear extension of the
+each step is one scan of the pointers of ``_Pointers``, which only move
+forward (Gusfield 1987), so the chain reads every firm's list once in all.
+The same pass reads off each rotation's predecessors in the rotation poset,
+as a bitmask: the rotation before it at each of its firms, and, for each
+worker a firm's pointer passes because the worker works for a firm it ranks
+at least as high, the rotation that first moved it that high, each with its
+own predecessors.  The chain's order is a linear extension of the
 poset, whose closed sets are the stable matchings, so a depth-first search
 that adds a rotation later in that order than the last one added, once its
 predecessors are applied, lists each stable matching once, from one parent
@@ -36,15 +36,15 @@ So one rotation set, the rotations exposed at a stable matching, has three
 routes: ``find_cycles(reduce_profile(...))``, which the ``rotations``
 command takes because it reports the reduced lists; ``_Chain.exposed``, off
 a listed matching's mask, which ``verify`` takes; and ``_scan_rotations``,
-one pointer scan per full firm by ``_Chain``'s rule, which certification
-takes for a matching that was not listed.  The tests hold the three to one
-another at every listed matching.
+the chain's ``_Pointers`` scan, which certification takes for a matching
+that was not listed.  The tests hold the three to one another at every
+listed matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import (
     CapExceededError,
@@ -182,40 +182,73 @@ def find_cycles(profile: ReducedProfile) -> tuple[Rotation, ...]:
     return _cycles(tuple(profile.firm_lists), successor, wanted)
 
 
+class _Pointers:
+    """The pointer rule (Gusfield & Irving 1989; Gusfield 1987), set at the
+    stable matching mu.  It holds the worker-optimal matching ``mu_w``,
+    each worker's rank of its worker-optimal employer, and, for each firm f
+    full at mu (so at every stable matching, by the rural hospitals
+    theorem), f's list, a pointer just past f's worst staff member and the
+    rank of f's worst worker-optimal partner.
+
+    ``scan(employer)`` moves each pointer on to rest at the first worker w
+    that f ranks no lower than its worst worker-optimal partner, and that
+    ranks f no better than its own worker-optimal employer and strictly
+    above ``employer[w]``: the tests of both spans of ``reduce_profile``.
+    So w is the first worker after the staff on f's reduced list, w's
+    employer is f's successor, and the cycles of this map are the exposed
+    rotations (``_cycles``), read with no reduced list.
+    ``passed(f, w, rank)``, when given, hears of each passed worker w that
+    ranks f (at ``rank``) no better than its worker-optimal employer.
+
+    Along a chain down from mu, scanned in order, a firm's staff only get
+    worse for it and the workers' employers only better for them, so a
+    worker that fails the tests never passes them again, and the pointers
+    only move forward: the scans read each list once in all, plus one look
+    per full firm and scan.  The worker at rest fails the tests once it
+    moves up to a firm it ranks above f, or once f gains it.
+    """
+
+    def __init__(self, market: Market, mu: Matching, passed: Callable | None = None):
+        self.market, self.passed = market, passed
+        self.mu_w = deferred_acceptance(market, Side.WORKERS)
+        frank, wrank = market._frank, market._wrank
+        self.top = {w: wrank[w][f] for f, ws in self.mu_w.assignment for w in ws}
+        self.full, self.at = [], {}     # (firm, list, worst mu_w rank), pointer
+        for (f, ws), (_, ws_w) in zip(mu.assignment, self.mu_w.assignment):
+            if len(ws) == market.quota[f]:
+                lst = market.acceptable_to_firm(f)
+                self.full.append((f, lst, max(map(frank[f].__getitem__, ws_w))))
+                self.at[f] = 1 + max(map(lst.index, ws))
+
+    def scan(self, employer: dict[str, str]) -> tuple[Rotation, ...]:
+        """The rotations exposed where the workers' employers are ``employer``."""
+        frank, wrank = self.market._frank, self.market._wrank
+        top, at, passed = self.top, self.at, self.passed
+        successor, wanted = {}, {}
+        for f, lst, bottom in self.full:
+            i, rank = at[f], frank[f]
+            while i < len(lst) and rank[lst[i]] <= bottom:
+                w = lst[i]
+                mine = wrank[w]
+                if w in top and top[w] <= mine[f]:
+                    if mine[f] < mine[employer[w]]:
+                        successor[f], wanted[f] = employer[w], w
+                        break
+                    if passed is not None:
+                        passed(f, w, mine[f])
+                i += 1
+            at[f] = i
+        return _cycles(self.market.firms, successor, wanted)
+
+
 def _scan_rotations(market: Market, mu: Matching) -> tuple[Rotation, ...]:
     """The rotations exposed at the stable matching mu, as ``find_cycles(
-    reduce_profile(market, mu))`` gives them, read with one pointer scan per
-    full firm and no reduced list.
-
-    Raises ``NotStableError``, with ``reduce_profile``'s message, when mu is
-    not stable.  Each full firm f scans its list from just after its worst
-    staff member and stops at the first worker w that f ranks no lower than
-    its worst worker-optimal partner, that ranks f no better than its own
-    worker-optimal employer and strictly above its current one: the rule
-    ``_Chain`` applies with its pointers.  These are the tests of both spans
-    of the reduction, so w is the first worker after the staff on f's
-    reduced list, and w's employer is f's successor; a firm below quota has
-    none.  ``_cycles`` takes the cycles of this map.
-    """
+    reduce_profile(market, mu))`` gives them, by one ``_Pointers`` scan set
+    at mu.  Raises ``NotStableError``, with ``reduce_profile``'s message,
+    when mu is not stable."""
     if not is_stable(market, mu):
         raise NotStableError("reduction requires a stable matching")
-    mu_w = deferred_acceptance(market, Side.WORKERS)
-    frank, wrank, employer = market._frank, market._wrank, mu._employer
-    top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
-    successor, wanted = {}, {}
-    for (f, ws), (_, ws_w) in zip(mu.assignment, mu_w.assignment):
-        if len(ws) < market.quota[f]:
-            continue
-        lst, rank = market.acceptable_to_firm(f), frank[f]
-        bottom = max(map(rank.__getitem__, ws_w))
-        for w in lst[1 + max(map(lst.index, ws)):]:
-            if rank[w] > bottom:
-                break
-            mine = wrank[w]
-            if w in top and top[w] <= mine[f] < mine[employer[w]]:
-                successor[f], wanted[f] = employer[w], w
-                break
-    return _cycles(market.firms, successor, wanted)
+    return _Pointers(market, mu).scan(mu._employer)
 
 
 def _cycles(firms: Sequence[str], successor: dict[str, str],
@@ -354,30 +387,17 @@ class _Chain:
     closed sets, and ``exposed`` reads a listed matching's cube off the
     masks.
 
-    A step reduces no profile (Gusfield 1987).  Each full firm f keeps a
-    pointer into its list that rests at the first worker w after f's worst
-    staff member that f ranks no lower than its worst worker-optimal
-    partner, and that ranks f no better than its own worker-optimal
-    employer and strictly above its current one: w is the first worker
-    after the staff on f's reduced list, and w's employer is f's successor.
-    ``_cycles`` takes the cycles of this map, as ``find_cycles`` does at a
-    reduced profile.  The pointer only moves forward.  Along the chain a
-    firm's staff only get worse for it, and the workers' employers only
-    better for them, so a worker that fails the tests never passes them
-    again: the ranks against the worker-optimal partners never change, and
-    a worker that ranks f no higher than its employer keeps doing so.  The
-    worker at rest fails them once it moves up to a firm it ranks above f,
-    or once f gains it, when it is f's worst staff member; then the pointer
-    moves on.  So the chain reads each list once in all, plus one look per
-    full firm and step.  Each rotation must meet the precondition of
+    Each step is one scan of the ``_Pointers`` set at ``start``, kept from
+    step to step.  Each rotation must meet the precondition of
     ``_stable_step`` and each matching the chain reaches must pass
     ``_stable_step``; the chain must end at the worker-optimal matching,
     and no rotation may be found twice.  Each failure raises
     ``AssertionError``.
 
-    The same pass reads off the predecessors (Gusfield 1987).  Each full
-    firm f keeps ``due[f]``, a set of rotations that must precede f's next
-    rotation, and each worker w keeps ``moves[w]``: w's rank of each
+    The same pass reads off the predecessors (Gusfield 1987), hearing of
+    the workers the pointers pass through the scan's ``passed`` hook.  Each
+    full firm f keeps ``due[f]``, a set of rotations that must precede f's
+    next rotation, and each worker w keeps ``moves[w]``: w's rank of each
     employer it held along the chain, with the rotations applied up to that
     move, starting from its firm-optimal employer with none.  ``pred[j]`` is
     the union of ``due[f]`` over r_j's firms; then each of them owes
@@ -401,43 +421,25 @@ class _Chain:
 
     def __init__(self, market: Market):
         start = deferred_acceptance(market, Side.FIRMS)
-        mu_w = deferred_acceptance(market, Side.WORKERS)
-        frank, wrank = market._frank, market._wrank
+        wrank = market._wrank
         employer = {w: f for f, ws in start.assignment for w in ws}
         # per worker: its rank of each employer it held, with the rotations
         # applied by then; its firm-optimal employer comes with none
         moves = {w: [(wrank[w][f], 0)] for w, f in employer.items()}
-        # every worker matched in mu_w is matched at every step (rural hospitals)
-        top = {w: wrank[w][f] for f, ws in mu_w.assignment for w in ws}
-        # per full firm: its list, its pointer, its worst mu_w partner's rank,
-        # and the rotations its next rotation must follow
-        lists, at, bottom, due = {}, {}, {}, {}
-        for (f, ws), (_, ws_w) in zip(start.assignment, mu_w.assignment):
-            if len(ws) == market.quota[f]:
-                lists[f] = lst = market.acceptable_to_firm(f)
-                at[f] = 1 + max(map(lst.index, ws))
-                bottom[f] = max(map(frank[f].__getitem__, ws_w), default=-1)
-                due[f] = 0
+        # per firm: the rotations its next rotation must follow
+        due = dict.fromkeys(market.firms, 0)
+
+        def passed(f: str, w: str, rank: int) -> None:
+            due[f] |= next(s for r, s in moves[w] if r <= rank)
+
+        pointers = _Pointers(market, start, passed)
         rotations: list[Rotation] = []
         pred: list[int] = []
         # per rotation: (firm index, its row before, its row after) per firm
         trades: list[list[tuple[int, tuple, tuple]]] = []
         mu = start
         while True:
-            successor, wanted = {}, {}
-            for f, lst in lists.items():
-                i, rank = at[f], frank[f]
-                while i < len(lst) and rank[lst[i]] <= bottom[f]:
-                    w = lst[i]
-                    mine = wrank[w]
-                    if w in top and top[w] <= mine[f]:
-                        if mine[f] < mine[employer[w]]:
-                            successor[f], wanted[f] = employer[w], w
-                            break
-                        due[f] |= next(s for r, s in moves[w] if r <= mine[f])
-                    i += 1
-                at[f] = i
-            exposed = _cycles(market.firms, successor, wanted)
+            exposed = pointers.scan(employer)
             if not exposed:
                 break
             for sigma in exposed:
@@ -462,7 +464,7 @@ class _Chain:
                     moves[w].append((wrank[w][f], done))
                 rotations.append(sigma)
                 pred.append(mask)
-        if mu != mu_w:
+        if mu != pointers.mu_w:
             raise AssertionError(
                 "the rotation chain must end at the worker-optimal matching")
         if len(set(rotations)) != len(rotations):

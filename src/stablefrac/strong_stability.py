@@ -5,8 +5,8 @@ either the firm has exhausted its quota on weakly better workers or the
 worker has exhausted its unit of time on weakly better firms.  Such a point
 is an exact convex combination of stable matchings that strictly decrease in
 the eyes of all firms, read off the firms' cumulative masses in one sweep,
-which rebuilds at each cut only the rows of the firms whose pairs enter or
-leave there.  Both read the weak prefix sums that the point's one
+which rebuilds at each cut only the rows of the firms whose pairs enter
+there.  Both read the weak prefix sums that the point's one
 stable-feasibility evaluation keeps, the sweep also its numerators on the
 pairs, with each pair's quota from the market's pair index.
 ``strong_stability_check`` is the one evaluator of the condition: its
@@ -199,13 +199,14 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
     exactly on the threshold arc [C_{k-1}, C_k) mod D: it enters at
     C_{k-1} mod D and leaves at C_k mod D, or never leaves when e = D; a
     pair with no entry never is.  The cuts T are 0 and the points where
-    some pair enters or leaves, which are the values C mod D (the first
-    pair along a firm's list to reach a value mod D has 0 < e < D), and an
-    interval [T, E) weighs (E - T) / D.  So a term differs from the one
-    before only in the rows of firms with a pair that enters or leaves at
-    its cut.  The first term builds every row; each later term rebuilds
-    only those rows, keeping the pairs with (T - C_{k-1}) mod D < e, and
-    carries every other row over as the same tuple.  Rows are written in
+    some pair enters, and an interval [T, E) weighs (E - T) / D.  A leave
+    adds no cut and no firm to one: a pair's leave cut is the enter cut of
+    its firm's next pair with 0 < e < D, or else the firm's total C mod D,
+    0 at a strongly stable point (each firm's mass is an integer).  So a
+    term differs from the one before only in the rows of firms with a pair
+    entering at its cut.  The first term builds every row; each later one
+    rebuilds only those rows, keeping the pairs with (T - C_{k-1}) mod D <
+    e, and carries every other row over as the same tuple.  Rows are in
     worker-index order; a rebuilt row over its firm's quota, or a worker in
     two rows, raises ``ValueError``.
     """
@@ -214,7 +215,7 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
         raise failure._refusal()
     sums, d = check_stable_feasibility(market, x)._sums, x._denom
     # per firm: each supported pair's worker, the firm's mass on better
-    # workers and the entry; per cut: the firms whose rows change there
+    # workers and the entry; per cut: the firms with a pair entering there
     support: dict[str, list[tuple[str, int, int]]] = {f: [] for f in market.firms}
     changes: dict[int, dict[str, None]] = {0: dict.fromkeys(market.firms)}
     for (f, w), c, e in zip(market.pairs(), sums.firm, sums.entry):
@@ -222,7 +223,6 @@ def decompose(market: Market, x: FractionalMatching) -> Decomposition:
             support[f].append((w, c - e, e))
             if e < d:
                 changes.setdefault((c - e) % d, {})[f] = None
-                changes.setdefault(c % d, {})[f] = None
     cuts = sorted(changes)
     rows = dict.fromkeys(market.firms)      # cut 0 builds every row
     terms: list[tuple[Matching, Rational]] = []

@@ -303,7 +303,7 @@ def reference_sweep(market, x):
     row is rebuilt from all of its supported pairs, a pair with entry e > 0
     and the firm's mass C on better workers being employed when
     (T - C) mod D < e.  ``decompose`` rebuilds only the rows of firms with
-    a pair entering or leaving at T; its terms must be these."""
+    a pair entering at T; its terms must be these."""
     sums, d = check_stable_feasibility(market, x).require()._sums, x._denom
     support = [(pair, c - e, e)
                for pair, c, e in zip(market.pairs(), sums.firm, sums.entry) if e]

@@ -23,7 +23,12 @@ compares ``strong_stability_check``'s verdict, first failing pair and
 every pair's factors with the definition (``oracles.reference_condition``);
 at the mix and at every point of the walks that passes the condition it
 compares ``decompose``, which rebuilds only the rows each cut changes, with
-the per-cut sweep (``oracles.reference_sweep``).
+the per-cut sweep (``oracles.reference_sweep``).  These markets give short
+decompositions, so it compares the two again at a hull sample
+(``oracles.hull_samples``) at every stable matching of the cloned blocks
+and at the firm-optimal matching of every random-order poset market below,
+where most decompositions have three terms or more, and prints how many
+decompositions had each number of terms.
 Then, on complete 12x12 one-to-one markets, which are rich in rotations,
 it compares ``enumerate_stable_via_rotations`` with the pruned search alone
 (``oracles.compare_rich``, seeds 0 to min(N, 100) - 1; the search visits
@@ -94,18 +99,19 @@ minutes of it, and the spare-firm blocks about 9 s.
 Each rich market takes the pruned search 0.1-0.16 s.  The random-order
 family takes about 5 s (1350 poset markets, 158270 stable matchings), and
 its 351 verify runs 33 s; the cloned random orders take 3 s (300 markets,
-43944 stable matchings).  With ``--seeds 20`` the sweep took 56 s on the
-same VM, 9 s more than before it compared the decompositions and the
-pointer scan.
+43944 stable matchings).  With ``--seeds 20`` the sweep took 52-53 s on
+the same VM; the decompositions compared at the cloned blocks' and poset
+markets' hull samples take about 2 s of it (0.7 s and 1.1 s).
 """
 
 import argparse
 import random
 import sys
+from collections import Counter
 
 import stablefrac as sf
 from oracles import (RICH_SIZE, SPARE_SIZES, balanced_market, chain_agrees, chain_order,
-                     cloned_blocks, compare_rich, cyclic_blocks, dominates,
+                     cloned_blocks, compare_rich, cyclic_blocks, dominates, hull_samples,
                      lattice_exposures_agree, order_ideals, poset_market,
                      random_order,
                      reduced_lists_keep_the_base, reference_condition,
@@ -166,7 +172,8 @@ def main(argv=None) -> int:
                         help="seeds 0..N-1 per size and density (default 450)")
     args = parser.parse_args(argv)
     instances = multi = profiles = chains = chain_rotations = edges = 0
-    conditions = sweeps = 0
+    conditions = 0
+    terms = Counter()       # decompositions compared, by their number of terms
     searched = size_nodes = 0
     disagreements = []
 
@@ -187,6 +194,12 @@ def main(argv=None) -> int:
         searched += len(listed)
         if listed != reference_listed:
             disagreements.append((f"{name} listing", *where))
+
+    def compare_sweep(m, x, name, *where):
+        decomposition = sf.decompose(m, x).terms
+        terms[len(decomposition)] += 1
+        if decomposition != reference_sweep(m, x):
+            disagreements.append((f"{name} sweep", *where))
 
     for nf, nw, qmax in SIZES:
         for seed in range(args.seeds):
@@ -237,10 +250,7 @@ def main(argv=None) -> int:
                                                   seed, density))
                     for p in (x, walked[0], *walked[2]):
                         if sf.strong_stability_check(m, p).overall:
-                            sweeps += 1
-                            if sf.decompose(m, p).terms != reference_sweep(m, p):
-                                disagreements.append(("sweep", nf, nw, qmax, seed,
-                                                      density))
+                            compare_sweep(m, p, "random", nf, nw, qmax, seed, density)
         print(f"size {(nf, nw, qmax)}: {instances} instances so far, "
               f"{multi} with several stable matchings, {size_nodes} oracle "
               "nodes at this size", flush=True)
@@ -332,10 +342,13 @@ def main(argv=None) -> int:
           f"them, {spare_listed} stable matchings, {spare_nodes} oracle nodes",
           flush=True)
     cloned_listed = cloned_nodes = 0
-    for sizes, q, scanned in CLONED_BLOCKS:
+    for idx, (sizes, q, scanned) in enumerate(CLONED_BLOCKS):
         m = cloned_blocks(sizes, q)
         where = (len(m.firms), len(m.workers), q, sizes, 1.0)
         stable, nodes = _search(m)
+        for mu in sorted(stable, key=lambda mu: mu.assignment):
+            for x in hull_samples(m, mu, seed=idx, count=1):
+                compare_sweep(m, x, "cloned", *where)
         cloned_listed += len(stable)
         cloned_nodes += nodes
         if sf.enumerate_stable_via_rotations(m) != stable or \
@@ -355,6 +368,8 @@ def main(argv=None) -> int:
                 m = poset_market(n, less)
                 chain = _Chain(m)
                 listed = chain.listing()
+                for x in hull_samples(m, chain.start, seed=seed, count=1):
+                    compare_sweep(m, x, "poset", n, n, 1, seed, p)
                 orders += 1
                 order_listed += len(listed)
                 if chain_order(chain, n) != less or \
@@ -397,7 +412,8 @@ def main(argv=None) -> int:
               f"density {where[4]}")
     print(f"{instances} instances, {multi} with several stable matchings "
           f"(walks and vertex tests compared on each), {conditions} strong stability "
-          f"reports, {sweeps} decompositions, {profiles} reduced profiles, "
+          f"reports, {sum(terms.values())} decompositions (by terms: "
+          f"{dict(sorted(terms.items()))}), {profiles} reduced profiles, "
           f"{chains} chains ({chain_rotations} rotations, {edges} "
           f"predecessor pairs, {searched} matchings listed), "
           f"{len(disagreements)} disagreements")

@@ -596,6 +596,33 @@ def test_spare_blocks_match_the_oracle():
     assert (several, hiring, listed, visited) == (12, 5, 57, 1277)
 
 
+def test_full_firms_are_full_at_the_worker_optimal_matching(fleet, block_market):
+    """A firm full at one stable matching has quota-many worker-optimal
+    partners (rural hospitals), so the pointer setup (``rotations._Pointers``)
+    always finds a full firm's worst worker-optimal partner: at every listed
+    stable matching of the fleet, the block market, balanced 6x12 markets
+    (q = 2, seeds 0-9), spare blocks (seeds 0-2), two cloned blocks and the
+    named posets at q = 1 and 2.  Pinned: the (matching, firm) pairs seen
+    full and short of quota."""
+    markets = [*fleet, block_market]
+    markets += [balanced_market(seed, 6, 2) for seed in range(10)]
+    markets += [spare_blocks(sizes, q, spares, seed) for sizes, q in SPARE_SIZES
+                for spares in (1, 2) for seed in range(3)]
+    markets += [cloned_blocks([2] * 4, 2), cloned_blocks([3, 3], 3)]
+    markets += [poset_market(*POSETS[name], q=q) for name in POSETS for q in (1, 2)]
+    full = short = 0
+    for m in markets:
+        mu_w = sf.deferred_acceptance(m, sf.Side.WORKERS)
+        for mu in _Chain(m).listing():
+            for f in m.firms:
+                if len(mu.matched(f)) == m.quota[f]:
+                    assert len(mu_w.matched(f)) == m.quota[f]
+                    full += 1
+                else:
+                    short += 1
+    assert (full, short) == (23883, 144)
+
+
 def test_balanced_many_to_one_exposures_beyond_the_oracle():
     """At 8x16 only the masks are checked against reductions; the sweep
     compares the listing with the pruned search, about 60 thousand nodes a
@@ -800,7 +827,7 @@ sf.rotations._cycles = real_cycles
 # it where it is not exposed
 try:
     patched("rotations_without_passed_workers",
-            "due[f] |= next(s for r, s in moves[w] if r <= mine[f])", "pass",
+            "due[f] |= next(s for r, s in moves[w] if r <= rank)", "pass",
             ).enumerate_stable_via_rotations(
                 sf.gen_random_market(1, 5, 5, 1, density=1.0))
 except AssertionError as exc:
